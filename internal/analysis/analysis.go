@@ -57,6 +57,10 @@ type Result struct {
 
 	// MaxLoopDepth is the deepest loop nest in the kernel.
 	MaxLoopDepth int
+
+	// indep is the static half of the work-group-independence predicate
+	// (see independence.go).
+	indep Independence
 }
 
 // addAtomicArg records a parameter slot as an atomic target (deduped).
@@ -92,14 +96,26 @@ func Analyze(k *clc.Kernel) (res *Result, err error) {
 	if err := faults.Hit("analysis.analyze"); err != nil {
 		return nil, faults.Wrap(faults.StageAnalysis, err)
 	}
+	return runAnalysis(k, false)
+}
+
+// runAnalysis walks the kernel. With exact set it additionally tracks
+// the exact value of every integer expression (poly.go) and fills in the
+// work-group-independence summary; the classification is the same either
+// way, the exact walk just costs about half as much again.
+func runAnalysis(k *clc.Kernel, exact bool) (*Result, error) {
 	a := &analyzer{
-		res: &Result{KernelName: k.Name},
-		env: map[*clc.Symbol]form{},
+		res:   &Result{KernelName: k.Name},
+		env:   map[*clc.Symbol]form{},
+		exact: exact,
 	}
 	// Parameters are launch-constant.
 	for _, p := range k.Params {
+		if exact {
+			a.res.indep.params = append(a.res.indep.params, p.Name)
+		}
 		if !p.Type.Ptr {
-			a.env[p.Sym] = uniformForm()
+			a.env[p.Sym] = a.paramForm(p.Sym)
 		}
 	}
 	if k.Body != nil {
@@ -109,7 +125,45 @@ func Analyze(k *clc.Kernel) (res *Result, err error) {
 		return nil, faults.Wrap(faults.StageAnalysis,
 			fmt.Errorf("%w: %w", faults.ErrAnalysisFailed, a.err))
 	}
+	if len(a.res.AtomicArgs) > 0 {
+		a.res.indep.static = "global atomics"
+	}
 	return a.res, nil
+}
+
+// paramForm is the form of a scalar parameter: launch-constant, and for
+// integer parameters exactly the bound argument value.
+func (a *analyzer) paramForm(sym *clc.Symbol) form {
+	if exactInt(sym.Type.Kind) {
+		return a.variable(uniformForm(), pvar{varParam, sym.Slot})
+	}
+	return uniformForm()
+}
+
+// variable gives f the exact value "variable v"; lit gives a literal form
+// its own value. Both do nothing in an analysis that is not exact.
+func (a *analyzer) variable(f form, v pvar) form {
+	if a.exact {
+		f.p = varPoly(v)
+	}
+	return f
+}
+
+func (a *analyzer) lit(f form) form {
+	if a.exact && f.litOK {
+		f.p = constPoly(f.lit)
+	}
+	return f
+}
+
+// exactInt reports whether values of kind k are tracked exactly: the
+// 32- and 64-bit integers a buffer index is computed in.
+func exactInt(k clc.Kind) bool {
+	switch k {
+	case clc.KindInt, clc.KindUInt, clc.KindLong, clc.KindULong:
+		return true
+	}
+	return false
 }
 
 type loopInfo struct {
@@ -121,6 +175,11 @@ type analyzer struct {
 	res   *Result
 	env   map[*clc.Symbol]form
 	loops []loopInfo // enclosing loops, innermost last
+	// exact turns on exact-value tracking (see runAnalysis).
+	exact bool
+	// loopIDs numbers the for loops; the number names the loop's
+	// induction variable in exact index polynomials.
+	loopIDs map[*clc.ForStmt]int
 	// record suppresses site/op recording during fixpoint warm-up passes.
 	suppress int
 	err      error
@@ -156,9 +215,9 @@ func (a *analyzer) stmt(s clc.Stmt) {
 	case *clc.DeclStmt:
 		for _, d := range st.Decls {
 			if d.Init != nil {
-				a.env[d.Sym] = a.expr(d.Init)
+				a.env[d.Sym] = storedForm(d.Sym, a.expr(d.Init))
 			} else if d.Sym != nil && d.ArrayLen == 0 {
-				a.env[d.Sym] = litForm(0)
+				a.env[d.Sym] = storedForm(d.Sym, a.lit(litForm(0)))
 			}
 		}
 	case *clc.ExprStmt:
@@ -181,9 +240,9 @@ func (a *analyzer) stmt(s clc.Stmt) {
 	case *clc.ForStmt:
 		a.forLoop(st)
 	case *clc.WhileStmt:
-		a.loopBody(nil, 0, st.Body, func() { a.expr(st.Cond) })
+		a.loopBody(nil, 0, pvar{}, st.Body, func() { a.expr(st.Cond) })
 	case *clc.DoWhileStmt:
-		a.loopBody(nil, 0, st.Body, func() { a.expr(st.Cond) })
+		a.loopBody(nil, 0, pvar{}, st.Body, func() { a.expr(st.Cond) })
 	case *clc.ReturnStmt, *clc.BreakStmt, *clc.ContinueStmt, *clc.BarrierStmt:
 		// No dataflow effect for this analysis.
 	}
@@ -213,9 +272,23 @@ func (a *analyzer) forLoop(st *clc.ForStmt) {
 		a.stmt(st.Init)
 	}
 	sym, step := inductionOf(st)
-	a.loopBody(sym, step, st.Body, func() {
-		if st.Cond != nil {
-			a.expr(st.Cond)
+	id := 0
+	if a.exact {
+		id = a.loopID(st)
+	}
+	var lo poly
+	if sym != nil {
+		lo = a.env[sym].p
+	}
+	a.loopBody(sym, step, pvar{varLoop, id}, st.Body, func() {
+		if st.Cond == nil {
+			return
+		}
+		a.expr(st.Cond)
+		if a.exact && a.suppress == 0 && sym != nil {
+			// The recording pass sees the loop-head environment after
+			// widening, so a bound the body modifies is already unknown.
+			a.res.indep.loops[id] = a.rangeOf(sym, lo, step, st.Cond)
 		}
 	})
 	// st.Post is intentionally not analyzed as a side effect here: the
@@ -224,6 +297,43 @@ func (a *analyzer) forLoop(st *clc.ForStmt) {
 	if sym != nil {
 		a.env[sym] = nonlinearForm()
 	}
+}
+
+// loopID numbers st on first sight; fixpoint passes revisit loops.
+func (a *analyzer) loopID(st *clc.ForStmt) int {
+	id, ok := a.loopIDs[st]
+	if !ok {
+		if a.loopIDs == nil {
+			a.loopIDs = map[*clc.ForStmt]int{}
+		}
+		id = len(a.res.indep.loops)
+		a.loopIDs[st] = id
+		a.res.indep.loops = append(a.res.indep.loops, loopRange{})
+	}
+	return id
+}
+
+// rangeOf derives the values induction variable sym takes from a loop of
+// the shape `for (sym = lo; sym < hi; sym += step)` (or <=) with a
+// positive constant step; any other shape yields the unknown range.
+func (a *analyzer) rangeOf(sym *clc.Symbol, lo poly, step int64, cond clc.Expr) loopRange {
+	bin, ok := cond.(*clc.Binary)
+	if !ok || step <= 0 || (bin.Op != clc.BinLt && bin.Op != clc.BinLe) {
+		return loopRange{}
+	}
+	if id, ok := bin.L.(*clc.Ident); !ok || id.Sym != sym {
+		return loopRange{}
+	}
+	a.suppress++
+	hi := a.expr(bin.R).p
+	a.suppress--
+	if bin.Op == clc.BinLe {
+		hi = addPoly(hi, constPoly(1), false)
+	}
+	if lo == nil || hi == nil {
+		return loopRange{}
+	}
+	return loopRange{lo: lo, hi: hi, step: step}
 }
 
 // inductionOf identifies the induction variable and step of a for loop:
@@ -278,16 +388,17 @@ func inductionOf(st *clc.ForStmt) (*clc.Symbol, int64) {
 // loopBody analyzes a loop body to a fixpoint: a warm-up pass widens
 // variables whose form changes across an iteration (loop-carried
 // dependencies); the final pass records sites and operation counts.
-// sym is the induction variable (or nil) and step its per-iteration
-// increment (0 = unknown).
-func (a *analyzer) loopBody(sym *clc.Symbol, step int64, body clc.Stmt, cond func()) {
+// sym is the induction variable (or nil), step its per-iteration
+// increment (0 = unknown) and iv the variable that names it in exact
+// index polynomials.
+func (a *analyzer) loopBody(sym *clc.Symbol, step int64, iv pvar, body clc.Stmt, cond func()) {
 	li := loopInfo{sym: sym, step: step}
 	a.loops = append(a.loops, li)
 	if len(a.loops) > a.res.MaxLoopDepth {
 		a.res.MaxLoopDepth = len(a.loops)
 	}
 	if sym != nil {
-		a.env[sym] = basisForm(basis{sym: sym})
+		a.env[sym] = a.variable(basisForm(basis{sym: sym}), iv)
 	}
 
 	// Warm-up passes (recording suppressed) until the environment is
@@ -300,8 +411,16 @@ func (a *analyzer) loopBody(sym *clc.Symbol, step int64, body clc.Stmt, cond fun
 		a.stmt(body)
 		changed := false
 		for k, v := range a.env {
-			if w, ok := before[k]; ok && !v.equal(w) {
+			if w, ok := before[k]; !ok {
+				continue
+			} else if !v.equal(w) {
 				a.env[k] = nonlinearForm()
+				changed = true
+			} else if !samePoly(v.p, w.p) {
+				// Same abstract form, different exact value (x += 1 under
+				// an abstraction that drops offsets): only the exact
+				// value is loop-carried.
+				a.env[k] = w.inexact()
 				changed = true
 			}
 		}
@@ -317,7 +436,7 @@ func (a *analyzer) loopBody(sym *clc.Symbol, step int64, body clc.Stmt, cond fun
 			}
 		}
 		if sym != nil {
-			a.env[sym] = basisForm(basis{sym: sym})
+			a.env[sym] = a.variable(basisForm(basis{sym: sym}), iv)
 		}
 		if !changed {
 			break
@@ -329,12 +448,19 @@ func (a *analyzer) loopBody(sym *clc.Symbol, step int64, body clc.Stmt, cond fun
 	pre := a.envClone()
 	cond()
 	a.stmt(body)
+	if sym != nil && a.exact && a.suppress == 0 && !a.env[sym].p.equal(varPoly(iv)) {
+		// The body moves the induction variable itself, so the values it
+		// takes are not the init/bound/step progression.
+		a.res.indep.loops[iv.n] = loopRange{}
+	}
 	// After the loop, body-assigned variables are trip-count dependent.
 	for k, v := range a.env {
 		if w, ok := pre[k]; !ok {
 			delete(a.env, k)
 		} else if !v.equal(w) {
 			a.env[k] = nonlinearForm()
+		} else if !samePoly(v.p, w.p) {
+			a.env[k] = w.inexact()
 		}
 	}
 	a.loops = a.loops[:len(a.loops)-1]
@@ -343,10 +469,26 @@ func (a *analyzer) loopBody(sym *clc.Symbol, step int64, body clc.Stmt, cond fun
 // ---------------------------------------------------------------------------
 // Expressions
 
+// storedForm is the form variable sym holds after being assigned f: the
+// exact value survives only in a private 32/64-bit integer variable (a
+// __local scalar is shared, so one work-item reads what another wrote).
+func storedForm(sym *clc.Symbol, f form) form {
+	if sym == nil || sym.IsLocal || !exactInt(sym.Type.Kind) {
+		return f.inexact()
+	}
+	return f
+}
+
+// expr evaluates x abstractly. Exact values (form.p) exist only for
+// 32/64-bit integer expressions — anything computed in another type may
+// round or truncate — and every case below keeps that invariant: exact
+// values enter at integer literals, integer parameters, work-item ids and
+// loop counters, combine through +, -, * of exact operands, and are
+// dropped by a cast or an assignment to any other type.
 func (a *analyzer) expr(x clc.Expr) form {
 	switch e := x.(type) {
 	case *clc.IntLit:
-		return litForm(e.Value)
+		return a.lit(litForm(e.Value))
 	case *clc.FloatLit:
 		return uniformForm()
 	case *clc.Ident:
@@ -357,7 +499,7 @@ func (a *analyzer) expr(x clc.Expr) form {
 			return f
 		}
 		if e.Sym.Class == clc.SymParam {
-			return uniformForm()
+			return a.paramForm(e.Sym)
 		}
 		return nonlinearForm()
 	case *clc.Unary:
@@ -391,8 +533,8 @@ func (a *analyzer) expr(x clc.Expr) form {
 		return a.call(e)
 	case *clc.Cast:
 		f := a.expr(e.X)
-		if e.To.Kind.IsInteger() {
-			return f
+		if !exactInt(e.To.Kind) {
+			f.p = nil
 		}
 		return f
 	case *clc.Assign:
@@ -404,8 +546,8 @@ func (a *analyzer) expr(x clc.Expr) form {
 			if !ok {
 				cur = nonlinearForm()
 			}
-			delta := litForm(1)
-			nf := addForms(cur, delta, e.Decr)
+			delta := a.lit(litForm(1))
+			nf := storedForm(id.Sym, addForms(cur, delta, e.Decr))
 			a.env[id.Sym] = nf
 			return nf
 		}
@@ -435,7 +577,11 @@ func (a *analyzer) binary(e *clc.Binary) form {
 	case clc.BinDiv, clc.BinRem, clc.BinShl, clc.BinShr, clc.BinAnd, clc.BinOr, clc.BinXor:
 		if l.isUniform() && r.isUniform() {
 			if l.litOK && r.litOK {
-				return foldIntOp(e.Op, l.lit, r.lit)
+				f := foldIntOp(e.Op, l.lit, r.lit)
+				if exactInt(e.ResultType().Kind) {
+					f = a.lit(f)
+				}
+				return f
 			}
 			return uniformForm()
 		}
@@ -504,6 +650,7 @@ func (a *analyzer) assign(e *clc.Assign) form {
 				}
 			}
 		}
+		nf = storedForm(lhs.Sym, nf)
 		a.env[lhs.Sym] = nf
 		return nf
 	case *clc.Index:
@@ -512,7 +659,7 @@ func (a *analyzer) assign(e *clc.Assign) form {
 		}
 		a.classifySiteWrite(lhs)
 		a.expr(lhs.Idx)
-		return rhs
+		return rhs.inexact() // the stored value has the element's type
 	}
 	return nonlinearForm()
 }
@@ -525,9 +672,13 @@ func (a *analyzer) call(e *clc.Call) form {
 	switch b.Kind {
 	case clc.BuiltinWorkItem:
 		dim := 0
+		// The exact value is known only for a literal dimension inside
+		// the index space.
+		dimKnown := len(e.Args) == 0
 		if len(e.Args) == 1 {
 			if lit, ok := e.Args[0].(*clc.IntLit); ok {
 				dim = int(lit.Value)
+				dimKnown = lit.Value >= 0 && lit.Value < 3
 			} else {
 				f := a.expr(e.Args[0])
 				if !f.isUniform() {
@@ -535,16 +686,26 @@ func (a *analyzer) call(e *clc.Call) form {
 				}
 			}
 		}
+		var f form
+		var v pvar
 		switch e.Name {
 		case "get_global_id":
-			return basisForm(basis{wik: wiGlobalID, dim: dim})
+			f, v = basisForm(basis{wik: wiGlobalID, dim: dim}), pvar{varGlobalID, dim}
 		case "get_local_id":
-			return basisForm(basis{wik: wiLocalID, dim: dim})
+			f, v = basisForm(basis{wik: wiLocalID, dim: dim}), pvar{varLocalID, dim}
 		case "get_group_id":
+			// Group ids restart at 0 in the offset sub-range launches
+			// co-execution uses, so they have no launch-wide exact value.
 			return basisForm(basis{wik: wiGroupID, dim: dim})
-		default: // sizes, offsets, work_dim are launch-constant
+		case "get_local_size":
+			f, v = uniformForm(), pvar{varLocalSize, dim}
+		default: // other sizes, offsets, work_dim are launch-constant
 			return uniformForm()
 		}
+		if !dimKnown {
+			return f
+		}
+		return a.variable(f, v)
 	case clc.BuiltinMath, clc.BuiltinMath2:
 		for _, arg := range e.Args {
 			a.expr(arg)
@@ -628,6 +789,10 @@ func (a *analyzer) recordSite(ix *clc.Index, write bool) {
 	if id, ok := ix.Base.(*clc.Ident); ok && id.Sym != nil {
 		if id.Sym.Class == clc.SymParam {
 			sc.ArgIndex = id.Sym.Slot
+			if a.exact {
+				a.res.indep.accesses = append(a.res.indep.accesses,
+					globalAccess{slot: sc.ArgIndex, write: write, idx: f.p})
+			}
 		} else {
 			sc.Local = true
 		}

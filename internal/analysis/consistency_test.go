@@ -1,4 +1,4 @@
-package analysis
+package analysis_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dopia/internal/access"
+	"dopia/internal/analysis"
 	"dopia/internal/clc"
 	"dopia/internal/interp"
 	"dopia/internal/workloads"
@@ -39,7 +40,7 @@ func TestPropertyStaticMatchesDynamic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Analyze(k)
+		res, err := analysis.Analyze(k)
 		if err != nil {
 			t.Logf("%s: analyze: %v", w.Name, err)
 			return false

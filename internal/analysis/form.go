@@ -93,12 +93,17 @@ func (a coef) equal(b coef) bool { return a.kind == b.kind && a.k == b.k }
 // analyzed (indirect loads, divisions by loop-varying values, widened
 // loop-carried variables).
 type form struct {
-	nonlinear bool
-	coefs     map[basis]coef
+	coefs map[basis]coef
 	// lit holds the value when the expression is a compile-time constant;
 	// litOK marks it valid. Used to scale coefficients precisely.
-	lit   int64
-	litOK bool
+	lit int64
+	// p is the exact value of the expression (see poly.go), nil when
+	// unknown — always, in an analysis that does not track exact values.
+	// It never influences the abstract classification: equal() ignores
+	// it, and widening tracks it separately.
+	p         poly
+	nonlinear bool
+	litOK     bool
 }
 
 // uniformForm is a launch-constant value (parameter, literal combination).
@@ -110,6 +115,12 @@ func nonlinearForm() form { return form{nonlinear: true} }
 
 func basisForm(b basis) form {
 	return form{coefs: map[basis]coef{b: constCoef(1)}}
+}
+
+// inexact returns f without its exact value.
+func (f form) inexact() form {
+	f.p = nil
+	return f
 }
 
 // isUniform reports whether the form has no basis dependence and is
@@ -165,7 +176,7 @@ func addForms(a, b form, negate bool) form {
 	if a.nonlinear || b.nonlinear {
 		return nonlinearForm()
 	}
-	out := form{}
+	out := form{p: addPoly(a.p, b.p, negate)}
 	if a.litOK && b.litOK {
 		if negate {
 			out.lit = a.lit - b.lit
@@ -194,21 +205,22 @@ func mulForms(a, b form) form {
 		return nonlinearForm()
 	}
 	// Multiplication is linear only when at least one side is uniform.
+	var out form
 	switch {
 	case a.isUniform() && b.isUniform():
-		out := form{}
 		if a.litOK && b.litOK {
 			out.lit = a.lit * b.lit
 			out.litOK = true
 		}
-		return out
 	case a.isUniform():
-		return scaleForm(b, a)
+		out = scaleForm(b, a)
 	case b.isUniform():
-		return scaleForm(a, b)
+		out = scaleForm(a, b)
 	default:
 		return nonlinearForm()
 	}
+	out.p = mulPoly(a.p, b.p)
+	return out
 }
 
 // scaleForm multiplies a linear form by a uniform factor.
@@ -233,6 +245,9 @@ func negForm(a form) form {
 		return a
 	}
 	out := form{}
+	if a.p != nil {
+		out.p = mulPoly(a.p, constPoly(-1))
+	}
 	if a.litOK {
 		out.lit = -a.lit
 		out.litOK = true
@@ -250,6 +265,9 @@ func negForm(a form) form {
 // differing forms widen to nonlinear (unknown).
 func mergeForms(a, b form) form {
 	if a.equal(b) {
+		if !samePoly(a.p, b.p) {
+			return a.inexact()
+		}
 		return a
 	}
 	return nonlinearForm()

@@ -45,8 +45,8 @@ type Options struct {
 	MutateLeg string
 	// Machines lists zoo machine names for the co-execution legs: each
 	// total-class case is additionally executed through a sched.Executor
-	// on every machine × scheduler combination, and its buffers must be
-	// bit-identical to the reference. "all" (or an empty list when
+	// on every machine × scheduler × Shards combination, and its buffers
+	// must be bit-identical to the reference. "all" (or an empty list when
 	// Scheds is set) selects the whole zoo.
 	Machines []string
 	// Scheds lists the scheduling policies of the co-execution legs
@@ -159,11 +159,13 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 		}
 		for _, m := range machines {
 			for _, d := range dists {
-				leg, err := runCoexec(c, m, d)
-				if err != nil {
-					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+				for _, par := range shards {
+					leg, err := runCoexec(c, m, d, par)
+					if err != nil {
+						return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+					}
+					addLeg(leg)
 				}
-				addLeg(leg)
 			}
 		}
 	}
@@ -323,10 +325,11 @@ func resolveScheds(names []string) ([]sim.Distribution, error) {
 
 // runCoexec executes the case through a sched.Executor on the given
 // machine under the given scheduling policy, co-executing the original
-// kernel on all resources. Only buffers are observed: the sampled model
-// build and the split schedule make profiles non-comparable by design.
-func runCoexec(c *Case, m *sim.Machine, dist sim.Distribution) (*Observation, error) {
-	obs := &Observation{Leg: fmt.Sprintf("coexec:%s/%s", m.Name, dist)}
+// kernel on all resources with the simulated plan cut into par shards.
+// Only buffers are observed: the sampled model build and the split
+// schedule make profiles non-comparable by design.
+func runCoexec(c *Case, m *sim.Machine, dist sim.Distribution, par int) (*Observation, error) {
+	obs := &Observation{Leg: fmt.Sprintf("coexec:%s/%s/shards=%d", m.Name, dist, par)}
 	prog, err := clc.Compile(c.Source)
 	if err != nil {
 		return obs, fmt.Errorf("compile: %w", err)
@@ -339,6 +342,7 @@ func runCoexec(c *Case, m *sim.Machine, dist sim.Distribution) (*Observation, er
 	if err != nil {
 		return obs, fmt.Errorf("NewExecutor: %w", err)
 	}
+	ex.Parallelism = par
 	args := make([]interp.Arg, len(c.Args))
 	for i := range c.Args {
 		args[i] = c.Args[i].Arg()

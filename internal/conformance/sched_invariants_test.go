@@ -363,11 +363,10 @@ func TestSampledClassifierAgreement(t *testing.T) {
 func TestMachineSchedLattice(t *testing.T) {
 	cases := totalCases(t, 0x1a77, 5)
 	opts := Options{
-		Shards:   []int{1},
 		Machines: []string{"all"},
 		Scheds:   []string{"all"},
 	}
-	wantCoexec := len(sim.Zoo()) * len(sim.Distributions())
+	wantCoexec := len(sim.Zoo()) * len(sim.Distributions()) * len(defaultShards())
 	for ci, c := range cases {
 		rep, err := RunCase(c, opts)
 		if err != nil {
@@ -401,7 +400,7 @@ func TestSchedulerDeterministicReplay(t *testing.T) {
 				if err != nil {
 					t.Fatalf("generate: %v", err)
 				}
-				obs, err := runCoexec(c, m, dist)
+				obs, err := runCoexec(c, m, dist, 0)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", m.Name, dist, err)
 				}

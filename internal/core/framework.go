@@ -530,12 +530,17 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 }
 
 // engineString renders the interpreter engine an executor's CPU side
-// resolved for the current launch.
+// resolved for the current launch, why it fell back to closures if it
+// did, and why the plan ran in schedule order on one goroutine if the
+// launch is not work-group independent.
 func engineString(ex *sched.Executor) string {
 	eng, reason := ex.EngineUsed()
 	s := eng.String()
 	if reason != "" {
 		s += " (fallback: " + reason + ")"
+	}
+	if pin := ex.PinReason(); pin != "" {
+		s += " (in order: " + pin + ")"
 	}
 	return s
 }

@@ -26,24 +26,23 @@ import (
 // it. The zero value is ready to use; all methods are safe for concurrent
 // use. A FallbackStats must not be copied after first use.
 //
-// The counters are plain atomics so the hot path (RecordManaged, once
-// per interposed launch, from every serving worker at once) is a single
-// uncontended atomic increment. Only the per-stage attribution map —
-// touched exclusively on degradations, which are rare by design — takes
-// a mutex. Snapshot reads every counter atomically; when records race
-// with the snapshot each record lands entirely in this snapshot or
-// entirely in the next one per counter, and the By-stage map is copied
-// under its lock.
+// The hot path (RecordManaged, once per interposed launch, from every
+// serving worker at once) is a single uncontended atomic increment. A
+// degradation — rare by design — updates its counter, the panic/timeout
+// counters and the per-stage attribution as one record under mu, and
+// Snapshot reads all of them under the same lock: a record racing with a
+// snapshot lands entirely in this snapshot or entirely in the next, so
+// by-stage totals never exceed the records that were classified.
 type FallbackStats struct {
-	managed       atomic.Int64
-	coExecAll     atomic.Int64
-	plain         atomic.Int64
-	modelDiscards atomic.Int64
-	panics        atomic.Int64
-	timeouts      atomic.Int64
+	managed atomic.Int64
 
-	mu      sync.Mutex // guards byStage only
-	byStage map[Stage]int64
+	mu            sync.Mutex // guards everything below
+	coExecAll     int64
+	plain         int64
+	modelDiscards int64
+	panics        int64
+	timeouts      int64
+	byStage       map[Stage]int64
 }
 
 // Snapshot is a copyable view of a FallbackStats at one instant.
@@ -71,8 +70,7 @@ func (s *FallbackStats) RecordCoExecAll(err error) {
 	if s == nil {
 		return
 	}
-	s.coExecAll.Add(1)
-	s.classify(err)
+	s.record(&s.coExecAll, err)
 }
 
 // RecordPlain counts a launch handed back to the plain runtime, caused by
@@ -81,8 +79,7 @@ func (s *FallbackStats) RecordPlain(err error) {
 	if s == nil {
 		return
 	}
-	s.plain.Add(1)
-	s.classify(err)
+	s.record(&s.plain, err)
 }
 
 // RecordModelDiscard counts a launch whose model prediction was discarded.
@@ -90,29 +87,29 @@ func (s *FallbackStats) RecordModelDiscard(err error) {
 	if s == nil {
 		return
 	}
-	s.modelDiscards.Add(1)
-	s.classify(err)
+	s.record(&s.modelDiscards, err)
 }
 
-// classify attributes err to its pipeline stage and counts panics and
+// record counts one degradation in counter and, as part of the same
+// record, attributes err to its pipeline stage and counts panics and
 // timeouts.
-func (s *FallbackStats) classify(err error) {
+func (s *FallbackStats) record(counter *int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	*counter++
 	if err == nil {
 		return
 	}
 	if IsPanic(err) {
-		s.panics.Add(1)
+		s.panics++
 	}
 	if IsTimeout(err) {
-		s.timeouts.Add(1)
+		s.timeouts++
 	}
-	stage := StageOf(err)
-	s.mu.Lock()
 	if s.byStage == nil {
 		s.byStage = map[Stage]int64{}
 	}
-	s.byStage[stage]++
-	s.mu.Unlock()
+	s.byStage[StageOf(err)]++
 }
 
 // Snapshot returns a consistent copy of all counters.
@@ -120,20 +117,20 @@ func (s *FallbackStats) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	snap := Snapshot{
 		Managed:       s.managed.Load(),
-		CoExecAll:     s.coExecAll.Load(),
-		Plain:         s.plain.Load(),
-		ModelDiscards: s.modelDiscards.Load(),
-		Panics:        s.panics.Load(),
-		Timeouts:      s.timeouts.Load(),
-		ByStage:       map[Stage]int64{},
+		CoExecAll:     s.coExecAll,
+		Plain:         s.plain,
+		ModelDiscards: s.modelDiscards,
+		Panics:        s.panics,
+		Timeouts:      s.timeouts,
+		ByStage:       make(map[Stage]int64, len(s.byStage)),
 	}
-	s.mu.Lock()
 	for st, n := range s.byStage {
 		snap.ByStage[st] = n
 	}
-	s.mu.Unlock()
 	return snap
 }
 

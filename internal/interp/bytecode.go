@@ -1110,13 +1110,13 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 			return faults.Wrap(faults.StageExec, cerr)
 		}
 	}
-	total := ex.nd.TotalGroups()
+	total := rs.nd.TotalGroups()
 	if linear < 0 || linear >= total {
 		return fmt.Errorf("interp: work-group %d out of range [0,%d)", linear, total)
 	}
 	prog := ex.prog
-	coords := ex.nd.GroupCoords(linear)
-	wgSize := ex.nd.GroupSize()
+	coords := rs.nd.GroupCoords(linear)
+	wgSize := rs.nd.GroupSize()
 
 	for _, arr := range rs.wg.locals {
 		for j := range arr {
@@ -1129,7 +1129,7 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 
 	e := &rs.env
 	e.classify = groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
-	nd := &ex.nd
+	nd := &rs.nd
 	l0, l1 := int64(nd.Local[0]), int64(nd.Local[1])
 	baseWI := int64(linear) * int64(wgSize)
 

@@ -223,13 +223,13 @@ func (rs *runState) runGroupBCLanes(linear int) (err error) {
 			return faults.Wrap(faults.StageExec, cerr)
 		}
 	}
-	total := ex.nd.TotalGroups()
+	total := rs.nd.TotalGroups()
 	if linear < 0 || linear >= total {
 		return fmt.Errorf("interp: work-group %d out of range [0,%d)", linear, total)
 	}
 	prog := ex.prog
-	coords := ex.nd.GroupCoords(linear)
-	wgSize := ex.nd.GroupSize()
+	coords := rs.nd.GroupCoords(linear)
+	wgSize := rs.nd.GroupSize()
 
 	for _, arr := range rs.wg.locals {
 		for j := range arr {
@@ -242,7 +242,7 @@ func (rs *runState) runGroupBCLanes(linear int) (err error) {
 
 	e := &rs.env
 	e.classify = groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
-	nd := &ex.nd
+	nd := &rs.nd
 	baseWI := int64(linear) * int64(wgSize)
 	W := ex.laneWidth
 	lb := &rs.lanes
@@ -369,7 +369,7 @@ func (rs *runState) runGroupBCLanes(linear int) (err error) {
 // panic unwinds to the runGroupBCLanes recover.
 func (rs *runState) replayBatch(prog *bcProgram, seg []instr, segIdx, bs, w int, coords [3]int, baseWI int64) {
 	ex := rs.ex
-	nd := &ex.nd
+	nd := &rs.nd
 	e := &rs.env
 	for l := 0; l < w; l++ {
 		lin := bs + l
@@ -426,7 +426,7 @@ func (rs *runState) replayBatch(prog *bcProgram, seg []instr, segIdx, bs, w int,
 func (rs *runState) execBCVec(code []instr, lb *laneBatch, prog *bcProgram, w int) bool {
 	iv, fv := lb.irv, lb.frv
 	bufs := rs.env.bufs
-	nd := &rs.ex.nd
+	nd := &rs.nd
 	live := lb.active
 	var retired uint64
 	uniform := true

@@ -3,7 +3,9 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"dopia/internal/analysis"
 	"dopia/internal/clc"
 )
 
@@ -86,10 +88,17 @@ type compiled struct {
 	siteArg   []int  // parameter slot of the accessed buffer; -1 otherwise
 	siteWrite []bool // true when the site is a store target
 
-	// hasGlobalAtomic marks kernels that perform atomics on global
-	// memory; their work-groups are order- and interleaving-sensitive,
-	// so the executor pins them to the sequential path.
-	hasGlobalAtomic bool
+	// indep is the static half of the work-group-independence predicate
+	// (Exec.shardPinReason), analyzed on first use: a compiled form is
+	// shared, so the analysis runs once per kernel, and never for a
+	// kernel that only runs as the secondary of another kernel's plan.
+	indepOnce sync.Once
+	indep     *analysis.Independence
+}
+
+func (c *compiled) independence() *analysis.Independence {
+	c.indepOnce.Do(func() { c.indep = analysis.WorkGroupIndependence(c.kernel) })
+	return c.indep
 }
 
 // compiler holds state while lowering one kernel.
@@ -1453,9 +1462,6 @@ func (cp *compiler) compileAtomic(call *clc.Call) evalFn {
 		load = func(e *env) int64 { return e.wg.locals[li][0].I }
 		store = func(e *env, v int64) { e.wg.locals[li][0] = Value{I: v} }
 	case sym.Class == clc.SymParam && sym.Type.Ptr:
-		// Atomics on global memory are interleaving-sensitive: pin this
-		// kernel to the sequential execution path.
-		cp.c.hasGlobalAtomic = true
 		slot := sym.Slot
 		pos := call.Pos()
 		load = func(e *env) int64 {

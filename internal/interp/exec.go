@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dopia/internal/analysis"
 	"dopia/internal/clc"
 	"dopia/internal/faults"
 )
@@ -43,8 +44,8 @@ func (as *AddressSpace) Place(b *Buffer) {
 // itself is immutable and shared through a process-wide cache.
 //
 // An Exec is not safe for concurrent use by multiple goroutines, but its
-// Run and RunGroupSpan methods internally execute disjoint shards of the
-// work-group space on a worker pool (see Parallelism).
+// Run* methods internally execute disjoint shards of the work-group space
+// on a worker pool (see Parallelism and RunSegments).
 type Exec struct {
 	kernel *clc.Kernel
 	ck     *compiled
@@ -64,13 +65,13 @@ type Exec struct {
 	// It may be called concurrently and must be goroutine-safe.
 	Check func() error
 
-	// Parallelism selects how many shards Run/RunGroupSpan split the
-	// work-group space into: 0 uses DefaultParallelism() (the
+	// Parallelism selects how many shards the Run* methods split their
+	// work-groups into: 0 uses DefaultParallelism() (the
 	// DOPIA_PARALLELISM environment variable, else GOMAXPROCS), and
 	// Sequential (1) forces the single-goroutine reference path.
 	// Results — output buffers, statistics, trace — are bit-identical
-	// for every value. Kernels with global-memory atomics always run
-	// sequentially.
+	// for every value. Launches that are not work-group independent
+	// always run sequentially (see ShardPinned).
 	Parallelism int
 
 	// Engine selects the execution engine: EngineAuto (the default)
@@ -116,11 +117,24 @@ type Exec struct {
 	fallbackReason string
 	laneWidth      int
 	lanePinReason  string
+	launched       bool
+
+	// shardPin is the launch's work-group-independence verdict, resolved
+	// on first use (shardPinReason): an Exec that only ever runs as the
+	// secondary of someone else's plan never needs one.
+	shardPin         string
+	shardPinResolved bool
 
 	seq     *runState   // shard-0 / sequential execution state
 	workers []*runState // extra shard workers, grown lazily
-	tasks   []shardTask
 	abort   abortFlag
+
+	// Scratch of the runs this Exec is the primary of, reused so a
+	// steady-state run allocates nothing: the shard tasks, the worker
+	// states to merge, and the segment lists Run* build.
+	tasks   []shardTask
+	touched []*runState
+	segs    []Segment
 }
 
 // cacheKey keys the process-wide compile cache. The engine is part of
@@ -217,7 +231,12 @@ func (s *RunStats) resetFor(ck *compiled) {
 }
 
 // Stats returns the profile of everything run since the last ResetStats.
-func (ex *Exec) Stats() *Profile { return ex.stats.Summarize() }
+func (ex *Exec) Stats() *Profile {
+	if ex.launched {
+		ex.stats.ShardPinReason = ex.shardPinReason()
+	}
+	return ex.stats.Summarize()
+}
 
 // EngineUsed reports the execution engine selected at Launch and, when
 // the bytecode engine was requested but this kernel fell back to the
@@ -302,6 +321,7 @@ func (ex *Exec) Launch(nd NDRange) error {
 		ex.paramVals = append(ex.paramVals, ex.args[i].Val)
 	}
 	ex.resolveEngine()
+	ex.launched, ex.shardPinResolved = true, false
 	return nil
 }
 
@@ -400,6 +420,51 @@ func (ex *Exec) LanesUsed() (int, string) {
 	return ex.laneWidth, ex.lanePinReason
 }
 
+// shardPinReason evaluates the work-group-independence predicate for the
+// current binding and launch, once per Launch. It is the single gate of
+// every execution mode that reorders work-groups: sharded
+// Run/RunGroupSpan, sharded sampled profiling, and the scheduler's
+// sharded co-execution plan.
+func (ex *Exec) shardPinReason() string {
+	if ex.shardPinResolved {
+		return ex.shardPin
+	}
+	lf := analysis.LaunchFacts{
+		Scalars:   make([]int64, len(ex.args)),
+		BufferID:  make([]int, len(ex.args)),
+		NumGroups: ex.nd.NumGroups(),
+		Local:     ex.nd.Local,
+	}
+	for i, b := range ex.bufs {
+		if b == nil {
+			lf.Scalars[i] = ex.args[i].Val.I
+			continue
+		}
+		// Identify a buffer by the first slot it is bound to.
+		lf.BufferID[i] = i + 1
+		for j := 0; j < i; j++ {
+			if ex.bufs[j] == b {
+				lf.BufferID[i] = j + 1
+				break
+			}
+		}
+	}
+	ex.shardPin, ex.shardPinResolved = ex.ck.independence().OrderSensitive(lf), true
+	return ex.shardPin
+}
+
+// ShardPinned reports why the current launch executes its work-groups in
+// order on one goroutine regardless of Parallelism — global atomics, a
+// store at a data-dependent or non-distinct index, a load of a stored
+// buffer at another index — or "" when the launch is work-group
+// independent and may be sharded. Before the first Launch it reports "".
+func (ex *Exec) ShardPinned() string {
+	if !ex.launched {
+		return ""
+	}
+	return ex.shardPinReason()
+}
+
 // lowerCached returns the bytecode program for k, memoized — including
 // negative results, since the fallback decision is deterministic per
 // kernel. Both the read and the write are skipped while fault injection
@@ -433,20 +498,21 @@ func (ex *Exec) seqState() *runState {
 // Run executes every work-group of the launched ND range, splitting the
 // group space across Parallelism shard workers.
 func (ex *Exec) Run() error {
-	return ex.runSpan(0, ex.nd.TotalGroups())
+	return ex.RunGroupSpan(0, ex.nd.TotalGroups())
 }
 
 // RunGroupSpan executes count work-groups starting at linear group id
 // start, splitting the span across Parallelism shard workers.
 func (ex *Exec) RunGroupSpan(start, count int) error {
-	return ex.runSpan(start, count)
+	ex.segs = append(ex.segs[:0], Segment{Ex: ex, ND: ex.nd, Start: start, Count: count})
+	return ex.RunSegments(ex.segs)
 }
 
 // RunSampled executes at most maxGroups work-groups, spread evenly across
 // the ND range, and returns how many were run. Statistics can be scaled by
 // TotalGroups/groupsRun to extrapolate. Buffers hold partial results after
-// a sampled run; use Run for functional output. Sampling is always
-// sequential: it is a profiling path whose cost is bounded by maxGroups.
+// a sampled run; use Run for functional output. The sampled groups are
+// sharded like any other run, with the same bit-identical profile.
 func (ex *Exec) RunSampled(maxGroups int) (int, error) {
 	total := ex.nd.TotalGroups()
 	if maxGroups <= 0 || maxGroups >= total {
@@ -455,22 +521,21 @@ func (ex *Exec) RunSampled(maxGroups int) (int, error) {
 		}
 		return total, nil
 	}
-	rs := ex.seqState()
 	stride := total / maxGroups
-	run := 0
-	for g := 0; g < total && run < maxGroups; g += stride {
-		if err := rs.runGroup(g); err != nil {
-			return run, err
-		}
-		run++
+	ex.segs = ex.segs[:0]
+	for g := 0; g < total && len(ex.segs) < maxGroups; g += stride {
+		ex.segs = append(ex.segs, Segment{Ex: ex, ND: ex.nd, Start: g, Count: 1})
 	}
-	return run, nil
+	if err := ex.RunSegments(ex.segs); err != nil {
+		return 0, err
+	}
+	return len(ex.segs), nil
 }
 
 // RunGroup executes a single work-group identified by its linear id
 // (dimension 0 fastest).
 func (ex *Exec) RunGroup(linear int) error {
-	return ex.seqState().runGroup(linear)
+	return ex.RunGroupSpan(linear, 1)
 }
 
 // runState is the per-goroutine execution state for running work-groups:
@@ -482,6 +547,18 @@ func (ex *Exec) RunGroup(linear int) error {
 type runState struct {
 	ex    *Exec
 	stats *RunStats
+
+	// nd is the launch the groups being run belong to: the Exec's own
+	// range by default, a segment's range under RunSegments. Shards of one
+	// run execute different ranges at once, so it is per-state.
+	nd NDRange
+
+	// abort is the run's shared cancellation state, runID the sharded run
+	// the state was last claimed for and readyID the one it was last
+	// prepared for (see Exec.shardState and runState.ready).
+	abort   *abortFlag
+	runID   uint64
+	readyID uint64
 
 	env env
 	wg  wgState
@@ -562,7 +639,8 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 	rs.env.stats = stats
 	rs.env.bufs = ex.bufs
 	rs.env.sink = sink
-	rs.env.nd = &ex.nd
+	rs.nd = ex.nd
+	rs.env.nd = &rs.nd
 	rs.env.wg = &rs.wg
 }
 
@@ -595,12 +673,12 @@ func (rs *runState) runGroup(linear int) (err error) {
 			return faults.Wrap(faults.StageExec, cerr)
 		}
 	}
-	total := ex.nd.TotalGroups()
+	total := rs.nd.TotalGroups()
 	if linear < 0 || linear >= total {
 		return fmt.Errorf("interp: work-group %d out of range [0,%d)", linear, total)
 	}
-	coords := ex.nd.GroupCoords(linear)
-	wgSize := ex.nd.GroupSize()
+	coords := rs.nd.GroupCoords(linear)
+	wgSize := rs.nd.GroupSize()
 
 	// __local storage starts zeroed for every work-group.
 	for _, arr := range rs.wg.locals {
@@ -614,7 +692,7 @@ func (rs *runState) runGroup(linear int) (err error) {
 
 	e := &rs.env
 	e.classify = groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
-	nd := &ex.nd
+	nd := &rs.nd
 	l0, l1 := int64(nd.Local[0]), int64(nd.Local[1])
 	baseWI := int64(linear) * int64(wgSize)
 

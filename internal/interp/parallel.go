@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -8,18 +10,23 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the parallel ND-range execution engine. A run
-// splits the work-group space into p contiguous shards; shard 0 runs on
-// the calling goroutine directly against the Exec's statistics and trace
-// sink, shards 1..p-1 run on a process-wide worker pool against private
-// per-shard statistics (and trace logs). Because shards are contiguous,
-// disjoint spans of work-groups — and a work-item never spans two
-// work-groups — merging the per-shard statistics in shard order
-// (RunStats.mergeFrom) reproduces the sequential run's counters, access
-// patterns, and trace stream bit-for-bit. Output buffers need no merge:
-// disjoint work-groups write disjoint elements in every data-parallel
-// kernel this engine accepts (kernels with global-memory atomics are
-// pinned to the sequential path).
+// This file implements the parallel ND-range execution engine. Every
+// run — a whole launch, a span, a sampled profile, or the co-execution
+// plan the scheduler simulated — is an ordered list of work-group
+// segments (RunSegments). The list is cut into p shards that are balanced
+// by group count and contiguous in list order; shard 0 runs on the calling
+// goroutine directly against the Exec's statistics and trace sink, shards
+// 1..p-1 run on a process-wide worker pool (or inline, when no worker is
+// idle) against private per-shard statistics and trace logs. A work-item
+// never spans two work-groups, so merging the per-shard statistics in
+// shard order (RunStats.mergeFrom) reproduces the counters, access
+// patterns, and trace stream of a sequential walk of the same list
+// bit-for-bit. Output buffers need no merge, because only launches whose
+// work-groups are provably independent (analysis.Independence: no global
+// atomics, every store index distinct across work-groups, every load of
+// a stored buffer at the store's own index) are sharded at all; every
+// other launch walks its segments in list order on the calling goroutine
+// and records why (RunStats.ShardPinReason).
 
 // Sequential is the Parallelism value that forces the single-goroutine
 // reference execution path.
@@ -53,6 +60,22 @@ func (ex *Exec) parallelism() int {
 	return DefaultParallelism()
 }
 
+// Segment is one contiguous span of work-groups: Count groups starting at
+// linear group id Start of launch ND, executed by Ex.
+type Segment struct {
+	// Ex runs the span. Inside one RunSegments call every Ex must be
+	// launched with the same work-group shape and bound to the same
+	// buffers, and — because the receiver's independence proof is applied
+	// to all of them — must perform, per work-group, the global accesses
+	// of the receiver's kernel (the receiver itself, or its malleable
+	// form).
+	Ex *Exec
+	// ND is the launch the groups belong to: Ex's own launched range, or
+	// an offset sub-range of it (NDRange.SubRange).
+	ND           NDRange
+	Start, Count int
+}
+
 // traceEvent is one recorded memory access of a shard worker.
 type traceEvent struct {
 	addr, size int64
@@ -70,170 +93,388 @@ func (l *traceLog) Access(addr, size int64, write bool) {
 	l.events = append(l.events, traceEvent{addr, size, write})
 }
 
-// abortFlag is a cooperative cancellation flag shared by the shards of
-// one run: the first shard to fail (or observe a Check error) sets it,
-// and every other shard stops within one work-group quantum.
+// abortFlag is the cooperative cancellation state shared by the shards
+// of one run: it holds the lowest shard index that failed. Shards after
+// it stop within one work-group quantum; shards before it keep going,
+// because a sequential walk would have finished them before reaching the
+// failure — so the lowest failing shard's error is exactly the error the
+// sequential walk reports.
 type abortFlag struct {
-	b atomic.Bool
+	first atomic.Int32
 }
 
-func (a *abortFlag) set()        { a.b.Store(true) }
-func (a *abortFlag) isSet() bool { return a.b.Load() }
-func (a *abortFlag) reset()      { a.b.Store(false) }
+func (a *abortFlag) reset() { a.first.Store(math.MaxInt32) }
 
-// shardTask is one unit of work handed to the pool: run a span of
-// work-groups on a shard's runState. Tasks are owned by their Exec and
-// reused across runs; done is buffered so pool workers never block.
-type shardTask struct {
-	rs           *runState
+func (a *abortFlag) fail(shard int) {
+	for {
+		cur := a.first.Load()
+		if int32(shard) >= cur || a.first.CompareAndSwap(cur, int32(shard)) {
+			return
+		}
+	}
+}
+
+func (a *abortFlag) stops(shard int) bool { return a.first.Load() < int32(shard) }
+
+// piece is the part of one segment that falls into one shard.
+type piece struct {
+	rs           *runState // the shard's execution state on the segment's Exec
+	nd           NDRange
 	start, count int
-	err          error
-	done         chan struct{}
+	evLo, evHi   int // the piece's window in rs.log
 }
 
-// The process-wide shard worker pool. Shard tasks are leaves — they
-// never submit further tasks — so a fixed pool of GOMAXPROCS workers
-// cannot deadlock, and concurrent Execs (e.g. the scheduler's parallel
-// config sweep) share the machine instead of oversubscribing it.
+// shardTask is one shard of a run. Tasks are owned by the run's primary
+// Exec and reused across runs; done is buffered so pool workers never
+// block.
+type shardTask struct {
+	shard  int
+	pieces []piece
+	err    error
+	pooled bool
+	done   chan struct{}
+
+	// claim arbitrates who runs a pooled shard: it holds run<<1 while the
+	// shard waits for its pool worker and run<<1|1 once either the worker
+	// or — if the worker has not woken up by the time the caller has
+	// nothing else to do — the caller has taken it. The run number makes
+	// a stale hand-off of a reused task lose the race by construction.
+	claim atomic.Uint64
+}
+
+// take claims the shard for run id; it succeeds exactly once per run.
+func (t *shardTask) take(id uint64) bool { return t.claim.CompareAndSwap(id<<1, id<<1|1) }
+
+// handoff is what travels to a pool worker: the task and the run it was
+// handed over for.
+type handoff struct {
+	t  *shardTask
+	id uint64
+}
+
+// run executes the shard's pieces in list order.
+func (t *shardTask) run() {
+	for i := range t.pieces {
+		pc := &t.pieces[i]
+		rs := pc.rs
+		rs.ready()
+		rs.nd = pc.nd
+		if rs.log != nil {
+			pc.evLo = len(rs.log.events)
+		}
+		t.err = rs.runSpanAborting(pc.start, pc.count, t.shard)
+		if rs.log != nil {
+			pc.evHi = len(rs.log.events)
+		}
+		if t.err != nil {
+			return
+		}
+	}
+}
+
+// The process-wide shard worker pool. Shard tasks are leaves — they never
+// submit further tasks — and a caller hands a shard over only when a
+// worker is idle at that moment, running it inline otherwise. So a launch
+// never waits behind another launch's shards, and concurrent Execs (the
+// serving daemon's workers, a parallel training sweep) degrade to what
+// they were without the pool instead of queueing on it.
+//
+// A handed-over shard is not gone: waking a parked worker can take longer
+// than a small launch runs, so a caller that finishes its own shards
+// first takes back whatever its worker has not started (shardTask.take)
+// and only waits for shards that are actually running. A launch is
+// therefore never slower than its sequential walk plus the hand-off.
+//
+// Idle workers are not idle cores, though: with as many launches in
+// flight as the machine has cores (two daemon connections on two cores),
+// waking a worker only adds a goroutine for the scheduler to juggle. So a
+// run hands over no more shards than there are cores beyond the ones
+// running launches already occupy (activeRuns), and none at all on a
+// saturated host.
+//
+// poolIdle counts the workers free to take a task. A worker counts itself
+// idle before it signals its task done, so a caller that launches again
+// the moment it is woken (a tight relaunch loop) still finds it. A worker
+// that is still waking up for a shard its caller has since taken back
+// stays counted busy until it gets there, which is why the pool has
+// GOMAXPROCS workers rather than one fewer: back-to-back small launches
+// (the sampled profile, then the plan) would otherwise find the only
+// worker of a 2-core host perpetually on its way. One launch still puts at
+// most Parallelism goroutines to work.
 var (
-	poolOnce sync.Once
-	poolCh   chan *shardTask
+	poolOnce    sync.Once
+	poolCh      chan handoff
+	poolWorkers int
+	poolIdle    atomic.Int32
+	activeRuns  atomic.Int32 // RunSegments calls in flight, each busy on a core
 )
 
 func startPool() {
 	poolOnce.Do(func() {
-		poolCh = make(chan *shardTask)
-		n := runtime.GOMAXPROCS(0)
-		if n < 2 {
-			n = 2
+		workers := runtime.GOMAXPROCS(0)
+		if workers == 1 {
+			workers = 0 // no second core to run a shard on: always inline
 		}
-		for i := 0; i < n; i++ {
+		// One slot per worker: a task is only sent after taking an idle
+		// token, so sends never block and nothing queues behind a busy
+		// worker.
+		poolCh = make(chan handoff, workers)
+		poolWorkers = workers
+		poolIdle.Store(int32(workers))
+		for i := 0; i < workers; i++ {
 			go poolWorker()
 		}
 	})
 }
 
 func poolWorker() {
-	for t := range poolCh {
-		t.err = t.rs.runSpanAborting(t.start, t.count)
-		t.done <- struct{}{}
+	for h := range poolCh {
+		if !h.t.take(h.id) {
+			// The caller got there first (or this is a leftover of a
+			// finished run): the task is no longer ours to touch.
+			poolIdle.Add(1)
+			continue
+		}
+		h.t.run()
+		poolIdle.Add(1)
+		h.t.done <- struct{}{}
 	}
 }
 
+// tryPool hands t to an idle pool worker for run id, or reports that none
+// is idle.
+func tryPool(t *shardTask, id uint64) bool {
+	if poolIdle.Add(-1) < 0 {
+		poolIdle.Add(1)
+		return false
+	}
+	t.claim.Store(id << 1)
+	poolCh <- handoff{t, id}
+	return true
+}
+
+// runSeq numbers sharded runs, so a shard state shared by several primary
+// Execs can tell whether it was already prepared for the current run.
+var runSeq atomic.Uint64
+
 // runSpanAborting runs count work-groups starting at start, polling the
-// Exec's abort flag between groups. On error it raises the flag so the
-// other shards of the run stop promptly. An aborted shard returns nil;
+// run's abort flag between groups. On error it records the shard in the
+// flag so the later shards stop promptly. An aborted shard returns nil;
 // the shard that failed reports the error.
-func (rs *runState) runSpanAborting(start, count int) error {
-	ex := rs.ex
+func (rs *runState) runSpanAborting(start, count, shard int) error {
 	for g := start; g < start+count; g++ {
-		if ex.abort.isSet() {
+		if rs.abort.stops(shard) {
 			return nil
 		}
 		if err := rs.runGroup(g); err != nil {
-			ex.abort.set()
+			rs.abort.fail(shard)
 			return err
 		}
 	}
 	return nil
 }
 
-// runSpan executes count work-groups starting at linear group id start,
-// sharded across the executor's parallelism. Results are bit-identical
-// to the sequential path for every shard count.
-func (ex *Exec) runSpan(start, count int) error {
-	if count <= 0 {
-		return nil
+// RunSegments executes the segments, in list order when observed through
+// statistics, traces and buffers: the result is bit-identical to walking
+// the list group by group on one goroutine. When the receiver's launch is
+// work-group independent (see ShardPinned) the list is split across
+// Parallelism shard workers; otherwise it is walked exactly that way.
+// On failure the error of the earliest failing group in list order is
+// returned.
+func (ex *Exec) RunSegments(segs []Segment) error {
+	total := 0
+	for i := range segs {
+		s := &segs[i]
+		if s.Ex == nil || !s.Ex.launched {
+			return fmt.Errorf("interp: segment %d: executor not launched", i)
+		}
+		if err := s.ND.Validate(); err != nil {
+			return err
+		}
+		if local := s.ND.normalized().Local; local != s.Ex.nd.Local {
+			return fmt.Errorf("interp: segment %d: work-group shape %v differs from the executor's launch %v",
+				i, local, s.Ex.nd.Local)
+		}
+		if s.Count > 0 {
+			total += s.Count
+		}
 	}
+	active := int(activeRuns.Add(1))
+	defer activeRuns.Add(-1)
 	p := ex.parallelism()
-	if p > count {
-		p = count
+	if p > total {
+		p = total
 	}
-	if p <= 1 || ex.ck.hasGlobalAtomic {
-		rs := ex.seqState()
-		for g := start; g < start+count; g++ {
-			if err := rs.runGroup(g); err != nil {
-				return err
+	if p <= 1 || ex.shardPinReason() != "" {
+		for i := range segs {
+			s := &segs[i]
+			rs := s.Ex.seqState()
+			rs.nd = s.ND.normalized()
+			for g := s.Start; g < s.Start+s.Count; g++ {
+				if err := rs.runGroup(g); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
-	return ex.runSharded(start, count, p)
+	return ex.runSharded(segs, total, p, active)
 }
 
-// runSharded partitions [start, start+count) into p contiguous shards.
-// Shard i gets count/p groups plus one of the count%p remainder groups
-// (lowest shards first), so shard sizes differ by at most one.
-func (ex *Exec) runSharded(start, count, p int) error {
-	base, rem := count/p, count%p
-	shardLen := func(i int) int {
-		if i < rem {
-			return base + 1
+// shardState returns the execution state shard uses on this Exec during
+// run id of primary: the live sequential state for shard 0, a private
+// worker state (fresh statistics and trace log) otherwise. A worker state
+// is only claimed here; sizing its scratch is left to whoever runs the
+// shard (runState.ready), off the caller's critical path.
+func (ex *Exec) shardState(shard int, id uint64, primary *Exec) *runState {
+	var rs *runState
+	if shard == 0 {
+		if ex.seq == nil {
+			ex.seq = &runState{ex: ex}
 		}
-		return base
+		rs = ex.seq
+	} else {
+		for len(ex.workers) < shard {
+			ex.workers = append(ex.workers, &runState{ex: ex, ownStats: &RunStats{}})
+		}
+		rs = ex.workers[shard-1]
 	}
+	if rs.runID == id {
+		return rs
+	}
+	rs.runID = id
+	rs.abort = &primary.abort
+	if shard == 0 {
+		rs.prepare(ex.stats, ex.Sink)
+		rs.readyID = id
+	} else {
+		primary.touched = append(primary.touched, rs)
+	}
+	return rs
+}
 
-	// Grow the worker and task scratch to p-1 entries; both are reused
-	// across runs so a steady-state run allocates nothing here.
-	for len(ex.workers) < p-1 {
-		ex.workers = append(ex.workers, &runState{ex: ex, ownStats: &RunStats{}})
+// ready prepares a worker state for the run it was claimed for, once:
+// fresh statistics, an empty trace log when the Exec traces, scratch
+// sized for the launch. It only reads the Exec, so it is safe on a pool
+// worker while the caller runs shard 0.
+func (rs *runState) ready() {
+	if rs.readyID == rs.runID {
+		return
 	}
-	if cap(ex.tasks) < p-1 {
-		ex.tasks = make([]shardTask, p-1)
+	rs.readyID = rs.runID
+	ex := rs.ex
+	rs.ownStats.resetFor(ex.ck)
+	var sink TraceSink
+	if ex.Sink != nil {
+		if rs.log == nil {
+			rs.log = &traceLog{}
+		}
+		rs.log.events = rs.log.events[:0]
+		sink = rs.log
+	} else {
+		rs.log = nil
 	}
-	ex.tasks = ex.tasks[:p-1]
-	ex.abort.reset()
+	rs.prepare(rs.ownStats, sink)
+}
+
+// runSharded cuts the total groups of segs into p shards that are
+// contiguous in list order. Shard i gets total/p groups plus one of the
+// total%p remainder groups (lowest shards first), so shard sizes differ by
+// at most one. active is the number of runs in flight, this one included.
+func (ex *Exec) runSharded(segs []Segment, total, p, active int) error {
 	startPool()
+	ex.abort.reset()
+	id := runSeq.Add(1)
+	// The task and piece scratch is reused across runs, so a steady-state
+	// run allocates nothing here.
+	if cap(ex.tasks) < p {
+		ex.tasks = append(ex.tasks[:cap(ex.tasks)], make([]shardTask, p-cap(ex.tasks))...)
+	}
+	ex.tasks = ex.tasks[:p]
+	ex.touched = ex.touched[:0]
 
-	off := start + shardLen(0)
-	for i := 1; i < p; i++ {
-		w := ex.workers[i-1]
-		w.ownStats.resetFor(ex.ck)
-		var sink TraceSink
-		if ex.Sink != nil {
-			if w.log == nil {
-				w.log = &traceLog{}
-			}
-			w.log.events = w.log.events[:0]
-			sink = w.log
+	base, rem := total/p, total%p
+	si, off := 0, 0 // next unassigned group: segs[si], off groups in
+	for i := range ex.tasks {
+		t := &ex.tasks[i]
+		t.shard, t.pieces, t.err, t.pooled = i, t.pieces[:0], nil, false
+		need := base
+		if i < rem {
+			need++
 		}
-		w.prepare(w.ownStats, sink)
-		t := &ex.tasks[i-1]
+		for need > 0 {
+			s := &segs[si]
+			n := s.Count - off
+			if n > need {
+				n = need
+			}
+			if n > 0 {
+				t.pieces = append(t.pieces, piece{
+					rs:    s.Ex.shardState(i, id, ex),
+					nd:    s.ND.normalized(),
+					start: s.Start + off,
+					count: n,
+				})
+				off += n
+				need -= n
+			}
+			if off >= s.Count {
+				si, off = si+1, 0
+			}
+		}
+	}
+
+	// Hand shards to idle pool workers only, and only as many as there
+	// are cores no launch is running on: otherwise the cores are already
+	// taken, and queueing behind (or time-slicing with) another launch's
+	// shards would stall this one.
+	spare := poolWorkers - active
+	for i := 1; i < p && i <= spare; i++ {
+		t := &ex.tasks[i]
 		if t.done == nil {
 			t.done = make(chan struct{}, 1)
 		}
-		t.rs, t.start, t.count, t.err = w, off, shardLen(i), nil
-		off += shardLen(i)
-		poolCh <- t
+		t.pooled = tryPool(t, id)
 	}
-
-	// Shard 0 runs on the caller, directly into ex.stats and ex.Sink, so
-	// the chain state (prevAddr/prevWI, lane firsts) continues across
-	// repeated Run calls exactly as on the sequential path.
-	err0 := ex.seqState().runSpanAborting(start, shardLen(0))
-
+	// Shard 0 runs on the caller, directly into the Execs' statistics and
+	// sinks, so the chain state (prevAddr/prevWI, lane firsts) continues
+	// across repeated runs exactly as on the sequential path.
+	for i := range ex.tasks {
+		if t := &ex.tasks[i]; !t.pooled {
+			t.run()
+		}
+	}
 	// Join every shard before looking at errors: task memory is reused
-	// on the next run, so no worker may still be touching it.
+	// on the next run, so no worker may still be running it. A pooled
+	// shard its worker has not started yet is run here instead.
 	for i := range ex.tasks {
-		<-ex.tasks[i].done
-	}
-	if err0 != nil {
-		return err0
+		if t := &ex.tasks[i]; t.pooled {
+			if t.take(id) {
+				t.run()
+			} else {
+				<-t.done
+			}
+		}
 	}
 	for i := range ex.tasks {
-		if ex.tasks[i].err != nil {
-			return ex.tasks[i].err
+		if err := ex.tasks[i].err; err != nil {
+			return err
 		}
 	}
 
-	// Deterministic merge in shard order: statistics first, then the
-	// trace replay, so the sink observes the exact sequential stream.
-	for i := range ex.tasks {
-		w := ex.tasks[i].rs
-		ex.stats.mergeFrom(w.ownStats)
-		if ex.Sink != nil {
-			for _, ev := range w.log.events {
-				ex.Sink.Access(ev.addr, ev.size, ev.write)
+	// Deterministic merge in shard order: statistics first (touched is in
+	// shard order), then the trace replay piece by piece, so every sink
+	// observes the exact sequential stream.
+	for _, rs := range ex.touched {
+		rs.ex.stats.mergeFrom(rs.ownStats)
+	}
+	for i := 1; i < p; i++ {
+		for _, pc := range ex.tasks[i].pieces {
+			if pc.rs.log == nil {
+				continue
+			}
+			for _, ev := range pc.rs.log.events[pc.evLo:pc.evHi] {
+				pc.rs.ex.Sink.Access(ev.addr, ev.size, ev.write)
 			}
 		}
 	}

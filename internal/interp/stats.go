@@ -38,6 +38,14 @@ type RunStats struct {
 	LaneWidth     int
 	LanePinReason string
 
+	// ShardPinReason is non-empty when the launch is not work-group
+	// independent, so its work-groups run in order on one goroutine at
+	// every Parallelism (global atomics, a store at a data-dependent or
+	// non-distinct index, a load of a stored buffer at another index).
+	// Launch metadata, like EngineUsed; independent of engine, lane width
+	// and shard count.
+	ShardPinReason string
+
 	sites []siteState
 }
 
@@ -153,6 +161,11 @@ type Profile struct {
 	// are bit-identical across lane widths.
 	LaneWidth     int
 	LanePinReason string
+
+	// ShardPinReason records why the profiled launches could not be
+	// sharded (see RunStats.ShardPinReason); empty for work-group
+	// independent launches.
+	ShardPinReason string
 }
 
 // TotalBytes returns the total bytes moved (loads + stores).
@@ -279,6 +292,7 @@ func (s *RunStats) Summarize() *Profile {
 		FallbackReason: s.FallbackReason,
 		LaneWidth:      s.LaneWidth,
 		LanePinReason:  s.LanePinReason,
+		ShardPinReason: s.ShardPinReason,
 	}
 	for i := range s.sites {
 		st := &s.sites[i]

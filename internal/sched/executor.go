@@ -5,6 +5,22 @@
 // executes exactly the spans of work-groups the simulated schedule assigns
 // to each device — pull-based single work-groups for CPU cores, push-based
 // chunks for the GPU.
+//
+// A functional run is plan-then-execute. sim.Simulate is a pure timing
+// function: it runs first and only records, in simulated-completion
+// order, which device acquired which span — the plan. The plan is then
+// executed through interp.Exec.RunSegments with exactly the device
+// assignment the schedule made: CPU spans are segments of the full ND
+// range on the original kernel, GPU spans are offset sub-range launches
+// of the malleable kernel. When the launch is work-group independent
+// (analysis.Independence — no global atomics, every store index provably
+// distinct across work-groups, stored buffers loaded only at the store's
+// index) the plan is cut into Parallelism shards that run concurrently,
+// which is how a managed launch uses every host core even when each
+// schedule span is a single work-group; buffers, statistics and traces
+// stay bit-identical to the schedule-order walk. Any other launch
+// executes the plan in schedule order on one goroutine, and PinReason
+// says why. The sampled profile behind Model is sharded by the same rule.
 package sched
 
 import (
@@ -28,6 +44,11 @@ type Executor struct {
 	// overhead even when no malleable kernel was supplied (timing-only
 	// sweeps that model Dopia's execution without generating code).
 	AssumeMalleable bool
+	// Parallelism is interp.Exec.Parallelism for the executor's
+	// interpreters: the shard count of functional runs and of the sampled
+	// profile (0 = interp.DefaultParallelism()). Results are bit-identical
+	// for every value.
+	Parallelism int
 
 	orig      *clc.Kernel
 	malleable *clc.Kernel // nil when the GPU runs the original kernel
@@ -96,6 +117,11 @@ func (e *Executor) Analysis() *analysis.Result { return e.analysis }
 // the current launch, and — when the bytecode engine was requested but
 // this kernel fell back to closures — the reason (see interp.Exec).
 func (e *Executor) EngineUsed() (interp.Engine, string) { return e.cpuEx.EngineUsed() }
+
+// PinReason reports why the current launch executes its plan in schedule
+// order on one goroutine (see interp.Exec.ShardPinned), or "" when the
+// launch is work-group independent and the plan is sharded.
+func (e *Executor) PinReason() string { return e.cpuEx.ShardPinned() }
 
 // Bind sets the kernel arguments (the original kernel's signature).
 func (e *Executor) Bind(args ...interp.Arg) error {
@@ -191,6 +217,7 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 		}
 	}
 	e.cpuEx.ResetStats()
+	e.cpuEx.Parallelism = e.Parallelism
 	if err := e.cpuEx.Launch(e.nd); err != nil {
 		return nil, err
 	}
@@ -241,7 +268,7 @@ type RunOptions struct {
 	// (0 = one allocation unit).
 	MinChunkWGs int
 	// Context, when non-nil, bounds the functional execution: it is
-	// polled before every span and every work-group, so a pathological
+	// polled before every work-group by every shard, so a pathological
 	// ND range cannot wedge the host application past the deadline. A
 	// deadline hit is classified as faults.ErrExecTimeout.
 	Context context.Context
@@ -263,8 +290,9 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Run executes the kernel under the given DoP configuration, returning
-// the simulation result. When opts.Functional is set, every span the
-// simulated schedule assigns is executed by the matching interpreter, so
+// the simulation result. When opts.Functional is set, the schedule is
+// simulated first and every span it assigned is then executed by the
+// matching interpreter as one sharded plan (see the package comment), so
 // buffers hold the kernel's true output afterwards. Panics below this
 // boundary are contained and returned as classified errors; a
 // opts.Context deadline aborts the run with faults.ErrExecTimeout.
@@ -298,25 +326,19 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 			return &rc, nil
 		}
 	}
+	var plan []interp.Segment
 	var onSpan sim.SpanFunc
 	if opts.Functional {
 		if err := e.prepareFunctional(cfg); err != nil {
 			return nil, err
 		}
-		onSpan = e.spanFunc(cfg)
-		if ctx := opts.Context; ctx != nil {
-			// Watchdog: poll the context before every span and, through
-			// the interpreters' Check hook, before every work-group.
-			check := func() error { return ctxErr(ctx) }
-			e.cpuEx.Check, e.gpuEx.Check = check, check
-			defer func() { e.cpuEx.Check, e.gpuEx.Check = nil, nil }()
-			inner := onSpan
-			onSpan = func(device string, start, count int) error {
-				if cerr := check(); cerr != nil {
-					return cerr
-				}
-				return inner(device, start, count)
+		onSpan = func(device string, start, count int) error {
+			seg, err := e.segment(device, start, count)
+			if err != nil {
+				return err
 			}
+			plan = append(plan, seg)
+			return nil
 		}
 	}
 	res, err = sim.Simulate(e.Machine, km, cfg, opts.Dist, sim.SimOptions{
@@ -328,6 +350,18 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 		ExtraStartupSec: opts.ExtraStartupSec,
 		PlainGPU:        e.malleable == nil && !e.AssumeMalleable,
 	})
+	if err == nil && opts.Functional {
+		if ctx := opts.Context; ctx != nil {
+			// Watchdog: every shard polls the context before every
+			// work-group through the interpreters' Check hook.
+			check := func() error { return ctxErr(ctx) }
+			e.cpuEx.Check, e.gpuEx.Check = check, check
+			defer func() { e.cpuEx.Check, e.gpuEx.Check = nil, nil }()
+		}
+		if err = e.cpuEx.RunSegments(plan); err != nil {
+			return nil, err
+		}
+	}
 	if err == nil && timingOnly && !faults.Active() {
 		e.mu.Lock()
 		if e.simCache == nil {
@@ -382,7 +416,10 @@ func (e *Executor) RunConfigs(cfgs []sim.Config, opts RunOptions) ([]*sim.Result
 	return results, nil
 }
 
+// prepareFunctional launches both interpreters for the full ND range and
+// configures the malleable kernel's throttling parameters.
 func (e *Executor) prepareFunctional(cfg sim.Config) error {
+	e.cpuEx.Parallelism = e.Parallelism
 	if err := e.cpuEx.Launch(e.nd); err != nil {
 		return err
 	}
@@ -396,30 +433,25 @@ func (e *Executor) prepareFunctional(cfg sim.Config) error {
 			return err
 		}
 	}
-	return nil
+	return e.gpuEx.Launch(e.nd)
 }
 
-// spanFunc returns the functional span executor: CPU spans run work-groups
-// of the full ND range on the original kernel; GPU spans are dispatched as
-// offset sub-range launches of the (malleable) GPU kernel, exactly like
-// Dopia's push-based chunks.
-func (e *Executor) spanFunc(cfg sim.Config) sim.SpanFunc {
-	return func(device string, start, count int) error {
-		switch device {
-		case "cpu":
-			return e.cpuEx.RunGroupSpan(start, count)
-		case "gpu":
-			sub, err := e.nd.SubRange(start, count)
-			if err != nil {
-				return err
-			}
-			if err := e.gpuEx.Launch(sub); err != nil {
-				return err
-			}
-			return e.gpuEx.Run()
+// segment turns one span of the simulated schedule into a plan segment:
+// CPU spans run work-groups of the full ND range on the original kernel;
+// GPU spans are offset sub-range launches of the (malleable) GPU kernel,
+// exactly like Dopia's push-based chunks.
+func (e *Executor) segment(device string, start, count int) (interp.Segment, error) {
+	switch device {
+	case "cpu":
+		return interp.Segment{Ex: e.cpuEx, ND: e.nd, Start: start, Count: count}, nil
+	case "gpu":
+		sub, err := e.nd.SubRange(start, count)
+		if err != nil {
+			return interp.Segment{}, err
 		}
-		return fmt.Errorf("sched: unknown device %q", device)
+		return interp.Segment{Ex: e.gpuEx, ND: sub, Count: sub.TotalGroups()}, nil
 	}
+	return interp.Segment{}, fmt.Errorf("sched: unknown device %q", device)
 }
 
 // BestStatic sweeps the paper's 19 static splits (5%..95% to the CPU) and

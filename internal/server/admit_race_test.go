@@ -1,0 +1,108 @@
+package server
+
+import (
+	"context"
+	"net/http"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// TestAdmitCountsBeforeWorkerSees is the regression test for the
+// admission ordering race: admit used to register a task with the drain
+// WaitGroup only after the queue send, so a worker finishing a µs-scale
+// launch (a memo replay here) could call pending.Done first and panic
+// with "negative WaitGroup counter". It drives the handler's admission
+// sequence — admit, then the memo bypass on a 429 — directly, 10⁴ times
+// from several goroutines on a 2-P daemon with a queue small enough to
+// bounce, and then requires the drain to finish: every admitted, bounced
+// and bypassed task must have left pending balanced.
+func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s, _, c := newTestServer(t, func(cfg *Config) {
+		cfg.Workers = 2
+		cfg.QueueDepth = 1
+	})
+	prog, err := c.Compile(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint32(1)
+	for _, name := range []string{"x", "y"} {
+		if err := c.CreateBuffer(sid, &BufferRequest{Name: name, Kind: "float32", Len: 64, FillSeed: &seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, n := 1.0, int64(64)
+	req := &LaunchRequest{
+		SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
+		Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &n}},
+		Global: []int{64}, Local: []int{64},
+	}
+	// Execute once through the front door so every later launch is a
+	// completed-launch memo replay: microseconds of worker time.
+	if _, err := c.Launch(req); err != nil {
+		t.Fatal(err)
+	}
+	sess, _ := s.session(sid)
+	s.mu.Lock()
+	p := s.programs[prog.ProgramID]
+	s.mu.Unlock()
+
+	const goroutines, per = 4, 2500
+	var served, bypassed, bounced atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				tk := &task{
+					req: req, sess: sess, prog: p, ctx: ctx, cancel: cancel,
+					admitted: time.Now(), done: make(chan taskOutcome, 1),
+				}
+				switch status := s.admit(tk); status {
+				case 0:
+					if out := <-tk.done; out.err != nil {
+						t.Errorf("admitted launch: %v", out.err)
+					}
+					served.Add(1)
+				case http.StatusTooManyRequests:
+					if _, err, ok := s.tryMemoBypass(tk); ok {
+						if err != nil {
+							t.Errorf("bypassed launch: %v", err)
+						}
+						bypassed.Add(1)
+					} else {
+						bounced.Add(1)
+					}
+					cancel()
+				default:
+					cancel()
+					t.Errorf("admit = %d", status)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := served.Load() + bypassed.Load() + bounced.Load(); got != goroutines*per {
+		t.Fatalf("accounted for %d launches, want %d", got, goroutines*per)
+	}
+	if got := s.met.memoBypass.Load(); got != bypassed.Load() {
+		t.Errorf("memo-bypass counter = %d, want %d", got, bypassed.Load())
+	}
+	t.Logf("served=%d bypassed=%d bounced=%d", served.Load(), bypassed.Load(), bounced.Load())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("drain after the storm: %v (pending left unbalanced)", err)
+	}
+}

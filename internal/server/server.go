@@ -508,11 +508,15 @@ func (s *Server) admit(t *task) int {
 	if s.draining.Load() {
 		return http.StatusServiceUnavailable
 	}
+	// Count the task before the worker can see it: a worker may finish a
+	// µs-scale launch (and call pending.Done) before this goroutine runs
+	// again after the send.
+	s.pending.Add(1)
 	select {
 	case q <- t:
-		s.pending.Add(1)
 		return 0
 	default:
+		s.pending.Done()
 		return http.StatusTooManyRequests
 	}
 }

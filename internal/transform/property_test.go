@@ -16,7 +16,7 @@ import (
 // buffers bit-identical to the original kernel.
 func TestPropertyMalleableEquivalence(t *testing.T) {
 	cfg := &quick.Config{
-		MaxCount: 25,
+		MaxCount: 200,
 		Rand:     rand.New(rand.NewSource(99)),
 	}
 	prop := func(alphaRaw, dimsRaw, gammaRaw, tRaw, rRaw, cRaw, wdRaw uint8, modRaw, allocRaw uint8) bool {
