@@ -30,32 +30,20 @@ func compareReports(oldPath, newPath string, thresholdPct float64, allowMissing 
 	if err != nil {
 		return err
 	}
-	// Records match on (name, machine, lane_width); when either side
-	// predates a dimension (machine "" or lane_width 0 everywhere for
-	// that name), fall back to coarser keys so old baselines stay
-	// comparable.
-	type benchKey struct {
-		name    string
-		machine string
-		lanes   int
-	}
+	// Records match on (name, machine); a baseline that predates the
+	// machine field (machine "" everywhere for that name) falls back to
+	// the name alone, so old baselines stay comparable.
+	type benchKey struct{ name, machine string }
 	newByKey := make(map[benchKey]benchRecord, len(newRep.Benchmarks))
-	newByLanes := make(map[benchKey]benchRecord, len(newRep.Benchmarks))
 	newByName := make(map[string]benchRecord, len(newRep.Benchmarks))
 	for _, b := range newRep.Benchmarks {
-		newByKey[benchKey{b.Name, b.Machine, b.LaneWidth}] = b
-		if _, dup := newByLanes[benchKey{name: b.Name, lanes: b.LaneWidth}]; !dup {
-			newByLanes[benchKey{name: b.Name, lanes: b.LaneWidth}] = b
-		}
+		newByKey[benchKey{b.Name, b.Machine}] = b
 		if _, dup := newByName[b.Name]; !dup {
 			newByName[b.Name] = b
 		}
 	}
 	lookup := func(ob benchRecord) (benchRecord, bool) {
-		if nb, ok := newByKey[benchKey{ob.Name, ob.Machine, ob.LaneWidth}]; ok {
-			return nb, true
-		}
-		if nb, ok := newByLanes[benchKey{name: ob.Name, lanes: ob.LaneWidth}]; ok {
+		if nb, ok := newByKey[benchKey{ob.Name, ob.Machine}]; ok {
 			return nb, true
 		}
 		nb, ok := newByName[ob.Name]

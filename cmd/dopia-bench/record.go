@@ -37,11 +37,6 @@ type benchRecord struct {
 	// ("bytecode", "closures", possibly with a fallback note), or
 	// "none" for benchmarks that never execute kernels.
 	Engine string `json:"engine"`
-	// LaneWidth is the resolved interpreter lane width the benchmark's
-	// kernels ran at (0 for benchmarks that never execute kernels).
-	// Compare matches records on (name, machine, lane_width), falling
-	// back to coarser keys for reports that predate either field.
-	LaneWidth int `json:"lane_width,omitempty"`
 	// Machine is the simulated machine the benchmark ran on (empty for
 	// benchmarks that never touch a machine model). Reports written
 	// before the machine zoo lack the field; -compare falls back to
@@ -51,17 +46,14 @@ type benchRecord struct {
 
 // benchReport captures the effective execution environment alongside
 // the measurements: NumCPU is the machine, GoMaxProcs the scheduler
-// width the run actually used, Parallelism the effective interpreter
-// sharding width (GOMAXPROCS overridden by DOPIA_PARALLELISM), and
-// Engine the process-default interpreter engine (DOPIA_ENGINE).
+// width the run actually used, which is also the interpreter's shard
+// count. Each record names the engine its kernels resolved to.
 type benchReport struct {
-	Date        string        `json:"date"`
-	GoVersion   string        `json:"go_version"`
-	NumCPU      int           `json:"num_cpu"`
-	GoMaxProcs  int           `json:"gomaxprocs"`
-	Parallelism int           `json:"dopia_parallelism"`
-	Engine      string        `json:"dopia_engine"`
-	Benchmarks  []benchRecord `json:"benchmarks"`
+	Date       string        `json:"date"`
+	GoVersion  string        `json:"go_version"`
+	NumCPU     int           `json:"num_cpu"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	Benchmarks []benchRecord `json:"benchmarks"`
 }
 
 const gesummvSrc = `__kernel void gesummv(__global float* A, __global float* B,
@@ -78,77 +70,72 @@ const gesummvSrc = `__kernel void gesummv(__global float* A, __global float* B,
     }
 }`
 
-// interpreterBench measures the gesummv kernel on the bytecode engine.
-// lanes is the requested lane width (0 = the process default); the
-// record carries the width actually resolved at launch.
-func interpreterBench(lanes int) func() (func(b *testing.B), string, int, error) {
-	return func() (func(b *testing.B), string, int, error) {
-		prog, err := clc.Compile(gesummvSrc)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		n := 256
-		ex, err := interp.NewExec(prog.Kernels[0])
-		if err != nil {
-			return nil, "", 0, err
-		}
-		ex.LaneWidth = lanes
-		A := interp.NewFloatBuffer(n * n)
-		B := interp.NewFloatBuffer(n * n)
-		x := interp.NewFloatBuffer(n)
-		y := interp.NewFloatBuffer(n)
-		if err := ex.Bind(interp.BufArg(A), interp.BufArg(B), interp.BufArg(x), interp.BufArg(y),
-			interp.FloatArg(1), interp.FloatArg(1), interp.IntArg(int64(n))); err != nil {
-			return nil, "", 0, err
-		}
-		if err := ex.Launch(interp.ND1(n, 64)); err != nil {
-			return nil, "", 0, err
-		}
-		eng, fallback := ex.EngineUsed()
-		engineStr := eng.String()
-		if fallback != "" {
-			engineStr += " (fallback: " + fallback + ")"
-		}
-		width, _ := ex.LanesUsed()
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := ex.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}, engineStr, width, nil
+// interpreterBench measures the gesummv kernel on the default engine.
+func interpreterBench() (func(b *testing.B), string, error) {
+	prog, err := clc.Compile(gesummvSrc)
+	if err != nil {
+		return nil, "", err
 	}
+	n := 256
+	ex, err := interp.NewExec(prog.Kernels[0])
+	if err != nil {
+		return nil, "", err
+	}
+	A := interp.NewFloatBuffer(n * n)
+	B := interp.NewFloatBuffer(n * n)
+	x := interp.NewFloatBuffer(n)
+	y := interp.NewFloatBuffer(n)
+	if err := ex.Bind(interp.BufArg(A), interp.BufArg(B), interp.BufArg(x), interp.BufArg(y),
+		interp.FloatArg(1), interp.FloatArg(1), interp.IntArg(int64(n))); err != nil {
+		return nil, "", err
+	}
+	if err := ex.Launch(interp.ND1(n, 64)); err != nil {
+		return nil, "", err
+	}
+	eng, fallback := ex.EngineUsed()
+	engineStr := eng.String()
+	if fallback != "" {
+		engineStr += " (fallback: " + fallback + ")"
+	}
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := ex.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}, engineStr, nil
 }
 
-func heatmapBench(m *sim.Machine, dist sim.Distribution) func() (func(b *testing.B), string, int, error) {
-	return func() (func(b *testing.B), string, int, error) {
+func heatmapBench(m *sim.Machine, dist sim.Distribution) func() (func(b *testing.B), string, error) {
+	return func() (func(b *testing.B), string, error) {
 		ws, err := workloads.RealWorkloads(512, 256)
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		w := ws[8] // GESUMMV
 		k, err := w.CompileKernel()
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		ex, err := sched.NewExecutor(m, k, nil)
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		ex.AssumeMalleable = true
 		inst, err := w.Setup()
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		if err := ex.Bind(inst.Args...); err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		if err := ex.Launch(inst.ND); err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		if _, err := ex.Model(); err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
+		eng, _ := ex.EngineUsed()
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, cfg := range m.Configs() {
@@ -157,11 +144,11 @@ func heatmapBench(m *sim.Machine, dist sim.Distribution) func() (func(b *testing
 					}
 				}
 			}
-		}, interp.DefaultEngine().String(), 0, nil
+		}, eng.String(), nil
 	}
 }
 
-func analysisBench() (func(b *testing.B), string, int, error) {
+func analysisBench() (func(b *testing.B), string, error) {
 	prog, err := clc.Compile(`__kernel void ex(__global float* A, __global float* B,
         __global float* C, __global float* D, __global int* Bi, int c1, int N, int M) {
         for (int i = 0; i < N; i++) {
@@ -171,7 +158,7 @@ func analysisBench() (func(b *testing.B), string, int, error) {
         }
     }`)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -179,17 +166,17 @@ func analysisBench() (func(b *testing.B), string, int, error) {
 				b.Fatal(err)
 			}
 		}
-	}, "none", 0, nil
+	}, "none", nil
 }
 
-func transformBench() (func(b *testing.B), string, int, error) {
+func transformBench() (func(b *testing.B), string, error) {
 	prog, err := clc.Compile(`__kernel void sum3(__global float* A, __global float* B,
         __global float* C, int n) {
         int i = get_global_id(0);
         if (i < n) { C[i] = A[i] + B[i] + C[i]; }
     }`)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -197,14 +184,14 @@ func transformBench() (func(b *testing.B), string, int, error) {
 				b.Fatal(err)
 			}
 		}
-	}, "none", 0, nil
+	}, "none", nil
 }
 
-func inferenceBench(m *sim.Machine) func() (func(b *testing.B), string, int, error) {
-	return func() (func(b *testing.B), string, int, error) {
+func inferenceBench(m *sim.Machine) func() (func(b *testing.B), string, error) {
+	return func() (func(b *testing.B), string, error) {
 		grid, err := workloads.SyntheticGrid()
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		var sub []*workloads.Workload
 		for i := 0; i < len(grid) && len(sub) < 40; i += len(grid) / 40 {
@@ -212,11 +199,11 @@ func inferenceBench(m *sim.Machine) func() (func(b *testing.B), string, int, err
 		}
 		evals, err := core.EvaluateAll(m, sub, 0)
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		dt, err := ml.TreeTrainer{}.Fit(core.BuildDataset(m, evals))
 		if err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 		var base ml.Features
 		base[ml.FGlobalSize] = 16384
@@ -228,11 +215,11 @@ func inferenceBench(m *sim.Machine) func() (func(b *testing.B), string, int, err
 					_ = dt.Predict(core.WithConfig(base, m, cfg))
 				}
 			}
-		}, "none", 0, nil
+		}, "none", nil
 	}
 }
 
-func frontEndBench() (func(b *testing.B), string, int, error) {
+func frontEndBench() (func(b *testing.B), string, error) {
 	src := `__kernel void conv2d(__global float* A, __global float* B, int NI, int NJ) {
         int j = get_global_id(0);
         int i = get_global_id(1);
@@ -247,7 +234,7 @@ func frontEndBench() (func(b *testing.B), string, int, error) {
 				b.Fatal(err)
 			}
 		}
-	}, "none", 0, nil
+	}, "none", nil
 }
 
 // servingBinaryBench measures the serving fast path end to end: one
@@ -257,28 +244,28 @@ func frontEndBench() (func(b *testing.B), string, int, error) {
 // pure serving overhead — framing, admission, memo lookup,
 // copy-on-read-back — and its allocs/op is the alloc-regression gate
 // for the pooled-arena discipline.
-func servingBinaryBench() (func(b *testing.B), string, int, error) {
+func servingBinaryBench() (func(b *testing.B), string, error) {
 	srv, err := server.New(server.Config{Machine: sim.Kaveri()})
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	ms := server.NewMixedServer(srv)
 	go func() { _ = ms.Serve(ln) }()
 	bc, err := server.DialBin(ln.Addr().String(), 5*time.Second)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	progID, _, _, err := bc.Compile(gesummvSrc)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	sid, err := bc.NewSession("")
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	n := 256
 	fill := func(name string, elems int, seed int) error {
@@ -295,11 +282,11 @@ func servingBinaryBench() (func(b *testing.B), string, int, error) {
 		elems int
 	}{{"A", n * n}, {"B", n * n}, {"x", n}} {
 		if err := fill(bspec.name, bspec.elems, len(bspec.name)); err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 	}
 	if err := bc.CreateBufferZero(sid, "y", 'f', n); err != nil {
-		return nil, "", 0, err
+		return nil, "", err
 	}
 	alpha, beta, nn := 1.0, 1.0, int64(n)
 	req := &server.BinLaunch{
@@ -316,7 +303,7 @@ func servingBinaryBench() (func(b *testing.B), string, int, error) {
 	// and every launch is a memo replay.
 	for i := 0; i < 3; i++ {
 		if _, err := bc.Launch(req); err != nil {
-			return nil, "", 0, err
+			return nil, "", err
 		}
 	}
 	return func(b *testing.B) {
@@ -325,7 +312,7 @@ func servingBinaryBench() (func(b *testing.B), string, int, error) {
 				b.Fatal(err)
 			}
 		}
-	}, "none", 0, nil
+	}, "none", nil
 }
 
 // schedSweepSize is the problem size and work-group size of the
@@ -366,10 +353,9 @@ func writeBenchReport(path string, m *sim.Machine, dist sim.Distribution) error 
 	set := []struct {
 		name    string
 		machine string // simulated machine the benchmark drives ("" = none)
-		mk      func() (func(b *testing.B), string, int, error)
+		mk      func() (func(b *testing.B), string, error)
 	}{
-		{"InterpreterGesummv", "", interpreterBench(0)},
-		{"InterpreterGesummvScalar", "", interpreterBench(1)},
+		{"InterpreterGesummv", "", interpreterBench},
 		{"Fig1Heatmap", m.Name, heatmapBench(m, dist)},
 		{"StaticAnalysis", "", analysisBench},
 		{"MalleableTransform", "", transformBench},
@@ -381,15 +367,13 @@ func writeBenchReport(path string, m *sim.Machine, dist sim.Distribution) error 
 		{"ServingBinaryLaunch", sim.Kaveri().Name, servingBinaryBench},
 	}
 	rep := benchReport{
-		Date:        time.Now().UTC().Format("2006-01-02"),
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Parallelism: interp.DefaultParallelism(),
-		Engine:      interp.DefaultEngine().String(),
+		Date:       time.Now().UTC().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for _, s := range set {
-		fn, engine, lanes, err := s.mk()
+		fn, engine, err := s.mk()
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
@@ -398,9 +382,6 @@ func writeBenchReport(path string, m *sim.Machine, dist sim.Distribution) error 
 			fn(b)
 		})
 		note := engine
-		if lanes > 0 {
-			note = fmt.Sprintf("%s, lanes=%d", engine, lanes)
-		}
 		if s.machine != "" {
 			note = fmt.Sprintf("%s, machine=%s", note, s.machine)
 		}
@@ -414,7 +395,6 @@ func writeBenchReport(path string, m *sim.Machine, dist sim.Distribution) error 
 			BytesPerOp:  res.AllocedBytesPerOp(),
 			AllocsPerOp: res.AllocsPerOp(),
 			Engine:      engine,
-			LaneWidth:   lanes,
 			Machine:     s.machine,
 		})
 	}

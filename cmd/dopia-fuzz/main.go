@@ -32,7 +32,6 @@ func main() {
 		cases       = flag.Int("cases", 0, "number of cases to run (0: use -duration)")
 		duration    = flag.Duration("duration", 0, "wall-clock bound (0 with -cases 0: 30s)")
 		shards      = flag.String("shards", "", "comma-separated shard counts (default 1,3,GOMAXPROCS)")
-		lanes       = flag.String("lanes", "", "comma-separated bytecode lane widths (default 1,4,8)")
 		rungs       = flag.Bool("rungs", true, "run ladder-rung legs (managed / co-exec ALL / plain)")
 		machines    = flag.String("machine", "", "comma-separated zoo machines for machine-lattice co-exec legs (\"all\" = every zoo machine, \"\" disables)")
 		scheds      = flag.String("sched", "", "comma-separated schedulers for machine-lattice legs: alg1, static, dynamic, hguided, or \"all\" (default static,dynamic,hguided when -machine is set)")
@@ -73,15 +72,6 @@ func main() {
 				fail("bad -shards entry %q", f)
 			}
 			opts.Shards = append(opts.Shards, n)
-		}
-	}
-	if *lanes != "" {
-		for _, f := range strings.Split(*lanes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fail("bad -lanes entry %q", f)
-			}
-			opts.Lanes = append(opts.Lanes, n)
 		}
 	}
 	if *serving {

@@ -114,9 +114,8 @@ func DiffBuffers(name string, a, b []byte) string {
 }
 
 // DiffProfiles compares two execution profiles modulo the engine
-// metadata (Engine, FallbackReason, LaneWidth, LanePinReason), which
-// legitimately differs between legs. It returns "" when equal, else a
-// description.
+// metadata (Engine, FallbackReason), which legitimately differs between
+// legs. It returns "" when equal, else a description.
 func DiffProfiles(a, b *interp.Profile) string {
 	if a == nil || b == nil {
 		if a != b {
@@ -127,8 +126,6 @@ func DiffProfiles(a, b *interp.Profile) string {
 	ac, bc := *a, *b
 	ac.Engine, ac.FallbackReason = 0, ""
 	bc.Engine, bc.FallbackReason = 0, ""
-	ac.LaneWidth, ac.LanePinReason = 0, ""
-	bc.LaneWidth, bc.LanePinReason = 0, ""
 	if reflect.DeepEqual(&ac, &bc) {
 		return ""
 	}

@@ -24,13 +24,6 @@ type Options struct {
 	// {1, 3, GOMAXPROCS}). Trappy cases always run at parallelism 1,
 	// where partial trap state is deterministic.
 	Shards []int
-	// Lanes lists the lane widths of the bytecode direct legs (default
-	// {1, 4, 8}), crossed with Shards. The closure engine is always
-	// scalar, so lanes only multiply the bytecode legs. Kernels the
-	// lowering pins (atomics, aliasing, ...) run scalar regardless of
-	// the requested width — those legs still execute, they just prove
-	// the pin preserves behaviour.
-	Lanes []int
 	// Rungs adds the interposed fallback-ladder legs: a natural launch
 	// plus coexec-all and plain rungs forced via armed fault injection.
 	// Fault injection is process-global state, so RunCase calls with
@@ -65,9 +58,6 @@ func defaultShards() []int {
 	return out
 }
 
-// defaultLanes returns the default bytecode-leg lane-width set.
-func defaultLanes() []int { return []int{1, 4, 8} }
-
 // Report is the outcome of running one case across the lattice.
 type Report struct {
 	Case *Case
@@ -92,14 +82,10 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 	if len(shards) == 0 {
 		shards = defaultShards()
 	}
-	lanes := opts.Lanes
-	if len(lanes) == 0 {
-		lanes = defaultLanes()
-	}
 	rep := &Report{Case: c}
 
 	// Reference leg: closure engine, sequential, exact profiling, traced.
-	ref, err := runDirect(c, interp.EngineClosures, 1, 1, true)
+	ref, err := runDirect(c, interp.EngineClosures, 1, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: reference leg: %w", c, err)
 	}
@@ -117,30 +103,21 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 		rep.Divergences = append(rep.Divergences, DiffObservations(ref, leg)...)
 	}
 
-	// Direct legs: both engines across the shard set; the bytecode
-	// engine is additionally crossed with the lane-width set. Trappy
-	// cases run the engine differential at parallelism 1 only (lane
-	// widths stay in play there: the lane engine's bail-and-replay must
-	// reproduce exact trap state).
+	// Direct legs: both engines across the shard set. Trappy cases run
+	// the engine differential at parallelism 1 only.
 	for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
 		for _, par := range shards {
 			if c.Class == ClassTrappy && par != 1 {
 				continue
 			}
-			legLanes := []int{1}
-			if engine == interp.EngineBytecode {
-				legLanes = lanes
+			if engine == interp.EngineClosures && par == 1 {
+				continue // the reference
 			}
-			for _, lw := range legLanes {
-				if engine == interp.EngineClosures && par == 1 {
-					continue // the reference
-				}
-				leg, err := runDirect(c, engine, par, lw, par == 1)
-				if err != nil {
-					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
-				}
-				addLeg(leg)
+			leg, err := runDirect(c, engine, par, par == 1)
+			if err != nil {
+				return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
 			}
+			addLeg(leg)
 		}
 	}
 
@@ -226,16 +203,10 @@ func mutate(rep *Report, opts Options, obs *Observation) {
 	}
 }
 
-// runDirect executes the case once on a fresh interp.Exec. Lane widths
-// above 1 are named in the leg; width-1 legs keep the legacy
-// "engine/shards=N" names so existing crasher dumps and MutateLeg
-// selectors stay valid.
-func runDirect(c *Case, engine interp.Engine, par, lanes int, trace bool) (*Observation, error) {
-	leg := fmt.Sprintf("%s/shards=%d", engine, par)
-	if lanes > 1 {
-		leg = fmt.Sprintf("%s/lanes=%d", leg, lanes)
-	}
-	obs := &Observation{Leg: leg}
+// runDirect executes the case once on a fresh interp.Exec, with exact
+// access profiling (the Exec default).
+func runDirect(c *Case, engine interp.Engine, par int, trace bool) (*Observation, error) {
+	obs := &Observation{Leg: fmt.Sprintf("%s/shards=%d", engine, par)}
 	prog, err := clc.Compile(c.Source)
 	if err != nil {
 		return obs, fmt.Errorf("compile: %w", err)
@@ -250,10 +221,6 @@ func runDirect(c *Case, engine interp.Engine, par, lanes int, trace bool) (*Obse
 	}
 	ex.Engine = engine
 	ex.Parallelism = par
-	ex.LaneWidth = lanes
-	// Exact profiling regardless of the process DOPIA_ACCESS_SAMPLE
-	// default: the oracle compares bit-exact site counts.
-	ex.AccessSampleRate = 1
 	var sink *RecordingSink
 	if trace {
 		sink = &RecordingSink{}

@@ -309,21 +309,6 @@ type bcProgram struct {
 	paramF   []paramCopy
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
-
-	// lanePin, when non-empty, pins the program to lane width 1 with
-	// this reason (atomics, barrier-divergent control flow, intra-group
-	// local-memory dependence). Computed once at lowering time by
-	// scanLanePin.
-	lanePin string
-
-	// loadSlots/storeSlots are bitmasks of the parameter slots the
-	// program loads from / stores to, gathered by scanLanePin. The
-	// launch-time lane resolution pins the program to width 1 when a
-	// stored buffer is also loaded (by slot or by aliased binding):
-	// such a kernel can carry an intra-group read-after-write
-	// dependence whose sequential order is observable.
-	loadSlots  uint64
-	storeSlots uint64
 }
 
 // normReg normalizes an integer result (normInt by code).

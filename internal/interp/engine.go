@@ -1,11 +1,6 @@
 package interp
 
-import (
-	"math"
-	"os"
-	"strconv"
-	"sync"
-)
+import "math"
 
 // Engine selects which execution engine an Exec uses to run compiled
 // kernels. Both engines are bit-identical in every observable: output
@@ -17,8 +12,7 @@ type Engine int8
 
 // Engine values.
 const (
-	// EngineAuto resolves to the DOPIA_ENGINE environment variable
-	// ("bytecode" or "closures"), defaulting to the bytecode engine.
+	// EngineAuto, the zero value, means the bytecode engine.
 	EngineAuto Engine = iota
 	// EngineBytecode runs kernels on the register-based bytecode VM,
 	// falling back per kernel to closures when lowering fails (the
@@ -40,69 +34,6 @@ func (e Engine) String() string {
 	return "engine(?)"
 }
 
-var (
-	defaultEngine     Engine
-	defaultEngineOnce sync.Once
-)
-
-// maxLaneWidth bounds Exec.LaneWidth / DOPIA_LANES. Lane scratch is
-// allocated per runState at this granularity, so the cap keeps worst-case
-// memory bounded; widths beyond the host's SIMD-ish sweet spot stop
-// paying anyway.
-const maxLaneWidth = 16
-
-var (
-	defaultLanes     int
-	defaultLanesOnce sync.Once
-)
-
-// DefaultLaneWidth returns the lane width used by Execs whose LaneWidth
-// field is zero: the DOPIA_LANES environment variable when set to a
-// positive integer (clamped to maxLaneWidth), else 8. Lane width 1 is
-// the scalar reference path. The environment is read once per process.
-func DefaultLaneWidth() int {
-	defaultLanesOnce.Do(func() {
-		defaultLanes = 8
-		if s := os.Getenv("DOPIA_LANES"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n > 0 {
-				defaultLanes = n
-			}
-		}
-		if defaultLanes > maxLaneWidth {
-			defaultLanes = maxLaneWidth
-		}
-	})
-	return defaultLanes
-}
-
-// clampLaneWidth normalizes a requested lane width to [1, maxLaneWidth].
-func clampLaneWidth(w int) int {
-	if w < 1 {
-		return 1
-	}
-	if w > maxLaneWidth {
-		return maxLaneWidth
-	}
-	return w
-}
-
-// DefaultEngine returns the engine used by Execs whose Engine field is
-// EngineAuto: the DOPIA_ENGINE environment variable when set to
-// "bytecode" or "closures", else EngineBytecode. The environment is read
-// once per process.
-func DefaultEngine() Engine {
-	defaultEngineOnce.Do(func() {
-		defaultEngine = EngineBytecode
-		switch os.Getenv("DOPIA_ENGINE") {
-		case "closures", "closure":
-			defaultEngine = EngineClosures
-		case "bytecode", "":
-			defaultEngine = EngineBytecode
-		}
-	})
-	return defaultEngine
-}
-
 // ---------------------------------------------------------------------------
 // Sampled access profiling
 //
@@ -118,31 +49,6 @@ func DefaultEngine() Engine {
 // Sampling is deterministic in (seed, group id) and independent of the
 // shard count, so sampled profiles are bit-identical across engines and
 // parallelism levels. Exact mode (rate 0 or >= 1) is the default.
-
-var (
-	defaultSampleRate float64
-	defaultSampleSeed uint64
-	defaultSampleOnce sync.Once
-)
-
-// DefaultAccessSampling returns the process-wide default access-sampling
-// rate and seed: the DOPIA_ACCESS_SAMPLE (a fraction in (0,1)) and
-// DOPIA_ACCESS_SEED environment variables, else exact profiling (rate 0).
-func DefaultAccessSampling() (rate float64, seed uint64) {
-	defaultSampleOnce.Do(func() {
-		if s := os.Getenv("DOPIA_ACCESS_SAMPLE"); s != "" {
-			if r, err := strconv.ParseFloat(s, 64); err == nil && r > 0 {
-				defaultSampleRate = r
-			}
-		}
-		if s := os.Getenv("DOPIA_ACCESS_SEED"); s != "" {
-			if v, err := strconv.ParseUint(s, 10, 64); err == nil {
-				defaultSampleSeed = v
-			}
-		}
-	})
-	return defaultSampleRate, defaultSampleSeed
-}
 
 // sampleThreshold converts a sampling rate into a 64-bit hash threshold.
 // Zero means exact profiling (every group classified).

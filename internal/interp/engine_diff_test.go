@@ -29,7 +29,7 @@ import (
 // runOnEngine executes one workload instance on a fresh Exec pinned to
 // the given engine and returns the executor for stats/buffer checks.
 func runOnEngine(t *testing.T, k *clc.Kernel, inst *workloads.Instance,
-	engine interp.Engine, parallelism, lanes int, sink interp.TraceSink) *interp.Exec {
+	engine interp.Engine, parallelism int, sink interp.TraceSink) *interp.Exec {
 	t.Helper()
 	ex, err := interp.NewExec(k)
 	if err != nil {
@@ -37,7 +37,6 @@ func runOnEngine(t *testing.T, k *clc.Kernel, inst *workloads.Instance,
 	}
 	ex.Engine = engine
 	ex.Parallelism = parallelism
-	ex.LaneWidth = lanes
 	ex.Sink = sink
 	if err := ex.Bind(inst.Args...); err != nil {
 		t.Fatalf("Bind: %v", err)
@@ -61,10 +60,10 @@ func sameProfileModuloEngine(a, b *interp.Profile) bool {
 
 // TestEngineDifferentialRealWorkloads runs every real workload kernel on
 // the closure engine (sequential reference) and on the bytecode engine
-// across the shard counts {1, 4} × lane widths {1, 4, 8} cross-product,
-// demanding bit-identical buffers, profiles, and trace streams. It also
-// asserts that the bytecode engine actually ran (no silent fallback) for
-// every real kernel, so the differential coverage is not vacuous.
+// at shard counts {1, 4}, demanding bit-identical buffers, profiles, and
+// trace streams. It also asserts that the bytecode engine actually ran
+// (no silent fallback) for every real kernel, so the differential
+// coverage is not vacuous.
 func TestEngineDifferentialRealWorkloads(t *testing.T) {
 	ws, err := workloads.RealWorkloads(128, 32)
 	if err != nil {
@@ -82,31 +81,29 @@ func TestEngineDifferentialRealWorkloads(t *testing.T) {
 				t.Fatalf("Setup: %v", err)
 			}
 			refSink := &conformance.RecordingSink{}
-			ref := runOnEngine(t, k, refInst, interp.EngineClosures, 1, 1, refSink)
+			ref := runOnEngine(t, k, refInst, interp.EngineClosures, 1, refSink)
 			refObs := observe("closures/shards=1", refInst, ref, refSink)
 
 			for _, par := range []int{1, 4} {
-				for _, lanes := range []int{1, 4, 8} {
-					inst, err := w.Setup()
-					if err != nil {
-						t.Fatalf("Setup: %v", err)
-					}
-					var sink *conformance.RecordingSink
-					if par == 1 {
-						sink = &conformance.RecordingSink{}
-					}
-					var ts interp.TraceSink
-					if sink != nil {
-						ts = sink
-					}
-					ex := runOnEngine(t, k, inst, interp.EngineBytecode, par, lanes, ts)
-					eng, reason := ex.EngineUsed()
-					if eng != interp.EngineBytecode {
-						t.Fatalf("par=%d: fell back to %v (%s); real kernels must lower", par, eng, reason)
-					}
-					conformance.AssertIdentical(t, refObs,
-						observe(fmt.Sprintf("bytecode/shards=%d/lanes=%d", par, lanes), inst, ex, sink))
+				inst, err := w.Setup()
+				if err != nil {
+					t.Fatalf("Setup: %v", err)
 				}
+				var sink *conformance.RecordingSink
+				if par == 1 {
+					sink = &conformance.RecordingSink{}
+				}
+				var ts interp.TraceSink
+				if sink != nil {
+					ts = sink
+				}
+				ex := runOnEngine(t, k, inst, interp.EngineBytecode, par, ts)
+				eng, reason := ex.EngineUsed()
+				if eng != interp.EngineBytecode {
+					t.Fatalf("par=%d: fell back to %v (%s); real kernels must lower", par, eng, reason)
+				}
+				conformance.AssertIdentical(t, refObs,
+					observe(fmt.Sprintf("bytecode/shards=%d", par), inst, ex, sink))
 			}
 		})
 	}
@@ -190,7 +187,7 @@ func synthesizeArgs(k *clc.Kernel, n int) []interp.Arg {
 // returns the full observation: buffer byte images, profile, trace, and
 // run error (nil for success).
 func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
-	parallelism, lanes, n int) *conformance.Observation {
+	parallelism, n int) *conformance.Observation {
 	t.Helper()
 	ex, err := interp.NewExec(k)
 	if err != nil {
@@ -198,7 +195,6 @@ func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
 	}
 	ex.Engine = engine
 	ex.Parallelism = parallelism
-	ex.LaneWidth = lanes
 	sink := &conformance.RecordingSink{}
 	ex.Sink = sink
 	args := synthesizeArgs(k, n)
@@ -236,17 +232,13 @@ func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
 // legitimate data race under sharding for either engine (and trips the
 // race detector regardless of the comparison). The real-workload
 // differential test covers the multi-shard path with kernels that are
-// race-free by construction. Lane width is pinned to 1 for the same
-// reason: lockstep lanes reorder effects within a work-group, which is
-// only equivalence-preserving for kernels that honour the data-parallel
-// contract (no intra-group ordering dependence outside barriers) —
-// arbitrary corpus kernels do not.
+// race-free by construction.
 func TestEngineDifferentialFuzzCorpus(t *testing.T) {
 	for _, k := range corpusKernels(t) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			cObs := runKernelOn(t, k, interp.EngineClosures, 1, 1, 64)
-			bObs := runKernelOn(t, k, interp.EngineBytecode, 1, 1, 64)
+			cObs := runKernelOn(t, k, interp.EngineClosures, 1, 64)
+			bObs := runKernelOn(t, k, interp.EngineBytecode, 1, 64)
 			conformance.AssertIdentical(t, cObs, bObs)
 		})
 	}
@@ -275,9 +267,7 @@ var trapKernels = []struct{ name, src string }{
 
 // TestEngineDifferentialTraps compiles each trap kernel and verifies
 // both engines produce the same error text and the same trap-time
-// statistics totals — at lane width 1 (scalar dispatch) and lane width
-// 8, where the trapping batch must roll back and replay to reproduce
-// the exact sequential partial effects and error.
+// statistics totals.
 func TestEngineDifferentialTraps(t *testing.T) {
 	for _, tk := range trapKernels {
 		tk := tk
@@ -287,14 +277,12 @@ func TestEngineDifferentialTraps(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			k := prog.Kernels[0]
-			cObs := runKernelOn(t, k, interp.EngineClosures, 1, 1, 64)
-			for _, lanes := range []int{1, 8} {
-				bObs := runKernelOn(t, k, interp.EngineBytecode, 1, lanes, 64)
-				if cObs.Err == nil || bObs.Err == nil {
-					t.Fatalf("lanes=%d: expected traps, got closures=%v bytecode=%v", lanes, cObs.Err, bObs.Err)
-				}
-				conformance.AssertIdentical(t, cObs, bObs)
+			cObs := runKernelOn(t, k, interp.EngineClosures, 1, 64)
+			bObs := runKernelOn(t, k, interp.EngineBytecode, 1, 64)
+			if cObs.Err == nil || bObs.Err == nil {
+				t.Fatalf("expected traps, got closures=%v bytecode=%v", cObs.Err, bObs.Err)
 			}
+			conformance.AssertIdentical(t, cObs, bObs)
 		})
 	}
 }
@@ -414,9 +402,7 @@ func TestSampledProfilingInvariance(t *testing.T) {
 		return ex.Stats()
 	}
 
-	// Rate 1 forces exact profiling even when DOPIA_ACCESS_SAMPLE is set
-	// in the environment (rate 0 would inherit the process default).
-	exact := run(interp.EngineClosures, 1, 1, 0)
+	exact := run(interp.EngineClosures, 1, 0, 0)
 	const rate, seed = 0.5, 12345
 
 	ref := run(interp.EngineClosures, 1, rate, seed)
@@ -455,49 +441,56 @@ func TestSampledProfilingInvariance(t *testing.T) {
 	}
 }
 
-// TestEngineEnvSelection pins down the DOPIA_ENGINE contract without
-// mutating the process environment (the default is latched once): an
-// explicit Engine field always wins, and EngineAuto resolves to the
-// process default.
-func TestEngineEnvSelection(t *testing.T) {
+// TestEngineZeroValueSelection pins down the Engine field's contract: an
+// explicit engine always wins, and the zero value (EngineAuto) means
+// bytecode — before and after Launch — with the closure fallback and its
+// reason recorded when the kernel cannot be lowered.
+func TestEngineZeroValueSelection(t *testing.T) {
 	src := `__kernel void g(__global float* a) { a[get_global_id(0)] = 1.0f; }`
 	prog, err := clc.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	k := prog.Kernels[0]
-	for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
+	launch := func(engine interp.Engine) *interp.Exec {
 		ex, err := interp.NewExec(k)
 		if err != nil {
 			t.Fatalf("NewExec: %v", err)
 		}
 		ex.Engine = engine
-		b := interp.NewFloatBuffer(32)
-		if err := ex.Bind(interp.BufArg(b)); err != nil {
+		if eng, _ := ex.EngineUsed(); engine == interp.EngineAuto && eng != interp.EngineBytecode {
+			t.Errorf("before Launch the zero Engine reports %v, want bytecode", eng)
+		}
+		if err := ex.Bind(interp.BufArg(interp.NewFloatBuffer(32))); err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
 		if err := ex.Launch(interp.ND1(32, 8)); err != nil {
 			t.Fatalf("Launch: %v", err)
 		}
-		if eng, _ := ex.EngineUsed(); eng != engine {
-			t.Errorf("requested %v, got %v", engine, eng)
+		return ex
+	}
+	for _, tc := range []struct{ set, want interp.Engine }{
+		{interp.EngineClosures, interp.EngineClosures},
+		{interp.EngineBytecode, interp.EngineBytecode},
+		{interp.EngineAuto, interp.EngineBytecode},
+	} {
+		ex := launch(tc.set)
+		if eng, reason := ex.EngineUsed(); eng != tc.want || reason != "" {
+			t.Errorf("Engine=%v resolved to %v (%q), want %v", tc.set, eng, reason, tc.want)
 		}
-		if p := ex.Stats(); p.Engine != engine {
-			t.Errorf("profile engine = %v, want %v", p.Engine, engine)
+		if p := ex.Stats(); p.Engine != tc.want {
+			t.Errorf("Engine=%v: profile engine = %v, want %v", tc.set, p.Engine, tc.want)
 		}
 	}
-	auto, err := interp.NewExec(k)
-	if err != nil {
-		t.Fatalf("NewExec: %v", err)
+
+	faults.InjectError("interp.lower", errors.New("lowering fault"))
+	t.Cleanup(faults.Reset)
+	ex := launch(interp.EngineAuto)
+	eng, reason := ex.EngineUsed()
+	if eng != interp.EngineClosures || !strings.Contains(reason, "lowering fault") {
+		t.Errorf("zero Engine with a lowering fault resolved to %v (%q), want the closure fallback with its reason", eng, reason)
 	}
-	b := interp.NewFloatBuffer(32)
-	if err := auto.Bind(interp.BufArg(b)); err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	if err := auto.Launch(interp.ND1(32, 8)); err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	if eng, _ := auto.EngineUsed(); eng != interp.DefaultEngine() {
-		t.Errorf("EngineAuto resolved to %v, want process default %v", eng, interp.DefaultEngine())
+	if p := ex.Stats(); p.Engine != interp.EngineClosures || p.FallbackReason != reason {
+		t.Errorf("fallback profile metadata %v/%q, want closures/%q", p.Engine, p.FallbackReason, reason)
 	}
 }

@@ -66,8 +66,7 @@ type Exec struct {
 	Check func() error
 
 	// Parallelism selects how many shards the Run* methods split their
-	// work-groups into: 0 uses DefaultParallelism() (the
-	// DOPIA_PARALLELISM environment variable, else GOMAXPROCS), and
+	// work-groups into: 0 uses GOMAXPROCS at the time of the run, and
 	// Sequential (1) forces the single-goroutine reference path.
 	// Results — output buffers, statistics, trace — are bit-identical
 	// for every value. Launches that are not work-group independent
@@ -75,36 +74,28 @@ type Exec struct {
 	Parallelism int
 
 	// Engine selects the execution engine: EngineAuto (the default)
-	// resolves to DefaultEngine() at Launch time. When the bytecode
+	// means the bytecode engine. When the bytecode
 	// engine is selected but the kernel cannot be lowered, the launch
 	// transparently falls back to the closure engine and records the
 	// reason in RunStats.FallbackReason. Results are bit-identical
 	// across engines.
 	Engine Engine
 
-	// LaneWidth selects the bytecode engine's vector lane width: work-
-	// items execute in lockstep batches of this many lanes through
-	// structure-of-arrays register files, with one opcode dispatch
-	// amortized over the batch and divergent control flow handled by
-	// per-lane masking. 0 uses DefaultLaneWidth() (DOPIA_LANES, else 8);
-	// 1 forces the scalar reference path. Results — buffers, statistics,
-	// traces, traps — are bit-identical at every width. Kernels with
-	// atomics, barrier-divergent control flow, or intra-group local-
-	// memory dependences are pinned to width 1 (the reason is recorded
-	// in RunStats.LanePinReason). The closure engine always runs width 1.
+	// LaneWidth is ignored: the lane tier it selected is deleted. The
+	// field stays only because benchmark/ (frozen outside benchmark PRs)
+	// still assigns it; no other code may touch it, and it goes when the
+	// next benchmark PR drops those assignments (ROADMAP item 2).
 	LaneWidth int
 
 	// AccessSampleRate enables sampled access-pattern profiling: a
 	// deterministic, hash-chosen fraction of work-groups (by linear
 	// group id) runs the per-access classifier, the rest skip it.
-	// 0 uses the process default (DOPIA_ACCESS_SAMPLE, else exact);
+	// Exact profiling is the default (the zero value):
 	// rates outside (0,1) mean exact profiling. Aggregate counters and
 	// traces stay exact in every mode, and the sampling decision is
 	// independent of engine and shard count.
 	AccessSampleRate float64
-	// AccessSampleSeed seeds the sampling hash (used only when a rate
-	// is set on the Exec; the env-default rate pairs with
-	// DOPIA_ACCESS_SEED).
+	// AccessSampleSeed seeds the sampling hash.
 	AccessSampleSeed uint64
 
 	paramVals []Value
@@ -115,8 +106,6 @@ type Exec struct {
 	prog           *bcProgram
 	engineUsed     Engine
 	fallbackReason string
-	laneWidth      int
-	lanePinReason  string
 	launched       bool
 
 	// shardPin is the launch's work-group-independence verdict, resolved
@@ -203,8 +192,6 @@ func (ex *Exec) ResetStats() {
 	ex.stats = newRunStats(ex.ck)
 	ex.stats.EngineUsed = ex.engineUsed
 	ex.stats.FallbackReason = ex.fallbackReason
-	ex.stats.LaneWidth = ex.laneWidth
-	ex.stats.LanePinReason = ex.lanePinReason
 }
 
 // newRunStats allocates run statistics with per-site metadata resolved
@@ -244,7 +231,7 @@ func (ex *Exec) Stats() *Profile {
 // engine that would be used for an EngineAuto request.
 func (ex *Exec) EngineUsed() (Engine, string) {
 	if ex.engineUsed == EngineAuto {
-		return DefaultEngine(), ""
+		return EngineBytecode, ""
 	}
 	return ex.engineUsed, ex.fallbackReason
 }
@@ -330,12 +317,8 @@ func (ex *Exec) Launch(nd NDRange) error {
 // falls back per kernel to the closure engine when lowering fails; the
 // run still succeeds, with the reason recorded.
 func (ex *Exec) resolveEngine() {
-	eng := ex.Engine
-	if eng == EngineAuto {
-		eng = DefaultEngine()
-	}
 	ex.prog, ex.engineUsed, ex.fallbackReason = nil, EngineClosures, ""
-	if eng == EngineBytecode {
+	if ex.Engine != EngineClosures {
 		prog, err := lowerCached(ex.kernel, ex.ck)
 		if err != nil {
 			ex.fallbackReason = err.Error()
@@ -345,79 +328,6 @@ func (ex *Exec) resolveEngine() {
 	}
 	ex.stats.EngineUsed = ex.engineUsed
 	ex.stats.FallbackReason = ex.fallbackReason
-	ex.resolveLanes()
-}
-
-// resolveLanes resolves the lane width for the current launch. The
-// closure engine is always scalar; bytecode programs run the requested
-// width unless the lowering-time scan pinned them (atomics, barrier-
-// divergent control flow, intra-group local dependences) or opcode
-// profiling is on (the vector engine dispatches per batch, which would
-// undercount per-item n-grams).
-func (ex *Exec) resolveLanes() {
-	ex.laneWidth, ex.lanePinReason = 1, ""
-	if ex.prog == nil {
-		ex.stats.LaneWidth, ex.stats.LanePinReason = 1, ""
-		return
-	}
-	lw := ex.LaneWidth
-	if lw == 0 {
-		lw = DefaultLaneWidth()
-	}
-	lw = clampLaneWidth(lw)
-	if lw > 1 {
-		switch {
-		case ex.prog.lanePin != "":
-			ex.lanePinReason = ex.prog.lanePin
-		case opProfileEnabled():
-			ex.lanePinReason = "opcode profiling"
-		default:
-			if r := ex.laneAliasHazard(); r != "" {
-				ex.lanePinReason = r
-			} else {
-				ex.laneWidth = lw
-			}
-		}
-	}
-	ex.stats.LaneWidth = ex.laneWidth
-	ex.stats.LanePinReason = ex.lanePinReason
-}
-
-// laneAliasHazard checks the actual launch bindings against the
-// program's load/store slot masks: when a buffer the kernel stores to
-// is also one it loads from (by slot, or the same buffer bound to two
-// slots), the kernel can carry an intra-group global read-after-write
-// whose sequential order is observable, so lanes must not reorder it.
-// Distinct buffers — the common produce/consume pattern — stay laned.
-func (ex *Exec) laneAliasHazard() string {
-	p := ex.prog
-	if p.storeSlots == 0 || p.loadSlots == 0 {
-		return ""
-	}
-	for s := 0; s < len(ex.bufs); s++ {
-		if p.storeSlots>>uint(s)&1 == 0 || ex.bufs[s] == nil {
-			continue
-		}
-		for l := 0; l < len(ex.bufs); l++ {
-			if p.loadSlots>>uint(l)&1 == 0 {
-				continue
-			}
-			if ex.bufs[l] == ex.bufs[s] {
-				return "global load/store aliasing"
-			}
-		}
-	}
-	return ""
-}
-
-// LanesUsed reports the lane width resolved at Launch and, when a wider
-// width was requested but the kernel was pinned to the scalar path, the
-// reason. Before the first Launch it reports 1.
-func (ex *Exec) LanesUsed() (int, string) {
-	if ex.laneWidth == 0 {
-		return 1, ""
-	}
-	return ex.laneWidth, ex.lanePinReason
 }
 
 // shardPinReason evaluates the work-group-independence predicate for the
@@ -572,10 +482,6 @@ type runState struct {
 	irScratch [][]int64
 	frScratch [][]float64
 
-	// Lane-engine batch state (SoA register files, per-lane statistics
-	// and trace logs, the store-undo log): see bytecode_lanes.go.
-	lanes laneBatch
-
 	// Access-sampling decision inputs, resolved by prepare.
 	sampleThresh uint64
 	sampleSeed   uint64
@@ -626,15 +532,8 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 			rs.frScratch[i] = make([]float64, prog.numF)
 		}
 	}
-	if ex.prog != nil && ex.laneWidth > 1 {
-		rs.lanes.prepare(ex, sink != nil)
-	}
-	rate, seed := ex.AccessSampleRate, ex.AccessSampleSeed
-	if rate == 0 {
-		rate, seed = DefaultAccessSampling()
-	}
-	rs.sampleThresh = sampleThreshold(rate)
-	rs.sampleSeed = seed
+	rs.sampleThresh = sampleThreshold(ex.AccessSampleRate)
+	rs.sampleSeed = ex.AccessSampleSeed
 	rs.stats = stats
 	rs.env.stats = stats
 	rs.env.bufs = ex.bufs
@@ -650,9 +549,6 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 // call happens on a shard worker goroutine.
 func (rs *runState) runGroup(linear int) (err error) {
 	if rs.ex.prog != nil {
-		if rs.ex.laneWidth > 1 {
-			return rs.runGroupBCLanes(linear)
-		}
 		return rs.runGroupBC(linear)
 	}
 	defer func() {

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"dopia/internal/access"
@@ -570,5 +572,51 @@ func TestTraceSink(t *testing.T) {
 	}
 	if sink.n != int64(3*n) || sink.writes != int64(n) {
 		t.Errorf("sink saw %d accesses (%d writes), want %d (%d)", sink.n, sink.writes, 3*n, n)
+	}
+}
+
+// TestDefaultParallelismFollowsGOMAXPROCS: an Exec with Parallelism 0
+// shards by the GOMAXPROCS of the moment it runs, not by whatever an
+// earlier launch in the process saw, and at every setting its buffers
+// and Profile are bit-identical to the Sequential run.
+func TestDefaultParallelismFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	n := 64
+	run := func(par int) (*Exec, []float32, *Profile) {
+		ex := newExec(t, gesummvSrc, "gesummv")
+		ex.Parallelism = par
+		A, B := NewFloatBuffer(n*n), NewFloatBuffer(n*n)
+		x, y := NewFloatBuffer(n), NewFloatBuffer(n)
+		for i := range A.F32 {
+			A.F32[i], B.F32[i] = float32(i%7)*0.5, float32(i%5)*0.25
+		}
+		for i := range x.F32 {
+			x.F32[i] = float32(i%3) - 1
+		}
+		if err := ex.Bind(BufArg(A), BufArg(B), BufArg(x), BufArg(y),
+			FloatArg(1.5), FloatArg(0.5), IntArg(int64(n))); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Launch(ND1(n, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ex, y.F32, ex.Stats()
+	}
+	_, wantY, wantProf := run(Sequential)
+	for _, procs := range []int{1, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		ex, y, prof := run(0)
+		if got := ex.parallelism(); got != procs {
+			t.Errorf("GOMAXPROCS=%d: default Exec shards %d ways", procs, got)
+		}
+		if !reflect.DeepEqual(y, wantY) {
+			t.Errorf("GOMAXPROCS=%d: output differs from the sequential run", procs)
+		}
+		if !reflect.DeepEqual(prof, wantProf) {
+			t.Errorf("GOMAXPROCS=%d: profile differs from the sequential run\n got %+v\nwant %+v", procs, prof, wantProf)
+		}
 	}
 }

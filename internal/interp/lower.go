@@ -417,10 +417,9 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 	// Mined peephole: fuse hot sequences from the generated
 	// superinstruction table. Skipped in opcode-profiling mode so the
 	// n-gram histograms show the base instruction stream being mined.
-	if !opProfileEnabled() {
+	if !opProfOn {
 		applyMinedSuperinstructions(p)
 	}
-	p.lanePin = scanLanePin(p)
 	return p, nil
 }
 

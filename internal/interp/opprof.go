@@ -1,7 +1,7 @@
 package interp
 
-// Opcode n-gram profiling: when enabled (DOPIA_PROFILE_OPS=1 or
-// EnableOpProfiling), the bytecode dispatch loop counts every dispatched
+// Opcode n-gram profiling: when enabled (EnableOpProfiling), the
+// bytecode dispatch loop counts every dispatched
 // opcode plus the pairs and trigrams of consecutively dispatched opcodes
 // within one work-item. The histograms feed cmd/dopia-superopt, which
 // mines them for hot fusible sequences and regenerates the
@@ -10,51 +10,29 @@ package interp
 //
 // Profiling mode observes the *base* instruction stream: the mined
 // peephole is disabled (fused heads would hide the very sequences being
-// mined) and lane execution is pinned to width 1 (the vector engine
-// dispatches once per batch, which would undercount per-item streams).
-// Counters are process-global and updated with atomic adds, so profiles
-// from sharded runs merge race-free; n-grams never span work-items
-// because the dispatch loop resets its history per execBC call.
+// mined). Counters are process-global and updated with atomic adds, so
+// profiles from sharded runs merge race-free; n-grams never span
+// work-items because the dispatch loop resets its history per execBC
+// call.
 
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
 var (
 	opProfOn    bool
-	opProfOnce  sync.Once
 	opProfOps   []uint64 // [nOpcodes]
 	opProfPairs []uint64 // [nOpcodes*nOpcodes]
 	opProfTris  []uint64 // [nOpcodes*nOpcodes*nOpcodes]
 )
 
-// opProfileEnabled latches the DOPIA_PROFILE_OPS environment variable on
-// first use. EnableOpProfiling flips the switch programmatically; either
-// way the decision is fixed before the first launch resolves its lane
-// width and before the first kernel is lowered.
-func opProfileEnabled() bool {
-	opProfOnce.Do(func() {
-		if v := os.Getenv("DOPIA_PROFILE_OPS"); v != "" && v != "0" {
-			enableOpProfiling()
-		}
-	})
-	return opProfOn
-}
-
-// EnableOpProfiling turns opcode n-gram profiling on for the process
-// (equivalent to DOPIA_PROFILE_OPS=1). It must be called before the
-// first kernel launch; dopia-fuzz and dopia-bench call it when an
-// -opprofile output is requested.
+// EnableOpProfiling turns opcode n-gram profiling on for the process.
+// It must be called before the first kernel is lowered; dopia-fuzz and
+// dopia-bench call it when an -opprofile output is requested.
 func EnableOpProfiling() {
-	opProfOnce.Do(enableOpProfiling)
-}
-
-func enableOpProfiling() {
 	n := int(nOpcodes)
 	opProfOps = make([]uint64, n)
 	opProfPairs = make([]uint64, n*n)

@@ -1,6 +1,9 @@
 package interp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // grams indexes an n-gram list by its space-joined sequence.
 func grams(list []OpNGram) map[string]uint64 {
@@ -20,10 +23,10 @@ func grams(list []OpNGram) map[string]uint64 {
 
 // TestOpProfiler proves the opcode n-gram profiler observes the base
 // (unfused) instruction stream, counts exactly, and merges race-free
-// across shard workers. It flips the process-global switch directly and
-// restores it, so the rest of the suite keeps its lane behaviour.
+// across shard workers. It flips the process-global switch and restores
+// it, so the rest of the suite keeps lowering with mined fusion.
 func TestOpProfiler(t *testing.T) {
-	enableOpProfiling()
+	EnableOpProfiling()
 	ResetOpProfile()
 	defer func() {
 		opProfOn = false
@@ -33,7 +36,6 @@ func TestOpProfiler(t *testing.T) {
 	n := 48
 	ex := newExec(t, gesummvSrc, "gesummv")
 	ex.Engine = EngineBytecode
-	ex.LaneWidth = 8
 	ex.Parallelism = 4 // shard workers share the atomic tables
 	A, B := NewFloatBuffer(n*n), NewFloatBuffer(n*n)
 	x, y := NewFloatBuffer(n), NewFloatBuffer(n)
@@ -43,11 +45,6 @@ func TestOpProfiler(t *testing.T) {
 	}
 	if err := ex.Launch(ND1(n, 16)); err != nil {
 		t.Fatal(err)
-	}
-
-	// Profiling mode pins lanes so n-grams are per-item streams.
-	if w, reason := ex.LanesUsed(); w != 1 || reason != "opcode profiling" {
-		t.Fatalf("LanesUsed() = (%d, %q), want (1, \"opcode profiling\")", w, reason)
 	}
 
 	if err := ex.Run(); err != nil {
@@ -87,5 +84,46 @@ func TestOpProfiler(t *testing.T) {
 	p2 := CurrentOpProfile(64)
 	if got := grams(p2.Ops)["FMALd2MAF32"]; got != 2*wantFMA {
 		t.Fatalf("after second run FMALd2MAF32 count = %d, want %d", got, 2*wantFMA)
+	}
+}
+
+// TestFusedLoopPresent proves the mined peephole actually fires on the
+// flagship workload: gesummv's inner loop must lower to a fused
+// opFMALoopF32 head.
+func TestFusedLoopPresent(t *testing.T) {
+	n := 48
+	ex := newExec(t, gesummvSrc, "gesummv")
+	ex.Engine = EngineBytecode
+	A, B := NewFloatBuffer(n*n), NewFloatBuffer(n*n)
+	x, y := NewFloatBuffer(n), NewFloatBuffer(n)
+	if err := ex.Bind(BufArg(A), BufArg(B), BufArg(x), BufArg(y),
+		FloatArg(1.5), FloatArg(0.5), IntArg(int64(n))); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Launch(ND1(n, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ex.prog == nil {
+		t.Fatal("no bytecode program after launch")
+	}
+	fused := 0
+	for _, code := range ex.prog.segments {
+		for i := range code {
+			if code[i].op == opFMALoopF32 {
+				fused++
+			}
+		}
+	}
+	if fused == 0 {
+		var ops []string
+		for _, code := range ex.prog.segments {
+			for i := range code {
+				ops = append(ops, opName(code[i].op))
+			}
+		}
+		t.Fatalf("gesummv lowered without a fused FMA loop:\n%s", strings.Join(ops, " "))
 	}
 }

@@ -3,9 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -32,32 +30,11 @@ import (
 // reference execution path.
 const Sequential = 1
 
-var (
-	defaultPar     int
-	defaultParOnce sync.Once
-)
-
-// DefaultParallelism returns the shard count used by Execs whose
-// Parallelism field is zero: the DOPIA_PARALLELISM environment variable
-// when set to a positive integer, else GOMAXPROCS. The environment is
-// read once per process.
-func DefaultParallelism() int {
-	defaultParOnce.Do(func() {
-		defaultPar = runtime.GOMAXPROCS(0)
-		if s := os.Getenv("DOPIA_PARALLELISM"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n > 0 {
-				defaultPar = n
-			}
-		}
-	})
-	return defaultPar
-}
-
 func (ex *Exec) parallelism() int {
 	if ex.Parallelism > 0 {
 		return ex.Parallelism
 	}
-	return DefaultParallelism()
+	return runtime.GOMAXPROCS(0)
 }
 
 // Segment is one contiguous span of work-groups: Count groups starting at

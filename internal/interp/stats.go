@@ -30,19 +30,11 @@ type RunStats struct {
 	EngineUsed     Engine
 	FallbackReason string
 
-	// LaneWidth is the vector lane width the bytecode engine ran with
-	// (1 = scalar); LanePinReason is non-empty when a wider width was
-	// requested but the kernel was pinned to width 1 (atomics,
-	// barrier-divergent control flow, ...). Launch metadata, like
-	// EngineUsed.
-	LaneWidth     int
-	LanePinReason string
-
 	// ShardPinReason is non-empty when the launch is not work-group
 	// independent, so its work-groups run in order on one goroutine at
 	// every Parallelism (global atomics, a store at a data-dependent or
 	// non-distinct index, a load of a stored buffer at another index).
-	// Launch metadata, like EngineUsed; independent of engine, lane width
+	// Launch metadata, like EngineUsed; independent of engine
 	// and shard count.
 	ShardPinReason string
 
@@ -154,13 +146,6 @@ type Profile struct {
 	// the closure engine (empty otherwise).
 	Engine         Engine
 	FallbackReason string
-
-	// LaneWidth is the bytecode engine's vector lane width (1 = scalar,
-	// also for the closure engine); LanePinReason records why a wider
-	// request was pinned to 1. Like Engine, launch metadata: profiles
-	// are bit-identical across lane widths.
-	LaneWidth     int
-	LanePinReason string
 
 	// ShardPinReason records why the profiled launches could not be
 	// sharded (see RunStats.ShardPinReason); empty for work-group
@@ -290,8 +275,6 @@ func (s *RunStats) Summarize() *Profile {
 		ItemsRun:       s.ItemsRun,
 		Engine:         s.EngineUsed,
 		FallbackReason: s.FallbackReason,
-		LaneWidth:      s.LaneWidth,
-		LanePinReason:  s.LanePinReason,
 		ShardPinReason: s.ShardPinReason,
 	}
 	for i := range s.sites {

@@ -46,7 +46,7 @@ type Executor struct {
 	AssumeMalleable bool
 	// Parallelism is interp.Exec.Parallelism for the executor's
 	// interpreters: the shard count of functional runs and of the sampled
-	// profile (0 = interp.DefaultParallelism()). Results are bit-identical
+	// profile (0 = GOMAXPROCS at run time). Results are bit-identical
 	// for every value.
 	Parallelism int
 

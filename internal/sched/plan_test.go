@@ -189,7 +189,7 @@ func TestRealKernelsShard(t *testing.T) {
 
 // TestSampledProfileShardInvariant: RunSampled cut into shards produces
 // the Profile — and therefore the KernelModel — of the sequential sampled
-// walk, on both engines and at lane widths 1 and 8.
+// walk, on both engines.
 func TestSampledProfileShardInvariant(t *testing.T) {
 	for _, w := range planWorkloads(t) {
 		k, err := w.CompileKernel()
@@ -206,40 +206,38 @@ func TestSampledProfileShardInvariant(t *testing.T) {
 		}
 		pristine := snapshotBuffers(inst.Args)
 		for _, eng := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
-			for _, lanes := range []int{1, 8} {
-				var want *interp.Profile
-				var wantKM *sim.KernelModel
-				for _, par := range planShards {
-					pristine.restore()
-					ex, err := interp.NewExec(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ex.Engine, ex.LaneWidth, ex.Parallelism = eng, lanes, par
-					if err := ex.Bind(inst.Args...); err != nil {
-						t.Fatal(err)
-					}
-					if err := ex.Launch(inst.ND); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := ex.RunSampled(ProfileSampleWGs); err != nil {
-						t.Fatalf("%s %v/lanes=%d shards=%d: %v", w.Name, eng, lanes, par, err)
-					}
-					prof := ex.Stats()
-					km, err := sim.BuildModel(k.Name, prof, res, inst.BufBytes, inst.ND)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if par == 1 {
-						want, wantKM = prof, km
-						continue
-					}
-					if !reflect.DeepEqual(prof, want) {
-						t.Errorf("%s %v/lanes=%d shards=%d: profile differs\n got %+v\nwant %+v", w.Name, eng, lanes, par, prof, want)
-					}
-					if !reflect.DeepEqual(km, wantKM) {
-						t.Errorf("%s %v/lanes=%d shards=%d: kernel model differs", w.Name, eng, lanes, par)
-					}
+			var want *interp.Profile
+			var wantKM *sim.KernelModel
+			for _, par := range planShards {
+				pristine.restore()
+				ex, err := interp.NewExec(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex.Engine, ex.Parallelism = eng, par
+				if err := ex.Bind(inst.Args...); err != nil {
+					t.Fatal(err)
+				}
+				if err := ex.Launch(inst.ND); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ex.RunSampled(ProfileSampleWGs); err != nil {
+					t.Fatalf("%s %v shards=%d: %v", w.Name, eng, par, err)
+				}
+				prof := ex.Stats()
+				km, err := sim.BuildModel(k.Name, prof, res, inst.BufBytes, inst.ND)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if par == 1 {
+					want, wantKM = prof, km
+					continue
+				}
+				if !reflect.DeepEqual(prof, want) {
+					t.Errorf("%s %v shards=%d: profile differs\n got %+v\nwant %+v", w.Name, eng, par, prof, want)
+				}
+				if !reflect.DeepEqual(km, wantKM) {
+					t.Errorf("%s %v shards=%d: kernel model differs", w.Name, eng, par)
 				}
 			}
 		}
