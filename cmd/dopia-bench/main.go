@@ -9,13 +9,13 @@
 // "all" (default). The heavy experiments share one workload
 // characterization per machine; use -cache to persist it between runs.
 //
-// Side modes:
+// Profiling:
 //
-//	dopia-bench -out report.json                    record component benchmarks
-//	dopia-bench -compare old.json new.json          diff two reports; non-zero
-//	                                                exit above -threshold percent
-//	dopia-bench -cpuprofile cpu.pprof [...]         profile any mode
+//	dopia-bench -cpuprofile cpu.pprof [...]         CPU profile of the run
 //	dopia-bench -memprofile mem.pprof [...]         heap profile at exit
+//	dopia-bench -opprofile ops.json [...]           opcode n-gram histogram
+//
+// Performance is measured by benchmark/ (see BENCHMARK.json), not here.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"dopia/internal/experiments"
 	"dopia/internal/interp"
-	"dopia/internal/sim"
 )
 
 func main() {
@@ -40,13 +39,6 @@ func main() {
 		cacheDir   = flag.String("cache", "", "directory for characterization caches")
 		seed       = flag.Int64("seed", 1, "random seed for fold shuffling")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		out        = flag.String("out", "", "run the tier-1 component benchmarks and write ns/op + allocs/op JSON to this file, then exit")
-		machine    = flag.String("machine", "Kaveri", "simulated machine for the machine-bound -out benchmarks (any zoo machine)")
-		sched      = flag.String("sched", "alg1", "co-execution scheduler for the -out heatmap benchmark: alg1, static, dynamic, or hguided")
-		checkSched = flag.String("check-sched", "", "verify the SchedSweep records of a -out report: every zoo machine must have a workload where an adaptive scheduler beats the best static split; exit non-zero otherwise")
-		compare    = flag.Bool("compare", false, "compare two -out reports (old.json new.json): print ns/op + allocs/op deltas and exit non-zero on regressions above -threshold")
-		threshold  = flag.Float64("threshold", 25, "regression threshold in percent for -compare")
-		allowMiss  = flag.Bool("allow-missing", false, "with -compare, waive benchmarks missing from the new report instead of failing (for CI runs that exclude suites)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		opProfile  = flag.String("opprofile", "", "enable opcode n-gram profiling and write the histogram JSON (dopia-superopt input) to this file at exit")
@@ -67,18 +59,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: dopia-bench -compare [-threshold pct] [-allow-missing] old.json new.json")
-			os.Exit(2)
-		}
-		if err := compareReports(flag.Arg(0), flag.Arg(1), *threshold, *allowMiss); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *cpuProfile != "" {
@@ -110,32 +90,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-
-	if *checkSched != "" {
-		if err := checkSchedGate(*checkSched); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *out != "" {
-		m, err := sim.MachineByName(*machine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		dist, err := sim.ParseDistribution(*sched)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := writeBenchReport(*out, m, dist); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

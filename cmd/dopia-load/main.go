@@ -16,8 +16,7 @@
 // doubles as a cross-protocol conformance check.
 //
 // With -addr "" (the default) the generator embeds the server in
-// process on a loopback listener — the zero-setup mode used to produce
-// BENCH_4.json. Point -addr at a running dopia-serve to load a real
+// process on a loopback listener — the zero-setup mode. Point -addr at a running dopia-serve to load a real
 // daemon; exit status is non-zero on any mismatch, request failure, or
 // contained panic reported by /metrics.
 //
@@ -73,7 +72,7 @@ func main() {
 		wgSize      = flag.Int("wg", 64, "work-group size")
 		mix         = flag.String("mix", "GESUMMV,ATAX1,BICG1,MVT1,SpMV,PageRank", "comma-separated workload mix")
 		deadlineMS  = flag.Int64("deadline-ms", 0, "per-launch deadline (0 = server default)")
-		out         = flag.String("out", "", "write the JSON report here (e.g. BENCH_4.json)")
+		out         = flag.String("out", "", "write the JSON report here")
 		clusterN    = flag.Int("cluster", 0, "boot an in-process N-node cluster and load it through the router")
 		chaosSpec   = flag.String("chaos", "", "fault schedule for -cluster members, e.g. kill:n1@3s (see dopia-router)")
 		binaryMode  = flag.Bool("binary", false, "drive the binary wire protocol (one connection per worker) instead of HTTP/JSON")
@@ -378,7 +377,7 @@ func main() {
 
 	// Decision-quality trace: score every launch's chosen DoP against
 	// the exhaustive oracle and against what the frozen local model
-	// would have picked (the BENCH_7 closed-loop-vs-frozen comparison).
+	// would have picked (the closed-loop-vs-frozen comparison).
 	var quality *experiments.RegretReport
 	if *trainLimit > 0 {
 		var trace []experiments.TraceStep

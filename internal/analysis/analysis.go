@@ -58,20 +58,32 @@ type Result struct {
 	// MaxLoopDepth is the deepest loop nest in the kernel.
 	MaxLoopDepth int
 
+	// written is WrittenArgs, filled in once the walk is done.
+	written []int
+
 	// indep is the static half of the work-group-independence predicate
 	// (see independence.go).
 	indep Independence
 }
 
-// addAtomicArg records a parameter slot as an atomic target (deduped).
-func (r *Result) addAtomicArg(slot int) {
-	for _, s := range r.AtomicArgs {
+// appendSlot appends a parameter slot unless it is already listed.
+func appendSlot(slots []int, slot int) []int {
+	for _, s := range slots {
 		if s == slot {
-			return
+			return slots
 		}
 	}
-	r.AtomicArgs = append(r.AtomicArgs, slot)
+	return append(slots, slot)
 }
+
+// addAtomicArg records a parameter slot as an atomic target (deduped).
+func (r *Result) addAtomicArg(slot int) { r.AtomicArgs = appendSlot(r.AtomicArgs, slot) }
+
+// WrittenArgs returns the parameter slots the kernel writes: the targets
+// of its store sites plus AtomicArgs, each once. Every layer that
+// snapshots, restores or invalidates "the written buffers" asks here.
+// The slice is shared and must not be modified.
+func (r *Result) WrittenArgs() []int { return r.written }
 
 // MemTotal returns the total number of classified memory operations.
 func (r *Result) MemTotal() int {
@@ -88,15 +100,22 @@ func (r *Result) Site(id int) *SiteClass {
 	return nil
 }
 
-// Analyze performs the static analysis of a checked kernel. Panics in
-// the analyzer are contained and returned as classified errors; Analyze
+// Memo keys of the two analyses a kernel owns (see clc.Memo).
+type (
+	analysisKey     struct{}
+	independenceKey struct{}
+)
+
+// Analyze performs the static analysis of a checked kernel, once per
+// kernel: the result is shared and must not be modified. Panics in the
+// analyzer are contained and returned as classified errors; Analyze
 // never panics.
 func Analyze(k *clc.Kernel) (res *Result, err error) {
 	defer faults.Recover(faults.StageAnalysis, &err)
 	if err := faults.Hit("analysis.analyze"); err != nil {
 		return nil, faults.Wrap(faults.StageAnalysis, err)
 	}
-	return runAnalysis(k, false)
+	return clc.Memo(k, analysisKey{}, func() (*Result, error) { return runAnalysis(k, false) })
 }
 
 // runAnalysis walks the kernel. With exact set it additionally tracks
@@ -124,6 +143,14 @@ func runAnalysis(k *clc.Kernel, exact bool) (*Result, error) {
 	if a.err != nil {
 		return nil, faults.Wrap(faults.StageAnalysis,
 			fmt.Errorf("%w: %w", faults.ErrAnalysisFailed, a.err))
+	}
+	for _, sc := range a.res.Sites {
+		if sc.Write && sc.ArgIndex >= 0 {
+			a.res.written = appendSlot(a.res.written, sc.ArgIndex)
+		}
+	}
+	for _, slot := range a.res.AtomicArgs {
+		a.res.written = appendSlot(a.res.written, slot)
 	}
 	if len(a.res.AtomicArgs) > 0 {
 		a.res.indep.static = "global atomics"

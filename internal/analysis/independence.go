@@ -67,21 +67,24 @@ type LaunchFacts struct {
 	NumGroups, Local [3]int
 }
 
-// WorkGroupIndependence analyzes k for the execution engine. Unlike
-// Analyze it is not a fault-injection site — the engine's bookkeeping is
-// not the managed path's feature extraction — and it cannot fail: a
-// kernel the analyzer rejects is reported order-sensitive.
-func WorkGroupIndependence(k *clc.Kernel) (in *Independence) {
-	defer func() {
-		if r := recover(); r != nil {
-			in = &Independence{static: "kernel not analyzable"}
+// WorkGroupIndependence analyzes k for the execution engine, once per
+// kernel. Unlike Analyze it is not a fault-injection site — the engine's
+// bookkeeping is not the managed path's feature extraction — and it
+// cannot fail: a kernel the analyzer rejects is reported order-sensitive.
+func WorkGroupIndependence(k *clc.Kernel) *Independence {
+	in, _ := clc.Memo(k, independenceKey{}, func() (in *Independence, _ error) {
+		defer func() {
+			if r := recover(); r != nil {
+				in = &Independence{static: "kernel not analyzable"}
+			}
+		}()
+		res, err := runAnalysis(k, true)
+		if err != nil {
+			return &Independence{static: "kernel not analyzable"}, nil
 		}
-	}()
-	res, err := runAnalysis(k, true)
-	if err != nil {
-		return &Independence{static: "kernel not analyzable"}
-	}
-	return &res.indep
+		return &res.indep, nil
+	})
+	return in
 }
 
 // OrderSensitive reports why the launch described by lf must execute its

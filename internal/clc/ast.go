@@ -1,5 +1,7 @@
 package clc
 
+import "sync"
+
 // This file defines the abstract syntax tree produced by the parser and
 // annotated by the type checker. Expression nodes carry their resolved
 // type (T) after Check; Ident nodes carry their symbol. Every node carries
@@ -53,6 +55,9 @@ type Kernel struct {
 	// Filled in by the checker:
 	Locals   []*Symbol // all local variable symbols, slot-indexed
 	NumSlots int       // len(Params) + len(Locals)
+
+	// memo holds the artifacts derived from this kernel (see Memo).
+	memo sync.Map // key -> *memoEntry
 }
 
 // Pos returns the position of the kernel name.

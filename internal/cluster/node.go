@@ -95,14 +95,16 @@ func (n *Node) slowMiddleware(next http.Handler) http.Handler {
 }
 
 // Join connects the member to the mesh: seed the agent with peer
-// addresses, start gossiping, run one synchronous round so the view is
-// primed, then flip ready — the order guarantees a node is never
-// routable before it is discoverable.
+// addresses, flip ready, start gossiping, and run one synchronous round
+// so the view is primed. Ready flips before the first round so the
+// member never announces itself unready: an unready record that a peer
+// relays after a router's own readiness probe outranks the probe, and
+// the router's janitor then drains a healthy member.
 func (n *Node) Join(peers []string) {
 	n.Agent.SeedPeers(peers)
+	n.Srv.SetReady(true)
 	n.Agent.Start()
 	n.Agent.GossipNow()
-	n.Srv.SetReady(true)
 }
 
 // Kill simulates a crash: gossip stops and the listener closes

@@ -750,9 +750,10 @@ func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
 // ---------- repair loop ----------
 
 // janitor reacts to the gossip view: dead members are failed over,
-// alive-but-unready members are drained (sessions migrated away), and
+// alive-but-unready members are drained (sessions migrated away),
 // members whose gossiped program-cache lost entries get them re-pushed
-// (anti-entropy against cache eviction).
+// (anti-entropy against cache eviction), and single-copy placements are
+// re-replicated.
 func (r *Router) janitor() {
 	view := r.agent.View()
 	r.mu.Lock()
@@ -808,6 +809,17 @@ func (r *Router) janitor() {
 				r.pushProgram(id, pid)
 			}
 		}
+	}
+
+	// A placement left with one copy — created while a single member was
+	// routable, or a rebuild that found no target — gets its replica
+	// here once one is available.
+	for _, p := range r.snapshotPlacements() {
+		p.mu.Lock()
+		if p.primary != "" && p.replica == "" {
+			r.rebuildReplicaLocked(p)
+		}
+		p.mu.Unlock()
 	}
 }
 
@@ -873,7 +885,11 @@ func (r *Router) migrateLocked(p *placement, from string) {
 	if oldReplica == target || oldReplica == from || oldReplica == "" {
 		r.rebuildReplicaLocked(p)
 	}
-	_ = fc.CloseSession(p.id)
+	// A member whose readiness flapped back during the migration may
+	// have just been chosen as the new replica: its copy is then live.
+	if p.replica != from {
+		_ = fc.CloseSession(p.id)
+	}
 	r.met.migrations.Add(1)
 }
 

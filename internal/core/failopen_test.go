@@ -76,6 +76,7 @@ type launchResult struct {
 	bits []uint32
 	q    *ocl.CommandQueue
 	fw   *Framework
+	kern *clc.Kernel
 	err  error
 }
 
@@ -126,7 +127,7 @@ func runLaunch(t *testing.T, src, kname string, n, wg int, seed int64,
 	for i, v := range b.Float32() {
 		bits[i] = math.Float32bits(v)
 	}
-	return launchResult{bits: bits, q: q, fw: fw, err: lerr}
+	return launchResult{bits: bits, q: q, fw: fw, kern: kern.Compiled(), err: lerr}
 }
 
 // plainReference runs the same launch with no interposer installed.
@@ -175,19 +176,9 @@ func TestPropertyFallbackBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: per-queue stats missed the fallback: %s", seed, qsnap)
 		}
 		// The transform rejection is classified as an unsupported kernel.
-		_, merr := res.fw.Malleable(kernelOf(t, res), 1)
+		_, merr := res.fw.Malleable(res.kern, 1)
 		if !errors.Is(merr, faults.ErrUnsupportedKernel) {
 			t.Fatalf("seed %d: malleable rejection not classified: %v", seed, merr)
 		}
 	}
-}
-
-// kernelOf digs the compiled kernel back out of the framework cache.
-func kernelOf(t *testing.T, res launchResult) *clc.Kernel {
-	t.Helper()
-	for k := range res.fw.kernels {
-		return k
-	}
-	t.Fatal("framework cached no kernel")
-	return nil
 }

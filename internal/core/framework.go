@@ -23,19 +23,17 @@ import (
 // degraded down the fallback ladder instead of wedging the host app.
 const DefaultWatchdogTimeout = 30 * time.Second
 
-// Framework is a Dopia instance for one machine: it caches per-kernel
-// compile-time artifacts (static analysis, malleable code) and drives
-// enqueue-time configuration selection and dynamic co-execution.
+// Framework is a Dopia instance for one machine: it drives enqueue-time
+// configuration selection and dynamic co-execution. The compile-time
+// artifacts it works from (static analysis, malleable code) are owned by
+// the kernels themselves (clc.Memo), so every framework, session and
+// tenant launching one kernel shares them and they die with the kernel.
 //
-// A Framework is safe for concurrent use: the per-kernel artifact cache
-// and the prediction cache are internally locked, so one framework can
-// serve launches from many sessions and worker goroutines at once (the
-// dopia-serve deployment), sharing every memoized analysis, transform,
-// and prediction across tenants. Concurrent launches of the same kernel
-// may duplicate a cache fill on first sight — both results are
-// deterministic and identical, so last-write-wins is safe. Mutating
-// Model or WatchdogTimeout concurrently with launches is not supported;
-// configure the framework before attaching it.
+// A Framework is safe for concurrent use: one framework can serve
+// launches from many sessions and worker goroutines at once (the
+// dopia-serve deployment). Mutating Model or WatchdogTimeout
+// concurrently with launches is not supported; configure the framework
+// before attaching it.
 type Framework struct {
 	Machine *sim.Machine
 	// Model predicts normalized performance from Table 1 features. When
@@ -54,11 +52,12 @@ type Framework struct {
 	// policies execute identical work, so the choice never changes bytes.
 	Dist sim.Distribution
 
-	// mu guards kernels and the per-kernelInfo maps (analysis and
-	// malleable artifacts). Artifact generation happens outside the
-	// lock; holders double-check before storing.
-	mu      sync.Mutex
-	kernels map[*clc.Kernel]*kernelInfo
+	// unmanaged records the kernels whose compile-time stage failed in
+	// AnalyzeProgram, with the classified error: the framework's own
+	// verdict that their launches take the plain rung. It is not a copy
+	// of the kernel's memo — it also holds for a failure the memo never
+	// stores (one injected while faults were armed).
+	unmanaged sync.Map // *clc.Kernel -> error
 
 	// predMu guards predCache/predModel/predGens. predCache memoizes
 	// model predictions by feature vector: the decision sweep evaluates
@@ -104,20 +103,12 @@ func (f *Framework) PredCacheStats() (hits, misses int64) {
 	return f.predHits.Load(), f.predMisses.Load()
 }
 
-type kernelInfo struct {
-	analysis  *analysis.Result
-	anErr     error                        // analysis failure, cached so it is classified once
-	malleable map[int]*transform.GPUResult // by work dimension
-	malErr    map[int]error
-}
-
 // New creates a framework for a machine with a trained model (may be nil).
 func New(m *sim.Machine, model ml.Model) *Framework {
 	return &Framework{
 		Machine: m,
 		Model:   model,
 		Stats:   &faults.FallbackStats{},
-		kernels: map[*clc.Kernel]*kernelInfo{},
 	}
 }
 
@@ -161,99 +152,34 @@ func (f *Framework) watchdog(parent context.Context) (context.Context, context.C
 // AnalyzeProgram performs Dopia's compile-time stage on every kernel of a
 // program: static feature extraction. Malleable code is generated lazily
 // per (kernel, work-dim) at first launch, since the rewrite depends on the
-// launch dimensionality.
+// launch dimensionality. A kernel that fails here stays unmanaged.
 func (f *Framework) AnalyzeProgram(prog *clc.Program) error {
 	for _, k := range prog.Kernels {
-		if _, err := f.kernelInfo(k); err != nil {
+		if _, err := f.Analysis(k); err != nil {
+			f.unmanaged.Store(k, err)
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *Framework) kernelInfo(k *clc.Kernel) (*kernelInfo, error) {
-	f.mu.Lock()
-	if ki, ok := f.kernels[k]; ok {
-		f.mu.Unlock()
-		if ki.anErr != nil {
-			return nil, ki.anErr
-		}
-		return ki, nil
-	}
-	f.mu.Unlock()
-
-	// Analyze outside the lock — concurrent first launches of the same
-	// kernel may both analyze; the results are identical and the second
-	// store is discarded by the double-check below.
-	ki := &kernelInfo{
-		malleable: map[int]*transform.GPUResult{},
-		malErr:    map[int]error{},
+// Analysis returns the static analysis of a kernel.
+func (f *Framework) Analysis(k *clc.Kernel) (*analysis.Result, error) {
+	if err, ok := f.unmanaged.Load(k); ok {
+		return nil, err.(error)
 	}
 	res, err := analysis.Analyze(k)
 	if err != nil {
-		ki.anErr = faults.Wrap(faults.StageAnalysis,
+		return nil, faults.Wrap(faults.StageAnalysis,
 			fmt.Errorf("core: analysis of %s: %w", k.Name, err))
-	} else {
-		ki.analysis = res
 	}
-
-	f.mu.Lock()
-	if prev, ok := f.kernels[k]; ok {
-		ki = prev // another goroutine won the race; use its artifact
-	} else {
-		f.kernels[k] = ki
-	}
-	f.mu.Unlock()
-	if ki.anErr != nil {
-		return nil, ki.anErr
-	}
-	return ki, nil
+	return res, nil
 }
 
 // Malleable returns the malleable GPU form of a kernel for a launch
-// dimensionality, generating and caching it on first use.
+// dimensionality.
 func (f *Framework) Malleable(k *clc.Kernel, workDim int) (*transform.GPUResult, error) {
-	ki, err := f.kernelInfo(k)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	if r, ok := ki.malleable[workDim]; ok {
-		f.mu.Unlock()
-		return r, nil
-	}
-	if e, ok := ki.malErr[workDim]; ok {
-		f.mu.Unlock()
-		return nil, e
-	}
-	f.mu.Unlock()
-
-	// Generate outside the lock; double-check on store (the transform is
-	// deterministic, so a racing duplicate is identical).
-	r, terr := transform.MalleableGPU(k, workDim)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if prev, ok := ki.malleable[workDim]; ok {
-		return prev, nil
-	}
-	if e, ok := ki.malErr[workDim]; ok {
-		return nil, e
-	}
-	if terr != nil {
-		ki.malErr[workDim] = terr
-		return nil, terr
-	}
-	ki.malleable[workDim] = r
-	return r, nil
-}
-
-// Analysis returns the cached static analysis of a kernel.
-func (f *Framework) Analysis(k *clc.Kernel) (*analysis.Result, error) {
-	ki, err := f.kernelInfo(k)
-	if err != nil {
-		return nil, err
-	}
-	return ki.analysis, nil
+	return transform.MalleableGPU(k, workDim)
 }
 
 // Decision is the outcome of Dopia's configuration selection.
@@ -447,9 +373,8 @@ func (f *Framework) Execute(k *clc.Kernel, args []interp.Arg, nd interp.NDRange)
 // under ctx, so a request deadline or cancellation aborts the managed
 // execution within one work-group quantum and is classified as a
 // timeout / execution failure.
-func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
-	defer faults.Recover(faults.StageExec, &err)
-	ki, err := f.kernelInfo(k)
+func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) (*Execution, error) {
+	res, err := f.Analysis(k)
 	if err != nil {
 		return nil, err
 	}
@@ -457,10 +382,19 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 	if err != nil {
 		return nil, err
 	}
+	return f.coExecute(ctx, k, res, mall.Kernel, args, nd)
+}
+
+// coExecute is the body of both managed rungs. With a malleable kernel
+// it is rung 1: the model (and the online layer, when attached) picks
+// the DoP from the kernel's analysis res. With malleable == nil it is
+// rung 2: the original kernel on ALL resources, no model, no decision.
+func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.Result, malleable *clc.Kernel, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
+	defer faults.Recover(faults.StageExec, &err)
 	if err := faults.Hit("core.exec"); err != nil {
 		return nil, faults.Wrap(faults.StageExec, err)
 	}
-	ex, err := sched.NewExecutor(f.Machine, k, mall.Kernel)
+	ex, err := sched.NewExecutor(f.Machine, k, malleable)
 	if err != nil {
 		return nil, err
 	}
@@ -470,25 +404,34 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 	if err := ex.Launch(nd); err != nil {
 		return nil, err
 	}
-	tenant := TenantFrom(ctx)
-	dec, base, decErr := f.decideFor(tenant, ki.analysis, nd)
-	dec.Sched = f.Dist.String()
-	if decErr != nil {
-		f.Stats.RecordModelDiscard(decErr)
-	}
-	adv := f.loadAdvisor()
-	if adv != nil && !dec.ModelDiscarded && dec.Evaluated > 0 {
-		// Exploration may pick an off-policy configuration. The override
-		// changes only which DoP executes — functional results are
-		// configuration-invariant, so exploration can never change bytes.
-		if cfg, ok := adv.Explore(tenant, k.Name, base, dec); ok {
-			dec.Config = cfg
-			dec.Explored = true
+	dec := Decision{Config: f.Machine.AllResources()}
+	var (
+		tenant string
+		base   ml.Features
+		adv    Advisor
+	)
+	if malleable != nil {
+		var decErr error
+		tenant = TenantFrom(ctx)
+		dec, base, decErr = f.decideFor(tenant, res, nd)
+		if decErr != nil {
+			f.Stats.RecordModelDiscard(decErr)
+		}
+		adv = f.loadAdvisor()
+		if adv != nil && !dec.ModelDiscarded && dec.Evaluated > 0 {
+			// Exploration may pick an off-policy configuration. The override
+			// changes only which DoP executes — functional results are
+			// configuration-invariant, so exploration can never change bytes.
+			if cfg, ok := adv.Explore(tenant, k.Name, base, dec); ok {
+				dec.Config = cfg
+				dec.Explored = true
+			}
 		}
 	}
+	dec.Sched = f.Dist.String()
 	wctx, cancel := f.watchdog(ctx)
 	defer cancel()
-	res, err := ex.Run(dec.Config, sched.RunOptions{
+	result, err := ex.Run(dec.Config, sched.RunOptions{
 		Dist:            f.Dist,
 		Functional:      true,
 		ExtraStartupSec: dec.InferTime.Seconds(),
@@ -506,7 +449,7 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 			Kernel:       k.Name,
 			Base:         base,
 			Decision:     dec,
-			ObservedTime: res.Time,
+			ObservedTime: result.Time,
 			Sweep: func() ([]ConfigTime, error) {
 				cfgs := f.Machine.Configs()
 				rs, serr := ex.RunConfigs(cfgs, sched.RunOptions{Dist: f.Dist})
@@ -523,7 +466,7 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 	}
 	return &Execution{
 		Decision:   dec,
-		Result:     res,
+		Result:     result,
 		KernelName: k.Name,
 		Engine:     engineString(ex),
 	}, nil
@@ -555,35 +498,6 @@ func (f *Framework) ExecuteCoExecAll(k *clc.Kernel, args []interp.Arg, nd interp
 
 // ExecuteCoExecAllCtx is ExecuteCoExecAll bounded by a caller context
 // (see ExecuteCtx).
-func (f *Framework) ExecuteCoExecAllCtx(ctx context.Context, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
-	defer faults.Recover(faults.StageExec, &err)
-	if err := faults.Hit("core.exec"); err != nil {
-		return nil, faults.Wrap(faults.StageExec, err)
-	}
-	ex, err := sched.NewExecutor(f.Machine, k, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.Bind(args...); err != nil {
-		return nil, err
-	}
-	if err := ex.Launch(nd); err != nil {
-		return nil, err
-	}
-	wctx, cancel := f.watchdog(ctx)
-	defer cancel()
-	res, err := ex.Run(f.Machine.AllResources(), sched.RunOptions{
-		Dist:       f.Dist,
-		Functional: true,
-		Context:    wctx,
-	})
-	if err != nil {
-		return nil, faults.Wrap(faults.StageExec, err)
-	}
-	return &Execution{
-		Decision:   Decision{Config: f.Machine.AllResources(), Sched: f.Dist.String()},
-		Result:     res,
-		KernelName: k.Name,
-		Engine:     engineString(ex),
-	}, nil
+func (f *Framework) ExecuteCoExecAllCtx(ctx context.Context, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) (*Execution, error) {
+	return f.coExecute(ctx, k, nil, nil, args, nd)
 }

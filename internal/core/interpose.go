@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dopia/internal/analysis"
 	"dopia/internal/faults"
 	"dopia/internal/interp"
 	"dopia/internal/ocl"
@@ -41,8 +40,8 @@ func (ip *interposer) ProgramBuilt(prog *ocl.Program) (err error) {
 	defer faults.Recover(faults.StageAnalysis, &err)
 	defer func() {
 		if err != nil {
-			// Per-kernel failures are cached in kernelInfo and re-surface
-			// as plain fallbacks at enqueue; the build proceeds.
+			// AnalyzeProgram recorded the failing kernel as unmanaged; it
+			// re-surfaces as a plain fallback at enqueue. The build proceeds.
 			err = nil
 		}
 	}()
@@ -93,57 +92,6 @@ func (r recorder) plain(cause error) {
 	}
 }
 
-// bufSnapshot preserves the contents of the buffers a kernel writes, so
-// a partially executed rung can be rolled back before the next rung
-// re-executes the launch — keeping read-modify-write kernels bit-exact
-// across fallbacks.
-type bufSnapshot struct {
-	bufs   []*interp.Buffer
-	copies []*interp.Buffer
-}
-
-// snapshotWritten clones every buffer argument the static analysis marks
-// as written. With res == nil (analysis unavailable) it conservatively
-// clones all buffer arguments.
-func snapshotWritten(res *analysis.Result, args []interp.Arg) *bufSnapshot {
-	written := map[int]bool{}
-	if res != nil {
-		for _, s := range res.Sites {
-			if s.Write && s.ArgIndex >= 0 {
-				written[s.ArgIndex] = true
-			}
-		}
-		// Atomic builtins write through a bare pointer and have no Index
-		// site; their targets must be rolled back too.
-		for _, ai := range res.AtomicArgs {
-			written[ai] = true
-		}
-	}
-	snap := &bufSnapshot{}
-	for i, a := range args {
-		if !a.IsBuf || a.Buf == nil {
-			continue
-		}
-		if res != nil && !written[i] {
-			continue
-		}
-		snap.bufs = append(snap.bufs, a.Buf)
-		snap.copies = append(snap.copies, a.Buf.Clone())
-	}
-	return snap
-}
-
-// restore rolls every snapshotted buffer back to its pre-attempt state.
-func (s *bufSnapshot) restore() {
-	for i, b := range s.bufs {
-		c := s.copies[i]
-		copy(b.F32, c.F32)
-		copy(b.I32, c.I32)
-		copy(b.F64, c.F64)
-		copy(b.I64, c.I64)
-	}
-}
-
 // Enqueue takes over a kernel launch: DoP selection plus dynamic
 // co-execution, degrading down the fallback ladder on any failure. It
 // returns handled=false — never an error — when the launch should be
@@ -173,25 +121,27 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 
 	// The ladder needs the static analysis for rung 1 and for snapshot
 	// precision; without it, degrade straight to the plain runtime.
-	ki, kerr := ip.fw.kernelInfo(k.Compiled())
+	res, kerr := ip.fw.Analysis(k.Compiled())
 	if kerr != nil {
 		rec.plain(kerr)
 		return false, 0, nil
 	}
 
-	snap := snapshotWritten(ki.analysis, args)
+	// The buffers the kernel writes, so a partially executed rung can be
+	// rolled back before the next rung re-executes the launch.
+	snap := interp.SnapshotArgs(args, res.WrittenArgs())
 
 	// Rung 1: full Dopia management.
 	var cause error
-	if _, merr := ip.fw.Malleable(k.Compiled(), nd.Dims); merr == nil {
-		exec, xerr := ip.fw.ExecuteCtx(ctx, k.Compiled(), args, nd)
+	if mall, merr := ip.fw.Malleable(k.Compiled(), nd.Dims); merr == nil {
+		exec, xerr := ip.fw.coExecute(ctx, k.Compiled(), res, mall.Kernel, args, nd)
 		if xerr == nil {
 			rec.managed()
 			q.LastResult = exec.Result
 			q.LastLaunch = &LaunchInfo{Rung: "managed", Decision: &exec.Decision, Engine: exec.Engine}
 			return true, exec.Result.Time, nil
 		}
-		snap.restore()
+		snap.Restore()
 		cause = xerr
 	} else {
 		cause = merr
@@ -202,14 +152,14 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 	// the canonical timeout/cancellation error.
 	if ctx.Err() == nil {
 		// Rung 2: ALL co-execution without the malleable kernel.
-		exec, xerr := ip.fw.ExecuteCoExecAllCtx(ctx, k.Compiled(), args, nd)
+		exec, xerr := ip.fw.coExecute(ctx, k.Compiled(), nil, nil, args, nd)
 		if xerr == nil {
 			rec.coExecAll(cause)
 			q.LastResult = exec.Result
 			q.LastLaunch = &LaunchInfo{Rung: "coexec-all", Decision: &exec.Decision, Engine: exec.Engine, Cause: cause}
 			return true, exec.Result.Time, nil
 		}
-		snap.restore()
+		snap.Restore()
 		cause = xerr
 	}
 

@@ -13,8 +13,8 @@ import (
 // loop: given a launch trace (which workload ran when, and which DoP
 // configuration the policy under test chose for it), it scores the
 // trace against the exhaustive oracle and against the frozen offline
-// model, producing the decision-quality numbers BENCH_7.json and the
-// online-smoke CI gate consume.
+// model, producing the decision-quality numbers dopia-load reports and
+// the online-smoke CI gate consumes.
 
 // TraceStep is one launch of a trace: which workload ran and which
 // configuration the evaluated policy executed.

@@ -41,11 +41,12 @@ __kernel void sub(__global float* a, __global float* b) {
 	}
 }
 
-// TestCompileCacheEngineKeyed is the regression test for the cache
-// audit: the engine is part of the compile-cache key, so the closure
-// tree (*compiled) and the bytecode program (*bcEntry) for the same
-// *clc.Kernel live under distinct entries and a form compiled for one
-// engine is never served to the other.
+// TestCompileCacheEngineKeyed checks that the two compiled forms of one
+// kernel are stored apart: a bytecode launch and a closure-pinned launch
+// each reuse their own form, and the closure-pinned executor never
+// reports (or holds) the bytecode program. The memo keys are distinct
+// types, so serving one form as the other is a compile error rather than
+// something to assert at run time.
 func TestCompileCacheEngineKeyed(t *testing.T) {
 	src := `
 __kernel void ek(__global float* a) {
@@ -53,64 +54,46 @@ __kernel void ek(__global float* a) {
 	a[i] = a[i] + 1.0f;
 }`
 	k := compileKernelSrc(t, src, "ek")
-	ex, err := NewExec(k)
-	if err != nil {
-		t.Fatalf("NewExec: %v", err)
+	launch := func(engine Engine) *Exec {
+		t.Helper()
+		ex, err := NewExec(k)
+		if err != nil {
+			t.Fatalf("NewExec: %v", err)
+		}
+		ex.Engine = engine
+		if err := ex.Bind(BufArg(NewFloatBuffer(32))); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		if err := ex.Launch(ND1(32, 8)); err != nil { // resolves + lowers
+			t.Fatalf("Launch: %v", err)
+		}
+		return ex
 	}
-	ex.Engine = EngineBytecode
-	if err := ex.Bind(BufArg(NewFloatBuffer(32))); err != nil {
-		t.Fatalf("Bind: %v", err)
+	bc1, bc2 := launch(EngineBytecode), launch(EngineBytecode)
+	for _, ex := range []*Exec{bc1, bc2} {
+		if eng, reason := ex.EngineUsed(); eng != EngineBytecode {
+			t.Fatalf("bytecode launch fell back to %v (%s)", eng, reason)
+		}
 	}
-	if err := ex.Launch(ND1(32, 8)); err != nil { // resolves + lowers
-		t.Fatalf("Launch: %v", err)
-	}
-	if eng, reason := ex.EngineUsed(); eng != EngineBytecode {
-		t.Fatalf("bytecode launch fell back to %v (%s)", eng, reason)
-	}
-
-	cv, ok := compileCache.Load(cacheKey{k: k, engine: EngineClosures})
-	if !ok {
-		t.Fatal("no cache entry under (k, EngineClosures)")
-	}
-	if _, isTree := cv.(*compiled); !isTree {
-		t.Fatalf("closures entry holds %T, want *compiled", cv)
-	}
-	bv, ok := compileCache.Load(cacheKey{k: k, engine: EngineBytecode})
-	if !ok {
-		t.Fatal("no cache entry under (k, EngineBytecode)")
-	}
-	ent, isBC := bv.(*bcEntry)
-	if !isBC {
-		t.Fatalf("bytecode entry holds %T, want *bcEntry", bv)
-	}
-	if ent.err != nil || ent.prog == nil {
-		t.Fatalf("bytecode entry = {prog:%v err:%v}, want lowered program", ent.prog, ent.err)
+	if bc1.prog == nil || bc1.prog != bc2.prog {
+		t.Error("bytecode executors do not share one lowered program")
 	}
 
-	// A second executor pinned to closures must reuse the closure tree
-	// and must not observe the bytecode entry.
-	ex2, err := NewExec(k)
-	if err != nil {
-		t.Fatalf("NewExec: %v", err)
-	}
-	ex2.Engine = EngineClosures
-	if err := ex2.Bind(BufArg(NewFloatBuffer(32))); err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	if err := ex2.Launch(ND1(32, 8)); err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	if eng, _ := ex2.EngineUsed(); eng != EngineClosures {
+	cl := launch(EngineClosures)
+	if eng, _ := cl.EngineUsed(); eng != EngineClosures {
 		t.Fatalf("closure launch reports engine %v", eng)
 	}
-	if ex2.ck != cv.(*compiled) {
-		t.Error("closure executor did not reuse the cached closure tree")
+	if cl.ck != bc1.ck {
+		t.Error("closure executor did not reuse the kernel's closure tree")
 	}
-	if ex2.prog != nil {
+	if cl.prog != nil {
 		t.Error("closure-pinned executor holds a bytecode program")
 	}
-	if ex.prog != ent.prog {
-		t.Error("bytecode executor did not reuse the cached bytecode program")
+	if err := cl.Run(); err != nil {
+		t.Fatalf("closure run: %v", err)
+	}
+	if p := cl.Stats(); p.Engine != EngineClosures {
+		t.Errorf("closure-pinned run reports engine %v", p.Engine)
 	}
 }
 

@@ -3,9 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"dopia/internal/analysis"
 	"dopia/internal/clc"
 )
 
@@ -72,7 +70,7 @@ func rtErr(pos clc.Pos, format string, args ...any) {
 // compiled is a kernel lowered to closures, split into barrier-delimited
 // segments. A compiled form is immutable after compileKernel returns and
 // holds no execution state, so it is shared freely across executors and
-// goroutines (see the process-wide compile cache in NewExec).
+// goroutines (see NewExec).
 type compiled struct {
 	kernel   *clc.Kernel
 	segments []stmtFn
@@ -87,18 +85,6 @@ type compiled struct {
 	// memory-access paths do not re-store it on every access.
 	siteArg   []int  // parameter slot of the accessed buffer; -1 otherwise
 	siteWrite []bool // true when the site is a store target
-
-	// indep is the static half of the work-group-independence predicate
-	// (Exec.shardPinReason), analyzed on first use: a compiled form is
-	// shared, so the analysis runs once per kernel, and never for a
-	// kernel that only runs as the secondary of another kernel's plan.
-	indepOnce sync.Once
-	indep     *analysis.Independence
-}
-
-func (c *compiled) independence() *analysis.Independence {
-	c.indepOnce.Do(func() { c.indep = analysis.WorkGroupIndependence(c.kernel) })
-	return c.indep
 }
 
 // compiler holds state while lowering one kernel.

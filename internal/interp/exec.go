@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"sync"
 
 	"dopia/internal/analysis"
 	"dopia/internal/clc"
@@ -41,7 +40,7 @@ func (as *AddressSpace) Place(b *Buffer) {
 
 // Exec executes one kernel. It owns the bound arguments and the
 // statistics of the runs performed through it. The compiled kernel form
-// itself is immutable and shared through a process-wide cache.
+// itself is immutable, stored on the kernel and shared.
 //
 // An Exec is not safe for concurrent use by multiple goroutines, but its
 // Run* methods internally execute disjoint shards of the work-group space
@@ -126,52 +125,30 @@ type Exec struct {
 	segs    []Segment
 }
 
-// cacheKey keys the process-wide compile cache. The engine is part of
-// the key: a kernel compiled for the closure engine (a *compiled tree)
-// must never be served to the bytecode path (a *bcEntry), and vice
-// versa.
-type cacheKey struct {
-	k      *clc.Kernel
-	engine Engine
-}
-
-// bcEntry is a cached lowering result. Failed lowerings are cached too:
-// the fallback decision is deterministic per kernel, so there is no
-// point re-running the lowerer on every launch.
-type bcEntry struct {
-	prog *bcProgram
-	err  error
-}
-
-// compileCache memoizes compiled kernel forms per (*clc.Kernel, engine).
-// Compiled forms are immutable and hold no execution state, so every
-// Exec of the same kernel shares one. The cache is bypassed while fault
-// injection is armed so injected compile faults keep their exact hit
-// sequence.
-var compileCache sync.Map // cacheKey -> *compiled (closures) | *bcEntry (bytecode)
+// Memo keys of the two compiled forms a kernel owns (see clc.Memo). They
+// are distinct types, so the closure tree and the bytecode program of one
+// kernel can never be served to each other's engine.
+type (
+	closureKey  struct{}
+	bytecodeKey struct{}
+)
 
 // NewExec compiles kernel k and returns an executor for it. The kernel
-// must come from a checked program (clc.Compile). Identical kernels
-// (same *clc.Kernel) share one immutable compiled form through a
-// process-wide cache, so constructing executors is cheap. Panics in the
-// interpreter compiler are contained and returned as classified errors.
+// must come from a checked program (clc.Compile). The compiled form is
+// immutable, holds no execution state and is stored on the kernel, so
+// every Exec of one kernel shares it and constructing executors is
+// cheap. Panics in the interpreter compiler are contained and returned
+// as classified errors.
 func NewExec(k *clc.Kernel) (ex2 *Exec, err error) {
 	defer faults.Recover(faults.StageCompile, &err)
-	// The injection site fires before the cache is consulted, so a cache
-	// hit cannot mask an injected compile fault.
+	// The injection site fires before the memo is consulted, so a stored
+	// form cannot mask an injected compile fault.
 	if err := faults.Hit("interp.compile"); err != nil {
 		return nil, faults.Wrap(faults.StageCompile, err)
 	}
-	var ck *compiled
-	key := cacheKey{k: k, engine: EngineClosures}
-	if v, ok := compileCache.Load(key); ok && !faults.Active() {
-		ck = v.(*compiled)
-	} else {
-		ck, err = compileKernel(k)
-		if err != nil {
-			return nil, faults.Wrap(faults.StageCompile, err)
-		}
-		compileCache.Store(key, ck)
+	ck, err := clc.Memo(k, closureKey{}, func() (*compiled, error) { return compileKernel(k) })
+	if err != nil {
+		return nil, faults.Wrap(faults.StageCompile, err)
 	}
 	ex := &Exec{
 		kernel: k,
@@ -319,7 +296,11 @@ func (ex *Exec) Launch(nd NDRange) error {
 func (ex *Exec) resolveEngine() {
 	ex.prog, ex.engineUsed, ex.fallbackReason = nil, EngineClosures, ""
 	if ex.Engine != EngineClosures {
-		prog, err := lowerCached(ex.kernel, ex.ck)
+		// Lowered once per kernel, refusals included: the fallback
+		// decision is deterministic, so it is not re-derived per launch.
+		prog, err := clc.Memo(ex.kernel, bytecodeKey{}, func() (*bcProgram, error) {
+			return lowerKernel(ex.kernel, ex.ck)
+		})
 		if err != nil {
 			ex.fallbackReason = err.Error()
 		} else {
@@ -359,7 +340,7 @@ func (ex *Exec) shardPinReason() string {
 			}
 		}
 	}
-	ex.shardPin, ex.shardPinResolved = ex.ck.independence().OrderSensitive(lf), true
+	ex.shardPin, ex.shardPinResolved = analysis.WorkGroupIndependence(ex.kernel).OrderSensitive(lf), true
 	return ex.shardPin
 }
 
@@ -373,26 +354,6 @@ func (ex *Exec) ShardPinned() string {
 		return ""
 	}
 	return ex.shardPinReason()
-}
-
-// lowerCached returns the bytecode program for k, memoized — including
-// negative results, since the fallback decision is deterministic per
-// kernel. Both the read and the write are skipped while fault injection
-// is armed, so injected lowering faults keep their exact hit sequence
-// and never leak into the cache.
-func lowerCached(k *clc.Kernel, ck *compiled) (*bcProgram, error) {
-	key := cacheKey{k: k, engine: EngineBytecode}
-	if !faults.Active() {
-		if v, ok := compileCache.Load(key); ok {
-			ent := v.(*bcEntry)
-			return ent.prog, ent.err
-		}
-	}
-	prog, err := lowerKernel(k, ck)
-	if !faults.Active() {
-		compileCache.Store(key, &bcEntry{prog: prog, err: err})
-	}
-	return prog, err
 }
 
 // seqState returns the sequential/shard-0 execution state, prepared for

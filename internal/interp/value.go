@@ -144,6 +144,43 @@ func (b *Buffer) Clone() *Buffer {
 	return nb
 }
 
+// CopyFrom overwrites the buffer's contents with those of src, a Clone
+// of it taken earlier.
+func (b *Buffer) CopyFrom(src *Buffer) {
+	copy(b.F32, src.F32)
+	copy(b.I32, src.I32)
+	copy(b.F64, src.F64)
+	copy(b.I64, src.I64)
+}
+
+// ArgSnapshot preserves the contents of some buffer arguments, so a
+// sampled profiling run or a partially executed fallback rung can be
+// rolled back — keeping read-modify-write kernels bit-exact.
+type ArgSnapshot struct {
+	bufs, copies []*Buffer
+}
+
+// SnapshotArgs clones the buffers bound to the given parameter slots
+// (the kernel's analysis.Result.WrittenArgs).
+func SnapshotArgs(args []Arg, slots []int) *ArgSnapshot {
+	s := &ArgSnapshot{}
+	for _, i := range slots {
+		if a := args[i]; a.IsBuf && a.Buf != nil {
+			s.bufs = append(s.bufs, a.Buf)
+			s.copies = append(s.copies, a.Buf.Clone())
+		}
+	}
+	return s
+}
+
+// Restore rolls every snapshotted buffer back to its contents at
+// SnapshotArgs time.
+func (s *ArgSnapshot) Restore() {
+	for i, b := range s.bufs {
+		b.CopyFrom(s.copies[i])
+	}
+}
+
 // Equal reports whether two buffers hold identical contents.
 func (b *Buffer) Equal(o *Buffer) bool {
 	if b.Kind != o.Kind || b.Len() != o.Len() {

@@ -1,6 +1,7 @@
 package ocl
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
@@ -9,20 +10,36 @@ import (
 	"dopia/internal/faults"
 )
 
+// progCacheCap bounds how many distinct sources stay resident. It is the
+// one number that bounds every build-time artifact in the process: a
+// kernel's analysis, malleable code and compiled forms are stored on the
+// kernel (clc.Memo), so evicting a program here frees them with it once
+// the application has released its own Program objects.
+const progCacheCap = 256
+
 // progCache deduplicates program builds by source hash: applications that
 // call clCreateProgramWithSource + clBuildProgram repeatedly with the same
 // text (a common pattern per launch site, and the common case for a
 // serving daemon handling many tenants submitting the same kernels)
-// compile once per process. The dedup is what makes the whole memoization
-// stack compose — identical sources yield identical *clc.Program /
-// *clc.Kernel pointers, which in turn hit the interpreter's compile cache
-// and the transform cache.
+// compile once while the source stays among the progCacheCap most
+// recently built. Identical sources yield identical *clc.Program /
+// *clc.Kernel pointers, and with them one shared set of derived
+// artifacts.
 //
 // Checked programs are immutable, so sharing one across Program objects
 // (and contexts) is safe. The cache is bypassed while fault injection is
 // armed: an armed clc.parse plan must observe every Build, not just the
 // first per distinct source.
-var progCache sync.Map // [32]byte (sha256 of source) -> *clc.Program
+var progCache struct {
+	mu    sync.Mutex
+	byKey map[[sha256.Size]byte]*list.Element // of progEntry
+	lru   list.List                           // front = most recently built
+}
+
+type progEntry struct {
+	key  [sha256.Size]byte
+	prog *clc.Program
+}
 
 // progCacheCounters tracks how builds moved through the cache. All fields
 // are atomics: Build may be called from any number of sessions and worker
@@ -57,21 +74,49 @@ func ProgCacheStats() ProgCacheSnapshot {
 	}
 }
 
-// compileSource returns the checked program for src, memoized process-wide.
+// compileSource returns the checked program for src, shared with every
+// other build of the same text while it stays resident.
 func compileSource(src string) (*clc.Program, error) {
+	armed := faults.Active()
 	key := sha256.Sum256([]byte(src))
-	if faults.Active() {
+	c := &progCache
+	if armed {
 		progCacheCounters.bypasses.Add(1)
-	} else if v, ok := progCache.Load(key); ok {
-		progCacheCounters.hits.Add(1)
-		return v.(*clc.Program), nil
+	} else {
+		c.mu.Lock()
+		el := c.byKey[key]
+		if el != nil {
+			c.lru.MoveToFront(el)
+		}
+		c.mu.Unlock()
+		if el != nil {
+			progCacheCounters.hits.Add(1)
+			return el.Value.(progEntry).prog, nil
+		}
 	}
+	// Compile outside the lock. Racing first builds of one source may
+	// each compile it; the first to finish is kept and served to all.
 	prog, err := clc.Compile(src)
 	if err != nil {
 		progCacheCounters.errors.Add(1)
 		return nil, err
 	}
 	progCacheCounters.misses.Add(1)
-	progCache.Store(key, prog)
+	if armed {
+		return prog, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.byKey[key]; el != nil {
+		return el.Value.(progEntry).prog, nil
+	}
+	if c.byKey == nil {
+		c.byKey = map[[sha256.Size]byte]*list.Element{}
+	}
+	c.byKey[key] = c.lru.PushFront(progEntry{key, prog})
+	if c.lru.Len() > progCacheCap {
+		oldest := c.lru.Back()
+		delete(c.byKey, c.lru.Remove(oldest).(progEntry).key)
+	}
 	return prog, nil
 }

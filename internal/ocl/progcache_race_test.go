@@ -54,9 +54,9 @@ func TestProgCacheConcurrentBuilds(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != %d builds", hits, misses, G*per)
 	}
 	// Every distinct source compiles at least once; racing first builds
-	// may compile the same source more than once (the cache is
-	// last-write-wins, which is safe for immutable programs), so the
-	// miss count is bounded, not exact.
+	// may compile the same source more than once (compilation runs
+	// outside the cache lock and the first result is kept), so the miss
+	// count is bounded, not exact.
 	if misses < distinct || misses > distinct*G {
 		t.Fatalf("misses = %d, want in [%d, %d]", misses, distinct, distinct*G)
 	}

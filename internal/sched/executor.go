@@ -56,7 +56,6 @@ type Executor struct {
 	cpuEx *interp.Exec
 	gpuEx *interp.Exec
 
-	analysis *analysis.Result
 	args     []interp.Arg
 	nd       interp.NDRange
 	bound    bool
@@ -104,14 +103,16 @@ func NewExecutor(m *sim.Machine, orig, malleable *clc.Kernel) (*Executor, error)
 	}
 	// Both executors address the same buffers: share one address space.
 	e.gpuEx.AS = e.cpuEx.AS
-	if e.analysis, err = analysis.Analyze(orig); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
-// Analysis returns the static analysis of the kernel.
-func (e *Executor) Analysis() *analysis.Result { return e.analysis }
+// Analysis returns the static analysis of the kernel — the kernel's own
+// memoized copy — or nil when the kernel cannot be analyzed, in which
+// case Model reports the error.
+func (e *Executor) Analysis() *analysis.Result {
+	res, _ := analysis.Analyze(e.orig)
+	return res
+}
 
 // EngineUsed reports the interpreter engine of the CPU-side executor for
 // the current launch, and — when the bytecode engine was requested but
@@ -167,27 +168,6 @@ func (e *Executor) Launch(nd interp.NDRange) error {
 	return nil
 }
 
-// writtenArgs returns the parameter indices the kernel writes, from the
-// static analysis — indexed store sites plus atomic builtin targets
-// (which write through a bare pointer and never appear as sites).
-func (e *Executor) writtenArgs() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, s := range e.analysis.Sites {
-		if s.Write && s.ArgIndex >= 0 && !seen[s.ArgIndex] {
-			seen[s.ArgIndex] = true
-			out = append(out, s.ArgIndex)
-		}
-	}
-	for _, ai := range e.analysis.AtomicArgs {
-		if !seen[ai] {
-			seen[ai] = true
-			out = append(out, ai)
-		}
-	}
-	return out
-}
-
 // ProfileSampleWGs is the default number of work-groups executed to build
 // the performance model.
 const ProfileSampleWGs = 4
@@ -205,17 +185,11 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 	if !e.bound || !e.launched {
 		return nil, fmt.Errorf("sched: executor not bound/launched")
 	}
-	// Snapshot written buffers.
-	type snap struct {
-		arg int
-		buf *interp.Buffer
+	res, err := analysis.Analyze(e.orig)
+	if err != nil {
+		return nil, err
 	}
-	var snaps []snap
-	for _, ai := range e.writtenArgs() {
-		if a := e.args[ai]; a.IsBuf {
-			snaps = append(snaps, snap{ai, a.Buf.Clone()})
-		}
-	}
+	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
 	e.cpuEx.ResetStats()
 	e.cpuEx.Parallelism = e.Parallelism
 	if err := e.cpuEx.Launch(e.nd); err != nil {
@@ -225,29 +199,19 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 		return nil, err
 	}
 	prof := e.cpuEx.Stats()
-	// Restore.
-	for _, s := range snaps {
-		restoreBuffer(e.args[s.arg].Buf, s.buf)
-	}
+	snap.Restore()
 	bufBytes := map[int]int64{}
 	for i, a := range e.args {
 		if a.IsBuf {
 			bufBytes[i] = a.Buf.Bytes()
 		}
 	}
-	km, err := sim.BuildModel(e.orig.Name, prof, e.analysis, bufBytes, e.nd)
+	km, err := sim.BuildModel(e.orig.Name, prof, res, bufBytes, e.nd)
 	if err != nil {
 		return nil, err
 	}
 	e.model = km
 	return km, nil
-}
-
-func restoreBuffer(dst, src *interp.Buffer) {
-	copy(dst.F32, src.F32)
-	copy(dst.I32, src.I32)
-	copy(dst.F64, src.F64)
-	copy(dst.I64, src.I64)
 }
 
 // RunOptions configure one simulated+functional execution.

@@ -80,7 +80,7 @@ func snapshotBuffers(args []interp.Arg) *bufferSet {
 func (s *bufferSet) restore() {
 	for i, b := range s.saved {
 		if b != nil {
-			restoreBuffer(s.args[i].Buf, b)
+			s.args[i].Buf.CopyFrom(b)
 		}
 	}
 }

@@ -900,15 +900,8 @@ func writeMaskOf(s *Server, kern *ocl.Kernel) (mask uint64, known bool) {
 	if err != nil || res == nil {
 		return 0, false
 	}
-	for _, site := range res.Sites {
-		if site.Write && site.ArgIndex >= 0 && site.ArgIndex < 64 {
-			mask |= 1 << uint(site.ArgIndex)
-		}
-	}
-	for _, ai := range res.AtomicArgs {
-		if ai >= 0 && ai < 64 {
-			mask |= 1 << uint(ai)
-		}
+	for _, slot := range res.WrittenArgs() {
+		mask |= 1 << uint(slot)
 	}
 	return mask, true
 }

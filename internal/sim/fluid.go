@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // fluidTask is one in-flight unit of work inside the fluid engine.
 type fluidTask struct {
@@ -24,16 +21,19 @@ type fluidTask struct {
 // water-filling across per-task demand caps. Events occur when a task
 // completes; rates are recomputed at each event.
 type Fluid struct {
-	BW    float64
-	Time  float64
-	tasks map[int]*fluidTask
+	BW   float64
+	Time float64
+	// tasks holds the in-flight tasks in insertion (= id) order, so every
+	// floating-point sum over them is taken in one fixed order and a
+	// simulation is bit-identical run to run.
+	tasks []*fluidTask
 	next  int
 }
 
 // NewFluid returns an engine for a memory system with the given peak
 // bandwidth (bytes/s).
 func NewFluid(bw float64) *Fluid {
-	return &Fluid{BW: bw, tasks: map[int]*fluidTask{}}
+	return &Fluid{BW: bw}
 }
 
 // Active returns the number of in-flight tasks.
@@ -63,7 +63,7 @@ func (f *Fluid) Add(owner int, c TaskCost) int {
 	} else {
 		t.demand = t.memB / busy
 	}
-	f.tasks[t.id] = t
+	f.tasks = append(f.tasks, t)
 	return t.id
 }
 
@@ -173,7 +173,8 @@ func (f *Fluid) Step() (done []int, ok bool) {
 	}
 
 	f.Time += dt
-	for id, t := range f.tasks {
+	live := f.tasks[:0]
+	for _, t := range f.tasks {
 		t.compute -= dt
 		if t.compute < 0 {
 			t.compute = 0
@@ -187,21 +188,24 @@ func (f *Fluid) Step() (done []int, ok bool) {
 			t.memB = 0
 		}
 		if t.compute <= 1e-15 && t.latency <= 1e-15 && t.memB <= 0 {
-			done = append(done, id)
-			delete(f.tasks, id)
+			// Simultaneous completions come back in id order, so
+			// schedules that react to them replay deterministically.
+			done = append(done, t.id)
+		} else {
+			live = append(live, t)
 		}
 	}
-	// Map iteration order is random; simultaneous completions must come
-	// back in a stable order (task id = insertion order) so schedules
-	// that react to completions replay deterministically.
-	sort.Ints(done)
+	clear(f.tasks[len(live):])
+	f.tasks = live
 	return done, true
 }
 
 // Owner returns the agent owning a task id (valid before completion).
 func (f *Fluid) Owner(id int) int {
-	if t, ok := f.tasks[id]; ok {
-		return t.owner
+	for _, t := range f.tasks {
+		if t.id == id {
+			return t.owner
+		}
 	}
 	return -1
 }

@@ -3,7 +3,6 @@ package transform
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"dopia/internal/clc"
 	"dopia/internal/faults"
@@ -47,34 +46,16 @@ func MalleableGPU(k *clc.Kernel, workDim int) (res *GPUResult, err error) {
 	if err := faults.Hit("transform.gpu"); err != nil {
 		return nil, faults.Wrap(faults.StageTransform, err)
 	}
-	// The transformation is a pure function of the (immutable, checked)
-	// kernel AST and the work dimensionality: memoize it. The injection
-	// site above fires before the lookup, and the cache is bypassed while
-	// faults are armed, so injected transform faults keep their exact hit
-	// sequence even across repeated transformations of one kernel.
-	key := transformKey{k, workDim}
-	if v, ok := transformCache.Load(key); ok && !faults.Active() {
-		return v.(*GPUResult), nil
-	}
-	res, err = malleableGPU(k, workDim)
-	if err == nil {
-		transformCache.Store(key, res)
-	}
-	return res, err
+	// A pure function of the (immutable, checked) kernel AST and the work
+	// dimensionality: derived once per kernel, rejections included. The
+	// result and the ASTs it references are immutable and shared.
+	return clc.Memo(k, malleableKey{workDim}, func() (*GPUResult, error) { return malleableGPU(k, workDim) })
 }
 
-// transformKey identifies one memoized transformation.
-type transformKey struct {
-	k       *clc.Kernel
-	workDim int
-}
+// malleableKey is the memo key of one work-dim's transformation.
+type malleableKey struct{ workDim int }
 
-// transformCache memoizes MalleableGPU results. GPUResult and the ASTs it
-// references are immutable after construction, so sharing one result
-// across callers is safe.
-var transformCache sync.Map // transformKey -> *GPUResult
-
-// malleableGPU is the uncached transformation.
+// malleableGPU is the transformation itself.
 func malleableGPU(k *clc.Kernel, workDim int) (*GPUResult, error) {
 	if workDim < 1 || workDim > 2 {
 		return nil, faults.Wrap(faults.StageTransform, fmt.Errorf(
