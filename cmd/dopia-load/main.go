@@ -103,7 +103,7 @@ func main() {
 		fail("-online configures the embedded server; point -addr at a dopia-serve -online daemon instead")
 	}
 
-	machine, err := machineByName(*machineName)
+	machine, err := sim.MachineByName(*machineName)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -113,11 +113,13 @@ func main() {
 	// frozen-baseline side of the decision-quality trace.
 	var localModel ml.Model
 	if *trainLimit > 0 {
-		var err error
-		localModel, err = trainLocalModel(machine, *modelFamily, *trainLimit)
+		t0 := time.Now()
+		localModel, err = core.BootstrapModel(machine, *modelFamily, "", *trainLimit)
 		if err != nil {
 			fail("train: %v", err)
 		}
+		fmt.Printf("dopia-load: trained %s on a %d-workload synthetic slice in %v\n",
+			localModel.Name(), *trainLimit, time.Since(t0).Round(time.Millisecond))
 	}
 
 	base := *addr
@@ -904,51 +906,6 @@ func (s mixSched) String() string {
 		parts = append(parts, p)
 	}
 	return strings.Join(parts, ",")
-}
-
-// trainLocalModel mirrors dopia-serve's -train path exactly — same
-// synthetic grid subsample, same trainer — so the generator-side frozen
-// baseline is the very model an embedded or identically configured
-// daemon serves with.
-func trainLocalModel(m *sim.Machine, family string, limit int) (ml.Model, error) {
-	trainer, err := core.TrainerByName(family)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := workloads.SyntheticGrid()
-	if err != nil {
-		return nil, err
-	}
-	if limit < len(grid) {
-		stride := len(grid) / limit
-		var sub []*workloads.Workload
-		for i := 0; i < len(grid) && len(sub) < limit; i += stride {
-			sub = append(sub, grid[i])
-		}
-		grid = sub
-	}
-	t0 := time.Now()
-	evals, err := core.EvaluateAll(m, grid, 0)
-	if err != nil {
-		return nil, err
-	}
-	model, err := trainer.Fit(core.BuildDataset(m, evals))
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("dopia-load: trained %s on %d synthetic workloads in %v\n",
-		model.Name(), len(grid), time.Since(t0).Round(time.Millisecond))
-	return model, nil
-}
-
-func machineByName(name string) (*sim.Machine, error) {
-	switch name {
-	case "Kaveri", "kaveri":
-		return sim.Kaveri(), nil
-	case "Skylake", "skylake":
-		return sim.Skylake(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q", name)
 }
 
 // embedServer starts an in-process daemon on a loopback listener. The

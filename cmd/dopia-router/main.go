@@ -44,7 +44,7 @@ func main() {
 		addr           = flag.String("addr", "127.0.0.1:8040", "router listen address")
 		nodeSpec       = flag.String("nodes", "", "comma-separated id=addr members to register (daemons run dopia-serve -cluster-id <id>)")
 		local          = flag.Int("local", 0, "boot N in-process member nodes instead of joining external ones")
-		machineName    = flag.String("machine", "Kaveri", "machine model for -local members: Kaveri or Skylake")
+		machineName    = flag.String("machine", "Kaveri", "machine model for -local members: any zoo machine")
 		chaosSpec      = flag.String("chaos", "", "fault schedule against -local members, e.g. kill:n1@3s,slow:n2@1s:2s:30ms")
 		vnodes         = flag.Int("vnodes", 64, "virtual nodes per ring member")
 		gossipInterval = flag.Duration("gossip-interval", 100*time.Millisecond, "heartbeat gossip period")
@@ -162,14 +162,9 @@ func bootLocal(count int, machineName string, gossipInterval time.Duration) ([]*
 	if count <= 0 {
 		return nil, nil
 	}
-	var base *sim.Machine
-	switch machineName {
-	case "Kaveri", "kaveri":
-		base = sim.Kaveri()
-	case "Skylake", "skylake":
-		base = sim.Skylake()
-	default:
-		return nil, fmt.Errorf("unknown machine %q (Kaveri or Skylake)", machineName)
+	base, err := sim.MachineByName(machineName)
+	if err != nil {
+		return nil, err
 	}
 	var members []*cluster.Node
 	for i := 0; i < count; i++ {

@@ -51,39 +51,21 @@ func main() {
 		fail("unknown kernel %q; available: %v", *kernelName, kernelNames())
 	}
 
-	// Train (or load) the model.
-	trainer, err := core.TrainerByName(*modelName)
-	check(err)
+	// Load the model, fit it to a saved characterization, or train it.
 	var model ml.Model
-	var evals []*core.WorkloadEval
-	if *modelFile != "" {
-		model, err = ml.LoadModelFile(*modelFile)
+	if *evalsPath != "" && *modelFile == "" {
+		trainer, err := core.TrainerByName(*modelName)
 		check(err)
-		fmt.Printf("loaded %s model from %s\n", model.Name(), *modelFile)
-	} else if *evalsPath != "" {
-		evals, err = core.LoadEvals(*evalsPath, m.Name)
+		evals, err := core.LoadEvals(*evalsPath, m.Name)
 		check(err)
 		fmt.Printf("loaded %d workload characterizations from %s\n", len(evals), *evalsPath)
-	} else {
-		grid, err := workloads.SyntheticGrid()
-		check(err)
-		if *trainLimit > 0 && *trainLimit < len(grid) {
-			stride := len(grid) / *trainLimit
-			var sub []*workloads.Workload
-			for i := 0; i < len(grid) && len(sub) < *trainLimit; i += stride {
-				sub = append(sub, grid[i])
-			}
-			grid = sub
-		}
-		fmt.Printf("training %s on %d synthetic workloads...\n", trainer.Name(), len(grid))
-		t0 := time.Now()
-		evals, err = core.EvaluateAll(m, grid, 0)
-		check(err)
-		fmt.Printf("characterization took %v\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if model == nil {
 		model, err = trainer.Fit(core.BuildDataset(m, evals))
 		check(err)
+	} else {
+		t0 := time.Now()
+		model, err = core.BootstrapModel(m, *modelName, *modelFile, *trainLimit)
+		check(err)
+		fmt.Printf("%s model ready in %v\n", model.Name(), time.Since(t0).Round(time.Millisecond))
 	}
 
 	fw := core.New(m, model)

@@ -41,7 +41,6 @@ import (
 	"dopia/internal/online"
 	"dopia/internal/server"
 	"dopia/internal/sim"
-	"dopia/internal/workloads"
 )
 
 func main() {
@@ -182,45 +181,21 @@ func mountPprof(mux *http.ServeMux) {
 // loadModel loads or trains the DoP-selection model. limit == 0 and no
 // file means no model (the framework falls back to the ALL heuristic).
 func loadModel(m *sim.Machine, family, file string, limit int) (ml.Model, error) {
-	if file != "" {
-		model, err := ml.LoadModelFile(file)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("dopia-serve: loaded %s model from %s", model.Name(), file)
-		return model, nil
-	}
-	if limit <= 0 {
+	if file == "" && limit <= 0 {
 		log.Printf("dopia-serve: no model (ALL heuristic)")
 		return nil, nil
 	}
-	trainer, err := core.TrainerByName(family)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := workloads.SyntheticGrid()
-	if err != nil {
-		return nil, err
-	}
-	if limit < len(grid) {
-		stride := len(grid) / limit
-		var sub []*workloads.Workload
-		for i := 0; i < len(grid) && len(sub) < limit; i += stride {
-			sub = append(sub, grid[i])
-		}
-		grid = sub
-	}
-	log.Printf("dopia-serve: training %s on %d synthetic workloads...", trainer.Name(), len(grid))
 	t0 := time.Now()
-	evals, err := core.EvaluateAll(m, grid, 0)
+	model, err := core.BootstrapModel(m, family, file, limit)
 	if err != nil {
 		return nil, err
 	}
-	model, err := trainer.Fit(core.BuildDataset(m, evals))
-	if err != nil {
-		return nil, err
+	if file != "" {
+		log.Printf("dopia-serve: loaded %s model from %s", model.Name(), file)
+	} else {
+		log.Printf("dopia-serve: trained %s on a %d-workload synthetic slice in %v",
+			model.Name(), limit, time.Since(t0).Round(time.Millisecond))
 	}
-	log.Printf("dopia-serve: trained in %v", time.Since(t0).Round(time.Millisecond))
 	return model, nil
 }
 

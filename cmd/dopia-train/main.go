@@ -47,16 +47,8 @@ func main() {
 		check(err)
 	}
 
-	grid, err := workloads.SyntheticGrid()
+	grid, err := core.SyntheticSlice(*limit)
 	check(err)
-	if *limit > 0 && *limit < len(grid) {
-		stride := len(grid) / *limit
-		var sub []*workloads.Workload
-		for i := 0; i < len(grid) && len(sub) < *limit; i += stride {
-			sub = append(sub, grid[i])
-		}
-		grid = sub
-	}
 	if *withReal {
 		for _, wgsz := range []int{64, 256} {
 			ws, err := workloads.RealWorkloads(*realN, wgsz)

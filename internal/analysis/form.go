@@ -84,8 +84,6 @@ func (a coef) mulSymbolic() coef {
 
 func (a coef) isZero() bool { return a.kind == coefZero }
 
-func (a coef) isUnit() bool { return a.kind == coefConst && (a.k == 1 || a.k == -1) }
-
 func (a coef) equal(b coef) bool { return a.kind == b.kind && a.k == b.k }
 
 // form is the abstract value of an integer expression: an affine

@@ -86,9 +86,6 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // keywords lists the reserved words recognised by the lexer. Address-space
 // qualifiers appear both with and without leading underscores, as OpenCL
 // accepts both spellings.

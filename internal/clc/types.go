@@ -105,12 +105,6 @@ var (
 // GlobalPtr returns a __global pointer to k.
 func GlobalPtr(k Kind) Type { return Type{Kind: k, Ptr: true, Space: SpaceGlobal} }
 
-// LocalPtr returns a __local pointer to k.
-func LocalPtr(k Kind) Type { return Type{Kind: k, Ptr: true, Space: SpaceLocal} }
-
-// ConstantPtr returns a __constant pointer to k.
-func ConstantPtr(k Kind) Type { return Type{Kind: k, Ptr: true, Space: SpaceConstant} }
-
 func (t Type) String() string {
 	if t.Ptr {
 		prefix := ""
@@ -124,9 +118,6 @@ func (t Type) String() string {
 
 // IsNumeric reports whether t is a non-void scalar.
 func (t Type) IsNumeric() bool { return !t.Ptr && t.Kind != KindVoid }
-
-// Elem returns the pointee type of a pointer type.
-func (t Type) Elem() Type { return Type{Kind: t.Kind} }
 
 // promote computes the usual arithmetic conversion of two scalar kinds.
 func promote(a, b Kind) Kind {

@@ -119,9 +119,6 @@ func (n *Node) Kill() {
 	_ = n.hs.Close()
 }
 
-// Killed reports whether Kill has run.
-func (n *Node) Killed() bool { return n.killed.Load() }
-
 // SetSlow sets the per-request injected latency (0 clears it).
 func (n *Node) SetSlow(d time.Duration) { n.slowNS.Store(int64(d)) }
 

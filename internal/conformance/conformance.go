@@ -137,10 +137,6 @@ type Case struct {
 	spec *progSpec
 }
 
-// Shrinkable reports whether the case retains its structured form (and
-// can therefore be shrunk).
-func (c *Case) Shrinkable() bool { return c.spec != nil }
-
 // FeatureSig returns the grammar-feature signature of a generated case
 // ("" for cases rebuilt from a crasher file, which carry no spec).
 func (c *Case) FeatureSig() string {

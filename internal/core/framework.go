@@ -442,8 +442,9 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 	}
 	if adv != nil && !faults.Active() {
 		// Feed the completed launch back as a training signal. The sweep
-		// closure reuses this executor's memoized timing-only simulations
-		// (thread-safe; the functional state is no longer touched).
+		// closure re-simulates all configurations on this executor's kernel
+		// model, timing only (thread-safe; the functional state is no
+		// longer touched).
 		adv.Observe(LaunchSample{
 			Tenant:       tenant,
 			Kernel:       k.Name,

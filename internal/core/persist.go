@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"dopia/internal/ml"
-	"dopia/internal/sim"
 )
 
 // evalFile is the on-disk form of a workload characterization set, used by
@@ -55,14 +52,4 @@ func LoadEvals(path, machine string) ([]*WorkloadEval, error) {
 			path, ef.Machine, machine)
 	}
 	return ef.Evals, nil
-}
-
-// DatasetFromFile loads characterizations and converts them to a training
-// dataset for machine m.
-func DatasetFromFile(path string, m *sim.Machine) (*ml.Dataset, []*WorkloadEval, error) {
-	evals, err := LoadEvals(path, m.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BuildDataset(m, evals), evals, nil
 }

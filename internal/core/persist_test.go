@@ -38,15 +38,6 @@ func TestEvalPersistence(t *testing.T) {
 	if _, err := LoadEvals(path, "Skylake"); err == nil {
 		t.Error("expected machine-mismatch error")
 	}
-	// DatasetFromFile yields the same training set as BuildDataset.
-	ds, loaded, err := DatasetFromFile(path, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := BuildDataset(m, loaded)
-	if ds.Len() != direct.Len() || ds.Len() != len(evals)*44 {
-		t.Errorf("dataset sizes: file=%d direct=%d", ds.Len(), direct.Len())
-	}
 	// Unreadable/garbage files error cleanly.
 	if _, err := LoadEvals(filepath.Join(t.TempDir(), "missing.gz"), m.Name); err == nil {
 		t.Error("expected missing-file error")

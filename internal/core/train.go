@@ -168,3 +168,43 @@ func TrainerByName(name string) (ml.Trainer, error) {
 	}
 	return nil, fmt.Errorf("core: unknown model %q (want LIN, SVR, DT, or RF)", name)
 }
+
+// SyntheticSlice returns limit workloads of the synthetic training grid,
+// spread evenly over it rather than taken as a prefix so a truncated run
+// still covers every pattern family. limit <= 0 (or >= the grid size)
+// returns the whole grid.
+func SyntheticSlice(limit int) ([]*workloads.Workload, error) {
+	grid, err := workloads.SyntheticGrid()
+	if err != nil || limit <= 0 || limit >= len(grid) {
+		return grid, err
+	}
+	stride := len(grid) / limit
+	sub := make([]*workloads.Workload, 0, limit)
+	for i := 0; i < len(grid) && len(sub) < limit; i += stride {
+		sub = append(sub, grid[i])
+	}
+	return sub, nil
+}
+
+// BootstrapModel is the one way a command-line tool gets its
+// DoP-selection model: loaded from file when one is named, otherwise the
+// named family (see TrainerByName) trained on SyntheticSlice(limit)
+// characterized on m.
+func BootstrapModel(m *sim.Machine, family, file string, limit int) (ml.Model, error) {
+	if file != "" {
+		return ml.LoadModelFile(file)
+	}
+	trainer, err := TrainerByName(family)
+	if err != nil {
+		return nil, err
+	}
+	slice, err := SyntheticSlice(limit)
+	if err != nil {
+		return nil, err
+	}
+	evals, err := EvaluateAll(m, slice, 0)
+	if err != nil {
+		return nil, err
+	}
+	return trainer.Fit(BuildDataset(m, evals))
+}

@@ -71,19 +71,9 @@ func (s *Suite) SynthEvals(m *sim.Machine) ([]*core.WorkloadEval, error) {
 			return ev, nil
 		}
 	}
-	grid, err := workloads.SyntheticGrid()
+	grid, err := core.SyntheticSlice(s.SynthLimit)
 	if err != nil {
 		return nil, err
-	}
-	if s.SynthLimit > 0 && s.SynthLimit < len(grid) {
-		// Deterministic spread over the grid rather than a prefix, so a
-		// truncated run still covers every pattern family.
-		stride := len(grid) / s.SynthLimit
-		var sub []*workloads.Workload
-		for i := 0; i < len(grid) && len(sub) < s.SynthLimit; i += stride {
-			sub = append(sub, grid[i])
-		}
-		grid = sub
 	}
 	ev, err := core.EvaluateAll(m, grid, s.Parallelism)
 	if err != nil {

@@ -45,15 +45,6 @@ const (
 	StageUnknown Stage = "unknown"
 )
 
-// Stages lists every classifiable pipeline stage (excluding StageUnknown),
-// in pipeline order. The fault-matrix tests iterate this.
-func Stages() []Stage {
-	return []Stage{
-		StageParse, StageAnalysis, StageTransform, StageCompile,
-		StageModelLoad, StageModelPredict, StageExec,
-	}
-}
-
 // The error taxonomy. Every failure crossing a package boundary of the
 // interposed pipeline is wrapped (directly or transitively) around one of
 // these sentinels so callers can classify with errors.Is.
@@ -103,14 +94,6 @@ func Wrap(stage Stage, err error) error {
 		return err
 	}
 	return &Error{Stage: stage, Err: err}
-}
-
-// Wrapf classifies err with a stage and adds printf-style context.
-func Wrapf(stage Stage, err error, format string, args ...any) error {
-	if err == nil {
-		return nil
-	}
-	return Wrap(stage, fmt.Errorf(format+": %w", append(args, err)...))
 }
 
 // StageOf extracts the stage classification of an error, or StageUnknown

@@ -153,15 +153,6 @@ type Profile struct {
 	ShardPinReason string
 }
 
-// TotalBytes returns the total bytes moved (loads + stores).
-func (p *Profile) TotalBytes() int64 { return p.LoadBytes + p.StoreBytes }
-
-// TotalMem returns the total memory operations.
-func (p *Profile) TotalMem() int64 { return p.Loads + p.Stores }
-
-// TotalAlu returns the total arithmetic operations.
-func (p *Profile) TotalAlu() int64 { return p.AluInt + p.AluFloat }
-
 // Scale returns a copy of the profile with all counters multiplied by f,
 // used to extrapolate sampled runs to the full NDRange.
 func (p *Profile) Scale(f float64) *Profile {

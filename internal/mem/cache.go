@@ -1,11 +1,18 @@
+// Package mem provides the memory-system models of the integrated
+// architecture simulator: an analytic working-set cache model with
+// concurrency scaling and a GPU memory-coalescing model. Together they
+// produce the Dopia paper's central phenomenon — raising the GPU's degree
+// of parallelism inflates the cache working set, turning reuse hits into
+// DRAM traffic and congesting the shared memory system.
 package mem
 
-// This file holds the analytic working-set cache model the simulator uses
-// when no measured reuse-distance histogram is available (and as the
-// concurrency-scaling rule when one is). The model captures the paper's
-// Figure 3(b) mechanism: the cache serves reuse only for the part of the
-// working set that stays resident, and the working set grows with the
-// number of concurrently active threads.
+// LineSize is the cache-line size in bytes used throughout the models.
+const LineSize = 64
+
+// This file holds the analytic working-set cache model. It captures the
+// paper's Figure 3(b) mechanism: the cache serves reuse only for the part
+// of the working set that stays resident, and the working set grows with
+// the number of concurrently active threads.
 
 // ThrashFraction returns the fraction of reuse lost when a working set of
 // the given size competes for a cache of the given capacity. An LRU cache

@@ -6,97 +6,6 @@ import (
 	"dopia/internal/access"
 )
 
-func TestReuseProfilerSequentialScan(t *testing.T) {
-	r := NewReuseProfiler(1 << 16)
-	// Scan 1000 distinct lines once: all cold.
-	for i := int64(0); i < 1000; i++ {
-		r.Access(i*LineSize, 4, false)
-	}
-	h := r.Histogram()
-	if h.Cold != 1000 || h.Total != 1000 {
-		t.Fatalf("cold=%d total=%d, want 1000/1000", h.Cold, h.Total)
-	}
-	if mr := h.MissRatio(1<<20, 1); mr != 1 {
-		t.Errorf("pure cold scan miss ratio = %v, want 1", mr)
-	}
-}
-
-func TestReuseProfilerRepeatedScan(t *testing.T) {
-	r := NewReuseProfiler(1 << 16)
-	lines := int64(128)
-	passes := 8
-	for p := 0; p < passes; p++ {
-		for i := int64(0); i < lines; i++ {
-			r.Access(i*LineSize, 4, false)
-		}
-	}
-	h := r.Histogram()
-	if h.Cold != lines {
-		t.Fatalf("cold = %d, want %d", h.Cold, lines)
-	}
-	// Every non-cold access has reuse distance = lines-1 (the other 127
-	// distinct lines touched in between).
-	big := h.MissRatio(int64(lines)*LineSize*2, 1)
-	small := h.MissRatio(int64(lines)*LineSize/4, 1)
-	if big >= small {
-		t.Errorf("bigger cache must miss less: big=%v small=%v", big, small)
-	}
-	coldRatio := float64(h.Cold) / float64(h.Total)
-	if big > coldRatio+0.01 {
-		t.Errorf("cache holding full set should only see cold misses: %v > %v", big, coldRatio)
-	}
-	if small < 0.95 {
-		t.Errorf("quarter-size cache should thrash a cyclic scan: %v", small)
-	}
-}
-
-func TestReuseDistanceExactSmall(t *testing.T) {
-	r := NewReuseProfiler(64)
-	seq := []int64{0, 1, 2, 0, 3, 1}
-	for _, l := range seq {
-		r.Access(l*LineSize, 4, false)
-	}
-	h := r.Histogram()
-	// 0,1,2 cold; second 0 has distance 2 (lines 1,2); 3 cold; second 1
-	// has distance 3 (lines 2,0,3).
-	if h.Cold != 4 {
-		t.Errorf("cold = %d, want 4", h.Cold)
-	}
-	// distance 2 -> bucket ceil(log2(2))+1: Add(2) -> b=2; Add(3) -> b=2.
-	if h.Buckets[2] != 2 {
-		t.Errorf("bucket[2] = %d, want 2 (distances 2 and 3)", h.Buckets[2])
-	}
-}
-
-func TestConcurrencyScalingIncreasesMisses(t *testing.T) {
-	r := NewReuseProfiler(1 << 16)
-	lines := int64(64)
-	for p := 0; p < 4; p++ {
-		for i := int64(0); i < lines; i++ {
-			r.Access(i*LineSize, 4, false)
-		}
-	}
-	h := r.Histogram()
-	cache := int64(lines) * LineSize * 2
-	alone := h.MissRatio(cache, 1)
-	crowded := h.MissRatio(cache, 16)
-	if crowded <= alone {
-		t.Errorf("16-way interleaving must raise miss ratio: alone=%v crowded=%v", alone, crowded)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Add(4)
-	a.AddCold()
-	b.Add(4)
-	b.Add(100)
-	a.Merge(&b)
-	if a.Total != 4 || a.Cold != 1 {
-		t.Errorf("merged total=%d cold=%d", a.Total, a.Cold)
-	}
-}
-
 func TestCoalesceFactor(t *testing.T) {
 	const w = 16
 	cases := []struct {

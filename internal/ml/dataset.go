@@ -168,15 +168,3 @@ func MSE(m Model, d *Dataset) float64 {
 	}
 	return s / float64(d.Len())
 }
-
-// MAE returns the mean absolute error of a model on a dataset.
-func MAE(m Model, d *Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	var s float64
-	for _, sm := range d.Samples {
-		s += math.Abs(m.Predict(sm.X) - sm.Y)
-	}
-	return s / float64(d.Len())
-}

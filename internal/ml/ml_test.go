@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // synthDataset builds a dataset from a deterministic target function with
@@ -161,64 +162,23 @@ func TestFoldPartition(t *testing.T) {
 	}
 }
 
-func TestCrossValidateAllModels(t *testing.T) {
-	d := synthDataset(320, 11, nonlinearTarget)
-	trainers := []Trainer{
-		LinearTrainer{}, SVRTrainer{}, TreeTrainer{}, ForestTrainer{Trees: 10, Seed: 1},
-	}
-	for _, tr := range trainers {
-		res, err := CrossValidate(tr, d, 8, 42)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		if res.MSE <= 0 || math.IsNaN(res.MSE) {
-			t.Errorf("%s: bad MSE %v", tr.Name(), res.MSE)
-		}
-		t.Logf("%s: mse=%.5f mae=%.5f train=%v infer=%v",
-			res.Trainer, res.MSE, res.MAE, res.TrainTime, res.InferTime)
-	}
-}
-
 func TestSVRInferenceCostlierThanTree(t *testing.T) {
 	d := synthDataset(1200, 12, nonlinearTarget)
-	svrRes, err := CrossValidate(SVRTrainer{}, d, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dtRes, err := CrossValidate(TreeTrainer{}, d, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	inferTime := func(tr Trainer) time.Duration {
+		m, err := tr.Fit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		for _, sm := range d.Samples {
+			m.Predict(sm.X)
+		}
+		return time.Since(t0)
 	}
 	// The paper's Figure 10b: SVR inference is orders of magnitude more
 	// expensive than DT.
-	if svrRes.InferTime < 5*dtRes.InferTime {
-		t.Errorf("SVR inference (%v) should dwarf DT (%v)", svrRes.InferTime, dtRes.InferTime)
-	}
-}
-
-func TestSelectBest(t *testing.T) {
-	d := synthDataset(500, 13, linearTarget)
-	m, err := LinearTrainer{}.Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Candidates varying CPU_util: linearTarget grows with it, so the
-	// model should pick the largest.
-	var cands []Candidate
-	for _, u := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		x := Features{}
-		x[FCPUUtil] = u
-		cands = append(cands, Candidate{X: x, TruePerf: u, Tag: u})
-	}
-	best, err := SelectBest(m, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cands[best].Tag.(float64) != 1.0 {
-		t.Errorf("selected %v, want 1.0", cands[best].Tag)
-	}
-	if _, err := SelectBest(m, nil); err == nil {
-		t.Error("expected error for empty candidates")
+	if svr, dt := inferTime(SVRTrainer{}), inferTime(TreeTrainer{}); svr < 5*dt {
+		t.Errorf("SVR inference (%v) should dwarf DT (%v)", svr, dt)
 	}
 }
 

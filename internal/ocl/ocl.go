@@ -303,8 +303,6 @@ type CommandQueue struct {
 	// interposed ladder and the plain runtime poll it between
 	// work-groups). Set per request by SetExecContext.
 	execCtx context.Context
-
-	execs map[*clc.Kernel]*sched.Executor
 }
 
 // SetExecContext bounds every subsequent launch on this queue by ctx:
@@ -329,7 +327,6 @@ func (c *Context) CreateCommandQueue(d *Device) *CommandQueue {
 		ctx:      c,
 		device:   d,
 		Fallback: &faults.FallbackStats{},
-		execs:    map[*clc.Kernel]*sched.Executor{},
 	}
 }
 
@@ -389,13 +386,9 @@ func (q *CommandQueue) enqueuePlain(k *Kernel, nd interp.NDRange) error {
 	if err != nil {
 		return err
 	}
-	ex, ok := q.execs[k.kernel]
-	if !ok {
-		ex, err = sched.NewExecutor(q.ctx.platform.machine, k.kernel, nil)
-		if err != nil {
-			return err
-		}
-		q.execs[k.kernel] = ex
+	ex, err := sched.NewExecutor(q.ctx.platform.machine, k.kernel, nil)
+	if err != nil {
+		return err
 	}
 	if err := ex.Bind(args...); err != nil {
 		return err

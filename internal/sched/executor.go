@@ -61,28 +61,12 @@ type Executor struct {
 	bound    bool
 	launched bool
 
-	// mu guards the lazily built model and the timing-result cache, so
-	// timing-only Run calls (which touch no interpreter state once the
-	// model exists) are safe to issue from multiple goroutines. Functional
-	// runs mutate buffers and interpreters and must stay single-threaded.
-	mu       sync.Mutex
-	model    *sim.KernelModel
-	simCache map[simKey]sim.Result
-}
-
-// simKey identifies one timing-only simulation of the current binding and
-// launch. sim.Simulate is a pure function of (machine, model, these
-// knobs), so its result is memoized per executor; Bind and Launch
-// invalidate the cache together with the model.
-type simKey struct {
-	cfg      sim.Config
-	dist     sim.Distribution
-	cpuShare float64
-	chunkDiv int
-	chunkWGs int
-	minChunk int
-	extra    float64
-	plainGPU bool
+	// mu guards the lazily built model, so timing-only Run calls (which
+	// touch no interpreter state once the model exists) are safe to issue
+	// from multiple goroutines. Functional runs mutate buffers and
+	// interpreters and must stay single-threaded.
+	mu    sync.Mutex
+	model *sim.KernelModel
 }
 
 // NewExecutor creates an executor for the original kernel and (optionally)
@@ -148,12 +132,11 @@ func (e *Executor) Bind(args ...interp.Arg) error {
 	return nil
 }
 
-// invalidate drops the model and every cached simulation result; called
-// whenever the binding or launch geometry changes.
+// invalidate drops the model; called whenever the binding or launch
+// geometry changes.
 func (e *Executor) invalidate() {
 	e.mu.Lock()
 	e.model = nil
-	e.simCache = nil
 	e.mu.Unlock()
 }
 
@@ -223,14 +206,6 @@ type RunOptions struct {
 	Functional bool
 	// ExtraStartupSec charges one-time runtime overhead (model inference).
 	ExtraStartupSec float64
-	// GPUChunkDiv overrides the dynamic GPU chunk divisor (default 10).
-	GPUChunkDiv int
-	// ChunkWGs sets the WorkQueue scheduler's fixed chunk size
-	// (0 = NumWGs/16).
-	ChunkWGs int
-	// MinChunkWGs floors the HGuided scheduler's shrinking chunks
-	// (0 = one allocation unit).
-	MinChunkWGs int
 	// Context, when non-nil, bounds the functional execution: it is
 	// polled before every work-group by every shard, so a pathological
 	// ND range cannot wedge the host application past the deadline. A
@@ -266,30 +241,6 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 	if err != nil {
 		return nil, err
 	}
-	// Timing-only runs are pure functions of the model and the knobs
-	// below: memoize them. The cache is bypassed while fault injection is
-	// armed so injected faults keep their exact hit sequence.
-	var key simKey
-	timingOnly := !opts.Functional
-	if timingOnly && !faults.Active() {
-		key = simKey{
-			cfg:      cfg,
-			dist:     opts.Dist,
-			cpuShare: opts.CPUShare,
-			chunkDiv: opts.GPUChunkDiv,
-			chunkWGs: opts.ChunkWGs,
-			minChunk: opts.MinChunkWGs,
-			extra:    opts.ExtraStartupSec,
-			plainGPU: e.malleable == nil && !e.AssumeMalleable,
-		}
-		e.mu.Lock()
-		r, ok := e.simCache[key]
-		e.mu.Unlock()
-		if ok {
-			rc := r
-			return &rc, nil
-		}
-	}
 	var plan []interp.Segment
 	var onSpan sim.SpanFunc
 	if opts.Functional {
@@ -307,9 +258,6 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 	}
 	res, err = sim.Simulate(e.Machine, km, cfg, opts.Dist, sim.SimOptions{
 		CPUShare:        opts.CPUShare,
-		GPUChunkDiv:     opts.GPUChunkDiv,
-		ChunkWGs:        opts.ChunkWGs,
-		MinChunkWGs:     opts.MinChunkWGs,
 		OnSpan:          onSpan,
 		ExtraStartupSec: opts.ExtraStartupSec,
 		PlainGPU:        e.malleable == nil && !e.AssumeMalleable,
@@ -325,14 +273,6 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 		if err = e.cpuEx.RunSegments(plan); err != nil {
 			return nil, err
 		}
-	}
-	if err == nil && timingOnly && !faults.Active() {
-		e.mu.Lock()
-		if e.simCache == nil {
-			e.simCache = map[simKey]sim.Result{}
-		}
-		e.simCache[key] = *res
-		e.mu.Unlock()
 	}
 	return res, err
 }

@@ -63,11 +63,14 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				tk := &task{
-					req: req, sess: sess, prog: p, ctx: ctx, cancel: cancel,
-					admitted: time.Now(), done: make(chan taskOutcome, 1),
+				tk, err := launchFromRequest(req)
+				if err != nil {
+					t.Error(err)
+					return
 				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				tk.sess, tk.prog, tk.ctx, tk.cancel = sess, p, ctx, cancel
+				tk.admitted, tk.done = time.Now(), make(chan launchOutcome, 1)
 				switch status := s.admit(tk); status {
 				case 0:
 					if out := <-tk.done; out.err != nil {
@@ -75,7 +78,7 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 					}
 					served.Add(1)
 				case http.StatusTooManyRequests:
-					if _, err, ok := s.tryMemoBypass(tk); ok {
+					if _, err, ok := s.memoBypass(tk); ok {
 						if err != nil {
 							t.Errorf("bypassed launch: %v", err)
 						}

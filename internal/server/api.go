@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"dopia/internal/faults"
@@ -245,6 +246,96 @@ func stageOf(err error) string {
 	return string(faults.StageOf(err))
 }
 
+// ---------- the JSON codec: wire structs <-> launch / launchResult ----------
+
+// launchFromRequest decodes a JSON launch into the internal value.
+func launchFromRequest(req *LaunchRequest) (*launch, error) {
+	nd, err := ndFrom(req.Global, req.Local)
+	if err != nil {
+		return nil, err
+	}
+	l := &launch{
+		sessionID: req.SessionID, programID: req.ProgramID, kernel: req.Kernel,
+		nd: nd, read: req.Read, idemKey: req.IdemKey, deadlineMS: req.DeadlineMS,
+		args: make([]launchArg, len(req.Args)),
+	}
+	for i, a := range req.Args {
+		switch {
+		case a.Buf != "":
+			l.args[i] = launchArg{kind: 'b', buf: a.Buf}
+		case a.Int != nil:
+			l.args[i] = launchArg{kind: 'i', i: *a.Int}
+		case a.Float != nil:
+			l.args[i] = launchArg{kind: 'f', f: *a.Float}
+		}
+	}
+	return l, nil
+}
+
+// response encodes a result for JSON, base64 from the read-set slabs.
+// It runs after the session lock is released (or, for an export, off the
+// launch path).
+func (r *launchResult) response() *LaunchResponse {
+	resp := &LaunchResponse{
+		Rung: r.rung, Engine: r.engine,
+		Decision: r.decision, Result: r.sim, Fallback: r.fallback,
+		QueueMS: r.queueMS, ExecMS: r.execMS,
+		Replayed: r.replayed, Coalesced: r.coalesced,
+	}
+	if len(r.bufs) > 0 {
+		resp.Buffers = make(map[string]BufferData, len(r.bufs))
+		for i := range r.bufs {
+			resp.Buffers[r.bufs[i].name] = r.bufs[i].data()
+		}
+	}
+	return resp
+}
+
+// resultFromResponse reverses response for an imported idempotency
+// entry. A JSON object carries no order, so the read-set comes back in
+// name order.
+func resultFromResponse(resp *LaunchResponse) (launchResult, error) {
+	r := launchResult{
+		rung: resp.Rung, engine: resp.Engine,
+		decision: resp.Decision, sim: resp.Result, fallback: resp.Fallback,
+		queueMS: resp.QueueMS, execMS: resp.ExecMS,
+		replayed: resp.Replayed, coalesced: resp.Coalesced,
+	}
+	names := make([]string, 0, len(resp.Buffers))
+	for name := range resp.Buffers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rb, err := rawFromData(name, resp.Buffers[name])
+		if err != nil {
+			return launchResult{}, err
+		}
+		r.bufs = append(r.bufs, rb)
+	}
+	return r, nil
+}
+
+// data encodes a snapshot as wire buffer content.
+func (rb *rawBuf) data() BufferData {
+	b64 := base64.StdEncoding.EncodeToString(rb.raw)
+	if rb.kind == 'f' {
+		return BufferData{Kind: "float32", Len: rb.elems, F32B64: b64}
+	}
+	return BufferData{Kind: "int32", Len: rb.elems, I32B64: b64}
+}
+
+// rawFromData decodes wire buffer content into an owned snapshot.
+func rawFromData(name string, bd BufferData) (rawBuf, error) {
+	rb := rawBuf{name: name, kind: 'f', elems: bd.Len}
+	what, b64 := "f32", bd.F32B64
+	if bd.Kind != "float32" {
+		rb.kind, what, b64 = 'i', "i32", bd.I32B64
+	}
+	err := decodeInto(what, b64, bd.Len, func(raw []byte) { rb.raw = append([]byte(nil), raw...) })
+	return rb, err
+}
+
 // scratchPool recycles the raw byte staging area the base64 codecs need
 // between the element slices and the encoded text. A pooled slab turns
 // each Encode/Decode from two allocations (raw bytes + result) into at
@@ -336,20 +427,26 @@ func decodeB64(s string) (*[]byte, []byte, error) {
 	return p, buf[len(s) : len(s)+n], nil
 }
 
-// DecodeF32Into decodes base64 little-endian float32 data into dst,
-// which must already have the exact decoded element count (see
-// b64Elems). No allocation on the happy path.
-func DecodeF32Into(dst []float32, s string) error {
+// decodeInto decodes base64 little-endian data of n 4-byte elements and
+// hands the raw bytes to fromLE. No allocation on the happy path.
+func decodeInto(what, s string, n int, fromLE func(raw []byte)) error {
 	p, raw, err := decodeB64(s)
 	if err != nil {
-		return fmt.Errorf("server: bad f32 base64: %w", err)
+		return fmt.Errorf("server: bad %s base64: %w", what, err)
 	}
 	defer putScratch(p)
-	if len(raw) != 4*len(dst) {
-		return fmt.Errorf("server: f32 payload is %d bytes, want %d", len(raw), 4*len(dst))
+	if len(raw) != 4*n {
+		return fmt.Errorf("server: %s payload is %d bytes, want %d", what, len(raw), 4*n)
 	}
-	LEToF32(dst, raw)
+	fromLE(raw)
 	return nil
+}
+
+// DecodeF32Into decodes base64 little-endian float32 data into dst,
+// which must already have the exact decoded element count (see
+// b64Elems).
+func DecodeF32Into(dst []float32, s string) error {
+	return decodeInto("f32", s, len(dst), func(raw []byte) { LEToF32(dst, raw) })
 }
 
 // DecodeF32 reverses EncodeF32.
@@ -373,19 +470,9 @@ func EncodeI32(xs []int32) string {
 	return base64.StdEncoding.EncodeToString(raw)
 }
 
-// DecodeI32Into decodes base64 little-endian int32 data into dst, which
-// must already have the exact decoded element count.
+// DecodeI32Into is DecodeF32Into for int32 data.
 func DecodeI32Into(dst []int32, s string) error {
-	p, raw, err := decodeB64(s)
-	if err != nil {
-		return fmt.Errorf("server: bad i32 base64: %w", err)
-	}
-	defer putScratch(p)
-	if len(raw) != 4*len(dst) {
-		return fmt.Errorf("server: i32 payload is %d bytes, want %d", len(raw), 4*len(dst))
-	}
-	LEToI32(dst, raw)
-	return nil
+	return decodeInto("i32", s, len(dst), func(raw []byte) { LEToI32(dst, raw) })
 }
 
 // DecodeI32 reverses EncodeI32.

@@ -11,22 +11,24 @@ package server
 //
 // A binary connection is strictly sequential (one request, one
 // response), which is what makes aggressive reuse safe: the frame
-// payload slab, the response build buffer, the LaunchRequest with its
-// argument backing arrays, and the task struct all live on the
-// connection and are recycled every request — after the hello, a
-// steady-state launch performs near zero allocations on the server.
+// payload slab, the response build buffer and the launch value with its
+// argument and read-list backing arrays all live on the connection and
+// are recycled every request.
 
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"dopia/internal/ocl"
+	"dopia/internal/workloads"
 )
 
 // MixedServer serves HTTP/JSON and the binary protocol on one listener.
@@ -231,16 +233,9 @@ type binConn struct {
 	// stable strings so repeated launches never re-allocate them.
 	intern map[string]string
 
-	// Reused launch machinery: the request, scalar backing arrays
-	// (pointers into these go into LaunchArg), the task, its outcome
-	// channel, and the rawOut backing. All safe because requests on one
-	// connection are strictly sequential.
-	lr        LaunchRequest
-	argInts   []int64
-	argFloats []float64
-	task      task
-	done      chan taskOutcome
-	rawSpare  []rawBuf
+	// l is the one launch value every request on this connection decodes
+	// into; safe because requests are strictly sequential.
+	l launch
 }
 
 // maxInternEntries bounds the per-connection intern table; a client
@@ -280,10 +275,9 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 	defer conn.Close()
 	bc := &binConn{
 		s:      s,
-		br:     bufio.NewReaderSize(&countingConnReader{r: conn, n: &s.met.bytesIn}, 64<<10),
-		bw:     bufio.NewWriterSize(&countingConnWriter{w: conn, n: &s.met.bytesOut}, 64<<10),
+		br:     bufio.NewReaderSize(countingReader{conn, &s.met.bytesIn}, 64<<10),
+		bw:     bufio.NewWriterSize(countingWriter{conn, &s.met.bytesOut}, 64<<10),
 		intern: map[string]string{},
-		done:   make(chan taskOutcome, 1),
 	}
 
 	// Hello: [binMagic]['d']['p'][version].
@@ -327,30 +321,6 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// countingConnReader / countingConnWriter feed the wire-byte counters
-// shared with the HTTP protocol.
-type countingConnReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c *countingConnReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-type countingConnWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c *countingConnWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
-	return n, err
 }
 
 // dispatch routes one decoded frame. A returned error tears the
@@ -480,7 +450,24 @@ func (bc *binConn) opCreateBuffer(p []byte) error {
 		return bc.writeErr(http.StatusNotFound, fmt.Errorf("no session %q", sid))
 	}
 	sess.mu.Lock()
-	b, err := sess.createBufferBin(name, kind, elems, content, seed, mod, raw, bc.s.cfg.MaxBufferBytes)
+	b, err := sess.newBuffer(name, kind, elems, bc.s.cfg.MaxBufferBytes, func(b *ocl.Buffer) error {
+		switch {
+		case content == binContentZero:
+		case content == binContentFill && kind == 'f':
+			workloads.FillFloats(b.Raw(), seed)
+		case content == binContentFill:
+			workloads.FillInts(b.Raw(), seed, mod)
+		case content != binContentRaw:
+			return fmt.Errorf("buffer %q: unknown content tag %d", name, content)
+		case len(raw) != 4*elems:
+			return fmt.Errorf("buffer %q: raw payload is %d bytes, want %d", name, len(raw), 4*elems)
+		case kind == 'f':
+			LEToF32(b.Float32(), raw)
+		default:
+			LEToI32(b.Int32(), raw)
+		}
+		return nil
+	})
 	sess.mu.Unlock()
 	if err != nil {
 		bc.s.met.badRequests.Add(1)
@@ -504,99 +491,70 @@ func (bc *binConn) opReadBuffer(p []byte) error {
 		return bc.writeErr(http.StatusNotFound, fmt.Errorf("no session %q", sid))
 	}
 
-	// Copy-on-read-back: snapshot the content into a pooled slab under
-	// the session lock, serialize to the socket after it is released.
-	sess.mu.Lock()
-	sb, ok := sess.bufs[name]
-	var (
-		pool  *[]byte
-		raw   []byte
-		kind  byte
-		elems int
-	)
-	if ok {
-		elems = sb.b.Len()
-		pool, raw = getScratch(4 * elems)
-		if f := sb.b.Float32(); f != nil {
-			kind = 'f'
-			F32ToLE(raw, f)
-		} else {
-			kind = 'i'
-			I32ToLE(raw, sb.b.Int32())
-		}
+	rb, err := sess.snapshot(name)
+	if err != nil {
+		return bc.writeErr(http.StatusNotFound, err)
 	}
-	sess.mu.Unlock()
-	if !ok {
-		return bc.writeErr(http.StatusNotFound, fmt.Errorf("no buffer %q in session %s", name, sid))
-	}
-	defer putScratch(pool)
+	defer rb.release()
 
-	if err := writeFrameHeader(bc.bw, opReadBuffer|binOKBit, 1+4+len(raw)); err != nil {
+	if err := writeFrameHeader(bc.bw, opReadBuffer|binOKBit, 1+4+len(rb.raw)); err != nil {
 		return err
 	}
-	if err := bc.bw.WriteByte(kind); err != nil {
+	return bc.writeRaw(&rb)
+}
+
+// writeRaw streams one snapshot straight from its slab: kind, element
+// count, little-endian content.
+func (bc *binConn) writeRaw(rb *rawBuf) error {
+	var hdr [5]byte
+	hdr[0] = rb.kind
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(rb.elems))
+	if _, err := bc.bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var u [4]byte
-	leU32(u[:], uint32(elems))
-	if _, err := bc.bw.Write(u[:]); err != nil {
-		return err
-	}
-	_, err := bc.bw.Write(raw)
+	_, err := bc.bw.Write(rb.raw)
 	return err
 }
 
-// opLaunch is the hot path: decode into the reused request, run through
-// the same admission/worker/coalescing machinery as JSON launches (with
-// wantRaw set so the read-set comes back as pooled raw slabs), and
-// stream the response straight from those slabs.
+// opLaunch is the binary codec around submit: decode the frame into the
+// connection's reused launch, stream the result straight from its
+// read-set slabs.
 func (bc *binConn) opLaunch(p []byte) error {
 	s := bc.s
 	decodeStart := time.Now()
-	lr := &bc.lr
+	l := &bc.l
+	*l = launch{args: l.args[:0], read: l.read[:0], done: l.done}
 	cur := wireCursor{b: p}
-	lr.SessionID = bc.internB(cur.strBytes())
-	lr.ProgramID = bc.internB(cur.strBytes())
-	lr.Kernel = bc.internB(cur.strBytes())
+	l.sessionID = bc.internB(cur.strBytes())
+	l.programID = bc.internB(cur.strBytes())
+	l.kernel = bc.internB(cur.strBytes())
 	// Idempotency keys are unique per logical launch; interning them
 	// would grow the table without ever hitting.
-	lr.IdemKey = string(cur.strBytes())
-	lr.DeadlineMS = int64(cur.u32())
+	l.idemKey = string(cur.strBytes())
+	l.deadlineMS = int64(cur.u32())
 	dims := int(cur.u8())
-	if cur.err == nil && (dims < 1 || dims > 3) {
+	if dims < 1 || dims > 3 {
 		cur.fail()
 	}
-	lr.Global = lr.Global[:0]
-	lr.Local = lr.Local[:0]
+	var global, local [3]int
 	for i := 0; i < dims && cur.err == nil; i++ {
-		lr.Global = append(lr.Global, int(cur.u32()))
+		global[i] = int(cur.u32())
 	}
 	for i := 0; i < dims && cur.err == nil; i++ {
-		lr.Local = append(lr.Local, int(cur.u32()))
+		local[i] = int(cur.u32())
 	}
 	nargs := int(cur.u16())
 	if nargs > 1024 {
 		cur.fail()
 	}
-	if cur.err == nil {
-		if cap(bc.argInts) < nargs {
-			bc.argInts = make([]int64, nargs)
-			bc.argFloats = make([]float64, nargs)
-		}
-		bc.argInts = bc.argInts[:cap(bc.argInts)]
-		bc.argFloats = bc.argFloats[:cap(bc.argFloats)]
-	}
-	lr.Args = lr.Args[:0]
 	for i := 0; i < nargs && cur.err == nil; i++ {
-		switch cur.u8() {
+		switch kind := cur.u8(); kind {
 		case 'b':
-			lr.Args = append(lr.Args, LaunchArg{Buf: bc.internB(cur.strBytes())})
+			l.args = append(l.args, launchArg{kind: kind, buf: bc.internB(cur.strBytes())})
 		case 'i':
-			bc.argInts[i] = cur.i64()
-			lr.Args = append(lr.Args, LaunchArg{Int: &bc.argInts[i]})
+			l.args = append(l.args, launchArg{kind: kind, i: cur.i64()})
 		case 'f':
-			bc.argFloats[i] = cur.f64()
-			lr.Args = append(lr.Args, LaunchArg{Float: &bc.argFloats[i]})
+			l.args = append(l.args, launchArg{kind: kind, f: cur.f64()})
 		default:
 			cur.fail()
 		}
@@ -605,72 +563,27 @@ func (bc *binConn) opLaunch(p []byte) error {
 	if nread > 1024 {
 		cur.fail()
 	}
-	lr.Read = lr.Read[:0]
 	for i := 0; i < nread && cur.err == nil; i++ {
-		lr.Read = append(lr.Read, bc.internB(cur.strBytes()))
+		l.read = append(l.read, bc.internB(cur.strBytes()))
 	}
 	if !cur.done() {
 		s.met.badRequests.Add(1)
 		return bc.writeErr(http.StatusBadRequest, errTruncated)
 	}
+	var err error
+	if l.nd, err = ndFrom(global[:dims], local[:dims]); err != nil {
+		s.met.badRequests.Add(1)
+		return bc.writeErr(http.StatusBadRequest, err)
+	}
 	s.met.stages.Record(stageDecode, time.Since(decodeStart).Seconds())
 
-	sess, ok := s.session(lr.SessionID)
-	if !ok {
-		s.met.badRequests.Add(1)
-		return bc.writeErr(http.StatusNotFound, fmt.Errorf("no session %q", lr.SessionID))
-	}
-	s.mu.Lock()
-	prog, ok := s.programs[lr.ProgramID]
-	s.mu.Unlock()
-	if !ok {
-		s.met.badRequests.Add(1)
-		return bc.writeErr(http.StatusNotFound, fmt.Errorf("no program %q", lr.ProgramID))
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), s.launchDeadline(lr.DeadlineMS))
-	t := &bc.task
-	*t = task{
-		req:      lr,
-		sess:     sess,
-		prog:     prog,
-		ctx:      ctx,
-		cancel:   cancel,
-		admitted: time.Now(),
-		done:     bc.done,
-		wantRaw:  true,
-		rawOut:   bc.rawSpare[:0],
-	}
-	if status := s.admit(t); status != 0 {
-		if status == http.StatusTooManyRequests {
-			if resp, lerr, ok := s.tryMemoBypass(t); ok {
-				cancel()
-				var werr error
-				if lerr != nil {
-					werr = bc.writeErr(http.StatusBadRequest, lerr)
-				} else {
-					werr = bc.writeLaunchResponse(resp, t.rawOut)
-				}
-				t.releaseRaw()
-				bc.rawSpare = t.rawOut
-				return werr
-			}
-		}
-		cancel()
-		s.met.rejected.Add(1)
-		return bc.writeErr(status, fmt.Errorf("admission queue full (%d deep)", s.cfg.QueueDepth))
-	}
-	out := <-t.done
-
+	res, status, err := s.submit(l)
 	encodeStart := time.Now()
-	var err error
-	if out.err != nil {
-		err = bc.writeErr(out.status, out.err)
-	} else {
-		err = bc.writeLaunchResponse(out.resp, t.rawOut)
+	if err != nil {
+		return bc.writeErr(status, err)
 	}
-	t.releaseRaw()
-	bc.rawSpare = t.rawOut
+	err = bc.writeLaunchResponse(&res)
+	res.release()
 	if err == nil {
 		s.met.stages.Record(stageEncode, time.Since(encodeStart).Seconds())
 	}
@@ -680,25 +593,26 @@ func (bc *binConn) opLaunch(p []byte) error {
 // writeLaunchResponse streams one opLaunch|OK frame: metadata built in
 // the reusable buffer, buffer contents written directly from the pooled
 // read-set slabs.
-func (bc *binConn) writeLaunchResponse(resp *LaunchResponse, raws []rawBuf) error {
+func (bc *binConn) writeLaunchResponse(res *launchResult) error {
+	raws := res.bufs
 	b := bc.out[:0]
-	b = appendStr(b, resp.Rung)
-	b = appendStr(b, resp.Engine)
+	b = appendStr(b, res.rung)
+	b = appendStr(b, res.engine)
 	var flags byte
-	if resp.Decision != nil {
+	if res.decision != nil {
 		flags |= binFlagDecision
 	}
-	if resp.Result != nil {
+	if res.sim != nil {
 		flags |= binFlagResult
 	}
-	if resp.Replayed {
+	if res.replayed {
 		flags |= binFlagReplayed
 	}
-	if resp.Coalesced {
+	if res.coalesced {
 		flags |= binFlagCoalesced
 	}
 	b = append(b, flags)
-	if d := resp.Decision; d != nil {
+	if d := res.decision; d != nil {
 		b = appendU32(b, uint32(d.CPUCores))
 		b = appendF64(b, d.GPUFrac)
 		b = appendF64(b, d.Predicted)
@@ -710,13 +624,13 @@ func (bc *binConn) writeLaunchResponse(resp *LaunchResponse, raws []rawBuf) erro
 		b = append(b, disc)
 		b = appendF64(b, d.InferUS)
 	}
-	if r := resp.Result; r != nil {
+	if r := res.sim; r != nil {
 		b = appendF64(b, r.SimTimeSec)
 		b = appendU32(b, uint32(r.WGsCPU))
 		b = appendU32(b, uint32(r.WGsGPU))
 		b = appendU32(b, uint32(r.GPUChunks))
 	}
-	fb := resp.Fallback
+	fb := res.fallback
 	if fb == nil {
 		fb = &FallbackDelta{}
 	}
@@ -726,8 +640,8 @@ func (bc *binConn) writeLaunchResponse(resp *LaunchResponse, raws []rawBuf) erro
 	b = appendI64(b, fb.ModelDiscards)
 	b = appendI64(b, fb.Panics)
 	b = appendI64(b, fb.Timeouts)
-	b = appendF64(b, resp.QueueMS)
-	b = appendF64(b, resp.ExecMS)
+	b = appendF64(b, res.queueMS)
+	b = appendF64(b, res.execMS)
 	b = appendU16(b, uint16(len(raws)))
 	bc.out = b
 
@@ -741,34 +655,13 @@ func (bc *binConn) writeLaunchResponse(resp *LaunchResponse, raws []rawBuf) erro
 	if _, err := bc.bw.Write(b); err != nil {
 		return err
 	}
-	var u [4]byte
 	for i := range raws {
-		rb := &raws[i]
-		leU32(u[:], uint32(len(rb.name)))
-		if _, err := bc.bw.Write(u[:]); err != nil {
+		if _, err := bc.bw.Write(appendStr(b[:0], raws[i].name)); err != nil {
 			return err
 		}
-		if _, err := bc.bw.WriteString(rb.name); err != nil {
-			return err
-		}
-		if err := bc.bw.WriteByte(rb.kind); err != nil {
-			return err
-		}
-		leU32(u[:], uint32(rb.elems))
-		if _, err := bc.bw.Write(u[:]); err != nil {
-			return err
-		}
-		if _, err := bc.bw.Write(rb.raw); err != nil {
+		if err := bc.writeRaw(&raws[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// leU32 writes v little-endian into b[:4].
-func leU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
 }

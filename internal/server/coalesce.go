@@ -38,7 +38,6 @@ import (
 	"sync"
 
 	"dopia/internal/faults"
-	"dopia/internal/interp"
 )
 
 // coalition is one in-flight execution that identical launches may
@@ -51,11 +50,11 @@ type coalition struct {
 
 // sharedResult is what a completed execution hands to its followers and
 // the memo: the written buffer arguments' contents by argument index,
-// plus the response template (everything except per-request fields).
+// plus the result template (everything except per-request fields).
 type sharedResult struct {
 	outs  []sharedOut
-	resp  LaunchResponse // Buffers/QueueMS/ExecMS left zero; stamped per request
-	bytes int64          // memo accounting
+	res   launchResult // bufs/queueMS/execMS left zero; stamped per request
+	bytes int64        // memo accounting
 }
 
 type sharedOut struct {
@@ -94,7 +93,8 @@ func (cl *coalescer) on() bool { return cl != nil && !faults.Active() }
 // length, alias group (first argument index bound to the same buffer),
 // and content digest. Callers hold the session mutex (digests) and must
 // return the pool token via putScratch.
-func (cl *coalescer) keyFor(progID string, req *LaunchRequest, nd interp.NDRange, bufArgs []*sessionBuffer) (*[]byte, []byte) {
+func (cl *coalescer) keyFor(l *launch, bufArgs []*sessionBuffer) (*[]byte, []byte) {
+	nd := &l.nd
 	p, _ := getScratch(0)
 	b := (*p)[:0]
 	var u8 [8]byte
@@ -106,17 +106,17 @@ func (cl *coalescer) keyFor(progID string, req *LaunchRequest, nd interp.NDRange
 		u64(uint64(len(s)))
 		b = append(b, s...)
 	}
-	str(progID)
-	str(req.Kernel)
+	str(l.prog.id)
+	str(l.kernel)
 	u64(uint64(nd.Dims))
 	for i := 0; i < 3; i++ {
 		u64(uint64(nd.Global[i]))
 		u64(uint64(nd.Local[i]))
 	}
-	u64(uint64(len(req.Args)))
-	for i, a := range req.Args {
-		switch {
-		case bufArgs[i] != nil:
+	u64(uint64(len(l.args)))
+	for i, a := range l.args {
+		switch a.kind {
+		case 'b':
 			alias := i
 			for j := 0; j < i; j++ {
 				if bufArgs[j] == bufArgs[i] {
@@ -138,12 +138,12 @@ func (cl *coalescer) keyFor(progID string, req *LaunchRequest, nd interp.NDRange
 			u64(uint64(alias))
 			u64(dig[0])
 			u64(dig[1])
-		case a.Int != nil:
+		case 'i':
 			b = append(b, 'I')
-			u64(uint64(*a.Int))
-		case a.Float != nil:
+			u64(uint64(a.i))
+		case 'f':
 			b = append(b, 'F')
-			u64(math.Float64bits(*a.Float))
+			u64(math.Float64bits(a.f))
 		}
 	}
 	*p = b[:cap(b)]
@@ -240,8 +240,8 @@ func (cl *coalescer) stats() (entries int, bytes int64) {
 // buffer is harmless because any follower's matching argument holds
 // digest-identical content already). Callers hold the leader's session
 // mutex.
-func buildShared(resp *LaunchResponse, bufArgs []*sessionBuffer, writeMask uint64, maskKnown bool) *sharedResult {
-	res := &sharedResult{resp: *resp, bytes: 512}
+func buildShared(lr *launchResult, bufArgs []*sessionBuffer, writeMask uint64, maskKnown bool) *sharedResult {
+	res := &sharedResult{res: *lr, bytes: 512}
 	for i, sb := range bufArgs {
 		if sb == nil {
 			continue

@@ -62,7 +62,7 @@ func launchAcc(c *Client, progID, sid string, n int, deadlineMS int64) (*LaunchR
 }
 
 // waitSessionBusy polls until the session's lock is held — i.e. its
-// worker has entered execLaunch for the parked follower.
+// worker has entered runStages for the parked follower.
 func waitSessionBusy(t *testing.T, s *Server, sid string) {
 	t.Helper()
 	s.mu.Lock()

@@ -230,3 +230,143 @@ func TestCrossProtocolConformance(t *testing.T) {
 		}
 	}
 }
+
+// crossAccSrc makes every physical execution visible: y advances by
+// x[i]+1 per applied launch.
+const crossAccSrc = `
+__kernel void acc(__global float* x, __global float* y, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        y[i] = y[i] + x[i] + 1.0f;
+    }
+}`
+
+// TestCrossProtocolIdempotentReplay executes an idempotent launch over
+// one protocol and replays it over the other, both ways: the replay must
+// be marked Replayed, carry the same bytes in the order the read-set was
+// requested (here y before x — not name order), and leave the
+// accumulator applied exactly once.
+func TestCrossProtocolIdempotentReplay(t *testing.T) {
+	srv, err := server.New(server.Config{Machine: sim.Kaveri()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := server.NewMixedServer(srv)
+	go func() { _ = ms.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		_ = ms.Shutdown(ctx)
+	}()
+	addr := ln.Addr().String()
+	jc := server.NewClient("http://"+addr, nil)
+	bc, err := server.DialBin(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	prog, err := jc.Compile(crossAccSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 64
+	nn := int64(n)
+	args := []server.LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}}
+	read := []string{"y", "x"}
+	type buf struct {
+		name string
+		raw  []byte
+	}
+	viaJSON := func(sid string) (bool, []buf) {
+		t.Helper()
+		resp, err := jc.Launch(&server.LaunchRequest{
+			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "acc", Args: args,
+			Global: []int{n}, Local: []int{32}, Read: read, IdemKey: "once",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A JSON object has no order; take the buffers in request order.
+		var out []buf
+		for _, name := range read {
+			xs, err := server.DecodeF32(resp.Buffers[name].F32B64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := make([]byte, 4*len(xs))
+			server.F32ToLE(raw, xs)
+			out = append(out, buf{name, raw})
+		}
+		return resp.Replayed, out
+	}
+	viaBin := func(sid string) (bool, []buf) {
+		t.Helper()
+		res, err := bc.Launch(&server.BinLaunch{
+			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "acc", Args: args,
+			Global: []int{n}, Local: []int{32}, Read: read, IdemKey: "once",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []buf
+		for _, bv := range res.Bufs {
+			out = append(out, buf{bv.Name, append([]byte(nil), bv.Raw...)})
+		}
+		return res.Replayed, out
+	}
+
+	for _, leg := range []struct {
+		name          string
+		first, replay func(string) (bool, []buf)
+	}{
+		{"json-then-binary", viaJSON, viaBin},
+		{"binary-then-json", viaBin, viaJSON},
+		{"binary-then-binary", viaBin, viaBin},
+	} {
+		sid, err := jc.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint32(3)
+		if err := jc.CreateBuffer(sid, &server.BufferRequest{Name: "x", Kind: "float32", Len: n, FillSeed: &seed}); err != nil {
+			t.Fatal(err)
+		}
+		if err := jc.CreateBuffer(sid, &server.BufferRequest{Name: "y", Kind: "float32", Len: n}); err != nil {
+			t.Fatal(err)
+		}
+		replayed, first := leg.first(sid)
+		if replayed {
+			t.Errorf("%s: first execution reported replayed", leg.name)
+		}
+		replayed, again := leg.replay(sid)
+		if !replayed {
+			t.Errorf("%s: replay not marked replayed", leg.name)
+		}
+		if len(first) != len(read) || len(again) != len(read) {
+			t.Fatalf("%s: read-set sizes %d / %d, want %d", leg.name, len(first), len(again), len(read))
+		}
+		for i, name := range read {
+			if first[i].name != name || again[i].name != name {
+				t.Errorf("%s: read-set slot %d is %q then %q, want request order %q",
+					leg.name, i, first[i].name, again[i].name, name)
+			}
+			if !bytes.Equal(first[i].raw, again[i].raw) {
+				t.Errorf("%s: replayed %s differs from the first execution", leg.name, name)
+			}
+		}
+		// One execution: y still holds exactly what the first launch returned.
+		_, _, yNow, err := bc.ReadBuffer(sid, "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(yNow, first[0].raw) {
+			t.Errorf("%s: the replay re-executed the accumulator", leg.name)
+		}
+	}
+}

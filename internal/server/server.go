@@ -32,8 +32,6 @@ import (
 	"context"
 
 	"dopia/internal/core"
-	"dopia/internal/faults"
-	"dopia/internal/interp"
 	"dopia/internal/ml"
 	"dopia/internal/ocl"
 	"dopia/internal/online"
@@ -130,10 +128,10 @@ type Server struct {
 	// session's launches stay ordered on one goroutine and its
 	// compile/prediction cache touches stay core-hot; total capacity
 	// approximates Config.QueueDepth.
-	queues      []chan *task
+	queues      []chan *launch
 	stopWorkers chan struct{}
 	workersDone sync.WaitGroup
-	// pending counts admitted-but-unfinished tasks for graceful drain.
+	// pending counts admitted-but-unfinished launches for graceful drain.
 	pending sync.WaitGroup
 	// admitMu orders admissions against the draining flag so Shutdown's
 	// pending.Wait can never race an in-flight pending.Add.
@@ -169,61 +167,6 @@ type program struct {
 	id      string
 	prog    *ocl.Program
 	kernels []string
-}
-
-// task is one admitted launch.
-type task struct {
-	req      *LaunchRequest
-	sess     *session
-	prog     *program
-	ctx      context.Context
-	cancel   context.CancelFunc
-	admitted time.Time
-	done     chan taskOutcome
-
-	// wantRaw asks for the read-set as raw little-endian bytes in
-	// rawOut (the binary protocol's zero-base64 path) instead of
-	// base64 in resp.Buffers. The slabs behind rawOut come from the
-	// scratch pool; the response writer returns them via releaseRaw.
-	wantRaw bool
-	rawOut  []rawBuf
-
-	// memoOnly restricts execLaunch to replay paths that never run the
-	// kernel (idempotency cache or completed-launch memo); anything else
-	// fails with errNotMemoized. The 429 bypass path uses it: memo hits
-	// cost no engine work, so serving them under overload cannot deepen
-	// the overload.
-	memoOnly bool
-}
-
-// errNotMemoized reports that a memo-only launch found no stored
-// response to replay.
-var errNotMemoized = fmt.Errorf("launch is not memoized")
-
-// rawBuf is one captured read-set buffer: content copied under the
-// session lock into a pooled slab (copy-on-read-back), serialized to
-// the socket after the lock is released.
-type rawBuf struct {
-	name  string
-	kind  byte // 'f' float32, 'i' int32
-	elems int
-	pool  *[]byte
-	raw   []byte
-}
-
-// releaseRaw hands the captured slabs back to the scratch pool.
-func (t *task) releaseRaw() {
-	for i := range t.rawOut {
-		putScratch(t.rawOut[i].pool)
-		t.rawOut[i].pool, t.rawOut[i].raw = nil, nil
-	}
-	t.rawOut = t.rawOut[:0]
-}
-
-type taskOutcome struct {
-	status int
-	resp   *LaunchResponse
-	err    error
 }
 
 // metrics aggregates the daemon-level counters and latency histograms.
@@ -318,9 +261,9 @@ func New(cfg Config) (*Server, error) {
 		s.learner = learner
 	}
 	perWorker := (cfg.QueueDepth + cfg.Workers - 1) / cfg.Workers
-	s.queues = make([]chan *task, cfg.Workers)
+	s.queues = make([]chan *launch, cfg.Workers)
 	for i := range s.queues {
-		s.queues[i] = make(chan *task, perWorker)
+		s.queues[i] = make(chan *launch, perWorker)
 	}
 	s.ready.Store(!cfg.StartUnready)
 	s.mux = http.NewServeMux()
@@ -354,34 +297,46 @@ type countingHandler struct{ s *Server }
 
 func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
-		r.Body = &countingReader{rc: r.Body, n: &h.s.met.bytesIn}
+		r.Body = struct {
+			io.Reader
+			io.Closer
+		}{countingReader{r.Body, &h.s.met.bytesIn}, r.Body}
 	}
-	h.s.mux.ServeHTTP(&countingResponseWriter{ResponseWriter: w, n: &h.s.met.bytesOut}, r)
+	h.s.mux.ServeHTTP(&countingResponseWriter{w, countingWriter{w, &h.s.met.bytesOut}}, r)
 }
 
+// countingReader / countingWriter feed the wire-byte counters of both
+// protocols.
 type countingReader struct {
-	rc io.ReadCloser
-	n  *atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-func (c *countingReader) Close() error { return c.rc.Close() }
-
-type countingResponseWriter struct {
-	http.ResponseWriter
+	io.Reader
 	n *atomic.Int64
 }
 
-func (c *countingResponseWriter) Write(p []byte) (int, error) {
-	n, err := c.ResponseWriter.Write(p)
+func (c countingReader) Read(p []byte) (int, error) {
+	n, err := c.Reader.Read(p)
 	c.n.Add(int64(n))
 	return n, err
 }
+
+type countingWriter struct {
+	io.Writer
+	n *atomic.Int64
+}
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.Writer.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// countingResponseWriter counts body bytes through countingWriter while
+// keeping the rest of the http.ResponseWriter.
+type countingResponseWriter struct {
+	http.ResponseWriter
+	body countingWriter
+}
+
+func (c *countingResponseWriter) Write(p []byte) (int, error) { return c.body.Write(p) }
 
 // Framework exposes the shared framework (stats, caches) for
 // observability and tests.
@@ -468,529 +423,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Learner exposes the online manager (nil when -online is off) for
 // observability and tests.
 func (s *Server) Learner() *online.Manager { return s.learner }
-
-// ---------- admission and execution ----------
-
-// workerOf pins a session to a worker by FNV-1a hash of its ID, so all
-// of one session's launches run on one goroutine.
-func (s *Server) workerOf(sessionID string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(sessionID); i++ {
-		h = (h ^ uint32(sessionID[i])) * 16777619
-	}
-	return int(h % uint32(len(s.queues)))
-}
-
-// queueLen sums the depth of every per-worker queue.
-func (s *Server) queueLen() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// queueCap sums the capacity of every per-worker queue.
-func (s *Server) queueCap() int {
-	n := 0
-	for _, q := range s.queues {
-		n += cap(q)
-	}
-	return n
-}
-
-// admit places t in its session's per-worker queue. It returns an HTTP
-// status: 0 (admitted), 503 (draining), or 429 (queue full).
-func (s *Server) admit(t *task) int {
-	q := s.queues[s.workerOf(t.req.SessionID)]
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	if s.draining.Load() {
-		return http.StatusServiceUnavailable
-	}
-	// Count the task before the worker can see it: a worker may finish a
-	// µs-scale launch (and call pending.Done) before this goroutine runs
-	// again after the send.
-	s.pending.Add(1)
-	select {
-	case q <- t:
-		return 0
-	default:
-		s.pending.Done()
-		return http.StatusTooManyRequests
-	}
-}
-
-// tryMemoBypass gives a launch that admission control just rejected
-// (429) one chance to be answered from the completed-launch memo or the
-// idempotency cache, inline on the handler goroutine. Replays cost no
-// engine work, so serving them under overload cannot deepen the
-// overload — identical hot launches keep flowing at full rate while the
-// queue sheds genuinely new work. The probe still registers with
-// pending under admitMu so Shutdown's drain accounting stays exact.
-// ok reports whether the launch was handled here; !ok means the caller
-// must send the original rejection.
-func (s *Server) tryMemoBypass(t *task) (resp *LaunchResponse, err error, ok bool) {
-	if !s.coal.on() {
-		return nil, nil, false
-	}
-	s.admitMu.Lock()
-	if s.draining.Load() {
-		s.admitMu.Unlock()
-		return nil, nil, false
-	}
-	s.pending.Add(1)
-	s.admitMu.Unlock()
-	defer s.pending.Done()
-
-	t.memoOnly = true
-	resp, err = s.execLaunch(t)
-	t.memoOnly = false
-	if err == errNotMemoized {
-		return nil, nil, false
-	}
-	s.met.memoBypass.Add(1)
-	if err == nil {
-		s.met.launchesOK.Add(1)
-	} else {
-		s.met.launchErrors.Add(1)
-	}
-	return resp, err, true
-}
-
-func (s *Server) worker(i int) {
-	defer s.workersDone.Done()
-	q := s.queues[i]
-	for {
-		select {
-		case t := <-q:
-			s.runTask(t)
-		case <-s.stopWorkers:
-			// Drain anything still queued (Shutdown waits on pending).
-			for {
-				select {
-				case t := <-q:
-					s.runTask(t)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// runTask executes one admitted launch on a worker goroutine.
-func (s *Server) runTask(t *task) {
-	defer s.pending.Done()
-	defer t.cancel()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
-	queued := time.Since(t.admitted)
-	s.met.queueWait.Record(queued.Seconds())
-	s.met.stages.Record(stageQueue, queued.Seconds())
-
-	outcome := func(status int, resp *LaunchResponse, err error) {
-		s.met.total.Record(time.Since(t.admitted).Seconds())
-		t.done <- taskOutcome{status: status, resp: resp, err: err}
-	}
-
-	// A request whose deadline lapsed while it sat in the queue fails
-	// without touching the session.
-	if err := t.ctx.Err(); err != nil {
-		s.met.deadlineExpired.Add(1)
-		outcome(http.StatusGatewayTimeout,
-			nil, fmt.Errorf("deadline expired after %v in queue: %w", queued.Round(time.Millisecond), err))
-		return
-	}
-
-	execStart := time.Now()
-	resp, err := s.execLaunch(t)
-	execDur := time.Since(execStart)
-	s.met.exec.Record(execDur.Seconds())
-	s.met.stages.Record(stageExec, execDur.Seconds())
-
-	switch {
-	case err == nil:
-		s.met.launchesOK.Add(1)
-		resp.QueueMS = float64(queued) / float64(time.Millisecond)
-		resp.ExecMS = float64(time.Since(execStart)) / float64(time.Millisecond)
-		outcome(http.StatusOK, resp, nil)
-	case faults.IsTimeout(err) || t.ctx.Err() != nil:
-		s.met.deadlineExpired.Add(1)
-		outcome(http.StatusGatewayTimeout, nil, err)
-	default:
-		s.met.launchErrors.Add(1)
-		outcome(http.StatusBadRequest, nil, err)
-	}
-}
-
-// readEntry is one resolved read-set buffer, in request order.
-type readEntry struct {
-	name string
-	sb   *sessionBuffer
-}
-
-// execLaunch performs the launch under the session lock: idempotency
-// replay, argument binding, then either sharing an identical launch's
-// execution (memo hit or in-flight coalition) or running the kernel and
-// publishing the outputs for others.
-func (s *Server) execLaunch(t *task) (*LaunchResponse, error) {
-	req, sess := t.req, t.sess
-
-	nd, err := ndOf(req)
-	if err != nil {
-		return nil, err
-	}
-
-	if t.memoOnly {
-		// A memo-only probe runs inline on the handler goroutine while
-		// the server is saturated; the session lock may be held by a
-		// wedged launch for arbitrarily long, and a replay is only
-		// worth serving if it is cheap right now — so never wait for it.
-		if !sess.mu.TryLock() {
-			return nil, errNotMemoized
-		}
-	} else {
-		sess.mu.Lock()
-	}
-	defer sess.mu.Unlock()
-
-	// Idempotency: a launch replayed with the key of an already-applied
-	// launch (router failover retry, replica re-apply) returns the
-	// stored response without re-executing, so one logical launch
-	// mutates session state exactly once per node.
-	if req.IdemKey != "" {
-		if stored, ok := sess.idem.get(req.IdemKey); ok {
-			s.met.idemReplays.Add(1)
-			if t.wantRaw {
-				if err := s.rawFromResponse(t, stored); err != nil {
-					return nil, err
-				}
-			}
-			return stored, nil
-		}
-	}
-
-	kern, err := t.prog.prog.CreateKernel(req.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	if len(req.Args) != kern.NumArgs() {
-		return nil, fmt.Errorf("kernel %s takes %d arguments, got %d", req.Kernel, kern.NumArgs(), len(req.Args))
-	}
-	bufArgs := make([]*sessionBuffer, len(req.Args))
-	for i, a := range req.Args {
-		switch {
-		case a.Buf != "":
-			sb, ok := sess.bufs[a.Buf]
-			if !ok {
-				return nil, fmt.Errorf("argument %d: no buffer %q in session %s", i, a.Buf, sess.id)
-			}
-			bufArgs[i] = sb
-			err = kern.SetArg(i, sb.b)
-		case a.Int != nil:
-			err = kern.SetArg(i, *a.Int)
-		case a.Float != nil:
-			err = kern.SetArg(i, *a.Float)
-		default:
-			return nil, fmt.Errorf("argument %d: one of buf/int/float required", i)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Resolve read-set up front so a bad name fails before execution.
-	readSet := make([]readEntry, 0, len(req.Read))
-	for _, name := range req.Read {
-		sb, ok := sess.bufs[name]
-		if !ok {
-			return nil, fmt.Errorf("read: no buffer %q in session %s", name, sess.id)
-		}
-		dup := false
-		for _, e := range readSet {
-			if e.name == name {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			readSet = append(readSet, readEntry{name: name, sb: sb})
-		}
-	}
-
-	// Coalescing: identical launches (same program, kernel, geometry,
-	// scalars, buffer contents, and aliasing) share one execution.
-	var (
-		co       *coalition
-		lead     bool
-		keyBytes []byte
-	)
-	if s.coal.on() && len(req.Args) <= 64 {
-		kp, kb := s.coal.keyFor(t.prog.id, req, nd, bufArgs)
-		defer putScratch(kp)
-		keyBytes = kb
-		if res := s.coal.memoGet(kb); res != nil {
-			s.met.coalescedMemo.Add(1)
-			return s.finishShared(t, sess, res, bufArgs, readSet)
-		}
-		if t.memoOnly {
-			// A memo-only probe must never park as a coalition follower
-			// (that waits on real execution) or lead one.
-			return nil, errNotMemoized
-		}
-		co, lead = s.coal.join(kb)
-		if !lead {
-			// Follower: park on the leader's coalition while holding our
-			// own session lock (intra-session order is preserved; the
-			// leader never waits on another session's lock, so there is
-			// no cycle), watching our own deadline only.
-			select {
-			case <-co.done:
-			case <-t.ctx.Done():
-				// Canceled follower: 504 with the session untouched; the
-				// leader's execution is not disturbed.
-				return nil, fmt.Errorf("deadline expired while coalesced behind an identical launch: %w", t.ctx.Err())
-			}
-			if res := co.res; res != nil {
-				s.met.coalescedFollowers.Add(1)
-				return s.finishShared(t, sess, res, bufArgs, readSet)
-			}
-			// The leader failed; fall through and execute independently
-			// (without publishing — each follower re-runs its own copy).
-		} else if s.testHookLeader != nil {
-			s.testHookLeader()
-		}
-	}
-
-	if t.memoOnly {
-		// Coalescing disabled or kernel too wide to key: nothing to replay.
-		return nil, errNotMemoized
-	}
-
-	resp, err := s.runKernel(t, sess, kern, nd, bufArgs)
-	if lead {
-		if err != nil {
-			s.coal.abort(keyBytes, co)
-		} else {
-			mask, known := writeMaskOf(s, kern)
-			s.coal.publish(keyBytes, co, buildShared(resp, bufArgs, mask, known))
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.captureReadSet(t, readSet, resp)
-	if req.IdemKey != "" {
-		sess.idem.put(req.IdemKey, resp)
-	}
-	return resp, nil
-}
-
-// runKernel executes the bound kernel on the session queue and builds
-// the response shell (no read-set capture). Callers hold sess.mu.
-func (s *Server) runKernel(t *task, sess *session, kern *ocl.Kernel, nd interp.NDRange, bufArgs []*sessionBuffer) (*LaunchResponse, error) {
-	q := sess.queue
-	// The session ID doubles as the online learner's tenant key: each
-	// session gets its own incrementally trained model.
-	q.SetExecContext(core.WithTenant(t.ctx, sess.id))
-	defer q.SetExecContext(nil)
-	q.LastLaunch = nil
-
-	// The execution may rewrite any buffer the kernel's write set
-	// names; their cached digests go stale either way (even a failed
-	// rung is rolled back to identical bytes, but touching is cheap and
-	// unconditionally safe).
-	mask, known := writeMaskOf(s, kern)
-	for i, sb := range bufArgs {
-		if sb != nil && (!known || mask&(1<<uint(i)) != 0) {
-			sb.touch()
-		}
-	}
-
-	before := sess.fallbackSnapshot()
-	simBefore := q.SimTime
-	if err := q.EnqueueNDRangeKernel(kern, nd); err != nil {
-		_ = q.Finish() // clear the latch; the error is surfaced directly
-		return nil, err
-	}
-	if err := q.Finish(); err != nil {
-		return nil, err
-	}
-	sess.launches.Add(1)
-	s.met.simTimeNanos.Add(int64((q.SimTime - simBefore) * 1e9))
-
-	resp := &LaunchResponse{Rung: "plain"}
-	delta := sess.fallbackSnapshot().Sub(before)
-	resp.Fallback = &FallbackDelta{
-		Managed:       delta.Managed,
-		CoExecAll:     delta.CoExecAll,
-		Plain:         delta.Plain,
-		ModelDiscards: delta.ModelDiscards,
-		Panics:        delta.Panics,
-		Timeouts:      delta.Timeouts,
-	}
-	if info, ok := q.LastLaunch.(*core.LaunchInfo); ok && info != nil {
-		resp.Rung = info.Rung
-		resp.Engine = info.Engine
-		if d := info.Decision; d != nil {
-			resp.Decision = &DecisionInfo{
-				CPUCores:       d.Config.CPUCores,
-				GPUFrac:        d.Config.GPUFrac,
-				Predicted:      d.Predicted,
-				Evaluated:      d.Evaluated,
-				ModelDiscarded: d.ModelDiscarded,
-				InferUS:        float64(d.InferTime) / float64(time.Microsecond),
-				ModelGen:       d.ModelGen,
-				Explored:       d.Explored,
-				Sched:          d.Sched,
-			}
-		}
-	}
-	if r := q.LastResult; r != nil {
-		resp.Result = &ResultInfo{
-			SimTimeSec: r.Time,
-			WGsCPU:     r.WGsCPU,
-			WGsGPU:     r.WGsGPU,
-			GPUChunks:  r.GPUChunks,
-		}
-	}
-	return resp, nil
-}
-
-// finishShared applies a shared execution's outputs to this session's
-// own argument buffers, then finishes the response exactly like a real
-// execution (read-set capture, idempotency entry, launch count).
-// Copying is exact: the coalescing key pins each argument's length and
-// content, so leader and follower buffers are structurally identical.
-// Callers hold sess.mu.
-func (s *Server) finishShared(t *task, sess *session, res *sharedResult, bufArgs []*sessionBuffer, readSet []readEntry) (*LaunchResponse, error) {
-	for _, o := range res.outs {
-		sb := bufArgs[o.argIdx]
-		if o.f32 != nil {
-			copy(sb.b.Float32(), o.f32)
-		} else {
-			copy(sb.b.Int32(), o.i32)
-		}
-		sb.touch()
-	}
-	sess.launches.Add(1)
-	resp := new(LaunchResponse)
-	*resp = res.resp
-	resp.Coalesced = true
-	s.captureReadSet(t, readSet, resp)
-	if t.req.IdemKey != "" {
-		sess.idem.put(t.req.IdemKey, resp)
-	}
-	return resp, nil
-}
-
-// writeMaskOf returns a bitmask of the argument slots the kernel's
-// static analysis marks as written (stores plus atomic targets).
-// known == false means the analysis is unavailable or the kernel has
-// too many parameters for the mask; callers must then treat every
-// buffer argument as written.
-func writeMaskOf(s *Server, kern *ocl.Kernel) (mask uint64, known bool) {
-	ck := kern.Compiled()
-	if ck == nil || len(ck.Params) > 64 {
-		return 0, false
-	}
-	res, err := s.fw.Analysis(ck)
-	if err != nil || res == nil {
-		return 0, false
-	}
-	for _, slot := range res.WrittenArgs() {
-		mask |= 1 << uint(slot)
-	}
-	return mask, true
-}
-
-// captureReadSet snapshots the requested read-set under the session
-// lock — base64 into resp.Buffers for JSON clients, raw little-endian
-// bytes into pooled slabs for binary clients (copy-on-read-back: the
-// socket write happens after the lock is gone, so the copy is what
-// keeps a concurrent launch from racing the serialization).
-func (s *Server) captureReadSet(t *task, readSet []readEntry, resp *LaunchResponse) {
-	if len(readSet) == 0 {
-		return
-	}
-	if t.wantRaw {
-		for _, e := range readSet {
-			n := e.sb.b.Len()
-			p, raw := getScratch(4 * n)
-			kind := byte('i')
-			if f := e.sb.b.Float32(); f != nil {
-				kind = 'f'
-				F32ToLE(raw, f)
-			} else {
-				I32ToLE(raw, e.sb.b.Int32())
-			}
-			t.rawOut = append(t.rawOut, rawBuf{name: e.name, kind: kind, elems: n, pool: p, raw: raw})
-		}
-		// Idempotent binary launches also store base64 content so a
-		// replay from the idem cache can reconstruct the raw frames.
-		if t.req.IdemKey == "" {
-			return
-		}
-	}
-	resp.Buffers = make(map[string]BufferData, len(readSet))
-	for _, e := range readSet {
-		resp.Buffers[e.name] = bufferData(e.sb.b)
-	}
-}
-
-// rawFromResponse rebuilds raw read-set frames from a stored (idem
-// cache) response's base64 buffers, in name-sorted order.
-func (s *Server) rawFromResponse(t *task, resp *LaunchResponse) error {
-	if len(resp.Buffers) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(resp.Buffers))
-	for name := range resp.Buffers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		bd := resp.Buffers[name]
-		p, raw := getScratch(4 * bd.Len)
-		kind := byte('f')
-		var err error
-		if bd.Kind == "float32" {
-			var tmp []float32
-			if tmp, err = DecodeF32(bd.F32B64); err == nil {
-				F32ToLE(raw, tmp)
-			}
-		} else {
-			kind = 'i'
-			var tmp []int32
-			if tmp, err = DecodeI32(bd.I32B64); err == nil {
-				I32ToLE(raw, tmp)
-			}
-		}
-		if err != nil {
-			putScratch(p)
-			return err
-		}
-		t.rawOut = append(t.rawOut, rawBuf{name: name, kind: kind, elems: bd.Len, pool: p, raw: raw})
-	}
-	return nil
-}
-
-// ndOf validates the request geometry into an NDRange.
-func ndOf(req *LaunchRequest) (interp.NDRange, error) {
-	var nd interp.NDRange
-	if len(req.Global) == 0 || len(req.Global) > 3 || len(req.Local) != len(req.Global) {
-		return nd, fmt.Errorf("launch geometry: global and local must both have 1..3 dimensions")
-	}
-	nd.Dims = len(req.Global)
-	for i := range nd.Global {
-		nd.Global[i], nd.Local[i] = 1, 1
-	}
-	copy(nd.Global[:], req.Global)
-	copy(nd.Local[:], req.Local)
-	return nd, nd.Validate()
-}
 
 // ---------- HTTP handlers ----------
 
@@ -1262,34 +694,17 @@ func (s *Server) handleReadBuffer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", r.PathValue("id")))
 		return
 	}
-	name := r.PathValue("name")
-	sess.mu.Lock()
-	sb, ok := sess.bufs[name]
-	var data BufferData
-	if ok {
-		data = bufferData(sb.b)
-	}
-	sess.mu.Unlock()
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no buffer %q in session %s", name, sess.id))
+	rb, err := sess.snapshot(r.PathValue("name"))
+	if err != nil {
+		s.writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, data)
+	defer rb.release()
+	writeJSON(w, http.StatusOK, rb.data())
 }
 
-// launchDeadline clamps a request's deadline_ms to the configured
-// bounds (0 = server default).
-func (s *Server) launchDeadline(ms int64) time.Duration {
-	deadline := s.cfg.DefaultDeadline
-	if ms > 0 {
-		deadline = time.Duration(ms) * time.Millisecond
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
-	}
-	return deadline
-}
-
+// handleLaunch is the JSON codec around submit: decode the body into a
+// launch, encode the result from its read-set slabs.
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	var req LaunchRequest
@@ -1297,56 +712,22 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		s.met.badRequests.Add(1)
 		return
 	}
+	l, err := launchFromRequest(&req)
+	if err != nil {
+		s.met.badRequests.Add(1)
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.met.stages.Record(stageDecode, time.Since(decodeStart).Seconds())
-	sess, ok := s.session(req.SessionID)
-	if !ok {
-		s.met.badRequests.Add(1)
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", req.SessionID))
-		return
-	}
-	s.mu.Lock()
-	prog, ok := s.programs[req.ProgramID]
-	s.mu.Unlock()
-	if !ok {
-		s.met.badRequests.Add(1)
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no program %q", req.ProgramID))
-		return
-	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), s.launchDeadline(req.DeadlineMS))
-	t := &task{
-		req:      &req,
-		sess:     sess,
-		prog:     prog,
-		ctx:      ctx,
-		cancel:   cancel,
-		admitted: time.Now(),
-		done:     make(chan taskOutcome, 1),
-	}
-	if status := s.admit(t); status != 0 {
-		if status == http.StatusTooManyRequests {
-			if resp, err, ok := s.tryMemoBypass(t); ok {
-				cancel()
-				if err != nil {
-					s.writeError(w, http.StatusBadRequest, err)
-					return
-				}
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-		}
-		cancel()
-		s.met.rejected.Add(1)
-		s.writeError(w, status, fmt.Errorf("admission queue full (%d deep)", s.cfg.QueueDepth))
-		return
-	}
-	out := <-t.done
+	res, status, err := s.submit(l)
 	encodeStart := time.Now()
-	if out.err != nil {
-		s.writeError(w, out.status, out.err)
+	if err != nil {
+		s.writeError(w, status, err)
 		return
 	}
-	writeJSON(w, out.status, out.resp)
+	writeJSON(w, http.StatusOK, res.response())
+	res.release()
 	s.met.stages.Record(stageEncode, time.Since(encodeStart).Seconds())
 }
 

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dopia/internal/faults"
 	"dopia/internal/ocl"
 	"dopia/internal/workloads"
 )
@@ -79,10 +78,10 @@ func (sb *sessionBuffer) digest() [2]uint64 {
 // collision probability is negligible at serving scale.
 func hashBufferContent(b *ocl.Buffer) [2]uint64 {
 	const (
-		p1 = 0x100000001b3        // FNV-64 prime
-		p2 = 0x9e3779b97f4a7c15   // golden-ratio odd constant
-		s1 = 0xcbf29ce484222325   // FNV-64 offset basis
-		s2 = 0x6a09e667f3bcc909   // sqrt(2) fraction
+		p1 = 0x100000001b3      // FNV-64 prime
+		p2 = 0x9e3779b97f4a7c15 // golden-ratio odd constant
+		s1 = 0xcbf29ce484222325 // FNV-64 offset basis
+		s2 = 0x6a09e667f3bcc909 // sqrt(2) fraction
 	)
 	h1, h2 := uint64(s1), uint64(s2)
 	mix := func(w uint64) {
@@ -121,39 +120,26 @@ func (s *Server) newSession(id string) *session {
 }
 
 // idemCache is a bounded FIFO of completed launches keyed by
-// idempotency key. Entries are stored and returned as copies so a
-// caller mutating the wall-clock fields of a response (QueueMS/ExecMS)
-// never races a later replay.
+// idempotency key. Results are stored and returned by value; what they
+// point at (decision, result, owned read-set slabs) is written once and
+// then read-only, so a replay shares it with the stored entry.
 type idemCache struct {
 	max   int
 	order []string
-	m     map[string]*LaunchResponse
+	m     map[string]launchResult
 }
 
 func newIdemCache(max int) *idemCache {
-	return &idemCache{max: max, m: map[string]*LaunchResponse{}}
+	return &idemCache{max: max, m: map[string]launchResult{}}
 }
 
-// copyResponse clones the mutable shell of a response. The payload
-// pointers' contents (decision, result, buffer base64 strings) are
-// written once and then read-only, so sharing them is safe; only the
-// top-level struct fields get stamped per request.
-func copyResponse(r *LaunchResponse) *LaunchResponse {
-	cp := *r
-	return &cp
-}
-
-func (c *idemCache) get(key string) (*LaunchResponse, bool) {
+func (c *idemCache) get(key string) (launchResult, bool) {
 	r, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	cp := copyResponse(r)
-	cp.Replayed = true
-	return cp, true
+	r.replayed = ok
+	return r, ok
 }
 
-func (c *idemCache) put(key string, resp *LaunchResponse) {
+func (c *idemCache) put(key string, res launchResult) {
 	if _, exists := c.m[key]; exists {
 		return
 	}
@@ -161,30 +147,27 @@ func (c *idemCache) put(key string, resp *LaunchResponse) {
 		delete(c.m, c.order[0])
 		c.order = c.order[1:]
 	}
-	c.m[key] = copyResponse(resp)
+	c.m[key] = res
 	c.order = append(c.order, key)
 }
 
-// entries snapshots the cache in insertion order for export.
-func (c *idemCache) entries() []IdemEntry {
-	out := make([]IdemEntry, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, IdemEntry{Key: k, Resp: copyResponse(c.m[k])})
-	}
-	return out
-}
-
-// export snapshots the session for replication/migration. Callers hold
-// sess.mu.
+// export snapshots the session for replication/migration, converting
+// each stored result to its wire form. Callers hold sess.mu.
 func (sess *session) export() *SessionExport {
 	exp := &SessionExport{
 		SessionID: sess.id,
 		Launches:  sess.launches.Load(),
 		Buffers:   make(map[string]BufferData, len(sess.bufs)),
-		Idem:      sess.idem.entries(),
+		Idem:      make([]IdemEntry, 0, len(sess.idem.order)),
 	}
 	for name, sb := range sess.bufs {
-		exp.Buffers[name] = bufferData(sb.b)
+		rb := snapshotBuffer(name, sb.b, true)
+		exp.Buffers[name] = rb.data()
+		rb.release()
+	}
+	for _, k := range sess.idem.order {
+		res := sess.idem.m[k]
+		exp.Idem = append(exp.Idem, IdemEntry{Key: k, Resp: res.response()})
 	}
 	return exp
 }
@@ -200,70 +183,101 @@ func (sess *session) restore(exp *SessionExport, maxBytes int64) error {
 	}
 	for _, e := range exp.Idem {
 		if e.Key != "" && e.Resp != nil {
-			sess.idem.put(e.Key, e.Resp)
+			res, err := resultFromResponse(e.Resp)
+			if err != nil {
+				return fmt.Errorf("import %s: idem entry %q: %w", exp.SessionID, e.Key, err)
+			}
+			sess.idem.put(e.Key, res)
 		}
 	}
 	sess.launches.Store(exp.Launches)
 	return nil
 }
 
+// snapshot copies the named buffer's content into a pooled slab under
+// the session lock; the caller serializes it after the lock is gone and
+// then releases it.
+func (sess *session) snapshot(name string) (rawBuf, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sb, ok := sess.bufs[name]
+	if !ok {
+		return rawBuf{}, fmt.Errorf("no buffer %q in session %s", name, sess.id)
+	}
+	return snapshotBuffer(name, sb.b, true), nil
+}
+
 // maxBufferName bounds buffer name length (they appear in URLs).
 const maxBufferName = 128
 
-// createBuffer materializes a named buffer from a BufferRequest. The
-// content source is validated first, then the buffer is allocated at
-// its final size and filled in place — base64 payloads decode straight
+// newBuffer is the one validated buffer constructor: a fresh name, kind
+// 'f' or 'i', a positive element count inside the per-buffer limit, and
+// a fill callback (nil = zeroed) that writes the content in place.
+// Callers hold sess.mu.
+func (sess *session) newBuffer(name string, kind byte, n int, maxBytes int64, fill func(*ocl.Buffer) error) (*ocl.Buffer, error) {
+	if name == "" || len(name) > maxBufferName {
+		return nil, fmt.Errorf("buffer name must be 1..%d characters", maxBufferName)
+	}
+	if _, exists := sess.bufs[name]; exists {
+		return nil, fmt.Errorf("buffer %q already exists in session %s", name, sess.id)
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("buffer %q: positive element count (or data) required", name)
+	}
+	if int64(n)*4 > maxBytes {
+		return nil, fmt.Errorf("buffer %q: %d bytes exceeds the per-buffer limit of %d", name, int64(n)*4, maxBytes)
+	}
+	var b *ocl.Buffer
+	switch kind {
+	case 'f':
+		b = sess.ctx.CreateFloatBuffer(n)
+	case 'i':
+		b = sess.ctx.CreateIntBuffer(n)
+	default:
+		return nil, fmt.Errorf("buffer %q: unsupported kind (float32 or int32)", name)
+	}
+	if fill != nil {
+		if err := fill(b); err != nil {
+			return nil, err
+		}
+	}
+	sess.bufs[name] = &sessionBuffer{b: b}
+	return b, nil
+}
+
+// createBuffer materializes a named buffer from a BufferRequest: the
+// content source is validated first, then base64 payloads decode straight
 // into the buffer's element storage through a pooled scratch slab, with
 // no intermediate element slice. Callers hold sess.mu.
 func (sess *session) createBuffer(req *BufferRequest, maxBytes int64) (*ocl.Buffer, error) {
-	if req.Name == "" || len(req.Name) > maxBufferName {
-		return nil, fmt.Errorf("buffer name must be 1..%d characters", maxBufferName)
-	}
-	if _, exists := sess.bufs[req.Name]; exists {
-		return nil, fmt.Errorf("buffer %q already exists in session %s", req.Name, sess.id)
-	}
 	n, err := contentLen(req)
 	if err != nil {
 		return nil, err
 	}
-	if n <= 0 {
-		return nil, fmt.Errorf("buffer %q: positive len (or data) required", req.Name)
-	}
-	if int64(n)*4 > maxBytes {
-		return nil, fmt.Errorf("buffer %q: %d bytes exceeds the per-buffer limit of %d", req.Name, int64(n)*4, maxBytes)
-	}
-
-	var b *ocl.Buffer
+	var kind byte
 	switch req.Kind {
 	case "float32":
-		b = sess.ctx.CreateFloatBuffer(n)
+		kind = 'f'
+	case "int32":
+		kind = 'i'
+	}
+	return sess.newBuffer(req.Name, kind, n, maxBytes, func(b *ocl.Buffer) error {
 		switch {
 		case req.F32B64 != "":
-			if err := DecodeF32Into(b.Float32(), req.F32B64); err != nil {
-				return nil, err
-			}
+			return DecodeF32Into(b.Float32(), req.F32B64)
+		case req.I32B64 != "":
+			return DecodeI32Into(b.Int32(), req.I32B64)
 		case req.F32 != nil:
 			copy(b.Float32(), req.F32)
-		case req.FillSeed != nil:
-			workloads.FillFloats(b.Raw(), *req.FillSeed)
-		}
-	case "int32":
-		b = sess.ctx.CreateIntBuffer(n)
-		switch {
-		case req.I32B64 != "":
-			if err := DecodeI32Into(b.Int32(), req.I32B64); err != nil {
-				return nil, err
-			}
 		case req.I32 != nil:
 			copy(b.Int32(), req.I32)
+		case req.FillSeed != nil && kind == 'f':
+			workloads.FillFloats(b.Raw(), *req.FillSeed)
 		case req.FillSeed != nil:
 			workloads.FillInts(b.Raw(), *req.FillSeed, req.FillMod)
 		}
-	default:
-		return nil, fmt.Errorf("buffer %q: unsupported kind %q (float32 or int32)", req.Name, req.Kind)
-	}
-	sess.bufs[req.Name] = &sessionBuffer{b: b}
-	return b, nil
+		return nil
+	})
 }
 
 // Binary-protocol buffer content tags.
@@ -273,108 +287,40 @@ const (
 	binContentRaw  = 2 // raw little-endian element bytes follow
 )
 
-// createBufferBin materializes a named buffer from binary-protocol
-// fields: kind 'f'/'i', element count, and a content tag (zero, fill,
-// or raw little-endian bytes decoded in place — the zero-copy
-// counterpart of the base64 path). Callers hold sess.mu.
-func (sess *session) createBufferBin(name string, kind byte, n int, content byte, seed uint32, mod int32, raw []byte, maxBytes int64) (*ocl.Buffer, error) {
-	if name == "" || len(name) > maxBufferName {
-		return nil, fmt.Errorf("buffer name must be 1..%d characters", maxBufferName)
-	}
-	if _, exists := sess.bufs[name]; exists {
-		return nil, fmt.Errorf("buffer %q already exists in session %s", name, sess.id)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("buffer %q: positive element count required", name)
-	}
-	if int64(n)*4 > maxBytes {
-		return nil, fmt.Errorf("buffer %q: %d bytes exceeds the per-buffer limit of %d", name, int64(n)*4, maxBytes)
-	}
-	if content == binContentRaw && len(raw) != 4*n {
-		return nil, fmt.Errorf("buffer %q: raw payload is %d bytes, want %d", name, len(raw), 4*n)
-	}
-
-	var b *ocl.Buffer
-	switch kind {
-	case 'f':
-		b = sess.ctx.CreateFloatBuffer(n)
-		switch content {
-		case binContentRaw:
-			LEToF32(b.Float32(), raw)
-		case binContentFill:
-			workloads.FillFloats(b.Raw(), seed)
-		case binContentZero:
-		default:
-			return nil, fmt.Errorf("buffer %q: unknown content tag %d", name, content)
-		}
-	case 'i':
-		b = sess.ctx.CreateIntBuffer(n)
-		switch content {
-		case binContentRaw:
-			LEToI32(b.Int32(), raw)
-		case binContentFill:
-			workloads.FillInts(b.Raw(), seed, mod)
-		case binContentZero:
-		default:
-			return nil, fmt.Errorf("buffer %q: unknown content tag %d", name, content)
-		}
-	default:
-		return nil, fmt.Errorf("buffer %q: unsupported kind %q ('f' or 'i')", name, kind)
-	}
-	sess.bufs[name] = &sessionBuffer{b: b}
-	return b, nil
-}
-
 // contentLen validates that at most one content source is present and
 // kind-compatible, and resolves the buffer's element count.
 func contentLen(req *BufferRequest) (int, error) {
+	if (req.F32B64 != "" || req.F32 != nil) && req.Kind == "int32" {
+		return 0, fmt.Errorf("buffer %q: float data for an int32 buffer", req.Name)
+	}
+	if (req.I32B64 != "" || req.I32 != nil) && req.Kind == "float32" {
+		return 0, fmt.Errorf("buffer %q: int data for a float32 buffer", req.Name)
+	}
 	sources, n := 0, req.Len
-	countData := func(elems int) error {
+	for _, src := range []struct {
+		present   bool
+		b64, what string
+		elems     int
+	}{
+		{req.F32B64 != "", req.F32B64, "f32", 0},
+		{req.F32 != nil, "", "", len(req.F32)},
+		{req.I32B64 != "", req.I32B64, "i32", 0},
+		{req.I32 != nil, "", "", len(req.I32)},
+	} {
+		if !src.present {
+			continue
+		}
+		if src.b64 != "" {
+			var err error
+			if src.elems, err = b64Elems(src.b64); err != nil {
+				return 0, fmt.Errorf("server: bad %s base64: %w", src.what, err)
+			}
+		}
 		sources++
-		if req.Len != 0 && req.Len != elems {
-			return fmt.Errorf("buffer %q: len %d contradicts %d data elements", req.Name, req.Len, elems)
+		if req.Len != 0 && req.Len != src.elems {
+			return 0, fmt.Errorf("buffer %q: len %d contradicts %d data elements", req.Name, req.Len, src.elems)
 		}
-		n = elems
-		return nil
-	}
-	isFloat := req.Kind == "float32"
-	if req.F32B64 != "" || req.F32 != nil {
-		if !isFloat && req.Kind == "int32" {
-			return 0, fmt.Errorf("buffer %q: float data for an int32 buffer", req.Name)
-		}
-	}
-	if req.I32B64 != "" || req.I32 != nil {
-		if isFloat {
-			return 0, fmt.Errorf("buffer %q: int data for a float32 buffer", req.Name)
-		}
-	}
-	if req.F32B64 != "" {
-		elems, err := b64Elems(req.F32B64)
-		if err != nil {
-			return 0, fmt.Errorf("server: bad f32 base64: %w", err)
-		}
-		if err := countData(elems); err != nil {
-			return 0, err
-		}
-	}
-	if req.F32 != nil {
-		if err := countData(len(req.F32)); err != nil {
-			return 0, err
-		}
-	}
-	if req.I32B64 != "" {
-		elems, err := b64Elems(req.I32B64)
-		if err != nil {
-			return 0, fmt.Errorf("server: bad i32 base64: %w", err)
-		}
-		if err := countData(elems); err != nil {
-			return 0, err
-		}
-	}
-	if req.I32 != nil {
-		if err := countData(len(req.I32)); err != nil {
-			return 0, err
-		}
+		n = src.elems
 	}
 	if req.FillSeed != nil {
 		sources++
@@ -383,19 +329,4 @@ func contentLen(req *BufferRequest) (int, error) {
 		return 0, fmt.Errorf("buffer %q: more than one content source", req.Name)
 	}
 	return n, nil
-}
-
-// bufferData snapshots a buffer's content for the wire. Callers hold
-// sess.mu.
-func bufferData(b *ocl.Buffer) BufferData {
-	if f := b.Float32(); f != nil {
-		return BufferData{Kind: "float32", Len: len(f), F32B64: EncodeF32(f)}
-	}
-	return BufferData{Kind: "int32", Len: b.Len(), I32B64: EncodeI32(b.Int32())}
-}
-
-// fallbackSnapshot reads the session queue's ladder accounting. Callers
-// hold sess.mu for a launch-delta-consistent view.
-func (sess *session) fallbackSnapshot() faults.Snapshot {
-	return sess.queue.Fallback.Snapshot()
 }

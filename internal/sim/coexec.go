@@ -25,14 +25,6 @@ type Result struct {
 	GPUBusy      float64 // GPU busy seconds
 }
 
-// Throughput returns work-groups per second.
-func (r *Result) Throughput(numWGs int) float64 {
-	if r.Time <= 0 {
-		return 0
-	}
-	return float64(numWGs) / r.Time
-}
-
 // Distribution selects how work is split between the devices.
 type Distribution int
 
@@ -448,24 +440,4 @@ func emitSpan(fn SpanFunc, dev string, start, count int) error {
 		return nil
 	}
 	return fn(dev, start, count)
-}
-
-// Exhaustive evaluates every configuration of the machine's DoP space with
-// dynamic distribution and returns the best configuration, its result, and
-// the full table of results (the paper's oracle).
-func Exhaustive(m *Machine, km *KernelModel) (Config, *Result, map[Config]*Result, error) {
-	table := make(map[Config]*Result)
-	var best Config
-	var bestRes *Result
-	for _, cfg := range m.Configs() {
-		r, err := Simulate(m, km, cfg, Dynamic, SimOptions{})
-		if err != nil {
-			return Config{}, nil, nil, err
-		}
-		table[cfg] = r
-		if bestRes == nil || r.Time < bestRes.Time {
-			best, bestRes = cfg, r
-		}
-	}
-	return best, bestRes, table, nil
 }

@@ -130,20 +130,6 @@ func (m *Machine) CPUWGCost(km *KernelModel, cfg Config) TaskCost {
 	return cost
 }
 
-// GPUChunkCost returns the cost of executing a chunk of work-groups on the
-// GPU with the configuration's active-PE throttling, running the malleable
-// kernel. The returned transaction count feeds the "memory requests"
-// metric of Figure 3(b).
-func (m *Machine) GPUChunkCost(km *KernelModel, wgs int, cfg Config) (TaskCost, float64) {
-	return m.gpuChunkCost(km, wgs, cfg, true)
-}
-
-// GPUChunkCostPlain is GPUChunkCost for the unmodified kernel (no
-// malleable worklist overhead), used by the plain OpenCL execution paths.
-func (m *Machine) GPUChunkCostPlain(km *KernelModel, wgs int, cfg Config) (TaskCost, float64) {
-	return m.gpuChunkCost(km, wgs, cfg, false)
-}
-
 func (m *Machine) gpuChunkCost(km *KernelModel, wgs int, cfg Config, malleable bool) (TaskCost, float64) {
 	gpu := m.GPU
 	apes := m.ActivePEs(cfg)

@@ -69,15 +69,6 @@ func (km *KernelModel) AluFloatPerWI() float64 {
 	return km.AluFloatPerWG / float64(km.WGSize)
 }
 
-// BytesPerWG returns the raw bytes accessed per work-group.
-func (km *KernelModel) BytesPerWG() float64 {
-	var b float64
-	for _, s := range km.Sites {
-		b += s.AccPerWG * float64(s.ElemSize)
-	}
-	return b
-}
-
 // BuildModel combines a dynamic execution profile, the static analysis,
 // and the launch geometry into a KernelModel. bufBytes maps kernel
 // parameter indices to the byte size of the bound buffer. The profile may

@@ -81,9 +81,6 @@ func NewLatencyHistogram() *Histogram {
 	return h
 }
 
-// Buckets returns the number of interior buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) - 2 }
-
 // bucketOf maps a value to its slot in counts.
 func (h *Histogram) bucketOf(v float64) int {
 	if math.IsNaN(v) || v < h.min {

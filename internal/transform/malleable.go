@@ -252,47 +252,3 @@ func checkTransformable(k *clc.Kernel) error {
 	}
 	return nil
 }
-
-// CPUResult is the product of the CPU code generation. The executable form
-// of the CPU variant is the original kernel run one work-group at a time
-// by a worker that pulls group ids from a shared atomic worklist (the
-// runtime in internal/sched implements the pull loop); Source documents
-// the generated code in the shape of Figure 7.
-type CPUResult struct {
-	Kernel *clc.Kernel // the original (unchanged) kernel
-	Source string      // Figure-7-style rendition of the CPU work-group loop
-}
-
-// GenerateCPU produces the CPU execution form for kernel k. Panics are
-// contained and returned as classified errors.
-func GenerateCPU(k *clc.Kernel) (res *CPUResult, err error) {
-	defer faults.Recover(faults.StageTransform, &err)
-	if k.Body == nil {
-		return nil, fmt.Errorf("transform: kernel %s has no body", k.Name)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "void %s_CPU(", k.Name)
-	for i, p := range k.Params {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s %s", p.Type, p.Name)
-	}
-	b.WriteString(",\n            size_t* global_size, size_t* local_size,\n")
-	b.WriteString("            atomic_int* worklist, size_t num_wgs)\n{\n")
-	b.WriteString("    for (size_t wg_id = atomic_fetch_add(worklist, 1);\n")
-	b.WriteString("         wg_id < num_wgs;\n")
-	b.WriteString("         wg_id = atomic_fetch_add(worklist, 1))\n    {\n")
-	b.WriteString("        for (size_t local_id = 0; local_id < local_size[0]; local_id++)\n        {\n")
-	b.WriteString("            size_t global_id = wg_id * local_size[0] + local_id;\n")
-	b.WriteString("            // original kernel body with get_global_id(0) = global_id\n")
-	inner := clc.PrintKernel(k)
-	for _, line := range strings.Split(inner, "\n") {
-		if line == "" {
-			continue
-		}
-		b.WriteString("            // " + line + "\n")
-	}
-	b.WriteString("        }\n    }\n}\n")
-	return &CPUResult{Kernel: k, Source: b.String()}, nil
-}

@@ -264,19 +264,3 @@ func TestMalleableRejections(t *testing.T) {
 		t.Error("expected rejection of 3-D transform")
 	}
 }
-
-func TestGenerateCPU(t *testing.T) {
-	k := compileOne(t, k1D)
-	res, err := GenerateCPU(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != k {
-		t.Error("CPU result must reference the original kernel")
-	}
-	for _, want := range []string{"sum3_CPU", "atomic_fetch_add(worklist, 1)", "num_wgs"} {
-		if !strings.Contains(res.Source, want) {
-			t.Errorf("CPU source missing %q", want)
-		}
-	}
-}
