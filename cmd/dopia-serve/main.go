@@ -2,8 +2,8 @@
 // front end over the full management stack (program analysis, malleable
 // transform, model-driven DoP selection, co-execution simulation, and
 // the fail-open ladder), multi-tenant by construction. Sessions own
-// their buffers and command queues; compiled artifacts — program dedup,
-// interpreter compile cache, transform and prediction caches — are
+// their buffers and command queues; compiled artifacts — program dedup
+// and each kernel's analysis, malleable code and compiled forms — are
 // shared process-wide.
 //
 // The model is either trained at startup on the synthetic grid (-train)

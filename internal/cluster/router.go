@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"dopia/internal/faults"
+	"dopia/internal/lru"
 	"dopia/internal/server"
 )
 
@@ -101,6 +102,12 @@ type routerMetrics struct {
 	sessionsLost      atomic.Int64
 }
 
+// sourceRegistryCap bounds the router's source registry at the members'
+// own program-registry bound. A launch touches its program here and on
+// the member that runs it, so both evict in the same order and the
+// janitor's re-push of what a member lost converges on the router's set.
+const sourceRegistryCap = 256
+
 // Router places sessions, mirrors state, and repairs the ring.
 type Router struct {
 	cfg   RouterConfig
@@ -113,7 +120,9 @@ type Router struct {
 	mu         sync.Mutex
 	nodes      map[string]*nodeRef
 	placements map[string]*placement
-	sources    map[string]string // program ID -> source, for (re-)push
+	// sources holds program ID -> source for (re-)push, least recently
+	// launched first out. Locks itself; not guarded by mu.
+	sources *lru.Cache[string, string]
 	// deadHandled/drainHandled dedupe janitor reactions per node until
 	// the node returns to alive+ready.
 	deadHandled  map[string]bool
@@ -139,7 +148,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		start:        time.Now(),
 		nodes:        map[string]*nodeRef{},
 		placements:   map[string]*placement{},
-		sources:      map[string]string{},
+		sources:      lru.New[string, string](sourceRegistryCap, nil),
 		deadHandled:  map[string]bool{},
 		drainHandled: map[string]bool{},
 		stop:         make(chan struct{}),
@@ -192,18 +201,14 @@ func (r *Router) AddNode(id, addr string) error {
 
 	r.mu.Lock()
 	r.nodes[id] = &nodeRef{id: id, addr: addr, c: c}
-	srcs := make([]string, 0, len(r.sources))
-	for _, src := range r.sources {
-		srcs = append(srcs, src)
-	}
 	r.mu.Unlock()
 	r.ring.Add(id)
 
-	for _, src := range srcs {
+	r.sources.Each(func(_, src string) {
 		if _, err := c.Compile(src); err == nil {
 			r.met.programPushes.Add(1)
 		}
-	}
+	})
 	return nil
 }
 
@@ -288,9 +293,7 @@ func isMissingSession(err error) bool {
 
 // pushProgram re-registers a stored source on one node.
 func (r *Router) pushProgram(nodeID, progID string) bool {
-	r.mu.Lock()
-	src, ok := r.sources[progID]
-	r.mu.Unlock()
+	src, ok := r.sources.Get(progID)
 	if !ok {
 		return false
 	}
@@ -446,9 +449,9 @@ func (r *Router) handleProgram(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	id := server.ProgramID(pr.Source)
+	_, known := r.sources.Get(id)
+	r.sources.Put(id, pr.Source)
 	r.mu.Lock()
-	_, known := r.sources[id]
-	r.sources[id] = pr.Source
 	nodes := make([]*nodeRef, 0, len(r.nodes))
 	for _, n := range r.nodes {
 		nodes = append(nodes, n)
@@ -570,6 +573,36 @@ func (r *Router) handleCloseSession(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"closed": sid})
 }
 
+// onPrimary runs call against the placement's primary, failing over and
+// calling again for as long as the primary is what failed. It reports
+// whether call succeeded; when it did not, the error response has been
+// written. Caller holds p.mu.
+func (r *Router) onPrimary(p *placement, w http.ResponseWriter, call func(*server.Client) error) bool {
+	for {
+		if p.primary == "" || p.lost {
+			r.ringDown(w)
+			return false
+		}
+		c := r.client(p.primary)
+		if c == nil {
+			r.ringDown(w)
+			return false
+		}
+		err := call(c)
+		if err == nil {
+			return true
+		}
+		if !isNodeFailure(err) && !isMissingSession(err) {
+			r.passThrough(w, err)
+			return false
+		}
+		if !r.failoverLocked(p, p.primary) {
+			r.ringDown(w)
+			return false
+		}
+	}
+}
+
 // handleCreateBuffer applies a buffer create to the primary (with
 // failover) and mirrors it to the replica. Buffer fills are
 // deterministic (fill_seed) or literal bytes, so both copies are
@@ -588,36 +621,20 @@ func (r *Router) handleCreateBuffer(w http.ResponseWriter, req *http.Request) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if p.primary == "" || p.lost {
-			r.ringDown(w)
-			return
-		}
-		c := r.client(p.primary)
-		if c == nil {
-			r.ringDown(w)
-			return
-		}
+	attempts := 0
+	ok = r.onPrimary(p, w, func(c *server.Client) error {
 		err := c.CreateBuffer(sid, &br)
-		if err == nil {
-			break
-		}
 		// A failover retry can land on a replica that already applied
 		// the mirror write; the duplicate-name 400 is success then.
-		if attempt > 0 {
+		if attempts++; attempts > 1 {
 			if apiErr, ok := err.(*server.APIError); ok && apiErr.Status == http.StatusBadRequest &&
 				strings.Contains(apiErr.Message, "already exists") {
-				break
+				return nil
 			}
 		}
-		if isNodeFailure(err) || isMissingSession(err) {
-			if !r.failoverLocked(p, p.primary) {
-				r.ringDown(w)
-				return
-			}
-			continue
-		}
-		r.passThrough(w, err)
+		return err
+	})
+	if !ok {
 		return
 	}
 	if p.replica != "" {
@@ -642,30 +659,13 @@ func (r *Router) handleReadBuffer(w http.ResponseWriter, req *http.Request) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		if p.primary == "" || p.lost {
-			r.ringDown(w)
-			return
-		}
-		c := r.client(p.primary)
-		if c == nil {
-			r.ringDown(w)
-			return
-		}
-		data, err := c.ReadBuffer(sid, name)
-		if err == nil {
-			writeJSON(w, http.StatusOK, data)
-			return
-		}
-		if isNodeFailure(err) || isMissingSession(err) {
-			if !r.failoverLocked(p, p.primary) {
-				r.ringDown(w)
-				return
-			}
-			continue
-		}
-		r.passThrough(w, err)
-		return
+	var data *server.BufferData
+	ok = r.onPrimary(p, w, func(c *server.Client) (err error) {
+		data, err = c.ReadBuffer(sid, name)
+		return err
+	})
+	if ok {
+		writeJSON(w, http.StatusOK, data)
 	}
 }
 
@@ -706,45 +706,23 @@ func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pushedProgram := false
-	for {
-		if p.primary == "" || p.lost {
-			r.met.launchErrors.Add(1)
-			r.ringDown(w)
-			return
+	// Mark the program used, as the member running the launch does.
+	r.sources.Get(lr.ProgramID)
+	var resp *server.LaunchResponse
+	ok = r.onPrimary(p, w, func(c *server.Client) (err error) {
+		resp, err = c.LaunchRaw(raw)
+		if err != nil && isMissingProgram(err) && r.pushProgram(p.primary, lr.ProgramID) {
+			resp, err = c.LaunchRaw(raw)
 		}
-		c := r.client(p.primary)
-		if c == nil {
-			r.met.launchErrors.Add(1)
-			r.ringDown(w)
-			return
-		}
-		resp, err := c.LaunchRaw(raw)
-		if err == nil {
-			r.met.launches.Add(1)
-			r.applyReplicaLaunch(p, &lr, raw, resp)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if isMissingProgram(err) && !pushedProgram {
-			pushedProgram = true
-			if r.pushProgram(p.primary, lr.ProgramID) {
-				continue
-			}
-		}
-		if isNodeFailure(err) || isMissingSession(err) {
-			if !r.failoverLocked(p, p.primary) {
-				r.met.launchErrors.Add(1)
-				r.ringDown(w)
-				return
-			}
-			pushedProgram = false
-			continue
-		}
+		return err
+	})
+	if !ok {
 		r.met.launchErrors.Add(1)
-		r.passThrough(w, err)
 		return
 	}
+	r.met.launches.Add(1)
+	r.applyReplicaLaunch(p, &lr, raw, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---------- repair loop ----------
@@ -792,22 +770,16 @@ func (r *Router) janitor() {
 			r.mu.Lock()
 			delete(r.deadHandled, id)
 			delete(r.drainHandled, id)
-			missing := make([]string, 0)
-			if v.State.Programs != nil || len(r.sources) > 0 {
-				have := make(map[string]bool, len(v.State.Programs))
-				for _, pid := range v.State.Programs {
-					have[pid] = true
-				}
-				for pid := range r.sources {
-					if !have[pid] {
-						missing = append(missing, pid)
-					}
-				}
-			}
 			r.mu.Unlock()
-			for _, pid := range missing {
-				r.pushProgram(id, pid)
+			have := make(map[string]bool, len(v.State.Programs))
+			for _, pid := range v.State.Programs {
+				have[pid] = true
 			}
+			r.sources.Each(func(pid, _ string) {
+				if !have[pid] {
+					r.pushProgram(id, pid)
+				}
+			})
 		}
 	}
 

@@ -59,49 +59,14 @@ type Framework struct {
 	// stores (one injected while faults were armed).
 	unmanaged sync.Map // *clc.Kernel -> error
 
-	// predMu guards predCache/predModel/predGens. predCache memoizes
-	// model predictions by feature vector: the decision sweep evaluates
-	// 44 configurations per launch, and applications that re-launch a
-	// kernel with the same geometry produce the same 44 feature vectors
-	// every time. The cache belongs to one model identity and is
-	// dropped when Model changes. predGens holds one cache per advisor
-	// model generation (hot swap publishes a new generation, so stale
-	// cached predictions can never leak across models); generation 0 is
-	// the legacy predCache/predModel pair.
-	predMu    sync.Mutex
-	predCache map[ml.Features]float64
-	predModel ml.Model
-	predGens  map[uint64]map[ml.Features]float64
-
-	// Prediction-cache traffic, exported to /metrics via PredCacheStats.
-	predHits, predMisses atomic.Int64
-
 	// advisor is the attached online-learning layer (nil = static model
 	// only). Swapped atomically so launches never see a torn update.
 	advisor atomic.Pointer[advisorRef]
 }
 
-// maxPredGens bounds how many generation caches are retained at once.
-// Hot swaps retire generations explicitly via DropPredictionGeneration;
-// the bound is a backstop against an advisor that never retires.
-const maxPredGens = 4
-
-// DropPredictionGeneration discards the cached predictions of one model
-// generation. The online layer calls it when a hot swap retires the
-// generation; a later launch still racing on the old generation simply
-// refills a fresh (and soon unreferenced) cache.
-func (f *Framework) DropPredictionGeneration(gen uint64) {
-	f.predMu.Lock()
-	delete(f.predGens, gen)
-	f.predMu.Unlock()
-}
-
-// PredCacheStats reports prediction-cache traffic: sweeps served from
-// the cache vs. model inferences performed. Safe to call concurrently
-// with launches.
-func (f *Framework) PredCacheStats() (hits, misses int64) {
-	return f.predHits.Load(), f.predMisses.Load()
-}
+// PredCacheStats reports zeros: there is no prediction cache. It stays
+// only because benchmark/, frozen outside benchmark PRs, calls it.
+func (f *Framework) PredCacheStats() (hits, misses int64) { return 0, 0 }
 
 // New creates a framework for a machine with a trained model (may be nil).
 func New(m *sim.Machine, model ml.Model) *Framework {
@@ -238,65 +203,6 @@ func (f *Framework) Decide(res *analysis.Result, nd interp.NDRange) Decision {
 	return dec
 }
 
-// predictCached evaluates a model on one feature vector through the
-// prediction cache of its generation. Generation 0 (the static Model
-// field) keeps the legacy identity-checked cache, so directly mutating
-// Model still invalidates it; advisor generations each own an
-// independent cache that a hot swap retires wholesale. While fault
-// injection is armed the cache is bypassed, so an armed ml.predict plan
-// observes every prediction of the uncached sweep.
-func (f *Framework) predictCached(m ml.Model, gen uint64, x ml.Features) (float64, error) {
-	if faults.Active() {
-		return predictOne(m, x)
-	}
-	f.predMu.Lock()
-	var cache map[ml.Features]float64
-	if gen == 0 {
-		if f.predModel != m || f.predCache == nil {
-			f.predModel = m
-			f.predCache = map[ml.Features]float64{}
-		}
-		cache = f.predCache
-	} else {
-		if f.predGens == nil {
-			f.predGens = map[uint64]map[ml.Features]float64{}
-		}
-		cache = f.predGens[gen]
-		if cache == nil {
-			if len(f.predGens) >= maxPredGens {
-				// Backstop eviction: drop the oldest generation.
-				oldest := gen
-				for g := range f.predGens {
-					if g < oldest {
-						oldest = g
-					}
-				}
-				delete(f.predGens, oldest)
-			}
-			cache = map[ml.Features]float64{}
-			f.predGens[gen] = cache
-		}
-	}
-	if v, ok := cache[x]; ok {
-		f.predMu.Unlock()
-		f.predHits.Add(1)
-		return v, nil
-	}
-	f.predMu.Unlock()
-
-	// Infer outside the lock: model inference dominates, and concurrent
-	// sweeps over the same features would otherwise serialize. A racing
-	// duplicate inference stores the same deterministic value.
-	v, err := predictOne(m, x)
-	f.predMisses.Add(1)
-	if err == nil {
-		f.predMu.Lock()
-		cache[x] = v
-		f.predMu.Unlock()
-	}
-	return v, err
-}
-
 // decide is Decide plus the cause of a model discard (nil when the model
 // was used or absent).
 func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, error) {
@@ -318,7 +224,7 @@ func (f *Framework) decideFor(tenant string, res *analysis.Result, nd interp.NDR
 	bestV := 0.0
 	n := 0
 	for _, cfg := range f.Machine.Configs() {
-		v, err := f.predictCached(model, gen, WithConfig(base, f.Machine, cfg))
+		v, err := predictOne(model, WithConfig(base, f.Machine, cfg))
 		if err != nil {
 			// Model invalid: discard it for this launch and fall back to
 			// all resources (the paper's ALL baseline).

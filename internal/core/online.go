@@ -21,9 +21,8 @@ import (
 type Advisor interface {
 	// ModelFor returns the model that should score this tenant's launch
 	// and its generation number. Generations identify immutable model
-	// snapshots: the framework keys its prediction cache by generation,
-	// so a hot swap (new generation) never mixes cached predictions
-	// across models. Generation 0 is reserved for the framework's own
+	// snapshots; a decision records the one that scored it
+	// (Decision.ModelGen). Generation 0 is reserved for the framework's own
 	// static Model field; advisors must return generations >= 1. A nil
 	// model selects the ALL baseline.
 	ModelFor(tenant string) (ml.Model, uint64)
@@ -108,9 +107,7 @@ func TenantFrom(ctx context.Context) string {
 
 // modelFor resolves the (model, generation) pair scoring one launch.
 // With no advisor attached the framework's static Model field is used
-// under the reserved generation 0, preserving the pre-online behaviour
-// (including direct mutation of Model invalidating the cache by
-// identity).
+// under the reserved generation 0.
 func (f *Framework) modelFor(tenant string) (ml.Model, uint64) {
 	if a := f.loadAdvisor(); a != nil {
 		return a.ModelFor(tenant)

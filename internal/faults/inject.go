@@ -105,9 +105,9 @@ func Reset() {
 }
 
 // Active reports whether any injection point is armed. The caching
-// layers (program/compile/transform/prediction caches) consult it and
-// bypass memoization while faults are armed, so an armed plan observes
-// exactly the call sequence of the uncached pipeline.
+// layers (program cache, per-kernel artifact memo, launch memo) consult
+// it and bypass memoization while faults are armed, so an armed plan
+// observes exactly the call sequence of the uncached pipeline.
 func Active() bool { return injArmed.Load() != 0 }
 
 // HitCount returns how many times an armed point has been reached (fired

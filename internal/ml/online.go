@@ -159,8 +159,7 @@ func ProvenanceOf(m Model) (Provenance, bool) {
 	return Provenance{}, false
 }
 
-// Unwrap strips a provenance tag, returning the underlying model (the
-// identity the prediction cache keys on).
+// Unwrap strips a provenance tag, returning the underlying model.
 func Unwrap(m Model) Model {
 	if pm, ok := m.(*provModel); ok {
 		return pm.Model

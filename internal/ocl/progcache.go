@@ -1,13 +1,12 @@
 package ocl
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"sync"
 	"sync/atomic"
 
 	"dopia/internal/clc"
 	"dopia/internal/faults"
+	"dopia/internal/lru"
 )
 
 // progCacheCap bounds how many distinct sources stay resident. It is the
@@ -30,23 +29,13 @@ const progCacheCap = 256
 // (and contexts) is safe. The cache is bypassed while fault injection is
 // armed: an armed clc.parse plan must observe every Build, not just the
 // first per distinct source.
-var progCache struct {
-	mu    sync.Mutex
-	byKey map[[sha256.Size]byte]*list.Element // of progEntry
-	lru   list.List                           // front = most recently built
-}
+var progCache = lru.New[[sha256.Size]byte, *clc.Program](progCacheCap, nil)
 
-type progEntry struct {
-	key  [sha256.Size]byte
-	prog *clc.Program
-}
-
-// progCacheCounters tracks how builds moved through the cache. All fields
-// are atomics: Build may be called from any number of sessions and worker
-// goroutines at once, and /metrics snapshots the counters concurrently
-// with them.
+// progCacheCounters tracks the builds the cache did not serve (its own
+// Stats count the ones it did). All fields are atomics: Build may be
+// called from any number of sessions and worker goroutines at once, and
+// /metrics snapshots the counters concurrently with them.
 var progCacheCounters struct {
-	hits     atomic.Int64 // builds served from the cache
 	misses   atomic.Int64 // builds that compiled (first sight of a source)
 	errors   atomic.Int64 // compilations that failed (never cached)
 	bypasses atomic.Int64 // cache reads skipped because faults were armed
@@ -67,7 +56,7 @@ type ProgCacheSnapshot struct {
 // is still exact and monotone.
 func ProgCacheStats() ProgCacheSnapshot {
 	return ProgCacheSnapshot{
-		Hits:     progCacheCounters.hits.Load(),
+		Hits:     progCache.Stats().Hits,
 		Misses:   progCacheCounters.misses.Load(),
 		Errors:   progCacheCounters.errors.Load(),
 		Bypasses: progCacheCounters.bypasses.Load(),
@@ -79,44 +68,22 @@ func ProgCacheStats() ProgCacheSnapshot {
 func compileSource(src string) (*clc.Program, error) {
 	armed := faults.Active()
 	key := sha256.Sum256([]byte(src))
-	c := &progCache
 	if armed {
 		progCacheCounters.bypasses.Add(1)
-	} else {
-		c.mu.Lock()
-		el := c.byKey[key]
-		if el != nil {
-			c.lru.MoveToFront(el)
-		}
-		c.mu.Unlock()
-		if el != nil {
-			progCacheCounters.hits.Add(1)
-			return el.Value.(progEntry).prog, nil
-		}
+	} else if prog, ok := progCache.Get(key); ok {
+		return prog, nil
 	}
-	// Compile outside the lock. Racing first builds of one source may
-	// each compile it; the first to finish is kept and served to all.
+	// Compile outside the cache's lock. Racing first builds of one source
+	// may each compile it; the last to finish is the one later builds
+	// share.
 	prog, err := clc.Compile(src)
 	if err != nil {
 		progCacheCounters.errors.Add(1)
 		return nil, err
 	}
 	progCacheCounters.misses.Add(1)
-	if armed {
-		return prog, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.byKey[key]; el != nil {
-		return el.Value.(progEntry).prog, nil
-	}
-	if c.byKey == nil {
-		c.byKey = map[[sha256.Size]byte]*list.Element{}
-	}
-	c.byKey[key] = c.lru.PushFront(progEntry{key, prog})
-	if c.lru.Len() > progCacheCap {
-		oldest := c.lru.Back()
-		delete(c.byKey, c.lru.Remove(oldest).(progEntry).key)
+	if !armed {
+		progCache.Put(key, prog)
 	}
 	return prog, nil
 }

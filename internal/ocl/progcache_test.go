@@ -108,7 +108,7 @@ func TestProgCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if hits+misses+errs != int64(builds) {
 		t.Errorf("hits %d + misses %d + errors %d != %d builds", hits, misses, errs, builds)
 	}
-	if n := len(progCache.byKey); n != progCacheCap || progCache.lru.Len() != n {
-		t.Errorf("cache holds %d keys / %d entries, want %d", n, progCache.lru.Len(), progCacheCap)
+	if st := progCache.Stats(); st.Entries != progCacheCap || st.Cost != progCacheCap {
+		t.Errorf("cache holds %d entries at cost %d, want %d", st.Entries, st.Cost, progCacheCap)
 	}
 }

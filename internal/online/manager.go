@@ -160,7 +160,6 @@ type Manager struct {
 	baseProv ml.Provenance
 	cfgs     []sim.Config
 	cfgIdx   map[sim.Config]int
-	fw       *core.Framework
 
 	gen atomic.Uint64 // generation counter; 1 = the shared base model
 
@@ -223,7 +222,6 @@ func New(cfg Config) (*Manager, error) {
 // Attach wires the manager into a framework: the framework consults it
 // for models and exploration and feeds completed launches back.
 func (m *Manager) Attach(fw *core.Framework) {
-	m.fw = fw
 	fw.SetAdvisor(m)
 }
 
@@ -498,7 +496,7 @@ func (m *Manager) foldRow(r *ml.OnlineRidge, sg sig, row *oracleRow, sign int) {
 // publishLocked retrains the tenant's model from the current window and
 // hot-swaps it in under a fresh generation. Called with ts.mu held. The
 // swap is atomic: launches in flight keep the (model, generation) pair
-// they resolved; the retired generation's prediction cache is dropped.
+// they resolved.
 func (m *Manager) publishLocked(ts *tenantState, reason string) {
 	if len(ts.window) == 0 {
 		return
@@ -545,7 +543,7 @@ func (m *Manager) publishLocked(ts *tenantState, reason string) {
 		Parent:        parent,
 		TrainedUnixMS: time.Now().UnixMilli(),
 	}
-	old := ts.pub.Swap(&published{model: tm, gen: gen, prov: prov, reason: reason})
+	ts.pub.Store(&published{model: tm, gen: gen, prov: prov, reason: reason})
 	ts.pubSigs = make(map[sig]bool, len(ts.inWindow))
 	for sg := range ts.inWindow {
 		ts.pubSigs[sg] = true
@@ -556,11 +554,6 @@ func (m *Manager) publishLocked(ts *tenantState, reason string) {
 	ts.drift.reset()
 	m.retrains.Add(1)
 	m.swaps.Add(1)
-	if old != nil && m.fw != nil {
-		// Generation-wise cache invalidation: the retired model's cached
-		// predictions can never serve a future decision.
-		m.fw.DropPredictionGeneration(old.gen)
-	}
 	if m.cfg.OnSwap != nil {
 		m.cfg.OnSwap(ts.name, gen)
 	}

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"dopia/internal/clc"
 	"dopia/internal/core"
+	"dopia/internal/interp"
 	"dopia/internal/ml"
 	"dopia/internal/sim"
 )
@@ -100,6 +102,47 @@ func TestManagerRetrainsAndSwapsToOracleArgmax(t *testing.T) {
 	far[ml.FGlobalSize] = 1e7
 	if v := mdl.Predict(far); v < -1e3 || v > 1e3 {
 		t.Fatalf("fallback prediction %v not sane", v)
+	}
+}
+
+// TestHotSwapReachesTheNextDecision attaches a manager to a framework and
+// swaps a tenant's model: the decision before the swap is scored by the
+// base generation, the one after it by the published one. The manager
+// holds no reference to the framework and tells it nothing — a decision
+// asks for its model every time, so there is no per-generation state on
+// the decision path to retire.
+func TestHotSwapReachesTheNextDecision(t *testing.T) {
+	m := newTestManager(t, Config{Base: fakeBase{0.5}, RetrainEvery: 4, MinLaunches: 2, Policy: PolicyOff})
+	fw := core.New(m.machine, nil)
+	m.Attach(fw)
+
+	prog, err := clc.Compile(`__kernel void k(__global float* a, int n) {
+		int i = get_global_id(0);
+		if (i < n) a[i] = a[i] + 1.0f;
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fw.Analysis(prog.Kernel("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := interp.ND1(1024, 64)
+
+	before := fw.Decide(res, nd)
+	if before.ModelGen != 1 || before.Evaluated != len(m.cfgs) {
+		t.Fatalf("cold decision: %+v, want a full sweep by generation 1", before)
+	}
+	// Decide launches as the anonymous tenant.
+	for i := 0; i < 8; i++ {
+		m.Observe(testSample(m, "", "k", 17, before))
+	}
+	if !m.Sync(5 * time.Second) {
+		t.Fatal("learner did not drain")
+	}
+	after := fw.Decide(res, nd)
+	if after.ModelGen < 2 || after.Evaluated != len(m.cfgs) || after.ModelDiscarded {
+		t.Fatalf("decision after the swap: %+v, want a full sweep by generation >= 2", after)
 	}
 }
 

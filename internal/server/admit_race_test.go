@@ -51,9 +51,7 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, _ := s.session(sid)
-	s.mu.Lock()
-	p := s.programs[prog.ProgramID]
-	s.mu.Unlock()
+	p, _ := s.programs.Get(prog.ProgramID)
 
 	const goroutines, per = 4, 2500
 	var served, bypassed, bounced atomic.Int64

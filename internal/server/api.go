@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,6 +63,11 @@ type SessionResponse struct {
 type IdemEntry struct {
 	Key  string          `json:"key"`
 	Resp *LaunchResponse `json:"resp"`
+	// Read names Resp.Buffers in the order the launch requested them (a
+	// JSON object carries none), so a replay over the binary protocol on
+	// the importing node streams them as the original did. An export
+	// without it is replayed in name order.
+	Read []string `json:"read,omitempty"`
 }
 
 // SessionExport is a full session snapshot — the unit of replication
@@ -292,22 +298,29 @@ func (r *launchResult) response() *LaunchResponse {
 }
 
 // resultFromResponse reverses response for an imported idempotency
-// entry. A JSON object carries no order, so the read-set comes back in
-// name order.
-func resultFromResponse(resp *LaunchResponse) (launchResult, error) {
+// entry. order names the read-set in request order; without it (an
+// export that predates the field) the read-set comes back in name order.
+func resultFromResponse(resp *LaunchResponse, order []string) (launchResult, error) {
 	r := launchResult{
 		rung: resp.Rung, engine: resp.Engine,
 		decision: resp.Decision, sim: resp.Result, fallback: resp.Fallback,
 		queueMS: resp.QueueMS, execMS: resp.ExecMS,
 		replayed: resp.Replayed, coalesced: resp.Coalesced,
 	}
-	names := make([]string, 0, len(resp.Buffers))
-	for name := range resp.Buffers {
-		names = append(names, name)
+	if len(order) == 0 {
+		for name := range resp.Buffers {
+			order = append(order, name)
+		}
+		sort.Strings(order)
+	} else if len(order) != len(resp.Buffers) {
+		return launchResult{}, fmt.Errorf("read order names %d buffers, response carries %d", len(order), len(resp.Buffers))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		rb, err := rawFromData(name, resp.Buffers[name])
+	for i, name := range order {
+		bd, ok := resp.Buffers[name]
+		if !ok || slices.Contains(order[:i], name) {
+			return launchResult{}, fmt.Errorf("read order names %q, which the response does not carry exactly once", name)
+		}
+		rb, err := rawFromData(name, bd)
 		if err != nil {
 			return launchResult{}, err
 		}

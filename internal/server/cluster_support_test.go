@@ -6,9 +6,12 @@ package server
 // and the client's Retry-After-honoring backoff.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -292,5 +295,176 @@ func TestExportImportValidation(t *testing.T) {
 	})
 	if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusBadRequest {
 		t.Errorf("corrupt import: %v, want 400", err)
+	}
+	err = c.ImportSession(&SessionExport{
+		SessionID: "bad-order",
+		Idem: []IdemEntry{{
+			Key:  "k",
+			Resp: &LaunchResponse{Buffers: map[string]BufferData{"x": {Kind: "float32", Len: 1, F32B64: EncodeF32([]float32{1})}}},
+			Read: []string{"y"},
+		}},
+	})
+	if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusBadRequest {
+		t.Errorf("import whose read order names an absent buffer: %v, want 400", err)
+	}
+}
+
+// TestResultFromResponseReadOrder pins the import side of IdemEntry.Read:
+// the named order is kept, an export without the field falls back to name
+// order, and an order that is not a permutation of the carried buffers is
+// refused.
+func TestResultFromResponseReadOrder(t *testing.T) {
+	one := func(v float32) BufferData {
+		return BufferData{Kind: "float32", Len: 1, F32B64: EncodeF32([]float32{v})}
+	}
+	resp := &LaunchResponse{Buffers: map[string]BufferData{"y": one(1), "x": one(2)}}
+	for _, tc := range []struct {
+		order []string
+		want  string // "" = refused
+	}{
+		{nil, "x y"},
+		{[]string{"y", "x"}, "y x"},
+		{[]string{"x", "y"}, "x y"},
+		{[]string{"y"}, ""},
+		{[]string{"y", "y"}, ""},
+		{[]string{"y", "z"}, ""},
+	} {
+		res, err := resultFromResponse(resp, tc.order)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("order %q accepted", tc.order)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("order %q: %v", tc.order, err)
+			continue
+		}
+		var got []string
+		for _, rb := range res.bufs {
+			got = append(got, rb.name)
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("order %q: read-set %q, want %q", tc.order, got, tc.want)
+		}
+	}
+}
+
+// registrySrc returns a program text no other test registers.
+func registrySrc(i int) string {
+	return fmt.Sprintf(`__kernel void k(__global float* a, int n) {
+	int i = get_global_id(0);
+	if (i < n) a[i] = a[i] + %d.0f; // registry
+}`, i+1000)
+}
+
+// TestProgramRegistryIsBounded registers one program more than the
+// registry holds: the least recently *launched* one is evicted (not the
+// least recently registered), a launch naming it gets the 404 a router
+// repairs by re-pushing, the eviction is counted, and — the reason the
+// bound exists — once the ocl program cache has let go of it too, its
+// analysis and malleable code are collected even though the daemon that
+// compiled them is still running.
+func TestProgramRegistryIsBounded(t *testing.T) {
+	s, _, c := newTestServer(t, nil)
+	sid, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	if err := c.CreateBuffer(sid, &BufferRequest{Name: "a", Kind: "float32", Len: n}); err != nil {
+		t.Fatal(err)
+	}
+	nn := int64(n)
+	launch := func(progID string) error {
+		_, err := c.Launch(&LaunchRequest{
+			SessionID: sid, ProgramID: progID, Kernel: "k",
+			Args: []LaunchArg{{Buf: "a"}, {Int: &nn}}, Global: []int{n}, Local: []int{16},
+		})
+		return err
+	}
+	register := func(i int) string {
+		t.Helper()
+		p, err := c.Compile(registrySrc(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.ProgramID
+	}
+
+	// keep is registered first, so registration order would evict it;
+	// launch order (victim, then keep) makes victim the one to go.
+	keep, victim := register(-1), register(-2)
+	freed := make(chan string, 2)
+	func() {
+		if err := launch(victim); err != nil {
+			t.Fatal(err)
+		}
+		p, _ := s.programs.Get(victim)
+		k := p.prog.Compiled().Kernel("k")
+		res, err := s.fw.Analysis(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mall, err := s.fw.Malleable(k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(res, func(any) { freed <- "analysis" })
+		runtime.SetFinalizer(mall, func(any) { freed <- "malleable" })
+	}()
+	if err := launch(keep); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < programRegistryCap-1; i++ {
+		register(i)
+	}
+	if got := len(s.ProgramIDs()); got != programRegistryCap {
+		t.Fatalf("%d programs registered after cap+1 registrations, want %d", got, programRegistryCap)
+	}
+	err = launch(victim)
+	if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusNotFound || !strings.Contains(apiErr.Message, "no program") {
+		t.Fatalf("launch of the least recently launched program: %v, want 404 no program", err)
+	}
+	if err := launch(keep); err != nil {
+		t.Fatalf("the more recently launched program was evicted: %v", err)
+	}
+	page, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(page, "dopia_program_evictions_total 1\n") {
+		t.Error("/metrics does not count the capacity eviction")
+	}
+	if got := register(-2); got != victim {
+		t.Fatalf("re-push of the evicted source: id %s, want %s", got, victim)
+	}
+	if err := launch(victim); err != nil {
+		t.Fatalf("launch after re-push: %v", err)
+	}
+
+	// Re-pushed, the program is resident in the registry and (it never
+	// left) in the equally sized process-wide ocl program cache: nothing
+	// may be collected yet. Then push it out of both.
+	runtime.GC()
+	select {
+	case what := <-freed:
+		t.Fatalf("%s of a resident program was collected", what)
+	case <-time.After(50 * time.Millisecond):
+	}
+	for i := 0; i <= programRegistryCap; i++ {
+		register(programRegistryCap + i)
+	}
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("only %d of 2 artifacts of an evicted program were collected inside a running Server", got)
+		}
 	}
 }

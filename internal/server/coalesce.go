@@ -33,12 +33,18 @@ package server
 // while fault injection is armed, like every other cache in the stack.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"sync"
 
 	"dopia/internal/faults"
+	"dopia/internal/lru"
 )
+
+// launchKey identifies a launch by content: the SHA-256 of its serialized
+// identity (see keyFor). Fixed-size, so neither map lookup allocates.
+type launchKey [sha256.Size]byte
 
 // coalition is one in-flight execution that identical launches may
 // join. res is published (or left nil on leader failure) before done is
@@ -64,21 +70,19 @@ type sharedOut struct {
 }
 
 // coalescer owns the in-flight coalition map and the completed-launch
-// memo. One short-held mutex guards both; nothing blocks under it.
+// memo. mu guards only the map; the memo locks itself.
 type coalescer struct {
 	mu       sync.Mutex
-	inflight map[string]*coalition
-	memo     map[string]*sharedResult
-	order    []string // memo FIFO eviction order
-	memBytes int64
-	maxBytes int64 // <= 0 disables the memo (in-flight coalescing stays on)
+	inflight map[launchKey]*coalition
+	// memo is bounded in bytes (sharedResult.bytes); a budget <= 0 retains
+	// nothing, which disables it while in-flight coalescing stays on.
+	memo *lru.Cache[launchKey, *sharedResult]
 }
 
 func newCoalescer(maxBytes int64) *coalescer {
 	return &coalescer{
-		inflight: map[string]*coalition{},
-		memo:     map[string]*sharedResult{},
-		maxBytes: maxBytes,
+		inflight: map[launchKey]*coalition{},
+		memo:     lru.New[launchKey](maxBytes, func(r *sharedResult) int64 { return r.bytes }),
 	}
 }
 
@@ -88,15 +92,16 @@ func newCoalescer(maxBytes int64) *coalescer {
 // matching the cache-bypass contract of the rest of the stack.
 func (cl *coalescer) on() bool { return cl != nil && !faults.Active() }
 
-// keyFor serializes the launch identity into a pooled slab: program,
-// kernel, geometry, scalar values, and per buffer argument its kind,
-// length, alias group (first argument index bound to the same buffer),
-// and content digest. Callers hold the session mutex (digests) and must
-// return the pool token via putScratch.
-func (cl *coalescer) keyFor(l *launch, bufArgs []*sessionBuffer) (*[]byte, []byte) {
+// keyFor hashes the launch identity: program, kernel, geometry, scalar
+// values, and per buffer argument its kind, length, alias group (first
+// argument index bound to the same buffer), and content digest. Callers
+// hold the session mutex (digests).
+func (cl *coalescer) keyFor(l *launch, bufArgs []*sessionBuffer) launchKey {
 	nd := &l.nd
-	p, _ := getScratch(0)
-	b := (*p)[:0]
+	// Serialized on the stack; only a launch with a dozen or more buffer
+	// arguments outgrows the array and spills to the heap.
+	var slab [512]byte
+	b := slab[:0]
 	var u8 [8]byte
 	u64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(u8[:], v)
@@ -146,91 +151,35 @@ func (cl *coalescer) keyFor(l *launch, bufArgs []*sessionBuffer) (*[]byte, []byt
 			u64(math.Float64bits(a.f))
 		}
 	}
-	*p = b[:cap(b)]
-	return p, b
-}
-
-// memoGet returns the stored result for key, or nil. The []byte key is
-// looked up without allocating.
-func (cl *coalescer) memoGet(key []byte) *sharedResult {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.memo[string(key)]
+	return sha256.Sum256(b)
 }
 
 // join registers the caller under key: the first caller becomes the
-// leader (lead = true) and must later publish or abort; later callers
+// leader (lead = true) and must later complete it; later callers
 // get the existing coalition to wait on.
-func (cl *coalescer) join(key []byte) (co *coalition, lead bool) {
+func (cl *coalescer) join(key launchKey) (co *coalition, lead bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if co, ok := cl.inflight[string(key)]; ok {
+	if co, ok := cl.inflight[key]; ok {
 		return co, false
 	}
 	co = &coalition{done: make(chan struct{})}
-	cl.inflight[string(key)] = co
+	cl.inflight[key] = co
 	return co, true
 }
 
-// publish completes a coalition with res, waking followers, and enters
-// res into the memo.
-func (cl *coalescer) publish(key []byte, co *coalition, res *sharedResult) {
-	cl.mu.Lock()
-	delete(cl.inflight, string(key))
-	co.res = res
-	if cl.maxBytes > 0 {
-		ks := string(key)
-		if old, ok := cl.memo[ks]; ok {
-			cl.memBytes -= old.bytes
-		} else {
-			cl.order = append(cl.order, ks)
-		}
-		cl.memo[ks] = res
-		cl.memBytes += res.bytes
-		for cl.memBytes > cl.maxBytes && len(cl.order) > 0 {
-			victim := cl.order[0]
-			cl.order = cl.order[1:]
-			if e, ok := cl.memo[victim]; ok {
-				cl.memBytes -= e.bytes
-				delete(cl.memo, victim)
-			}
-		}
+// complete ends a coalition. A non-nil res enters the memo and wakes the
+// followers with it; nil means the leader's execution failed, and every
+// follower re-executes independently.
+func (cl *coalescer) complete(key launchKey, co *coalition, res *sharedResult) {
+	if res != nil {
+		cl.memo.Put(key, res)
 	}
+	cl.mu.Lock()
+	delete(cl.inflight, key)
 	cl.mu.Unlock()
+	co.res = res
 	close(co.done)
-}
-
-// abort completes a coalition without a result: the leader's execution
-// failed, and every follower re-executes independently.
-func (cl *coalescer) abort(key []byte, co *coalition) {
-	cl.mu.Lock()
-	delete(cl.inflight, string(key))
-	cl.mu.Unlock()
-	close(co.done)
-}
-
-// invalidate drops every completed-launch memo entry (in-flight
-// coalitions are untouched) and reports how many were dropped. The
-// online learner triggers this on every model hot swap: a memoized
-// response embeds the DoP decision made when it first executed, and a
-// replay after the swap would keep reporting the superseded model's
-// choice indefinitely. Result bytes are decision-invariant, so dropping
-// entries trades one re-execution per entry for fresh decisions only.
-func (cl *coalescer) invalidate() int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	n := len(cl.memo)
-	cl.memo = map[string]*sharedResult{}
-	cl.order = cl.order[:0]
-	cl.memBytes = 0
-	return n
-}
-
-// stats snapshots memo occupancy for /metrics.
-func (cl *coalescer) stats() (entries int, bytes int64) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return len(cl.memo), cl.memBytes
 }
 
 // buildShared snapshots the written buffer arguments of a completed

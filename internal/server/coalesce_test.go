@@ -171,7 +171,7 @@ func TestCoalesceExactlyOnceAccumulator(t *testing.T) {
 	// the publish, from the memo in the (unlikely) race where one
 	// arrived after.
 	followers := s.met.coalescedFollowers.Load()
-	memo := s.met.coalescedMemo.Load()
+	memo := s.coal.memo.Stats().Hits
 	if followers+memo != int64(coalesced) || followers == 0 {
 		t.Errorf("followers=%d memo=%d, want them to sum to %d with followers > 0", followers, memo, coalesced)
 	}
@@ -221,8 +221,8 @@ func TestLaunchMemoExactlyOnce(t *testing.T) {
 	if !rb.Coalesced {
 		t.Error("identical launch after completion was not served from the memo")
 	}
-	if got := s.met.coalescedMemo.Load(); got != 1 {
-		t.Errorf("coalescedMemo = %d, want 1", got)
+	if got := s.coal.memo.Stats().Hits; got != 1 {
+		t.Errorf("memo hits = %d, want 1", got)
 	}
 	if want := EncodeF32(after(1)); rb.Buffers["y"].F32B64 != want {
 		t.Error("memo-replayed launch did not advance y by exactly one step")
@@ -322,5 +322,41 @@ func TestCanceledFollowerDoesNotCancelLeader(t *testing.T) {
 	}
 	if got := s.met.coalescedFollowers.Load(); got != 0 {
 		t.Errorf("coalescedFollowers = %d, want 0 (the only follower was canceled)", got)
+	}
+}
+
+// TestMemoLookupDoesNotAllocate pins the share stage's probe — hash the
+// launch identity, look it up in the memo — at zero allocations, hit or
+// miss: it runs on every launch, memoized or not.
+func TestMemoLookupDoesNotAllocate(t *testing.T) {
+	s, _, _ := newTestServer(t, nil)
+	sess := s.newSession("alloc")
+	bufArgs := make([]*sessionBuffer, 3)
+	for i, name := range []string{"x", "y"} {
+		if _, err := sess.newBuffer(name, 'f', 64, 1<<20, nil); err != nil {
+			t.Fatal(err)
+		}
+		bufArgs[i] = sess.bufs[name]
+	}
+	nd, err := ndFrom([]int{64}, []int{32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &launch{
+		prog: &program{id: ProgramID(accSrc)}, kernel: "acc", nd: nd,
+		args: []launchArg{{kind: 'b', buf: "x"}, {kind: 'b', buf: "y"}, {kind: 'i', i: 64}},
+	}
+	for _, hit := range []bool{false, true} {
+		if hit {
+			s.coal.memo.Put(s.coal.keyFor(l, bufArgs), &sharedResult{bytes: 512})
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := s.coal.memo.Get(s.coal.keyFor(l, bufArgs)); ok != hit {
+				t.Errorf("memo hit = %v, want %v", ok, hit)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("memo probe (hit=%v) allocates %.1f times per launch, want 0", hit, allocs)
+		}
 	}
 }

@@ -152,10 +152,7 @@ func (s *Server) submit(l *launch) (launchResult, int, error) {
 		s.met.badRequests.Add(1)
 		return launchResult{}, http.StatusNotFound, fmt.Errorf("no session %q", l.sessionID)
 	}
-	s.mu.Lock()
-	l.prog, ok = s.programs[l.programID]
-	s.mu.Unlock()
-	if !ok {
+	if l.prog, ok = s.programs.Get(l.programID); !ok {
 		s.met.badRequests.Add(1)
 		return launchResult{}, http.StatusNotFound, fmt.Errorf("no program %q", l.programID)
 	}
@@ -293,7 +290,6 @@ func (s *Server) answerStored(l *launch) (launchResult, error, bool) {
 	if err != nil {
 		return launchResult{}, err, true
 	}
-	defer b.release()
 	shared, _ := s.share(l, b, false)
 	if shared == nil {
 		return launchResult{}, nil, false
@@ -385,7 +381,6 @@ func (s *Server) runStages(l *launch) (launchResult, error) {
 	if err != nil {
 		return launchResult{}, err
 	}
-	defer b.release()
 	shared, err := s.share(l, b, true)
 	if err != nil {
 		return launchResult{}, err
@@ -411,8 +406,9 @@ func (s *Server) replay(l *launch) (launchResult, bool) {
 	if l.idemKey == "" {
 		return launchResult{}, false
 	}
-	res, ok := l.sess.idem.get(l.idemKey)
+	res, ok := l.sess.idem.Get(l.idemKey)
 	if ok {
+		res.replayed = true
 		s.met.idemReplays.Add(1)
 	}
 	return res, ok
@@ -433,15 +429,8 @@ type binding struct {
 	bufArgs []*sessionBuffer
 	readSet []readEntry
 
-	keyPool *[]byte
-	key     []byte
-	lead    *coalition
-}
-
-func (b *binding) release() {
-	if b.keyPool != nil {
-		putScratch(b.keyPool)
-	}
+	key  launchKey
+	lead *coalition
 }
 
 // bind resolves kernel, arguments and read-set, so that a bad name fails
@@ -502,9 +491,8 @@ func (s *Server) share(l *launch, b *binding, mayWait bool) (*sharedResult, erro
 	if !s.coal.on() || len(l.args) > 64 {
 		return nil, nil
 	}
-	b.keyPool, b.key = s.coal.keyFor(l, b.bufArgs)
-	if res := s.coal.memoGet(b.key); res != nil {
-		s.met.coalescedMemo.Add(1)
+	b.key = s.coal.keyFor(l, b.bufArgs)
+	if res, ok := s.coal.memo.Get(b.key); ok {
 		return res, nil
 	}
 	if !mayWait {
@@ -638,10 +626,10 @@ func (s *Server) publish(b *binding, res *launchResult, err error) {
 	switch {
 	case b.lead == nil:
 	case err != nil:
-		s.coal.abort(b.key, b.lead)
+		s.coal.complete(b.key, b.lead, nil)
 	default:
 		mask, known := s.writeMask(b.kern)
-		s.coal.publish(b.key, b.lead, buildShared(res, b.bufArgs, mask, known))
+		s.coal.complete(b.key, b.lead, buildShared(res, b.bufArgs, mask, known))
 	}
 }
 
@@ -660,7 +648,7 @@ func (s *Server) readBack(l *launch, b *binding, res *launchResult) {
 		}
 	}
 	if l.idemKey != "" {
-		l.sess.idem.put(l.idemKey, *res)
+		l.sess.idem.Put(l.idemKey, *res)
 	}
 }
 

@@ -154,9 +154,8 @@ func TestMemoBypassBothProtocols(t *testing.T) {
 // TestIdempotentResultSurvivesMigration executes an idempotent launch
 // over the binary protocol, moves the session to a fresh daemon through
 // export() and restore(), and replays the launch there over both
-// protocols: same metadata, same read-set bytes, no execution. The
-// read-set is requested in name order because that is the one order a
-// JSON export can carry (SessionExport.Buffers is a map).
+// protocols: same metadata, same read-set bytes in the order requested
+// (not name order), no execution.
 func TestIdempotentResultSurvivesMigration(t *testing.T) {
 	_, addr1 := newMixedTestServer(t, nil)
 	_, addr2 := newMixedTestServer(t, nil)
@@ -186,7 +185,7 @@ func TestIdempotentResultSurvivesMigration(t *testing.T) {
 		SessionID: sid, ProgramID: progID, Kernel: "acc",
 		Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}},
 		Global: []int{n}, Local: []int{32},
-		Read: []string{"x", "y"}, IdemKey: "moved",
+		Read: []string{"y", "x"}, IdemKey: "moved",
 	}
 	first, err := bc1.Launch(req)
 	if err != nil {
@@ -264,7 +263,7 @@ func TestIdempotentResultSurvivesMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(yNow, want.Bufs[1].Raw) {
+	if !bytes.Equal(yNow, want.Bufs[0].Raw) {
 		t.Error("a replay on the importee re-executed the accumulator")
 	}
 }

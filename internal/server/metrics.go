@@ -2,10 +2,10 @@ package server
 
 // The /metrics endpoint: a Prometheus-style text rendering of every
 // counter the daemon keeps — admission queue state, latency quantiles
-// from the streaming histograms, the fail-open ladder mix, and the hit
-// rates of the whole memoization stack (program dedup, interpreter
-// compile cache, prediction cache). Everything here reads atomics or
-// takes short snapshots; scraping /metrics never blocks a launch.
+// from the streaming histograms, the fail-open ladder mix, and the
+// traffic of every cache (program dedup, program registry, launch memo).
+// Everything here reads atomics or takes short snapshots; scraping
+// /metrics never blocks a launch.
 
 import (
 	"crypto/sha256"
@@ -87,14 +87,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	nSessions := int64(len(s.sessions))
-	nPrograms := int64(len(s.programs))
 	s.mu.Unlock()
+	progs := s.programs.Stats()
 	m.gaugeInt("dopia_sessions_active", "Live tenant sessions.", nSessions)
 	m.counter("dopia_sessions_created_total", "Sessions ever created.", s.met.sessionsCreated.Load())
 	m.counter("dopia_sessions_closed_total", "Sessions explicitly closed.", s.met.sessionsClosed.Load())
-	m.gaugeInt("dopia_programs_registered", "Distinct programs in the registry.", nPrograms)
+	m.gaugeInt("dopia_programs_registered", "Distinct programs in the registry.", int64(progs.Entries))
 	m.counter("dopia_program_builds_total", "Program builds performed by this daemon.", s.met.programBuilds.Load())
-	m.counter("dopia_program_evictions_total", "Program registry entries evicted (chaos or admin).", s.met.programEvictions.Load())
+	m.counter("dopia_program_evictions_total", "Program registry entries evicted (capacity, chaos or admin).", progs.Evictions+s.met.programEvictions.Load())
 
 	// ---- cluster tier ----
 	m.counter("dopia_sessions_exported_total", "Session snapshots served for replication/migration.", s.met.sessionsExported.Load())
@@ -112,13 +112,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// ---- serving fast path ----
 	m.counter("dopia_server_bytes_in_total", "Request bytes read off the wire (JSON and binary protocols).", s.met.bytesIn.Load())
 	m.counter("dopia_server_bytes_out_total", "Response bytes written to the wire (JSON and binary protocols).", s.met.bytesOut.Load())
-	coalesced := s.met.coalescedFollowers.Load() + s.met.coalescedMemo.Load()
+	memo := s.coal.memo.Stats()
+	coalesced := s.met.coalescedFollowers.Load() + memo.Hits
 	m.counter("dopia_coalesced_launches_total", "Launches that shared an identical launch's execution (followers + memo replays).", coalesced)
 	m.counter("dopia_coalesced_followers_total", "Launches that joined an in-flight identical execution.", s.met.coalescedFollowers.Load())
-	m.counter("dopia_launch_memo_hits_total", "Launches replayed from the completed-launch memo.", s.met.coalescedMemo.Load())
-	memoEntries, memoBytes := s.coal.stats()
-	m.gaugeInt("dopia_launch_memo_entries", "Entries in the completed-launch memo.", int64(memoEntries))
-	m.gaugeInt("dopia_launch_memo_bytes", "Bytes held by the completed-launch memo.", memoBytes)
+	m.counter("dopia_launch_memo_hits_total", "Launches replayed from the completed-launch memo.", memo.Hits)
+	m.gaugeInt("dopia_launch_memo_entries", "Entries in the completed-launch memo.", int64(memo.Entries))
+	m.gaugeInt("dopia_launch_memo_bytes", "Bytes held by the completed-launch memo.", memo.Cost)
 	m.counter("dopia_memo_bypass_total", "429-rejected launches answered from the launch memo instead.", s.met.memoBypass.Load())
 	m.counter("dopia_memo_invalidated_total", "Launch-memo entries dropped by model hot swaps.", s.met.memoInvalidated.Load())
 
@@ -193,9 +193,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("dopia_progcache_misses_total", "Program builds that compiled fresh.", pc.Misses)
 	m.counter("dopia_progcache_errors_total", "Program builds that failed to compile.", pc.Errors)
 	m.counter("dopia_progcache_bypasses_total", "Cache reads skipped while fault injection was armed.", pc.Bypasses)
-	ph, pm := s.fw.PredCacheStats()
-	m.counter("dopia_predcache_hits_total", "DoP predictions served from the prediction cache.", ph)
-	m.counter("dopia_predcache_misses_total", "DoP predictions computed by model inference.", pm)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(m.b.String()))

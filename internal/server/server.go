@@ -5,8 +5,8 @@
 // metrics. It layers on the existing stack without forking it — every
 // launch goes through ocl.CommandQueue.EnqueueNDRangeKernel and the
 // fail-open interposition ladder, sharing the process-wide memoization
-// stack (program dedup, compile/transform/prediction caches) across
-// tenants while keeping per-session buffer state isolated.
+// stack (program dedup, per-kernel compiled artifacts) across tenants
+// while keeping per-session buffer state isolated.
 //
 // Admission control: launches enter a bounded queue; when it is full
 // the daemon answers 429 with Retry-After instead of queueing unbounded
@@ -32,6 +32,7 @@ import (
 	"context"
 
 	"dopia/internal/core"
+	"dopia/internal/lru"
 	"dopia/internal/ml"
 	"dopia/internal/ocl"
 	"dopia/internal/online"
@@ -65,9 +66,6 @@ type Config struct {
 	// SetReady(true) — cluster members stay out of routing until they
 	// have joined the gossip mesh. Standalone daemons are born ready.
 	StartUnready bool
-	// IdemCacheSize bounds the per-session idempotency cache (default
-	// 128 completed launches).
-	IdemCacheSize int
 	// LaunchMemoBytes bounds the completed-launch memo that answers
 	// identical launches without re-executing (see coalesce.go).
 	// 0 = default 64 MiB; negative disables the memo (in-flight
@@ -105,9 +103,6 @@ func (c *Config) fillDefaults() error {
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
 	}
-	if c.IdemCacheSize <= 0 {
-		c.IdemCacheSize = 128
-	}
 	if c.LaunchMemoBytes == 0 {
 		c.LaunchMemoBytes = 64 << 20
 	}
@@ -126,7 +121,7 @@ type Server struct {
 	// queues holds one bounded channel per worker. Launches are pinned
 	// to a worker by session-ID hash (session affinity), so one
 	// session's launches stay ordered on one goroutine and its
-	// compile/prediction cache touches stay core-hot; total capacity
+	// compiled-artifact touches stay core-hot; total capacity
 	// approximates Config.QueueDepth.
 	queues      []chan *launch
 	stopWorkers chan struct{}
@@ -143,10 +138,14 @@ type Server struct {
 	ready    atomic.Bool
 	inflight atomic.Int64
 
-	mu          sync.Mutex // guards sessions and programs
+	mu          sync.Mutex // guards sessions
 	sessions    map[string]*session
-	programs    map[string]*program
 	nextSession atomic.Int64
+	// programs is the registry of compiled programs by content-addressed
+	// ID, least recently launched first out. It is correctness state (a
+	// launch names its program by ID), so it is consulted while faults are
+	// armed too.
+	programs *lru.Cache[string, *program]
 
 	// coal merges identical launches (in-flight coalitions + completed
 	// memo); see coalesce.go.
@@ -161,6 +160,12 @@ type Server struct {
 
 	met metrics
 }
+
+// programRegistryCap bounds the program registry at the same 256 sources
+// as the ocl program cache under it (and the router's source registry
+// above it), so a registered program pins no more build-time artifacts
+// than that cache already allows.
+const programRegistryCap = 256
 
 // program is a compiled program shared by all sessions.
 type program struct {
@@ -193,7 +198,6 @@ type metrics struct {
 	bytesIn            atomic.Int64
 	bytesOut           atomic.Int64
 	coalescedFollowers atomic.Int64 // joined an in-flight identical launch
-	coalescedMemo      atomic.Int64 // replayed a completed identical launch
 	memoBypass         atomic.Int64 // 429-rejected launches answered from the memo
 	memoInvalidated    atomic.Int64 // memo entries dropped by model hot swaps
 
@@ -226,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 		start:       time.Now(),
 		stopWorkers: make(chan struct{}),
 		sessions:    map[string]*session{},
-		programs:    map[string]*program{},
+		programs:    lru.New[string, *program](programRegistryCap, nil),
 		coal:        newCoalescer(cfg.LaunchMemoBytes),
 		met: metrics{
 			queueWait: stats.NewLatencyHistogram(),
@@ -248,7 +252,7 @@ func New(cfg Config) (*Server, error) {
 		// after the swap would pin every hot launch to the stale choice.
 		userSwap := oc.OnSwap
 		oc.OnSwap = func(tenant string, gen uint64) {
-			s.met.memoInvalidated.Add(int64(s.coal.invalidate()))
+			s.met.memoInvalidated.Add(int64(s.coal.memo.Purge()))
 			if userSwap != nil {
 				userSwap(tenant, gen)
 			}
@@ -358,12 +362,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // sorted. Gossiped as the node's program-cache contents so routers can
 // re-push anything missing.
 func (s *Server) ProgramIDs() []string {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.programs))
-	for id := range s.programs {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
+	ids := []string{}
+	s.programs.Each(func(id string, _ *program) { ids = append(ids, id) })
 	sort.Strings(ids)
 	return ids
 }
@@ -380,10 +380,7 @@ func (s *Server) SessionCount() int {
 // p-<sha256> ID fail with 404 until the source is re-registered — the
 // cache-eviction fault class of the cluster chaos controller.
 func (s *Server) EvictPrograms() int {
-	s.mu.Lock()
-	n := len(s.programs)
-	s.programs = map[string]*program{}
-	s.mu.Unlock()
+	n := s.programs.Purge()
 	s.met.programEvictions.Add(int64(n))
 	return n
 }
@@ -470,14 +467,11 @@ func (s *Server) registerProgram(source string) (p *program, cached bool, status
 	}
 	id := ProgramID(source)
 
-	s.mu.Lock()
-	if p, ok := s.programs[id]; ok {
-		s.mu.Unlock()
+	if p, ok := s.programs.Get(id); ok {
 		return p, true, http.StatusOK, nil
 	}
-	s.mu.Unlock()
 
-	// Compile outside the registry lock. A racing duplicate build hits
+	// Compile outside the registry's lock. A racing duplicate build hits
 	// the process-wide source-hash dedup cache, so the work is done
 	// once; last-write-wins below is safe because compiled programs for
 	// one source are interchangeable.
@@ -495,14 +489,7 @@ func (s *Server) registerProgram(source string) (p *program, cached bool, status
 	}
 	sort.Strings(kernels)
 	p = &program{id: id, prog: prog, kernels: kernels}
-
-	s.mu.Lock()
-	if prev, ok := s.programs[id]; ok {
-		p = prev
-	} else {
-		s.programs[id] = p
-	}
-	s.mu.Unlock()
+	s.programs.Put(id, p)
 	return p, false, http.StatusOK, nil
 }
 

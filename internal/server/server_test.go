@@ -529,7 +529,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"dopia_request_seconds{quantile=\"0.99\"}",
 		"dopia_request_seconds_count 3",
 		"dopia_progcache_hits_total",
-		"dopia_predcache_",
+		"dopia_program_evictions_total 0",
 		"dopia_queue_wait_seconds_count 3",
 	} {
 		if !strings.Contains(page, want) {

@@ -2,11 +2,11 @@ package server
 
 // Tenant sessions. Each session owns an OpenCL context of its own — its
 // buffers, its command queue, its address space, its per-queue
-// FallbackStats — while sharing the process-wide memoization stack
-// (program dedup, interpreter compile cache, transform and prediction
-// caches through the one Framework) with every other tenant. That split
-// is the isolation contract: compiled artifacts are immutable and safe
-// to share; mutable state (buffers) never crosses a session boundary.
+// FallbackStats — while sharing the compiled artifacts (program dedup,
+// and through it each kernel's analysis, malleable code and compiled
+// forms) with every other tenant. That split is the isolation contract:
+// compiled artifacts are immutable and safe to share; mutable state
+// (buffers) never crosses a session boundary.
 
 import (
 	"fmt"
@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dopia/internal/lru"
 	"dopia/internal/ocl"
 	"dopia/internal/workloads"
 )
@@ -37,8 +38,12 @@ type session struct {
 
 	// idem remembers recently applied launches by idempotency key so a
 	// failover retry returns the stored response instead of executing
-	// twice. Guarded by mu.
-	idem *idemCache
+	// twice. Results are stored and returned by value; what they point at
+	// (decision, result, owned read-set slabs) is written once and then
+	// read-only, so a replay shares it with the stored entry. This is
+	// correctness state, so unlike the launch memo it is consulted while
+	// faults are armed too.
+	idem *lru.Cache[string, launchResult]
 
 	launches atomic.Int64
 }
@@ -115,41 +120,13 @@ func (s *Server) newSession(id string) *session {
 		ctx:     ctx,
 		queue:   ctx.CreateCommandQueue(s.platform.Device(ocl.DeviceCPU)),
 		bufs:    map[string]*sessionBuffer{},
-		idem:    newIdemCache(s.cfg.IdemCacheSize),
+		idem:    lru.New[string, launchResult](idemCacheCap, nil),
 	}
 }
 
-// idemCache is a bounded FIFO of completed launches keyed by
-// idempotency key. Results are stored and returned by value; what they
-// point at (decision, result, owned read-set slabs) is written once and
-// then read-only, so a replay shares it with the stored entry.
-type idemCache struct {
-	max   int
-	order []string
-	m     map[string]launchResult
-}
-
-func newIdemCache(max int) *idemCache {
-	return &idemCache{max: max, m: map[string]launchResult{}}
-}
-
-func (c *idemCache) get(key string) (launchResult, bool) {
-	r, ok := c.m[key]
-	r.replayed = ok
-	return r, ok
-}
-
-func (c *idemCache) put(key string, res launchResult) {
-	if _, exists := c.m[key]; exists {
-		return
-	}
-	for len(c.order) >= c.max {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.m[key] = res
-	c.order = append(c.order, key)
-}
+// idemCacheCap bounds a session's idempotency cache: the last 128
+// completed keyed launches stay replayable.
+const idemCacheCap = 128
 
 // export snapshots the session for replication/migration, converting
 // each stored result to its wire form. Callers hold sess.mu.
@@ -158,17 +135,19 @@ func (sess *session) export() *SessionExport {
 		SessionID: sess.id,
 		Launches:  sess.launches.Load(),
 		Buffers:   make(map[string]BufferData, len(sess.bufs)),
-		Idem:      make([]IdemEntry, 0, len(sess.idem.order)),
 	}
 	for name, sb := range sess.bufs {
 		rb := snapshotBuffer(name, sb.b, true)
 		exp.Buffers[name] = rb.data()
 		rb.release()
 	}
-	for _, k := range sess.idem.order {
-		res := sess.idem.m[k]
-		exp.Idem = append(exp.Idem, IdemEntry{Key: k, Resp: res.response()})
-	}
+	sess.idem.Each(func(k string, res launchResult) {
+		e := IdemEntry{Key: k, Resp: res.response()}
+		for i := range res.bufs {
+			e.Read = append(e.Read, res.bufs[i].name)
+		}
+		exp.Idem = append(exp.Idem, e)
+	})
 	return exp
 }
 
@@ -183,11 +162,11 @@ func (sess *session) restore(exp *SessionExport, maxBytes int64) error {
 	}
 	for _, e := range exp.Idem {
 		if e.Key != "" && e.Resp != nil {
-			res, err := resultFromResponse(e.Resp)
+			res, err := resultFromResponse(e.Resp, e.Read)
 			if err != nil {
 				return fmt.Errorf("import %s: idem entry %q: %w", exp.SessionID, e.Key, err)
 			}
-			sess.idem.put(e.Key, res)
+			sess.idem.Put(e.Key, res)
 		}
 	}
 	sess.launches.Store(exp.Launches)

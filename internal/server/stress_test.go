@@ -273,7 +273,7 @@ func TestStress64Sessions(t *testing.T) {
 		t.Errorf("fallback ladder after stress: %s", fb)
 	}
 	wantLaunches := int64(tenants * launches)
-	coalesced := s.met.coalescedFollowers.Load() + s.met.coalescedMemo.Load()
+	coalesced := s.met.coalescedFollowers.Load() + s.coal.memo.Stats().Hits
 	if got := fb.Managed + fb.CoExecAll + coalesced; got != wantLaunches {
 		t.Errorf("ladder + coalescing accounted %d launches, want %d", got, wantLaunches)
 	}
