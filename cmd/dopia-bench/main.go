@@ -13,7 +13,6 @@
 //
 //	dopia-bench -cpuprofile cpu.pprof [...]         CPU profile of the run
 //	dopia-bench -memprofile mem.pprof [...]         heap profile at exit
-//	dopia-bench -opprofile ops.json [...]           opcode n-gram histogram
 //
 // Performance is measured by benchmark/ (see BENCHMARK.json), not here.
 package main
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"dopia/internal/experiments"
-	"dopia/internal/interp"
 )
 
 func main() {
@@ -41,25 +39,8 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		opProfile  = flag.String("opprofile", "", "enable opcode n-gram profiling and write the histogram JSON (dopia-superopt input) to this file at exit")
 	)
 	flag.Parse()
-
-	if *opProfile != "" {
-		interp.EnableOpProfiling()
-		path := *opProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			if err := interp.WriteOpProfile(f, 128); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

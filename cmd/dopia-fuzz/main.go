@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"dopia/internal/conformance"
-	"dopia/internal/interp"
 )
 
 func main() {
@@ -43,13 +42,8 @@ func main() {
 		maxCrashers = flag.Int("max-crashers", 5, "stop after this many divergent cases")
 		replay      = flag.String("replay", "", "replay a crasher repro file or directory instead of fuzzing")
 		quiet       = flag.Bool("q", false, "suppress per-progress output")
-		opProfile   = flag.String("opprofile", "", "enable opcode n-gram profiling and write the histogram JSON (dopia-superopt input) to this file at exit")
 	)
 	flag.Parse()
-
-	if *opProfile != "" {
-		interp.EnableOpProfiling()
-	}
 
 	opts := conformance.Options{Rungs: *rungs}
 	if *machines != "" {
@@ -84,9 +78,7 @@ func main() {
 	}
 
 	if *replay != "" {
-		code := replayPath(*replay, opts)
-		dumpOpProfile(*opProfile)
-		os.Exit(code)
+		os.Exit(replayPath(*replay, opts))
 	}
 
 	cfg := conformance.FuzzConfig{
@@ -121,25 +113,8 @@ func main() {
 	for _, p := range res.Crashers {
 		fmt.Printf("crasher: %s\n", p)
 	}
-	dumpOpProfile(*opProfile)
 	if res.Divergent > 0 {
 		os.Exit(1)
-	}
-}
-
-// dumpOpProfile writes the opcode n-gram histograms gathered during the
-// run ("" = profiling was not requested).
-func dumpOpProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer f.Close()
-	if err := interp.WriteOpProfile(f, 128); err != nil {
-		fail("%v", err)
 	}
 }
 

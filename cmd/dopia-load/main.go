@@ -21,12 +21,12 @@
 // contained panic reported by /metrics.
 //
 // With -cluster N the generator instead boots an in-process N-node
-// cluster (router + members, real HTTP and gossip throughout) and
+// cluster (router + members, real HTTP throughout) and
 // drives the same verified load through the router. Every launch
 // carries a generator-stamped idempotency key, so a launch retried
 // across a node failover still applies exactly once — the local replay
 // replica detects any double-apply bit-wise. -chaos injects a
-// deterministic fault schedule (node kill, gossip partition, slow
+// deterministic fault schedule (node kill, probe partition, slow
 // node, cache eviction) mid-run; the run fails if the router loses a
 // session, a replica diverges from its primary, or any response
 // mismatches the in-process reference.
@@ -130,7 +130,6 @@ func main() {
 		ring, err = cluster.StartLocal(cluster.LocalConfig{
 			Nodes:  *clusterN,
 			Server: server.Config{Machine: machine},
-			Gossip: cluster.GossipConfig{Interval: 50 * time.Millisecond, Seed: 1},
 			Router: cluster.RouterConfig{JanitorInterval: 50 * time.Millisecond},
 		})
 		if err != nil {

@@ -1,6 +1,6 @@
 // Command dopia-router runs the cluster front door: a stateless-ish
 // routing tier that places tenant sessions on a ring of dopia-serve
-// members by consistent hashing, gossips member health, replicates
+// members by consistent hashing, probes member health, replicates
 // every session to a successor node, and fails sessions over — with
 // idempotency keys making retried launches apply exactly once — when a
 // member dies mid-launch. Clients speak the ordinary dopia-serve
@@ -13,8 +13,7 @@
 //     (the zero-setup mode: `dopia-router -local 4` is a whole cluster).
 //     -chaos injects a deterministic fault schedule against them.
 //   - -nodes id=addr,... registers externally running dopia-serve
-//     daemons started with -cluster-id, which mounts their gossip
-//     endpoint.
+//     daemons; the router needs nothing from a member but its address.
 //
 // SIGINT/SIGTERM drain gracefully: the router listener closes, then
 // local members (if any) drain their admitted launches.
@@ -41,18 +40,17 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", "127.0.0.1:8040", "router listen address")
-		nodeSpec       = flag.String("nodes", "", "comma-separated id=addr members to register (daemons run dopia-serve -cluster-id <id>)")
-		local          = flag.Int("local", 0, "boot N in-process member nodes instead of joining external ones")
-		machineName    = flag.String("machine", "Kaveri", "machine model for -local members: any zoo machine")
-		chaosSpec      = flag.String("chaos", "", "fault schedule against -local members, e.g. kill:n1@3s,slow:n2@1s:2s:30ms")
-		vnodes         = flag.Int("vnodes", 64, "virtual nodes per ring member")
-		gossipInterval = flag.Duration("gossip-interval", 100*time.Millisecond, "heartbeat gossip period")
-		janitorEvery   = flag.Duration("janitor-interval", 100*time.Millisecond, "ring repair loop period")
-		callTimeout    = flag.Duration("call-timeout", 15*time.Second, "per-request timeout on member calls")
-		retryAfter     = flag.Duration("retry-after", time.Second, "Retry-After hint on ring-down 503s")
-		drainTimeout   = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
-		pprofOn        = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		addr         = flag.String("addr", "127.0.0.1:8040", "router listen address")
+		nodeSpec     = flag.String("nodes", "", "comma-separated id=addr dopia-serve members to register")
+		local        = flag.Int("local", 0, "boot N in-process member nodes instead of joining external ones")
+		machineName  = flag.String("machine", "Kaveri", "machine model for -local members: any zoo machine")
+		chaosSpec    = flag.String("chaos", "", "fault schedule against -local members, e.g. kill:n1@3s,slow:n2@1s:2s:30ms")
+		vnodes       = flag.Int("vnodes", 64, "virtual nodes per ring member")
+		janitorEvery = flag.Duration("janitor-interval", 100*time.Millisecond, "probe-and-repair loop period")
+		callTimeout  = flag.Duration("call-timeout", 15*time.Second, "per-request timeout on member calls")
+		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on ring-down 503s")
+		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
+		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -68,10 +66,9 @@ func main() {
 		CallTimeout:     *callTimeout,
 		RetryAfter:      *retryAfter,
 		JanitorInterval: *janitorEvery,
-		Gossip:          cluster.GossipConfig{Interval: *gossipInterval},
 	})
 
-	members, err := bootLocal(*local, *machineName, *gossipInterval)
+	members, err := bootLocal(*local, *machineName)
 	if err != nil {
 		log.Fatalf("dopia-router: %v", err)
 	}
@@ -153,12 +150,12 @@ func main() {
 	log.Printf("dopia-router: drained cleanly")
 }
 
-// bootLocal starts count in-process members ("n0".."n<count-1>") and
-// joins them into one gossip mesh. Each gets a private copy of the
-// machine model (identical parameters, independent object) and serves
-// with the ALL heuristic — DoP choice never affects results, which are
-// bit-exact by construction, so local members skip model training.
-func bootLocal(count int, machineName string, gossipInterval time.Duration) ([]*cluster.Node, error) {
+// bootLocal starts count in-process members ("n0".."n<count-1>"). Each
+// gets a private copy of the machine model (identical parameters,
+// independent object) and serves with the ALL heuristic — DoP choice
+// never affects results, which are bit-exact by construction, so local
+// members skip model training.
+func bootLocal(count int, machineName string) ([]*cluster.Node, error) {
 	if count <= 0 {
 		return nil, nil
 	}
@@ -175,19 +172,11 @@ func bootLocal(count int, machineName string, gossipInterval time.Duration) ([]*
 		n, err := cluster.StartNode(cluster.NodeConfig{
 			ID:     fmt.Sprintf("n%d", i),
 			Server: server.Config{Machine: m},
-			Gossip: cluster.GossipConfig{Interval: gossipInterval, Seed: int64(i) + 1},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("member n%d: %w", i, err)
 		}
 		members = append(members, n)
-	}
-	peers := make([]string, 0, len(members))
-	for _, n := range members {
-		peers = append(peers, n.URL)
-	}
-	for _, n := range members {
-		n.Join(peers)
 	}
 	return members, nil
 }

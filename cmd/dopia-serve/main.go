@@ -15,11 +15,10 @@
 // launches finish (bounded by their deadlines, then -drain-timeout),
 // new work is refused with 503.
 //
-// With -cluster-id the daemon becomes a ring member: it mounts the
-// gossip endpoint (POST /cluster/v1/gossip) and heartbeats its health,
-// session count, and program-cache contents so a dopia-router can
-// place sessions on it and detect its failure. Register it with
-// `dopia-router -nodes <id>=<addr>`.
+// Any daemon can be a ring member: GET /healthz carries its readiness,
+// session count and program-registry contents, which is all a
+// dopia-router needs to place sessions on it and detect its failure.
+// Register it with `dopia-router -nodes <id>=<addr>`.
 package main
 
 import (
@@ -35,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"dopia/internal/cluster"
 	"dopia/internal/core"
 	"dopia/internal/ml"
 	"dopia/internal/online"
@@ -56,8 +54,6 @@ func main() {
 		maxDeadline  = flag.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
 		watchdog     = flag.Duration("watchdog", 0, "per-execution watchdog timeout (0 = framework default)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
-		clusterID    = flag.String("cluster-id", "", "ring member ID; mounts the gossip endpoint for dopia-router")
-		gossipEvery  = flag.Duration("gossip-interval", 100*time.Millisecond, "heartbeat gossip period (with -cluster-id)")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		onlineOn     = flag.Bool("online", false, "enable the closed-loop online learner (per-tenant incremental models, hot swap)")
@@ -105,23 +101,10 @@ func main() {
 	}
 
 	handler := srv.Handler()
-	var agent *cluster.Agent
-	if *clusterID != "" || *pprofOn {
+	if *pprofOn {
 		mux := http.NewServeMux()
-		if *clusterID != "" {
-			agent = cluster.NewAgent(*clusterID, "http://"+*addr,
-				cluster.GossipConfig{Interval: *gossipEvery},
-				func() (bool, int, []string) {
-					return srv.Ready(), srv.SessionCount(), srv.ProgramIDs()
-				})
-			mux.HandleFunc("POST /cluster/v1/gossip", agent.Handler())
-			agent.Start()
-			log.Printf("dopia-serve: cluster member %q, gossiping every %v", *clusterID, *gossipEvery)
-		}
-		if *pprofOn {
-			mountPprof(mux)
-			log.Printf("dopia-serve: pprof mounted at /debug/pprof/")
-		}
+		mountPprof(mux)
+		log.Printf("dopia-serve: pprof mounted at /debug/pprof/")
 		mux.Handle("/", handler)
 		handler = mux
 	}
@@ -152,13 +135,10 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	// Refuse new launches first — the gossip agent keeps heartbeating
-	// through the drain, so the flipped ready bit spreads and the router
+	// Refuse new launches first — /healthz keeps answering through the
+	// drain with ready=false, so a router's next probe sees it and
 	// migrates this member's sessions away while admitted work finishes.
 	drainErr := srv.Shutdown(ctx)
-	if agent != nil {
-		agent.Stop()
-	}
 	if err := ms.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("dopia-serve: shutdown: %v", err)
 	}

@@ -1,7 +1,7 @@
 package cluster
 
 // The chaos controller injects node-level faults into a running local
-// cluster on a deterministic schedule: node kill, gossip partition,
+// cluster on a deterministic schedule: node kill, probe partition,
 // slow node, and program-cache eviction (the faults.NodeFaultClass
 // set). Schedules are parsed from a compact spec string so dopia-load
 // and CI can describe a whole failure scenario in one flag:

@@ -31,13 +31,17 @@ __kernel void acc(__global float* x, __global float* y, int n) {
 
 const bufN = 64
 
-func testGossip() GossipConfig {
-	return GossipConfig{
-		Interval:     25 * time.Millisecond,
-		SuspectAfter: 150 * time.Millisecond,
-		DeadAfter:    350 * time.Millisecond,
-		Seed:         7,
+// waitFor polls cond until it holds or the deadline lapses.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
+	t.Fatalf("timed out waiting for %s", what)
 }
 
 // harness is a cluster under test plus a standalone reference daemon.
@@ -55,11 +59,9 @@ func newHarness(t *testing.T, nodes, sessions int) *harness {
 	l, err := StartLocal(LocalConfig{
 		Nodes:  nodes,
 		Server: server.Config{Machine: sim.Kaveri()},
-		Gossip: testGossip(),
 		Router: RouterConfig{
 			JanitorInterval: 50 * time.Millisecond,
 			CallTimeout:     10 * time.Second,
-			Gossip:          func() GossipConfig { g := testGossip(); g.Seed = 99; return g }(),
 		},
 	})
 	if err != nil {
@@ -253,15 +255,15 @@ func (h *harness) waitReplicated() {
 // that dies while it holds the only copy is lost by design — so the kill
 // waits until every session has two live copies. That wait is not what
 // fixed the "503: ring down" this test hit about one run in ten under
-// CPU load; the test's claim was right and the router was wrong. A
-// member used to gossip one unready record during Join; when a peer
-// relayed it to the router after AddNode's readiness probe it outranked
-// the probe, and the first janitor pass drained a healthy member. That
-// drain lost sessions two ways: migrateLocked closed the session on the
-// member it had just rebuilt the replica on (the drained one, ready
-// again by then), so the kill promoted a replica that held nothing; and
-// a drain racing the kill dropped live replicas whose primary then died
-// before the rebuild. Join no longer announces unready, and
+// CPU load; the test's claim was right and the router was wrong: the
+// membership mesh of the time relayed a stale unready record that
+// outranked the router's own readiness probe, and the first janitor pass
+// drained a healthy member. That drain lost sessions two ways:
+// migrateLocked closed the session on the member it had just rebuilt the
+// replica on (the drained one, ready again by then), so the kill promoted
+// a replica that held nothing; and a drain racing the kill dropped live
+// replicas whose primary then died before the rebuild. The mesh is gone —
+// the router's probe is now the only source of readiness — and
 // TestMigrateKeepsRebuiltReplica and TestJanitorRestoresReplica pin the
 // two router repairs.
 func TestClusterKillFailoverZeroLoss(t *testing.T) {
@@ -480,8 +482,8 @@ func TestClusterDrainRaceMigration(t *testing.T) {
 		}(sid)
 	}
 
-	// Drain the victim mid-burst: it flips unready, gossip spreads the
-	// flag, and the janitor migrates its primaries while launches race.
+	// Drain the victim mid-burst: it flips unready, the next probe reads
+	// the flag, and the janitor migrates its primaries while launches race.
 	time.Sleep(10 * time.Millisecond)
 	h.l.Node(victim).BeginDrain()
 

@@ -3,7 +3,7 @@ package cluster
 // Local boots a whole cluster in one process on loopback listeners —
 // a router plus N member nodes ("n0".."nN-1") — for tests, the
 // cluster-smoke CI job, and dopia-load's multi-node mode. Every
-// component is the real thing (real HTTP, real gossip, real daemon
+// component is the real thing (real HTTP, real probes, real daemon
 // cores); only the machine is simulated, same as single-node dopia.
 
 import (
@@ -22,10 +22,7 @@ type LocalConfig struct {
 	Nodes int
 	// Server templates each member's daemon config (Machine required).
 	Server server.Config
-	// Gossip templates each agent; per-agent seeds are derived from
-	// Gossip.Seed so the mesh's traffic replays deterministically.
-	Gossip GossipConfig
-	// Router configures the front door (Gossip inherited if zero).
+	// Router configures the front door.
 	Router RouterConfig
 }
 
@@ -39,20 +36,15 @@ type Local struct {
 	ln net.Listener
 }
 
-// StartLocal boots the members, joins them into one gossip mesh,
-// registers them with the router, and serves the router on loopback.
+// StartLocal boots the members, registers them with the router, and
+// serves the router on loopback.
 func StartLocal(cfg LocalConfig) (*Local, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
-	if cfg.Router.Gossip == (GossipConfig{}) {
-		cfg.Router.Gossip = cfg.Gossip
-	}
 
 	l := &Local{}
 	for i := 0; i < cfg.Nodes; i++ {
-		g := cfg.Gossip
-		g.Seed = cfg.Gossip.Seed + int64(i) + 1
 		scfg := cfg.Server
 		// Every member gets a private Machine: identical parameters
 		// (bit-exactness needs that), independent object.
@@ -64,20 +56,12 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 		n, err := StartNode(NodeConfig{
 			ID:     fmt.Sprintf("n%d", i),
 			Server: scfg,
-			Gossip: g,
 		})
 		if err != nil {
 			l.shutdownNodes()
 			return nil, err
 		}
 		l.Nodes = append(l.Nodes, n)
-	}
-	peers := make([]string, 0, len(l.Nodes))
-	for _, n := range l.Nodes {
-		peers = append(peers, n.URL)
-	}
-	for _, n := range l.Nodes {
-		n.Join(peers)
 	}
 
 	l.Router = NewRouter(cfg.Router)

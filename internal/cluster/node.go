@@ -1,11 +1,11 @@
 package cluster
 
-// A cluster Node is one dopia-serve daemon plus a gossip agent, bound
-// to a real loopback listener. The router and the chaos controller
-// treat it as a full network peer: killing it closes the TCP listener
-// mid-request (in-flight connections drop, exactly like a crashed
-// process), slowing it injects latency in front of every request, and
-// partitioning it silences its gossip while the data path stays up.
+// A cluster Node is one dopia-serve daemon bound to a real loopback
+// listener. The router and the chaos controller treat it as a full
+// network peer: killing it closes the TCP listener mid-request
+// (in-flight connections drop, exactly like a crashed process), slowing
+// it injects latency in front of every request, and partitioning it
+// fails the router's /healthz probe while the data path stays up.
 
 import (
 	"context"
@@ -23,11 +23,7 @@ type NodeConfig struct {
 	// ID names the member on the ring (required).
 	ID string
 	// Server configures the embedded daemon (Machine required).
-	// StartUnready is forced: a member is born unready and flips ready
-	// when it joins the mesh.
 	Server server.Config
-	// Gossip configures the member's agent.
-	Gossip GossipConfig
 	// Addr is the listen address (default "127.0.0.1:0").
 	Addr string
 }
@@ -37,22 +33,21 @@ type Node struct {
 	ID  string
 	URL string
 
-	Srv   *server.Server
-	Agent *Agent
+	Srv *server.Server
 
-	ln     net.Listener
-	hs     *http.Server
-	slowNS atomic.Int64
-	killed atomic.Bool
+	ln          net.Listener
+	hs          *http.Server
+	slowNS      atomic.Int64
+	partitioned atomic.Bool
+	killed      atomic.Bool
 }
 
-// StartNode boots a member: daemon core, gossip agent, loopback HTTP
-// listener. The node is serving but unready until Join.
+// StartNode boots a member: daemon core and loopback HTTP listener. It
+// is born ready; a router routes to it from its first answered probe.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: NodeConfig.ID is required")
 	}
-	cfg.Server.StartUnready = true
 	srv, err := server.New(cfg.Server)
 	if err != nil {
 		return nil, err
@@ -71,63 +66,47 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Srv: srv,
 		ln:  ln,
 	}
-	n.Agent = NewAgent(cfg.ID, n.URL, cfg.Gossip, func() (bool, int, []string) {
-		return srv.Ready(), srv.SessionCount(), srv.ProgramIDs()
-	})
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/v1/gossip", n.Agent.Handler())
-	mux.Handle("/", srv.Handler())
-	n.hs = &http.Server{Handler: n.slowMiddleware(mux)}
+	n.hs = &http.Server{Handler: n.faultMiddleware(srv.Handler())}
 	go func() { _ = n.hs.Serve(ln) }()
 	return n, nil
 }
 
-// slowMiddleware injects the node's current artificial latency in
-// front of every request — the node.slow fault class.
-func (n *Node) slowMiddleware(next http.Handler) http.Handler {
+// faultMiddleware applies the node's injected faults in front of every
+// request: the node.slow latency, and the node.partition probe blackout.
+func (n *Node) faultMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if d := time.Duration(n.slowNS.Load()); d > 0 {
 			time.Sleep(d)
+		}
+		if r.URL.Path == "/healthz" && n.partitioned.Load() {
+			http.Error(w, "partitioned", http.StatusServiceUnavailable)
+			return
 		}
 		next.ServeHTTP(w, r)
 	})
 }
 
-// Join connects the member to the mesh: seed the agent with peer
-// addresses, flip ready, start gossiping, and run one synchronous round
-// so the view is primed. Ready flips before the first round so the
-// member never announces itself unready: an unready record that a peer
-// relays after a router's own readiness probe outranks the probe, and
-// the router's janitor then drains a healthy member.
-func (n *Node) Join(peers []string) {
-	n.Agent.SeedPeers(peers)
-	n.Srv.SetReady(true)
-	n.Agent.Start()
-	n.Agent.GossipNow()
-}
-
-// Kill simulates a crash: gossip stops and the listener closes
-// immediately, dropping in-flight connections. The daemon core is not
-// drained — exactly like a killed process, whatever was mid-launch is
-// simply gone from the caller's perspective.
+// Kill simulates a crash: the listener closes immediately, dropping
+// in-flight connections. The daemon core is not drained — exactly like
+// a killed process, whatever was mid-launch is simply gone from the
+// caller's perspective.
 func (n *Node) Kill() {
 	if n.killed.Swap(true) {
 		return
 	}
-	n.Agent.Stop()
 	_ = n.hs.Close()
 }
 
 // SetSlow sets the per-request injected latency (0 clears it).
 func (n *Node) SetSlow(d time.Duration) { n.slowNS.Store(int64(d)) }
 
-// SetPartitioned toggles a gossip partition: the member keeps serving
-// launches but falls silent on the mesh, so observers age it to dead.
-func (n *Node) SetPartitioned(p bool) { n.Agent.SetPartitioned(p) }
+// SetPartitioned toggles a partition from the failure detector: the
+// member keeps serving launches but stops answering the router's probe,
+// so the router ages it to dead.
+func (n *Node) SetPartitioned(p bool) { n.partitioned.Store(p) }
 
-// BeginDrain flips the member unready. Gossip spreads the flag; the
-// router reacts by migrating the node's primaries away, after which
+// BeginDrain flips the member unready. The router's next probe reads
+// the flag and it migrates the node's primaries away, after which
 // Shutdown completes the drain.
 func (n *Node) BeginDrain() { n.Srv.SetReady(false) }
 
@@ -135,7 +114,6 @@ func (n *Node) BeginDrain() { n.Srv.SetReady(false) }
 // just has its daemon core reaped.
 func (n *Node) Shutdown(ctx context.Context) error {
 	if !n.killed.Swap(true) {
-		n.Agent.Stop()
 		defer func() { _ = n.hs.Close() }()
 	}
 	return n.Srv.Shutdown(ctx)

@@ -1,7 +1,7 @@
 // Package cluster is the horizontal tier of dopiad: a router that
 // places tenant sessions on a ring of dopia-serve nodes by consistent
-// hashing, gossips node health and program-cache contents over a
-// lightweight heartbeat protocol, replicates session state to a
+// hashing, probes every node's /healthz for its health and
+// program-registry contents, replicates session state to a
 // successor node, and fails sessions over — with idempotency keys
 // making retried launches apply exactly once — when a node dies
 // mid-launch. Every launch on every node still runs the full

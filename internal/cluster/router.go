@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,11 +44,11 @@ type RouterConfig struct {
 	CallTimeout time.Duration
 	// RetryAfter is the hint on ring-down 503s (default 1s).
 	RetryAfter time.Duration
-	// JanitorInterval paces the repair loop: dead-node failover,
-	// drain migration, program anti-entropy (default 100ms).
+	// JanitorInterval paces the repair loop: one /healthz probe of every
+	// member, then dead-node failover, drain migration and program
+	// anti-entropy off the answers (default 100ms). The member table's
+	// thresholds are multiples of it (members.go).
 	JanitorInterval time.Duration
-	// Gossip configures the router's mesh agent.
-	Gossip GossipConfig
 }
 
 func (c *RouterConfig) fillDefaults() {
@@ -65,13 +64,6 @@ func (c *RouterConfig) fillDefaults() {
 	if c.JanitorInterval <= 0 {
 		c.JanitorInterval = 100 * time.Millisecond
 	}
-}
-
-// nodeRef is the router's handle on one member.
-type nodeRef struct {
-	id   string
-	addr string
-	c    *server.Client
 }
 
 // placement is one logical session's location: a primary node serving
@@ -110,23 +102,20 @@ const sourceRegistryCap = 256
 
 // Router places sessions, mirrors state, and repairs the ring.
 type Router struct {
-	cfg   RouterConfig
-	ring  *Ring
-	agent *Agent
-	hc    *http.Client
-	mux   *http.ServeMux
-	start time.Time
+	cfg    RouterConfig
+	ring   *Ring
+	hc     *http.Client // data path
+	hzc    *http.Client // probes
+	limits server.BodyLimits
+	mux    *http.ServeMux
+	start  time.Time
 
 	mu         sync.Mutex
-	nodes      map[string]*nodeRef
+	members    map[string]*member
 	placements map[string]*placement
 	// sources holds program ID -> source for (re-)push, least recently
 	// launched first out. Locks itself; not guarded by mu.
 	sources *lru.Cache[string, string]
-	// deadHandled/drainHandled dedupe janitor reactions per node until
-	// the node returns to alive+ready.
-	deadHandled  map[string]bool
-	drainHandled map[string]bool
 
 	nextSession atomic.Int64
 	nextIdem    atomic.Int64
@@ -142,24 +131,18 @@ type Router struct {
 func NewRouter(cfg RouterConfig) *Router {
 	cfg.fillDefaults()
 	r := &Router{
-		cfg:          cfg,
-		ring:         NewRing(cfg.Vnodes),
-		hc:           &http.Client{Timeout: cfg.CallTimeout},
-		start:        time.Now(),
-		nodes:        map[string]*nodeRef{},
-		placements:   map[string]*placement{},
-		sources:      lru.New[string, string](sourceRegistryCap, nil),
-		deadHandled:  map[string]bool{},
-		drainHandled: map[string]bool{},
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:        cfg,
+		ring:       NewRing(cfg.Vnodes),
+		hc:         &http.Client{Timeout: cfg.CallTimeout},
+		hzc:        &http.Client{Timeout: probeTimeoutTicks * cfg.JanitorInterval},
+		limits:     server.DefaultBodyLimits(),
+		start:      time.Now(),
+		members:    map[string]*member{},
+		placements: map[string]*placement{},
+		sources:    lru.New[string, string](sourceRegistryCap, nil),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
-	r.agent = NewAgent("router", "", cfg.Gossip, func() (bool, int, []string) {
-		r.mu.Lock()
-		n := len(r.placements)
-		r.mu.Unlock()
-		return true, n, nil
-	})
 
 	m := http.NewServeMux()
 	m.HandleFunc("POST /v1/programs", r.handleProgram)
@@ -171,7 +154,6 @@ func NewRouter(cfg RouterConfig) *Router {
 	m.HandleFunc("GET /healthz", r.handleHealthz)
 	m.HandleFunc("GET /readyz", r.handleReadyz)
 	m.HandleFunc("GET /metrics", r.handleMetrics)
-	m.HandleFunc("POST /cluster/v1/gossip", r.agent.Handler())
 	m.HandleFunc("GET /cluster/v1/ring", r.handleRing)
 	m.HandleFunc("POST /cluster/v1/drain/{id}", r.handleDrain)
 	r.mux = m
@@ -181,26 +163,19 @@ func NewRouter(cfg RouterConfig) *Router {
 // Handler returns the router's HTTP handler.
 func (r *Router) Handler() http.Handler { return r.mux }
 
-// Agent exposes the router's gossip agent (tests, observability).
-func (r *Router) Agent() *Agent { return r.agent }
-
-// AddNode registers a member: probe its readiness directly (no gossip
-// warmup gap), seed the mesh with its address, add it to the ring, and
+// AddNode registers a member: probe it once (so a ready member is
+// routable without waiting for a janitor tick), add it to the ring, and
 // push every known program so it can serve any session immediately.
 func (r *Router) AddNode(id, addr string) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("cluster: AddNode needs id and addr")
 	}
 	c := server.NewClient(addr, r.hc)
-	ready := false
-	if rr, err := c.Readyz(); err == nil && rr.Ready {
-		ready = true
-	}
-	r.agent.Observe(NodeState{ID: id, Addr: addr, Incarnation: 1, Heartbeat: 1, Ready: ready})
-	r.agent.SeedPeers([]string{addr})
+	m := &member{addr: addr, c: c, hz: server.NewClient(addr, r.hzc)}
+	m.observe(m.hz.Healthz())
 
 	r.mu.Lock()
-	r.nodes[id] = &nodeRef{id: id, addr: addr, c: c}
+	r.members[id] = m
 	r.mu.Unlock()
 	r.ring.Add(id)
 
@@ -212,10 +187,9 @@ func (r *Router) AddNode(id, addr string) error {
 	return nil
 }
 
-// Start launches the gossip agent and the janitor.
+// Start launches the janitor.
 func (r *Router) Start() {
 	r.startOnce.Do(func() {
-		r.agent.Start()
 		go func() {
 			defer close(r.done)
 			tick := time.NewTicker(r.cfg.JanitorInterval)
@@ -232,7 +206,7 @@ func (r *Router) Start() {
 	})
 }
 
-// Close stops the janitor and the gossip agent.
+// Close stops the janitor.
 func (r *Router) Close() {
 	select {
 	case <-r.stop:
@@ -241,18 +215,14 @@ func (r *Router) Close() {
 	}
 	r.startOnce.Do(func() { close(r.done) })
 	<-r.done
-	r.agent.Stop()
 }
-
-// healthy is the ring placement filter: alive and ready per the view.
-func (r *Router) healthy(id string) bool { return r.agent.Healthy(id) }
 
 // client returns the member's API client.
 func (r *Router) client(id string) *server.Client {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n, ok := r.nodes[id]; ok {
-		return n.c
+	if m, ok := r.members[id]; ok {
+		return m.c
 	}
 	return nil
 }
@@ -284,8 +254,8 @@ func isMissingProgram(err error) bool {
 }
 
 // isMissingSession detects a 404 for a session the router believes the
-// node holds — state lost on that node (restart, eviction); treated as
-// a node failure for this session.
+// node holds — state lost on that node (restart, eviction, a direct
+// close). That placement fails over; the node itself is not at fault.
 func isMissingSession(err error) bool {
 	apiErr, ok := err.(*server.APIError)
 	return ok && apiErr.Status == http.StatusNotFound && strings.Contains(apiErr.Message, "no session")
@@ -308,11 +278,11 @@ func (r *Router) pushProgram(nodeID, progID string) bool {
 	return true
 }
 
-// failoverLocked moves a placement off a failed node. Caller holds
-// p.mu. Returns false when the session is unrecoverable (primary dead
-// with no replica).
+// failoverLocked moves a placement off a node that can no longer serve
+// it. It passes no verdict on the node: callers condemn it first when
+// the failure was the node's. Caller holds p.mu. Returns false when the
+// session is unrecoverable (primary gone with no replica).
 func (r *Router) failoverLocked(p *placement, dead string) bool {
-	r.agent.MarkDead(dead)
 	if p.replica == dead {
 		p.replica = ""
 	}
@@ -391,7 +361,7 @@ func (r *Router) applyReplicaLaunch(p *placement, req *server.LaunchRequest, raw
 		// blind: missing session → rebuild in place; node failure →
 		// condemn the node and rebuild elsewhere.
 		if isNodeFailure(err) {
-			r.agent.MarkDead(p.replica)
+			r.condemn(p.replica)
 		}
 		r.rebuildReplicaLocked(p)
 		return
@@ -444,28 +414,24 @@ func (r *Router) ringDown(w http.ResponseWriter) {
 // pushes it to every healthy member. Succeeds if any member took it.
 func (r *Router) handleProgram(w http.ResponseWriter, req *http.Request) {
 	var pr server.ProgramRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil || pr.Source == "" {
+	if !server.DecodeBody(w, req, r.limits.Program, &pr) {
+		return
+	}
+	if pr.Source == "" {
 		r.writeError(w, http.StatusBadRequest, fmt.Errorf("bad program request"))
 		return
 	}
 	id := server.ProgramID(pr.Source)
 	_, known := r.sources.Get(id)
 	r.sources.Put(id, pr.Source)
-	r.mu.Lock()
-	nodes := make([]*nodeRef, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	r.mu.Unlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
 
 	var out *server.ProgramResponse
 	var lastErr error
-	for _, n := range nodes {
-		if !r.healthy(n.id) {
+	for _, nid := range r.memberIDs() {
+		if !r.healthy(nid) {
 			continue
 		}
-		resp, err := n.c.Compile(pr.Source)
+		resp, err := r.client(nid).Compile(pr.Source)
 		if err != nil {
 			lastErr = err
 			continue
@@ -491,11 +457,8 @@ func (r *Router) handleProgram(w http.ResponseWriter, req *http.Request) {
 // replica on the successor, both created under one global ID.
 func (r *Router) handleCreateSession(w http.ResponseWriter, req *http.Request) {
 	var sr server.SessionRequest
-	if req.ContentLength != 0 {
-		if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-			r.writeError(w, http.StatusBadRequest, fmt.Errorf("bad session request"))
-			return
-		}
+	if req.ContentLength != 0 && !server.DecodeBody(w, req, r.limits.Session, &sr) {
+		return
 	}
 	sid := sr.SessionID
 	if sid == "" {
@@ -507,7 +470,7 @@ func (r *Router) handleCreateSession(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusConflict, fmt.Errorf("session %q already exists", sid))
 		return
 	}
-	total := len(r.nodes)
+	total := len(r.members)
 	r.mu.Unlock()
 
 	p := &placement{id: sid}
@@ -523,7 +486,7 @@ func (r *Router) handleCreateSession(w http.ResponseWriter, req *http.Request) {
 		}
 		if err := c.NewSessionWithID(sid); err != nil {
 			if isNodeFailure(err) {
-				r.agent.MarkDead(members[0])
+				r.condemn(members[0])
 				continue
 			}
 			r.passThrough(w, err)
@@ -574,9 +537,10 @@ func (r *Router) handleCloseSession(w http.ResponseWriter, req *http.Request) {
 }
 
 // onPrimary runs call against the placement's primary, failing over and
-// calling again for as long as the primary is what failed. It reports
-// whether call succeeded; when it did not, the error response has been
-// written. Caller holds p.mu.
+// calling again for as long as the primary is what failed — condemning
+// it when the failure was the node's, leaving it alone when it merely
+// lost this session. It reports whether call succeeded; when it did not,
+// the error response has been written. Caller holds p.mu.
 func (r *Router) onPrimary(p *placement, w http.ResponseWriter, call func(*server.Client) error) bool {
 	for {
 		if p.primary == "" || p.lost {
@@ -592,7 +556,12 @@ func (r *Router) onPrimary(p *placement, w http.ResponseWriter, call func(*serve
 		if err == nil {
 			return true
 		}
-		if !isNodeFailure(err) && !isMissingSession(err) {
+		switch {
+		case isNodeFailure(err):
+			r.condemn(p.primary)
+		case isMissingSession(err):
+			// The member is fine; only this session is gone from it.
+		default:
 			r.passThrough(w, err)
 			return false
 		}
@@ -615,8 +584,7 @@ func (r *Router) handleCreateBuffer(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var br server.BufferRequest
-	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
-		r.writeError(w, http.StatusBadRequest, fmt.Errorf("bad buffer request"))
+	if !server.DecodeBody(w, req, r.limits.Buffer, &br) {
 		return
 	}
 	p.mu.Lock()
@@ -641,7 +609,7 @@ func (r *Router) handleCreateBuffer(w http.ResponseWriter, req *http.Request) {
 		if c := r.client(p.replica); c != nil {
 			if err := c.CreateBuffer(sid, &br); err != nil {
 				if isNodeFailure(err) {
-					r.agent.MarkDead(p.replica)
+					r.condemn(p.replica)
 				}
 				r.rebuildReplicaLocked(p)
 			}
@@ -675,7 +643,7 @@ func (r *Router) handleReadBuffer(w http.ResponseWriter, req *http.Request) {
 // replica. Session launches serialize on placement.mu so the replica
 // sees the identical order.
 func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(req.Body, r.limits.Launch))
 	if err != nil {
 		r.writeError(w, http.StatusBadRequest, fmt.Errorf("bad launch request"))
 		return
@@ -727,52 +695,42 @@ func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
 
 // ---------- repair loop ----------
 
-// janitor reacts to the gossip view: dead members are failed over,
-// alive-but-unready members are drained (sessions migrated away),
-// members whose gossiped program-cache lost entries get them re-pushed
-// (anti-entropy against cache eviction), and single-copy placements are
+// janitor is one tick of the repair loop: probe every member, then act
+// on the table — dead members are failed over, alive-but-unready members
+// are drained (sessions migrated away), members whose probe listed fewer
+// programs than the router holds get the rest re-pushed (anti-entropy
+// against registry eviction), and single-copy placements are
 // re-replicated.
 func (r *Router) janitor() {
-	view := r.agent.View()
-	r.mu.Lock()
-	ids := make([]string, 0, len(r.nodes))
-	for id := range r.nodes {
-		ids = append(ids, id)
-	}
-	r.mu.Unlock()
-	sort.Strings(ids)
-
-	for _, id := range ids {
-		v, ok := view[id]
-		if !ok {
-			continue
+	r.probeAll()
+	for _, id := range r.memberIDs() {
+		var failover, drain, repair bool
+		var programs []string
+		r.mu.Lock()
+		m := r.members[id]
+		switch st := m.status(); {
+		case st == StatusDead:
+			failover, m.deadHandled = !m.deadHandled, true
+		case st == StatusAlive && m.ready:
+			m.deadHandled, m.drainHandled = false, false
+			repair, programs = true, m.programs
+		case st == StatusAlive && !m.lastOK.IsZero():
+			// Answered and said unready; a member that has never
+			// answered has nothing to drain.
+			drain, m.drainHandled = !m.drainHandled, true
 		}
+		r.mu.Unlock()
+
 		switch {
-		case v.Status == StatusDead:
-			r.mu.Lock()
-			handled := r.deadHandled[id]
-			r.deadHandled[id] = true
-			r.mu.Unlock()
-			if !handled {
-				r.met.nodeDeaths.Add(1)
-				r.failoverNode(id)
-			}
-		case v.Status == StatusAlive && !v.State.Ready:
-			r.mu.Lock()
-			handled := r.drainHandled[id]
-			r.drainHandled[id] = true
-			r.mu.Unlock()
-			if !handled {
-				r.met.drains.Add(1)
-				r.drainNode(id)
-			}
-		case v.Status == StatusAlive && v.State.Ready:
-			r.mu.Lock()
-			delete(r.deadHandled, id)
-			delete(r.drainHandled, id)
-			r.mu.Unlock()
-			have := make(map[string]bool, len(v.State.Programs))
-			for _, pid := range v.State.Programs {
+		case failover:
+			r.met.nodeDeaths.Add(1)
+			r.failoverNode(id)
+		case drain:
+			r.met.drains.Add(1)
+			r.drainNode(id)
+		case repair:
+			have := make(map[string]bool, len(programs))
+			for _, pid := range programs {
 				have[pid] = true
 			}
 			r.sources.Each(func(pid, _ string) {
@@ -845,10 +803,16 @@ func (r *Router) migrateLocked(p *placement, from string) {
 	}
 	exp, err := fc.ExportSession(p.id)
 	if err != nil {
+		if isNodeFailure(err) {
+			r.condemn(from)
+		}
 		r.failoverLocked(p, from)
 		return
 	}
 	if err := tc.ImportSession(exp); err != nil {
+		if isNodeFailure(err) {
+			r.condemn(target)
+		}
 		r.failoverLocked(p, from)
 		return
 	}
@@ -879,12 +843,7 @@ func (r *Router) snapshotPlacements() []*placement {
 
 // healthyCount tallies routable members.
 func (r *Router) healthyCount() (healthy, total int) {
-	r.mu.Lock()
-	ids := make([]string, 0, len(r.nodes))
-	for id := range r.nodes {
-		ids = append(ids, id)
-	}
-	r.mu.Unlock()
+	ids := r.memberIDs()
 	for _, id := range ids {
 		if r.healthy(id) {
 			healthy++
@@ -941,8 +900,6 @@ func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 		Replica string `json:"replica,omitempty"`
 		Lost    bool   `json:"lost,omitempty"`
 	}
-	view := r.agent.View()
-	delete(view, "router")
 	placements := map[string]placementInfo{}
 	for _, p := range r.snapshotPlacements() {
 		p.mu.Lock()
@@ -951,7 +908,7 @@ func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"members":    r.ring.Members(),
-		"view":       view,
+		"view":       r.Members(),
 		"placements": placements,
 	})
 }
@@ -999,14 +956,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	counter("dopia_router_sessions_lost_total", "Sessions lost with no live replica (zero-loss violations).", r.met.sessionsLost.Load())
 
 	fmt.Fprintf(&b, "# HELP dopia_router_node_healthy Per-member health (1 alive+ready, 0 otherwise).\n# TYPE dopia_router_node_healthy gauge\n")
-	r.mu.Lock()
-	ids := make([]string, 0, len(r.nodes))
-	for id := range r.nodes {
-		ids = append(ids, id)
-	}
-	r.mu.Unlock()
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range r.memberIDs() {
 		hv := 0
 		if r.healthy(id) {
 			hv = 1

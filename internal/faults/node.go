@@ -23,7 +23,7 @@ const (
 	// in-flight connection is dropped, exactly like a process crash.
 	// Permanent until the node is explicitly restarted.
 	NodeKill NodeFaultClass = "node.kill"
-	// NodePartition cuts a node's gossip traffic in both directions
+	// NodePartition stops a node answering the router's health probe
 	// while the node itself keeps serving — the classic "healthy but
 	// unreachable to the failure detector" split.
 	NodePartition NodeFaultClass = "node.partition"

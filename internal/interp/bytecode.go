@@ -120,9 +120,8 @@ const (
 	// slot/site ride in imm (reg<<48 | slot<<32 | site).
 	opFMALd2MAF32
 
-	// opFMALoopF32 is a machine-mined fused loop head (see
-	// superinstructions_gen.go and cmd/dopia-superopt): it replaces the
-	// head of a 1-2 instruction loop body of opFMALd2F32/opFMALd2MAF32
+	// opFMALoopF32 is a fused loop head (see fuseFMALoops): it replaces
+	// the head of a 1-2 instruction loop body of opFMALd2F32/opFMALd2MAF32
 	// accumulations whose back edge is an opIncJCmpI jumping to the
 	// head. The head instruction keeps the first FMA's operands; norm
 	// holds the body length (number of FMA instructions), and the
@@ -174,63 +173,7 @@ const (
 	// Atomics (norm = atomicOp, a = operand register or -1, dst = old).
 	opAtomicL // slot = local index
 	opAtomicG // slot = parameter slot; kernel is pinned sequential anyway
-
-	// nOpcodes sizes the opcode n-gram profiler tables (opprof.go).
-	nOpcodes
 )
-
-// opNames names every opcode for profiler dumps and the superinstruction
-// miner (names are matched by cmd/dopia-superopt, so they are part of
-// the mining pipeline's interchange format).
-var opNames = [nOpcodes]string{
-	opNop: "Nop", opJmp: "Jmp", opJmpZI: "JmpZI", opJmpNZI: "JmpNZI",
-	opJmpZF: "JmpZF", opJmpNZF: "JmpNZF", opJCmpI: "JCmpI", opJCmpF: "JCmpF",
-	opRet: "Ret", opStatInt: "StatInt", opStatFloat: "StatFloat",
-	opChkDiv0: "ChkDiv0", opChkAtomG: "ChkAtomG",
-	opConstI: "ConstI", opConstF: "ConstF", opMovI: "MovI", opMovF: "MovF",
-	opI2F: "I2F", opF2I: "F2I",
-	opAddI: "AddI", opSubI: "SubI", opMulI: "MulI", opMulAddI: "MulAddI",
-	opDivI: "DivI", opDivU: "DivU", opRemI: "RemI", opRemU: "RemU",
-	opShlI: "ShlI", opShrI: "ShrI", opShrU: "ShrU", opAndI: "AndI",
-	opOrI: "OrI", opXorI: "XorI", opNegI: "NegI", opBitNotI: "BitNotI",
-	opIncDecI: "IncDecI", opStepI: "StepI", opCmpI: "CmpI", opNotI: "NotI",
-	opNotF: "NotF", opMinMaxI: "MinMaxI", opAbsI: "AbsI",
-	opAddF: "AddF", opSubF: "SubF", opMulF: "MulF", opDivF: "DivF",
-	opFMAAF32: "FMAAF32", opNegF: "NegF", opIncDecF: "IncDecF",
-	opStepF: "StepF", opCmpF: "CmpF", opMinMaxF: "MinMaxF",
-	opMath1: "Math1", opMath2: "Math2",
-	opFMALd2F32: "FMALd2F32", opIncJCmpI: "IncJCmpI",
-	opFMALd2MAF32: "FMALd2MAF32", opFMALoopF32: "FMALoopF32",
-	opWISta: "WISta", opWIDyn: "WIDyn",
-	opLdGF32: "LdGF32", opLdGF64: "LdGF64", opLdGI64: "LdGI64",
-	opLdGI32: "LdGI32", opStGF32: "StGF32", opStGF64: "StGF64",
-	opStGI64: "StGI64", opStGI32: "StGI32",
-	opLdLI: "LdLI", opLdLF: "LdLF", opStLI: "StLI", opStLF: "StLF",
-	opLdPI: "LdPI", opLdPF: "LdPF", opStPI: "StPI", opStPF: "StPF",
-	opLdLSI: "LdLSI", opLdLSF: "LdLSF", opStLSI: "StLSI", opStLSF: "StLSF",
-	opAtomicL: "AtomicL", opAtomicG: "AtomicG",
-}
-
-// opName returns the profiler/miner name of an opcode.
-func opName(op opcode) string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
-	}
-	return fmt.Sprintf("Op%d", int(op))
-}
-
-// KnownOpName reports whether name is a dispatchable opcode name as it
-// appears in OpProfile dumps. cmd/dopia-superopt validates mined
-// sequences against it before emitting code that references op<Name>
-// identifiers.
-func KnownOpName(name string) bool {
-	for _, n := range opNames {
-		if n != "" && n == name {
-			return true
-		}
-	}
-	return false
-}
 
 // norm codes for integer results (opcode-specific interpretation).
 const (
@@ -470,19 +413,10 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 		stats.Stores += stores
 		stats.StoreBytes += storeB
 	}()
-	// Opcode n-gram profiling (off on the hot path: one predictable
-	// branch per dispatch). History is per execBC call, so n-grams never
-	// span work-items.
-	profiling := opProfOn
-	var prof1, prof2 int32 = -1, -1
 	pc := 0
 	for pc < len(code) {
 		in := &code[pc]
 		pc++
-		if profiling {
-			opProfNote(prof2, prof1, int32(in.op))
-			prof2, prof1 = prof1, int32(in.op)
-		}
 		switch in.op {
 		case opNop:
 
@@ -840,7 +774,7 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 			}
 
 		case opFMALoopF32:
-			// Machine-mined fused loop: the whole 1-2 FMA body plus the
+			// Fused loop: the whole 1-2 FMA body plus the
 			// opIncJCmpI back edge runs in runFMALoop with buffers, site
 			// state, and classifier runs hoisted out of the dispatch
 			// loop. Counter deltas merge into the batched locals so the

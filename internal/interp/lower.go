@@ -414,12 +414,7 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 			p.paramI = append(p.paramI, pc)
 		}
 	}
-	// Mined peephole: fuse hot sequences from the generated
-	// superinstruction table. Skipped in opcode-profiling mode so the
-	// n-gram histograms show the base instruction stream being mined.
-	if !opProfOn {
-		applyMinedSuperinstructions(p)
-	}
+	fuseFMALoops(p)
 	return p, nil
 }
 

@@ -167,7 +167,8 @@ func TestSessionExportImportRoundTrip(t *testing.T) {
 }
 
 func TestStartUnreadyAndEviction(t *testing.T) {
-	s, _, c := newTestServer(t, func(cfg *Config) { cfg.StartUnready = true })
+	s, _, c := newTestServer(t, nil)
+	s.SetReady(false)
 	if _, err := c.Readyz(); err == nil {
 		t.Fatal("unready readyz succeeded, want 503")
 	}

@@ -185,7 +185,6 @@ func TestCrossProtocolConformance(t *testing.T) {
 	ring, err := cluster.StartLocal(cluster.LocalConfig{
 		Nodes:  2,
 		Server: server.Config{Machine: sim.Kaveri()},
-		Gossip: cluster.GossipConfig{Interval: 50 * time.Millisecond, Seed: 1},
 		Router: cluster.RouterConfig{JanitorInterval: 50 * time.Millisecond},
 	})
 	if err != nil {

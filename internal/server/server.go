@@ -62,10 +62,6 @@ type Config struct {
 	MaxSourceBytes int64
 	// WatchdogTimeout is passed to the framework (0 = its default).
 	WatchdogTimeout time.Duration
-	// StartUnready makes the daemon report not-ready on /readyz until
-	// SetReady(true) — cluster members stay out of routing until they
-	// have joined the gossip mesh. Standalone daemons are born ready.
-	StartUnready bool
 	// LaunchMemoBytes bounds the completed-launch memo that answers
 	// identical launches without re-executing (see coalesce.go).
 	// 0 = default 64 MiB; negative disables the memo (in-flight
@@ -98,10 +94,10 @@ func (c *Config) fillDefaults() error {
 		c.MaxSessions = 4096
 	}
 	if c.MaxBufferBytes <= 0 {
-		c.MaxBufferBytes = 256 << 20
+		c.MaxBufferBytes = defaultMaxBufferBytes
 	}
 	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
+		c.MaxSourceBytes = defaultMaxSourceBytes
 	}
 	if c.LaunchMemoBytes == 0 {
 		c.LaunchMemoBytes = 64 << 20
@@ -109,10 +105,40 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
+const (
+	defaultMaxBufferBytes = 256 << 20
+	defaultMaxSourceBytes = 1 << 20
+)
+
+// BodyLimits bounds the JSON request bodies of the mutating endpoints a
+// router fronts, in bytes. A body past its limit reads as truncated JSON
+// and is refused with 400.
+type BodyLimits struct {
+	Program, Session, Buffer, Launch int64
+}
+
+func bodyLimits(maxBufferBytes, maxSourceBytes int64) BodyLimits {
+	return BodyLimits{
+		Program: maxSourceBytes + 4096,
+		Session: 4096,
+		// A buffer's bytes travel base64-encoded inside JSON.
+		Buffer: maxBufferBytes*2 + 4096,
+		Launch: 1 << 20,
+	}
+}
+
+// DefaultBodyLimits are the limits of a daemon with default buffer and
+// source bounds — what a router, which has no Config of a member's to
+// read, applies in front of its ring.
+func DefaultBodyLimits() BodyLimits {
+	return bodyLimits(defaultMaxBufferBytes, defaultMaxSourceBytes)
+}
+
 // Server is the dopia-serve daemon core: an http.Handler plus the
 // admission queue and worker pool behind it.
 type Server struct {
 	cfg      Config
+	limits   BodyLimits
 	fw       *core.Framework
 	platform *ocl.Platform
 	mux      *http.ServeMux
@@ -132,8 +158,8 @@ type Server struct {
 	// pending.Wait can never race an in-flight pending.Add.
 	admitMu  sync.Mutex
 	draining atomic.Bool
-	// ready gates /readyz: a draining or not-yet-joined node reports
-	// unready so routers pull it from the ring before it refuses work.
+	// ready gates /readyz: a node about to drain reports unready so
+	// routers move its sessions before it refuses work.
 	// Liveness (/healthz) is independent and stays 200 throughout.
 	ready    atomic.Bool
 	inflight atomic.Int64
@@ -225,6 +251,7 @@ func New(cfg Config) (*Server, error) {
 	fw.WatchdogTimeout = cfg.WatchdogTimeout
 	s := &Server{
 		cfg:         cfg,
+		limits:      bodyLimits(cfg.MaxBufferBytes, cfg.MaxSourceBytes),
 		fw:          fw,
 		platform:    ocl.NewPlatform(cfg.Machine),
 		start:       time.Now(),
@@ -269,7 +296,7 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.queues {
 		s.queues[i] = make(chan *launch, perWorker)
 	}
-	s.ready.Store(!cfg.StartUnready)
+	s.ready.Store(true)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/programs", s.handleProgram)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
@@ -346,9 +373,9 @@ func (c *countingResponseWriter) Write(p []byte) (int, error) { return c.body.Wr
 // observability and tests.
 func (s *Server) Framework() *core.Framework { return s.fw }
 
-// SetReady flips the readiness gate. Cluster members call
-// SetReady(true) once joined to the gossip mesh and SetReady(false) to
-// begin a drain; /readyz reflects it immediately.
+// SetReady flips the readiness gate. A cluster member calls
+// SetReady(false) to begin a drain; /readyz and the ready field of
+// /healthz, which the router probes, reflect it immediately.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Ready reports whether the daemon is accepting routed work: ready and
@@ -359,8 +386,8 @@ func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ProgramIDs lists the content-addressed IDs in the program registry,
-// sorted. Gossiped as the node's program-cache contents so routers can
-// re-push anything missing.
+// sorted. /healthz reports them, so a router can re-push anything
+// missing.
 func (s *Server) ProgramIDs() []string {
 	ids := []string{}
 	s.programs.Each(func(id string, _ *program) { ids = append(ids, id) })
@@ -368,7 +395,7 @@ func (s *Server) ProgramIDs() []string {
 	return ids
 }
 
-// SessionCount reports the number of live sessions (for gossip).
+// SessionCount reports the number of live sessions.
 func (s *Server) SessionCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -442,7 +469,9 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, resp)
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+// DecodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it has answered 400 and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	body := io.LimitReader(r.Body, limit)
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
@@ -495,7 +524,7 @@ func (s *Server) registerProgram(source string) (p *program, cached bool, status
 
 func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	var req ProgramRequest
-	if !decodeBody(w, r, s.cfg.MaxSourceBytes+4096, &req) {
+	if !DecodeBody(w, r, s.limits.Program, &req) {
 		s.met.badRequests.Add(1)
 		return
 	}
@@ -545,7 +574,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// on primary and replica nodes by naming it explicitly.
 	var req SessionRequest
 	if r.ContentLength != 0 {
-		if !decodeBody(w, r, 4096, &req) {
+		if !DecodeBody(w, r, s.limits.Session, &req) {
 			s.met.badRequests.Add(1)
 			return
 		}
@@ -584,7 +613,7 @@ func (s *Server) handleImportSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var exp SessionExport
-	if !decodeBody(w, r, s.cfg.MaxBufferBytes*4+(1<<20), &exp) {
+	if !DecodeBody(w, r, s.cfg.MaxBufferBytes*4+(1<<20), &exp) {
 		s.met.badRequests.Add(1)
 		return
 	}
@@ -660,7 +689,7 @@ func (s *Server) handleCreateBuffer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BufferRequest
-	if !decodeBody(w, r, s.cfg.MaxBufferBytes*2+4096, &req) {
+	if !DecodeBody(w, r, s.limits.Buffer, &req) {
 		s.met.badRequests.Add(1)
 		return
 	}
@@ -695,7 +724,7 @@ func (s *Server) handleReadBuffer(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	var req LaunchRequest
-	if !decodeBody(w, r, 1<<20, &req) {
+	if !DecodeBody(w, r, s.limits.Launch, &req) {
 		s.met.badRequests.Add(1)
 		return
 	}
@@ -748,9 +777,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case !s.ready.Load():
 		status = "not-ready"
 	}
-	s.mu.Lock()
-	nSessions := len(s.sessions)
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:        status,
 		Ready:         s.Ready(),
@@ -758,8 +784,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    s.queueLen(),
 		QueueCapacity: s.queueCap(),
 		InFlight:      int(s.inflight.Load()),
-		Sessions:      nSessions,
+		Sessions:      s.SessionCount(),
 		Launches:      s.met.launchesOK.Load(),
+		Programs:      s.ProgramIDs(),
 	})
 }
 
