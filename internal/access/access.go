@@ -69,7 +69,18 @@ type Classifier struct {
 	bins  [2]strideBin
 	nbins int
 	over  []strideBin
+	// idx finds a delta's bin in over once an indirect stream has spilled
+	// more than overScanMax distinct strides: an open-addressing table of
+	// positions into over, plus one (0 marks a free slot). It is only ever
+	// a lookup aid — over stays the first-observed-order record Merge and
+	// Pattern read — so the classification of a stream cannot depend on
+	// whether, or when, the table was built.
+	idx []int32
 }
+
+// overScanMax is the overflow length up to which addStride scans over
+// linearly; past it the lookup goes through idx.
+const overScanMax = 8
 
 // Observe records a delta, in elements, between two consecutive accesses.
 func (c *Classifier) Observe(deltaElems int64) {
@@ -107,17 +118,11 @@ func (c *Classifier) ObserveRun(deltaElems, count int64) {
 }
 
 // addStride credits count occurrences of a distinct stride, preserving
-// first-observed order.
+// first-observed order. It is O(1) for any number of distinct strides.
 func (c *Classifier) addStride(delta, count int64) {
 	for i := 0; i < c.nbins; i++ {
 		if c.bins[i].delta == delta {
 			c.bins[i].count += count
-			return
-		}
-	}
-	for i := range c.over {
-		if c.over[i].delta == delta {
-			c.over[i].count += count
 			return
 		}
 	}
@@ -126,7 +131,52 @@ func (c *Classifier) addStride(delta, count int64) {
 		c.nbins++
 		return
 	}
+	if c.idx == nil {
+		for i := range c.over {
+			if c.over[i].delta == delta {
+				c.over[i].count += count
+				return
+			}
+		}
+		c.over = append(c.over, strideBin{delta, count})
+		if len(c.over) > overScanMax {
+			c.reindex(4 * overScanMax)
+		}
+		return
+	}
+	mask := uint64(len(c.idx) - 1)
+	slot := hashDelta(delta) & mask
+	for ; c.idx[slot] != 0; slot = (slot + 1) & mask {
+		if b := &c.over[c.idx[slot]-1]; b.delta == delta {
+			b.count += count
+			return
+		}
+	}
 	c.over = append(c.over, strideBin{delta, count})
+	c.idx[slot] = int32(len(c.over))
+	if 2*len(c.over) > len(c.idx) {
+		c.reindex(2 * len(c.idx))
+	}
+}
+
+// reindex rebuilds idx over size slots (a power of two, at least twice
+// len(over), so probes always end at a free slot).
+func (c *Classifier) reindex(size int) {
+	c.idx = make([]int32, size)
+	mask := uint64(size - 1)
+	for i := range c.over {
+		slot := hashDelta(c.over[i].delta) & mask
+		for c.idx[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		c.idx[slot] = int32(i + 1)
+	}
+}
+
+// hashDelta spreads a stride over the table (Fibonacci hashing: the high
+// bits of the product, which every bit of the delta reaches).
+func hashDelta(delta int64) uint64 {
+	return (uint64(delta) * 0x9e3779b97f4a7c15) >> 32
 }
 
 // Merge absorbs the observations of another classifier as if its delta

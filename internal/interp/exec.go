@@ -357,11 +357,13 @@ func (ex *Exec) ShardPinned() string {
 }
 
 // seqState returns the sequential/shard-0 execution state, prepared for
-// the current launch, statistics, and trace sink.
-func (ex *Exec) seqState() *runState {
+// the current launch, statistics, and trace sink, with the run's
+// classifier gate set (see runState.profiled).
+func (ex *Exec) seqState(profiled bool) *runState {
 	if ex.seq == nil {
 		ex.seq = &runState{ex: ex}
 	}
+	ex.seq.profiled = profiled
 	ex.seq.prepare(ex.stats, ex.Sink)
 	return ex.seq
 }
@@ -443,6 +445,14 @@ type runState struct {
 	irScratch [][]int64
 	frScratch [][]float64
 
+	// profiled says what the run the state was claimed for is for: true
+	// keeps the per-access pattern profile (of every group, or of the
+	// sampled ones), false is a run made for its output (RunUnprofiled),
+	// whose groups all skip the classifier while counters and trace stay
+	// exact. Set by whoever claims the state for a run (seqState,
+	// shardState).
+	profiled bool
+
 	// Access-sampling decision inputs, resolved by prepare.
 	sampleThresh uint64
 	sampleSeed   uint64
@@ -451,6 +461,11 @@ type runState struct {
 	// trace log, merged deterministically in shard order.
 	ownStats *RunStats
 	log      *traceLog
+
+	// affineLoops counts the fused loops runFMALoopAffine served. Both
+	// ways of running such a loop are bit-identical in every result, so
+	// this is the only place a test can see which one ran.
+	affineLoops int64
 }
 
 // prepare sizes the scratch for the executor's current launch and points
@@ -548,7 +563,7 @@ func (rs *runState) runGroup(linear int) (err error) {
 	}
 
 	e := &rs.env
-	e.classify = groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
+	e.classify = rs.profiled && groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
 	nd := &rs.nd
 	l0, l1 := int64(nd.Local[0]), int64(nd.Local[1])
 	baseWI := int64(linear) * int64(wgSize)

@@ -257,8 +257,19 @@ func (rs *runState) runSpanAborting(start, count, shard int) error {
 // work-group independent (see ShardPinned) the list is split across
 // Parallelism shard workers; otherwise it is walked exactly that way.
 // On failure the error of the earliest failing group in list order is
-// returned.
-func (ex *Exec) RunSegments(segs []Segment) error {
+// returned. Like Run, RunGroupSpan and RunSampled it keeps the per-access
+// pattern profile of every Exec in the list.
+func (ex *Exec) RunSegments(segs []Segment) error { return ex.runSegments(segs, true) }
+
+// RunUnprofiled is RunSegments for a caller that wants the segments'
+// output and not their access profile: buffers, aggregate counters, traces
+// and errors are those of RunSegments, but no work-group of any Exec in
+// the list runs the per-access pattern classifier, so the site profiles
+// stay as they were. A managed launch's functional plan runs this way —
+// its profile was taken beforehand, by the sampled run behind the model.
+func (ex *Exec) RunUnprofiled(segs []Segment) error { return ex.runSegments(segs, false) }
+
+func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
 	total := 0
 	for i := range segs {
 		s := &segs[i]
@@ -285,7 +296,7 @@ func (ex *Exec) RunSegments(segs []Segment) error {
 	if p <= 1 || ex.shardPinReason() != "" {
 		for i := range segs {
 			s := &segs[i]
-			rs := s.Ex.seqState()
+			rs := s.Ex.seqState(profiled)
 			rs.nd = s.ND.normalized()
 			for g := s.Start; g < s.Start+s.Count; g++ {
 				if err := rs.runGroup(g); err != nil {
@@ -295,15 +306,16 @@ func (ex *Exec) RunSegments(segs []Segment) error {
 		}
 		return nil
 	}
-	return ex.runSharded(segs, total, p, active)
+	return ex.runSharded(segs, total, p, active, profiled)
 }
 
 // shardState returns the execution state shard uses on this Exec during
 // run id of primary: the live sequential state for shard 0, a private
 // worker state (fresh statistics and trace log) otherwise. A worker state
-// is only claimed here; sizing its scratch is left to whoever runs the
-// shard (runState.ready), off the caller's critical path.
-func (ex *Exec) shardState(shard int, id uint64, primary *Exec) *runState {
+// is only claimed here — handed the run's abort flag and classifier gate;
+// sizing its scratch is left to whoever runs the shard (runState.ready),
+// off the caller's critical path.
+func (ex *Exec) shardState(shard int, id uint64, primary *Exec, profiled bool) *runState {
 	var rs *runState
 	if shard == 0 {
 		if ex.seq == nil {
@@ -320,7 +332,7 @@ func (ex *Exec) shardState(shard int, id uint64, primary *Exec) *runState {
 		return rs
 	}
 	rs.runID = id
-	rs.abort = &primary.abort
+	rs.abort, rs.profiled = &primary.abort, profiled
 	if shard == 0 {
 		rs.prepare(ex.stats, ex.Sink)
 		rs.readyID = id
@@ -358,7 +370,7 @@ func (rs *runState) ready() {
 // contiguous in list order. Shard i gets total/p groups plus one of the
 // total%p remainder groups (lowest shards first), so shard sizes differ by
 // at most one. active is the number of runs in flight, this one included.
-func (ex *Exec) runSharded(segs []Segment, total, p, active int) error {
+func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) error {
 	startPool()
 	ex.abort.reset()
 	id := runSeq.Add(1)
@@ -387,7 +399,7 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int) error {
 			}
 			if n > 0 {
 				t.pieces = append(t.pieces, piece{
-					rs:    s.Ex.shardState(i, id, ex),
+					rs:    s.Ex.shardState(i, id, ex, profiled),
 					nd:    s.ND.normalized(),
 					start: s.Start + off,
 					count: n,

@@ -184,49 +184,77 @@ func decodeFMA(in *instr, ma bool, bufs []*Buffer, sites []siteState) fmaOperand
 func fits32(v int64) bool { return int64(int32(v)) == v }
 
 // affIdx is the address progression of one fused-loop operand: the
-// element index of the first iteration plus the per-iteration delta
-// (the induction step for indexes the induction register feeds with
-// unit slope, 0 for loop-invariant indexes).
+// element indexes of the first and last iteration plus the per-iteration
+// delta (0 for loop-invariant indexes).
 type affIdx struct {
-	first, delta int64
+	first, last, delta int64
 }
 
-// affResolve maps one FMA operand pair onto address progressions, or
-// reports ok=false when the induction register enters an index
-// non-additively (e.g. through the multiply of a multiply-add form).
-func affResolve(f *fmaOperand, ir []int64, incDst int32, j0, step int64) (a, x affIdx, ok bool) {
+// affResolve maps one FMA operand pair onto address progressions over the
+// induction values j0, j0+step, ..., jLast, or reports ok=false when an
+// index is not affine in the induction (the induction times itself) or
+// its progression cannot be formed exactly (a multiplicand or addend
+// beyond int32). Every register but the induction is loop-invariant: the
+// body writes no other int register.
+func affResolve(f *fmaOperand, ir []int64, incDst int32, j0, jLast, step int64) (a, x affIdx, ok bool) {
+	affJ := affIdx{first: j0, last: jLast, delta: step}
 	if f.ma {
-		if f.a == incDst || f.b == incDst {
+		// ia = n32(n32(ir[a]*ir[b]) + ir[c]).
+		switch {
+		case f.a == incDst && f.b == incDst:
+			return a, x, false
+		case f.a == incDst || f.b == incDst:
+			// The induction feeds the multiply — the column walk
+			// A[j*N + i], or A[j*N + j] when it is the addend too. The
+			// progression is formed in exact int64 arithmetic (every
+			// factor fits int32). The per-iteration index is that exact
+			// value reduced mod 2^32 — n32 is a ring homomorphism — so
+			// wherever the exact value fits int32 the two truncations
+			// were identities.
+			m := ir[f.a]
+			if f.a == incDst {
+				m = ir[f.b]
+			}
+			if !fits32(m) {
+				return a, x, false
+			}
+			a = affIdx{first: j0 * m, last: jLast * m, delta: step * m}
+			if f.c == incDst {
+				a = affIdx{first: a.first + j0, last: a.last + jLast, delta: a.delta + step}
+			} else if c := ir[f.c]; fits32(c) {
+				a.first, a.last = a.first+c, a.last+c
+			} else {
+				return a, x, false
+			}
+		case f.c == incDst:
+			prod := int64(int32(ir[f.a] * ir[f.b]))
+			a = affIdx{first: prod + j0, last: prod + jLast, delta: step}
+		default:
+			ia := int64(int32(int64(int32(ir[f.a]*ir[f.b])) + ir[f.c]))
+			a = affIdx{first: ia, last: ia}
+		}
+		// Both ends inside int32 put every index between them there, which
+		// is what makes the analytic index the truncated one.
+		if !fits32(a.first) || !fits32(a.last) {
 			return a, x, false
 		}
-		prod := int64(int32(ir[f.a] * ir[f.b]))
-		if f.c == incDst {
-			a = affIdx{first: prod + j0, delta: step}
-		} else {
-			a = affIdx{first: int64(int32(prod + ir[f.c]))}
-		}
+	} else if f.a == incDst {
+		a = affJ
 	} else {
-		if f.a == incDst {
-			a = affIdx{first: j0, delta: step}
-		} else {
-			a = affIdx{first: ir[f.a]}
-		}
+		a = affIdx{first: ir[f.a], last: ir[f.a]}
 	}
 	if f.xReg == incDst {
-		x = affIdx{first: j0, delta: step}
+		x = affJ
 	} else {
-		x = affIdx{first: ir[f.xReg]}
+		x = affIdx{first: ir[f.xReg], last: ir[f.xReg]}
 	}
 	return a, x, true
 }
 
-// inRange reports whether every address of the progression over trips
-// iterations lies inside [0, n) — endpoints suffice, the progression is
-// arithmetic. A passing check also proves the multiply-add form's
-// int32 truncation is the identity for every access, so the analytic
-// addresses equal the per-iteration ones exactly.
-func (ai affIdx) inRange(trips, n int64) bool {
-	lo, hi := ai.first, ai.first+(trips-1)*ai.delta
+// inRange reports whether every address of the progression lies inside
+// [0, n) — endpoints suffice, the progression is arithmetic.
+func (ai affIdx) inRange(n int64) bool {
+	lo, hi := ai.first, ai.last
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -244,7 +272,7 @@ func affFlush(st *siteState, base int64, ai affIdx, trips, wi int64) {
 		st.iter.ObserveRun(ai.delta, trips-1)
 		st.count += trips - 1
 		st.bytes += 4 * (trips - 1)
-		st.prevAddr = base + (ai.first+(trips-1)*ai.delta)*4
+		st.prevAddr = base + ai.last*4
 	}
 }
 
@@ -318,20 +346,23 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, nFMA int, inc *instr,
 		}
 		trips = 1 + num/abs
 	}
-	jEnd := j0 + trips*step
-	if incNorm == normI32 && (!fits32(jEnd) || !fits32(j0+(trips-1)*step)) {
+	// The last induction value the body sees lies between j0 and bound,
+	// so it fits int32 like they do; the exit value may be one step past.
+	jLast := j0 + (trips-1)*step
+	jEnd := jLast + step
+	if incNorm == normI32 && !fits32(jEnd) {
 		return cnt, false // the general loop's truncation would wrap
 	}
 
-	a1, x1, ok1 := affResolve(f1, ir, incDst, j0, step)
-	if !ok1 || !a1.inRange(trips, int64(len(f1.fA))) || !x1.inRange(trips, int64(len(f1.fX))) {
+	a1, x1, ok1 := affResolve(f1, ir, incDst, j0, jLast, step)
+	if !ok1 || !a1.inRange(int64(len(f1.fA))) || !x1.inRange(int64(len(f1.fX))) {
 		return cnt, false
 	}
 	var a2, x2 affIdx
 	if nFMA == 2 {
 		var ok2 bool
-		a2, x2, ok2 = affResolve(f2, ir, incDst, j0, step)
-		if !ok2 || !a2.inRange(trips, int64(len(f2.fA))) || !x2.inRange(trips, int64(len(f2.fX))) {
+		a2, x2, ok2 = affResolve(f2, ir, incDst, j0, jLast, step)
+		if !ok2 || !a2.inRange(int64(len(f2.fA))) || !x2.inRange(int64(len(f2.fX))) {
 			return cnt, false
 		}
 	}
@@ -409,6 +440,7 @@ func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
 	// analytic path only serves untraced runs.
 	if sink == nil {
 		if c, ok := rs.runFMALoopAffine(&f1, &f2, nFMA, inc, ir, fr, sites, classify, wi); ok {
+			rs.affineLoops++
 			return exitPC, c, nil
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"dopia/internal/clc"
 )
 
 // fusedHeads counts the opFMALoopF32 heads in an executor's lowered
@@ -99,5 +101,166 @@ func TestFusedLoopPlainFMA(t *testing.T) {
 	gotProf.Engine, wantProf.Engine = 0, 0 // the one field that legitimately differs
 	if !reflect.DeepEqual(gotProf, wantProf) {
 		t.Fatalf("profile diverges:\n got %+v\nwant %+v", gotProf, wantProf)
+	}
+}
+
+// colKernel is a matrix-vector kernel whose inner loop walks A by the
+// given index under the given loop header. In a column walk the induction
+// variable feeds the multiply of the index (ATAX2, BICG1 and MVT2 are
+// colSrc).
+func colKernel(loop, index string) string {
+	return `
+__kernel void col(__global float* A, __global float* x, __global float* y, int N, int M)
+{
+    int i = get_global_id(0);
+    if (i < M) {
+        float acc = (float)i;
+        int lo = 0;
+        for (` + loop + `) {
+            acc += A[` + index + `] * x[j];
+        }
+        y[i] = acc;
+    }
+}`
+}
+
+var (
+	colSrc        = colKernel("int j = 0; j < M; j++", "j * N + i")
+	colSwappedSrc = colKernel("int j = 0; j < M; j++", "N * j + i")
+	colDownSrc    = colKernel("int j = M - 1; j >= lo; j--", "j * N + i")
+	colDiagSrc    = colKernel("int j = 0; j < M; j++", "j * N + j")
+)
+
+// runCol runs one of the column-walk kernels over an aLen-element matrix
+// with row stride n and m rows, sequentially, and returns the executor,
+// the output and the run's error.
+func runCol(t *testing.T, src string, engine Engine, aLen, n, m int, sink TraceSink) (*Exec, []float32, error) {
+	t.Helper()
+	ex := newExec(t, src, "col")
+	ex.Engine, ex.Parallelism, ex.Sink = engine, Sequential, sink
+	A, x, y := NewFloatBuffer(aLen), NewFloatBuffer(m), NewFloatBuffer(m)
+	for i := range A.F32 {
+		A.F32[i] = float32(i%11)*0.3 - 1.2
+	}
+	for i := range x.F32 {
+		x.F32[i] = float32(i%5)*0.7 - 0.9
+	}
+	if err := ex.Bind(BufArg(A), BufArg(x), BufArg(y), IntArg(int64(n)), IntArg(int64(m))); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Launch(ND1(32, 8)); err != nil {
+		t.Fatal(err)
+	}
+	return ex, y.F32, ex.Run()
+}
+
+// TestFusedLoopColumnWalk: the fused loop's closed form serves an index
+// the induction variable multiplies into, bit-identical to the closure
+// engine in buffers and profile; where the walk leaves the matrix, or the
+// stride takes the product out of int32, it declines, and the general
+// loop reports the closure engine's trap with its counters.
+func TestFusedLoopColumnWalk(t *testing.T) {
+	const m = 24
+	cases := []struct {
+		name, src string
+		aLen, n   int
+		closed    bool // the closed form serves the loops
+		trap      bool
+	}{
+		{"in range", colSrc, 40 * m, 40, true, false},
+		{"multiplicands swapped", colSwappedSrc, 40 * m, 40, true, false},
+		{"negative step", colDownSrc, 40 * m, 40, true, false},
+		{"induction in multiply and addend", colDiagSrc, 40 * m, 40, true, false},
+		{"matrix too small", colSrc, 40 * m / 2, 40, false, true},
+		{"product leaves int32", colSrc, 40 * m, 1 << 30, false, true},
+	}
+	for _, c := range cases {
+		bc, got, gotErr := runCol(t, c.src, EngineBytecode, c.aLen, c.n, m, nil)
+		if fused, ops := fusedHeads(t, bc); fused == 0 {
+			t.Fatalf("%s: lowered without a fused FMA loop (opcodes:%s)", c.name, ops)
+		}
+		ref, want, wantErr := runCol(t, c.src, EngineClosures, c.aLen, c.n, m, nil)
+		if (gotErr != nil) != c.trap || (wantErr != nil) != c.trap {
+			t.Fatalf("%s: errors %v / %v, want trap=%v", c.name, gotErr, wantErr, c.trap)
+		}
+		if c.trap && gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s: trap %q, the closure engine reports %q", c.name, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: output diverges from the closure engine:\n got %v\nwant %v", c.name, got, want)
+		}
+		gotProf, wantProf := bc.Stats(), ref.Stats()
+		gotProf.Engine, wantProf.Engine = 0, 0
+		if !reflect.DeepEqual(gotProf, wantProf) {
+			t.Errorf("%s: profile diverges:\n got %+v\nwant %+v", c.name, gotProf, wantProf)
+		}
+		if served := bc.seq.affineLoops > 0; served != c.closed {
+			t.Errorf("%s: closed form served %d loops, want served=%v", c.name, bc.seq.affineLoops, c.closed)
+		}
+	}
+
+	// A trace needs the interleaved per-access stream: with a sink
+	// attached the closed form stays out of the way, and the stream is
+	// the closure engine's.
+	var bcSink, refSink traceLog
+	bc, got, err := runCol(t, colSrc, EngineBytecode, 40*m, 40, m, &bcSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := runCol(t, colSrc, EngineClosures, 40*m, 40, m, &refSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bc.seq.affineLoops != 0 {
+		t.Errorf("closed form served %d loops of a traced run", bc.seq.affineLoops)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(bcSink, refSink) || len(bcSink.events) == 0 {
+		t.Errorf("traced column walk diverges from the closure engine (%d vs %d events)",
+			len(bcSink.events), len(refSink.events))
+	}
+}
+
+// BenchmarkFusedLoop times one profiled Run of a 128x128 matrix-vector
+// kernel whose inner loop is the fused FMA loop: the row walk
+// (A[i*N + j], the closed form's original shape) beside the column walk
+// (A[j*N + i]), which ran the per-iteration loop until the closed form
+// learned the multiply-induction index.
+func BenchmarkFusedLoop(b *testing.B) {
+	const n = 128
+	for _, walk := range []struct{ name, src, kernel string }{
+		{"row", gesummvSrc, "gesummv"},
+		{"column", colSrc, "col"},
+	} {
+		b.Run(walk.name, func(b *testing.B) {
+			prog, err := clc.Compile(walk.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ex, err := NewExec(prog.Kernel(walk.kernel))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ex.Parallelism = Sequential
+			A, B := NewFloatBuffer(n*n), NewFloatBuffer(n*n)
+			x, y := NewFloatBuffer(n), NewFloatBuffer(n)
+			if walk.kernel == "col" {
+				err = ex.Bind(BufArg(A), BufArg(x), BufArg(y), IntArg(n), IntArg(n))
+			} else {
+				err = ex.Bind(BufArg(A), BufArg(B), BufArg(x), BufArg(y), FloatArg(1.5), FloatArg(0.5), IntArg(n))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ex.Launch(ND1(n, 64)); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ex.ResetStats()
+				if err := ex.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

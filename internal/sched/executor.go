@@ -9,7 +9,7 @@
 // A functional run is plan-then-execute. sim.Simulate is a pure timing
 // function: it runs first and only records, in simulated-completion
 // order, which device acquired which span — the plan. The plan is then
-// executed through interp.Exec.RunSegments with exactly the device
+// executed through interp.Exec.RunUnprofiled with exactly the device
 // assignment the schedule made: CPU spans are segments of the full ND
 // range on the original kernel, GPU spans are offset sub-range launches
 // of the malleable kernel. When the launch is work-group independent
@@ -157,8 +157,10 @@ const ProfileSampleWGs = 4
 
 // Model returns the kernel's performance model, building it on first use
 // by executing a sampled subset of work-groups. Output buffers are
-// snapshotted and restored, so profiling leaves no functional trace even
-// for read-modify-write kernels.
+// snapshotted and restored on every exit path, so profiling leaves no
+// functional trace even for read-modify-write kernels or when a sampled
+// group traps. This is the one run that keeps the interpreter's exact
+// access profile; nothing else in production reads interp statistics.
 func (e *Executor) Model() (*sim.KernelModel, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -173,6 +175,7 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 		return nil, err
 	}
 	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
+	defer snap.Restore()
 	e.cpuEx.ResetStats()
 	e.cpuEx.Parallelism = e.Parallelism
 	if err := e.cpuEx.Launch(e.nd); err != nil {
@@ -182,7 +185,6 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 		return nil, err
 	}
 	prof := e.cpuEx.Stats()
-	snap.Restore()
 	bufBytes := map[int]int64{}
 	for i, a := range e.args {
 		if a.IsBuf {
@@ -232,7 +234,9 @@ func ctxErr(ctx context.Context) error {
 // the simulation result. When opts.Functional is set, the schedule is
 // simulated first and every span it assigned is then executed by the
 // matching interpreter as one sharded plan (see the package comment), so
-// buffers hold the kernel's true output afterwards. Panics below this
+// buffers hold the kernel's true output afterwards. The plan is run for
+// that output: its profile was taken by Model, so no work-group of it
+// runs the access classifier (interp.Exec.RunUnprofiled). Panics below this
 // boundary are contained and returned as classified errors; a
 // opts.Context deadline aborts the run with faults.ErrExecTimeout.
 func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err error) {
@@ -270,7 +274,7 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 			e.cpuEx.Check, e.gpuEx.Check = check, check
 			defer func() { e.cpuEx.Check, e.gpuEx.Check = nil, nil }()
 		}
-		if err = e.cpuEx.RunSegments(plan); err != nil {
+		if err = e.cpuEx.RunUnprofiled(plan); err != nil {
 			return nil, err
 		}
 	}

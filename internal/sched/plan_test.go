@@ -126,14 +126,6 @@ func TestPlanEquivalence(t *testing.T) {
 			if err := e.Launch(inst.ND); err != nil {
 				t.Fatal(err)
 			}
-			// This test compares buffers and timing. The per-access
-			// pattern classifier costs indirect kernels 40x their run time
-			// and is TestSampledProfileShardInvariant's subject, so once
-			// the model is built from an exact profile, sample it away.
-			if _, err := e.Model(); err != nil {
-				t.Fatal(err)
-			}
-			e.cpuEx.AccessSampleRate, e.gpuEx.AccessSampleRate = 1e-6, 1e-6
 			for _, dist := range sim.Distributions() {
 				var want *bufferSet
 				var wantRes *sim.Result

@@ -1,0 +1,197 @@
+package sched
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"dopia/internal/clc"
+	"dopia/internal/interp"
+	"dopia/internal/sim"
+	"dopia/internal/transform"
+	"dopia/internal/workloads"
+)
+
+// Who keeps an access profile: Model's sampled run does, exactly; the
+// functional plan, run for its output, does not.
+
+// spillSrc writes every element it owns and then, in the upper half of the
+// range, stores out of bounds — so a sampled profile traps in its third
+// group with the first two already written.
+const spillSrc = `
+__kernel void spill(__global int* out, int n) {
+    int i = get_global_id(0);
+    out[i] = i + 1;
+    if (i >= n / 2) {
+        out[i + n] = 1;
+    }
+}`
+
+// TestFailedProfileLeavesNoWrites: a profile run that traps returns the
+// error and puts back what its earlier groups wrote.
+func TestFailedProfileLeavesNoWrites(t *testing.T) {
+	prog, err := clc.Compile(spillSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, wg = 1024, 64
+	for _, par := range []int{1, 2, 3} {
+		e, err := NewExecutor(sim.Kaveri(), prog.Kernel("spill"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Parallelism = par
+		out := workloads.NewFilledInt(n, 5, 1000)
+		args := []interp.Arg{interp.BufArg(out), interp.IntArg(n)}
+		before := snapshotBuffers(args)
+		if err := e.Bind(args...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Launch(interp.ND1(n, wg)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Model(); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("shards=%d: Model() error = %v, want the kernel's bounds trap", par, err)
+		}
+		if before.diff() >= 0 {
+			t.Errorf("shards=%d: the failed profile run left its writes in the output buffer", par)
+		}
+	}
+}
+
+// counters is the aggregate half of a profile: everything but the sites.
+func counters(p *interp.Profile) interp.Profile {
+	c := *p
+	c.Sites = nil
+	return c
+}
+
+// runPlanProfiled executes the plan e.Run would execute for (cfg, dist),
+// through the profile-keeping entry point.
+func runPlanProfiled(t *testing.T, e *Executor, cfg sim.Config, dist sim.Distribution) {
+	t.Helper()
+	km, err := e.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.prepareFunctional(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var plan []interp.Segment
+	_, err = sim.Simulate(e.Machine, km, cfg, dist, sim.SimOptions{
+		CPUShare: 0.5,
+		OnSpan: func(device string, start, count int) error {
+			seg, err := e.segment(device, start, count)
+			plan = append(plan, seg)
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cpuEx.RunSegments(plan); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFunctionalRunKeepsNoProfile: for the fourteen real kernels and one
+// indirect synthetic workload, at Parallelism 1, 2 and 3, a functional run
+// classifies no access on either interpreter while its aggregate counters
+// are those of the same plan run profiled; its buffers are the
+// schedule-order run's; and the model built after it is the model built
+// before it.
+func TestFunctionalRunKeepsNoProfile(t *testing.T) {
+	ws, err := workloads.RealWorkloads(128, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indirect, err := workloads.SynthSpec{Alpha: 1, MatDims: 3, Random: 1,
+		WorkDim: 1, DType: clc.KindFloat, Size: 16384, WGSize: 64}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.Kaveri()
+	cfg, dist := m.AllResources(), sim.Dynamic
+	opts := RunOptions{Dist: dist, CPUShare: 0.5, Functional: true}
+	for _, w := range append(ws, indirect) {
+		k, err := w.CompileKernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mall, err := transform.MalleableGPU(k, w.WorkDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine := snapshotBuffers(inst.Args)
+		var want *bufferSet
+		for _, par := range []int{1, 2, 3} {
+			pristine.restore()
+			e, err := NewExecutor(m, k, mall.Kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Parallelism = par
+			if err := e.Bind(inst.Args...); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Launch(inst.ND); err != nil {
+				t.Fatal(err)
+			}
+			before, err := e.Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The profiled plan is the reference for the counters.
+			e.cpuEx.ResetStats()
+			e.gpuEx.ResetStats()
+			runPlanProfiled(t, e, cfg, dist)
+			cpuWant, gpuWant := e.cpuEx.Stats(), e.gpuEx.Stats()
+			if len(cpuWant.Sites)+len(gpuWant.Sites) == 0 {
+				t.Fatalf("%s shards=%d: the profiled plan classified nothing", w.Name, par)
+			}
+
+			pristine.restore()
+			e.cpuEx.ResetStats()
+			e.gpuEx.ResetStats()
+			if _, err := e.Run(cfg, opts); err != nil {
+				t.Fatalf("%s shards=%d: %v", w.Name, par, err)
+			}
+			for _, side := range []struct {
+				name      string
+				got, want *interp.Profile
+			}{{"cpu", e.cpuEx.Stats(), cpuWant}, {"gpu", e.gpuEx.Stats(), gpuWant}} {
+				if len(side.got.Sites) != 0 {
+					t.Errorf("%s shards=%d: the functional run classified accesses at %d %s-side sites",
+						w.Name, par, len(side.got.Sites), side.name)
+				}
+				if got, want := counters(side.got), counters(side.want); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s shards=%d: %s-side counters %+v, the profiled plan counts %+v",
+						w.Name, par, side.name, got, want)
+				}
+			}
+			if par == 1 {
+				want = snapshotBuffers(inst.Args)
+			} else if i := want.diff(); i >= 0 {
+				t.Errorf("%s shards=%d: argument %d differs from the schedule-order run", w.Name, par, i)
+			}
+
+			pristine.restore()
+			if err := e.Launch(inst.ND); err != nil {
+				t.Fatal(err)
+			}
+			after, err := e.Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after == before || !reflect.DeepEqual(after, before) {
+				t.Errorf("%s shards=%d: the model rebuilt after a functional run differs from the one before it", w.Name, par)
+			}
+		}
+		pristine.restore()
+	}
+}
