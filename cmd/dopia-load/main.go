@@ -85,8 +85,6 @@ func main() {
 				"baseline of the decision-quality trace (0 = off)")
 		modelFamily = flag.String("model", "DT", "model family for -train: LIN, SVR, DT, RF")
 		onlineOn    = flag.Bool("online", false, "enable the embedded server's closed-loop online learner")
-		onlineEps   = flag.Float64("online-epsilon", 0.05, "embedded learner exploration rate")
-		onlineEvery = flag.Int("online-retrain-every", 8, "embedded learner retrain cadence (new-signature launches)")
 	)
 	flag.Parse()
 
@@ -139,7 +137,7 @@ func main() {
 	} else if base == "" {
 		scfg := server.Config{Machine: machine, Model: localModel}
 		if *onlineOn {
-			scfg.Online = &online.Config{Epsilon: *onlineEps, RetrainEvery: *onlineEvery}
+			scfg.Online = &online.Config{}
 		}
 		base, embedded, mixed, err = embedServer(scfg)
 		if err != nil {
@@ -244,7 +242,7 @@ func main() {
 			// One session per worker for the whole run: when the mix
 			// shifts, the tenant keeps its session (and its online model)
 			// and its new workload's buffers join under a name prefix —
-			// that continuity is what makes drift detectable per tenant.
+			// that continuity is what lets its model follow the drift.
 			var sid string
 			var err error
 			if bin != nil {
@@ -449,7 +447,6 @@ func main() {
 			"swaps":        metricValue(page, "dopia_online_swaps_total"),
 			"retrains":     metricValue(page, "dopia_online_retrains_total"),
 			"explorations": metricValue(page, "dopia_online_explorations_total"),
-			"drifts":       metricValue(page, "dopia_online_drift_detections_total"),
 		}
 	}
 	if quality != nil {

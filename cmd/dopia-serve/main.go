@@ -56,12 +56,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		onlineOn     = flag.Bool("online", false, "enable the closed-loop online learner (per-tenant incremental models, hot swap)")
-		onlinePolicy = flag.String("online-policy", online.PolicyEpsilon, "exploration policy: off, epsilon, or ucb")
-		onlineEps    = flag.Float64("online-epsilon", 0.05, "exploration rate for eligible launches")
-		onlineBudget = flag.Float64("online-regret-budget", 2.0, "per-tenant cumulative exploration-regret budget")
-		onlineEvery  = flag.Int("online-retrain-every", 8, "retrain after this many new-signature launches since the last swap")
-		onlineWindow = flag.Int("online-window", 128, "per-tenant sliding-window size in launches")
+		onlineOn = flag.Bool("online", false, "enable the closed-loop online learner (per-session oracle tables, ε-greedy exploration, hot swap)")
 	)
 	flag.Parse()
 
@@ -85,15 +80,8 @@ func main() {
 		WatchdogTimeout: *watchdog,
 	}
 	if *onlineOn {
-		scfg.Online = &online.Config{
-			Policy:         *onlinePolicy,
-			Epsilon:        *onlineEps,
-			RegretBudget:   *onlineBudget,
-			RetrainEvery:   *onlineEvery,
-			WindowLaunches: *onlineWindow,
-		}
-		log.Printf("dopia-serve: online learner on (policy %s, epsilon %g, regret budget %g)",
-			*onlinePolicy, *onlineEps, *onlineBudget)
+		scfg.Online = &online.Config{}
+		log.Printf("dopia-serve: online learner on")
 	}
 	srv, err := server.New(scfg)
 	if err != nil {

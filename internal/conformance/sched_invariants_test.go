@@ -282,86 +282,6 @@ func decisionInvariance(t *testing.T, m *sim.Machine, cases []*Case) {
 	}
 }
 
-// TestSampledClassifierAgreement is the metamorphic sampling invariant
-// over generated kernels: with a fixed rate and seed the sampled profile
-// is bit-identical across engines and shard counts, aggregate counters
-// stay exact regardless of sampling, and the sampled classifier
-// observes a subset of the exact site counts.
-func TestSampledClassifierAgreement(t *testing.T) {
-	cases := totalCases(t, 0x5a3d, 6)
-	run := func(c *Case, engine interp.Engine, par int, rate float64, seed uint64) *interp.Profile {
-		t.Helper()
-		prog, err := clc.Compile(c.Source)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		k := prog.Kernel(c.Kernel)
-		if k == nil {
-			t.Fatalf("kernel %s missing", c.Kernel)
-		}
-		ex, err := interp.NewExec(k)
-		if err != nil {
-			t.Fatalf("exec: %v", err)
-		}
-		ex.Engine = engine
-		ex.Parallelism = par
-		ex.AccessSampleRate = rate
-		ex.AccessSampleSeed = seed
-		args := make([]interp.Arg, len(c.Args))
-		for i := range c.Args {
-			args[i] = c.Args[i].Arg()
-		}
-		if err := ex.Bind(args...); err != nil {
-			t.Fatalf("bind: %v", err)
-		}
-		if err := ex.Launch(c.ND); err != nil {
-			t.Fatalf("launch: %v", err)
-		}
-		if err := ex.Run(); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return ex.Stats()
-	}
-
-	const rate, seed = 0.5, 0xabcde
-	properSubset := false
-	for ci, c := range cases {
-		exact := run(c, interp.EngineClosures, 1, 1, 0)
-		ref := run(c, interp.EngineClosures, 1, rate, seed)
-		for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
-			for _, par := range []int{1, 3} {
-				p := run(c, engine, par, rate, seed)
-				if d := DiffProfiles(ref, p); d != "" {
-					t.Errorf("case %d %v/par=%d: sampled profile diverges: %s", ci, engine, par, d)
-				}
-			}
-		}
-		if ref.AluInt != exact.AluInt || ref.AluFloat != exact.AluFloat ||
-			ref.Loads != exact.Loads || ref.Stores != exact.Stores ||
-			ref.LoadBytes != exact.LoadBytes || ref.StoreBytes != exact.StoreBytes ||
-			ref.GroupsRun != exact.GroupsRun || ref.ItemsRun != exact.ItemsRun {
-			t.Errorf("case %d: sampling changed aggregate counters:\nexact:   %+v\nsampled: %+v",
-				ci, exact, ref)
-		}
-		var exactN, sampledN int64
-		for _, s := range exact.Sites {
-			exactN += s.Count
-		}
-		for _, s := range ref.Sites {
-			sampledN += s.Count
-		}
-		if sampledN > exactN {
-			t.Errorf("case %d: sampled classifier counted %d > exact %d", ci, sampledN, exactN)
-		}
-		if sampledN > 0 && sampledN < exactN {
-			properSubset = true
-		}
-	}
-	if !properSubset {
-		t.Error("no case produced a proper sampled subset (sampling never engaged)")
-	}
-}
-
 // TestMachineSchedLattice is the cross-machine differential: every
 // generated total-class kernel must produce bit-identical buffers when
 // co-executed on every machine of the zoo under every scheduling policy

@@ -11,7 +11,7 @@ import (
 // an adaptive layer (internal/online) implements to route per-tenant
 // models into decisions, override a decision for exploration, and
 // receive every served launch back as a training signal. The framework
-// stays ignorant of bandits, drift windows, and retraining — it only
+// stays ignorant of bandits, oracle sweeps, and retraining — it only
 // knows how to ask "which model, which generation?" and to report what
 // happened.
 
@@ -27,7 +27,7 @@ type Advisor interface {
 	// model selects the ALL baseline.
 	ModelFor(tenant string) (ml.Model, uint64)
 	// Explore may override the exploited decision with an off-policy
-	// configuration (epsilon-greedy / UCB). It is consulted only for
+	// configuration (ε-greedy exploration). It is consulted only for
 	// decisions that used a model; returning ok=false keeps the
 	// exploited config.
 	Explore(tenant, kernel string, base ml.Features, dec Decision) (sim.Config, bool)
@@ -55,7 +55,7 @@ type LaunchSample struct {
 	// Sweep simulates every DoP configuration of the machine for this
 	// exact launch (timing only, no functional side effects) and
 	// returns the per-config times — the ground-truth row the regret
-	// budget and the incremental trainer normalize against. Results are
+	// budget and the tenant tables are built from. Results are
 	// memoized inside the executor, so repeated calls are cheap.
 	Sweep func() ([]ConfigTime, error)
 }

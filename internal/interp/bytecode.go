@@ -1047,7 +1047,7 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 	}
 
 	e := &rs.env
-	e.classify = rs.profiled && groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
+	e.classify = rs.profiled
 	nd := &rs.nd
 	l0, l1 := int64(nd.Local[0]), int64(nd.Local[1])
 	baseWI := int64(linear) * int64(wgSize)

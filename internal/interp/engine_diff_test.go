@@ -363,84 +363,6 @@ func TestEngineFallbackOnLoweringFault(t *testing.T) {
 	}
 }
 
-// TestSampledProfilingInvariance checks the sampled-classifier contract:
-// with the same rate and seed the sampled profile is bit-identical
-// across engines and shard counts; aggregate counters stay exact; and
-// sampled site counts never exceed the exact ones.
-func TestSampledProfilingInvariance(t *testing.T) {
-	ws, err := workloads.RealWorkloads(128, 32)
-	if err != nil {
-		t.Fatalf("RealWorkloads: %v", err)
-	}
-	w := ws[0]
-	k, err := w.CompileKernel()
-	if err != nil {
-		t.Fatalf("CompileKernel: %v", err)
-	}
-	run := func(engine interp.Engine, par int, rate float64, seed uint64) *interp.Profile {
-		inst, err := w.Setup()
-		if err != nil {
-			t.Fatalf("Setup: %v", err)
-		}
-		ex, err := interp.NewExec(k)
-		if err != nil {
-			t.Fatalf("NewExec: %v", err)
-		}
-		ex.Engine = engine
-		ex.Parallelism = par
-		ex.AccessSampleRate = rate
-		ex.AccessSampleSeed = seed
-		if err := ex.Bind(inst.Args...); err != nil {
-			t.Fatalf("Bind: %v", err)
-		}
-		if err := ex.Launch(inst.ND); err != nil {
-			t.Fatalf("Launch: %v", err)
-		}
-		if err := ex.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return ex.Stats()
-	}
-
-	exact := run(interp.EngineClosures, 1, 0, 0)
-	const rate, seed = 0.5, 12345
-
-	ref := run(interp.EngineClosures, 1, rate, seed)
-	for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
-		for _, par := range []int{1, 4} {
-			p := run(engine, par, rate, seed)
-			if !sameProfileModuloEngine(ref, p) {
-				t.Errorf("%v par=%d: sampled profile differs from reference", engine, par)
-			}
-		}
-	}
-
-	// Aggregate counters are exact regardless of sampling.
-	if ref.Loads != exact.Loads || ref.Stores != exact.Stores ||
-		ref.LoadBytes != exact.LoadBytes || ref.StoreBytes != exact.StoreBytes ||
-		ref.AluInt != exact.AluInt || ref.AluFloat != exact.AluFloat {
-		t.Errorf("sampling changed aggregate counters:\nexact:   %+v\nsampled: %+v", exact, ref)
-	}
-	// The classifier saw a strict subset of groups.
-	var exactN, sampledN int64
-	for _, s := range exact.Sites {
-		exactN += s.Count
-	}
-	for _, s := range ref.Sites {
-		sampledN += s.Count
-	}
-	if sampledN <= 0 || sampledN >= exactN {
-		t.Errorf("sampled classifier count %d not a proper subset of exact %d (rate %v)",
-			sampledN, exactN, rate)
-	}
-	// A different seed must change which groups are classified (the
-	// counts almost surely differ for a 0.5 rate over many groups).
-	other := run(interp.EngineClosures, 1, rate, seed+1)
-	if sameProfileModuloEngine(ref, other) {
-		t.Logf("note: seed change produced an identical sampled profile (possible but unlikely)")
-	}
-}
-
 // TestEngineZeroValueSelection pins down the Engine field's contract: an
 // explicit engine always wins, and the zero value (EngineAuto) means
 // bytecode — before and after Launch — with the closure fallback and its

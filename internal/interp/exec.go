@@ -86,17 +86,6 @@ type Exec struct {
 	// next benchmark PR drops those assignments (ROADMAP item 2).
 	LaneWidth int
 
-	// AccessSampleRate enables sampled access-pattern profiling: a
-	// deterministic, hash-chosen fraction of work-groups (by linear
-	// group id) runs the per-access classifier, the rest skip it.
-	// Exact profiling is the default (the zero value):
-	// rates outside (0,1) mean exact profiling. Aggregate counters and
-	// traces stay exact in every mode, and the sampling decision is
-	// independent of engine and shard count.
-	AccessSampleRate float64
-	// AccessSampleSeed seeds the sampling hash.
-	AccessSampleSeed uint64
-
 	paramVals []Value
 
 	// Resolved at Launch: the lowered bytecode program (nil = closure
@@ -446,16 +435,12 @@ type runState struct {
 	frScratch [][]float64
 
 	// profiled says what the run the state was claimed for is for: true
-	// keeps the per-access pattern profile (of every group, or of the
-	// sampled ones), false is a run made for its output (RunUnprofiled),
+	// keeps the per-access pattern profile of every group it runs, false
+	// is a run made for its output (RunUnprofiled),
 	// whose groups all skip the classifier while counters and trace stay
 	// exact. Set by whoever claims the state for a run (seqState,
 	// shardState).
 	profiled bool
-
-	// Access-sampling decision inputs, resolved by prepare.
-	sampleThresh uint64
-	sampleSeed   uint64
 
 	// Parallel-run scratch, reused across runs: per-shard statistics and
 	// trace log, merged deterministically in shard order.
@@ -508,8 +493,6 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 			rs.frScratch[i] = make([]float64, prog.numF)
 		}
 	}
-	rs.sampleThresh = sampleThreshold(ex.AccessSampleRate)
-	rs.sampleSeed = ex.AccessSampleSeed
 	rs.stats = stats
 	rs.env.stats = stats
 	rs.env.bufs = ex.bufs
@@ -563,7 +546,7 @@ func (rs *runState) runGroup(linear int) (err error) {
 	}
 
 	e := &rs.env
-	e.classify = rs.profiled && groupClassified(rs.sampleThresh, rs.sampleSeed, linear)
+	e.classify = rs.profiled
 	nd := &rs.nd
 	l0, l1 := int64(nd.Local[0]), int64(nd.Local[1])
 	baseWI := int64(linear) * int64(wgSize)

@@ -4,12 +4,12 @@
 // freezes them; a serving system under a drifting tenant mix decays
 // toward the static baseline the paper argues against. This package
 // implements the production counterpart — a streaming collector, a
-// per-tenant incremental trainer warm-started from the global offline
-// model, a guarded bandit exploration layer with a regret budget
-// enforced against the memoized oracle sweep, a per-tenant drift
-// detector, and an atomic hot-swap path that publishes new model
-// generations into core.Framework while in-flight launches finish on
-// the model they started with.
+// bounded memo of oracle sweeps, a per-tenant table of the oracle rows of
+// the signatures the tenant launched recently (published over the global
+// offline model), an ε-greedy exploration layer with a regret budget
+// enforced against the memoized sweep, and an atomic hot-swap path that
+// publishes new model generations into core.Framework while in-flight
+// launches finish on the model they started with.
 package online
 
 import (
@@ -19,58 +19,37 @@ import (
 // sig identifies one launch signature: the kernel plus the
 // configuration-independent feature vector (code features + geometry).
 // Two launches with equal signatures have identical DoP timing rows, so
-// the oracle sweep, the bandit arm statistics, and the learned
-// performance table are all keyed by it.
+// the oracle sweep and the learned performance table are keyed by it.
 type sig struct {
 	Kernel string
 	Base   ml.Features
 }
 
-// tenantModel is the hybrid model published for one tenant. Predictions
-// resolve in three layers:
-//
-//  1. exact: the feature vector matches a (signature, config) row whose
-//     oracle-sweep time is in the learned window — return the measured
-//     normalized performance (this makes the decision sweep reproduce
-//     the oracle argmax for every signature the tenant has launched
-//     recently);
-//  2. learned: the sliding-window ridge regressor, blended toward it as
-//     the window fills (alpha ramps 0→1), so a cold tenant
-//     predicts exactly like the global model (warm start) and a warm
-//     tenant predicts from its own traffic;
-//  3. global: the offline base model, or 0 when none was configured.
+// tenantModel is the model published for one tenant: the measured
+// normalized performance of every (signature, configuration) row the
+// tenant launched recently, which makes the decision sweep reproduce the
+// oracle argmax for those signatures, over the global offline model for
+// everything else (0 when none was configured).
 //
 // A tenantModel is immutable once published; retraining builds a new
 // one and hot-swaps it under a fresh generation.
 type tenantModel struct {
-	name  string
-	perf  map[ml.Features]float64 // exact layer: full feature vector -> measured normalized perf
-	ridge ml.Model                // learned layer (nil until first successful fit)
-	alpha float64                 // blend weight of the learned layer
-	base  ml.Model                // global fallback (may be nil)
+	perf map[ml.Features]float64 // full feature vector -> measured normalized perf
+	base ml.Model                // may be nil
 }
 
 // Name implements ml.Model.
-func (t *tenantModel) Name() string { return t.name }
+func (t *tenantModel) Name() string { return "ONLINE" }
 
-// Predict implements ml.Model. Must stay pure and deterministic: the
-// framework memoizes predictions per (generation, features).
+// Predict implements ml.Model. Must stay pure and deterministic: a
+// decision records the generation that scored it, and a generation names
+// one immutable snapshot.
 func (t *tenantModel) Predict(x ml.Features) float64 {
 	if v, ok := t.perf[x]; ok {
 		return v
 	}
-	var online, global float64
-	if t.ridge != nil {
-		online = t.ridge.Predict(x)
-	}
-	if t.base != nil {
-		global = t.base.Predict(x)
-	}
-	if t.ridge == nil {
-		return global
-	}
 	if t.base == nil {
-		return online
+		return 0
 	}
-	return t.alpha*online + (1-t.alpha)*global
+	return t.base.Predict(x)
 }

@@ -2,6 +2,8 @@ package online
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 // fakeBase is a deterministic stand-in for the global offline model.
 type fakeBase struct{ v float64 }
 
-func (f fakeBase) Name() string              { return "FAKE" }
+func (f fakeBase) Name() string                { return "FAKE" }
 func (f fakeBase) Predict(ml.Features) float64 { return f.v }
 
 // testSample fabricates one launch of a synthetic signature whose
@@ -57,18 +59,13 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 }
 
 func TestManagerRetrainsAndSwapsToOracleArgmax(t *testing.T) {
-	m := newTestManager(t, Config{
-		Base:         fakeBase{0.5},
-		RetrainEvery: 4,
-		MinLaunches:  2,
-		Policy:       PolicyOff,
-	})
+	m := newTestManager(t, Config{Base: fakeBase{0.5}})
 	if mdl, gen := m.ModelFor("s-1"); mdl != (fakeBase{0.5}) || gen != 1 {
 		t.Fatalf("cold tenant should get base model at gen 1, got %v gen %d", mdl, gen)
 	}
 	const bestIdx = 17
 	dec := core.Decision{Config: m.cfgs[0], Predicted: 0.5, Evaluated: len(m.cfgs), ModelGen: 1}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < retrainEvery; i++ {
 		m.Observe(testSample(m, "s-1", "gesummv", bestIdx, dec))
 	}
 	if !m.Sync(5 * time.Second) {
@@ -95,13 +92,11 @@ func TestManagerRetrainsAndSwapsToOracleArgmax(t *testing.T) {
 	if argmax != bestIdx {
 		t.Fatalf("published model argmax = config %d, oracle best is %d", argmax, bestIdx)
 	}
-	// Unseen feature vectors fall back toward the base model (warm
-	// start): prediction must be finite and anchored near base's value
-	// for a cold window.
+	// Feature vectors the table lacks are scored by the base model.
 	var far ml.Features
 	far[ml.FGlobalSize] = 1e7
-	if v := mdl.Predict(far); v < -1e3 || v > 1e3 {
-		t.Fatalf("fallback prediction %v not sane", v)
+	if v := mdl.Predict(far); v != 0.5 {
+		t.Fatalf("unseen signature predicted %v, want the base model's 0.5", v)
 	}
 }
 
@@ -112,7 +107,7 @@ func TestManagerRetrainsAndSwapsToOracleArgmax(t *testing.T) {
 // asks for its model every time, so there is no per-generation state on
 // the decision path to retire.
 func TestHotSwapReachesTheNextDecision(t *testing.T) {
-	m := newTestManager(t, Config{Base: fakeBase{0.5}, RetrainEvery: 4, MinLaunches: 2, Policy: PolicyOff})
+	m := newTestManager(t, Config{Base: fakeBase{0.5}})
 	fw := core.New(m.machine, nil)
 	m.Attach(fw)
 
@@ -134,7 +129,7 @@ func TestHotSwapReachesTheNextDecision(t *testing.T) {
 		t.Fatalf("cold decision: %+v, want a full sweep by generation 1", before)
 	}
 	// Decide launches as the anonymous tenant.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < retrainEvery; i++ {
 		m.Observe(testSample(m, "", "k", 17, before))
 	}
 	if !m.Sync(5 * time.Second) {
@@ -148,17 +143,12 @@ func TestHotSwapReachesTheNextDecision(t *testing.T) {
 
 func TestGenerationsMonotonicAcrossSwaps(t *testing.T) {
 	swapGens := make(chan uint64, 64)
-	m := newTestManager(t, Config{
-		RetrainEvery: 2,
-		MinLaunches:  1,
-		Policy:       PolicyOff,
-		OnSwap:       func(_ string, gen uint64) { swapGens <- gen },
-	})
+	m := newTestManager(t, Config{OnSwap: func(_ string, gen uint64) { swapGens <- gen }})
 	dec := core.Decision{Config: m.cfgs[0], Evaluated: len(m.cfgs)}
-	for i := 0; i < 10; i++ {
-		// A fresh kernel name per pair of launches keeps pendingNew > 0,
-		// so every RetrainEvery boundary actually swaps.
-		m.Observe(testSample(m, "s-1", fmt.Sprintf("k%d", i/2), i%len(m.cfgs), dec))
+	for i := 0; i < 3*retrainEvery; i++ {
+		// A fresh kernel name per launch keeps pendingNew > 0, so every
+		// retrainEvery boundary actually swaps.
+		m.Observe(testSample(m, "s-1", fmt.Sprintf("k%d", i), i%len(m.cfgs), dec))
 	}
 	if !m.Sync(5 * time.Second) {
 		t.Fatal("learner did not drain")
@@ -179,14 +169,7 @@ func TestGenerationsMonotonicAcrossSwaps(t *testing.T) {
 }
 
 func TestExploreRespectsRegretBudget(t *testing.T) {
-	const budget = 0.25
-	m := newTestManager(t, Config{
-		Policy:       PolicyEpsilon,
-		Epsilon:      1.0, // explore every eligible launch
-		RegretBudget: budget,
-		RetrainEvery: 1000,
-		Seed:         42,
-	})
+	m := newTestManager(t, Config{})
 	var base ml.Features
 	base[ml.FGlobalSize] = 1000 + float64(len("gesummv"))
 	base[ml.FWorkDim] = 1
@@ -208,82 +191,26 @@ func TestExploreRespectsRegretBudget(t *testing.T) {
 		}
 	}
 	if explored == 0 {
-		t.Fatal("epsilon=1 with budget never explored")
+		t.Fatal("10000 eligible launches never explored")
 	}
 	st := m.Status()
 	if len(st.Tenants) != 1 {
 		t.Fatalf("want 1 tenant, got %+v", st.Tenants)
 	}
-	if r := st.Tenants[0].Regret; r > budget {
-		t.Fatalf("regret %v exceeded budget %v", r, budget)
+	if r := st.Tenants[0].Regret; r > regretBudget {
+		t.Fatalf("regret %v exceeded budget %v", r, regretBudget)
 	}
 	// Budget exhausted (or no affordable arm left): exploration stops.
 	if _, ok := m.Explore("s-1", "gesummv", base, dec); ok {
 		st := m.Status()
-		if st.Tenants[0].Regret > budget {
+		if st.Tenants[0].Regret > regretBudget {
 			t.Fatalf("post-exhaustion explore overdrew budget: %+v", st.Tenants[0])
 		}
 	}
 }
 
-func TestUCBPicksUnpulledThenBestArm(t *testing.T) {
-	row := newOracleRow([]float64{1.0, 1.1, 1.5, 2.0})
-	arms := newArmStats(4)
-	// All arms unpulled: the cheapest unknown (lowest regret, arm 0)
-	// wins; with arm 0 excluded, arm 1 is next.
-	if got := pickUCB(arms, row, 0.5, 10, -1); got != 0 {
-		t.Fatalf("unpulled pick = %d, want 0", got)
-	}
-	if got := pickUCB(arms, row, 0.5, 10, 0); got != 1 {
-		t.Fatalf("unpulled pick excluding 0 = %d, want 1", got)
-	}
-	// Once every arm has pulls, the highest mean + bonus wins.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			arms.observe(i, row.reward(i))
-		}
-	}
-	if got := pickUCB(arms, row, 0.01, 10, -1); got != 0 {
-		t.Fatalf("converged pick = %d, want best arm 0", got)
-	}
-	// The regret guard filters arms the budget cannot afford: only arm
-	// 0 (regret 0) and arm 1 (regret 0.1) fit a 0.2 budget.
-	if got := pickUCB(arms, row, 10, 0.2, 0); got != 1 {
-		t.Fatalf("budget-guarded pick = %d, want 1", got)
-	}
-}
-
-func TestDriftDetectionForcesRetrain(t *testing.T) {
-	m := newTestManager(t, Config{
-		RetrainEvery:   1000, // never retrain on cadence
-		MinLaunches:    1,
-		DriftWindow:    4,
-		DriftThreshold: 0.2,
-		Policy:         PolicyOff,
-	})
-	// The decision claims 0.1 normalized perf but executes the oracle
-	// best (realized 1.0): a sustained 0.9 error is drift.
-	dec := core.Decision{Config: m.cfgs[9], Predicted: 0.1, Evaluated: len(m.cfgs)}
-	for i := 0; i < 4; i++ {
-		m.Observe(testSample(m, "s-1", "atax", 9, dec))
-	}
-	if !m.Sync(5 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
-	st := m.Status()
-	if st.DriftDetections < 1 {
-		t.Fatalf("no drift detected: %+v", st)
-	}
-	if st.Swaps < 1 {
-		t.Fatalf("drift did not force a swap: %+v", st)
-	}
-	if st.Tenants[0].SwapReason != "drift" {
-		t.Fatalf("swap reason %q, want drift", st.Tenants[0].SwapReason)
-	}
-}
-
 func TestCollectorNeverBlocksLaunchPath(t *testing.T) {
-	m := newTestManager(t, Config{QueueDepth: 2, Policy: PolicyOff})
+	m := newTestManager(t, Config{})
 	gate := make(chan struct{})
 	blocked := core.LaunchSample{
 		Tenant: "s-1", Kernel: "slow",
@@ -301,7 +228,7 @@ func TestCollectorNeverBlocksLaunchPath(t *testing.T) {
 	// Saturate the queue; every further Observe must return immediately
 	// and count a drop.
 	start := time.Now()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < queueDepth+50; i++ {
 		m.Observe(blocked)
 	}
 	if el := time.Since(start); el > time.Second {
@@ -316,5 +243,45 @@ func TestCollectorNeverBlocksLaunchPath(t *testing.T) {
 	}
 	if m.Status().SweepErrors == 0 {
 		t.Fatal("aborted sweeps were not counted")
+	}
+}
+
+// TestForgetDropsClosedTenants closes half the tenants while all of them
+// launch, explore and read status from their own goroutines. Each close
+// is applied after the samples its tenant queued before it, so once the
+// learner drains, only the tenants never closed are left. Run under
+// -race: Explore, Forget and the learner goroutine share tenant state.
+func TestForgetDropsClosedTenants(t *testing.T) {
+	m := newTestManager(t, Config{Base: fakeBase{0.5}})
+	const tenants, launches = 8, 2 * retrainEvery
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("s-%d", i)
+			dec := core.Decision{Config: m.cfgs[0], Evaluated: len(m.cfgs)}
+			for j := 0; j < launches; j++ {
+				s := testSample(m, name, fmt.Sprintf("k%d", j%3), j%len(m.cfgs), dec)
+				m.ModelFor(name)
+				m.Explore(name, s.Kernel, s.Base, dec)
+				m.Observe(s)
+				m.Status()
+			}
+			if i%2 == 0 {
+				m.Forget(name)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if !m.Sync(5 * time.Second) {
+		t.Fatal("learner did not drain")
+	}
+	var got []string
+	for _, ts := range m.Status().Tenants {
+		got = append(got, ts.Tenant)
+	}
+	if want := []string{"s-1", "s-3", "s-5", "s-7"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tenants after closing the even ones: %v, want %v", got, want)
 	}
 }

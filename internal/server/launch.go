@@ -549,8 +549,12 @@ func (s *Server) applyShared(b *binding, shared *sharedResult) launchResult {
 func (s *Server) execute(l *launch, b *binding) (launchResult, error) {
 	sess, q := l.sess, l.sess.queue
 	// The session ID doubles as the online learner's tenant key: each
-	// session gets its own incrementally trained model.
-	q.SetExecContext(core.WithTenant(l.ctx, sess.id))
+	// session gets its own model, until it is closed.
+	tenant := sess.id
+	if sess.closed {
+		tenant = ""
+	}
+	q.SetExecContext(core.WithTenant(l.ctx, tenant))
 	defer q.SetExecContext(nil)
 	q.LastLaunch = nil
 

@@ -132,13 +132,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.learner.Status()
 		m.counter("dopia_online_samples_ingested_total", "Launch samples accepted by the streaming collector.", st.SamplesIngested)
 		m.counter("dopia_online_samples_dropped_total", "Launch samples dropped because the collector queue was full.", st.SamplesDropped)
-		m.gaugeInt("dopia_online_samples_pending", "Samples queued but not yet folded into a window.", st.SamplesPending)
+		m.gaugeInt("dopia_online_samples_pending", "Samples and session closes queued but not yet processed.", st.SamplesPending)
 		m.counter("dopia_online_sweeps_total", "Oracle configuration sweeps performed by the learner.", st.Sweeps)
 		m.counter("dopia_online_sweep_errors_total", "Oracle sweeps that failed.", st.SweepErrors)
-		m.counter("dopia_online_retrains_total", "Incremental retrains performed.", st.Retrains)
+		m.counter("dopia_online_retrains_total", "Tenant tables rebuilt from their recent signatures.", st.Retrains)
 		m.counter("dopia_online_swaps_total", "Hot model swaps published into the decision path.", st.Swaps)
 		m.counter("dopia_online_explorations_total", "Launches whose DoP came from the bandit instead of the model.", st.Explorations)
-		m.counter("dopia_online_drift_detections_total", "Prediction-drift events that forced a retrain.", st.DriftDetections)
 		m.gaugeInt("dopia_online_model_generation", "Highest model generation published so far.", int64(st.Generation))
 		m.gaugeInt("dopia_online_tenants", "Tenants with live learner state.", int64(len(st.Tenants)))
 		if len(st.Tenants) > 0 {

@@ -30,8 +30,8 @@ func (swapStub) Predict(x ml.Features) float64 {
 }
 
 // TestOnlineHotSwapUnderFire drives 64 concurrent sessions against a
-// daemon whose learner swaps aggressively (retrain after every new
-// signature). Every session uses private data (no cross-session
+// daemon whose learner swaps every session's model mid-run. Every
+// session uses private data (no cross-session
 // coalescing) and the launch memo is disabled, so every response carries
 // a live decision. The run must finish with zero failed launches, every
 // output bit-identical to the sequential reference, the model
@@ -44,23 +44,15 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 		cfg.Model = swapStub{}
 		cfg.LaunchMemoBytes = -1 // live decisions: no memo replays
 		cfg.QueueDepth = 4 * nSessions
-		cfg.Online = &online.Config{
-			RetrainEvery:   1,
-			MinLaunches:    1,
-			WarmupLaunches: 4,
-			Policy:         online.PolicyEpsilon,
-			Epsilon:        0.2,
-			RegretBudget:   5,
-			Seed:           7,
-		}
+		cfg.Online = &online.Config{}
 	})
 	prog, err := c.Compile(scaleSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Three geometries per session: distinct global sizes are distinct
-	// decision signatures, so each tenant keeps seeing "new" work and the
-	// RetrainEvery=1 cadence keeps publishing fresh generations.
+	// decision signatures, so each tenant's launches carry new work and
+	// its eighth launch publishes a fresh generation.
 	sizes := []int{64, 128, 256}
 
 	var failures atomic.Int64
@@ -298,11 +290,8 @@ func TestMemoBypassUnderSaturation(t *testing.T) {
 func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 	s, ts, c := newTestServer(t, func(cfg *Config) {
 		cfg.Model = swapStub{}
-		cfg.Online = &online.Config{
-			RetrainEvery: 1,
-			MinLaunches:  1,
-			Policy:       online.PolicyOff,
-		}
+		cfg.LaunchMemoBytes = -1 // every launch reaches the learner
+		cfg.Online = &online.Config{}
 	})
 	prog, err := c.Compile(scaleSrc)
 	if err != nil {
@@ -320,7 +309,8 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, ai := 1.5, int64(128)
-	for i := 0; i < 3; i++ {
+	// The eighth launch of a new signature publishes the tenant's table.
+	for i := 0; i < 8; i++ {
 		if _, err := c.Launch(&LaunchRequest{
 			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
 			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &ai}},
@@ -372,7 +362,6 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		"dopia_online_retrains_total",
 		"dopia_online_swaps_total",
 		"dopia_online_explorations_total",
-		"dopia_online_drift_detections_total",
 		"dopia_online_model_generation",
 		"dopia_memo_bypass_total",
 		"dopia_memo_invalidated_total",
@@ -399,4 +388,64 @@ func metricOf(t *testing.T, page, name string) float64 {
 	}
 	t.Fatalf("metric %s not found", name)
 	return 0
+}
+
+// TestLearnerStateDiesWithSessions: a daemon that served and closed 300
+// sessions, each launching its own geometry, keeps learner state for the
+// one session still open only, and its memo of oracle sweeps stays
+// within its bound.
+func TestLearnerStateDiesWithSessions(t *testing.T) {
+	const sessions = 300
+	s, _, c := newTestServer(t, func(cfg *Config) {
+		cfg.Model = swapStub{}
+		cfg.Online = &online.Config{}
+	})
+	prog, err := c.Compile(scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A distinct global size per session is a distinct decision
+	// signature, so every session costs the learner a fresh oracle sweep.
+	launch := func(sid string, n int) {
+		t.Helper()
+		for _, name := range []string{"x", "y"} {
+			if err := c.CreateBuffer(sid, &BufferRequest{Name: name, Kind: "float32", Len: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, ai := 2.0, int64(n)
+		if _, err := c.Launch(&LaunchRequest{
+			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
+			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &ai}},
+			Global: []int{n}, Local: []int{32},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch(live, 32)
+	for i := 1; i <= sessions; i++ {
+		sid, err := c.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch(sid, 32*(i+1))
+		if err := c.CloseSession(sid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Learner().Sync(10 * time.Second) {
+		t.Fatal("learner did not drain")
+	}
+	st := s.Learner().Status()
+	if len(st.Tenants) != 1 || st.Tenants[0].Tenant != live {
+		t.Fatalf("learner holds %d tenants after closing %d of %d sessions, want only %s",
+			len(st.Tenants), sessions, sessions+1, live)
+	}
+	if rows := s.Learner().OracleRows(); rows.Entries > online.OracleRowCap {
+		t.Fatalf("oracle-sweep memo holds %d signatures, bound %d", rows.Entries, online.OracleRowCap)
+	}
 }

@@ -68,9 +68,10 @@ type Config struct {
 	// coalescing of concurrent identical launches stays on).
 	LaunchMemoBytes int64
 	// Online, when non-nil, enables the closed-loop learner: live
-	// launches stream into per-tenant incremental models (tenant ==
-	// session) that hot-swap into the decision path without downtime.
-	// Machine and Base are filled from Machine/Model when unset.
+	// launches stream into per-tenant models (tenant == session) that
+	// hot-swap into the decision path without downtime, and a tenant's
+	// state dies with its session. Machine and Base are filled from
+	// Machine/Model when unset.
 	Online *online.Config
 }
 
@@ -660,16 +661,25 @@ func (s *Server) session(id string) (*session, bool) {
 
 // closeSession unpublishes a session, shared by both protocols.
 // In-flight launches of the session hold sess.mu and finish normally;
-// the session just stops being addressable.
+// the session just stops being addressable. Its learner state goes with
+// it: taking sess.mu waits out the launch in progress, whose sample is
+// then queued ahead of the Forget, and launches still queued behind the
+// close run as no tenant.
 func (s *Server) closeSession(id string) (int, error) {
 	s.mu.Lock()
-	_, ok := s.sessions[id]
+	sess, ok := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if !ok {
 		return http.StatusNotFound, fmt.Errorf("no session %q", id)
 	}
 	s.met.sessionsClosed.Add(1)
+	if s.learner != nil {
+		sess.mu.Lock()
+		sess.closed = true
+		sess.mu.Unlock()
+		s.learner.Forget(id)
+	}
 	return http.StatusOK, nil
 }
 

@@ -45,6 +45,11 @@ type session struct {
 	// faults are armed too.
 	idem *lru.Cache[string, launchResult]
 
+	// closed is set once closeSession has dropped the session's learner
+	// state; a launch admitted before the close still runs, but not as
+	// the session's tenant.
+	closed bool
+
 	launches atomic.Int64
 }
 
