@@ -386,10 +386,11 @@ func BenchmarkFrontEndCompile(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Serving fast path: one steady-state launch over the binary wire
-// protocol against an in-process daemon on loopback TCP. After warmup
-// the launch hits the completed-launch memo, so the loop measures pure
-// serving overhead — framing, admission, memo lookup, copy-on-read-back
-// — and allocs/op tracks the pooled-arena discipline end to end.
+// protocol against an in-process daemon on loopback TCP. Every iteration
+// executes the kernel through the fail-open ladder, so the loop measures
+// a whole served launch — framing, admission, the managed execution,
+// copy-on-read-back — and allocs/op tracks the pooled-arena discipline
+// end to end.
 
 func BenchmarkServingBinaryLaunch(b *testing.B) {
 	srv, err := server.New(server.Config{Machine: sim.Kaveri()})
@@ -443,10 +444,9 @@ func BenchmarkServingBinaryLaunch(b *testing.B) {
 		SessionID: sid, ProgramID: progID, Kernel: "scale",
 		Args:   []server.LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &nn}},
 		Global: []int{n}, Local: []int{64},
-		Read:   []string{"y"},
+		Read: []string{"y"},
 	}
-	// Two launches reach the content fixpoint (y=0, then y=result);
-	// every launch after that replays from the memo.
+	// Warm the program's compiled artifacts before timing.
 	for i := 0; i < 3; i++ {
 		if _, err := bc.Launch(req); err != nil {
 			b.Fatal(err)

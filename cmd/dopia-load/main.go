@@ -10,6 +10,12 @@
 // — so any cross-tenant leak, cache corruption, or nondeterministic
 // sharding in the serving path fails the run.
 //
+// Tenants of one workload upload identical inputs and launch identical
+// sequences, and the daemon executes every one of those launches: the
+// report's throughput_rps is executed launches per second (plus
+// idempotent replays of a launch's own key in cluster mode), never
+// answers copied from another tenant's execution.
+//
 // -binary switches the wire from HTTP/JSON to the length-prefixed
 // binary protocol (one connection per worker, raw little-endian buffer
 // payloads, no base64); results are verified the same way, so the run
@@ -205,7 +211,6 @@ func main() {
 		mismatches atomic.Int64
 		reqErrors  atomic.Int64
 		retries    atomic.Int64
-		coalesced  atomic.Int64
 		rungs      sync.Map // rung string -> *atomic.Int64
 		latency    = stats.NewLatencyHistogram()
 	)
@@ -308,9 +313,6 @@ func main() {
 				latency.Record(time.Since(t0).Seconds())
 				launches.Add(1)
 				bumpRung(res.rung)
-				if res.coalesced {
-					coalesced.Add(1)
-				}
 				step := experiments.TraceStep{Workload: w.Name, Chosen: machine.AllResources()}
 				if d := res.decision; d != nil {
 					step.Chosen = sim.Config{CPUCores: d.CPUCores, GPUFrac: d.GPUFrac}
@@ -355,7 +357,6 @@ func main() {
 	panics := metricValue(page, "dopia_panics_contained_total")
 	timeouts := metricValue(page, "dopia_watchdog_timeouts_total")
 	plain := metricValue(page, "dopia_fallback_plain_total")
-	coalescedSrv := metricValue(page, "dopia_coalesced_launches_total")
 	bytesIn := metricValue(page, "dopia_server_bytes_in_total")
 	bytesOut := metricValue(page, "dopia_server_bytes_out_total")
 
@@ -413,7 +414,6 @@ func main() {
 		"request_errors": reqErrors.Load(),
 		"retries":        retries.Load(),
 		"mismatches":     mismatches.Load(),
-		"coalesced":      coalesced.Load(),
 		"throughput_rps": float64(launches.Load()) / duration.Seconds(),
 		"latency_ms": map[string]float64{
 			"p50":  snap.P50() * 1e3,
@@ -430,12 +430,11 @@ func main() {
 			return out
 		}(),
 		"server": map[string]int64{
-			"panics_contained":   panics,
-			"watchdog_timeouts":  timeouts,
-			"fallback_plain":     plain,
-			"coalesced_launches": coalescedSrv,
-			"bytes_in":           bytesIn,
-			"bytes_out":          bytesOut,
+			"panics_contained":  panics,
+			"watchdog_timeouts": timeouts,
+			"fallback_plain":    plain,
+			"bytes_in":          bytesIn,
+			"bytes_out":         bytesOut,
 		},
 		"health_polls_ok": healthPolls,
 	}
@@ -685,9 +684,8 @@ func (t *tenant) uploadBuffer(name string, b *interp.Buffer) error {
 // launchResult is the protocol-neutral slice of a launch outcome the
 // load loop cares about.
 type launchResult struct {
-	rung      string
-	coalesced bool
-	decision  *server.DecisionInfo
+	rung     string
+	decision *server.DecisionInfo
 }
 
 // launchOnce fires one launch and verifies its outputs bit-identical
@@ -731,7 +729,7 @@ func (t *tenant) launchOnce() (res launchResult, mismatch string, err error) {
 					t.prefix+name, resp.Rung, resp.Engine), nil
 			}
 		}
-		return launchResult{rung: resp.Rung, coalesced: resp.Coalesced, decision: resp.Decision}, "", nil
+		return launchResult{rung: resp.Rung, decision: resp.Decision}, "", nil
 	}
 
 	resp, err := t.client.Launch(&server.LaunchRequest{
@@ -768,7 +766,7 @@ func (t *tenant) launchOnce() (res launchResult, mismatch string, err error) {
 				t.prefix+name, resp.Rung, resp.Engine), nil
 		}
 	}
-	return launchResult{rung: resp.Rung, coalesced: resp.Coalesced, decision: resp.Decision}, "", nil
+	return launchResult{rung: resp.Rung, decision: resp.Decision}, "", nil
 }
 
 // mixSched is the piecewise workload mix of a run: segments ordered by

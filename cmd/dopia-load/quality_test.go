@@ -39,10 +39,9 @@ func TestOnlineQualityGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, srv, ms, err := embedServer(server.Config{
-		Machine:         machine,
-		Model:           model,
-		LaunchMemoBytes: -1, // every launch decides live
-		Online:          &online.Config{},
+		Machine: machine,
+		Model:   model,
+		Online:  &online.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)

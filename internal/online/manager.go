@@ -25,10 +25,6 @@ type Config struct {
 	// its first publish, and afterwards predicts 0 for any signature its
 	// table lacks.
 	Base ml.Model
-	// OnSwap, when set, is called after each hot swap with the tenant
-	// and the new generation (test/metrics hook; called with the
-	// tenant's lock held — keep it cheap).
-	OnSwap func(tenant string, gen uint64)
 }
 
 // The learner's tuning.
@@ -101,7 +97,6 @@ type event struct {
 type Manager struct {
 	machine *sim.Machine
 	base    ml.Model
-	onSwap  func(tenant string, gen uint64)
 	cfgs    []sim.Config
 
 	gen atomic.Uint64 // generation counter; 1 = the shared base model
@@ -139,7 +134,6 @@ func New(cfg Config) (*Manager, error) {
 	m := &Manager{
 		machine: cfg.Machine,
 		base:    ml.Unwrap(cfg.Base),
-		onSwap:  cfg.OnSwap,
 		cfgs:    cfg.Machine.Configs(),
 		tenants: map[string]*tenantState{},
 		rows:    lru.New[sig, *oracleRow](OracleRowCap, nil),
@@ -392,9 +386,6 @@ func (m *Manager) publishLocked(ts *tenantState) {
 	ts.sinceSwap = 0
 	m.retrains.Add(1)
 	m.swaps.Add(1)
-	if m.onSwap != nil {
-		m.onSwap(ts.name, gen)
-	}
 }
 
 // OracleRows reports the occupancy and traffic of the oracle-sweep memo,

@@ -142,29 +142,29 @@ func TestHotSwapReachesTheNextDecision(t *testing.T) {
 }
 
 func TestGenerationsMonotonicAcrossSwaps(t *testing.T) {
-	swapGens := make(chan uint64, 64)
-	m := newTestManager(t, Config{OnSwap: func(_ string, gen uint64) { swapGens <- gen }})
+	m := newTestManager(t, Config{})
 	dec := core.Decision{Config: m.cfgs[0], Evaluated: len(m.cfgs)}
-	for i := 0; i < 3*retrainEvery; i++ {
-		// A fresh kernel name per launch keeps pendingNew > 0, so every
-		// retrainEvery boundary actually swaps.
-		m.Observe(testSample(m, "s-1", fmt.Sprintf("k%d", i), i%len(m.cfgs), dec))
-	}
-	if !m.Sync(5 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
-	close(swapGens)
+	const rounds = 3
 	last := uint64(1)
-	n := 0
-	for g := range swapGens {
-		if g <= last {
-			t.Fatalf("generation went backwards: %d after %d", g, last)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < retrainEvery; i++ {
+			// A fresh kernel name per launch keeps pendingNew > 0, so every
+			// retrainEvery boundary actually swaps.
+			k := r*retrainEvery + i
+			m.Observe(testSample(m, "s-1", fmt.Sprintf("k%d", k), k%len(m.cfgs), dec))
 		}
-		last = g
-		n++
-	}
-	if n < 2 {
-		t.Fatalf("expected >= 2 swaps, got %d", n)
+		if !m.Sync(5 * time.Second) {
+			t.Fatal("learner did not drain")
+		}
+		st := m.Status()
+		if _, gen := m.ModelFor("s-1"); gen <= last || gen != st.Generation {
+			t.Fatalf("round %d: tenant generation %d (learner %d), want it past %d and the learner's newest",
+				r, gen, st.Generation, last)
+		}
+		last = st.Generation
+		if st.Swaps != int64(r+1) {
+			t.Fatalf("round %d: %d swaps, want %d", r, st.Swaps, r+1)
+		}
 	}
 }
 

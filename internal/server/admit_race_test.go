@@ -13,12 +13,12 @@ import (
 // TestAdmitCountsBeforeWorkerSees is the regression test for the
 // admission ordering race: admit used to register a task with the drain
 // WaitGroup only after the queue send, so a worker finishing a µs-scale
-// launch (a memo replay here) could call pending.Done first and panic
-// with "negative WaitGroup counter". It drives the handler's admission
-// sequence — admit, then the memo bypass on a 429 — directly, 10⁴ times
-// from several goroutines on a 2-P daemon with a queue small enough to
-// bounce, and then requires the drain to finish: every admitted, bounced
-// and bypassed task must have left pending balanced.
+// launch (an idempotent replay here) could call pending.Done first and
+// panic with "negative WaitGroup counter". It drives the handler's
+// admission sequence directly, 10⁴ times from several goroutines on a 2-P
+// daemon with a queue small enough to bounce, and then requires the drain
+// to finish: every admitted and bounced task must have left pending
+// balanced.
 func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s, _, c := newTestServer(t, func(cfg *Config) {
@@ -44,9 +44,10 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 		SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
 		Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &n}},
 		Global: []int{64}, Local: []int{64},
+		IdemKey: "storm",
 	}
-	// Execute once through the front door so every later launch is a
-	// completed-launch memo replay: microseconds of worker time.
+	// Execute once through the front door so every later launch replays
+	// the idempotency key: microseconds of worker time.
 	if _, err := c.Launch(req); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 	p, _ := s.programs.Get(prog.ProgramID)
 
 	const goroutines, per = 4, 2500
-	var served, bypassed, bounced atomic.Int64
+	var served, bounced atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -71,19 +72,15 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 				tk.admitted, tk.done = time.Now(), make(chan launchOutcome, 1)
 				switch status := s.admit(tk); status {
 				case 0:
-					if out := <-tk.done; out.err != nil {
+					out := <-tk.done
+					if out.err != nil {
 						t.Errorf("admitted launch: %v", out.err)
+					} else if !out.res.replayed {
+						t.Error("admitted launch executed instead of replaying its key")
 					}
 					served.Add(1)
 				case http.StatusTooManyRequests:
-					if _, err, ok := s.memoBypass(tk); ok {
-						if err != nil {
-							t.Errorf("bypassed launch: %v", err)
-						}
-						bypassed.Add(1)
-					} else {
-						bounced.Add(1)
-					}
+					bounced.Add(1)
 					cancel()
 				default:
 					cancel()
@@ -93,13 +90,13 @@ func TestAdmitCountsBeforeWorkerSees(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := served.Load() + bypassed.Load() + bounced.Load(); got != goroutines*per {
+	if got := served.Load() + bounced.Load(); got != goroutines*per {
 		t.Fatalf("accounted for %d launches, want %d", got, goroutines*per)
 	}
-	if got := s.met.memoBypass.Load(); got != bypassed.Load() {
-		t.Errorf("memo-bypass counter = %d, want %d", got, bypassed.Load())
+	if got := s.met.idemReplays.Load(); got != served.Load() {
+		t.Errorf("idempotent replays = %d, want %d", got, served.Load())
 	}
-	t.Logf("served=%d bypassed=%d bounced=%d", served.Load(), bypassed.Load(), bounced.Load())
+	t.Logf("served=%d bounced=%d", served.Load(), bounced.Load())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -211,9 +211,9 @@ type LaunchResponse struct {
 	// launch had already been applied under this idem_key and was not
 	// re-executed.
 	Replayed bool `json:"replayed,omitempty"`
-	// Coalesced marks a launch that shared another identical launch's
-	// execution — as an in-flight follower or from the launch memo —
-	// and had the outputs applied to its own session without executing.
+	// Coalesced is always false: every launch executes or replays its own
+	// idempotency key. The field stays so the wire format is unchanged
+	// for clients that still read it.
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
@@ -289,7 +289,7 @@ func (r *launchResult) response() *LaunchResponse {
 		Rung: r.rung, Engine: r.engine,
 		Decision: r.decision, Result: r.sim, Fallback: r.fallback,
 		QueueMS: r.queueMS, ExecMS: r.execMS,
-		Replayed: r.replayed, Coalesced: r.coalesced,
+		Replayed: r.replayed,
 	}
 	if len(r.bufs) > 0 {
 		resp.Buffers = make(map[string]BufferData, len(r.bufs))
@@ -308,7 +308,7 @@ func resultFromResponse(resp *LaunchResponse, order []string) (launchResult, err
 		rung: resp.Rung, engine: resp.Engine,
 		decision: resp.Decision, sim: resp.Result, fallback: resp.Fallback,
 		queueMS: resp.QueueMS, execMS: resp.ExecMS,
-		replayed: resp.Replayed, coalesced: resp.Coalesced,
+		replayed: resp.Replayed,
 	}
 	if len(order) == 0 {
 		for name := range resp.Buffers {

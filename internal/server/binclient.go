@@ -67,7 +67,7 @@ type BinLaunchResult struct {
 	Rung      string
 	Engine    string
 	Replayed  bool
-	Coalesced bool
+	Coalesced bool // always false; kept for wire compatibility
 	Decision  *DecisionInfo
 	Result    *ResultInfo
 	Fallback  FallbackDelta

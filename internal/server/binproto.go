@@ -45,7 +45,7 @@ package server
 //	opCreateBuffer|OK u32 elems
 //	opReadBuffer|OK   u8 kind, u32 elems, raw bytes
 //	opLaunch|OK       str rung, str engine, u8 flags(1 decision,
-//	                  2 result, 4 replayed, 8 coalesced),
+//	                  2 result, 4 replayed, 8 coalesced: never set),
 //	                  decision?: u32 cores, f64 gpuFrac, f64 predicted,
 //	                  u32 evaluated, u8 discarded, f64 inferUS,
 //	                  result?: f64 simSec, u32 wgsCPU, u32 wgsGPU,
@@ -84,7 +84,7 @@ const (
 	binFlagDecision  = 1
 	binFlagResult    = 2
 	binFlagReplayed  = 4
-	binFlagCoalesced = 8
+	binFlagCoalesced = 8 // reserved: no server sets it; the client still decodes it
 
 	// binHelloLen is the client hello length: magic + "dp" + version.
 	binHelloLen = 4
@@ -178,10 +178,10 @@ func (c *wireCursor) u64() uint64 {
 	return binary.LittleEndian.Uint64(v)
 }
 
-func (c *wireCursor) i64() int64     { return int64(c.u64()) }
-func (c *wireCursor) f64() float64   { return math.Float64frombits(c.u64()) }
-func (c *wireCursor) rest() int      { return len(c.b) - c.off }
-func (c *wireCursor) done() bool     { return c.err == nil && c.off == len(c.b) }
+func (c *wireCursor) i64() int64   { return int64(c.u64()) }
+func (c *wireCursor) f64() float64 { return math.Float64frombits(c.u64()) }
+func (c *wireCursor) rest() int    { return len(c.b) - c.off }
+func (c *wireCursor) done() bool   { return c.err == nil && c.off == len(c.b) }
 func (c *wireCursor) strBytes() []byte {
 	n := c.u32()
 	if c.err != nil || int64(n) > int64(c.rest()) {

@@ -608,9 +608,6 @@ func (bc *binConn) writeLaunchResponse(res *launchResult) error {
 	if res.replayed {
 		flags |= binFlagReplayed
 	}
-	if res.coalesced {
-		flags |= binFlagCoalesced
-	}
 	b = append(b, flags)
 	if d := res.decision; d != nil {
 		b = appendU32(b, uint32(d.CPUCores))

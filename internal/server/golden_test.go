@@ -51,7 +51,7 @@ func zeroLaunchFrameTimings(t *testing.T, p []byte) {
 // payload, timings zeroed.
 func goldenLaunch(t *testing.T) (jsonBody, binPayload []byte) {
 	t.Helper()
-	_, addr := newMixedTestServer(t, func(cfg *Config) { cfg.LaunchMemoBytes = -1 })
+	_, addr := newMixedTestServer(t, nil)
 	jc := NewClient("http://"+addr, nil)
 	prog, err := jc.Compile(scaleSrc)
 	if err != nil {

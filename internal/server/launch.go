@@ -7,17 +7,17 @@ package server
 //	codec (JSON | binary) → submit → worker → stages → codec
 //
 // submit owns everything between the codecs: session and program lookup,
-// the deadline, admission, the 429 memo bypass and the wait. A worker
-// runs the stages under the session lock, in order:
+// the deadline, admission and the wait. A worker runs the stages under
+// the session lock, in order:
 //
 //	replay     answer from the idempotency cache
 //	bind       resolve kernel, arguments and read-set
-//	share      take an identical launch's outputs (memo, else coalition)
 //	execute    run the kernel through the fail-open ladder
-//	publish    hand the outputs to followers and the memo
 //	read-back  snapshot the read-set, remember an idempotent result
 //
-// The memo bypass runs replay, bind and share inline and stops there.
+// Every launch either replays its own idempotency key or executes: no
+// launch is answered from another launch's execution, so every decision
+// a response reports was made for that launch.
 
 import (
 	"context"
@@ -66,16 +66,15 @@ type launch struct {
 // protocols. The read-set is carried as little-endian slabs in request
 // order and nothing else; the JSON codec base64-encodes from them, the
 // binary codec streams them. decision/sim/fallback are written once and
-// then shared read-only between responses, the idempotency cache and the
-// launch memo.
+// then shared read-only between a response and the idempotency cache.
 type launchResult struct {
-	rung, engine        string
-	decision            *DecisionInfo
-	sim                 *ResultInfo
-	fallback            *FallbackDelta
-	replayed, coalesced bool
-	queueMS, execMS     float64
-	bufs                []rawBuf
+	rung, engine    string
+	decision        *DecisionInfo
+	sim             *ResultInfo
+	fallback        *FallbackDelta
+	replayed        bool
+	queueMS, execMS float64
+	bufs            []rawBuf
 }
 
 // release hands the pooled read-set slabs back. Slabs owned by the
@@ -142,7 +141,7 @@ func ndFrom(global, local []int) (interp.NDRange, error) {
 	return nd, nd.Validate()
 }
 
-// ---------- submit: lookup, deadline, admission, bypass, wait ----------
+// ---------- submit: lookup, deadline, admission, wait ----------
 
 // submit carries one decoded launch to its result. A non-nil error comes
 // with the HTTP-shaped status either codec reports it under.
@@ -170,15 +169,7 @@ func (s *Server) submit(l *launch) (launchResult, int, error) {
 	}
 
 	if status := s.admit(l); status != 0 {
-		defer l.cancel()
-		if status == http.StatusTooManyRequests {
-			if res, err, ok := s.memoBypass(l); ok {
-				if err != nil {
-					return launchResult{}, http.StatusBadRequest, err
-				}
-				return res, http.StatusOK, nil
-			}
-		}
+		l.cancel()
 		s.met.rejected.Add(1)
 		return launchResult{}, status, fmt.Errorf("admission queue full (%d deep)", s.cfg.QueueDepth)
 	}
@@ -234,69 +225,6 @@ func (s *Server) admit(l *launch) int {
 		s.pending.Done()
 		return http.StatusTooManyRequests
 	}
-}
-
-// memoBypass gives a launch that admission control just rejected (429)
-// one chance to be answered from the idempotency cache or the
-// completed-launch memo, inline on the handler goroutine. Replays cost no
-// engine work, so serving them under overload cannot deepen the overload
-// — identical hot launches keep flowing at full rate while the queue
-// sheds genuinely new work. The probe still registers with pending under
-// admitMu so Shutdown's drain accounting stays exact. ok reports whether
-// the launch was handled here; !ok means the caller must send the
-// original rejection.
-func (s *Server) memoBypass(l *launch) (res launchResult, err error, ok bool) {
-	if !s.coal.on() {
-		return res, nil, false
-	}
-	s.admitMu.Lock()
-	if s.draining.Load() {
-		s.admitMu.Unlock()
-		return res, nil, false
-	}
-	s.pending.Add(1)
-	s.admitMu.Unlock()
-	defer s.pending.Done()
-
-	// The server is saturated and the session lock may be held by a
-	// wedged launch for arbitrarily long; a replay is only worth serving
-	// if it is cheap right now — so never wait for it.
-	if !l.sess.mu.TryLock() {
-		return res, nil, false
-	}
-	defer l.sess.mu.Unlock()
-
-	if res, err, ok = s.answerStored(l); !ok {
-		return res, nil, false
-	}
-	s.met.memoBypass.Add(1)
-	if err == nil {
-		s.met.launchesOK.Add(1)
-	} else {
-		s.met.launchErrors.Add(1)
-	}
-	return res, err, true
-}
-
-// answerStored runs the stages that can answer a launch without
-// executing it — replay, bind, and a share that never parks as a
-// coalition follower (that waits on real execution) or leads one. Callers
-// hold the session lock.
-func (s *Server) answerStored(l *launch) (launchResult, error, bool) {
-	if res, ok := s.replay(l); ok {
-		return res, nil, true
-	}
-	b, err := s.bind(l)
-	if err != nil {
-		return launchResult{}, err, true
-	}
-	shared, _ := s.share(l, b, false)
-	if shared == nil {
-		return launchResult{}, nil, false
-	}
-	res := s.applyShared(b, shared)
-	s.readBack(l, b, &res)
-	return res, nil, true
 }
 
 func (s *Server) worker(i int) {
@@ -381,19 +309,9 @@ func (s *Server) runStages(l *launch) (launchResult, error) {
 	if err != nil {
 		return launchResult{}, err
 	}
-	shared, err := s.share(l, b, true)
+	res, err := s.execute(l, b)
 	if err != nil {
 		return launchResult{}, err
-	}
-	var res launchResult
-	if shared != nil {
-		res = s.applyShared(b, shared)
-	} else {
-		res, err = s.execute(l, b)
-		s.publish(b, &res, err)
-		if err != nil {
-			return launchResult{}, err
-		}
 	}
 	s.readBack(l, b, &res)
 	return res, nil
@@ -417,20 +335,14 @@ func (s *Server) replay(l *launch) (launchResult, bool) {
 // readEntry is one resolved read-set buffer, in request order.
 type readEntry struct {
 	name string
-	sb   *sessionBuffer
+	b    *ocl.Buffer
 }
 
 // binding is a launch resolved against its session: the kernel with its
-// arguments set, the buffer behind each argument slot (nil for scalars),
-// the deduplicated read-set, and — once share has run — the coalescing
-// key and the coalition this launch leads.
+// arguments set and the deduplicated read-set.
 type binding struct {
 	kern    *ocl.Kernel
-	bufArgs []*sessionBuffer
 	readSet []readEntry
-
-	key  launchKey
-	lead *coalition
 }
 
 // bind resolves kernel, arguments and read-set, so that a bad name fails
@@ -444,16 +356,14 @@ func (s *Server) bind(l *launch) (*binding, error) {
 	if len(l.args) != kern.NumArgs() {
 		return nil, fmt.Errorf("kernel %s takes %d arguments, got %d", l.kernel, kern.NumArgs(), len(l.args))
 	}
-	b := &binding{kern: kern, bufArgs: make([]*sessionBuffer, len(l.args))}
 	for i, a := range l.args {
 		switch a.kind {
 		case 'b':
-			sb, ok := sess.bufs[a.buf]
+			buf, ok := sess.bufs[a.buf]
 			if !ok {
 				return nil, fmt.Errorf("argument %d: no buffer %q in session %s", i, a.buf, sess.id)
 			}
-			b.bufArgs[i] = sb
-			err = kern.SetArg(i, sb.b)
+			err = kern.SetArg(i, buf)
 		case 'i':
 			err = kern.SetArg(i, a.i)
 		case 'f':
@@ -465,10 +375,10 @@ func (s *Server) bind(l *launch) (*binding, error) {
 			return nil, err
 		}
 	}
-	b.readSet = make([]readEntry, 0, len(l.read))
+	b := &binding{kern: kern, readSet: make([]readEntry, 0, len(l.read))}
 next:
 	for _, name := range l.read {
-		sb, ok := sess.bufs[name]
+		buf, ok := sess.bufs[name]
 		if !ok {
 			return nil, fmt.Errorf("read: no buffer %q in session %s", name, sess.id)
 		}
@@ -477,71 +387,9 @@ next:
 				continue next
 			}
 		}
-		b.readSet = append(b.readSet, readEntry{name: name, sb: sb})
+		b.readSet = append(b.readSet, readEntry{name: name, b: buf})
 	}
 	return b, nil
-}
-
-// share looks for an identical launch (same program, kernel, geometry,
-// scalars, buffer contents and aliasing) to take outputs from: the
-// completed-launch memo first, then — when the caller may wait — an
-// in-flight coalition. A nil result means execute; b.lead is then set if
-// this launch leads a coalition and must publish.
-func (s *Server) share(l *launch, b *binding, mayWait bool) (*sharedResult, error) {
-	if !s.coal.on() || len(l.args) > 64 {
-		return nil, nil
-	}
-	b.key = s.coal.keyFor(l, b.bufArgs)
-	if res, ok := s.coal.memo.Get(b.key); ok {
-		return res, nil
-	}
-	if !mayWait {
-		return nil, nil
-	}
-	co, lead := s.coal.join(b.key)
-	if lead {
-		b.lead = co
-		if s.testHookLeader != nil {
-			s.testHookLeader()
-		}
-		return nil, nil
-	}
-	// Follower: park on the leader's coalition while holding our own
-	// session lock (intra-session order is preserved; the leader never
-	// waits on another session's lock, so there is no cycle), watching
-	// our own deadline only.
-	select {
-	case <-co.done:
-	case <-l.ctx.Done():
-		// Canceled follower: 504 with the session untouched; the leader's
-		// execution is not disturbed.
-		return nil, fmt.Errorf("deadline expired while coalesced behind an identical launch: %w", l.ctx.Err())
-	}
-	if co.res != nil {
-		s.met.coalescedFollowers.Add(1)
-	}
-	// A failed leader leaves res nil: execute independently, without
-	// publishing — each follower re-runs its own copy.
-	return co.res, nil
-}
-
-// applyShared copies a shared execution's outputs into this session's
-// own argument buffers. Copying is exact: the coalescing key pins each
-// argument's length and content, so leader and follower buffers are
-// structurally identical.
-func (s *Server) applyShared(b *binding, shared *sharedResult) launchResult {
-	for _, o := range shared.outs {
-		sb := b.bufArgs[o.argIdx]
-		if o.f32 != nil {
-			copy(sb.b.Float32(), o.f32)
-		} else {
-			copy(sb.b.Int32(), o.i32)
-		}
-		sb.touch()
-	}
-	res := shared.res
-	res.coalesced = true
-	return res
 }
 
 // execute runs the bound kernel on the session queue through the
@@ -557,17 +405,6 @@ func (s *Server) execute(l *launch, b *binding) (launchResult, error) {
 	q.SetExecContext(core.WithTenant(l.ctx, tenant))
 	defer q.SetExecContext(nil)
 	q.LastLaunch = nil
-
-	// The execution may rewrite any buffer the kernel's write set names;
-	// their cached digests go stale either way (even a failed rung is
-	// rolled back to identical bytes, but touching is cheap and
-	// unconditionally safe).
-	mask, known := s.writeMask(b.kern)
-	for i, sb := range b.bufArgs {
-		if sb != nil && (!known || mask&(1<<uint(i)) != 0) {
-			sb.touch()
-		}
-	}
 
 	before := q.Fallback.Snapshot()
 	simBefore := q.SimTime
@@ -623,22 +460,8 @@ func ladderResult(q *ocl.CommandQueue, delta faults.Snapshot) launchResult {
 	return res
 }
 
-// publish ends the coalition this launch leads, if any: a success wakes
-// the followers with the written buffers and enters the memo, a failure
-// sends every follower off to execute on its own.
-func (s *Server) publish(b *binding, res *launchResult, err error) {
-	switch {
-	case b.lead == nil:
-	case err != nil:
-		s.coal.complete(b.key, b.lead, nil)
-	default:
-		mask, known := s.writeMask(b.kern)
-		s.coal.complete(b.key, b.lead, buildShared(res, b.bufArgs, mask, known))
-	}
-}
-
-// readBack finishes a launch that changed (or shared) session state:
-// count it, snapshot the requested read-set under the session lock —
+// readBack finishes a launch that changed session state: count it,
+// snapshot the requested read-set under the session lock —
 // copy-on-read-back: serialization happens after the lock is gone, so
 // the copy is what keeps a later launch from racing it — and remember an
 // idempotent launch's result. An idempotent read-set is owned memory
@@ -648,29 +471,10 @@ func (s *Server) readBack(l *launch, b *binding, res *launchResult) {
 	if len(b.readSet) > 0 {
 		res.bufs = make([]rawBuf, len(b.readSet))
 		for i, e := range b.readSet {
-			res.bufs[i] = snapshotBuffer(e.name, e.sb.b, l.idemKey == "")
+			res.bufs[i] = snapshotBuffer(e.name, e.b, l.idemKey == "")
 		}
 	}
 	if l.idemKey != "" {
 		l.sess.idem.Put(l.idemKey, *res)
 	}
-}
-
-// writeMask returns a bitmask of the argument slots the kernel's static
-// analysis marks as written (stores plus atomic targets). known == false
-// means the analysis is unavailable or the kernel has too many parameters
-// for the mask; callers must then treat every buffer argument as written.
-func (s *Server) writeMask(kern *ocl.Kernel) (mask uint64, known bool) {
-	ck := kern.Compiled()
-	if ck == nil || len(ck.Params) > 64 {
-		return 0, false
-	}
-	res, err := s.fw.Analysis(ck)
-	if err != nil || res == nil {
-		return 0, false
-	}
-	for _, slot := range res.WrittenArgs() {
-		mask |= 1 << uint(slot)
-	}
-	return mask, true
 }

@@ -1,154 +1,156 @@
 package server
 
-// Tests of the single launch path that both codecs share: the 429 memo
-// bypass inside submit, and the stored form of an idempotent launch
-// surviving the export/import edge.
+// Tests of the single launch path that both codecs share: every launch
+// that does not replay its own idempotency key executes, and the stored
+// form of an idempotent launch survives the export/import edge.
 
 import (
 	"bytes"
-	"net/http"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"dopia/internal/online"
 )
 
-// TestMemoBypassBothProtocols saturates a one-worker, one-deep daemon and
-// then offers it, over each protocol, a launch whose result is memoized
-// (answered 200 through the bypass, marked coalesced) and one that is not
-// (the honest 429).
-func TestMemoBypassBothProtocols(t *testing.T) {
-	var blocked atomic.Bool
-	entered := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	s, addr := newMixedTestServer(t, func(cfg *Config) {
-		cfg.Workers = 1
-		cfg.QueueDepth = 1
+// accInputs returns the deterministic x contents and the expected y
+// after k applied launches of accSrc.
+func accInputs(n int) (x []float32, after func(k int) []float32) {
+	x = make([]float32, n)
+	for i := range x {
+		x[i] = float32(i%7) * 0.25
+	}
+	after = func(k int) []float32 {
+		y := make([]float32, n)
+		for i := range y {
+			y[i] = float32(k) * (x[i] + 1)
+		}
+		return y
+	}
+	return x, after
+}
+
+// TestIdenticalLaunchesEachExecute gives two sessions byte-identical
+// buffers and launches the same accumulator kernel in both, first one
+// after the other and then concurrently. Nothing is answered from the
+// other session's execution: the fail-open ladder counts every launch,
+// no response is marked coalesced, each session's y advances by exactly
+// one step per launch, and the online learner receives one sample per
+// launch.
+func TestIdenticalLaunchesEachExecute(t *testing.T) {
+	s, _, c := newTestServer(t, func(cfg *Config) {
+		cfg.Workers = 4
+		cfg.Model = swapStub{}
+		cfg.Online = &online.Config{}
 	})
-	s.testHookLeader = func() {
-		if blocked.Load() {
-			entered <- struct{}{}
-			<-gate
-		}
-	}
-	jc := NewClient("http://"+addr, nil)
-	bc, err := DialBin(addr, 5*time.Second)
+	prog, err := c.Compile(accSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bc.Close()
-	prog, err := jc.Compile(scaleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 128
-	newSess := func(seed uint32) string {
-		t.Helper()
-		sid, err := jc.NewSession()
+	const n = 64
+	x, after := accInputs(n)
+	// Two sessions on distinct workers, so the concurrent leg really
+	// overlaps.
+	var sids []string
+	for tries := 0; len(sids) < 2; tries++ {
+		if tries == 64 {
+			t.Fatal("could not place two sessions on distinct workers")
+		}
+		sid, err := c.NewSession()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := jc.CreateBuffer(sid, &BufferRequest{Name: "x", Kind: "float32", Len: n, FillSeed: &seed}); err != nil {
-			t.Fatal(err)
+		if len(sids) == 1 && s.workerOf(sid) == s.workerOf(sids[0]) {
+			continue
 		}
-		if err := jc.CreateBuffer(sid, &BufferRequest{Name: "y", Kind: "float32", Len: n}); err != nil {
-			t.Fatal(err)
-		}
-		return sid
-	}
-	cnt := int64(n)
-	args := func(a float64) []LaunchArg {
-		return []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &cnt}}
-	}
-	// Each protocol reports (coalesced, y bytes, HTTP-shaped status).
-	viaJSON := func(sid string, a float64) (bool, []byte, int) {
-		resp, err := jc.Launch(&LaunchRequest{
-			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale", Args: args(a),
-			Global: []int{n}, Local: []int{64}, Read: []string{"y"},
-		})
-		if apiErr, ok := err.(*APIError); ok {
-			return false, nil, apiErr.Status
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		ys, err := DecodeF32(resp.Buffers["y"].F32B64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := make([]byte, 4*len(ys))
-		F32ToLE(raw, ys)
-		return resp.Coalesced, raw, http.StatusOK
-	}
-	viaBin := func(sid string, a float64) (bool, []byte, int) {
-		res, err := bc.Launch(&BinLaunch{
-			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale", Args: args(a),
-			Global: []int{n}, Local: []int{64}, Read: []string{"y"},
-		})
-		if binErr, ok := err.(*BinError); ok {
-			return false, nil, binErr.Status
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		return res.Coalesced, append([]byte(nil), res.Bufs[0].Raw...), http.StatusOK
-	}
-
-	// Populate the memo on session A: the second identical launch keys on
-	// y's post-launch content, which is the state every later identical
-	// launch (and the bypass probe) sees.
-	sidA := newSess(11)
-	for i := 0; i < 2; i++ {
-		if _, _, status := viaJSON(sidA, 2.0); status != http.StatusOK {
-			t.Fatalf("warm-up launch: status %d", status)
-		}
-	}
-	want := make([]byte, 4*n)
-	F32ToLE(want, scaleReference(t, n, 11, 2.0))
-
-	// Saturate: session B's first launch parks inside the leader hook on
-	// the only worker, its second fills the one-deep queue.
-	blocked.Store(true)
-	sidB := newSess(22)
-	var bg sync.WaitGroup
-	for _, a := range []float64{3.0, 4.0} {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			if _, _, status := viaJSON(sidB, a); status != http.StatusOK {
-				t.Errorf("saturating launch a=%v: status %d", a, status)
+		for _, req := range []*BufferRequest{
+			{Name: "x", Kind: "float32", F32B64: EncodeF32(x)},
+			{Name: "y", Kind: "float32", Len: n},
+		} {
+			if err := c.CreateBuffer(sid, req); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		if a == 3.0 {
-			<-entered
 		}
+		sids = append(sids, sid)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.queueLen() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
+	nn := int64(n)
+	launch := func(sid string) (*LaunchResponse, error) {
+		return c.Launch(&LaunchRequest{
+			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "acc",
+			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}},
+			Global: []int{n}, Local: []int{32},
+			Read: []string{"y"},
+		})
+	}
+
+	ladder := func() int64 {
+		fb := s.fw.Stats.Snapshot()
+		return fb.Managed + fb.CoExecAll + fb.Plain
+	}
+	ingested := func() int64 {
+		if !s.Learner().Sync(10 * time.Second) {
+			t.Fatal("learner did not drain")
+		}
+		return s.Learner().Status().SamplesIngested
+	}
+	launched := int64(0)
+	check := func(leg string, steps int, resps ...*LaunchResponse) {
+		t.Helper()
+		launched += int64(len(resps))
+		want := EncodeF32(after(steps))
+		for i, r := range resps {
+			if r.Coalesced || r.Replayed {
+				t.Errorf("%s: response %d coalesced=%v replayed=%v, want an execution", leg, i, r.Coalesced, r.Replayed)
+			}
+			if r.Buffers["y"].F32B64 != want {
+				t.Errorf("%s: response %d: y is not exactly %d accumulation steps", leg, i, steps)
+			}
+		}
+		if got := ladder(); got != launched {
+			t.Errorf("%s: ladder counted %d launches, want %d", leg, got, launched)
+		}
+		if got := ingested(); got != launched {
+			t.Errorf("%s: learner ingested %d samples, want %d", leg, got, launched)
 		}
 	}
 
-	for i, leg := range []struct {
-		name   string
-		launch func(string, float64) (bool, []byte, int)
-	}{{"json", viaJSON}, {"binary", viaBin}} {
-		coalesced, y, status := leg.launch(sidA, 2.0)
-		if status != http.StatusOK || !coalesced {
-			t.Errorf("%s: memoized launch under saturation: status %d coalesced %v", leg.name, status, coalesced)
+	// One after the other: the second session's launch is identical to the
+	// first's, byte for byte.
+	var seq []*LaunchResponse
+	for _, sid := range sids {
+		r, err := launch(sid)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(y, want) {
-			t.Errorf("%s: bypassed y differs from the reference", leg.name)
-		}
-		if got := s.met.memoBypass.Load(); got != int64(i+1) {
-			t.Errorf("%s: memoBypass = %d, want %d", leg.name, got, i+1)
-		}
-		if _, _, status := leg.launch(sidA, 9.5+float64(i)); status != http.StatusTooManyRequests {
-			t.Errorf("%s: unmemoized launch under saturation: status %d, want 429", leg.name, status)
-		}
+		seq = append(seq, r)
 	}
+	check("sequential", 1, seq...)
 
-	blocked.Store(false)
-	close(gate)
-	bg.Wait()
+	// Concurrently, again over identical pre-state.
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
+		resps := make([]*LaunchResponse, len(sids))
+		errs := make([]error, len(sids))
+		var wg sync.WaitGroup
+		for i, sid := range sids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resps[i], errs[i] = launch(sid)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("concurrent round %d", round), 2+round, resps...)
+	}
+	if got := s.met.launchesOK.Load(); got != launched {
+		t.Errorf("launchesOK = %d, want %d", got, launched)
+	}
 }
 
 // TestIdempotentResultSurvivesMigration executes an idempotent launch

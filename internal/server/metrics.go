@@ -3,7 +3,7 @@ package server
 // The /metrics endpoint: a Prometheus-style text rendering of every
 // counter the daemon keeps — admission queue state, latency quantiles
 // from the streaming histograms, the fail-open ladder mix, and the
-// traffic of every cache (program dedup, program registry, launch memo).
+// traffic of every cache (program dedup, program registry).
 // Everything here reads atomics or takes short snapshots; scraping
 // /metrics never blocks a launch.
 
@@ -109,18 +109,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("dopia_bad_requests_total", "Malformed or invalid requests.", s.met.badRequests.Load())
 	m.gauge("dopia_sim_time_seconds_total", "Accumulated simulated co-execution seconds.", float64(s.met.simTimeNanos.Load())/1e9)
 
-	// ---- serving fast path ----
+	// ---- wire ----
 	m.counter("dopia_server_bytes_in_total", "Request bytes read off the wire (JSON and binary protocols).", s.met.bytesIn.Load())
 	m.counter("dopia_server_bytes_out_total", "Response bytes written to the wire (JSON and binary protocols).", s.met.bytesOut.Load())
-	memo := s.coal.memo.Stats()
-	coalesced := s.met.coalescedFollowers.Load() + memo.Hits
-	m.counter("dopia_coalesced_launches_total", "Launches that shared an identical launch's execution (followers + memo replays).", coalesced)
-	m.counter("dopia_coalesced_followers_total", "Launches that joined an in-flight identical execution.", s.met.coalescedFollowers.Load())
-	m.counter("dopia_launch_memo_hits_total", "Launches replayed from the completed-launch memo.", memo.Hits)
-	m.gaugeInt("dopia_launch_memo_entries", "Entries in the completed-launch memo.", int64(memo.Entries))
-	m.gaugeInt("dopia_launch_memo_bytes", "Bytes held by the completed-launch memo.", memo.Cost)
-	m.counter("dopia_memo_bypass_total", "429-rejected launches answered from the launch memo instead.", s.met.memoBypass.Load())
-	m.counter("dopia_memo_invalidated_total", "Launch-memo entries dropped by model hot swaps.", s.met.memoInvalidated.Load())
 
 	// ---- online learner ----
 	online := int64(0)

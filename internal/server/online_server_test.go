@@ -3,8 +3,8 @@ package server
 // Tests of the closed-loop serving path: the 64-session hot-swap-under-
 // fire stress (zero failed launches, zero byte mismatches against the
 // sequential reference, monotonically non-decreasing model generation
-// per session), the coalescing-aware 429 memo bypass, and the /v1/models
-// and dopia_online_* observability surface.
+// per session), the learner's state dying with its session, and the
+// /v1/models and dopia_online_* observability surface.
 
 import (
 	"encoding/json"
@@ -31,9 +31,8 @@ func (swapStub) Predict(x ml.Features) float64 {
 
 // TestOnlineHotSwapUnderFire drives 64 concurrent sessions against a
 // daemon whose learner swaps every session's model mid-run. Every
-// session uses private data (no cross-session
-// coalescing) and the launch memo is disabled, so every response carries
-// a live decision. The run must finish with zero failed launches, every
+// session uses private data and every launch executes, so every response
+// carries a live decision. The run must finish with zero failed launches, every
 // output bit-identical to the sequential reference, the model
 // generation non-decreasing within each session, and at least one hot
 // swap actually performed.
@@ -42,7 +41,6 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 	const perSession = 12
 	s, _, c := newTestServer(t, func(cfg *Config) {
 		cfg.Model = swapStub{}
-		cfg.LaunchMemoBytes = -1 // live decisions: no memo replays
 		cfg.QueueDepth = 4 * nSessions
 		cfg.Online = &online.Config{}
 	})
@@ -154,143 +152,12 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 	}
 }
 
-// TestMemoBypassUnderSaturation verifies the coalescing-aware admission
-// path: with the one-deep queue saturated behind a stalled execution, a
-// launch whose response is already memoized is served 200 from the memo
-// instead of 429, while a genuinely new launch still gets the 429.
-func TestMemoBypassUnderSaturation(t *testing.T) {
-	var blocked atomic.Bool
-	entered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	s, _, c := newTestServer(t, func(cfg *Config) {
-		cfg.Workers = 1
-		cfg.QueueDepth = 1
-	})
-	s.testHookLeader = func() {
-		if blocked.Load() {
-			entered <- struct{}{}
-			<-gate
-		}
-	}
-
-	prog, err := c.Compile(scaleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSess := func(seed uint32) string {
-		t.Helper()
-		sid, err := c.NewSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := seed
-		if err := c.CreateBuffer(sid, &BufferRequest{Name: "x", Kind: "float32", Len: 128, FillSeed: &fs}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CreateBuffer(sid, &BufferRequest{Name: "y", Kind: "float32", Len: 128}); err != nil {
-			t.Fatal(err)
-		}
-		return sid
-	}
-	launch := func(sid string, a float64) (*LaunchResponse, error) {
-		ai := int64(128)
-		return c.Launch(&LaunchRequest{
-			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
-			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &ai}},
-			Global: []int{128}, Local: []int{64},
-			Read: []string{"y"},
-		})
-	}
-
-	// Populate the memo on session A. The second identical launch keys on
-	// y's post-first-launch content, and that is the state every later
-	// identical launch (and the bypass probe) will see.
-	sidA := newSess(11)
-	if _, err := launch(sidA, 2.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := launch(sidA, 2.0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Saturate: session B's launch parks inside the leader hook (the one
-	// worker is now stuck), and a second B launch fills the one-deep
-	// queue.
-	blocked.Store(true)
-	defer func() {
-		blocked.Store(false)
-		select {
-		case <-gate:
-		default:
-			close(gate)
-		}
-	}()
-	sidB := newSess(22)
-	var bg sync.WaitGroup
-	bg.Add(2)
-	go func() {
-		defer bg.Done()
-		if _, err := launch(sidB, 3.0); err != nil {
-			t.Errorf("stalled leader launch: %v", err)
-		}
-	}()
-	<-entered // the worker is inside the hook
-	go func() {
-		defer bg.Done()
-		if _, err := launch(sidB, 4.0); err != nil {
-			t.Errorf("queued launch: %v", err)
-		}
-	}()
-	// Wait until the queued launch occupies the admission queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.queueLen() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.queueLen() == 0 {
-		t.Fatal("queue never filled")
-	}
-
-	// Memoized launch: served 200 through the bypass, marked coalesced.
-	resp, err := launch(sidA, 2.0)
-	if err != nil {
-		t.Fatalf("memoized launch under saturation: %v", err)
-	}
-	if !resp.Coalesced {
-		t.Error("bypass response not marked coalesced")
-	}
-	want := scaleReference(t, 128, 11, 2.0)
-	got, err := DecodeF32(resp.Buffers["y"].F32B64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bypass y[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if n := s.met.memoBypass.Load(); n != 1 {
-		t.Errorf("memoBypass = %d, want 1", n)
-	}
-
-	// A non-memoized launch still gets the honest 429.
-	if _, err := launch(sidA, 9.5); err == nil {
-		t.Error("new launch under saturation did not 429")
-	} else if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusTooManyRequests {
-		t.Errorf("new launch error = %v, want 429", err)
-	}
-
-	close(gate)
-	blocked.Store(false)
-	bg.Wait()
-}
-
 // TestModelsEndpointAndOnlineMetrics covers the observability surface:
 // GET /v1/models reports the learner's per-tenant state, and /metrics
 // exposes the dopia_online_* counter family.
 func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 	s, ts, c := newTestServer(t, func(cfg *Config) {
 		cfg.Model = swapStub{}
-		cfg.LaunchMemoBytes = -1 // every launch reaches the learner
 		cfg.Online = &online.Config{}
 	})
 	prog, err := c.Compile(scaleSrc)
@@ -363,8 +230,6 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		"dopia_online_swaps_total",
 		"dopia_online_explorations_total",
 		"dopia_online_model_generation",
-		"dopia_memo_bypass_total",
-		"dopia_memo_invalidated_total",
 	} {
 		if !strings.Contains(page, name) {
 			t.Errorf("/metrics missing %q", name)

@@ -62,11 +62,6 @@ type Config struct {
 	MaxSourceBytes int64
 	// WatchdogTimeout is passed to the framework (0 = its default).
 	WatchdogTimeout time.Duration
-	// LaunchMemoBytes bounds the completed-launch memo that answers
-	// identical launches without re-executing (see coalesce.go).
-	// 0 = default 64 MiB; negative disables the memo (in-flight
-	// coalescing of concurrent identical launches stays on).
-	LaunchMemoBytes int64
 	// Online, when non-nil, enables the closed-loop learner: live
 	// launches stream into per-tenant models (tenant == session) that
 	// hot-swap into the decision path without downtime, and a tenant's
@@ -99,9 +94,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = defaultMaxSourceBytes
-	}
-	if c.LaunchMemoBytes == 0 {
-		c.LaunchMemoBytes = 64 << 20
 	}
 	return nil
 }
@@ -174,16 +166,9 @@ type Server struct {
 	// armed too.
 	programs *lru.Cache[string, *program]
 
-	// coal merges identical launches (in-flight coalitions + completed
-	// memo); see coalesce.go.
-	coal *coalescer
 	// learner is the online closed-loop manager (nil unless Config.Online
 	// is set); it observes live launches and hot-swaps per-tenant models.
 	learner *online.Manager
-	// testHookLeader, when set, runs while a coalition leader holds its
-	// session lock just before executing — tests use it to hold the
-	// leader in place while followers pile on. Set before traffic only.
-	testHookLeader func()
 
 	met metrics
 }
@@ -220,13 +205,9 @@ type metrics struct {
 	idemReplays      atomic.Int64
 	programEvictions atomic.Int64
 
-	// Fast-path counters: wire bytes in/out (both protocols) and
-	// launches answered by sharing another launch's execution.
-	bytesIn            atomic.Int64
-	bytesOut           atomic.Int64
-	coalescedFollowers atomic.Int64 // joined an in-flight identical launch
-	memoBypass         atomic.Int64 // 429-rejected launches answered from the memo
-	memoInvalidated    atomic.Int64 // memo entries dropped by model hot swaps
+	// Wire bytes in/out, both protocols.
+	bytesIn  atomic.Int64
+	bytesOut atomic.Int64
 
 	queueWait *stats.Histogram // admission-queue wait, seconds
 	exec      *stats.Histogram // execution (session-lock to response), seconds
@@ -259,7 +240,6 @@ func New(cfg Config) (*Server, error) {
 		stopWorkers: make(chan struct{}),
 		sessions:    map[string]*session{},
 		programs:    lru.New[string, *program](programRegistryCap, nil),
-		coal:        newCoalescer(cfg.LaunchMemoBytes),
 		met: metrics{
 			queueWait: stats.NewLatencyHistogram(),
 			exec:      stats.NewLatencyHistogram(),
@@ -274,16 +254,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		if oc.Base == nil {
 			oc.Base = cfg.Model
-		}
-		// A hot swap drops the launch memo: memoized responses carry the
-		// decision of the model that executed them, and replaying those
-		// after the swap would pin every hot launch to the stale choice.
-		userSwap := oc.OnSwap
-		oc.OnSwap = func(tenant string, gen uint64) {
-			s.met.memoInvalidated.Add(int64(s.coal.memo.Purge()))
-			if userSwap != nil {
-				userSwap(tenant, gen)
-			}
 		}
 		learner, err := online.New(oc)
 		if err != nil {

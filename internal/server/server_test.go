@@ -304,12 +304,18 @@ func TestBufferValidation(t *testing.T) {
 
 // TestQueueFull deterministically wedges the single worker on the
 // session lock and checks that the bounded queue answers 429 with
-// Retry-After once full.
+// Retry-After once full, over both protocols.
 func TestQueueFull(t *testing.T) {
-	s, _, c := newTestServer(t, func(cfg *Config) {
+	s, addr := newMixedTestServer(t, func(cfg *Config) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
 	})
+	c := NewClient("http://"+addr, nil)
+	bc, err := DialBin(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
 	prog, err := c.Compile(scaleSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -363,6 +369,20 @@ func TestQueueFull(t *testing.T) {
 	if !apiErr.IsRetryable() {
 		t.Error("429 not classified retryable")
 	}
+	// The binary protocol reports the same overflow as an error frame.
+	_, err = bc.Launch(&BinLaunch{
+		SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
+		Args:   []LaunchArg{{Buf: "x"}, {Buf: "x"}, {Float: &a}, {Int: &n}},
+		Global: []int{64}, Local: []int{64},
+	})
+	binErr, ok := err.(*BinError)
+	if !ok || binErr.Status != http.StatusTooManyRequests {
+		sess.mu.Unlock()
+		t.Fatalf("binary overflow launch: %v, want 429", err)
+	}
+	if binErr.RetryAfterMS <= 0 || !binErr.IsRetryable() {
+		t.Errorf("binary 429 without a retry-after: %+v", binErr)
+	}
 
 	sess.mu.Unlock()
 	for i := 0; i < 2; i++ {
@@ -370,8 +390,8 @@ func TestQueueFull(t *testing.T) {
 			t.Errorf("blocked launch %d: %v", i, err)
 		}
 	}
-	if got := s.met.rejected.Load(); got != 1 {
-		t.Errorf("rejected counter = %d, want 1", got)
+	if got := s.met.rejected.Load(); got != 2 {
+		t.Errorf("rejected counter = %d, want 2", got)
 	}
 }
 
@@ -534,6 +554,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// No launch is answered from another's execution, so no series counts
+	// coalesced or memoized launches.
+	for _, gone := range []string{"coalesced", "memo"} {
+		if strings.Contains(page, gone) {
+			t.Errorf("/metrics still carries a %q series", gone)
 		}
 	}
 

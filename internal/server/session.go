@@ -10,7 +10,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,15 +33,14 @@ type session struct {
 	mu    sync.Mutex
 	ctx   *ocl.Context
 	queue *ocl.CommandQueue
-	bufs  map[string]*sessionBuffer
+	bufs  map[string]*ocl.Buffer
 
 	// idem remembers recently applied launches by idempotency key so a
 	// failover retry returns the stored response instead of executing
 	// twice. Results are stored and returned by value; what they point at
 	// (decision, result, owned read-set slabs) is written once and then
 	// read-only, so a replay shares it with the stored entry. This is
-	// correctness state, so unlike the launch memo it is consulted while
-	// faults are armed too.
+	// correctness state, so it is consulted while faults are armed too.
 	idem *lru.Cache[string, launchResult]
 
 	// closed is set once closeSession has dropped the session's learner
@@ -51,67 +49,6 @@ type session struct {
 	closed bool
 
 	launches atomic.Int64
-}
-
-// sessionBuffer wraps an ocl.Buffer with a content version counter and
-// a lazily computed 128-bit content digest. The digest feeds the
-// launch-coalescing key: two launches are mergeable only when every
-// buffer argument carries identical content, and hashing is amortized
-// by recomputing only after the version moved (every code path that may
-// mutate the buffer bumps it via touch). All fields are guarded by the
-// owning session's mu.
-type sessionBuffer struct {
-	b      *ocl.Buffer
-	ver    uint64
-	digVer uint64 // version the cached digest was computed at (ver+1 offset)
-	dig    [2]uint64
-}
-
-// touch marks the buffer content as possibly changed, invalidating the
-// cached digest.
-func (sb *sessionBuffer) touch() { sb.ver++ }
-
-// digest returns the buffer's 128-bit content digest, recomputing it
-// only when the content version moved since the last call.
-func (sb *sessionBuffer) digest() [2]uint64 {
-	if sb.digVer == sb.ver+1 {
-		return sb.dig
-	}
-	sb.dig = hashBufferContent(sb.b)
-	sb.digVer = sb.ver + 1
-	return sb.dig
-}
-
-// hashBufferContent computes two independent 64-bit multiply-xor hashes
-// over the buffer's element bit patterns (seeded differently, folded
-// with kind and length), giving a 128-bit digest whose accidental
-// collision probability is negligible at serving scale.
-func hashBufferContent(b *ocl.Buffer) [2]uint64 {
-	const (
-		p1 = 0x100000001b3      // FNV-64 prime
-		p2 = 0x9e3779b97f4a7c15 // golden-ratio odd constant
-		s1 = 0xcbf29ce484222325 // FNV-64 offset basis
-		s2 = 0x6a09e667f3bcc909 // sqrt(2) fraction
-	)
-	h1, h2 := uint64(s1), uint64(s2)
-	mix := func(w uint64) {
-		h1 = (h1 ^ w) * p1
-		h2 = (h2 ^ (w + p2)) * p2
-		h2 ^= h2 >> 29
-	}
-	if f := b.Float32(); f != nil {
-		mix(uint64(len(f)))
-		for _, x := range f {
-			mix(uint64(math.Float32bits(x)))
-		}
-	} else {
-		xs := b.Int32()
-		mix(0xf00d ^ uint64(len(xs)))
-		for _, x := range xs {
-			mix(uint64(uint32(x)))
-		}
-	}
-	return [2]uint64{h1, h2}
 }
 
 // newSession creates a tenant session on the server's platform with the
@@ -124,7 +61,7 @@ func (s *Server) newSession(id string) *session {
 		created: time.Now(),
 		ctx:     ctx,
 		queue:   ctx.CreateCommandQueue(s.platform.Device(ocl.DeviceCPU)),
-		bufs:    map[string]*sessionBuffer{},
+		bufs:    map[string]*ocl.Buffer{},
 		idem:    lru.New[string, launchResult](idemCacheCap, nil),
 	}
 }
@@ -141,8 +78,8 @@ func (sess *session) export() *SessionExport {
 		Launches:  sess.launches.Load(),
 		Buffers:   make(map[string]BufferData, len(sess.bufs)),
 	}
-	for name, sb := range sess.bufs {
-		rb := snapshotBuffer(name, sb.b, true)
+	for name, b := range sess.bufs {
+		rb := snapshotBuffer(name, b, true)
 		exp.Buffers[name] = rb.data()
 		rb.release()
 	}
@@ -184,11 +121,11 @@ func (sess *session) restore(exp *SessionExport, maxBytes int64) error {
 func (sess *session) snapshot(name string) (rawBuf, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sb, ok := sess.bufs[name]
+	b, ok := sess.bufs[name]
 	if !ok {
 		return rawBuf{}, fmt.Errorf("no buffer %q in session %s", name, sess.id)
 	}
-	return snapshotBuffer(name, sb.b, true), nil
+	return snapshotBuffer(name, b, true), nil
 }
 
 // maxBufferName bounds buffer name length (they appear in URLs).
@@ -225,7 +162,7 @@ func (sess *session) newBuffer(name string, kind byte, n int, maxBytes int64, fi
 			return nil, err
 		}
 	}
-	sess.bufs[name] = &sessionBuffer{b: b}
+	sess.bufs[name] = b
 	return b, nil
 }
 

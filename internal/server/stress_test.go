@@ -262,23 +262,16 @@ func TestStress64Sessions(t *testing.T) {
 	}
 
 	// The whole storm was served without a single contained panic or
-	// plain-runtime fallback, and every launch is accounted: physically
-	// executed launches land in the fallback ladder, launches that
-	// shared an identical execution in the coalescing counters. Repeats
-	// of overwrite-style kernels (isum, rowdot) reach a content fixpoint
-	// after the second launch and coalesce from then on; accumulator
-	// kernels (saxpy) never do — their pre-state always differs.
+	// plain-runtime fallback, and the ladder alone accounts for every
+	// launch: each one executed, including the repeats of overwrite-style
+	// kernels (isum, rowdot) over content that no longer changes.
 	fb := s.fw.Stats.Snapshot()
 	if fb.Panics != 0 || fb.Timeouts != 0 || fb.Plain != 0 {
 		t.Errorf("fallback ladder after stress: %s", fb)
 	}
 	wantLaunches := int64(tenants * launches)
-	coalesced := s.met.coalescedFollowers.Load() + s.coal.memo.Stats().Hits
-	if got := fb.Managed + fb.CoExecAll + coalesced; got != wantLaunches {
-		t.Errorf("ladder + coalescing accounted %d launches, want %d", got, wantLaunches)
-	}
-	if coalesced == 0 {
-		t.Error("no launch coalesced; the isum/rowdot repeats should hit the launch memo")
+	if got := fb.Managed + fb.CoExecAll; got != wantLaunches {
+		t.Errorf("ladder accounted %d launches, want %d", got, wantLaunches)
 	}
 	if got := s.met.launchesOK.Load(); got != wantLaunches {
 		t.Errorf("launchesOK = %d, want %d", got, wantLaunches)
