@@ -61,7 +61,6 @@ import (
 	"dopia/internal/experiments"
 	"dopia/internal/interp"
 	"dopia/internal/ml"
-	"dopia/internal/online"
 	"dopia/internal/server"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
@@ -141,11 +140,7 @@ func main() {
 		}
 		base = ring.RouterURL
 	} else if base == "" {
-		scfg := server.Config{Machine: machine, Model: localModel}
-		if *onlineOn {
-			scfg.Online = &online.Config{}
-		}
-		base, embedded, mixed, err = embedServer(scfg)
+		base, embedded, mixed, err = embedServer(server.Config{Machine: machine, Model: localModel, Online: *onlineOn})
 		if err != nil {
 			fail("embedded server: %v", err)
 		}
@@ -245,9 +240,9 @@ func main() {
 				defer bin.Close()
 			}
 			// One session per worker for the whole run: when the mix
-			// shifts, the tenant keeps its session (and its online model)
+			// shifts, the tenant keeps its session (and its learner state)
 			// and its new workload's buffers join under a name prefix —
-			// that continuity is what lets its model follow the drift.
+			// that continuity is what lets the learner follow the drift.
 			var sid string
 			var err error
 			if bin != nil {
@@ -443,8 +438,7 @@ func main() {
 	}
 	if *onlineOn {
 		report["online"] = map[string]int64{
-			"swaps":        metricValue(page, "dopia_online_swaps_total"),
-			"retrains":     metricValue(page, "dopia_online_retrains_total"),
+			"learned":      metricValue(page, "dopia_online_learned_total"),
 			"explorations": metricValue(page, "dopia_online_explorations_total"),
 		}
 	}

@@ -36,7 +36,6 @@ import (
 
 	"dopia/internal/core"
 	"dopia/internal/ml"
-	"dopia/internal/online"
 	"dopia/internal/server"
 	"dopia/internal/sim"
 )
@@ -56,7 +55,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		onlineOn = flag.Bool("online", false, "enable the closed-loop online learner (per-session oracle tables, ε-greedy exploration, hot swap)")
+		onlineOn = flag.Bool("online", false, "enable the closed-loop online learner (per-session answers from a memo of oracle sweeps, ε-greedy exploration)")
 	)
 	flag.Parse()
 
@@ -78,9 +77,9 @@ func main() {
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		WatchdogTimeout: *watchdog,
+		Online:          *onlineOn,
 	}
 	if *onlineOn {
-		scfg.Online = &online.Config{}
 		log.Printf("dopia-serve: online learner on")
 	}
 	srv, err := server.New(scfg)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dopia/internal/analysis"
@@ -31,7 +30,7 @@ const DefaultWatchdogTimeout = 30 * time.Second
 //
 // A Framework is safe for concurrent use: one framework can serve
 // launches from many sessions and worker goroutines at once (the
-// dopia-serve deployment). Mutating Model or WatchdogTimeout
+// dopia-serve deployment). Mutating Model, Advisor or WatchdogTimeout
 // concurrently with launches is not supported; configure the framework
 // before attaching it.
 type Framework struct {
@@ -51,6 +50,10 @@ type Framework struct {
 	// sim.WorkQueue, sim.HGuided) re-split the ND-range mid-flight; all
 	// policies execute identical work, so the choice never changes bytes.
 	Dist sim.Distribution
+	// Advisor is the online-learning layer (nil = Model only): it may
+	// answer a managed launch's decision from what it has measured, and
+	// it receives every managed launch back as a training signal.
+	Advisor Advisor
 
 	// unmanaged records the kernels whose compile-time stage failed in
 	// AnalyzeProgram, with the classified error: the framework's own
@@ -58,10 +61,6 @@ type Framework struct {
 	// of the kernel's memo — it also holds for a failure the memo never
 	// stores (one injected while faults were armed).
 	unmanaged sync.Map // *clc.Kernel -> error
-
-	// advisor is the attached online-learning layer (nil = static model
-	// only). Swapped atomically so launches never see a torn update.
-	advisor atomic.Pointer[advisorRef]
 }
 
 // PredCacheStats reports zeros: there is no prediction cache. It stays
@@ -151,10 +150,11 @@ func (f *Framework) Malleable(k *clc.Kernel, workDim int) (*transform.GPUResult,
 type Decision struct {
 	Config sim.Config
 	// Predicted is the model's normalized-performance estimate for the
-	// chosen configuration.
+	// chosen configuration (1 for a Learned answer, the oracle best).
 	Predicted float64
-	// InferTime is the wall-clock cost of evaluating the model over all
-	// configurations; it is charged to the simulated clock.
+	// InferTime is the wall-clock cost of the decision: the model over
+	// all configurations plus, on a managed launch, the Advisor's answer.
+	// It is charged to the simulated clock.
 	InferTime time.Duration
 	// Evaluated is the number of configurations scored.
 	Evaluated int
@@ -162,9 +162,10 @@ type Decision struct {
 	// for this launch (NaN/Inf/out-of-range values, inference panic, or
 	// injected fault) and the ALL configuration was used instead.
 	ModelDiscarded bool
-	// ModelGen is the generation of the model that scored this decision
-	// (0 = the framework's static Model field; advisors publish >= 1).
-	ModelGen uint64
+	// Learned reports that the Advisor replaced the model's argmax with
+	// the measured oracle argmax of a signature the tenant launched
+	// before.
+	Learned bool
 	// Explored reports that the online exploration policy overrode the
 	// exploited configuration for this launch.
 	Explored bool
@@ -194,37 +195,31 @@ func predictOne(m ml.Model, x ml.Features) (v float64, err error) {
 }
 
 // Decide evaluates the model for every DoP configuration of the machine
-// and returns the predicted-best one (paper Algorithm 1, lines 2-4).
-// Invalid predictions (NaN/Inf/out-of-range) or inference panics discard
-// the model for this launch: the decision degrades to the ALL
-// configuration with ModelDiscarded set, and Decide never fails.
+// and returns the predicted-best one (paper Algorithm 1, lines 2-4). It is
+// the model-only argmax: the Advisor is consulted by managed launches
+// (ExecuteCtx), never here. Invalid predictions (NaN/Inf/out-of-range) or
+// inference panics discard the model for this launch: the decision
+// degrades to the ALL configuration with ModelDiscarded set, and Decide
+// never fails.
 func (f *Framework) Decide(res *analysis.Result, nd interp.NDRange) Decision {
-	dec, _ := f.decide(res, nd)
+	dec, _, _ := f.decide(res, nd)
 	return dec
 }
 
-// decide is Decide plus the cause of a model discard (nil when the model
-// was used or absent).
-func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, error) {
-	dec, _, err := f.decideFor("", res, nd)
-	return dec, err
-}
-
-// decideFor resolves the tenant's model once (so an in-flight launch
-// finishes on the model it started with, even across a hot swap) and
-// runs the 44-configuration argmax sweep with it.
-func (f *Framework) decideFor(tenant string, res *analysis.Result, nd interp.NDRange) (Decision, ml.Features, error) {
+// decide is Decide plus the launch's configuration-independent features
+// and the cause of a model discard (nil when the model was used or
+// absent).
+func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, ml.Features, error) {
 	base := BaseFeatures(res, nd)
-	model, gen := f.modelFor(tenant)
-	if model == nil {
-		return Decision{Config: f.Machine.AllResources(), ModelGen: gen}, base, nil
+	if f.Model == nil {
+		return Decision{Config: f.Machine.AllResources()}, base, nil
 	}
 	start := time.Now()
 	var best sim.Config
 	bestV := 0.0
 	n := 0
 	for _, cfg := range f.Machine.Configs() {
-		v, err := predictOne(model, WithConfig(base, f.Machine, cfg))
+		v, err := predictOne(f.Model, WithConfig(base, f.Machine, cfg))
 		if err != nil {
 			// Model invalid: discard it for this launch and fall back to
 			// all resources (the paper's ALL baseline).
@@ -233,7 +228,6 @@ func (f *Framework) decideFor(tenant string, res *analysis.Result, nd interp.NDR
 				InferTime:      time.Since(start),
 				Evaluated:      n,
 				ModelDiscarded: true,
-				ModelGen:       gen,
 			}, base, err
 		}
 		n++
@@ -246,7 +240,6 @@ func (f *Framework) decideFor(tenant string, res *analysis.Result, nd interp.NDR
 		Predicted: bestV,
 		InferTime: time.Since(start),
 		Evaluated: n,
-		ModelGen:  gen,
 	}, base, nil
 }
 
@@ -292,7 +285,7 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 }
 
 // coExecute is the body of both managed rungs. With a malleable kernel
-// it is rung 1: the model (and the online layer, when attached) picks
+// it is rung 1: the model (and the Advisor, when set) picks
 // the DoP from the kernel's analysis res. With malleable == nil it is
 // rung 2: the original kernel on ALL resources, no model, no decision.
 func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.Result, malleable *clc.Kernel, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
@@ -311,27 +304,23 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		return nil, err
 	}
 	dec := Decision{Config: f.Machine.AllResources()}
-	var (
-		tenant string
-		base   ml.Features
-		adv    Advisor
-	)
-	if malleable != nil {
+	var base ml.Features
+	adv, tenant := f.Advisor, TenantFrom(ctx)
+	if malleable == nil {
+		adv = nil // rung 2 makes no decision to advise or learn from
+	} else {
 		var decErr error
-		tenant = TenantFrom(ctx)
-		dec, base, decErr = f.decideFor(tenant, res, nd)
+		dec, base, decErr = f.decide(res, nd)
 		if decErr != nil {
 			f.Stats.RecordModelDiscard(decErr)
 		}
-		adv = f.loadAdvisor()
-		if adv != nil && !dec.ModelDiscarded && dec.Evaluated > 0 {
-			// Exploration may pick an off-policy configuration. The override
-			// changes only which DoP executes — functional results are
-			// configuration-invariant, so exploration can never change bytes.
-			if cfg, ok := adv.Explore(tenant, k.Name, base, dec); ok {
-				dec.Config = cfg
-				dec.Explored = true
-			}
+		if adv != nil && !dec.ModelDiscarded {
+			// The advice changes only which DoP executes — functional
+			// results are configuration-invariant, so it can never change
+			// bytes. Its cost is part of the decision's.
+			start, inferTime := time.Now(), dec.InferTime
+			dec = adv.Advise(tenant, k.Name, base, dec)
+			dec.InferTime = inferTime + time.Since(start)
 		}
 	}
 	dec.Sched = f.Dist.String()
@@ -352,11 +341,9 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		// model, timing only (thread-safe; the functional state is no
 		// longer touched).
 		adv.Observe(LaunchSample{
-			Tenant:       tenant,
-			Kernel:       k.Name,
-			Base:         base,
-			Decision:     dec,
-			ObservedTime: result.Time,
+			Tenant: tenant,
+			Kernel: k.Name,
+			Base:   base,
 			Sweep: func() ([]ConfigTime, error) {
 				cfgs := f.Machine.Configs()
 				rs, serr := ex.RunConfigs(cfgs, sched.RunOptions{Dist: f.Dist})

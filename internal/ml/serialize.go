@@ -15,13 +15,12 @@ import (
 // online-infer split (the paper trains with scikit-learn offline and ships
 // the model into the runtime).
 
-// modelEnvelope wraps any serialized model with its family tag and
-// optional provenance (absent for models saved before provenance
-// existed, so old model files load unchanged).
+// modelEnvelope wraps any serialized model with its family tag. Keys it
+// does not name (a "provenance" block written by older builds) are
+// ignored, so such files load unchanged.
 type modelEnvelope struct {
-	Family     string          `json:"family"`
-	Data       json.RawMessage `json:"data"`
-	Provenance *Provenance     `json:"provenance,omitempty"`
+	Family string          `json:"family"`
+	Data   json.RawMessage `json:"data"`
 }
 
 type linearJSON struct {
@@ -54,16 +53,9 @@ type forestJSON struct {
 	Trees []treeJSON `json:"trees"`
 }
 
-// SaveModel serializes a trained model to the writer. A provenance tag
-// (WithProvenance) rides along in the envelope.
+// SaveModel serializes a trained model to the writer.
 func SaveModel(w io.Writer, m Model) error {
-	env := modelEnvelope{}
-	if p, ok := ProvenanceOf(m); ok {
-		pp := p
-		env.Provenance = &pp
-		m = Unwrap(m)
-	}
-	env.Family = m.Name()
+	env := modelEnvelope{Family: m.Name()}
 	var payload any
 	switch mm := m.(type) {
 	case *linearModel:
@@ -141,12 +133,6 @@ func LoadModel(r io.Reader) (m Model, err error) {
 		return nil, faults.Wrap(faults.StageModelLoad, fmt.Errorf(
 			"%w: ml: model file truncated or not valid JSON: %w", faults.ErrModelInvalid, err))
 	}
-	// Reattach provenance once the family payload validated.
-	defer func() {
-		if err == nil && m != nil && env.Provenance != nil {
-			m = WithProvenance(m, *env.Provenance)
-		}
-	}()
 	switch env.Family {
 	case "LIN":
 		var lj linearJSON

@@ -73,6 +73,21 @@ func TestSaveLoadFile(t *testing.T) {
 	if m.Predict(x) != m2.Predict(x) {
 		t.Error("file round trip changed predictions")
 	}
+	// Files written by builds that tagged models with provenance carry
+	// one more envelope key; they load as the plain model.
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	tagged := strings.Replace(buf.String(), "{",
+		`{"provenance":{"tenant":"s-1","generation":7,"origin":"online","parent":"DT"},`, 1)
+	m3, err := LoadModel(strings.NewReader(tagged))
+	if err != nil {
+		t.Fatalf("model file with a provenance key: %v", err)
+	}
+	if m.Predict(x) != m3.Predict(x) {
+		t.Error("provenance key changed predictions")
+	}
 }
 
 func TestLoadModelRejectsGarbage(t *testing.T) {

@@ -1,7 +1,16 @@
+// Package online closes the Dopia loop: it turns every served launch
+// into a training signal and answers the tenant's later launches from
+// it. The paper trains its models offline and freezes them; a serving
+// system under a drifting tenant mix decays toward the static baseline
+// the paper argues against. This package is the production counterpart:
+// a streaming collector, a bounded memo of oracle sweeps (one
+// 44-configuration sweep per launch signature) whose argmax answers a
+// tenant's launch of a signature it launched recently, and an ε-greedy
+// exploration layer with a regret budget enforced against the memoized
+// sweep.
 package online
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -15,32 +24,13 @@ import (
 	"dopia/internal/sim"
 )
 
-// Config names what one Manager learns over. Its tuning is fixed: see
-// the constants below.
-type Config struct {
-	// Machine is the DoP configuration space (required).
-	Machine *sim.Machine
-	// Base is the global offline model every tenant's table is published
-	// over. It may be nil: a tenant then decides by the ALL baseline until
-	// its first publish, and afterwards predicts 0 for any signature its
-	// table lacks.
-	Base ml.Model
-}
-
 // The learner's tuning.
 const (
 	// tenantSigs is how many of its most recently launched signatures a
-	// tenant's published table covers.
+	// tenant is answered for from the memo.
 	tenantSigs = 128
-	// minLaunches is how many launches a tenant makes before its first
-	// publish.
-	minLaunches = 4
-	// retrainEvery is how many launches since the last swap, at least one
-	// of them with a signature the published table lacks, trigger a
-	// retrain.
-	retrainEvery = 8
 	// epsilon is the probability that an eligible launch is given to the
-	// bandit instead of the model argmax.
+	// bandit instead of the exploited configuration.
 	epsilon = 0.05
 	// regretBudget bounds the cumulative relative regret (sum over
 	// explored launches of (t_arm - t_best)/t_best) each tenant may spend
@@ -57,31 +47,20 @@ const (
 )
 
 // OracleRowCap bounds the memo of oracle sweeps, in signatures: eight
-// tenants' full tables. A row is 44 float64s.
+// tenants' recent signatures. A row is 44 float64s.
 const OracleRowCap = 8 * tenantSigs
 
-// published is one immutable (model, generation) snapshot for a tenant.
-type published struct {
-	model ml.Model
-	gen   uint64
-	prov  ml.Provenance
-}
-
-// tenantState is the learner's view of one tenant. pub is read on the
-// decision hot path (atomic); everything else is guarded by mu and
-// touched by the learner goroutine and the Explore hook.
+// tenantState is the learner's view of one tenant. sigs is filled by
+// the learner goroutine and read by Advise; everything else is guarded by
+// mu.
 type tenantState struct {
-	name string
-	pub  atomic.Pointer[published]
+	sigs *lru.Cache[sig, struct{}] // the tenantSigs most recently launched signatures
 
-	mu         sync.Mutex
-	sigs       *lru.Cache[sig, struct{}] // the tenantSigs most recently launched signatures
-	pubSigs    map[sig]bool              // the signatures the published table covers
-	regret     float64                   // cumulative exploration regret spent
-	explores   int64
-	launches   int64
-	sinceSwap  int
-	pendingNew int
+	mu       sync.Mutex
+	regret   float64 // cumulative exploration regret spent
+	explores int64
+	launches int64
+	learned  int64
 }
 
 // event is one item of the learner queue: a launch sample or, with
@@ -93,13 +72,9 @@ type event struct {
 }
 
 // Manager implements core.Advisor: the complete online-learning loop.
-// Create with New, attach with Attach, stop with Close.
+// Create with New, set as a framework's Advisor, stop with Close.
 type Manager struct {
-	machine *sim.Machine
-	base    ml.Model
-	cfgs    []sim.Config
-
-	gen atomic.Uint64 // generation counter; 1 = the shared base model
+	cfgs []sim.Config
 
 	// tenants holds the state of every tenant with a live session; Forget
 	// deletes from it.
@@ -121,20 +96,15 @@ type Manager struct {
 	dropped      atomic.Int64
 	sweeps       atomic.Int64
 	sweepErrs    atomic.Int64
-	retrains     atomic.Int64
-	swaps        atomic.Int64
+	learned      atomic.Int64
 	explorations atomic.Int64
 }
 
-// New creates a Manager and starts its learner goroutine.
-func New(cfg Config) (*Manager, error) {
-	if cfg.Machine == nil {
-		return nil, fmt.Errorf("online: Config.Machine is required")
-	}
+// New creates a Manager over the DoP configuration space of machine and
+// starts its learner goroutine.
+func New(machine *sim.Machine) *Manager {
 	m := &Manager{
-		machine: cfg.Machine,
-		base:    ml.Unwrap(cfg.Base),
-		cfgs:    cfg.Machine.Configs(),
+		cfgs:    machine.Configs(),
 		tenants: map[string]*tenantState{},
 		rows:    lru.New[sig, *oracleRow](OracleRowCap, nil),
 		rng:     rand.New(rand.NewSource(seed)),
@@ -142,20 +112,12 @@ func New(cfg Config) (*Manager, error) {
 		stopc:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	m.gen.Store(1) // generation 1 is the shared base model
 	go m.run()
-	return m, nil
-}
-
-// Attach wires the manager into a framework: the framework consults it
-// for models and exploration and feeds completed launches back.
-func (m *Manager) Attach(fw *core.Framework) {
-	fw.SetAdvisor(m)
+	return m
 }
 
 // Close stops the learner goroutine. Samples still queued are dropped;
-// call Sync first to drain. The manager must be detached (or the
-// framework torn down) before Close so Observe is no longer invoked.
+// call Sync first to drain. Observe after Close is a no-op.
 func (m *Manager) Close() {
 	select {
 	case <-m.stopc:
@@ -182,15 +144,45 @@ func (m *Manager) Sync(timeout time.Duration) bool {
 	}
 }
 
-// ModelFor implements core.Advisor. Reads only atomics and an RLocked
-// map lookup: the decision hot path never contends with the learner.
-func (m *Manager) ModelFor(tenant string) (ml.Model, uint64) {
-	if ts := m.lookup(tenant); ts != nil {
-		if p := ts.pub.Load(); p != nil {
-			return p.model, p.gen
-		}
+// Advise implements core.Advisor. A launch whose signature the tenant
+// launched recently, and whose oracle row the memo holds, is answered
+// with the row's argmax (Learned). Then the ε-greedy bandit may explore:
+// a launch is eligible only when its signature has a memoized row (so the
+// regret charge is exact, never estimated) and the tenant has regret
+// budget left. The charge is applied at decision time.
+func (m *Manager) Advise(tenant, kernel string, base ml.Features, dec core.Decision) core.Decision {
+	sg := sig{Kernel: kernel, Base: base}
+	row, ok := m.rows.Get(sg)
+	if !ok {
+		return dec
 	}
-	return m.base, 1
+	ts := m.lookup(tenant)
+	if ts == nil {
+		return dec
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if _, ok := ts.sigs.Get(sg); ok {
+		// 1 is the oracle argmax's normalized performance.
+		dec.Config, dec.Predicted, dec.Learned = m.cfgs[row.best], 1, true
+		ts.learned++
+		m.learned.Add(1)
+	}
+	m.rngMu.Lock()
+	coin, pick := m.rng.Float64(), m.rng.Intn(len(m.cfgs))
+	m.rngMu.Unlock()
+	if coin >= epsilon || m.cfgs[pick] == dec.Config {
+		return dec
+	}
+	regret := row.regretOf(pick)
+	if regret > regretBudget-ts.regret {
+		return dec
+	}
+	ts.regret += regret
+	ts.explores++
+	m.explorations.Add(1)
+	dec.Config, dec.Explored = m.cfgs[pick], true
+	return dec
 }
 
 // Observe implements core.Advisor: the streaming collector. Never
@@ -225,38 +217,6 @@ func (m *Manager) Forget(tenant string) {
 	}
 }
 
-// Explore implements core.Advisor: the ε-greedy bandit. A launch is
-// eligible only when its signature already has a memoized oracle row
-// (so the regret charge is exact, never estimated) and the tenant has
-// remaining regret budget. The charge is applied at decision time.
-func (m *Manager) Explore(tenant, kernel string, base ml.Features, dec core.Decision) (sim.Config, bool) {
-	row, ok := m.rows.Get(sig{Kernel: kernel, Base: base})
-	if !ok {
-		return sim.Config{}, false
-	}
-	ts := m.lookup(tenant)
-	if ts == nil {
-		return sim.Config{}, false
-	}
-	m.rngMu.Lock()
-	coin := m.rng.Float64()
-	pick := m.rng.Intn(len(m.cfgs))
-	m.rngMu.Unlock()
-	if coin >= epsilon || m.cfgs[pick] == dec.Config {
-		return sim.Config{}, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	regret := row.regretOf(pick)
-	if regret > regretBudget-ts.regret {
-		return sim.Config{}, false
-	}
-	ts.regret += regret
-	ts.explores++
-	m.explorations.Add(1)
-	return m.cfgs[pick], true
-}
-
 func (m *Manager) lookup(tenant string) *tenantState {
 	m.mu.RLock()
 	ts := m.tenants[tenant]
@@ -270,11 +230,7 @@ func (m *Manager) tenantState(tenant string) *tenantState {
 	if ts := m.lookup(tenant); ts != nil {
 		return ts
 	}
-	ts := &tenantState{
-		name:    tenant,
-		sigs:    lru.New[sig, struct{}](tenantSigs, nil),
-		pubSigs: map[sig]bool{},
-	}
+	ts := &tenantState{sigs: lru.New[sig, struct{}](tenantSigs, nil)}
 	m.mu.Lock()
 	m.tenants[tenant] = ts
 	m.mu.Unlock()
@@ -328,64 +284,18 @@ func (m *Manager) oracleRowFor(sg sig, sweep func() ([]core.ConfigTime, error)) 
 	return row
 }
 
-// ingest folds one sample into its tenant's recent signatures and
-// retrains + hot swaps when the cadence says so.
+// ingest makes one sample's signature its tenant's most recently
+// launched, once the memo holds the signature's row.
 func (m *Manager) ingest(s core.LaunchSample) {
 	sg := sig{Kernel: s.Kernel, Base: s.Base}
-	row := m.oracleRowFor(sg, s.Sweep)
-	if row == nil {
+	if m.oracleRowFor(sg, s.Sweep) == nil {
 		return
 	}
 	ts := m.tenantState(s.Tenant)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	ts.sigs.Put(sg, struct{}{})
+	ts.mu.Lock()
 	ts.launches++
-	ts.sinceSwap++
-	if !ts.pubSigs[sg] {
-		ts.pendingNew++
-	}
-	if ts.pendingNew > 0 && ts.sinceSwap >= retrainEvery && ts.launches >= minLaunches {
-		m.publishLocked(ts)
-	}
-}
-
-// publishLocked builds the tenant's table from the oracle rows of its
-// recent signatures and hot-swaps it in under a fresh generation. Called
-// with ts.mu held. The swap is atomic: launches in flight keep the
-// (model, generation) pair they resolved.
-func (m *Manager) publishLocked(ts *tenantState) {
-	perf := make(map[ml.Features]float64, tenantSigs*len(m.cfgs))
-	pubSigs := make(map[sig]bool, tenantSigs)
-	ts.sigs.Each(func(sg sig, _ struct{}) {
-		row, ok := m.rows.Get(sg)
-		if !ok {
-			return
-		}
-		for i, cfg := range m.cfgs {
-			perf[core.WithConfig(sg.Base, m.machine, cfg)] = row.reward(i)
-		}
-		pubSigs[sg] = true
-	})
-	gen := m.gen.Add(1)
-	parent := ""
-	if m.base != nil {
-		parent = m.base.Name()
-	}
-	prov := ml.Provenance{
-		Tenant:        ts.name,
-		Generation:    gen,
-		Samples:       len(perf),
-		Origin:        "online",
-		Parent:        parent,
-		TrainedUnixMS: time.Now().UnixMilli(),
-	}
-	ts.pub.Store(&published{model: &tenantModel{perf: perf, base: m.base}, gen: gen, prov: prov})
-	ts.pubSigs = pubSigs
-	ts.pendingNew = 0
-	ts.sinceSwap = 0
-	m.retrains.Add(1)
-	m.swaps.Add(1)
+	ts.mu.Unlock()
 }
 
 // OracleRows reports the occupancy and traffic of the oracle-sweep memo,
@@ -394,32 +304,26 @@ func (m *Manager) OracleRows() lru.Stats { return m.rows.Stats() }
 
 // TenantStatus is one tenant's learner state for /v1/models and tests.
 type TenantStatus struct {
-	Tenant       string        `json:"tenant"`
-	Generation   uint64        `json:"generation"`
-	Model        string        `json:"model"`
-	Signatures   int           `json:"signatures"`
-	Launches     int64         `json:"launches"`
-	Explores     int64         `json:"explores"`
-	Regret       float64       `json:"regret"`
-	RegretBudget float64       `json:"regret_budget"`
-	SwapReason   string        `json:"swap_reason,omitempty"`
-	Provenance   ml.Provenance `json:"provenance,omitempty"`
+	Tenant       string  `json:"tenant"`
+	Signatures   int     `json:"signatures"`
+	Launches     int64   `json:"launches"`
+	Learned      int64   `json:"learned"`
+	Explores     int64   `json:"explores"`
+	Regret       float64 `json:"regret"`
+	RegretBudget float64 `json:"regret_budget"`
 }
 
-// Status is a consistent snapshot of the whole learner for /v1/models
-// and the metrics endpoint.
+// Status is a snapshot of the whole learner for /v1/models and the
+// metrics endpoint.
 type Status struct {
 	Epsilon         float64        `json:"epsilon"`
 	RegretBudget    float64        `json:"regret_budget"`
-	BaseModel       string         `json:"base_model,omitempty"`
-	Generation      uint64         `json:"generation"`
 	SamplesIngested int64          `json:"samples_ingested"`
 	SamplesDropped  int64          `json:"samples_dropped"`
 	SamplesPending  int64          `json:"samples_pending"`
 	Sweeps          int64          `json:"sweeps"`
 	SweepErrors     int64          `json:"sweep_errors"`
-	Retrains        int64          `json:"retrains"`
-	Swaps           int64          `json:"swaps"`
+	Learned         int64          `json:"learned"`
 	Explorations    int64          `json:"explorations"`
 	Tenants         []TenantStatus `json:"tenants"`
 }
@@ -429,52 +333,29 @@ func (m *Manager) Status() Status {
 	st := Status{
 		Epsilon:         epsilon,
 		RegretBudget:    regretBudget,
-		Generation:      m.gen.Load(),
 		SamplesIngested: m.ingested.Load(),
 		SamplesDropped:  m.dropped.Load(),
 		SamplesPending:  m.queued.Load() - m.processed.Load(),
 		Sweeps:          m.sweeps.Load(),
 		SweepErrors:     m.sweepErrs.Load(),
-		Retrains:        m.retrains.Load(),
-		Swaps:           m.swaps.Load(),
+		Learned:         m.learned.Load(),
 		Explorations:    m.explorations.Load(),
 	}
-	if m.base != nil {
-		st.BaseModel = m.base.Name()
-	}
 	m.mu.RLock()
-	names := make([]string, 0, len(m.tenants))
-	for name := range m.tenants {
-		names = append(names, name)
+	for name, ts := range m.tenants {
+		ts.mu.Lock()
+		st.Tenants = append(st.Tenants, TenantStatus{
+			Tenant:       name,
+			Signatures:   ts.sigs.Stats().Entries,
+			Launches:     ts.launches,
+			Learned:      ts.learned,
+			Explores:     ts.explores,
+			Regret:       ts.regret,
+			RegretBudget: regretBudget,
+		})
+		ts.mu.Unlock()
 	}
 	m.mu.RUnlock()
-	sort.Strings(names)
-	for _, name := range names {
-		ts := m.lookup(name)
-		if ts == nil {
-			continue
-		}
-		t := TenantStatus{
-			Tenant:       name,
-			Generation:   1,
-			RegretBudget: regretBudget,
-		}
-		if m.base != nil {
-			t.Model = m.base.Name()
-		}
-		if p := ts.pub.Load(); p != nil {
-			t.Generation = p.gen
-			t.Model = p.model.Name()
-			t.Provenance = p.prov
-			t.SwapReason = "retrain"
-		}
-		ts.mu.Lock()
-		t.Signatures = ts.sigs.Stats().Entries
-		t.Launches = ts.launches
-		t.Explores = ts.explores
-		t.Regret = ts.regret
-		ts.mu.Unlock()
-		st.Tenants = append(st.Tenants, t)
-	}
+	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	return st
 }

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -14,7 +15,8 @@ import (
 	"dopia/internal/sim"
 )
 
-// fakeBase is a deterministic stand-in for the global offline model.
+// fakeBase is a deterministic stand-in for the global offline model: it
+// scores every configuration alike, so its argmax is Configs()[0].
 type fakeBase struct{ v float64 }
 
 func (f fakeBase) Name() string                { return "FAKE" }
@@ -22,17 +24,16 @@ func (f fakeBase) Predict(ml.Features) float64 { return f.v }
 
 // testSample fabricates one launch of a synthetic signature whose
 // oracle-best configuration is cfgs[bestIdx]: config i costs
-// 1 + 0.01*|i-bestIdx| simulated seconds.
-func testSample(m *Manager, tenant, kernel string, bestIdx int, dec core.Decision) core.LaunchSample {
+// 1 + 0.01*|i-bestIdx| simulated seconds. Kernels with names of equal
+// length share one feature vector.
+func testSample(m *Manager, tenant, kernel string, bestIdx int) core.LaunchSample {
 	var base ml.Features
 	base[ml.FGlobalSize] = float64(1000 + len(kernel))
 	base[ml.FWorkDim] = 1
 	return core.LaunchSample{
-		Tenant:       tenant,
-		Kernel:       kernel,
-		Base:         base,
-		Decision:     dec,
-		ObservedTime: 1,
+		Tenant: tenant,
+		Kernel: kernel,
+		Base:   base,
 		Sweep: func() ([]core.ConfigTime, error) {
 			cts := make([]core.ConfigTime, len(m.cfgs))
 			for i, cfg := range m.cfgs {
@@ -47,146 +48,186 @@ func testSample(m *Manager, tenant, kernel string, bestIdx int, dec core.Decisio
 	}
 }
 
-func newTestManager(t *testing.T, cfg Config) *Manager {
+func newTestManager(t *testing.T) *Manager {
 	t.Helper()
-	cfg.Machine = sim.Kaveri()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(sim.Kaveri())
 	t.Cleanup(m.Close)
 	return m
 }
 
+func syncLearner(t *testing.T, m *Manager) {
+	t.Helper()
+	if !m.Sync(5 * time.Second) {
+		t.Fatal("learner did not drain")
+	}
+}
+
+// exploit advises dec for s's tenant and signature until the bandit
+// leaves a call alone, so a test sees the exploited answer whatever the
+// coin says.
+func exploit(m *Manager, s core.LaunchSample, dec core.Decision) core.Decision {
+	for {
+		if got := m.Advise(s.Tenant, s.Kernel, s.Base, dec); !got.Explored {
+			return got
+		}
+	}
+}
+
+// TestManagerRetrainsAndSwapsToOracleArgmax: once one sample of a
+// signature is ingested, the memo answers the tenant's next launch of it
+// with the oracle argmax. A tenant that never launched the signature and
+// a signature the memo lacks keep the model's decision.
 func TestManagerRetrainsAndSwapsToOracleArgmax(t *testing.T) {
-	m := newTestManager(t, Config{Base: fakeBase{0.5}})
-	if mdl, gen := m.ModelFor("s-1"); mdl != (fakeBase{0.5}) || gen != 1 {
-		t.Fatalf("cold tenant should get base model at gen 1, got %v gen %d", mdl, gen)
-	}
+	m := newTestManager(t)
 	const bestIdx = 17
-	dec := core.Decision{Config: m.cfgs[0], Predicted: 0.5, Evaluated: len(m.cfgs), ModelGen: 1}
-	for i := 0; i < retrainEvery; i++ {
-		m.Observe(testSample(m, "s-1", "gesummv", bestIdx, dec))
+	dec := core.Decision{Config: m.cfgs[0], Predicted: 0.5, Evaluated: len(m.cfgs)}
+	s := testSample(m, "s-1", "gesummv", bestIdx)
+	if got := m.Advise(s.Tenant, s.Kernel, s.Base, dec); got != dec {
+		t.Fatalf("cold signature advised %+v, want the model's %+v", got, dec)
 	}
-	if !m.Sync(5 * time.Second) {
-		t.Fatal("learner did not drain")
+	m.Observe(s)
+	m.Observe(testSample(m, "s-2", "spmv", 3))
+	syncLearner(t, m)
+
+	got := exploit(m, s, dec)
+	if !got.Learned || got.Config != m.cfgs[bestIdx] || got.Predicted != 1 || got.Evaluated != len(m.cfgs) {
+		t.Fatalf("after one sample: %+v, want the oracle argmax %v, learned", got, m.cfgs[bestIdx])
 	}
-	st := m.Status()
-	if st.Swaps < 1 || st.Retrains < 1 {
-		t.Fatalf("expected at least one retrain+swap, got %+v", st)
+	// s-2 has learner state and the memo holds gesummv's row, but s-2
+	// never launched gesummv.
+	other := s
+	other.Tenant = "s-2"
+	if got := exploit(m, other, dec); got.Learned || got.Config != dec.Config {
+		t.Fatalf("another tenant's launch advised %+v, want the model's %v", got, dec.Config)
 	}
-	mdl, gen := m.ModelFor("s-1")
-	if gen < 2 {
-		t.Fatalf("published generation %d, want >= 2", gen)
+	unseen := testSample(m, "s-1", "a-much-longer-kernel", bestIdx)
+	if got := m.Advise(unseen.Tenant, unseen.Kernel, unseen.Base, dec); got != dec {
+		t.Fatalf("unseen signature advised %+v, want the model's %+v", got, dec)
 	}
-	// The published model must reproduce the oracle argmax for the
-	// learned signature.
-	sample := testSample(m, "s-1", "gesummv", bestIdx, dec)
-	argmax, bestV := -1, 0.0
-	for i, cfg := range m.cfgs {
-		v := mdl.Predict(core.WithConfig(sample.Base, m.machine, cfg))
-		if argmax < 0 || v > bestV {
-			argmax, bestV = i, v
-		}
-	}
-	if argmax != bestIdx {
-		t.Fatalf("published model argmax = config %d, oracle best is %d", argmax, bestIdx)
-	}
-	// Feature vectors the table lacks are scored by the base model.
-	var far ml.Features
-	far[ml.FGlobalSize] = 1e7
-	if v := mdl.Predict(far); v != 0.5 {
-		t.Fatalf("unseen signature predicted %v, want the base model's 0.5", v)
+	if st := m.Status(); st.Learned < 1 || st.Tenants[0].Learned < 1 {
+		t.Fatalf("learned answers not counted: %+v", st)
 	}
 }
 
-// TestHotSwapReachesTheNextDecision attaches a manager to a framework and
-// swaps a tenant's model: the decision before the swap is scored by the
-// base generation, the one after it by the published one. The manager
-// holds no reference to the framework and tells it nothing — a decision
-// asks for its model every time, so there is no per-generation state on
-// the decision path to retire.
+// incSrc is the kernel the framework-level tests launch.
+const incSrc = `__kernel void k(__global float* a, int n) {
+	int i = get_global_id(0);
+	if (i < n) a[i] = a[i] + 1.0f;
+}`
+
+// launcher returns a function that runs incSrc as tenant through fw's
+// managed rung at global size n.
+func launcher(t *testing.T, fw *core.Framework) func(tenant string, n int) core.Decision {
+	t.Helper()
+	prog, err := clc.Compile(incSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prog.Kernel("k")
+	return func(tenant string, n int) core.Decision {
+		t.Helper()
+		args := []interp.Arg{interp.BufArg(interp.NewFloatBuffer(n)), interp.IntArg(int64(n))}
+		ex, err := fw.ExecuteCtx(core.WithTenant(context.Background(), tenant), k, args, interp.ND1(n, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex.Decision
+	}
+}
+
+// TestHotSwapReachesTheNextDecision sets a manager as a framework's
+// advisor: the tenant's first launch is decided by the model, and once
+// the learner has ingested it, the next launch of the same signature
+// executes the memoized row's argmax. The model still ran: the answer
+// replaces its argmax, not its sweep.
 func TestHotSwapReachesTheNextDecision(t *testing.T) {
-	m := newTestManager(t, Config{Base: fakeBase{0.5}})
-	fw := core.New(m.machine, nil)
-	m.Attach(fw)
+	m := newTestManager(t)
+	fw := core.New(sim.Kaveri(), fakeBase{0.5})
+	fw.Advisor = m
+	launch := launcher(t, fw)
 
-	prog, err := clc.Compile(`__kernel void k(__global float* a, int n) {
-		int i = get_global_id(0);
-		if (i < n) a[i] = a[i] + 1.0f;
-	}`)
-	if err != nil {
-		t.Fatal(err)
+	before := launch("s-1", 1024)
+	if before.Learned || before.Config != m.cfgs[0] || before.Evaluated != len(m.cfgs) {
+		t.Fatalf("first launch: %+v, want the model's argmax %v over a full sweep", before, m.cfgs[0])
 	}
-	res, err := fw.Analysis(prog.Kernel("k"))
-	if err != nil {
-		t.Fatal(err)
+	syncLearner(t, m)
+	if len(m.Status().Tenants) != 1 || m.OracleRows().Entries != 1 {
+		t.Fatalf("the first launch was not ingested: %+v", m.Status())
 	}
-	nd := interp.ND1(1024, 64)
-
-	before := fw.Decide(res, nd)
-	if before.ModelGen != 1 || before.Evaluated != len(m.cfgs) {
-		t.Fatalf("cold decision: %+v, want a full sweep by generation 1", before)
+	var row *oracleRow
+	m.rows.Each(func(_ sig, r *oracleRow) { row = r })
+	want := m.cfgs[row.best]
+	if want == before.Config {
+		t.Fatalf("the oracle best %v is the model's argmax: the test cannot tell them apart", want)
 	}
-	// Decide launches as the anonymous tenant.
-	for i := 0; i < retrainEvery; i++ {
-		m.Observe(testSample(m, "", "k", 17, before))
+	after := launch("s-1", 1024)
+	for after.Explored {
+		after = launch("s-1", 1024)
 	}
-	if !m.Sync(5 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
-	after := fw.Decide(res, nd)
-	if after.ModelGen < 2 || after.Evaluated != len(m.cfgs) || after.ModelDiscarded {
-		t.Fatalf("decision after the swap: %+v, want a full sweep by generation >= 2", after)
+	if !after.Learned || after.Config != want || after.Evaluated != len(m.cfgs) || after.ModelDiscarded {
+		t.Fatalf("launch after the sample: %+v, want the oracle best %v, learned, over a full sweep", after, want)
 	}
 }
 
-func TestGenerationsMonotonicAcrossSwaps(t *testing.T) {
-	m := newTestManager(t, Config{})
+// TestLearnerNeverReplacesAMissingModel: with no model the framework
+// decides ALL, and a learner that has learned one of the tenant's
+// signatures still leaves every other signature on ALL.
+func TestLearnerNeverReplacesAMissingModel(t *testing.T) {
+	m := newTestManager(t)
+	machine := sim.Kaveri()
+	fw := core.New(machine, nil)
+	fw.Advisor = m
+	launch := launcher(t, fw)
+
+	if dec := launch("", 1024); dec.Config != machine.AllResources() || dec.Learned {
+		t.Fatalf("model-less first launch: %+v, want ALL", dec)
+	}
+	syncLearner(t, m)
+	if dec := launch("", 1024); !dec.Learned && !dec.Explored {
+		t.Fatalf("learned signature: %+v, want the memo's answer", dec)
+	}
+	if dec := launch("", 2048); dec.Config != machine.AllResources() || dec.Learned || dec.Explored {
+		t.Fatalf("unseen signature: %+v, want ALL %v", dec, machine.AllResources())
+	}
+}
+
+// TestAdviseKeysByKernel: two kernels with one feature vector have
+// their own oracle rows, and each gets its own argmax.
+func TestAdviseKeysByKernel(t *testing.T) {
+	m := newTestManager(t)
+	a, b := testSample(m, "s-1", "ka", 5), testSample(m, "s-1", "kb", 30)
+	if a.Base != b.Base {
+		t.Fatal("the two kernels must share a feature vector")
+	}
+	m.Observe(a)
+	m.Observe(b)
+	syncLearner(t, m)
 	dec := core.Decision{Config: m.cfgs[0], Evaluated: len(m.cfgs)}
-	const rounds = 3
-	last := uint64(1)
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < retrainEvery; i++ {
-			// A fresh kernel name per launch keeps pendingNew > 0, so every
-			// retrainEvery boundary actually swaps.
-			k := r*retrainEvery + i
-			m.Observe(testSample(m, "s-1", fmt.Sprintf("k%d", k), k%len(m.cfgs), dec))
-		}
-		if !m.Sync(5 * time.Second) {
-			t.Fatal("learner did not drain")
-		}
-		st := m.Status()
-		if _, gen := m.ModelFor("s-1"); gen <= last || gen != st.Generation {
-			t.Fatalf("round %d: tenant generation %d (learner %d), want it past %d and the learner's newest",
-				r, gen, st.Generation, last)
-		}
-		last = st.Generation
-		if st.Swaps != int64(r+1) {
-			t.Fatalf("round %d: %d swaps, want %d", r, st.Swaps, r+1)
+	for _, c := range []struct {
+		s    core.LaunchSample
+		best int
+	}{{a, 5}, {b, 30}} {
+		if got := exploit(m, c.s, dec); !got.Learned || got.Config != m.cfgs[c.best] {
+			t.Errorf("kernel %s advised %+v, want its own argmax %v", c.s.Kernel, got, m.cfgs[c.best])
 		}
 	}
 }
 
 func TestExploreRespectsRegretBudget(t *testing.T) {
-	m := newTestManager(t, Config{})
-	var base ml.Features
-	base[ml.FGlobalSize] = 1000 + float64(len("gesummv"))
-	base[ml.FWorkDim] = 1
+	m := newTestManager(t)
+	s := testSample(m, "s-1", "gesummv", 7)
 	dec := core.Decision{Config: m.cfgs[3], Predicted: 0.9, Evaluated: len(m.cfgs)}
 
 	// Before any sample lands, the signature has no oracle row: the
 	// bandit must refuse to explore blind.
-	if _, ok := m.Explore("s-1", "gesummv", base, dec); ok {
+	if got := m.Advise(s.Tenant, s.Kernel, s.Base, dec); got.Explored {
 		t.Fatal("explored without an oracle row")
 	}
-	m.Observe(testSample(m, "s-1", "gesummv", 7, dec))
-	if !m.Sync(5 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
+	m.Observe(s)
+	syncLearner(t, m)
 	explored := 0
 	for i := 0; i < 10000; i++ {
-		if _, ok := m.Explore("s-1", "gesummv", base, dec); ok {
+		if m.Advise(s.Tenant, s.Kernel, s.Base, dec).Explored {
 			explored++
 		}
 	}
@@ -201,7 +242,7 @@ func TestExploreRespectsRegretBudget(t *testing.T) {
 		t.Fatalf("regret %v exceeded budget %v", r, regretBudget)
 	}
 	// Budget exhausted (or no affordable arm left): exploration stops.
-	if _, ok := m.Explore("s-1", "gesummv", base, dec); ok {
+	if m.Advise(s.Tenant, s.Kernel, s.Base, dec).Explored {
 		st := m.Status()
 		if st.Tenants[0].Regret > regretBudget {
 			t.Fatalf("post-exhaustion explore overdrew budget: %+v", st.Tenants[0])
@@ -210,11 +251,10 @@ func TestExploreRespectsRegretBudget(t *testing.T) {
 }
 
 func TestCollectorNeverBlocksLaunchPath(t *testing.T) {
-	m := newTestManager(t, Config{})
+	m := newTestManager(t)
 	gate := make(chan struct{})
 	blocked := core.LaunchSample{
 		Tenant: "s-1", Kernel: "slow",
-		Decision: core.Decision{Config: m.cfgs[0]},
 		Sweep: func() ([]core.ConfigTime, error) {
 			<-gate
 			return nil, fmt.Errorf("aborted")
@@ -247,13 +287,13 @@ func TestCollectorNeverBlocksLaunchPath(t *testing.T) {
 }
 
 // TestForgetDropsClosedTenants closes half the tenants while all of them
-// launch, explore and read status from their own goroutines. Each close
-// is applied after the samples its tenant queued before it, so once the
-// learner drains, only the tenants never closed are left. Run under
-// -race: Explore, Forget and the learner goroutine share tenant state.
+// launch, are advised and read status from their own goroutines. Each
+// close is applied after the samples its tenant queued before it, so once
+// the learner drains, only the tenants never closed are left. Run under
+// -race: Advise, Forget and the learner goroutine share tenant state.
 func TestForgetDropsClosedTenants(t *testing.T) {
-	m := newTestManager(t, Config{Base: fakeBase{0.5}})
-	const tenants, launches = 8, 2 * retrainEvery
+	m := newTestManager(t)
+	const tenants, launches = 8, 16
 	var wg sync.WaitGroup
 	for i := 0; i < tenants; i++ {
 		wg.Add(1)
@@ -262,9 +302,8 @@ func TestForgetDropsClosedTenants(t *testing.T) {
 			name := fmt.Sprintf("s-%d", i)
 			dec := core.Decision{Config: m.cfgs[0], Evaluated: len(m.cfgs)}
 			for j := 0; j < launches; j++ {
-				s := testSample(m, name, fmt.Sprintf("k%d", j%3), j%len(m.cfgs), dec)
-				m.ModelFor(name)
-				m.Explore(name, s.Kernel, s.Base, dec)
+				s := testSample(m, name, fmt.Sprintf("k%d", j%3), j%len(m.cfgs))
+				m.Advise(name, s.Kernel, s.Base, dec)
 				m.Observe(s)
 				m.Status()
 			}
@@ -274,9 +313,7 @@ func TestForgetDropsClosedTenants(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if !m.Sync(5 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
+	syncLearner(t, m)
 	var got []string
 	for _, ts := range m.Status().Tenants {
 		got = append(got, ts.Tenant)

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"dopia/internal/faults"
-	"dopia/internal/ml"
 	"dopia/internal/online"
 )
 
@@ -151,12 +150,11 @@ type DecisionInfo struct {
 	Evaluated      int     `json:"evaluated"`
 	ModelDiscarded bool    `json:"model_discarded,omitempty"`
 	InferUS        float64 `json:"infer_us"`
-	// ModelGen is the generation of the model that scored this decision
-	// (0 = static framework model, 1 = shared base under the online
-	// learner, >= 2 = hot-swapped per-tenant models).
-	ModelGen uint64 `json:"model_gen,omitempty"`
+	// Learned marks a launch the online learner answered with the
+	// oracle argmax of a signature its session launched before.
+	Learned bool `json:"learned,omitempty"`
 	// Explored marks a launch whose DoP was chosen by the online
-	// exploration policy instead of the model argmax.
+	// exploration policy instead of the model's or the learner's answer.
 	Explored bool `json:"explored,omitempty"`
 	// Sched names the co-execution scheduling policy that drove the
 	// launch ("alg1", "static", "dynamic", or "hguided").
@@ -168,7 +166,6 @@ type DecisionInfo struct {
 // enabled, its full per-tenant status.
 type ModelsResponse struct {
 	StaticModel string         `json:"static_model,omitempty"`
-	Provenance  *ml.Provenance `json:"provenance,omitempty"`
 	Online      bool           `json:"online"`
 	Learner     *online.Status `json:"learner,omitempty"`
 }

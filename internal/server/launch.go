@@ -397,7 +397,8 @@ next:
 func (s *Server) execute(l *launch, b *binding) (launchResult, error) {
 	sess, q := l.sess, l.sess.queue
 	// The session ID doubles as the online learner's tenant key: each
-	// session gets its own model, until it is closed.
+	// session is answered from its own recent signatures, until it is
+	// closed.
 	tenant := sess.id
 	if sess.closed {
 		tenant = ""
@@ -443,7 +444,7 @@ func ladderResult(q *ocl.CommandQueue, delta faults.Snapshot) launchResult {
 				Evaluated:      d.Evaluated,
 				ModelDiscarded: d.ModelDiscarded,
 				InferUS:        float64(d.InferTime) / float64(time.Microsecond),
-				ModelGen:       d.ModelGen,
+				Learned:        d.Learned,
 				Explored:       d.Explored,
 				Sched:          d.Sched,
 			}

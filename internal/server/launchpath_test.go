@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dopia/internal/online"
 )
 
 // accInputs returns the deterministic x contents and the expected y
@@ -41,8 +39,8 @@ func accInputs(n int) (x []float32, after func(k int) []float32) {
 func TestIdenticalLaunchesEachExecute(t *testing.T) {
 	s, _, c := newTestServer(t, func(cfg *Config) {
 		cfg.Workers = 4
-		cfg.Model = swapStub{}
-		cfg.Online = &online.Config{}
+		cfg.Model = onlineStub{}
+		cfg.Online = true
 	})
 	prog, err := c.Compile(accSrc)
 	if err != nil {

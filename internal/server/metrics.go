@@ -126,19 +126,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.gaugeInt("dopia_online_samples_pending", "Samples and session closes queued but not yet processed.", st.SamplesPending)
 		m.counter("dopia_online_sweeps_total", "Oracle configuration sweeps performed by the learner.", st.Sweeps)
 		m.counter("dopia_online_sweep_errors_total", "Oracle sweeps that failed.", st.SweepErrors)
-		m.counter("dopia_online_retrains_total", "Tenant tables rebuilt from their recent signatures.", st.Retrains)
-		m.counter("dopia_online_swaps_total", "Hot model swaps published into the decision path.", st.Swaps)
-		m.counter("dopia_online_explorations_total", "Launches whose DoP came from the bandit instead of the model.", st.Explorations)
-		m.gaugeInt("dopia_online_model_generation", "Highest model generation published so far.", int64(st.Generation))
+		m.counter("dopia_online_learned_total", "Launches answered with the memoized oracle argmax instead of the model's.", st.Learned)
+		m.counter("dopia_online_explorations_total", "Launches whose DoP came from the bandit instead of the exploited configuration.", st.Explorations)
 		m.gaugeInt("dopia_online_tenants", "Tenants with live learner state.", int64(len(st.Tenants)))
 		if len(st.Tenants) > 0 {
 			fmt.Fprintf(&m.b, "# HELP dopia_online_tenant_regret Cumulative exploration regret charged per tenant.\n# TYPE dopia_online_tenant_regret gauge\n")
 			for _, ts := range st.Tenants {
 				fmt.Fprintf(&m.b, "dopia_online_tenant_regret{tenant=%q} %g\n", ts.Tenant, ts.Regret)
-			}
-			fmt.Fprintf(&m.b, "# HELP dopia_online_tenant_generation Published model generation per tenant.\n# TYPE dopia_online_tenant_generation gauge\n")
-			for _, ts := range st.Tenants {
-				fmt.Fprintf(&m.b, "dopia_online_tenant_generation{tenant=%q} %d\n", ts.Tenant, ts.Generation)
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 package server
 
-// Tests of the closed-loop serving path: the 64-session hot-swap-under-
-// fire stress (zero failed launches, zero byte mismatches against the
-// sequential reference, monotonically non-decreasing model generation
-// per session), the learner's state dying with its session, and the
+// Tests of the closed-loop serving path: the 64-session stress with the
+// learner answering (zero failed launches, zero byte mismatches against
+// the sequential reference, no session answered from another's
+// launches), the learner's state dying with its session, and the
 // /v1/models and dopia_online_* observability surface.
 
 import (
@@ -20,37 +20,39 @@ import (
 	"dopia/internal/online"
 )
 
-// swapStub is a deterministic static model for online tests: it prefers
-// balanced configurations, stays inside (0, 1), and never discards.
-type swapStub struct{}
+// onlineStub is a deterministic static model for online tests: it
+// prefers balanced configurations, stays inside (0, 1), and never
+// discards.
+type onlineStub struct{}
 
-func (swapStub) Name() string { return "STUB" }
-func (swapStub) Predict(x ml.Features) float64 {
+func (onlineStub) Name() string { return "STUB" }
+func (onlineStub) Predict(x ml.Features) float64 {
 	return 0.3 + 0.4*x[ml.FCPUUtil] + 0.2*x[ml.FGPUUtil]
 }
 
-// TestOnlineHotSwapUnderFire drives 64 concurrent sessions against a
-// daemon whose learner swaps every session's model mid-run. Every
-// session uses private data and every launch executes, so every response
-// carries a live decision. The run must finish with zero failed launches, every
-// output bit-identical to the sequential reference, the model
-// generation non-decreasing within each session, and at least one hot
-// swap actually performed.
-func TestOnlineHotSwapUnderFire(t *testing.T) {
+// TestOnlineUnderFire drives 64 concurrent sessions against a daemon
+// whose learner answers their launches mid-run. Every session uses
+// private data and every launch executes, so every response carries a
+// live decision. The run must finish with zero failed launches and every
+// output bit-identical to the sequential reference. All sessions launch
+// the same three signatures, so the memo holds each row after the first
+// session's launch is ingested; a session's first launch of a geometry
+// must still never be learned, since another tenant's launches never
+// answer for it. At least one launch must be learned.
+func TestOnlineUnderFire(t *testing.T) {
 	const nSessions = 64
 	const perSession = 12
 	s, _, c := newTestServer(t, func(cfg *Config) {
-		cfg.Model = swapStub{}
+		cfg.Model = onlineStub{}
 		cfg.QueueDepth = 4 * nSessions
-		cfg.Online = &online.Config{}
+		cfg.Online = true
 	})
 	prog, err := c.Compile(scaleSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Three geometries per session: distinct global sizes are distinct
-	// decision signatures, so each tenant's launches carry new work and
-	// its eighth launch publishes a fresh generation.
+	// decision signatures.
 	sizes := []int{64, 128, 256}
 
 	var failures atomic.Int64
@@ -91,7 +93,6 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 				}
 				want[n] = scaleReference(t, n, fs, a)
 			}
-			lastGen := uint64(0)
 			for i := 0; i < perSession; i++ {
 				n := sizes[i%len(sizes)]
 				ai := int64(n)
@@ -115,18 +116,14 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 				}
 				for j := range want[n] {
 					if got[j] != want[n][j] {
-						report("launch %d: y%d[%d] = %v, want %v (swap changed result bytes)",
+						report("launch %d: y%d[%d] = %v, want %v (the learner changed result bytes)",
 							i, n, j, got[j], want[n][j])
 						return
 					}
 				}
-				if d := resp.Decision; d != nil {
-					if d.ModelGen < lastGen {
-						report("launch %d: model generation went backwards: %d after %d",
-							i, d.ModelGen, lastGen)
-						return
-					}
-					lastGen = d.ModelGen
+				if d := resp.Decision; d != nil && d.Learned && i < len(sizes) {
+					report("launch %d: the session's first launch of size %d was learned", i, n)
+					return
 				}
 			}
 		}(w)
@@ -143,12 +140,8 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 	if !s.Learner().Sync(10 * time.Second) {
 		t.Fatal("learner did not drain")
 	}
-	st := s.Learner().Status()
-	if st.Swaps < 1 {
-		t.Fatalf("no hot swaps under fire: %+v", st)
-	}
-	if st.Generation < 2 {
-		t.Fatalf("generation %d, want >= 2", st.Generation)
+	if st := s.Learner().Status(); st.Learned < 1 {
+		t.Fatalf("no launch learned under fire: %+v", st)
 	}
 }
 
@@ -157,8 +150,8 @@ func TestOnlineHotSwapUnderFire(t *testing.T) {
 // exposes the dopia_online_* counter family.
 func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 	s, ts, c := newTestServer(t, func(cfg *Config) {
-		cfg.Model = swapStub{}
-		cfg.Online = &online.Config{}
+		cfg.Model = onlineStub{}
+		cfg.Online = true
 	})
 	prog, err := c.Compile(scaleSrc)
 	if err != nil {
@@ -176,8 +169,8 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, ai := 1.5, int64(128)
-	// The eighth launch of a new signature publishes the tenant's table.
-	for i := 0; i < 8; i++ {
+	// Once the first launch is ingested, the second is learned.
+	for i := 0; i < 2; i++ {
 		if _, err := c.Launch(&LaunchRequest{
 			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
 			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &ai}},
@@ -185,9 +178,9 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !s.Learner().Sync(10 * time.Second) {
-		t.Fatal("learner did not drain")
+		if !s.Learner().Sync(10 * time.Second) {
+			t.Fatal("learner did not drain")
+		}
 	}
 
 	hres, err := http.Get(ts.URL + "/v1/models")
@@ -205,17 +198,17 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 	if models.StaticModel != "STUB" {
 		t.Errorf("static model %q, want STUB", models.StaticModel)
 	}
-	if models.Learner.Swaps < 1 {
-		t.Errorf("learner swaps = %d, want >= 1", models.Learner.Swaps)
+	if models.Learner.Learned < 1 {
+		t.Errorf("learner learned = %d, want >= 1", models.Learner.Learned)
 	}
 	found := false
 	for _, ten := range models.Learner.Tenants {
-		if ten.Tenant == sid && ten.Generation >= 2 {
+		if ten.Tenant == sid && ten.Learned >= 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("tenant %s with generation >= 2 missing from %+v", sid, models.Learner.Tenants)
+		t.Errorf("tenant %s with a learned launch missing from %+v", sid, models.Learner.Tenants)
 	}
 
 	page, err := c.Metrics()
@@ -226,17 +219,23 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		"dopia_online_enabled 1",
 		"dopia_online_samples_ingested_total",
 		"dopia_online_sweeps_total",
-		"dopia_online_retrains_total",
-		"dopia_online_swaps_total",
+		"dopia_online_learned_total",
 		"dopia_online_explorations_total",
-		"dopia_online_model_generation",
 	} {
 		if !strings.Contains(page, name) {
 			t.Errorf("/metrics missing %q", name)
 		}
 	}
-	if v := metricOf(t, page, "dopia_online_swaps_total"); v < 1 {
-		t.Errorf("dopia_online_swaps_total = %g, want >= 1", v)
+	if v := metricOf(t, page, "dopia_online_learned_total"); v < 1 {
+		t.Errorf("dopia_online_learned_total = %g, want >= 1", v)
+	}
+	// The model-generation series went with the generations themselves.
+	for _, line := range strings.Split(page, "\n") {
+		for _, gone := range []string{"retrains", "swaps", "generation"} {
+			if strings.HasPrefix(line, "dopia_online_") && strings.Contains(line, gone) {
+				t.Errorf("/metrics still exports %q", line)
+			}
+		}
 	}
 }
 
@@ -262,8 +261,8 @@ func metricOf(t *testing.T, page, name string) float64 {
 func TestLearnerStateDiesWithSessions(t *testing.T) {
 	const sessions = 300
 	s, _, c := newTestServer(t, func(cfg *Config) {
-		cfg.Model = swapStub{}
-		cfg.Online = &online.Config{}
+		cfg.Model = onlineStub{}
+		cfg.Online = true
 	})
 	prog, err := c.Compile(scaleSrc)
 	if err != nil {

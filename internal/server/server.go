@@ -62,12 +62,11 @@ type Config struct {
 	MaxSourceBytes int64
 	// WatchdogTimeout is passed to the framework (0 = its default).
 	WatchdogTimeout time.Duration
-	// Online, when non-nil, enables the closed-loop learner: live
-	// launches stream into per-tenant models (tenant == session) that
-	// hot-swap into the decision path without downtime, and a tenant's
-	// state dies with its session. Machine and Base are filled from
-	// Machine/Model when unset.
-	Online *online.Config
+	// Online enables the closed-loop learner: live launches stream into
+	// a memo of oracle sweeps that answers each session's (tenant's)
+	// launches of a signature it launched recently, and a tenant's state
+	// dies with its session.
+	Online bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -167,7 +166,7 @@ type Server struct {
 	programs *lru.Cache[string, *program]
 
 	// learner is the online closed-loop manager (nil unless Config.Online
-	// is set); it observes live launches and hot-swaps per-tenant models.
+	// is set); it observes live launches and answers later ones.
 	learner *online.Manager
 
 	met metrics
@@ -247,20 +246,9 @@ func New(cfg Config) (*Server, error) {
 			stages:    stats.NewStageSet("decode", "queue", "exec", "encode"),
 		},
 	}
-	if cfg.Online != nil {
-		oc := *cfg.Online
-		if oc.Machine == nil {
-			oc.Machine = cfg.Machine
-		}
-		if oc.Base == nil {
-			oc.Base = cfg.Model
-		}
-		learner, err := online.New(oc)
-		if err != nil {
-			return nil, err
-		}
-		learner.Attach(fw)
-		s.learner = learner
+	if cfg.Online {
+		s.learner = online.New(cfg.Machine)
+		fw.Advisor = s.learner
 	}
 	perWorker := (cfg.QueueDepth + cfg.Workers - 1) / cfg.Workers
 	s.queues = make([]chan *launch, cfg.Workers)
@@ -727,16 +715,13 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	s.met.stages.Record(stageEncode, time.Since(encodeStart).Seconds())
 }
 
-// handleModels reports which models are making decisions: the static
-// model the daemon booted with and, when the online learner is on, the
-// full per-tenant learner status (generations, regret, provenance).
+// handleModels reports what makes decisions: the static model the
+// daemon booted with and, when the online learner is on, the full
+// per-tenant learner status (learned answers, explorations, regret).
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	resp := ModelsResponse{Online: s.learner != nil}
 	if s.cfg.Model != nil {
 		resp.StaticModel = s.cfg.Model.Name()
-		if p, ok := ml.ProvenanceOf(s.cfg.Model); ok {
-			resp.Provenance = &p
-		}
 	}
 	if s.learner != nil {
 		st := s.learner.Status()
