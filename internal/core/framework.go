@@ -30,7 +30,7 @@ const DefaultWatchdogTimeout = 30 * time.Second
 //
 // A Framework is safe for concurrent use: one framework can serve
 // launches from many sessions and worker goroutines at once (the
-// dopia-serve deployment). Mutating Model, Advisor or WatchdogTimeout
+// dopia-serve deployment). Mutating Model, Learner or WatchdogTimeout
 // concurrently with launches is not supported; configure the framework
 // before attaching it.
 type Framework struct {
@@ -50,10 +50,10 @@ type Framework struct {
 	// sim.WorkQueue, sim.HGuided) re-split the ND-range mid-flight; all
 	// policies execute identical work, so the choice never changes bytes.
 	Dist sim.Distribution
-	// Advisor is the online-learning layer (nil = Model only): it may
-	// answer a managed launch's decision from what it has measured, and
-	// it receives every managed launch back as a training signal.
-	Advisor Advisor
+	// Learner is the online-learning loop (nil = Model only): it may
+	// answer a tenant's managed launch from what it has measured, and it
+	// learns from every tenant's managed launch once it has run.
+	Learner *Learner
 
 	// unmanaged records the kernels whose compile-time stage failed in
 	// AnalyzeProgram, with the classified error: the framework's own
@@ -153,7 +153,7 @@ type Decision struct {
 	// chosen configuration (1 for a Learned answer, the oracle best).
 	Predicted float64
 	// InferTime is the wall-clock cost of the decision: the model over
-	// all configurations plus, on a managed launch, the Advisor's answer.
+	// all configurations plus, on a managed launch, the Learner's answer.
 	// It is charged to the simulated clock.
 	InferTime time.Duration
 	// Evaluated is the number of configurations scored.
@@ -162,7 +162,7 @@ type Decision struct {
 	// for this launch (NaN/Inf/out-of-range values, inference panic, or
 	// injected fault) and the ALL configuration was used instead.
 	ModelDiscarded bool
-	// Learned reports that the Advisor replaced the model's argmax with
+	// Learned reports that the Learner replaced the model's argmax with
 	// the measured oracle argmax of a signature the tenant launched
 	// before.
 	Learned bool
@@ -196,7 +196,7 @@ func predictOne(m ml.Model, x ml.Features) (v float64, err error) {
 
 // Decide evaluates the model for every DoP configuration of the machine
 // and returns the predicted-best one (paper Algorithm 1, lines 2-4). It is
-// the model-only argmax: the Advisor is consulted by managed launches
+// the model-only argmax: the Learner is consulted by managed launches
 // (ExecuteCtx), never here. Invalid predictions (NaN/Inf/out-of-range) or
 // inference panics discard the model for this launch: the decision
 // degrades to the ALL configuration with ModelDiscarded set, and Decide
@@ -285,9 +285,10 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 }
 
 // coExecute is the body of both managed rungs. With a malleable kernel
-// it is rung 1: the model (and the Advisor, when set) picks
-// the DoP from the kernel's analysis res. With malleable == nil it is
-// rung 2: the original kernel on ALL resources, no model, no decision.
+// it is rung 1: the model (and, for a tenant's launch, the Learner when
+// set) picks the DoP from the kernel's analysis res. With malleable ==
+// nil it is rung 2: the original kernel on ALL resources, no model, no
+// decision.
 func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.Result, malleable *clc.Kernel, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
 	defer faults.Recover(faults.StageExec, &err)
 	if err := faults.Hit("core.exec"); err != nil {
@@ -305,21 +306,24 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 	}
 	dec := Decision{Config: f.Machine.AllResources()}
 	var base ml.Features
-	adv, tenant := f.Advisor, TenantFrom(ctx)
+	lrn, tenant := f.Learner, TenantFrom(ctx)
+	if tenant == "" {
+		lrn = nil // an untagged launch has no tenant whose state could ever be forgotten
+	}
 	if malleable == nil {
-		adv = nil // rung 2 makes no decision to advise or learn from
+		lrn = nil // rung 2 makes no decision to advise or learn from
 	} else {
 		var decErr error
 		dec, base, decErr = f.decide(res, nd)
 		if decErr != nil {
 			f.Stats.RecordModelDiscard(decErr)
 		}
-		if adv != nil && !dec.ModelDiscarded {
+		if lrn != nil && !dec.ModelDiscarded {
 			// The advice changes only which DoP executes — functional
 			// results are configuration-invariant, so it can never change
 			// bytes. Its cost is part of the decision's.
 			start, inferTime := time.Now(), dec.InferTime
-			dec = adv.Advise(tenant, k.Name, base, dec)
+			dec = lrn.advise(tenant, k.Name, base, dec)
 			dec.InferTime = inferTime + time.Since(start)
 		}
 	}
@@ -335,27 +339,13 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 	if err != nil {
 		return nil, faults.Wrap(faults.StageExec, err)
 	}
-	if adv != nil && !faults.Active() {
-		// Feed the completed launch back as a training signal. The sweep
-		// closure re-simulates all configurations on this executor's kernel
-		// model, timing only (thread-safe; the functional state is no
-		// longer touched).
-		adv.Observe(LaunchSample{
-			Tenant: tenant,
-			Kernel: k.Name,
-			Base:   base,
-			Sweep: func() ([]ConfigTime, error) {
-				cfgs := f.Machine.Configs()
-				rs, serr := ex.RunConfigs(cfgs, sched.RunOptions{Dist: f.Dist})
-				if serr != nil {
-					return nil, serr
-				}
-				cts := make([]ConfigTime, len(cfgs))
-				for i, r := range rs {
-					cts[i] = ConfigTime{Config: cfgs[i], Time: r.Time}
-				}
-				return cts, nil
-			},
+	if lrn != nil && !faults.Active() {
+		// Learn from the completed launch before returning it, so the
+		// tenant's next launch sees it. A memo miss re-simulates every
+		// configuration on this executor's kernel model, timing only; the
+		// sweep is not part of the decision's cost.
+		lrn.observe(tenant, k.Name, base, func() ([]*sim.Result, error) {
+			return ex.RunConfigs(f.Machine.Configs(), sched.RunOptions{Dist: f.Dist})
 		})
 	}
 	return &Execution{

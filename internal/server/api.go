@@ -23,8 +23,8 @@ import (
 	"sort"
 	"sync"
 
+	"dopia/internal/core"
 	"dopia/internal/faults"
-	"dopia/internal/online"
 )
 
 // ProgramRequest registers OpenCL C source with the daemon.
@@ -165,9 +165,9 @@ type DecisionInfo struct {
 // model the daemon booted with plus, when the online learner is
 // enabled, its full per-tenant status.
 type ModelsResponse struct {
-	StaticModel string         `json:"static_model,omitempty"`
-	Online      bool           `json:"online"`
-	Learner     *online.Status `json:"learner,omitempty"`
+	StaticModel string              `json:"static_model,omitempty"`
+	Online      bool                `json:"online"`
+	Learner     *core.LearnerStatus `json:"learner,omitempty"`
 }
 
 // ResultInfo reports the simulated co-execution outcome.

@@ -121,9 +121,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.gaugeInt("dopia_online_enabled", "1 while the closed-loop online learner is running.", online)
 	if s.learner != nil {
 		st := s.learner.Status()
-		m.counter("dopia_online_samples_ingested_total", "Launch samples accepted by the streaming collector.", st.SamplesIngested)
-		m.counter("dopia_online_samples_dropped_total", "Launch samples dropped because the collector queue was full.", st.SamplesDropped)
-		m.gaugeInt("dopia_online_samples_pending", "Samples and session closes queued but not yet processed.", st.SamplesPending)
+		m.counter("dopia_online_samples_ingested_total", "Tenant launches the learner has learned from.", st.SamplesIngested)
 		m.counter("dopia_online_sweeps_total", "Oracle configuration sweeps performed by the learner.", st.Sweeps)
 		m.counter("dopia_online_sweep_errors_total", "Oracle sweeps that failed.", st.SweepErrors)
 		m.counter("dopia_online_learned_total", "Launches answered with the memoized oracle argmax instead of the model's.", st.Learned)

@@ -9,15 +9,15 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"dopia/internal/core"
 	"dopia/internal/ml"
-	"dopia/internal/online"
 )
 
 // onlineStub is a deterministic static model for online tests: it
@@ -36,9 +36,9 @@ func (onlineStub) Predict(x ml.Features) float64 {
 // live decision. The run must finish with zero failed launches and every
 // output bit-identical to the sequential reference. All sessions launch
 // the same three signatures, so the memo holds each row after the first
-// session's launch is ingested; a session's first launch of a geometry
-// must still never be learned, since another tenant's launches never
-// answer for it. At least one launch must be learned.
+// session's launch of it; a session's first launch of a geometry must
+// still never be learned, since another tenant's launches never answer
+// for it, and its second launch of one must be.
 func TestOnlineUnderFire(t *testing.T) {
 	const nSessions = 64
 	const perSession = 12
@@ -121,8 +121,8 @@ func TestOnlineUnderFire(t *testing.T) {
 						return
 					}
 				}
-				if d := resp.Decision; d != nil && d.Learned && i < len(sizes) {
-					report("launch %d: the session's first launch of size %d was learned", i, n)
+				if d := resp.Decision; d == nil || d.Learned != (i >= len(sizes)) {
+					report("launch %d of size %d: decision %+v, want learned exactly when the session launched the size before", i, n, d)
 					return
 				}
 			}
@@ -137,19 +137,16 @@ func TestOnlineUnderFire(t *testing.T) {
 		t.Fatalf("%d sessions failed", n)
 	}
 
-	if !s.Learner().Sync(10 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
-	if st := s.Learner().Status(); st.Learned < 1 {
-		t.Fatalf("no launch learned under fire: %+v", st)
+	if st, want := s.Learner().Status(), int64(nSessions*(perSession-len(sizes))); st.Learned != want {
+		t.Fatalf("%d launches learned under fire, want %d: %+v", st.Learned, want, st)
 	}
 }
 
 // TestModelsEndpointAndOnlineMetrics covers the observability surface:
 // GET /v1/models reports the learner's per-tenant state, and /metrics
-// exposes the dopia_online_* counter family.
+// exposes the dopia_online_* counter family and no collector-queue series.
 func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
-	s, ts, c := newTestServer(t, func(cfg *Config) {
+	_, ts, c := newTestServer(t, func(cfg *Config) {
 		cfg.Model = onlineStub{}
 		cfg.Online = true
 	})
@@ -169,17 +166,18 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, ai := 1.5, int64(128)
-	// Once the first launch is ingested, the second is learned.
+	// The learner learns from the first launch, so it answers the second.
 	for i := 0; i < 2; i++ {
-		if _, err := c.Launch(&LaunchRequest{
+		resp, err := c.Launch(&LaunchRequest{
 			SessionID: sid, ProgramID: prog.ProgramID, Kernel: "scale",
 			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &ai}},
 			Global: []int{128}, Local: []int{64},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Learner().Sync(10 * time.Second) {
-			t.Fatal("learner did not drain")
+		if resp.Decision == nil || resp.Decision.Learned != (i == 1) {
+			t.Fatalf("launch %d: decision %+v, want learned exactly on the second", i, resp.Decision)
 		}
 	}
 
@@ -188,8 +186,16 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hres.Body.Close()
+	body, err := io.ReadAll(hres.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var models ModelsResponse
-	if err := json.NewDecoder(hres.Body).Decode(&models); err != nil {
+	var rawModels struct{ Learner map[string]json.RawMessage }
+	if err := json.Unmarshal(body, &models); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &rawModels); err != nil {
 		t.Fatal(err)
 	}
 	if !models.Online || models.Learner == nil {
@@ -229,12 +235,26 @@ func TestModelsEndpointAndOnlineMetrics(t *testing.T) {
 	if v := metricOf(t, page, "dopia_online_learned_total"); v < 1 {
 		t.Errorf("dopia_online_learned_total = %g, want >= 1", v)
 	}
-	// The model-generation series went with the generations themselves.
+	// The model-generation series went with the generations themselves,
+	// and every sample series but the ingested count with the collector
+	// queue.
 	for _, line := range strings.Split(page, "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(name, "dopia_online_") {
+			continue
+		}
 		for _, gone := range []string{"retrains", "swaps", "generation"} {
-			if strings.HasPrefix(line, "dopia_online_") && strings.Contains(line, gone) {
+			if strings.Contains(name, gone) {
 				t.Errorf("/metrics still exports %q", line)
 			}
+		}
+		if strings.HasPrefix(name, "dopia_online_samples_") && name != "dopia_online_samples_ingested_total" {
+			t.Errorf("/metrics still exports %q", line)
+		}
+	}
+	for key := range rawModels.Learner {
+		if strings.HasPrefix(key, "samples_") && key != "samples_ingested" {
+			t.Errorf("/v1/models learner still reports %q", key)
 		}
 	}
 }
@@ -301,15 +321,12 @@ func TestLearnerStateDiesWithSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.Learner().Sync(10 * time.Second) {
-		t.Fatal("learner did not drain")
-	}
 	st := s.Learner().Status()
 	if len(st.Tenants) != 1 || st.Tenants[0].Tenant != live {
 		t.Fatalf("learner holds %d tenants after closing %d of %d sessions, want only %s",
 			len(st.Tenants), sessions, sessions+1, live)
 	}
-	if rows := s.Learner().OracleRows(); rows.Entries > online.OracleRowCap {
-		t.Fatalf("oracle-sweep memo holds %d signatures, bound %d", rows.Entries, online.OracleRowCap)
+	if rows := s.Learner().OracleRows(); rows.Entries > core.OracleRowCap {
+		t.Fatalf("oracle-sweep memo holds %d signatures, bound %d", rows.Entries, core.OracleRowCap)
 	}
 }

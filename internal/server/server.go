@@ -35,7 +35,6 @@ import (
 	"dopia/internal/lru"
 	"dopia/internal/ml"
 	"dopia/internal/ocl"
-	"dopia/internal/online"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
 )
@@ -62,8 +61,8 @@ type Config struct {
 	MaxSourceBytes int64
 	// WatchdogTimeout is passed to the framework (0 = its default).
 	WatchdogTimeout time.Duration
-	// Online enables the closed-loop learner: live launches stream into
-	// a memo of oracle sweeps that answers each session's (tenant's)
+	// Online enables the closed-loop learner: each live launch feeds a
+	// memo of oracle sweeps that answers the session's (tenant's) next
 	// launches of a signature it launched recently, and a tenant's state
 	// dies with its session.
 	Online bool
@@ -165,9 +164,10 @@ type Server struct {
 	// armed too.
 	programs *lru.Cache[string, *program]
 
-	// learner is the online closed-loop manager (nil unless Config.Online
-	// is set); it observes live launches and answers later ones.
-	learner *online.Manager
+	// learner is the framework's online-learning loop (nil unless
+	// Config.Online is set); it learns from live launches and answers
+	// later ones.
+	learner *core.Learner
 
 	met metrics
 }
@@ -247,8 +247,8 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	if cfg.Online {
-		s.learner = online.New(cfg.Machine)
-		fw.Advisor = s.learner
+		s.learner = core.NewLearner(cfg.Machine)
+		fw.Learner = s.learner
 	}
 	perWorker := (cfg.QueueDepth + cfg.Workers - 1) / cfg.Workers
 	s.queues = make([]chan *launch, cfg.Workers)
@@ -394,18 +394,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.stopWorkers)
 	}
 	s.workersDone.Wait()
-	if s.learner != nil {
-		// Workers are stopped: give the learner a moment to drain what the
-		// last launches streamed in, then shut it down (idempotent).
-		s.learner.Sync(2 * time.Second)
-		s.learner.Close()
-	}
 	return nil
 }
 
-// Learner exposes the online manager (nil when -online is off) for
+// Learner exposes the online learner (nil when -online is off) for
 // observability and tests.
-func (s *Server) Learner() *online.Manager { return s.learner }
+func (s *Server) Learner() *core.Learner { return s.learner }
 
 // ---------- HTTP handlers ----------
 
@@ -620,9 +614,9 @@ func (s *Server) session(id string) (*session, bool) {
 // closeSession unpublishes a session, shared by both protocols.
 // In-flight launches of the session hold sess.mu and finish normally;
 // the session just stops being addressable. Its learner state goes with
-// it: taking sess.mu waits out the launch in progress, whose sample is
-// then queued ahead of the Forget, and launches still queued behind the
-// close run as no tenant.
+// it: taking sess.mu waits out the launch in progress, which has finished
+// learning by then, and launches still queued behind the close run
+// untagged, so the learner never sees them.
 func (s *Server) closeSession(id string) (int, error) {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
