@@ -95,6 +95,11 @@ func main() {
 		d.Config.CPUCores, d.Config.GPUFrac*100, m.ActivePEs(d.Config), d.Evaluated, d.InferTime)
 	fmt.Printf("simulated execution: %.4g ms (CPU %d WGs, GPU %d WGs in %d chunks)\n",
 		exec.Result.Time*1e3, exec.Result.WGsCPU, exec.Result.WGsGPU, exec.Result.GPUChunks)
+	profile := "reused"
+	if exec.Profiled {
+		profile = "sampled"
+	}
+	fmt.Printf("profile: %s\n", profile)
 
 	// Baselines and the oracle.
 	ex, err := sched.NewExecutor(m, k, mall.Kernel)

@@ -55,6 +55,15 @@ type Result struct {
 	// as written, or atomic accumulators leak partial state.
 	AtomicArgs []int
 
+	// ProfileInputs lists, ascending, the buffer parameter slots whose
+	// loaded values can reach an index, a branch, loop or ternary
+	// condition, a &&/|| operand or an integer divisor (see inputs.go).
+	// No other buffer's contents can change which operations a run
+	// executes or where they access memory, so a sampled profile depends
+	// on the launch geometry, the scalars, the buffer shapes and the
+	// bytes of these buffers alone.
+	ProfileInputs []int
+
 	// MaxLoopDepth is the deepest loop nest in the kernel.
 	MaxLoopDepth int
 
@@ -155,6 +164,7 @@ func runAnalysis(k *clc.Kernel, exact bool) (*Result, error) {
 	if len(a.res.AtomicArgs) > 0 {
 		a.res.indep.static = "global atomics"
 	}
+	a.res.ProfileInputs = profileInputs(k)
 	return a.res, nil
 }
 

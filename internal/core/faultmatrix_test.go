@@ -8,6 +8,7 @@ import (
 	"dopia/internal/faults"
 	"dopia/internal/ml"
 	"dopia/internal/sim"
+	"dopia/internal/workloads"
 )
 
 // The fault matrix: for EVERY documented injection point, an interposed
@@ -288,6 +289,53 @@ func TestFaultMatrix(t *testing.T) {
 			bitsEqual(t, res.bits, want)
 			tc.check(t, res.fw.Stats.Snapshot(), res.q.Fallback.Snapshot())
 		})
+	}
+}
+
+// TestEvaluateWorkloadFaults extends the matrix to the training pipeline:
+// for every injection point core.EvaluateWorkload reaches, in error and
+// panic mode, it returns an error attributed to the point's stage and
+// never panics — nor does EvaluateAll, whose worker goroutines
+// (dopia-train, dopia-serve -train) a panic would take the process down
+// with.
+func TestEvaluateWorkloadFaults(t *testing.T) {
+	ws, err := workloads.RealWorkloads(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ws[8] // GESUMMV
+	m := sim.Kaveri()
+	for _, tc := range []struct {
+		point string
+		stage faults.Stage
+	}{
+		{"clc.parse", faults.StageParse},
+		{"analysis.analyze", faults.StageAnalysis},
+		{"interp.compile", faults.StageCompile},
+	} {
+		for _, mode := range []struct {
+			name string
+			plan faults.Plan
+		}{
+			{"error", faults.Plan{}},
+			{"panic", faults.Plan{Panic: "matrix: injected panic at " + tc.point}},
+		} {
+			t.Run(tc.point+"/"+mode.name, func(t *testing.T) {
+				t.Cleanup(faults.Reset)
+				faults.Reset()
+				faults.Inject(tc.point, mode.plan)
+				we, err := EvaluateWorkload(m, w)
+				if err == nil || we != nil {
+					t.Fatalf("EvaluateWorkload = %v, %v; want a classified error", we, err)
+				}
+				if got := faults.StageOf(err); got != tc.stage {
+					t.Errorf("error attributed to stage %q, want %q: %v", got, tc.stage, err)
+				}
+				if _, err := EvaluateAll(m, []*workloads.Workload{w, w}, 2); err == nil {
+					t.Error("EvaluateAll succeeded under an armed fault")
+				}
+			})
+		}
 	}
 }
 

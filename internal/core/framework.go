@@ -253,6 +253,10 @@ type Execution struct {
 	// execution used ("bytecode" or "closures", with the per-kernel
 	// fallback reason appended when the bytecode engine declined).
 	Engine string
+	// Profiled reports that the launch ran the sampled profile behind its
+	// model; false means the model came from the kernel's memo of an
+	// identical earlier launch (sched.Executor.Profiled).
+	Profiled bool
 }
 
 // Execute runs one kernel launch under Dopia management: select the DoP
@@ -353,6 +357,7 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		Result:     result,
 		KernelName: k.Name,
 		Engine:     engineString(ex),
+		Profiled:   ex.Profiled(),
 	}, nil
 }
 

@@ -63,6 +63,10 @@ type LaunchInfo struct {
 	// Engine is the interpreter engine of the CPU-side functional
 	// execution ("" on the plain rung).
 	Engine string
+	// Profiled reports that the launch ran a sampled profile; false on a
+	// managed rung means its model came from the kernel's memo (see
+	// Execution.Profiled), and on the plain rung that there was no model.
+	Profiled bool
 	// Cause is the classified error that forced the degradation (nil
 	// for managed launches).
 	Cause error
@@ -138,7 +142,7 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 		if xerr == nil {
 			rec.managed()
 			q.LastResult = exec.Result
-			q.LastLaunch = &LaunchInfo{Rung: "managed", Decision: &exec.Decision, Engine: exec.Engine}
+			q.LastLaunch = &LaunchInfo{Rung: "managed", Decision: &exec.Decision, Engine: exec.Engine, Profiled: exec.Profiled}
 			return true, exec.Result.Time, nil
 		}
 		snap.Restore()
@@ -156,7 +160,7 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 		if xerr == nil {
 			rec.coExecAll(cause)
 			q.LastResult = exec.Result
-			q.LastLaunch = &LaunchInfo{Rung: "coexec-all", Decision: &exec.Decision, Engine: exec.Engine, Cause: cause}
+			q.LastLaunch = &LaunchInfo{Rung: "coexec-all", Decision: &exec.Decision, Engine: exec.Engine, Profiled: exec.Profiled, Cause: cause}
 			return true, exec.Result.Time, nil
 		}
 		snap.Restore()

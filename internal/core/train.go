@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"dopia/internal/analysis"
 	"dopia/internal/ml"
 	"dopia/internal/sched"
 	"dopia/internal/sim"
@@ -63,6 +64,10 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	if err != nil {
 		return nil, err
 	}
+	res, err := analysis.Analyze(k)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", w.Name, err)
+	}
 	ex, err := sched.NewExecutor(m, k, nil)
 	if err != nil {
 		return nil, err
@@ -80,7 +85,7 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	}
 	we := &WorkloadEval{
 		Name: w.Name,
-		Base: BaseFeatures(ex.Analysis(), inst.ND),
+		Base: BaseFeatures(res, inst.ND),
 	}
 	// The 44-config sweep is timing-only and embarrassingly parallel:
 	// RunConfigs builds the model once, then fans the simulations out.

@@ -244,6 +244,11 @@ func (ex *Exec) SetArg(i int, a Arg) error {
 	return nil
 }
 
+// Args returns the bound arguments, each scalar normalized to its
+// parameter's kind as SetArg stores it. The slice is shared and must not
+// be modified.
+func (ex *Exec) Args() []Arg { return ex.args }
+
 // Bind sets all arguments at once.
 func (ex *Exec) Bind(args ...Arg) error {
 	if len(args) != len(ex.kernel.Params) {
@@ -268,7 +273,7 @@ func (ex *Exec) Launch(nd NDRange) error {
 			return fmt.Errorf("interp: argument %d (%s) not bound", i, p.Name)
 		}
 	}
-	ex.nd = nd.normalized()
+	ex.nd = nd.Normalized()
 	ex.paramVals = ex.paramVals[:0]
 	for i := range ex.kernel.Params {
 		ex.paramVals = append(ex.paramVals, ex.args[i].Val)

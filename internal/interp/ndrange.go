@@ -45,8 +45,10 @@ func (nd NDRange) Validate() error {
 	return nil
 }
 
-// normalized returns the range with unused dimensions set to 1.
-func (nd NDRange) normalized() NDRange {
+// Normalized returns the range with unused dimensions set to 1: the form
+// a launch runs under, so two ranges that differ only in how they spell
+// an unused dimension launch identically.
+func (nd NDRange) Normalized() NDRange {
 	for d := 0; d < 3; d++ {
 		if nd.Global[d] == 0 {
 			nd.Global[d] = 1
@@ -60,7 +62,7 @@ func (nd NDRange) normalized() NDRange {
 
 // NumGroups returns the per-dimension work-group counts.
 func (nd NDRange) NumGroups() [3]int {
-	nd = nd.normalized()
+	nd = nd.Normalized()
 	return [3]int{
 		nd.Global[0] / nd.Local[0],
 		nd.Global[1] / nd.Local[1],
@@ -76,13 +78,13 @@ func (nd NDRange) TotalGroups() int {
 
 // GroupSize returns the number of work-items per work-group.
 func (nd NDRange) GroupSize() int {
-	nd = nd.normalized()
+	nd = nd.Normalized()
 	return nd.Local[0] * nd.Local[1] * nd.Local[2]
 }
 
 // TotalItems returns the total number of work-items.
 func (nd NDRange) TotalItems() int {
-	nd = nd.normalized()
+	nd = nd.Normalized()
 	return nd.Global[0] * nd.Global[1] * nd.Global[2]
 }
 

@@ -279,7 +279,7 @@ func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
 		if err := s.ND.Validate(); err != nil {
 			return err
 		}
-		if local := s.ND.normalized().Local; local != s.Ex.nd.Local {
+		if local := s.ND.Normalized().Local; local != s.Ex.nd.Local {
 			return fmt.Errorf("interp: segment %d: work-group shape %v differs from the executor's launch %v",
 				i, local, s.Ex.nd.Local)
 		}
@@ -297,7 +297,7 @@ func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
 		for i := range segs {
 			s := &segs[i]
 			rs := s.Ex.seqState(profiled)
-			rs.nd = s.ND.normalized()
+			rs.nd = s.ND.Normalized()
 			for g := s.Start; g < s.Start+s.Count; g++ {
 				if err := rs.runGroup(g); err != nil {
 					return err
@@ -400,7 +400,7 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 			if n > 0 {
 				t.pieces = append(t.pieces, piece{
 					rs:    s.Ex.shardState(i, id, ex, profiled),
-					nd:    s.ND.normalized(),
+					nd:    s.ND.Normalized(),
 					start: s.Start + off,
 					count: n,
 				})

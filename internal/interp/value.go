@@ -13,6 +13,7 @@ package interp
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dopia/internal/clc"
 )
@@ -124,6 +125,23 @@ func (b *Buffer) CompatibleWith(k clc.Kind) bool {
 		return b.I64 != nil
 	}
 	return false
+}
+
+// Raw returns the buffer's contents as bytes, aliasing its storage: the
+// view changes when the buffer does, and two views are equal exactly when
+// the two buffers hold the same element bit patterns.
+func (b *Buffer) Raw() []byte {
+	switch {
+	case b.F32 != nil:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.F32))), 4*len(b.F32))
+	case b.I32 != nil:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.I32))), 4*len(b.I32))
+	case b.F64 != nil:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.F64))), 8*len(b.F64))
+	case b.I64 != nil:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.I64))), 8*len(b.I64))
+	}
+	return nil
 }
 
 // Clone returns a deep copy of the buffer (ID/Base are not copied).

@@ -1,9 +1,9 @@
 // Package lru is the one bounded cache in the stack: every memo and
 // registry that may forget an entry — the ocl program cache, dopiad's
 // per-session idempotency cache, its program registry, the router's
-// source registry, and the online learner's
-// oracle-sweep memo and per-tenant signature sets — is an instance of
-// Cache, so there is one eviction policy, one accounting rule and one
+// source registry, the online learner's oracle-sweep memo and per-tenant
+// signature sets, and each kernel's model memo in sched — is an instance
+// of Cache, so there is one eviction policy, one accounting rule and one
 // stats struct to test.
 package lru
 

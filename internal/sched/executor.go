@@ -65,8 +65,9 @@ type Executor struct {
 	// touch no interpreter state once the model exists) are safe to issue
 	// from multiple goroutines. Functional runs mutate buffers and
 	// interpreters and must stay single-threaded.
-	mu    sync.Mutex
-	model *sim.KernelModel
+	mu       sync.Mutex
+	model    *sim.KernelModel
+	profiled bool
 }
 
 // NewExecutor creates an executor for the original kernel and (optionally)
@@ -92,7 +93,8 @@ func NewExecutor(m *sim.Machine, orig, malleable *clc.Kernel) (*Executor, error)
 
 // Analysis returns the static analysis of the kernel — the kernel's own
 // memoized copy — or nil when the kernel cannot be analyzed, in which
-// case Model reports the error.
+// case Model reports the error. A caller that cannot proceed without the
+// analysis asks analysis.Analyze, which returns the classified error.
 func (e *Executor) Analysis() *analysis.Result {
 	res, _ := analysis.Analyze(e.orig)
 	return res
@@ -136,7 +138,7 @@ func (e *Executor) Bind(args ...interp.Arg) error {
 // geometry changes.
 func (e *Executor) invalidate() {
 	e.mu.Lock()
-	e.model = nil
+	e.model, e.profiled = nil, false
 	e.mu.Unlock()
 }
 
@@ -155,12 +157,17 @@ func (e *Executor) Launch(nd interp.NDRange) error {
 // the performance model.
 const ProfileSampleWGs = 4
 
-// Model returns the kernel's performance model, building it on first use
-// by executing a sampled subset of work-groups. Output buffers are
-// snapshotted and restored on every exit path, so profiling leaves no
-// functional trace even for read-modify-write kernels or when a sampled
-// group traps. This is the one run that keeps the interpreter's exact
-// access profile; nothing else in production reads interp statistics.
+// Model returns the kernel's performance model for the current binding
+// and launch. The model is the sampled profile of the launch — built by
+// executing ProfileSampleWGs work-groups — and it is memoized on the
+// kernel: a launch whose profile key and input bytes equal those of an
+// earlier profile of the same kernel (see profileKey) is answered with
+// that profile's model, which is what re-profiling would build. Output
+// buffers are snapshotted and restored on every exit path of a profile
+// run, so profiling leaves no functional trace even for read-modify-write
+// kernels or when a sampled group traps. The profile run is the one run
+// that keeps the interpreter's exact access profile; nothing else in
+// production reads interp statistics.
 func (e *Executor) Model() (*sim.KernelModel, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -174,29 +181,54 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
-	defer snap.Restore()
-	e.cpuEx.ResetStats()
 	e.cpuEx.Parallelism = e.Parallelism
 	if err := e.cpuEx.Launch(e.nd); err != nil {
 		return nil, err
 	}
+	memo, _ := clc.Memo(e.orig, modelKey{}, newProfileMemo)
+	key, inputs := e.profileKey(res)
+	if p, ok := memo.Get(key); ok && p.sameInputs(inputs) {
+		e.model, e.profiled = p.model, false
+		return p.model, nil
+	}
+	km, err := e.profile(res)
+	if err != nil {
+		return nil, err
+	}
+	if !faults.Active() {
+		// A model profiled while a fault was armed may carry it: keep it
+		// to this launch.
+		memo.Put(key, newProfile(km, inputs))
+	}
+	e.model, e.profiled = km, true
+	return km, nil
+}
+
+// Profiled reports whether the current model was built by a sampled
+// profile run of this launch; it is false when the model came from the
+// kernel's memo, and before Model has run.
+func (e *Executor) Profiled() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.profiled
+}
+
+// profile runs the sampled profile of the launched cpuEx and builds its
+// model.
+func (e *Executor) profile(res *analysis.Result) (*sim.KernelModel, error) {
+	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
+	defer snap.Restore()
+	e.cpuEx.ResetStats()
 	if _, err := e.cpuEx.RunSampled(ProfileSampleWGs); err != nil {
 		return nil, err
 	}
-	prof := e.cpuEx.Stats()
 	bufBytes := map[int]int64{}
 	for i, a := range e.args {
 		if a.IsBuf {
 			bufBytes[i] = a.Buf.Bytes()
 		}
 	}
-	km, err := sim.BuildModel(e.orig.Name, prof, res, bufBytes, e.nd)
-	if err != nil {
-		return nil, err
-	}
-	e.model = km
-	return km, nil
+	return sim.BuildModel(e.orig.Name, e.cpuEx.Stats(), res, bufBytes, e.nd)
 }
 
 // RunOptions configure one simulated+functional execution.

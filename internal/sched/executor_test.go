@@ -173,13 +173,17 @@ func TestModelCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1 != m2 {
+	if m1 != m2 || !e.Profiled() {
 		t.Error("model not cached across calls")
 	}
-	// Re-binding invalidates the cache.
+	// Re-binding invalidates the executor's model; an identical launch is
+	// answered from the kernel's memo instead of a profile run.
 	inst, _ := w[8].Setup()
 	if err := e.Bind(inst.Args...); err != nil {
 		t.Fatal(err)
+	}
+	if e.Profiled() {
+		t.Error("Profiled survived a rebind")
 	}
 	if err := e.Launch(inst.ND); err != nil {
 		t.Fatal(err)
@@ -188,8 +192,19 @@ func TestModelCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m3 == m1 {
-		t.Error("model cache not invalidated by rebind")
+	if m3 != m1 || e.Profiled() {
+		t.Error("an identical relaunch re-profiled")
+	}
+	// Another geometry is another profile.
+	if err := e.Launch(interp.ND1(inst.ND.Global[0], 32)); err != nil {
+		t.Fatal(err)
+	}
+	m4, err := e.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m4 == m1 || !e.Profiled() {
+		t.Error("model cache not invalidated by a new launch geometry")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dopia/internal/analysis"
 	"dopia/internal/clc"
 	"dopia/internal/interp"
 	"dopia/internal/sim"
@@ -59,6 +60,24 @@ func TestFailedProfileLeavesNoWrites(t *testing.T) {
 	}
 }
 
+// freshModel profiles the executor's launch again, past the kernel's
+// model memo.
+func freshModel(t *testing.T, e *Executor) *sim.KernelModel {
+	t.Helper()
+	res, err := analysis.Analyze(e.orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cpuEx.Launch(e.nd); err != nil {
+		t.Fatal(err)
+	}
+	km, err := e.profile(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return km
+}
+
 // counters is the aggregate half of a profile: everything but the sites.
 func counters(p *interp.Profile) interp.Profile {
 	c := *p
@@ -98,8 +117,8 @@ func runPlanProfiled(t *testing.T, e *Executor, cfg sim.Config, dist sim.Distrib
 // indirect synthetic workload, at Parallelism 1, 2 and 3, a functional run
 // classifies no access on either interpreter while its aggregate counters
 // are those of the same plan run profiled; its buffers are the
-// schedule-order run's; and the model built after it is the model built
-// before it.
+// schedule-order run's; and a fresh profile after it builds the model
+// Model returned before it.
 func TestFunctionalRunKeepsNoProfile(t *testing.T) {
 	ws, err := workloads.RealWorkloads(128, 64)
 	if err != nil {
@@ -181,14 +200,7 @@ func TestFunctionalRunKeepsNoProfile(t *testing.T) {
 			}
 
 			pristine.restore()
-			if err := e.Launch(inst.ND); err != nil {
-				t.Fatal(err)
-			}
-			after, err := e.Model()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after == before || !reflect.DeepEqual(after, before) {
+			if after := freshModel(t, e); after == before || !reflect.DeepEqual(after, before) {
 				t.Errorf("%s shards=%d: the model rebuilt after a functional run differs from the one before it", w.Name, par)
 			}
 		}

@@ -417,6 +417,9 @@ func (s *Server) execute(l *launch, b *binding) (launchResult, error) {
 		return launchResult{}, err
 	}
 	s.met.simTimeNanos.Add(int64((q.SimTime - simBefore) * 1e9))
+	if info, ok := q.LastLaunch.(*core.LaunchInfo); ok && info != nil && info.Rung == "managed" && !info.Profiled {
+		s.met.profilesReused.Add(1)
+	}
 
 	return ladderResult(q, q.Fallback.Snapshot().Sub(before)), nil
 }

@@ -175,6 +175,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("dopia_progcache_misses_total", "Program builds that compiled fresh.", pc.Misses)
 	m.counter("dopia_progcache_errors_total", "Program builds that failed to compile.", pc.Errors)
 	m.counter("dopia_progcache_bypasses_total", "Cache reads skipped while fault injection was armed.", pc.Bypasses)
+	m.counter("dopia_launch_profiles_reused_total", "Managed launches that reused the model their kernel stored for an identical earlier launch instead of running a sampled profile.", s.met.profilesReused.Load())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(m.b.String()))

@@ -196,6 +196,7 @@ type metrics struct {
 	sessionsClosed  atomic.Int64
 	programBuilds   atomic.Int64
 	simTimeNanos    atomic.Int64 // accumulated simulated seconds, in ns
+	profilesReused  atomic.Int64 // managed launches whose model came from the kernel's memo
 
 	// Cluster-tier counters: replication/migration traffic and
 	// idempotent launch replays served from the per-session cache.
