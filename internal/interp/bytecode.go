@@ -108,28 +108,27 @@ const (
 	opMath2   // fr[dst] = f32(math2[imm](fr[a], fr[b])); AluFloat += c
 
 	// Superinstructions for the reduction inner loops that dominate
-	// profiled launches (dot-product style kernels). Both preserve the
+	// profiled launches (dot-product style kernels). All preserve the
 	// closure engine's exact statistic/record/trap order.
-	opFMALd2F32 // fr[dst] += f32(f32(A[ir[a]]) * f32(X[ir[b]])); records both loads; AluFloat += 2
-	opIncJCmpI  // ir[dst] = norm>>4(ir[dst]+c); AluInt += 2; jump to imm if cmpI(norm&15, ir[a], ir[b])
+	opIncJCmpI // ir[dst] = norm>>4(ir[dst]+c); AluInt += 2; jump to imm if cmpI(norm&15, ir[a], ir[b])
 
-	// opFMALd2F32 with the A index's trailing opMulAddI absorbed:
-	// ia = n32(n32(ir[a]*ir[b]) + ir[c]) computed in-instruction
-	// (AluInt += 2); the scratch register the multiply-add targeted is
-	// dead, so it is not written. The X index register and X's
-	// slot/site ride in imm (reg<<48 | slot<<32 | site).
-	opFMALd2MAF32
+	// opFMATermF32 is one fused accumulation acc += [s *] A[ia] * X[ix]
+	// over two global float32 loads; its operands are the program's
+	// term imm (bcProgram.terms, see fmaTerm), and pos/pos2 are the
+	// trap positions of the A and X subscripts. Each index is a register
+	// or an absorbed multiply-add whose scratch register is dead and so
+	// not written.
+	opFMATermF32
 
 	// opFMALoopF32 is a fused loop head (see fuseFMALoops): it replaces
-	// the head of a 1-2 instruction loop body of opFMALd2F32/opFMALd2MAF32
+	// the head of a 1-2 instruction loop body of opFMATermF32
 	// accumulations whose back edge is an opIncJCmpI jumping to the
-	// head. The head instruction keeps the first FMA's operands; norm
-	// holds the body length (number of FMA instructions), and the
-	// remaining body instructions stay in place unmodified, so jumps
-	// into the middle of the window still execute the exact unfused
-	// semantics. The executor (runFMALoop) runs the whole loop with
-	// buffer/site state hoisted out of the dispatch loop and
-	// constant-stride classifier runs batched through
+	// head. The head instruction keeps the first term's imm; norm holds
+	// the body length, and the remaining body instructions stay in place
+	// unmodified, so jumps into the middle of the window still execute
+	// the exact unfused semantics. The executor (runFMALoop) runs the
+	// whole loop with buffer/site state hoisted out of the dispatch loop
+	// and constant-stride classifier runs batched through
 	// access.Classifier.ObserveRun — observably identical, per access,
 	// to the unfused sequence.
 	opFMALoopF32
@@ -252,6 +251,7 @@ type bcProgram struct {
 	paramF   []paramCopy
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
+	terms    []fmaTerm // opFMATermF32 operands, indexed by imm
 }
 
 // normReg normalizes an integer result (normInt by code).
@@ -634,128 +634,18 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 		case opMath2:
 			aluF += int64(in.c)
 			fr[in.dst] = float64(float32(prog.math2[in.imm](fr[in.a], fr[in.b])))
-		case opFMALd2F32:
-			// acc += A[i]*X[j] over float32 with both operands global
-			// f32 loads: the closure engine counts the add, reads the
-			// accumulator, counts the multiply, then loads A and X in
-			// order — so counting both up front, then recording the two
-			// loads, preserves every observable ordering (both index
-			// expressions are pure by the fusion rule).
-			aluF += 2
-			ba := bufs[in.slot]
-			ia := ir[in.a]
-			if uint64(ia) >= uint64(len(ba.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", ia, len(ba.F32))
+		case opFMATermF32:
+			// One fused term outside a fused loop. Counter deltas merge
+			// into the batched locals so the deferred flush keeps
+			// trap-time totals exact.
+			c, trap := rs.runFMATerm(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
+			aluI += c.aluI
+			aluF += c.aluF
+			loads += c.loads
+			loadB += c.loadB
+			if trap != nil {
+				rtErr(trap.pos, "index %d out of range [0,%d)", trap.idx, trap.n)
 			}
-			loads++
-			loadB += 4
-			if classify {
-				// Hand-inlined recordAccess fast path (repeat access by
-				// the current work-item); the general path handles first
-				// touches and work-item changes.
-				st := &sites[in.site]
-				addr := ba.Base + ia*4
-				if st.prevValid && st.prevWI == wi && st.seenThisWI == wi {
-					st.count++
-					st.bytes += 4
-					st.iter.Observe((addr - st.prevAddr) >> 2)
-					st.prevAddr = addr
-				} else {
-					st.recordAccessSlow(addr, 4, wi)
-				}
-			}
-			if sink != nil {
-				sink.Access(ba.Base+ia*4, 4, false)
-			}
-			bx := bufs[int32(in.imm>>32)]
-			ix := ir[in.b]
-			if uint64(ix) >= uint64(len(bx.F32)) {
-				rtErr(in.pos2, "index %d out of range [0,%d)", ix, len(bx.F32))
-			}
-			loads++
-			loadB += 4
-			if classify {
-				st := &sites[int32(uint32(in.imm))]
-				addr := bx.Base + ix*4
-				if st.prevValid && st.prevWI == wi && st.seenThisWI == wi {
-					st.count++
-					st.bytes += 4
-					st.iter.Observe((addr - st.prevAddr) >> 2)
-					st.prevAddr = addr
-				} else {
-					st.recordAccessSlow(addr, 4, wi)
-				}
-			}
-			if sink != nil {
-				sink.Access(bx.Base+ix*4, 4, false)
-			}
-			// Bit-identical to the closure engine's
-			//   f64(f32(acc + f64(f32(f64(a)*f64(x)))))
-			// computed in float32 throughout: the f64 product of two f32
-			// values is exact (48 <= 53 mantissa bits), so rounding it to
-			// f32 is the correctly-rounded f32 multiply; and rounding the
-			// f64 sum of two f32 values to f32 equals the direct f32 add
-			// (double rounding is innocuous because 53 >= 2*24+2). The
-			// explicit float32 conversion around the product is a fusion
-			// barrier: the Go spec only permits fusing x*y+z into a
-			// hardware FMA when no explicit rounding intervenes.
-			fr[in.dst] = float64(float32(fr[in.dst]) + float32(ba.F32[ia]*bx.F32[ix]))
-		case opFMALd2MAF32:
-			// opFMALd2F32 with the A index's multiply-add absorbed:
-			// ia = n32(n32(ir[a]*ir[b]) + ir[c]), exactly opMulAddI's
-			// arithmetic, with its AluInt += 2 counted up front — at
-			// every trap point the counter totals match the unfused
-			// sequence (and the closure engine) because the multiply-add
-			// cannot trap and X's index is statistics-free.
-			aluF += 2
-			aluI += 2
-			v := int64(int32(ir[in.a] * ir[in.b]))
-			ia := int64(int32(v + ir[in.c]))
-			ba := bufs[in.slot]
-			if uint64(ia) >= uint64(len(ba.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", ia, len(ba.F32))
-			}
-			loads++
-			loadB += 4
-			if classify {
-				st := &sites[in.site]
-				addr := ba.Base + ia*4
-				if st.prevValid && st.prevWI == wi && st.seenThisWI == wi {
-					st.count++
-					st.bytes += 4
-					st.iter.Observe((addr - st.prevAddr) >> 2)
-					st.prevAddr = addr
-				} else {
-					st.recordAccessSlow(addr, 4, wi)
-				}
-			}
-			if sink != nil {
-				sink.Access(ba.Base+ia*4, 4, false)
-			}
-			bx := bufs[int32(in.imm>>32)&0xFFFF]
-			ix := ir[int32(in.imm>>48)]
-			if uint64(ix) >= uint64(len(bx.F32)) {
-				rtErr(in.pos2, "index %d out of range [0,%d)", ix, len(bx.F32))
-			}
-			loads++
-			loadB += 4
-			if classify {
-				st := &sites[int32(uint32(in.imm))]
-				addr := bx.Base + ix*4
-				if st.prevValid && st.prevWI == wi && st.seenThisWI == wi {
-					st.count++
-					st.bytes += 4
-					st.iter.Observe((addr - st.prevAddr) >> 2)
-					st.prevAddr = addr
-				} else {
-					st.recordAccessSlow(addr, 4, wi)
-				}
-			}
-			if sink != nil {
-				sink.Access(bx.Base+ix*4, 4, false)
-			}
-			// Same float32 arithmetic as opFMALd2F32 (see above).
-			fr[in.dst] = float64(float32(fr[in.dst]) + float32(ba.F32[ia]*bx.F32[ix]))
 		case opIncJCmpI:
 			// Fused loop back-edge: post inc/dec of an int variable
 			// (AluInt++), then the loop condition compare (AluInt++),
@@ -774,11 +664,11 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 			}
 
 		case opFMALoopF32:
-			// Fused loop: the whole 1-2 FMA body plus the
-			// opIncJCmpI back edge runs in runFMALoop with buffers, site
-			// state, and classifier runs hoisted out of the dispatch
-			// loop. Counter deltas merge into the batched locals so the
-			// deferred flush keeps trap-time totals exact.
+			// Fused loop: the whole 1-2 term body plus the opIncJCmpI
+			// back edge runs in runFMALoop with buffers, site state, and
+			// classifier runs hoisted out of the dispatch loop. Counter
+			// deltas merge into the batched locals so the deferred flush
+			// keeps trap-time totals exact.
 			exitPC, c, trap := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
 			aluI += c.aluI
 			aluF += c.aluF

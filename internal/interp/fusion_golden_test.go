@@ -1,0 +1,93 @@
+package interp_test
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"dopia/internal/clc"
+	"dopia/internal/interp"
+	"dopia/internal/transform"
+	"dopia/internal/workloads"
+)
+
+// TestFusedLoopGolden records how many fused FMA loop heads lowering
+// gives each of the fourteen real kernels and its malleable GPU form, at
+// the geometry the relaunch benchmark runs them (1-D 1024, 2-D 256, SpMV
+// 512, work-groups of 64). A change to the lowering or the fusion rule
+// that moves a kernel in or out of the fused loop shows up here as a
+// reviewed diff. It also holds that an untraced, unprofiled run of every
+// reduction kernel — the managed launch's functional run — is served by
+// the closed form rather than the per-iteration loop.
+func TestFusedLoopGolden(t *testing.T) {
+	const golden = "testdata/fused_loops.golden"
+	closedForm := map[string]bool{
+		"ATAX1": true, "ATAX2": true, "BICG1": true, "BICG2": true,
+		"GESUMMV": true, "MVT1": true, "MVT2": true, "SYR2K": true,
+	}
+	var b strings.Builder
+	b.WriteString("# kernel fused_heads malleable_fused_heads\n")
+	for _, d := range workloads.RealDescs() {
+		n := 1024
+		switch {
+		case d.TwoDim:
+			n = 256
+		case d.Name == "SpMV":
+			n = 512
+		}
+		w, err := d.Build(n, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := w.CompileKernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mall, err := transform.MalleableGPU(k, inst.ND.Dims)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		ex := launched(t, k, inst.Args, inst.ND)
+		margs := append(append([]interp.Arg(nil), inst.Args...), interp.IntArg(8), interp.IntArg(8))
+		mex := launched(t, mall.Kernel, margs, inst.ND)
+		fmt.Fprintf(&b, "%s %d %d\n", d.Name, interp.FusedHeads(ex), interp.FusedHeads(mex))
+
+		if closedForm[d.Name] {
+			seg := []interp.Segment{{Ex: ex, ND: inst.ND, Count: inst.ND.TotalGroups()}}
+			if err := ex.RunUnprofiled(seg); err != nil {
+				t.Fatalf("%s: %v", d.Name, err)
+			}
+			if interp.AffineLoops(ex) == 0 {
+				t.Errorf("%s: no loop of an untraced unprofiled run took the closed form", d.Name)
+			}
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v; the table this run produced:\n%s", err, b.String())
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("%s is stale; the table this run produced:\n%s", golden, got)
+	}
+}
+
+// launched binds args to a new executor of k and launches it over nd.
+func launched(t *testing.T, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) *interp.Exec {
+	t.Helper()
+	ex, err := interp.NewExec(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Bind(args...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Launch(nd); err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}

@@ -74,6 +74,7 @@ type lowerer struct {
 	math2Idx map[string]int
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
+	terms    []fmaTerm
 
 	err error
 }
@@ -398,6 +399,7 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 		numF:     int(lw.maxF),
 		math1:    lw.math1,
 		math2:    lw.math2,
+		terms:    lw.terms,
 	}
 	for _, prm := range k.Params {
 		if prm.Type.Ptr || prm.Sym == nil {
@@ -1057,31 +1059,40 @@ func (lw *lowerer) lowerIntDiv(b *clc.Binary, pk clc.Kind) breg {
 	return t
 }
 
-// tryMulAdd recognizes (a*b)+c or c+(a*b) over int32-promoted, pure
-// operands and fuses it into opMulAddI.
+// mulAddParts splits (a*b)+c or c+(a*b) over int32-promoted, pure
+// operands — the shape lowered to opMulAddI — into the multiply and the
+// addend.
+func mulAddParts(x clc.Expr) (mul *clc.Binary, add clc.Expr, ok bool) {
+	b, isBin := x.(*clc.Binary)
+	if !isBin || b.Op != clc.BinAdd || promoteKind(b.L.ResultType().Kind, b.R.ResultType().Kind) != clc.KindInt {
+		return nil, nil, false
+	}
+	match := func(mulX, addX clc.Expr) bool {
+		m, isMul := mulX.(*clc.Binary)
+		if !isMul || m.Op != clc.BinMul ||
+			promoteKind(m.L.ResultType().Kind, m.R.ResultType().Kind) != clc.KindInt ||
+			!pureNoEffects(m.L) || !pureNoEffects(m.R) || !pureNoEffects(addX) {
+			return false
+		}
+		mul, add = m, addX
+		return true
+	}
+	ok = match(b.L, b.R) || match(b.R, b.L)
+	return mul, add, ok
+}
+
+// tryMulAdd fuses the mulAddParts shape into opMulAddI.
 func (lw *lowerer) tryMulAdd(b *clc.Binary) (breg, bool) {
-	match := func(mulX, addX clc.Expr) (breg, bool) {
-		mul, ok := mulX.(*clc.Binary)
-		if !ok || mul.Op != clc.BinMul {
-			return breg{}, false
-		}
-		if promoteKind(mul.L.ResultType().Kind, mul.R.ResultType().Kind) != clc.KindInt {
-			return breg{}, false
-		}
-		if !pureNoEffects(mul.L) || !pureNoEffects(mul.R) || !pureNoEffects(addX) {
-			return breg{}, false
-		}
-		ma := lw.lowerConverted(mul.L, clc.KindInt, mul.Pos())
-		mb := lw.lowerConverted(mul.R, clc.KindInt, mul.Pos())
-		ad := lw.lowerConverted(addX, clc.KindInt, b.Pos())
-		t := lw.tempI()
-		lw.emit(instr{op: opMulAddI, dst: t.idx, a: ma.idx, b: mb.idx, c: ad.idx})
-		return t, true
+	mul, add, ok := mulAddParts(b)
+	if !ok {
+		return breg{}, false
 	}
-	if t, ok := match(b.L, b.R); ok {
-		return t, true
-	}
-	return match(b.R, b.L)
+	ma := lw.lowerConverted(mul.L, clc.KindInt, mul.Pos())
+	mb := lw.lowerConverted(mul.R, clc.KindInt, mul.Pos())
+	ad := lw.lowerConverted(add, clc.KindInt, b.Pos())
+	t := lw.tempI()
+	lw.emit(instr{op: opMulAddI, dst: t.idx, a: ma.idx, b: mb.idx, c: ad.idx})
+	return t, true
 }
 
 // lowerLogical materializes a short-circuit && / || as a 0/1 integer,
@@ -1630,7 +1641,7 @@ func (lw *lowerer) tryFMA(as *clc.Assign, dst breg, rk clc.Kind) (breg, bool) {
 	if writesVars(mul.L) || writesVars(mul.R) {
 		return breg{}, false
 	}
-	if v, ok := lw.tryFMALd2(dst, mul); ok {
+	if v, ok := lw.tryFMATerm(dst, mul); ok {
 		return v, true
 	}
 	n := uint8(2)
@@ -1654,13 +1665,9 @@ func pureNoTrap(x clc.Expr) bool {
 }
 
 // globalF32Load reports whether x is a load of a float32 element from a
-// global buffer with an effect- and trap-free integer index — the shape
-// the fully fused FMA superinstruction can absorb. statFree additionally
-// requires the index to count no ALU statistics: the second load's index
-// runs before the first load's bounds check in the fused form, while the
-// closure engine evaluates it after — so any statistics it counted would
-// be visible at a first-load trap only in the fused form.
-func globalF32Load(x clc.Expr, statFree bool) (*clc.Index, bool) {
+// global buffer with an effect- and trap-free integer index — the shape a
+// fused FMA term can absorb.
+func globalF32Load(x clc.Expr) (*clc.Index, bool) {
 	ix, ok := x.(*clc.Index)
 	if !ok {
 		return nil, false
@@ -1673,65 +1680,93 @@ func globalF32Load(x clc.Expr, statFree bool) (*clc.Index, bool) {
 	if sym.Class != clc.SymParam || !sym.Type.Ptr || sym.Type.Kind != clc.KindFloat {
 		return nil, false
 	}
-	if ix.Idx.ResultType().Kind.IsFloat() {
-		return nil, false
-	}
-	if statFree {
-		if !pureNoEffects(ix.Idx) {
-			return nil, false
-		}
-	} else if !pureNoTrap(ix.Idx) {
+	if ix.Idx.ResultType().Kind.IsFloat() || !pureNoTrap(ix.Idx) {
 		return nil, false
 	}
 	return ix, true
 }
 
-// tryFMALd2 fuses `acc += A[i]*X[j]` where both multiplicands are global
-// float32 loads with pure indexes into a single instruction that counts,
-// records, loads, and accumulates in the closure engine's exact order.
-func (lw *lowerer) tryFMALd2(dst breg, mul *clc.Binary) (breg, bool) {
-	la, ok := globalF32Load(mul.L, false)
+// floatScale reports whether x can be a fused term's scale — a float
+// parameter, private variable or literal, read without conversion — and
+// records it in t.
+func (lw *lowerer) floatScale(x clc.Expr, t *fmaTerm) bool {
+	if x.ResultType().Kind != clc.KindFloat {
+		return false
+	}
+	switch s := x.(type) {
+	case *clc.FloatLit:
+		t.sLit = float64(float32(s.Value))
+		return true
+	case *clc.Ident:
+		if sym := s.Sym; sym != nil && !sym.Type.Ptr && sym.ArrayLen == 0 && !sym.IsLocal {
+			t.sReg = lw.varReg(sym, s.Pos()).idx
+			return true
+		}
+	}
+	return false
+}
+
+// absorbMulAdd moves a trailing opMulAddI that computed the index idx
+// (emitted at or after mark) into ref and drops it from the code: the
+// fused term evaluates the multiply-add itself, and its scratch register
+// is dead.
+func (lw *lowerer) absorbMulAdd(ref *fmaRef, idx breg, mark int) bool {
+	n := len(lw.code)
+	if n <= mark || idx.varRef || lw.code[n-1].op != opMulAddI || lw.code[n-1].dst != idx.idx {
+		return false
+	}
+	ma := lw.code[n-1]
+	ref.ma, ref.r0, ref.r1, ref.r2 = true, ma.a, ma.b, ma.c
+	lw.code = lw.code[:n-1]
+	return true
+}
+
+// tryFMATerm fuses `acc += A[i]*X[j]` and `acc += s*A[i]*X[j]` — A and X
+// global float32 loads with pure indexes, s a scale (floatScale) — into
+// one opFMATermF32 that counts, records, loads and accumulates in the
+// closure engine's exact order: the add and the multiplies, A's index,
+// A's load, X's index, X's load. Code an index needs runs before the
+// instruction, which is unobservable for A's (pure, so only its counts
+// move, and no trap point lies between). X's code would run before A's
+// bounds check, so X's index must count nothing or be one multiply-add,
+// which the term absorbs and counts after A's load; A's trailing
+// multiply-add is absorbed too when X left no code behind it.
+func (lw *lowerer) tryFMATerm(dst breg, mul *clc.Binary) (breg, bool) {
+	t := fmaTerm{acc: dst.idx, sReg: -1}
+	aX := mul.L
+	if sm, ok := mul.L.(*clc.Binary); ok && sm.Op == clc.BinMul {
+		if !lw.floatScale(sm.L, &t) {
+			return breg{}, false
+		}
+		t.scaled, aX = true, sm.R
+	}
+	la, ok := globalF32Load(aX)
 	if !ok {
 		return breg{}, false
 	}
-	ra, ok := globalF32Load(mul.R, true)
+	ra, ok := globalF32Load(mul.R)
 	if !ok {
 		return breg{}, false
 	}
-	refA := lw.memRefOf(la)
-	refX := lw.memRefOf(ra)
-	// Pure indexes cannot trap, so no statistics pre-payment is needed:
-	// the fused instruction counts both AluFloat operations before its
-	// own bounds checks, like the closure engine does.
-	idxAMark := len(lw.code)
+	if _, _, ma := mulAddParts(ra.Idx); !ma && !pureNoEffects(ra.Idx) {
+		return breg{}, false
+	}
+	refA, refX := lw.memRefOf(la), lw.memRefOf(ra)
+	t.a = fmaRef{slot: refA.argIndex, site: refA.site}
+	t.x = fmaRef{slot: refX.argIndex, site: refX.site}
+	markA := len(lw.code)
 	idxA := lw.lowerExpr(la.Idx)
+	markX := len(lw.code)
 	idxX := lw.lowerExpr(ra.Idx)
-	// If lowering ended with an opMulAddI into the A-index scratch
-	// register (the dominant A[i*N+j] addressing pattern) and the X
-	// index emitted no code after it, absorb the multiply-add into the
-	// fused instruction. The scratch register becomes dead, so the
-	// multiply-add instruction is removed rather than kept as a write.
-	if n := len(lw.code); n > idxAMark && !idxA.varRef &&
-		lw.code[n-1].op == opMulAddI && lw.code[n-1].dst == idxA.idx &&
-		idxX.idx >= 0 && idxX.idx <= 0x7FFF &&
-		refX.argIndex >= 0 && refX.argIndex <= 0xFFFF &&
-		refX.site >= 0 {
-		ma := lw.code[n-1]
-		lw.code = lw.code[:n-1]
-		lw.emit(instr{
-			op: opFMALd2MAF32, dst: dst.idx, a: ma.a, b: ma.b, c: ma.c,
-			slot: refA.argIndex, site: refA.site,
-			imm: int64(idxX.idx)<<48 | int64(refX.argIndex)<<32 | int64(uint32(refX.site)),
-			pos: la.Pos(), pos2: ra.Pos(),
-		})
-		return dst, true
+	t.a.r0, t.x.r0 = idxA.idx, idxX.idx
+	if !pureNoEffects(ra.Idx) && !lw.absorbMulAdd(&t.x, idxX, markX) {
+		lw.fail(ra.Pos(), "interp: fused FMA index did not lower to a multiply-add")
 	}
-	lw.emit(instr{
-		op: opFMALd2F32, dst: dst.idx, a: idxA.idx, b: idxX.idx,
-		slot: refA.argIndex, site: refA.site,
-		imm: int64(refX.argIndex)<<32 | int64(uint32(refX.site)),
-		pos: la.Pos(), pos2: ra.Pos(),
-	})
+	if len(lw.code) == markX {
+		lw.absorbMulAdd(&t.a, idxA, markA)
+	}
+	lw.emit(instr{op: opFMATermF32, imm: int64(len(lw.terms)), pos: la.Pos(), pos2: ra.Pos()})
+	lw.terms = append(lw.terms, t)
 	return dst, true
 }
 
