@@ -223,6 +223,32 @@ func TestPolyArithmetic(t *testing.T) {
 	}
 }
 
+// TestExportedPoly checks the atom polynomial the bytecode lowerer uses to
+// split a subscript into a shared part and a constant offset.
+func TestExportedPoly(t *testing.T) {
+	i, j, n := AtomPoly(5), AtomPoly(4), AtomPoly(3)
+	one := ConstPoly(1)
+	// (i - 1)*n + (j + 1) splits into i*n + j - n and 1.
+	p := i.Sub(one).Mul(n).Add(j.Add(one))
+	rest, c := p.SplitConst()
+	if c != 1 {
+		t.Fatalf("constant term %d, want 1", c)
+	}
+	if want := i.Mul(n).Add(j).Sub(n); !rest.Equal(want) {
+		t.Errorf("non-constant part %v, want %v", rest.Monomials(), want.Monomials())
+	}
+	d := rest.Sub(i.Mul(n).Add(j)).Monomials()
+	if len(d) != 1 || d[0].K != -1 || len(d[0].Atoms) != 1 || d[0].Atoms[0] != 3 {
+		t.Errorf("difference to i*n + j is %v, want -n", d)
+	}
+	if k, c := ConstPoly(7).SplitConst(); c != 7 || len(k.Monomials()) != 0 || !k.Known() {
+		t.Errorf("constant split to %v + %d", k.Monomials(), c)
+	}
+	if (Poly{}).Known() || (Poly{}).Add(i).Known() || ConstPoly(1<<40).Known() {
+		t.Error("unknown polynomial became known")
+	}
+}
+
 func mustCompile(t *testing.T, src string) *clc.Kernel {
 	t.Helper()
 	prog, err := clc.Compile(src)

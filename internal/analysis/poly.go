@@ -24,6 +24,9 @@ const (
 	varLocalID
 	// varLoop is the induction variable of loop n of the kernel.
 	varLoop
+	// varAtom is an opaque atom of an exported Poly; n is the caller's
+	// name for it.
+	varAtom
 )
 
 // pvar is one variable of an index polynomial.
@@ -217,4 +220,63 @@ func mergeVars(a, b []pvar) []pvar {
 		}
 	}
 	return append(append(out, a[i:]...), b[j:]...)
+}
+
+// Poly is the exact polynomial arithmetic above over opaque integer
+// atoms, for clients outside the analysis: the bytecode lowerer splits an
+// int32 subscript into a part shared between accesses and a constant
+// offset. A Poly is immutable. The zero Poly is unknown (built from an
+// unknown, or too large), and arithmetic on an unknown stays unknown.
+type Poly struct{ p poly }
+
+// Monomial is one term of a Poly: K times the product of Atoms (sorted;
+// an atom repeats for higher powers; empty for the constant term).
+type Monomial struct {
+	K     int64
+	Atoms []int
+}
+
+// AtomPoly is the polynomial of the single atom n.
+func AtomPoly(n int) Poly { return Poly{varPoly(pvar{kind: varAtom, n: n})} }
+
+// ConstPoly is the constant polynomial v (unknown outside ±2³¹).
+func ConstPoly(v int64) Poly { return Poly{constPoly(v)} }
+
+// Known reports whether p is a polynomial rather than unknown.
+func (p Poly) Known() bool { return p.p != nil }
+
+// Add returns p + q.
+func (p Poly) Add(q Poly) Poly { return Poly{addPoly(p.p, q.p, false)} }
+
+// Sub returns p - q.
+func (p Poly) Sub(q Poly) Poly { return Poly{addPoly(p.p, q.p, true)} }
+
+// Mul returns p * q.
+func (p Poly) Mul(q Poly) Poly { return Poly{mulPoly(p.p, q.p)} }
+
+// Equal reports whether p and q are the same known polynomial.
+func (p Poly) Equal(q Poly) bool { return p.p.equal(q.p) }
+
+// SplitConst returns p's non-constant part and its constant term.
+func (p Poly) SplitConst() (Poly, int64) {
+	if p.p == nil || len(*p.p) == 0 || len((*p.p)[0].vars) != 0 {
+		return p, 0
+	}
+	rest := (*p.p)[1:]
+	return Poly{&rest}, (*p.p)[0].k
+}
+
+// Monomials lists p's terms in canonical order (nil for unknown or zero).
+func (p Poly) Monomials() []Monomial {
+	if p.p == nil {
+		return nil
+	}
+	out := make([]Monomial, len(*p.p))
+	for i, t := range *p.p {
+		out[i].K = t.k
+		for _, v := range t.vars {
+			out[i].Atoms = append(out[i].Atoms, v.n)
+		}
+	}
+	return out
 }

@@ -12,7 +12,9 @@ package conformance
 //     replay partition writes disjointly; reads of an output buffer
 //     also touch only out[gid] (read-modify-write of the own element);
 //   - input buffers are read-only and indexed through a power-of-two
-//     mask (expr & (LEN-1)), which is in-bounds for any int value;
+//     mask (expr & (LEN-1)), which is in-bounds for any int value, or
+//     read as affine neighbours inX[yinX*8 + xinX ± k] (|k| <= 2) of
+//     coordinates the prologue clamps into bounds;
 //   - integer divisors are forced positive ((x & 15) | 1) and shift
 //     counts clamped (& 7), so no integer trap exists;
 //   - atomics target element 0 of a dedicated int accumulator through
@@ -28,9 +30,15 @@ package conformance
 //     local id before the barrier and read after it — safe under
 //     chunking because work-groups never split.
 //
-// ClassTrappy drops the masking and divisor guards probabilistically;
-// those cases run the engine differential at parallelism 1 only, where
-// partial trap state is deterministic.
+// ClassTrappy drops the masking and divisor guards probabilistically and
+// leaves the neighbour coordinates unclamped (yinX = gy, xinX = gx); those
+// cases run the engine differential at parallelism 1 only, where partial
+// trap state is deterministic.
+//
+// The neighbour reads, the stencil taps over them (acc ± k*inX[...]) and
+// the literal-initialised float locals k0, k1 are the shapes the bytecode
+// lowering turns into shared subscript bases, load-operand ops and
+// constant registers.
 
 import (
 	"fmt"
@@ -142,7 +150,11 @@ type progSpec struct {
 	hasLocal  bool
 	localLen  int
 	atomicFam int // 0 none, 1 add-family, 2 min, 3 max
-	body      []*stmt
+	// affine: some expression reads a float input as an affine
+	// neighbour, so the prologue declares every float input's
+	// coordinates yinX and xinX.
+	affine bool
+	body   []*stmt
 }
 
 // ---------------------------------------------------------------------------
@@ -185,6 +197,7 @@ type genEnv struct {
 	r      *rng
 	lbuf   bool // __local array lbuf in scope (post-barrier reads)
 	lMask  int
+	affine bool // an affine neighbour read was generated
 }
 
 func genProg(r *rng, seed uint64, class Class) *progSpec {
@@ -277,6 +290,14 @@ func genProg(r *rng, seed uint64, class Class) *progSpec {
 		p.body = append(p.body, &stmt{kind: "decl", name: name, vk: vFloat, rhs: genExpr(env, vFloat, 2)})
 		env.floats = append(env.floats, name)
 	}
+	// Literal-initialised float locals, never assigned (genAssign writes
+	// f* and t* only).
+	for i, n := 0, r.intn(3); i < n; i++ {
+		name := fmt.Sprintf("k%d", i)
+		p.body = append(p.body, &stmt{kind: "decl", name: name, vk: vFloat,
+			rhs: &expr{kind: vFloat, op: "lit", lit: r.pick(constLits)}})
+		env.floats = append(env.floats, name)
+	}
 
 	// Middle statements: loops, branches, assignments, atomics.
 	for i, n := 0, r.between(1, 3); i < n; i++ {
@@ -299,6 +320,7 @@ func genProg(r *rng, seed uint64, class Class) *progSpec {
 	if hasOutI {
 		p.body = append(p.body, genStore(env, "outI", vInt))
 	}
+	p.affine = env.affine
 	return p
 }
 
@@ -473,6 +495,14 @@ func intLitE(v int64) *expr { return &expr{kind: vInt, op: "lit", lit: fmt.Sprin
 
 var floatLits = []string{"0.5f", "1.5f", "2.0f", "0.25f", "3.0f", "0.125f", "1.0f"}
 
+// constLits initialise the k* float locals: literals with and without the
+// f suffix, negated, and a subnormal.
+var constLits = []string{"0.75f", "-0.5f", "0.2", "-(1.5f)", "1e-40f", "-3.0"}
+
+// affineW is the row width of a neighbour read, and affineK bounds its
+// offset.
+const affineW, affineK = 8, 2
+
 func genLeaf(env *genEnv, k vKind) *expr {
 	r := env.r
 	if k == vInt {
@@ -505,11 +535,15 @@ func genLeaf(env *genEnv, k vKind) *expr {
 }
 
 // genBufRead emits an input-buffer read. ClassTotal always masks the
-// index into bounds; ClassTrappy drops the mask a quarter of the time.
+// index into bounds; ClassTrappy drops the mask a quarter of the time. A
+// float read is an affine neighbour read a third of the time.
 func genBufRead(env *genEnv, k vKind) *expr {
 	r := env.r
 	var buf string
 	var mask int
+	if k == vFloat && r.pct(33) {
+		return genNeighbourRead(env)
+	}
 	if k == vFloat {
 		buf = env.fIn[r.intn(len(env.fIn))]
 		mask = env.fMask[buf]
@@ -522,6 +556,27 @@ func genBufRead(env *genEnv, k vKind) *expr {
 	}
 	return &expr{kind: k, op: "idx", name: buf, mask: mask,
 		args: []*expr{genExpr(env, vInt, 1)}}
+}
+
+// genNeighbourRead emits inX[yinX*8 + xinX ± k] for a float input inX:
+// every read of one buffer shares the subscript base yinX*8 + xinX, which
+// the prologue declares (renderCoords).
+func genNeighbourRead(env *genEnv) *expr {
+	r := env.r
+	buf := env.fIn[r.intn(len(env.fIn))]
+	env.affine = true
+	v := func(name string) *expr { return &expr{kind: vInt, op: "var", name: name} }
+	idx := &expr{kind: vInt, op: "bin", bop: "+",
+		a: &expr{kind: vInt, op: "bin", bop: "*", a: v("y" + buf), b: intLitE(affineW)},
+		b: v("x" + buf)}
+	if k := r.between(-affineK, affineK); k != 0 {
+		op := "+"
+		if k < 0 {
+			op, k = "-", -k
+		}
+		idx = &expr{kind: vInt, op: "bin", bop: op, a: idx, b: intLitE(int64(k))}
+	}
+	return &expr{kind: vFloat, op: "idx", name: buf, args: []*expr{idx}}
 }
 
 func hasName(ss []string, want string) bool {
@@ -550,6 +605,15 @@ func genExpr(env *genEnv, k vKind, depth int) *expr {
 			}
 		} else {
 			bop = r.pick([]string{"+", "-", "*", "/"})
+			if (bop == "+" || bop == "-") && len(env.fIn) > 0 && r.pct(35) {
+				// A stencil tap: acc ± coef * neighbour.
+				coef := &expr{kind: vFloat, op: "lit", lit: r.pick(floatLits)}
+				if len(env.floats) > 0 && r.pct(50) {
+					coef = &expr{kind: vFloat, op: "var", name: env.floats[r.intn(len(env.floats))]}
+				}
+				return &expr{kind: k, op: "bin", bop: bop, a: genExpr(env, k, depth-1),
+					b: &expr{kind: vFloat, op: "bin", bop: "*", a: coef, b: genNeighbourRead(env)}}
+			}
 		}
 		return &expr{kind: k, op: "bin", bop: bop, guarded: guarded,
 			a: genExpr(env, k, depth-1), b: genExpr(env, k, depth-1)}
@@ -796,9 +860,36 @@ func (p *progSpec) Render() string {
 	if p.hasLocal {
 		fmt.Fprintf(&sb, "    __local float lbuf[%d];\n", p.localLen)
 	}
+	if p.affine {
+		for _, b := range p.bufs {
+			if b.float && !b.out && !b.acc {
+				p.renderCoords(&sb, b)
+			}
+		}
+	}
 	renderStmts(&sb, p.body, "    ")
 	sb.WriteString("}\n")
 	return sb.String()
+}
+
+// renderCoords declares the coordinates of b's neighbour reads: yinX*8 +
+// xinX ± k stays inside b in ClassTotal (row and column clamped so the
+// whole ±affineK window fits), and follows the work-item unclamped in
+// ClassTrappy.
+func (p *progSpec) renderCoords(sb *strings.Builder, b bufSpec) {
+	y, x := "0", "gid"
+	if p.dims == 2 {
+		y, x = "gy", "gx"
+	}
+	if p.class == ClassTotal {
+		if p.dims == 2 {
+			y = fmt.Sprintf("min(gy, %d)", b.ln/affineW-1)
+			x = fmt.Sprintf("max(%d, min(gx, %d))", affineK, affineW-1-affineK)
+		} else {
+			x = fmt.Sprintf("max(%d, min(gid, %d))", affineK, b.ln-1-affineK)
+		}
+	}
+	fmt.Fprintf(sb, "    int y%s = %s;\n    int x%s = %s;\n", b.name, y, b.name, x)
 }
 
 // fillF32 deterministically fills float contents: small quarter-step
@@ -906,6 +997,9 @@ func (p *progSpec) FeatureSig() string {
 	}
 	if hasIf {
 		parts = append(parts, "branch")
+	}
+	if p.affine {
+		parts = append(parts, "affine")
 	}
 	if p.class == ClassTrappy {
 		parts = append(parts, "trappy")

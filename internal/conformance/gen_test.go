@@ -85,7 +85,8 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenerateFeatureCoverage sweeps seeds and asserts the generator
 // actually exercises its advertised feature axes (2D ranges, local
-// memory + barriers, atomics, loops, data-dependent bounds, branches).
+// memory + barriers, atomics, loops, data-dependent bounds, branches,
+// affine neighbour reads).
 func TestGenerateFeatureCoverage(t *testing.T) {
 	seen := map[string]int{}
 	for i := 0; i < 400; i++ {
@@ -101,7 +102,7 @@ func TestGenerateFeatureCoverage(t *testing.T) {
 			seen[f]++
 		}
 	}
-	for _, want := range []string{"2d", "local", "loop", "datadep", "branch", "trappy"} {
+	for _, want := range []string{"2d", "local", "loop", "datadep", "branch", "trappy", "affine"} {
 		if seen[want] == 0 {
 			t.Errorf("feature %q never generated (coverage map: %v)", want, seen)
 		}

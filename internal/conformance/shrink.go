@@ -57,9 +57,10 @@ func Shrink(c *Case, failing func(*Case) bool, opts ShrinkOptions) *Case {
 
 		// Pass 1: drop droppable statements, last first (later statements
 		// depend on earlier declarations, never the reverse).
-		for i := countStmts(best, droppable) - 1; i >= 0; i-- {
+		drop := droppable(refCounts(best))
+		for i := countStmts(best, drop) - 1; i >= 0; i-- {
 			cand := best.clone()
-			removeNthStmt(cand, i, droppable)
+			removeNthStmt(cand, i, drop)
 			if try(cand) {
 				progress = true
 			}
@@ -194,19 +195,24 @@ func (p *progSpec) clone() *progSpec {
 // ---------------------------------------------------------------------------
 // Statement dropping
 
-// droppable reports whether the shrinker may remove a statement
-// wholesale. Declarations stay (later statements reference them; a
-// useless one costs nothing once its initializer is a literal), the
-// outF store stays (every case keeps one output write), and the
-// local-memory pair is removed only by the dedicated dropLocal pass.
-func droppable(s *stmt) bool {
-	switch s.kind {
-	case "decl", "barrier", "localwr":
-		return false
-	case "store":
-		return s.bufName != "outF"
+// droppable reports, given the spec's reference counts, whether the
+// shrinker may remove a statement wholesale. A declaration goes only when
+// no expression reads it (a candidate that still assigns it does not
+// compile and is rejected), the outF store stays (every case keeps one
+// output write), and the local-memory pair is removed only by the
+// dedicated dropLocal pass.
+func droppable(refs map[string]int) func(s *stmt) bool {
+	return func(s *stmt) bool {
+		switch s.kind {
+		case "decl":
+			return refs[s.name] == 0
+		case "barrier", "localwr":
+			return false
+		case "store":
+			return s.bufName != "outF"
+		}
+		return true
 	}
-	return true
 }
 
 // walkStmtSlices visits every statement slice of the spec (the body plus

@@ -13,9 +13,19 @@ package interp
 // by construction: every instruction reproduces the exact arithmetic
 // (including OpenCL 32-bit wrap-around and float32 rounding), the exact
 // statistics increments, and the exact memory-access order of the
-// closures it replaces. Fused superinstructions (multiply-add addressing,
-// float32 FMA accumulation, compare-and-branch) bump the statistics
-// counters once per fused operation, so totals stay identical.
+// closures it replaces. Fused superinstructions bump the statistics
+// counters once per fused operation, so totals stay identical:
+//
+//   - opMulAddI: multiply-add addressing (row*n + col);
+//   - opJCmpI, opJCmpIK, opIncJCmpI: compare-and-branch, against a
+//     register plus a constant, and a counted loop's whole back edge;
+//   - opFMAAF32, opFMATermF32, opFMALoopF32: float32 accumulation, a
+//     fused two-load term, and a whole fused reduction loop
+//     (superinst.go);
+//   - opLdGF32K, opLdOpF32, opTapF32: a float32 load at a shared
+//     subscript base plus a constant, alone, as the last operand of a
+//     float op, and as a stencil tap acc ± k·A[base+imm] (straight.go);
+//   - opStat: the merged statistics pre-payment of a straight-line run.
 
 import (
 	"fmt"
@@ -40,15 +50,18 @@ const (
 	opJmpNZF // jump if fr[a] != 0
 	opJCmpI  // AluInt += c; jump if !cmpI(norm, ir[a], ir[b])
 	opJCmpF  // AluFloat += c; jump if !cmpF(norm, fr[a], fr[b])
-	opRet    // work-item done for this and all later segments
+	// opJCmpIK is a guard against a register plus a constant, as in
+	// i < N - 1: AluInt += c; jump if !cmpS(norm, ir[a], n32(ir[b] + k)).
+	opJCmpIK
+	opRet // work-item done for this and all later segments
 
 	// Statistics pre-payment. The closure engine counts an operation
 	// before evaluating its operands, so when an operand subtree can trap
 	// (bounds, division by zero) the lowerer emits the operation's count
 	// up front and zeroes the count field (c) of the operation itself;
-	// trap-time counter totals then match the closures exactly.
-	opStatInt   // AluInt += imm
-	opStatFloat // AluFloat += imm
+	// trap-time counter totals then match the closures exactly. Runs of
+	// pre-payments merge (mergeStats), so one opStat may pay both.
+	opStat // AluInt += c; AluFloat += k
 
 	// Trap-order checks. The closure engine evaluates a divisor before
 	// the dividend and checks an atomic's buffer before evaluating the
@@ -66,12 +79,12 @@ const (
 	opF2I    // ir[dst] = norm(int64(fr[a]))
 
 	// Integer ALU. Each op adds its count field (c, normally 1; 0 when
-	// pre-paid by opStatInt) to AluInt and normalizes its result to the
+	// pre-paid by opStat) to AluInt and normalizes its result to the
 	// promoted kind (norm field), exactly like binOpFn.
 	opAddI
 	opSubI
 	opMulI
-	opMulAddI // ir[dst] = n32(n32(ir[a]*ir[b]) + ir[c]); AluInt += 2
+	opMulAddI // ir[dst] = n32(n32(ir[a]*ir[b]) + ir[c]); AluInt += norm (2, or 0 for a subscript base)
 	opDivI    // traps "integer division by zero" at pos
 	opDivU
 	opRemI // traps "integer modulo by zero" at pos
@@ -152,6 +165,15 @@ const (
 	opStGI64
 	opStGI32
 
+	// Straight-line float32 loads (straight.go). Each reads A = the
+	// buffer in slot at n32(ir[a] + imm) — a shared subscript base plus a
+	// constant — and pays AluInt += c, AluFloat += k before its bounds
+	// check, which is when the closure engine has counted the subscript
+	// and the operations that enclose the load.
+	opLdGF32K // fr[dst] = A
+	opLdOpF32 // fr[dst] = f32(fr[b] op A); norm: 0 +, 1 -, 2 ×
+	opTapF32  // fr[dst] = f32(fr[dst] ± f32(fr[b]·A)); norm: 0 +, 1 -
+
 	// __local arrays (slot = local index) and private arrays (slot =
 	// private index): bounds-checked, unrecorded, Value-typed storage.
 	opLdLI
@@ -225,6 +247,7 @@ type instr struct {
 	c    int32
 	slot int32
 	site int32
+	k    int32 // AluFloat count of opStat and the straight-line loads; opJCmpIK's constant
 	imm  int64
 	fimm float64
 	pos  clc.Pos
@@ -247,6 +270,8 @@ type bcProgram struct {
 	segments [][]instr
 	numI     int // int register file size (variables + temporaries)
 	numF     int // float register file size
+	initI    []int64   // a new int register row's contents (constants preloaded)
+	initF    []float64 // a new float register row's contents
 	paramI   []paramCopy
 	paramF   []paramCopy
 	math1    []func(float64) float64
@@ -455,13 +480,17 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 			if !cmpFRegs(in.norm, fr[in.a], fr[in.b]) {
 				pc = int(in.imm)
 			}
+		case opJCmpIK:
+			aluI += int64(in.c)
+			if !cmpSRegs(in.norm, ir[in.a], int64(int32(ir[in.b]+int64(in.k)))) {
+				pc = int(in.imm)
+			}
 		case opRet:
 			return true
 
-		case opStatInt:
-			aluI += in.imm
-		case opStatFloat:
-			aluF += in.imm
+		case opStat:
+			aluI += int64(in.c)
+			aluF += int64(in.k)
 		case opChkDiv0:
 			if ir[in.a] == 0 {
 				if in.imm != 0 {
@@ -508,7 +537,7 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 			aluI += int64(in.c)
 			ir[in.dst] = normReg(in.norm, ir[in.a]*ir[in.b])
 		case opMulAddI:
-			aluI += 2
+			aluI += int64(in.norm)
 			v := int64(int32(ir[in.a] * ir[in.b]))
 			ir[in.dst] = int64(int32(v + ir[in.c]))
 		case opDivI:
@@ -766,6 +795,56 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 			storeB += 4
 			recordG(e, &sites[in.site], b, i, 4, true)
 			b.I32[i] = int32(ir[in.b])
+
+		case opLdGF32K:
+			aluI += int64(in.c)
+			aluF += int64(in.k)
+			b := bufs[in.slot]
+			i := int64(int32(ir[in.a] + in.imm))
+			if uint64(i) >= uint64(len(b.F32)) {
+				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+			}
+			loads++
+			loadB += 4
+			recordG(e, &sites[in.site], b, i, 4, false)
+			fr[in.dst] = float64(b.F32[i])
+		case opLdOpF32:
+			aluI += int64(in.c)
+			aluF += int64(in.k)
+			b := bufs[in.slot]
+			i := int64(int32(ir[in.a] + in.imm))
+			if uint64(i) >= uint64(len(b.F32)) {
+				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+			}
+			loads++
+			loadB += 4
+			recordG(e, &sites[in.site], b, i, 4, false)
+			x, v := fr[in.b], float64(b.F32[i])
+			switch in.norm {
+			case 0:
+				fr[in.dst] = float64(float32(x + v))
+			case 1:
+				fr[in.dst] = float64(float32(x - v))
+			default:
+				fr[in.dst] = float64(float32(x * v))
+			}
+		case opTapF32:
+			aluI += int64(in.c)
+			aluF += int64(in.k)
+			b := bufs[in.slot]
+			i := int64(int32(ir[in.a] + in.imm))
+			if uint64(i) >= uint64(len(b.F32)) {
+				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+			}
+			loads++
+			loadB += 4
+			recordG(e, &sites[in.site], b, i, 4, false)
+			p := float64(float32(fr[in.b] * float64(b.F32[i])))
+			if in.norm == 0 {
+				fr[in.dst] = float64(float32(fr[in.dst] + p))
+			} else {
+				fr[in.dst] = float64(float32(fr[in.dst] - p))
+			}
 
 		// --- __local arrays ---
 		case opLdLI:

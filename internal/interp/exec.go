@@ -83,7 +83,7 @@ type Exec struct {
 	// LaneWidth is ignored: the lane tier it selected is deleted. The
 	// field stays only because benchmark/ (frozen outside benchmark PRs)
 	// still assigns it; no other code may touch it, and it goes when the
-	// next benchmark PR drops those assignments (ROADMAP item 2).
+	// next benchmark PR drops those assignments (ROADMAP item 5).
 	LaneWidth int
 
 	paramVals []Value
@@ -494,8 +494,8 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 		rs.irScratch = make([][]int64, wgSize)
 		rs.frScratch = make([][]float64, wgSize)
 		for i := 0; i < wgSize; i++ {
-			rs.irScratch[i] = make([]int64, prog.numI)
-			rs.frScratch[i] = make([]float64, prog.numF)
+			rs.irScratch[i] = append([]int64(nil), prog.initI...)
+			rs.frScratch[i] = append([]float64(nil), prog.initF...)
 		}
 	}
 	rs.stats = stats

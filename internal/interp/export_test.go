@@ -1,5 +1,7 @@
 package interp
 
+import "sort"
+
 // AffineLoops is the number of fused loops the closed form has served on
 // ex, summed over its sequential state and its shard workers. Both ways
 // of running a fused loop are bit-identical in every result, so this is
@@ -17,13 +19,77 @@ func AffineLoops(ex *Exec) int64 {
 
 // FusedHeads counts the fused loop heads of ex's lowered program; it is 0
 // when ex runs on the closure engine.
-func FusedHeads(ex *Exec) int {
+func FusedHeads(ex *Exec) int { return opCount(ex, opFMALoopF32) }
+
+// straightOps names the opcodes straight.go adds: the shared-base float32
+// load, the load-operand op, the stencil tap, the offset guard and the
+// merged statistics pre-payment.
+var straightOps = map[opcode]string{
+	opLdGF32K: "LdGF32K", opLdOpF32: "LdOpF32", opTapF32: "TapF32", opJCmpIK: "JCmpIK", opStat: "Stat",
+}
+
+// StraightOpNames lists the names StraightInstrs reports, sorted.
+func StraightOpNames() []string {
+	var out []string
+	for _, name := range straightOps {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// StraightInstr is one straight-line superinstruction of a lowered
+// program: its opcode's name, and the access site it records (-1 for the
+// guard and the pre-payment, which access nothing).
+type StraightInstr struct {
+	Op   string
+	Site int
+}
+
+// StraightInstrs lists ex's straight-line superinstructions in program
+// order. After a profiled run, a load's site count says whether it ran.
+func StraightInstrs(ex *Exec) []StraightInstr {
+	var out []StraightInstr
+	if ex.prog != nil {
+		for _, code := range ex.prog.segments {
+			for i := range code {
+				name, ok := straightOps[code[i].op]
+				if !ok {
+					continue
+				}
+				site := -1
+				if code[i].op != opJCmpIK && code[i].op != opStat {
+					site = int(code[i].site)
+				}
+				out = append(out, StraightInstr{Op: name, Site: site})
+			}
+		}
+	}
+	return out
+}
+
+// StraightLine reports the size of ex's lowered program: all of its
+// instructions, and those that are straight-line superinstructions.
+func StraightLine(ex *Exec) (instrs, fused int) {
+	if ex.prog != nil {
+		for _, code := range ex.prog.segments {
+			instrs += len(code)
+		}
+	}
+	return instrs, len(StraightInstrs(ex))
+}
+
+// opCount counts the instructions of ex's lowered program whose opcode is
+// one of ops.
+func opCount(ex *Exec, ops ...opcode) int {
 	n := 0
 	if ex.prog != nil {
 		for _, code := range ex.prog.segments {
 			for i := range code {
-				if code[i].op == opFMALoopF32 {
-					n++
+				for _, op := range ops {
+					if code[i].op == op {
+						n++
+					}
 				}
 			}
 		}

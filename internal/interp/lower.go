@@ -10,8 +10,8 @@ package interp
 //     ordering. Closures count an operation before evaluating its
 //     operands; fused counting at instruction execution is used only when
 //     no operand can trap (then the reordering is unobservable), otherwise
-//     the count is pre-paid with opStatInt/opStatFloat and the
-//     instruction's count field is zero.
+//     the count is pre-paid with opStat and the instruction's count
+//     field is zero.
 //   - Trap order matches: integer division evaluates the divisor before
 //     the dividend with the zero check in between (opChkDiv0), and global
 //     atomics check for an empty buffer before evaluating their operand
@@ -76,6 +76,21 @@ type lowerer struct {
 	math2    []func(a, b float64) float64
 	terms    []fmaTerm
 
+	// Straight-line state (straight.go): which slots are declaration-only
+	// and which of those are constants, the preloaded constant registers,
+	// the subscript bases computed since the last jump target (label), and
+	// the temporaries those bases hold.
+	declOnly []bool
+	folded   map[*clc.Symbol]bool
+	lits     []clc.Expr
+	constI   map[int64]int32
+	constF   map[uint64]int32
+	initI    []int64
+	initF    []float64
+	bases    []subBase
+	keepI    int32
+	label    int
+
 	err error
 }
 
@@ -118,7 +133,7 @@ func (lw *lowerer) temp(f bool) breg {
 // resetTmp releases all temporaries. Called at statement boundaries,
 // where no expression value is live.
 func (lw *lowerer) resetTmp() {
-	lw.tmpI, lw.tmpF = lw.baseI, lw.baseF
+	lw.tmpI, lw.tmpF = max(lw.baseI, lw.keepI), lw.baseF
 }
 
 // snapshot copies a lazily-read variable register into a temporary, for
@@ -143,7 +158,7 @@ func (lw *lowerer) patch(pcs []int, target int) {
 	}
 }
 
-func (lw *lowerer) patchHere(pcs []int) { lw.patch(pcs, len(lw.code)) }
+func (lw *lowerer) patchHere(pcs []int) { lw.patch(pcs, lw.here()) }
 
 // ---------------------------------------------------------------------------
 // Static predicates
@@ -373,11 +388,12 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 	var seg []clc.Stmt
 	flush := func() {
 		lw.code = nil
+		lw.here()
 		for _, s := range seg {
 			lw.lowerStmt(s)
 		}
 		seg = nil
-		segments = append(segments, lw.code)
+		segments = append(segments, mergeStats(lw.code))
 	}
 	if k.Body != nil {
 		for _, s := range k.Body.Stmts {
@@ -397,6 +413,8 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 		segments: segments,
 		numI:     int(lw.maxI),
 		numF:     int(lw.maxF),
+		initI:    append(lw.initI, make([]int64, int(lw.maxI)-len(lw.initI))...),
+		initF:    append(lw.initF, make([]float64, int(lw.maxF)-len(lw.initF))...),
 		math1:    lw.math1,
 		math2:    lw.math2,
 		terms:    lw.terms,
@@ -428,6 +446,7 @@ func (lw *lowerer) allocVars() {
 		lw.slotReg[i] = -1
 	}
 	lw.slotIsF = make([]bool, lw.k.NumSlots)
+	folded := lw.scanKernel()
 	assign := func(sym *clc.Symbol) {
 		if sym == nil || sym.Slot < 0 || sym.Slot >= len(lw.slotReg) {
 			return
@@ -435,7 +454,7 @@ func (lw *lowerer) allocVars() {
 		if sym.Type.Ptr || sym.IsLocal || sym.ArrayLen > 0 {
 			return
 		}
-		if lw.slotReg[sym.Slot] >= 0 {
+		if lw.slotReg[sym.Slot] >= 0 || lw.folded[sym] {
 			return
 		}
 		if sym.Type.Kind.IsFloat() {
@@ -453,6 +472,7 @@ func (lw *lowerer) allocVars() {
 	for _, sym := range lw.k.Locals {
 		assign(sym)
 	}
+	lw.allocConsts(folded)
 	lw.tmpI, lw.tmpF = lw.baseI, lw.baseF
 	lw.maxI, lw.maxF = lw.baseI, lw.baseF
 }
@@ -493,23 +513,23 @@ func (lw *lowerer) lowerStmt(s clc.Stmt) {
 		over := lw.emit(instr{op: opJmp, imm: -1})
 		lw.patchHere(fp)
 		lw.lowerStmt(st.Else)
-		lw.patch([]int{over}, len(lw.code))
+		lw.patchHere([]int{over})
 	case *clc.ForStmt:
 		if st.Init != nil {
 			lw.lowerStmt(st.Init)
 		}
-		start := len(lw.code)
+		start := lw.here()
 		var exit []int
 		if st.Cond != nil {
 			lw.resetTmp()
 			exit = lw.jumpIfFalse(st.Cond)
 		}
-		bodyStart := len(lw.code)
+		bodyStart := lw.here()
 		lw.loops = append(lw.loops, loopCtx{})
 		lw.lowerStmt(st.Body)
 		lp := lw.loops[len(lw.loops)-1]
 		lw.loops = lw.loops[:len(lw.loops)-1]
-		cont := len(lw.code)
+		cont := lw.here()
 		if lw.tryFusedBackEdge(st, bodyStart) {
 			// Post, condition, and back-jump fused into one
 			// instruction (the head condition still runs on entry).
@@ -520,33 +540,33 @@ func (lw *lowerer) lowerStmt(s clc.Stmt) {
 			}
 			lw.emit(instr{op: opJmp, imm: int64(start)})
 		}
-		end := len(lw.code)
+		end := lw.here()
 		lw.patch(exit, end)
 		lw.patch(lp.breaks, end)
 		lw.patch(lp.continues, cont)
 	case *clc.WhileStmt:
-		start := len(lw.code)
+		start := lw.here()
 		exit := lw.jumpIfFalse(st.Cond)
 		lw.loops = append(lw.loops, loopCtx{})
 		lw.lowerStmt(st.Body)
 		lp := lw.loops[len(lw.loops)-1]
 		lw.loops = lw.loops[:len(lw.loops)-1]
 		lw.emit(instr{op: opJmp, imm: int64(start)})
-		end := len(lw.code)
+		end := lw.here()
 		lw.patch(exit, end)
 		lw.patch(lp.breaks, end)
 		lw.patch(lp.continues, start)
 	case *clc.DoWhileStmt:
-		start := len(lw.code)
+		start := lw.here()
 		lw.loops = append(lw.loops, loopCtx{})
 		lw.lowerStmt(st.Body)
 		lp := lw.loops[len(lw.loops)-1]
 		lw.loops = lw.loops[:len(lw.loops)-1]
-		cont := len(lw.code)
+		cont := lw.here()
 		lw.resetTmp()
 		back := lw.jumpIfTrue(st.Cond)
 		lw.patch(back, start)
-		end := len(lw.code)
+		end := lw.here()
 		lw.patch(lp.breaks, end)
 		lw.patch(lp.continues, cont)
 	case *clc.ReturnStmt:
@@ -587,6 +607,14 @@ func (lw *lowerer) lowerDecl(d *clc.VarDecl) {
 		// work-item, both by the executor.
 		return
 	}
+	lw.dropBases(sym)
+	if lw.folded[sym] {
+		// The slot is a preloaded constant register (allocConsts): the
+		// declaration only counts what evaluating its literal counts.
+		_, aluI, aluF, _ := foldConst(d.Init)
+		lw.pay(aluI, aluF)
+		return
+	}
 	dst := lw.varReg(sym, d.NamePos)
 	if d.Init == nil {
 		// Matches the closure engine's e.slots[slot] = Value{}.
@@ -618,6 +646,9 @@ func (lw *lowerer) moveTo(dst, src breg) {
 	if dst.idx == src.idx && dst.f == src.f {
 		return
 	}
+	if lw.retarget(dst, src) {
+		return
+	}
 	if dst.f {
 		lw.emit(instr{op: opMovF, norm: normNone, dst: dst.idx, a: src.idx})
 	} else {
@@ -637,11 +668,11 @@ func (lw *lowerer) jumpIfFalse(x clc.Expr) []int {
 	case *clc.Binary:
 		switch {
 		case e.Op == clc.BinLAnd:
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			p := lw.jumpIfFalse(e.L)
 			return append(p, lw.jumpIfFalse(e.R)...)
 		case e.Op == clc.BinLOr:
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			t := lw.jumpIfTrue(e.L)
 			p := lw.jumpIfFalse(e.R)
 			lw.patchHere(t)
@@ -651,7 +682,7 @@ func (lw *lowerer) jumpIfFalse(x clc.Expr) []int {
 		}
 	case *clc.Unary:
 		if e.Op == clc.UnaryNot {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			return lw.jumpIfTrue(e.X)
 		}
 	}
@@ -669,14 +700,14 @@ func (lw *lowerer) jumpIfTrue(x clc.Expr) []int {
 	case *clc.Binary:
 		switch {
 		case e.Op == clc.BinLAnd:
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			f := lw.jumpIfFalse(e.L)
 			f = append(f, lw.jumpIfFalse(e.R)...)
 			t := lw.emit(instr{op: opJmp, imm: -1})
 			lw.patchHere(f)
 			return []int{t}
 		case e.Op == clc.BinLOr:
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			t := lw.jumpIfTrue(e.L)
 			return append(t, lw.jumpIfTrue(e.R)...)
 		case e.Op.IsComparison():
@@ -684,7 +715,7 @@ func (lw *lowerer) jumpIfTrue(x clc.Expr) []int {
 		}
 	case *clc.Unary:
 		if e.Op == clc.UnaryNot {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			return lw.jumpIfFalse(e.X)
 		}
 	}
@@ -711,7 +742,7 @@ func (lw *lowerer) emitCmpJump(b *clc.Binary, ifTrue bool) int {
 	}
 	if pk.IsFloat() {
 		if prepay {
-			lw.emit(instr{op: opStatFloat, imm: 1})
+			lw.pay(0, 1)
 		}
 		l := lw.lowerConverted(b.L, pk, b.Pos())
 		if l.varRef && writesVars(b.R) {
@@ -727,17 +758,20 @@ func (lw *lowerer) emitCmpJump(b *clc.Binary, ifTrue bool) int {
 		return lw.emit(instr{op: opJmpNZI, a: t.idx, imm: -1})
 	}
 	if prepay {
-		lw.emit(instr{op: opStatInt, imm: 1})
+		lw.pay(1, 0)
 	}
 	l := lw.lowerConverted(b.L, pk, b.Pos())
 	if l.varRef && writesVars(b.R) {
 		l = lw.snapshot(l)
 	}
-	r := lw.lowerConverted(b.R, pk, b.Pos())
 	code := icmpCode(b.Op, pk.IsUnsigned())
 	if ifTrue {
 		code = invertICmp(code)
 	}
+	if reg, k, ok := lw.offsetOperand(b.R, pk); ok {
+		return lw.emit(instr{op: opJCmpIK, norm: code, a: l.idx, b: reg, k: k, c: c + 1, imm: -1})
+	}
+	r := lw.lowerConverted(b.R, pk, b.Pos())
 	return lw.emit(instr{op: opJCmpI, norm: code, a: l.idx, b: r.idx, c: c, imm: -1})
 }
 
@@ -748,6 +782,9 @@ func (lw *lowerer) emitCmpJump(b *clc.Binary, ifTrue bool) int {
 // register's type matches x.ResultType().Kind (float kinds in the float
 // file, everything else in the int file).
 func (lw *lowerer) lowerExpr(x clc.Expr) breg {
+	if r, ok := lw.lowerConst(x); ok {
+		return r
+	}
 	switch e := x.(type) {
 	case *clc.IntLit:
 		t := lw.tempI()
@@ -872,7 +909,7 @@ func (lw *lowerer) lowerUnary(u *clc.Unary) breg {
 	case clc.UnaryNeg:
 		if xk.IsFloat() {
 			if prepay {
-				lw.emit(instr{op: opStatFloat, imm: 1})
+				lw.pay(0, 1)
 			}
 			v := lw.lowerExpr(u.X)
 			t := lw.tempF()
@@ -880,7 +917,7 @@ func (lw *lowerer) lowerUnary(u *clc.Unary) breg {
 			return t
 		}
 		if prepay {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 		}
 		v := lw.lowerExpr(u.X)
 		t := lw.tempI()
@@ -889,7 +926,7 @@ func (lw *lowerer) lowerUnary(u *clc.Unary) breg {
 	case clc.UnaryNot:
 		// Logical not counts AluInt even over a float operand.
 		if prepay {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 		}
 		v := lw.lowerExpr(u.X)
 		t := lw.tempI()
@@ -901,7 +938,7 @@ func (lw *lowerer) lowerUnary(u *clc.Unary) breg {
 		return t
 	case clc.UnaryBitNot:
 		if prepay {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 		}
 		v := lw.lowerExpr(u.X)
 		t := lw.tempI()
@@ -939,7 +976,7 @@ func (lw *lowerer) lowerBinary(b *clc.Binary) breg {
 		c = 0
 	}
 	if prepay {
-		lw.emit(instr{op: opStatInt, imm: 1})
+		lw.pay(1, 0)
 	}
 	l := lw.lowerConverted(b.L, pk, b.Pos())
 	if l.varRef && writesVars(b.R) {
@@ -986,11 +1023,14 @@ func (lw *lowerer) lowerBinaryFloat(b *clc.Binary, pk clc.Kind) breg {
 		c = 0
 	}
 	if prepay {
-		lw.emit(instr{op: opStatFloat, imm: 1})
+		lw.pay(0, 1)
 	}
 	l := lw.lowerConverted(b.L, pk, b.Pos())
 	if l.varRef && writesVars(b.R) {
 		l = lw.snapshot(l)
+	}
+	if t, ok := lw.tryLoadOperand(b, pk, l, c); ok {
+		return t
 	}
 	r := lw.lowerConverted(b.R, pk, b.Pos())
 	if b.Op.IsComparison() {
@@ -1038,7 +1078,7 @@ func (lw *lowerer) lowerIntDiv(b *clc.Binary, pk clc.Kind) breg {
 	full := !pureNoEffects(b.L) || canTrap(b.R)
 	in := instr{op: op, norm: normCodeInt(pk), c: 1, pos: b.Pos()}
 	if full {
-		lw.emit(instr{op: opStatInt, imm: 1})
+		lw.pay(1, 0)
 		in.c = 0
 	}
 	r := lw.lowerConverted(b.R, pk, b.Pos())
@@ -1091,7 +1131,7 @@ func (lw *lowerer) tryMulAdd(b *clc.Binary) (breg, bool) {
 	mb := lw.lowerConverted(mul.R, clc.KindInt, mul.Pos())
 	ad := lw.lowerConverted(add, clc.KindInt, b.Pos())
 	t := lw.tempI()
-	lw.emit(instr{op: opMulAddI, dst: t.idx, a: ma.idx, b: mb.idx, c: ad.idx})
+	lw.emit(instr{op: opMulAddI, norm: 2, dst: t.idx, a: ma.idx, b: mb.idx, c: ad.idx})
 	return t, true
 }
 
@@ -1099,7 +1139,7 @@ func (lw *lowerer) tryMulAdd(b *clc.Binary) (breg, bool) {
 // counting one AluInt for the operator before the operands like the
 // closure engine.
 func (lw *lowerer) lowerLogical(b *clc.Binary) breg {
-	lw.emit(instr{op: opStatInt, imm: 1})
+	lw.pay(1, 0)
 	t := lw.tempI()
 	var f, tr []int
 	if b.Op == clc.BinLAnd {
@@ -1109,7 +1149,7 @@ func (lw *lowerer) lowerLogical(b *clc.Binary) breg {
 		over := lw.emit(instr{op: opJmp, imm: -1})
 		lw.patchHere(f)
 		lw.emit(instr{op: opConstI, dst: t.idx, imm: 0})
-		lw.patch([]int{over}, len(lw.code))
+		lw.patchHere([]int{over})
 		return t
 	}
 	tr = lw.jumpIfTrue(b.L)
@@ -1118,7 +1158,7 @@ func (lw *lowerer) lowerLogical(b *clc.Binary) breg {
 	over := lw.emit(instr{op: opJmp, imm: -1})
 	lw.patchHere(tr)
 	lw.emit(instr{op: opConstI, dst: t.idx, imm: 1})
-	lw.patch([]int{over}, len(lw.code))
+	lw.patchHere([]int{over})
 	return t
 }
 
@@ -1132,7 +1172,7 @@ func (lw *lowerer) lowerCond(e *clc.Cond) breg {
 	lw.patchHere(fp)
 	ev := lw.lowerConverted(e.Else, rk, e.Pos())
 	lw.moveTo(dst, ev)
-	lw.patch([]int{over}, len(lw.code))
+	lw.patchHere([]int{over})
 	return dst
 }
 
@@ -1257,6 +1297,11 @@ func (lw *lowerer) emitStore(ref bcRef, idx, v breg) {
 
 func (lw *lowerer) lowerIndexLoad(ix *clc.Index) breg {
 	ref := lw.memRefOf(ix)
+	if _, ok := lw.f32Load(ix); ok {
+		t := lw.tempF()
+		lw.emitRebasedLoad(opLdGF32K, 0, t.idx, 0, ix, 0)
+		return t
+	}
 	idx := lw.lowerExpr(ix.Idx)
 	return lw.emitLoad(ref, idx)
 }
@@ -1283,7 +1328,7 @@ func (lw *lowerer) lowerCall(call *clc.Call) breg {
 		prepay := canTrap(call.Args[0])
 		c := int32(1)
 		if prepay {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			c = 0
 		}
 		v := lw.lowerExpr(call.Args[0])
@@ -1334,7 +1379,7 @@ func (lw *lowerer) lowerMath(call *clc.Call, nargs int) breg {
 	prepay := canTrap(call.Args[0]) || (nargs == 2 && canTrap(call.Args[1]))
 	c := int32(1)
 	if prepay {
-		lw.emit(instr{op: opStatFloat, imm: 1})
+		lw.pay(0, 1)
 		c = 0
 	}
 	a0 := lw.lowerConverted(call.Args[0], clc.KindFloat, call.Args[0].Pos())
@@ -1385,9 +1430,9 @@ func (lw *lowerer) lowerMinMax(call *clc.Call) breg {
 	c := int32(1)
 	if prepay {
 		if rk.IsFloat() {
-			lw.emit(instr{op: opStatFloat, imm: 1})
+			lw.pay(0, 1)
 		} else {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 		}
 		c = 0
 	}
@@ -1486,7 +1531,7 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 			prepay := canTrap(as.RHS)
 			c := int32(1)
 			if prepay {
-				lw.emit(instr{op: opStatFloat, imm: 1})
+				lw.pay(0, 1)
 				c = 0
 			}
 			// Closure order: count, load LHS, evaluate RHS. The load is
@@ -1522,7 +1567,7 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 			full := canTrap(as.RHS)
 			c := int32(1)
 			if full {
-				lw.emit(instr{op: opStatInt, imm: 1})
+				lw.pay(1, 0)
 				c = 0
 			}
 			rv := lw.lowerConverted(as.RHS, rk, as.Pos())
@@ -1549,7 +1594,7 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 		prepay := canTrap(as.RHS)
 		c := int32(1)
 		if prepay {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			c = 0
 		}
 		a := breg(dst)
@@ -1591,7 +1636,7 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 	case *clc.Index:
 		ref := lw.memRefOf(lhs)
 		if as.Op == clc.AssignPlain {
-			idx := lw.lowerExpr(lhs.Idx)
+			idx := lw.storeIndex(ref, lhs.Idx)
 			if writesVars(as.RHS) {
 				idx = lw.snapshot(idx)
 			}
@@ -1646,7 +1691,7 @@ func (lw *lowerer) tryFMA(as *clc.Assign, dst breg, rk clc.Kind) (breg, bool) {
 	}
 	n := uint8(2)
 	if canTrap(mul.L) || canTrap(mul.R) {
-		lw.emit(instr{op: opStatFloat, imm: 2})
+		lw.pay(0, 2)
 		n = 0
 	}
 	x := lw.lowerConverted(mul.L, clc.KindFloat, mul.Pos())
@@ -1712,7 +1757,7 @@ func (lw *lowerer) floatScale(x clc.Expr, t *fmaTerm) bool {
 // is dead.
 func (lw *lowerer) absorbMulAdd(ref *fmaRef, idx breg, mark int) bool {
 	n := len(lw.code)
-	if n <= mark || idx.varRef || lw.code[n-1].op != opMulAddI || lw.code[n-1].dst != idx.idx {
+	if n <= mark || idx.varRef || lw.code[n-1].op != opMulAddI || lw.code[n-1].norm != 2 || lw.code[n-1].dst != idx.idx {
 		return false
 	}
 	ma := lw.code[n-1]
@@ -1873,7 +1918,7 @@ func (lw *lowerer) lowerLocalScalarAssign(as *clc.Assign, sym *clc.Symbol, rk cl
 		full := canTrap(as.RHS)
 		c := int32(1)
 		if full {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			c = 0
 		}
 		rv := lw.lowerConverted(as.RHS, rk, as.Pos())
@@ -1904,9 +1949,9 @@ func (lw *lowerer) lowerLocalScalarAssign(as *clc.Assign, sym *clc.Symbol, rk cl
 	c := int32(1)
 	if prepay {
 		if isF {
-			lw.emit(instr{op: opStatFloat, imm: 1})
+			lw.pay(0, 1)
 		} else {
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 		}
 		c = 0
 	}
@@ -1993,7 +2038,7 @@ func (lw *lowerer) lowerIncDec(id *clc.IncDec, want bool) breg {
 				lw.fail(x.Pos(), "interp: unknown __local symbol %q", sym.Name)
 				return breg{}
 			}
-			lw.emit(instr{op: opStatInt, imm: 1})
+			lw.pay(1, 0)
 			isF := rk.IsFloat()
 			old := lw.temp(isF)
 			if isF {
@@ -2033,7 +2078,7 @@ func (lw *lowerer) lowerIncDec(id *clc.IncDec, want bool) breg {
 		// The closure engine counts AluInt before evaluating the index,
 		// for float elements too.
 		ref := lw.memRefOf(x)
-		lw.emit(instr{op: opStatInt, imm: 1})
+		lw.pay(1, 0)
 		idx := lw.lowerExpr(x.Idx)
 		old := lw.emitLoad(ref, idx)
 		nv := lw.temp(old.f)
