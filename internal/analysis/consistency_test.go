@@ -109,3 +109,56 @@ func patternsCompatible(static, dynamic access.Pattern) bool {
 	}
 	return false
 }
+
+// TestItemIndependenceOnRealKernels: on the fourteen real kernels at the
+// relaunch benchmark's geometry the work-item predicate agrees with the
+// work-group one — none stores through an index a local axis leaves
+// alone — so every kernel whose groups may shard may also interleave its
+// items.
+func TestItemIndependenceOnRealKernels(t *testing.T) {
+	for _, d := range workloads.RealDescs() {
+		n := 1024
+		switch {
+		case d.TwoDim:
+			n = 256
+		case d.Name == "SpMV":
+			n = 512
+		}
+		w, err := d.Build(n, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := w.CompileKernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := inst.ND.Normalized()
+		lf := analysis.LaunchFacts{
+			Scalars:   make([]int64, len(inst.Args)),
+			BufferID:  make([]int, len(inst.Args)),
+			NumGroups: nd.NumGroups(),
+			Local:     nd.Local,
+		}
+		for i, a := range inst.Args {
+			if !a.IsBuf {
+				lf.Scalars[i] = a.Val.I
+				continue
+			}
+			lf.BufferID[i] = i + 1
+			for j := 0; j < i; j++ {
+				if inst.Args[j].IsBuf && inst.Args[j].Buf == a.Buf {
+					lf.BufferID[i] = j + 1
+					break
+				}
+			}
+		}
+		in := analysis.WorkGroupIndependence(k)
+		if groups, items := in.OrderSensitive(lf), in.ItemOrderSensitive(lf); groups != items {
+			t.Errorf("%s: work-groups %q, work-items %q", d.Name, groups, items)
+		}
+	}
+}

@@ -24,10 +24,14 @@ import (
 //     store's index, so a work-item only ever touches its own elements.
 //
 // Everything else is order-sensitive and must run in schedule order on
-// one goroutine. The proof is deliberately one-sided: a kernel guarded
-// by `if (i < N)` on a padded range, or one that writes disjoint halves
-// through two different indices, is reported order-sensitive although it
-// is not — that only costs parallelism, never correctness.
+// one goroutine. The same predicate one level down (ItemOrderSensitive)
+// also proves every stored index distinct across the work-items of one
+// group, so a work-item only ever touches elements no other work-item of
+// the launch touches, and the items of a group may interleave too. The
+// proof is deliberately one-sided: a kernel guarded by `if (i < N)` on a
+// padded range, or one that writes disjoint halves through two different
+// indices, is reported order-sensitive although it is not — that only
+// costs parallelism, never correctness.
 
 // Independence is the static half of the predicate: what the kernel's
 // global accesses look like, independent of any launch.
@@ -90,7 +94,17 @@ func WorkGroupIndependence(k *clc.Kernel) *Independence {
 // OrderSensitive reports why the launch described by lf must execute its
 // work-groups in order on one goroutine, or "" when the kernel is
 // work-group independent under that launch.
-func (in *Independence) OrderSensitive(lf LaunchFacts) string {
+func (in *Independence) OrderSensitive(lf LaunchFacts) string { return in.orderSensitive(lf, false) }
+
+// ItemOrderSensitive is OrderSensitive at the work-item level: it reports
+// why the work-items of one group of the launch described by lf must run
+// one after another, or "" when, besides the work-groups, the items of a
+// group are independent too — every stored index is distinct across all
+// work-items of the launch and every other access to a stored buffer uses
+// the store's index. It implies OrderSensitive(lf) == "".
+func (in *Independence) ItemOrderSensitive(lf LaunchFacts) string { return in.orderSensitive(lf, true) }
+
+func (in *Independence) orderSensitive(lf LaunchFacts, items bool) string {
 	if in.static != "" {
 		return in.static
 	}
@@ -131,7 +145,7 @@ func (in *Independence) OrderSensitive(lf LaunchFacts) string {
 		return fmt.Sprintf("%s is loaded at an index other than the one it is stored at", b.name)
 	}
 	for _, b := range stored {
-		if r := in.distinctAcrossGroups(b.store, lf); r != "" {
+		if r := in.distinctAcrossGroups(b.store, lf, items); r != "" {
 			return fmt.Sprintf("store to %s: %s", b.name, r)
 		}
 	}
@@ -202,8 +216,10 @@ func (lf LaunchFacts) value(p poly) (c int64, coefs map[pvar]int64, ok bool) {
 // sorted by magnitude, every coefficient exceeds the total reach of all
 // smaller ones. That makes the map injective over the whole box; local
 // ids and loop counters the index does not depend on are free to
-// collide, because those collisions stay inside one work-group.
-func (in *Independence) distinctAcrossGroups(p poly, lf LaunchFacts) string {
+// collide, because those collisions stay inside one work-group. With
+// items set a local id is not: an index that does not move with a local
+// axis of more than one item maps two items of one group to one element.
+func (in *Independence) distinctAcrossGroups(p poly, lf LaunchFacts, items bool) string {
 	_, coefs, ok := lf.value(p)
 	if !ok {
 		return "index is not affine in the work-item ids"
@@ -227,7 +243,13 @@ func (in *Independence) distinctAcrossGroups(p poly, lf LaunchFacts) string {
 			}
 			axes = append(axes, axis{group, int64(lf.NumGroups[d])})
 		}
-		if local != 0 && lf.Local[d] > 1 {
+		if lf.Local[d] > 1 {
+			if local == 0 {
+				if items {
+					return "index does not vary across the work-items of a group"
+				}
+				continue
+			}
 			axes = append(axes, axis{local, int64(lf.Local[d])})
 		}
 	}

@@ -176,6 +176,65 @@ func TestWorkGroupIndependence(t *testing.T) {
 	}
 }
 
+// TestWorkItemIndependence covers the predicate one level down: a
+// launch's work-items are independent only when, besides its work-groups,
+// no two items of one group store to one element.
+func TestWorkItemIndependence(t *testing.T) {
+	g1, l1 := [2]int{16, 1}, [2]int{64, 1}
+	cases := []struct {
+		name, src string
+		lf        LaunchFacts
+		want      string // "" = independent, else a substring of the reason
+		groups    bool   // the work-groups are independent all the same
+	}{
+		{
+			name:   "global-id store",
+			src:    `int i = get_global_id(0); a[i] = b[i] * 2.0f;`,
+			lf:     facts([]int64{0, 0, 0, 1024}, []int{1, 2, 3, 0}, g1, l1),
+			groups: true,
+		},
+		{
+			name:   "column walk into the own element",
+			src:    `int i = get_global_id(0); float acc = a[i]; for (int j = 0; j < n; j++) { acc += b[j * n + i]; } a[i] = acc;`,
+			lf:     facts([]int64{0, 0, 0, 1024}, []int{1, 2, 3, 0}, g1, l1),
+			groups: true,
+		},
+		{
+			name: "group-id store",
+			src:  `a[get_group_id(0)] = b[get_global_id(0)];`,
+			lf:   facts([]int64{0, 0, 0, 1024}, []int{1, 2, 3, 0}, g1, l1),
+			want: "data-dependent or non-affine",
+		},
+		{
+			name:   "local coefficient 0 on a 2-D group",
+			src:    `int j = get_global_id(0); a[j] = b[j];`,
+			lf:     facts([]int64{0, 0, 0, 1024}, []int{1, 2, 3, 0}, [2]int{16, 1}, [2]int{8, 8}),
+			want:   "does not vary across the work-items of a group",
+			groups: true,
+		},
+		{
+			name: "load of a stored buffer at another index",
+			src:  `int i = get_global_id(0); a[i] = a[i + 1] + b[i];`,
+			lf:   facts([]int64{0, 0, 0, 1024}, []int{1, 2, 3, 0}, g1, l1),
+			want: "a is loaded at an index other than the one it is stored at",
+		},
+	}
+	for _, c := range cases {
+		src := "__kernel void k(__global float* a, __global float* b, __global int* idx, int n) {\n" + c.src + "\n}"
+		in := WorkGroupIndependence(mustCompile(t, src))
+		got := in.ItemOrderSensitive(c.lf)
+		switch {
+		case c.want == "" && got != "":
+			t.Errorf("%s: items pinned (%s), want independent", c.name, got)
+		case c.want != "" && !strings.Contains(got, c.want):
+			t.Errorf("%s: reason %q, want one containing %q", c.name, got, c.want)
+		}
+		if groups := in.OrderSensitive(c.lf); (groups == "") != c.groups {
+			t.Errorf("%s: work-group verdict %q, want independent=%v", c.name, groups, c.groups)
+		}
+	}
+}
+
 // TestExactValuesLeaveClassificationAlone: the exact walk tracks values
 // beside the abstract forms and must never change a Table-1 class — a
 // join of i and i+1 is still one linear form to the classifier — so the

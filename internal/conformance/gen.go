@@ -28,12 +28,19 @@ package conformance
 //   - barriers appear only at the top level of the kernel body
 //     (sema's rule), paired with a __local array written at the own
 //     local id before the barrier and read after it — safe under
-//     chunking because work-groups never split.
+//     chunking because work-groups never split;
+//   - a column walk cw += inA[cwj*W + cwc] * inB[cwj] (the shape of
+//     ATAX2, BICG1 and MVT2, whose work-items the bytecode engine parks
+//     and walks in blocks) clamps its column into the matrix
+//     (cwc = gid & (W-1)) and its rows to both buffers; its accumulator
+//     starts from a literal or from a load — of the own output element,
+//     or a masked input — and is folded into the outF store.
 //
 // ClassTrappy drops the masking and divisor guards probabilistically and
-// leaves the neighbour coordinates unclamped (yinX = gy, xinX = gx); those
-// cases run the engine differential at parallelism 1 only, where partial
-// trap state is deterministic.
+// leaves the neighbour coordinates and a column walk's column unclamped
+// (yinX = gy, xinX = gx, cwc = gid) and its accumulator's input load
+// unmasked; those cases run the engine differential at parallelism 1
+// only, where partial trap state is deterministic.
 //
 // The neighbour reads, the stencil taps over them (acc ± k*inX[...]) and
 // the literal-initialised float locals k0, k1 are the shapes the bytecode
@@ -114,12 +121,17 @@ type stmt struct {
 	// store: bufName, rmw ("", "+", "*"), rhs (value stored at [gid]).
 	// for: loopVar, bound, body. if: cnd, then, els.
 	// atomic: fn, bufName, rhs (nil for inc/dec). localwr: rhs.
+	// colwalk: bufName (A), xBuf, their lengths aLen/xLen, clamp, and
+	// rhs (the accumulator's initial value).
 	name, bufName, aop, fn, loopVar, rmw string
 	vk                                   vKind
 	rhs                                  *expr
 	bound                                *expr
 	cnd                                  *cnd
 	then, els, body                      []*stmt
+	xBuf                                 string
+	aLen, xLen                           int
+	clamp                                bool
 }
 
 type bufSpec struct {
@@ -304,6 +316,14 @@ func genProg(r *rng, seed uint64, class Class) *progSpec {
 		p.body = append(p.body, genStmt(env, p, 0))
 	}
 
+	// A column walk in about a third of the cases, drawn from a stream of
+	// its own so that the rest of a seed's program stays what it was.
+	var walk *stmt
+	if wr := newRNG(splitmix64(seed ^ 0xc01a)); len(env.fIn) > 0 && wr.pct(35) {
+		walk = genColWalk(env, p, wr)
+		p.body = append(p.body, walk)
+	}
+
 	// Local-array pattern: write own slot, barrier, then the final
 	// stores may read a rotated neighbour slot.
 	if p.hasLocal {
@@ -316,12 +336,48 @@ func genProg(r *rng, seed uint64, class Class) *progSpec {
 	}
 
 	// Final stores: exactly one per output buffer, at [gid].
-	p.body = append(p.body, genStore(env, "outF", vFloat))
+	st := genStore(env, "outF", vFloat)
+	if walk != nil {
+		st.rhs = &expr{kind: vFloat, op: "bin", bop: "+", a: &expr{kind: vFloat, op: "var", name: walk.name}, b: st.rhs}
+	}
+	p.body = append(p.body, st)
 	if hasOutI {
 		p.body = append(p.body, genStore(env, "outI", vInt))
 	}
 	p.affine = env.affine
 	return p
+}
+
+// colWalkW is the widest matrix a column walk reads.
+const colWalkW = 16
+
+// genColWalk emits a column walk over two float inputs (see the safety
+// discipline above).
+func genColWalk(env *genEnv, p *progSpec, r *rng) *stmt {
+	a, x := env.fIn[r.intn(len(env.fIn))], env.fIn[r.intn(len(env.fIn))]
+	s := &stmt{kind: "colwalk", name: "cw", bufName: a, xBuf: x, clamp: p.class == ClassTotal,
+		rhs: &expr{kind: vFloat, op: "lit", lit: r.pick(floatLits)}}
+	for _, b := range p.bufs {
+		if b.name == a {
+			s.aLen = b.ln
+		}
+		if b.name == x {
+			s.xLen = b.ln
+		}
+	}
+	gid := &expr{kind: vInt, op: "var", name: "gid"}
+	switch r.intn(3) {
+	case 0: // the own output element, like MVT2's x2[i]
+		s.rhs = &expr{kind: vFloat, op: "idx", name: "outF", args: []*expr{gid}}
+	case 1:
+		in := env.fIn[r.intn(len(env.fIn))]
+		mask := env.fMask[in]
+		if !s.clamp {
+			mask = 0
+		}
+		s.rhs = &expr{kind: vFloat, op: "idx", name: in, mask: mask, args: []*expr{gid}}
+	}
+	return s
 }
 
 func genStore(env *genEnv, buf string, k vKind) *stmt {
@@ -817,6 +873,18 @@ func (s *stmt) render(sb *strings.Builder, indent string) {
 		sb.WriteString(";\n")
 	case "barrier":
 		sb.WriteString("barrier(CLK_LOCAL_MEM_FENCE);\n")
+	case "colwalk":
+		w := min(colWalkW, s.aLen)
+		col := "gid"
+		if s.clamp {
+			col = fmt.Sprintf("(gid & %d)", w-1)
+		}
+		sb.WriteString("float " + s.name + " = ")
+		s.rhs.render(sb)
+		fmt.Fprintf(sb, ";\n%sint cwn = %d;\n%sint cww = %d;\n%sint cwc = %s;\n",
+			indent, min(s.aLen/w, s.xLen), indent, w, indent, col)
+		fmt.Fprintf(sb, "%sfor (int cwj = 0; cwj < cwn; cwj++) {\n%s    %s += %s[cwj * cww + cwc] * %s[cwj];\n%s}\n",
+			indent, indent, s.name, s.bufName, s.xBuf, indent)
 	}
 }
 
@@ -1000,6 +1068,9 @@ func (p *progSpec) FeatureSig() string {
 	}
 	if p.affine {
 		parts = append(parts, "affine")
+	}
+	if countStmts(p, func(s *stmt) bool { return s.kind == "colwalk" }) > 0 {
+		parts = append(parts, "colwalk")
 	}
 	if p.class == ClassTrappy {
 		parts = append(parts, "trappy")

@@ -85,7 +85,7 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 	rep := &Report{Case: c}
 
 	// Reference leg: closure engine, sequential, exact profiling, traced.
-	ref, err := runDirect(c, interp.EngineClosures, 1, true)
+	ref, err := runDirect(c, interp.EngineClosures, 1, true, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: reference leg: %w", c, err)
 	}
@@ -97,27 +97,40 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 		return rep, nil
 	}
 
-	addLeg := func(leg *Observation) {
+	// addLeg records a leg and what sets it apart from base: the reference,
+	// or what of it the leg observes.
+	addLeg := func(base, leg *Observation) {
 		mutate(rep, opts, leg)
 		rep.Legs = append(rep.Legs, leg)
-		rep.Divergences = append(rep.Divergences, DiffObservations(ref, leg)...)
+		rep.Divergences = append(rep.Divergences, DiffObservations(base, leg)...)
 	}
 
-	// Direct legs: both engines across the shard set. Trappy cases run
+	// Direct legs: both engines across the shard set, and the bytecode
+	// engine's unprofiled run — the managed launch's functional run, the
+	// only one whose work-items park (interp's blocked column walks) —
+	// which keeps no access profile and no trace, so only its buffers,
+	// aggregate counters and error meet the reference's. Trappy cases run
 	// the engine differential at parallelism 1 only.
+	totals := &Observation{Leg: ref.Leg, Err: ref.Err, Buffers: ref.Buffers, Profile: countersOnly(ref.Profile)}
 	for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
 		for _, par := range shards {
 			if c.Class == ClassTrappy && par != 1 {
 				continue
 			}
-			if engine == interp.EngineClosures && par == 1 {
-				continue // the reference
+			if engine != interp.EngineClosures || par != 1 { // not the reference
+				leg, err := runDirect(c, engine, par, par == 1, true)
+				if err != nil {
+					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+				}
+				addLeg(ref, leg)
 			}
-			leg, err := runDirect(c, engine, par, par == 1)
-			if err != nil {
-				return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+			if engine == interp.EngineBytecode {
+				leg, err := runDirect(c, engine, par, false, false)
+				if err != nil {
+					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+				}
+				addLeg(totals, leg)
 			}
-			addLeg(leg)
 		}
 	}
 
@@ -141,7 +154,7 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 					if err != nil {
 						return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
 					}
-					addLeg(leg)
+					addLeg(ref, leg)
 				}
 			}
 		}
@@ -174,7 +187,7 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 				rep.Divergences = append(rep.Divergences,
 					fmt.Sprintf("%s: leg %s served on unexpected rung %q", c, rl.name, leg.Rung))
 			}
-			addLeg(leg)
+			addLeg(ref, leg)
 		}
 	}
 
@@ -184,7 +197,7 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: serving leg: %w", c, err)
 		}
-		addLeg(leg)
+		addLeg(ref, leg)
 	}
 	return rep, nil
 }
@@ -203,10 +216,14 @@ func mutate(rep *Report, opts Options, obs *Observation) {
 	}
 }
 
-// runDirect executes the case once on a fresh interp.Exec, with exact
-// access profiling (the Exec default).
-func runDirect(c *Case, engine interp.Engine, par int, trace bool) (*Observation, error) {
+// runDirect executes the case once on a fresh interp.Exec: with exact
+// access profiling (Run) when profiled, else through RunUnprofiled, whose
+// observation carries only the profile's aggregate counters.
+func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*Observation, error) {
 	obs := &Observation{Leg: fmt.Sprintf("%s/shards=%d", engine, par)}
+	if !profiled {
+		obs.Leg = fmt.Sprintf("%s-unprofiled/shards=%d", engine, par)
+	}
 	prog, err := clc.Compile(c.Source)
 	if err != nil {
 		return obs, fmt.Errorf("compile: %w", err)
@@ -236,8 +253,13 @@ func runDirect(c *Case, engine interp.Engine, par int, trace bool) (*Observation
 	if err := ex.Launch(c.ND); err != nil {
 		return obs, fmt.Errorf("Launch: %w", err)
 	}
-	obs.Err = ex.Run()
-	obs.Profile = ex.Stats()
+	if profiled {
+		obs.Err = ex.Run()
+		obs.Profile = ex.Stats()
+	} else {
+		obs.Err = ex.RunUnprofiled([]interp.Segment{{Ex: ex, ND: c.ND, Count: c.ND.TotalGroups()}})
+		obs.Profile = countersOnly(ex.Stats())
+	}
 	if sink != nil {
 		obs.Trace = sink.Events
 	}
@@ -251,6 +273,16 @@ func runDirect(c *Case, engine interp.Engine, par int, trace bool) (*Observation
 		})
 	}
 	return obs, nil
+}
+
+// countersOnly is p without its per-site access profile.
+func countersOnly(p *interp.Profile) *interp.Profile {
+	if p == nil {
+		return nil
+	}
+	q := *p
+	q.Sites = nil
+	return &q
 }
 
 // resolveMachines maps machine names to zoo instances; empty or "all"

@@ -204,7 +204,7 @@ func (p *progSpec) clone() *progSpec {
 func droppable(refs map[string]int) func(s *stmt) bool {
 	return func(s *stmt) bool {
 		switch s.kind {
-		case "decl":
+		case "decl", "colwalk":
 			return refs[s.name] == 0
 		case "barrier", "localwr":
 			return false
@@ -455,8 +455,12 @@ func refCounts(p *progSpec) map[string]int {
 	})
 	walkStmtSlices(p, func(ss []*stmt) []*stmt {
 		for _, s := range ss {
-			if s.kind == "store" || s.kind == "atomic" {
+			switch s.kind {
+			case "store", "atomic":
 				refs[s.bufName]++
+			case "colwalk":
+				refs[s.bufName]++
+				refs[s.xBuf]++
 			}
 		}
 		return ss
@@ -536,6 +540,20 @@ func (p *progSpec) shrinkBuffer(name string, newLen int) {
 			e.mask = newLen - 1
 		}
 		return e
+	})
+	walkStmtSlices(p, func(ss []*stmt) []*stmt {
+		for _, s := range ss {
+			if s.kind != "colwalk" {
+				continue
+			}
+			if s.bufName == name {
+				s.aLen = newLen
+			}
+			if s.xBuf == name {
+				s.xLen = newLen
+			}
+		}
+		return ss
 	})
 }
 

@@ -134,16 +134,18 @@ const (
 	opFMATermF32
 
 	// opFMALoopF32 is a fused loop head (see fuseFMALoops): it replaces
-	// the head of a 1-2 instruction loop body of opFMATermF32
-	// accumulations whose back edge is an opIncJCmpI jumping to the
-	// head. The head instruction keeps the first term's imm; norm holds
-	// the body length, and the remaining body instructions stay in place
-	// unmodified, so jumps into the middle of the window still execute
-	// the exact unfused semantics. The executor (runFMALoop) runs the
-	// whole loop with buffer/site state hoisted out of the dispatch loop
-	// and constant-stride classifier runs batched through
+	// the zero-trip guard (an opJCmpI) of a loop whose 1-2 instruction
+	// body of opFMATermF32 accumulations is closed by an opIncJCmpI
+	// jumping back to the body. The head keeps the guard's compare
+	// (norm&15, a, b), count (c) and exit target (imm); norm>>4 holds the
+	// body length, and the body and back edge stay in place unmodified,
+	// so the back edge still executes the exact unfused semantics. The
+	// executor (runFMALoop) runs the guard and the whole loop with
+	// buffer/site state hoisted out of the dispatch loop and
+	// constant-stride classifier runs batched through
 	// access.Classifier.ObserveRun — observably identical, per access,
-	// to the unfused sequence.
+	// to the unfused sequence. A parking run stops a work-item here
+	// instead (park.go).
 	opFMALoopF32
 
 	// Work-item functions. norm is the wi* code; static dim in imm,
@@ -268,8 +270,8 @@ type paramCopy struct {
 // freely across executors and shard workers.
 type bcProgram struct {
 	segments [][]instr
-	numI     int // int register file size (variables + temporaries)
-	numF     int // float register file size
+	numI     int       // int register file size (variables + temporaries)
+	numF     int       // float register file size
 	initI    []int64   // a new int register row's contents (constants preloaded)
 	initF    []float64 // a new float register row's contents
 	paramI   []paramCopy
@@ -277,6 +279,7 @@ type bcProgram struct {
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
 	terms    []fmaTerm // opFMATermF32 operands, indexed by imm
+	parkable bool      // an unprofiled, untraced run may park its work-items (park.go)
 }
 
 // normReg normalizes an integer result (normInt by code).
@@ -409,11 +412,13 @@ func wiQuery(e *env, code uint8, d int) int64 {
 	return int64(e.nd.Dims) // wiWorkDim
 }
 
-// execBC runs one bytecode segment for the current work-item. It returns
-// true when the work-item executed a return statement. Runtime errors
-// (bounds, division by zero) panic with *runtimeError exactly like the
-// closure engine and are recovered at the runGroup boundary.
-func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog *bcProgram) bool {
+// execBC runs one bytecode segment for the current work-item from pc. It
+// returns true when the work-item executed a return statement. Runtime
+// errors (bounds, division by zero) panic with *runtimeError exactly like
+// the closure engine and are recovered at the runGroup boundary. In a
+// parking pass (rs.parking) it stops at the first fused loop head and
+// leaves its pc in rs.parkAt.
+func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float64, prog *bcProgram) bool {
 	stats := e.stats
 	// Loop-invariant env fields: one execBC call runs one work-item, so
 	// the classifier gate, trace sink and linear work-item id are fixed
@@ -438,7 +443,6 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 		stats.Stores += stores
 		stats.StoreBytes += storeB
 	}()
-	pc := 0
 	for pc < len(code) {
 		in := &code[pc]
 		pc++
@@ -693,11 +697,15 @@ func (rs *runState) execBC(code []instr, e *env, ir []int64, fr []float64, prog 
 			}
 
 		case opFMALoopF32:
-			// Fused loop: the whole 1-2 term body plus the opIncJCmpI
-			// back edge runs in runFMALoop with buffers, site state, and
-			// classifier runs hoisted out of the dispatch loop. Counter
-			// deltas merge into the batched locals so the deferred flush
-			// keeps trap-time totals exact.
+			// Fused loop: the guard, the whole 1-2 term body and the
+			// opIncJCmpI back edge run in runFMALoop with buffers, site
+			// state, and classifier runs hoisted out of the dispatch loop.
+			// Counter deltas merge into the batched locals so the deferred
+			// flush keeps trap-time totals exact.
+			if rs.parking {
+				rs.parkAt = pc - 1
+				return false
+			}
 			exitPC, c, trap := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
 			aluI += c.aluI
 			aluF += c.aluF
@@ -1022,6 +1030,10 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 	baseWI := int64(linear) * int64(wgSize)
 
 	rs.stats.GroupsRun++
+	if rs.parks {
+		rs.runGroupParked(coords, baseWI, wgSize)
+		return nil
+	}
 	for segIdx, seg := range prog.segments {
 		lin := 0
 		for l2v := 0; l2v < nd.Local[2]; l2v++ {
@@ -1060,7 +1072,7 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 						int64(nd.Offset[2]) + e.grp[2]*int64(nd.Local[2]) + e.lid[2],
 					}
 					e.wi = baseWI + int64(lin)
-					if rs.execBC(seg, e, ir, fr, prog) {
+					if rs.execBC(seg, 0, e, ir, fr, prog) {
 						rs.doneScratch[lin] = true
 					}
 					lin++

@@ -98,9 +98,11 @@ type Exec struct {
 
 	// shardPin is the launch's work-group-independence verdict, resolved
 	// on first use (shardPinReason): an Exec that only ever runs as the
-	// secondary of someone else's plan never needs one.
-	shardPin         string
-	shardPinResolved bool
+	// secondary of someone else's plan never needs one. itemPin is the
+	// work-item-level verdict a parking run needs (parks), resolved with
+	// it for a parkable program.
+	shardPin, itemPin string
+	shardPinResolved  bool
 
 	seq     *runState   // shard-0 / sequential execution state
 	workers []*runState // extra shard workers, grown lazily
@@ -311,8 +313,26 @@ func (ex *Exec) resolveEngine() {
 // Run/RunGroupSpan, sharded sampled profiling, and the scheduler's
 // sharded co-execution plan.
 func (ex *Exec) shardPinReason() string {
+	ex.resolvePins()
+	return ex.shardPin
+}
+
+// parks reports whether an unprofiled, untraced run of the current launch
+// parks its work-items at their column walks (park.go): the lowered
+// program is parkable and the launch is work-item independent.
+func (ex *Exec) parks() bool {
+	if ex.prog == nil || !ex.prog.parkable {
+		return false
+	}
+	ex.resolvePins()
+	return ex.itemPin == ""
+}
+
+// resolvePins evaluates the independence predicate for the current
+// binding and launch at both levels, once per Launch.
+func (ex *Exec) resolvePins() {
 	if ex.shardPinResolved {
-		return ex.shardPin
+		return
 	}
 	lf := analysis.LaunchFacts{
 		Scalars:   make([]int64, len(ex.args)),
@@ -334,8 +354,11 @@ func (ex *Exec) shardPinReason() string {
 			}
 		}
 	}
-	ex.shardPin, ex.shardPinResolved = analysis.WorkGroupIndependence(ex.kernel).OrderSensitive(lf), true
-	return ex.shardPin
+	in := analysis.WorkGroupIndependence(ex.kernel)
+	ex.shardPin, ex.itemPin, ex.shardPinResolved = in.OrderSensitive(lf), "", true
+	if ex.prog != nil && ex.prog.parkable {
+		ex.itemPin = in.ItemOrderSensitive(lf)
+	}
 }
 
 // ShardPinned reports why the current launch executes its work-groups in
@@ -357,9 +380,18 @@ func (ex *Exec) seqState(profiled bool) *runState {
 	if ex.seq == nil {
 		ex.seq = &runState{ex: ex}
 	}
-	ex.seq.profiled = profiled
+	ex.seq.claim(profiled)
 	ex.seq.prepare(ex.stats, ex.Sink)
 	return ex.seq
+}
+
+// claim sets up the state for the run it is claimed for: the classifier
+// gate, and whether the run's groups park (an unprofiled, untraced run of
+// a launch that parks). It runs on the caller's goroutine, so the
+// launch's verdicts resolve there.
+func (rs *runState) claim(profiled bool) {
+	rs.profiled = profiled
+	rs.parks = !profiled && rs.ex.Sink == nil && rs.ex.parks()
 }
 
 // Run executes every work-group of the launched ND range, splitting the
@@ -454,8 +486,18 @@ type runState struct {
 
 	// affineLoops counts the fused loops runFMALoopAffine served. Both
 	// ways of running such a loop are bit-identical in every result, so
-	// this is the only place a test can see which one ran.
-	affineLoops int64
+	// this is the only place a test can see which one ran. parked counts
+	// the work-items that parked at a column walk (park.go), for the same
+	// reason.
+	affineLoops, parked int64
+
+	// parks says the groups of the run the state is claimed for park their
+	// work-items at their column walks (see claim). parking is set while
+	// one work-item runs its park pass, and parkAt is where it stopped.
+	// items holds the group's parked work-items.
+	parks, parking bool
+	parkAt         int
+	items          []parkedItem
 }
 
 // prepare sizes the scratch for the executor's current launch and points
@@ -497,6 +539,9 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 			rs.irScratch[i] = append([]int64(nil), prog.initI...)
 			rs.frScratch[i] = append([]float64(nil), prog.initF...)
 		}
+	}
+	if rs.parks && len(rs.items) < wgSize {
+		rs.items = make([]parkedItem, wgSize)
 	}
 	rs.stats = stats
 	rs.env.stats = stats

@@ -17,6 +17,24 @@ func AffineLoops(ex *Exec) int64 {
 	return n
 }
 
+// ParkedItems is the number of work-items that parked at a column walk
+// (park.go) on ex, summed like AffineLoops. Parking changes no result
+// either, so this is how a test sees it happen.
+func ParkedItems(ex *Exec) int64 {
+	var n int64
+	if ex.seq != nil {
+		n += ex.seq.parked
+	}
+	for _, w := range ex.workers {
+		n += w.parked
+	}
+	return n
+}
+
+// Parks reports whether an unprofiled, untraced run of ex's current
+// launch parks its work-items at their column walks.
+func Parks(ex *Exec) bool { return ex.parks() }
+
 // FusedHeads counts the fused loop heads of ex's lowered program; it is 0
 // when ex runs on the closure engine.
 func FusedHeads(ex *Exec) int { return opCount(ex, opFMALoopF32) }

@@ -17,9 +17,12 @@ import (
 // the geometry the relaunch benchmark runs them (1-D 1024, 2-D 256, SpMV
 // 512, work-groups of 64). A change to the lowering or the fusion rule
 // that moves a kernel in or out of the fused loop shows up here as a
-// reviewed diff. It also holds that an untraced, unprofiled run of every
+// reviewed diff. Its parks columns say whether an unprofiled, untraced
+// run of the kernel and of its malleable form parks its work-items at
+// their column walks (park.go). It also holds that such a run of every
 // reduction kernel — the managed launch's functional run — is served by
-// the closed form rather than the per-iteration loop.
+// the closed form rather than the per-iteration loop, and that it parks
+// exactly when the table says so.
 func TestFusedLoopGolden(t *testing.T) {
 	const golden = "testdata/fused_loops.golden"
 	closedForm := map[string]bool{
@@ -27,7 +30,7 @@ func TestFusedLoopGolden(t *testing.T) {
 		"GESUMMV": true, "MVT1": true, "MVT2": true, "SYR2K": true,
 	}
 	var b strings.Builder
-	b.WriteString("# kernel fused_heads malleable_fused_heads\n")
+	b.WriteString("# kernel fused_heads malleable_fused_heads parks malleable_parks\n")
 	for _, d := range workloads.RealDescs() {
 		n := 1024
 		switch {
@@ -55,7 +58,8 @@ func TestFusedLoopGolden(t *testing.T) {
 		ex := launched(t, k, inst.Args, inst.ND)
 		margs := append(append([]interp.Arg(nil), inst.Args...), interp.IntArg(8), interp.IntArg(8))
 		mex := launched(t, mall.Kernel, margs, inst.ND)
-		fmt.Fprintf(&b, "%s %d %d\n", d.Name, interp.FusedHeads(ex), interp.FusedHeads(mex))
+		parks := interp.Parks(ex)
+		fmt.Fprintf(&b, "%s %d %d %t %t\n", d.Name, interp.FusedHeads(ex), interp.FusedHeads(mex), parks, interp.Parks(mex))
 
 		if closedForm[d.Name] {
 			seg := []interp.Segment{{Ex: ex, ND: inst.ND, Count: inst.ND.TotalGroups()}}
@@ -64,6 +68,9 @@ func TestFusedLoopGolden(t *testing.T) {
 			}
 			if interp.AffineLoops(ex) == 0 {
 				t.Errorf("%s: no loop of an untraced unprofiled run took the closed form", d.Name)
+			}
+			if parked := interp.ParkedItems(ex); (parked != 0) != parks {
+				t.Errorf("%s: %d work-items parked, want parking %t", d.Name, parked, parks)
 			}
 		}
 	}

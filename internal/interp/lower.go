@@ -435,6 +435,7 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 		}
 	}
 	fuseFMALoops(p)
+	p.parkable = parkable(p)
 	return p, nil
 }
 

@@ -332,7 +332,8 @@ func (ex *Exec) shardState(shard int, id uint64, primary *Exec, profiled bool) *
 		return rs
 	}
 	rs.runID = id
-	rs.abort, rs.profiled = &primary.abort, profiled
+	rs.abort = &primary.abort
+	rs.claim(profiled)
 	if shard == 0 {
 		rs.prepare(ex.stats, ex.Sink)
 		rs.readyID = id

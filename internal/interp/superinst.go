@@ -5,10 +5,14 @@ package interp
 // operands sit in the program's term table (fmaTerm). A lowering peephole
 // (fuseFMALoops) rewrites the head of a loop whose whole body is one or
 // two terms into opFMALoopF32, and runFMALoop then executes the loop
-// outside the dispatch switch. Only the head instruction's opcode is
-// rewritten; the interior of the window stays in place, so a jump into
-// the middle of a fused window executes the exact unfused semantics and
-// the fused executor reads the body from the unchanged instructions.
+// outside the dispatch switch. The head is the loop's zero-trip guard —
+// the compare-and-branch in front of the body that skips a loop whose
+// condition fails on entry — which keeps its compare, count and exit
+// target and so runs the whole loop, the guard included. Only the head
+// instruction's opcode and norm are rewritten; the body and the back edge
+// stay in place, so the back edge's jump into the window executes the
+// exact unfused semantics and the fused executor reads the body from the
+// unchanged instructions.
 //
 // Both ways of running the loop carry each accumulator as a float32 for
 // the whole trip. The closure engine widens the sum to float64 after
@@ -96,28 +100,61 @@ func fmaProduct(scaled bool, s float64, a, x float32) float32 {
 
 // fuseFMALoops fuses every loop of a lowered program whose body is one
 // or two opFMATermF32 instructions closed by an opIncJCmpI whose back
-// edge targets the head. The head's norm holds the body length.
+// edge targets the body's first instruction, and which is entered through
+// its zero-trip guard. The guard becomes the head; its norm keeps the
+// compare code in the low four bits and takes the body length above them.
 func fuseFMALoops(p *bcProgram) {
 	for _, code := range p.segments {
 		for pc := range code {
-			if code[pc].op != opIncJCmpI {
+			inc := &code[pc]
+			if inc.op != opIncJCmpI {
 				continue
 			}
-			head := int(code[pc].imm)
-			n := pc - head
-			if head < 0 || n < 1 || n > 2 {
+			first := int(inc.imm)
+			n := pc - first
+			if first < 1 || n < 1 || n > 2 {
 				continue
 			}
-			body := code[head:pc]
-			if slices.ContainsFunc(body, func(in instr) bool {
+			g := &code[first-1]
+			body := code[first:pc]
+			if !loopGuard(g, inc, pc+1) || slices.ContainsFunc(body, func(in instr) bool {
 				return in.op != opFMATermF32
 			}) || !fmaLoopFusible(p.terms, body) {
 				continue
 			}
-			code[head].op = opFMALoopF32
-			code[head].norm = uint8(n)
+			g.op = opFMALoopF32
+			g.norm |= uint8(n) << 4
 		}
 	}
+}
+
+// loopGuard reports whether g is the zero-trip guard of the loop closed by
+// the back edge inc: an opJCmpI that leaves for exit when the back edge's
+// compare fails on entry.
+func loopGuard(g, inc *instr, exit int) bool {
+	return g.op == opJCmpI && g.a == inc.a && g.b == inc.b && g.norm == inc.norm&0xf && g.imm == int64(exit)
+}
+
+// fmaHead is a fused loop head decoded: its body length, and the pcs of
+// the first term and of the back edge.
+func fmaHead(code []instr, head int) (n, first, back int) {
+	n = int(code[head].norm >> 4)
+	return n, head + 1, head + 1 + n
+}
+
+// colWalkHead reports whether the fused head at code[head] is a column
+// walk: one unscaled term whose A index has the induction as a
+// multiplicand (A[j*N + i]) and whose X index is the induction itself,
+// advancing by 1. ATAX2, BICG1 and MVT2 are column walks.
+func colWalkHead(code []instr, head int, terms []fmaTerm) bool {
+	n, first, back := fmaHead(code, head)
+	if n != 1 {
+		return false
+	}
+	t, inc := &terms[code[first].imm], &code[back]
+	j := inc.dst
+	return !t.scaled && t.a.ma && (t.a.r0 == j) != (t.a.r1 == j) && t.a.r2 != j &&
+		!t.x.ma && t.x.r0 == j && inc.c == 1
 }
 
 // fmaLoopFusible checks the safety conditions the fused-loop executor
@@ -400,12 +437,73 @@ func affFlush(st *siteState, base int64, ai affIdx, trips, wi int64) {
 func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 	ir []int64, fr []float64, classify bool, wi int64,
 ) (cnt fmaLoopCounters, ok bool) {
+	lt, ok := tripCount(inc, ir)
+	if !ok {
+		return cnt, false
+	}
+	incDst, step, trips := inc.dst, int64(inc.c), lt.trips
+	if !f1.resolve(ir, incDst, lt.j0, lt.jLast, step) || two && !f2.resolve(ir, incDst, lt.j0, lt.jLast, step) {
+		return cnt, false
+	}
+
+	switch {
+	case !two:
+		fr[f1.acc] = float64(dotOne(float32(fr[f1.acc]), f1, trips))
+	case f1.acc == f2.acc:
+		fr[f1.acc] = float64(dotShared(float32(fr[f1.acc]), f1, f2, trips))
+	default:
+		acc1, acc2 := dotPair(float32(fr[f1.acc]), float32(fr[f2.acc]), f1, f2, trips)
+		fr[f1.acc], fr[f2.acc] = float64(acc1), float64(acc2)
+	}
+	ir[incDst] = lt.jEnd
+
+	cnt = f1.tripCounters(trips, true)
+	if classify {
+		affFlush(f1.trkA.st, f1.baseA, f1.pa, trips, wi)
+		affFlush(f1.trkX.st, f1.baseX, f1.px, trips, wi)
+	}
+	if two {
+		c2 := f2.tripCounters(trips, false)
+		cnt.aluI += c2.aluI
+		cnt.aluF += c2.aluF
+		cnt.loads += c2.loads
+		cnt.loadB += c2.loadB
+		if classify {
+			affFlush(f2.trkA.st, f2.baseA, f2.pa, trips, wi)
+			affFlush(f2.trkX.st, f2.baseX, f2.px, trips, wi)
+		}
+	}
+	return cnt, true
+}
+
+// tripCounters are the statistics of trips iterations of one term, with
+// the back edge's two integer operations per iteration when backEdge.
+func (t *fmaTerm) tripCounters(trips int64, backEdge bool) fmaLoopCounters {
+	aluI := t.a.aluI() + t.x.aluI()
+	if backEdge {
+		aluI += 2
+	}
+	return fmaLoopCounters{aluI: aluI * trips, aluF: t.aluF() * trips, loads: 2 * trips, loadB: 8 * trips}
+}
+
+// loopTrip is a fused loop's trip in closed form: the induction's value
+// on entry, in the last iteration and at the exit, and the iteration
+// count.
+type loopTrip struct {
+	j0, jLast, jEnd, trips int64
+}
+
+// tripCount computes the trip of the fused loop closed by the back edge
+// inc, entered (its guard holding) with the registers ir: the compare is
+// signed against a loop-invariant bound and the induction does not
+// truncate. ok is false when the trip cannot be computed up front.
+func tripCount(inc *instr, ir []int64) (lt loopTrip, ok bool) {
 	incDst := inc.dst
 	incNorm := inc.norm >> 4
 	code := inc.norm & 0xf
 	step := int64(inc.c)
 	if step == 0 || code&cmpU != 0 || (incNorm != normNone && incNorm != normI32) {
-		return cnt, false
+		return lt, false
 	}
 
 	// Exactly one compare operand must be the induction register; the
@@ -428,11 +526,11 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 			code = cmpLe
 		}
 	default:
-		return cnt, false
+		return lt, false
 	}
 	j0 := ir[incDst]
 	if !fits32(j0) || !fits32(bound) || !fits32(step) {
-		return cnt, false
+		return lt, false
 	}
 
 	// Closed-form do-while trip count: the body runs once, then once
@@ -448,7 +546,7 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 	case step < 0 && code == cmpGe:
 		num = j0 - bound
 	default:
-		return cnt, false
+		return lt, false
 	}
 	trips := int64(1)
 	if num >= 0 {
@@ -463,41 +561,9 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 	jLast := j0 + (trips-1)*step
 	jEnd := jLast + step
 	if incNorm == normI32 && !fits32(jEnd) {
-		return cnt, false // the general loop's truncation would wrap
+		return lt, false // the general loop's truncation would wrap
 	}
-	if !f1.resolve(ir, incDst, j0, jLast, step) || two && !f2.resolve(ir, incDst, j0, jLast, step) {
-		return cnt, false
-	}
-
-	switch {
-	case !two:
-		fr[f1.acc] = float64(dotOne(float32(fr[f1.acc]), f1, trips))
-	case f1.acc == f2.acc:
-		fr[f1.acc] = float64(dotShared(float32(fr[f1.acc]), f1, f2, trips))
-	default:
-		acc1, acc2 := dotPair(float32(fr[f1.acc]), float32(fr[f2.acc]), f1, f2, trips)
-		fr[f1.acc], fr[f2.acc] = float64(acc1), float64(acc2)
-	}
-	ir[incDst] = jEnd
-
-	cnt.aluF = f1.aluF() * trips
-	cnt.aluI = (2 + f1.a.aluI() + f1.x.aluI()) * trips // 2: the back edge
-	cnt.loads = 2 * trips
-	if classify {
-		affFlush(f1.trkA.st, f1.baseA, f1.pa, trips, wi)
-		affFlush(f1.trkX.st, f1.baseX, f1.px, trips, wi)
-	}
-	if two {
-		cnt.aluF += f2.aluF() * trips
-		cnt.aluI += (f2.a.aluI() + f2.x.aluI()) * trips
-		cnt.loads += 2 * trips
-		if classify {
-			affFlush(f2.trkA.st, f2.baseA, f2.pa, trips, wi)
-			affFlush(f2.trkX.st, f2.baseX, f2.px, trips, wi)
-		}
-	}
-	cnt.loadB = 4 * cnt.loads
-	return cnt, true
+	return loopTrip{j0: j0, jLast: jLast, jEnd: jEnd, trips: trips}, true
 }
 
 // The closed form's loops. Each keeps its accumulators in float32
@@ -563,6 +629,33 @@ func dotCol(acc float32, a []float32, ia, da int64, x []float32) float32 {
 	return acc
 }
 
+// blockW is the number of adjacent column walks a blocked pass runs
+// together (park.go): eight float32 accumulators fit the registers, and
+// eight columns span 32 bytes of one row.
+const blockW = 8
+
+// dotCol8 runs blockW column walks over the adjacent columns ia, ia+1,
+// ..., ia+blockW-1 of a against one vector x, row by row, so each step
+// reads one stretch of a row instead of blockW rows far apart. Every
+// accumulator takes its products in dotCol's order, so each result is
+// bit-identical to that column's own walk.
+func dotCol8(acc *[blockW]float32, a []float32, ia, da int64, x []float32) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	for _, xv := range x {
+		r := (*[blockW]float32)(a[ia : ia+blockW])
+		a0 += float32(r[0] * xv)
+		a1 += float32(r[1] * xv)
+		a2 += float32(r[2] * xv)
+		a3 += float32(r[3] * xv)
+		a4 += float32(r[4] * xv)
+		a5 += float32(r[5] * xv)
+		a6 += float32(r[6] * xv)
+		a7 += float32(r[7] * xv)
+		ia += da
+	}
+	*acc = [blockW]float32{a0, a1, a2, a3, a4, a5, a6, a7}
+}
+
 func dotRowPair(acc1, acc2 float32, a1, x1, a2, x2 []float32) (float32, float32) {
 	a1, a2, x2 = a1[:len(x1)], a2[:len(x1)], x2[:len(x1)]
 	for i, xv := range x1 {
@@ -603,30 +696,36 @@ func dotStrided(acc1, acc2 float32, f1, f2 *fmaOperand, shared bool, trips int64
 }
 
 // runFMALoop executes a fused FMA loop (opFMALoopF32 head at pc `head`)
-// for one work-item. It returns the pc after the loop, the statistic
-// deltas to merge into the caller's batched counters, and a non-nil
-// trap when a bounds check fails — with all pending classifier runs
-// flushed first, so the stats at the trap are exactly the per-access
-// sequence's.
+// for one work-item, its zero-trip guard first. It returns the pc after
+// the loop, the statistic deltas to merge into the caller's batched
+// counters, and a non-nil trap when a bounds check fails — with all
+// pending classifier runs flushed first, so the stats at the trap are
+// exactly the per-access sequence's.
 func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
 	bufs []*Buffer, sites []siteState, classify bool, sink TraceSink, wi int64,
 ) (exitPC int, cnt fmaLoopCounters, trap *fmaLoopTrap) {
+	g := &code[head]
+	exitPC = int(g.imm)
+	cnt.aluI = int64(g.c)
+	if !cmpIRegs(g.norm&0xf, ir[g.a], ir[g.b]) {
+		return exitPC, cnt, nil
+	}
 	terms := rs.ex.prog.terms
-	n := int(code[head].norm)
+	n, first, back := fmaHead(code, head)
 	two := n == 2
-	f1 := decodeTerm(&code[head], terms, fr, bufs, sites)
+	f1 := decodeTerm(&code[first], terms, fr, bufs, sites)
 	var f2 fmaOperand
 	if two {
-		f2 = decodeTerm(&code[head+1], terms, fr, bufs, sites)
+		f2 = decodeTerm(&code[first+1], terms, fr, bufs, sites)
 	}
-	inc := &code[head+n]
-	exitPC = head + n + 1
+	inc := &code[back]
 
 	// Traces need the interleaved per-access event stream, so the
 	// analytic path only serves untraced runs.
 	if sink == nil {
 		if c, ok := rs.runFMALoopAffine(&f1, &f2, two, inc, ir, fr, classify, wi); ok {
 			rs.affineLoops++
+			c.aluI += cnt.aluI
 			return exitPC, c, nil
 		}
 	}

@@ -239,9 +239,12 @@ __kernel void syr2k(__global float* A, __global float* B,
 // is the fused FMA loop, one sub-benchmark per shape the closed form
 // distinguishes: a 128x128 matrix-vector row walk (A[i*N + j]) and
 // column walk (A[j*N + i]), GESUMMV's two accumulators, and a 64x64
-// SYR2K, whose two scaled terms share one accumulator.
+// SYR2K, whose two scaled terms share one accumulator. column-unprofiled
+// is the managed launch's functional run of ATAX2's shape: an unprofiled
+// 1024x1024 column walk in work-groups of 256 on every core, whose
+// work-items park and walk their columns in blocks (park.go).
 func BenchmarkFusedLoop(b *testing.B) {
-	const n, sn = 128, 64
+	const n, sn, ln = 128, 64, 1024
 	A, B, C := NewFloatBuffer(n*n), NewFloatBuffer(n*n), NewFloatBuffer(sn*sn)
 	x, y := NewFloatBuffer(n), NewFloatBuffer(n)
 	matVec := []Arg{BufArg(A), BufArg(x), BufArg(y), IntArg(n), IntArg(n)}
@@ -249,13 +252,16 @@ func BenchmarkFusedLoop(b *testing.B) {
 		name, src, kernel string
 		args              []Arg
 		nd                NDRange
+		unprofiled        bool
 	}{
-		{"row", colKernel("int j = 0; j < M; j++", "i * N + j"), "col", matVec, ND1(n, 64)},
-		{"column", colSrc, "col", matVec, ND1(n, 64)},
+		{"row", colKernel("int j = 0; j < M; j++", "i * N + j"), "col", matVec, ND1(n, 64), false},
+		{"column", colSrc, "col", matVec, ND1(n, 64), false},
+		{"column-unprofiled", colSrc, "col", []Arg{BufArg(filledF32(ln * ln)), BufArg(filledF32(ln)),
+			BufArg(NewFloatBuffer(ln)), IntArg(ln), IntArg(ln)}, ND1(ln, 256), true},
 		{"gesummv", gesummvSrc, "gesummv",
-			[]Arg{BufArg(A), BufArg(B), BufArg(x), BufArg(y), FloatArg(1.5), FloatArg(0.5), IntArg(n)}, ND1(n, 64)},
+			[]Arg{BufArg(A), BufArg(B), BufArg(x), BufArg(y), FloatArg(1.5), FloatArg(0.5), IntArg(n)}, ND1(n, 64), false},
 		{"syr2k", syr2kSrc, "syr2k",
-			[]Arg{BufArg(A), BufArg(B), BufArg(C), FloatArg(1.1), FloatArg(0.9), IntArg(sn)}, ND2(sn, sn, 8, 8)},
+			[]Arg{BufArg(A), BufArg(B), BufArg(C), FloatArg(1.1), FloatArg(0.9), IntArg(sn)}, ND2(sn, sn, 8, 8), false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			prog, err := clc.Compile(c.src)
@@ -266,7 +272,9 @@ func BenchmarkFusedLoop(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ex.Parallelism = Sequential
+			if !c.unprofiled {
+				ex.Parallelism = Sequential
+			}
 			if err := ex.Bind(c.args...); err != nil {
 				b.Fatal(err)
 			}
@@ -276,13 +284,32 @@ func BenchmarkFusedLoop(b *testing.B) {
 			if fused, ops := fusedHeads(b, ex); fused == 0 {
 				b.Fatalf("lowered without a fused FMA loop (opcodes:%s)", ops)
 			}
+			run := ex.Run
+			if c.unprofiled {
+				seg := []Segment{{Ex: ex, ND: c.nd, Count: c.nd.TotalGroups()}}
+				run = func() error { return ex.RunUnprofiled(seg) }
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ex.ResetStats()
-				if err := ex.Run(); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			if c.unprofiled && ParkedItems(ex) == 0 {
+				b.Fatal("no work-item of the unprofiled column walk parked")
+			}
 		})
 	}
+}
+
+// filledF32 is an n-element buffer of small nonzero values: a buffer left
+// zero may be backed by one shared page, which would keep a walk over it
+// in cache.
+func filledF32(n int) *Buffer {
+	b := NewFloatBuffer(n)
+	for i := range b.F32 {
+		b.F32[i] = float32(i%13)*0.25 - 1.5
+	}
+	return b
 }
