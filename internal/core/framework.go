@@ -202,18 +202,17 @@ func predictOne(m ml.Model, x ml.Features) (v float64, err error) {
 // degrades to the ALL configuration with ModelDiscarded set, and Decide
 // never fails.
 func (f *Framework) Decide(res *analysis.Result, nd interp.NDRange) Decision {
-	dec, _, _ := f.decide(res, nd)
+	dec, _ := f.decide(res, nd)
 	return dec
 }
 
-// decide is Decide plus the launch's configuration-independent features
-// and the cause of a model discard (nil when the model was used or
-// absent).
-func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, ml.Features, error) {
-	base := BaseFeatures(res, nd)
+// decide is Decide plus the cause of a model discard (nil when the model
+// was used or absent).
+func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, error) {
 	if f.Model == nil {
-		return Decision{Config: f.Machine.AllResources()}, base, nil
+		return Decision{Config: f.Machine.AllResources()}, nil
 	}
+	base := BaseFeatures(res, nd)
 	start := time.Now()
 	var best sim.Config
 	bestV := 0.0
@@ -228,7 +227,7 @@ func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, m
 				InferTime:      time.Since(start),
 				Evaluated:      n,
 				ModelDiscarded: true,
-			}, base, err
+			}, err
 		}
 		n++
 		if n == 1 || v > bestV {
@@ -240,7 +239,7 @@ func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, m
 		Predicted: bestV,
 		InferTime: time.Since(start),
 		Evaluated: n,
-	}, base, nil
+	}, nil
 }
 
 // Execution is the result of one Dopia-managed kernel execution.
@@ -309,7 +308,7 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		return nil, err
 	}
 	dec := Decision{Config: f.Machine.AllResources()}
-	var base ml.Features
+	var km *sim.KernelModel
 	lrn, tenant := f.Learner, TenantFrom(ctx)
 	if tenant == "" {
 		lrn = nil // an untagged launch has no tenant whose state could ever be forgotten
@@ -318,17 +317,25 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		lrn = nil // rung 2 makes no decision to advise or learn from
 	} else {
 		var decErr error
-		dec, base, decErr = f.decide(res, nd)
+		dec, decErr = f.decide(res, nd)
 		if decErr != nil {
 			f.Stats.RecordModelDiscard(decErr)
 		}
-		if lrn != nil && !dec.ModelDiscarded {
-			// The advice changes only which DoP executes — functional
-			// results are configuration-invariant, so it can never change
-			// bytes. Its cost is part of the decision's.
-			start, inferTime := time.Now(), dec.InferTime
-			dec = lrn.advise(tenant, k.Name, base, dec)
-			dec.InferTime = inferTime + time.Since(start)
+		if lrn != nil {
+			// The learner keys on the launch's kernel model, which the run
+			// below needs anyway: build it first, outside the decision's
+			// cost.
+			if km, err = ex.Model(); err != nil {
+				return nil, faults.Wrap(faults.StageExec, err)
+			}
+			if !dec.ModelDiscarded {
+				// The advice changes only which DoP executes — functional
+				// results are configuration-invariant, so it can never
+				// change bytes. Its cost is part of the decision's.
+				start, inferTime := time.Now(), dec.InferTime
+				dec = lrn.advise(tenant, km, dec)
+				dec.InferTime = inferTime + time.Since(start)
+			}
 		}
 	}
 	dec.Sched = f.Dist.String()
@@ -348,7 +355,7 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		// tenant's next launch sees it. A memo miss re-simulates every
 		// configuration on this executor's kernel model, timing only; the
 		// sweep is not part of the decision's cost.
-		lrn.observe(tenant, k.Name, base, func() ([]*sim.Result, error) {
+		lrn.observe(tenant, km, func() ([]*sim.Result, error) {
 			return ex.RunConfigs(f.Machine.Configs(), sched.RunOptions{Dist: f.Dist})
 		})
 	}

@@ -7,11 +7,13 @@ package core
 // tenant's managed launch runs, its signature's oracle sweep (one
 // timing-only simulation of every DoP configuration) is memoized, and the
 // tenant's next launch of a signature it launched recently executes the
-// memoized argmax. An ε-greedy exploration layer spends a per-tenant
-// regret budget charged against the memoized sweep.
+// memoized argmax. A launch's signature is its kernel model (modelKey).
+// An ε-greedy exploration layer spends a per-tenant regret budget charged
+// against the memoized sweep.
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -19,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"dopia/internal/lru"
-	"dopia/internal/ml"
 	"dopia/internal/sim"
 )
 
@@ -45,13 +46,45 @@ const (
 // tenants' recent signatures. A row is 44 float64s.
 const OracleRowCap = 8 * tenantSigs
 
-// sig identifies one launch signature: the kernel plus the
-// configuration-independent feature vector (code features + geometry).
-// Two launches with equal signatures have identical DoP timing rows, so
-// the oracle memo and each tenant's recent signatures are keyed by it.
-type sig struct {
-	Kernel string
-	Base   ml.Features
+// modelKey is the signature of a launch whose kernel model is km: every
+// field of the model, each float by its bits, in an encoding that can be
+// read back unambiguously. A row depends on nothing else — each entry is
+// sim.Simulate(machine, km, cfg, dist) — so launches with equal
+// signatures have identical rows by construction, and, with no hash, two
+// different models never share one.
+func modelKey(km *sim.KernelModel) string {
+	k := make([]byte, 0, 64+48*len(km.Sites))
+	i := func(v int64) { k = binary.AppendVarint(k, v) }
+	f := func(v float64) { k = binary.AppendUvarint(k, math.Float64bits(v)) }
+	b := func(v bool) {
+		if v {
+			k = append(k, 1)
+		} else {
+			k = append(k, 0)
+		}
+	}
+	i(int64(len(km.Name)))
+	k = append(k, km.Name...)
+	i(int64(km.WorkDim))
+	i(int64(km.NumWGs))
+	i(int64(km.WGSize))
+	i(int64(km.GroupsPerRow))
+	f(km.AluIntPerWG)
+	f(km.AluFloatPerWG)
+	for _, st := range km.Sites {
+		i(int64(st.Site))
+		b(st.Write)
+		i(st.ElemSize)
+		f(st.AccPerWG)
+		i(int64(st.Iter))
+		i(st.IterStride)
+		i(int64(st.Lane))
+		i(st.LaneStride)
+		f(st.BufBytes)
+		f(st.DistinctPerWI)
+		b(st.SharedAcrossWI)
+	}
+	return string(k)
 }
 
 // oracleRow is the memoized ground-truth sweep of one signature: the
@@ -72,7 +105,7 @@ func (r *oracleRow) regretOf(i int) float64 { return (r.times[i] - r.bestTime) /
 // tenantState is the learner's view of one tenant. sigs is safe for
 // concurrent use on its own; everything else is guarded by mu.
 type tenantState struct {
-	sigs *lru.Cache[sig, struct{}] // the tenantSigs most recently launched signatures
+	sigs *lru.Cache[string, struct{}] // the tenantSigs most recently launched signatures
 
 	mu       sync.Mutex
 	regret   float64 // cumulative exploration regret spent
@@ -93,7 +126,7 @@ type Learner struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantState
 
-	rows *lru.Cache[sig, *oracleRow]
+	rows *lru.Cache[string, *oracleRow]
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -111,20 +144,21 @@ func NewLearner(machine *sim.Machine) *Learner {
 	return &Learner{
 		cfgs:    machine.Configs(),
 		tenants: map[string]*tenantState{},
-		rows:    lru.New[sig, *oracleRow](OracleRowCap, nil),
+		rows:    lru.New[string, *oracleRow](OracleRowCap, nil),
 		rng:     rand.New(rand.NewSource(learnerSeed)),
 	}
 }
 
 // advise returns the decision to execute for a managed launch whose
-// model decision is dec. A launch whose signature the tenant launched
+// kernel model is km and whose model decision is dec. A launch whose
+// signature the tenant launched
 // recently, and whose oracle row the memo holds, is answered with the
 // row's argmax (Learned). Then the ε-greedy bandit may explore: a launch
 // is eligible only when its signature has a memoized row (so the regret
 // charge is exact, never estimated) and the tenant has regret budget
 // left. The charge is applied at decision time.
-func (l *Learner) advise(tenant, kernel string, base ml.Features, dec Decision) Decision {
-	sg := sig{Kernel: kernel, Base: base}
+func (l *Learner) advise(tenant string, km *sim.KernelModel, dec Decision) Decision {
+	sg := modelKey(km)
 	row, ok := l.rows.Get(sg)
 	if !ok {
 		return dec
@@ -160,21 +194,21 @@ func (l *Learner) advise(tenant, kernel string, base ml.Features, dec Decision) 
 	return dec
 }
 
-// observe makes a completed launch's signature its tenant's most
-// recently launched. On a memo miss it first runs sweep, which returns
-// the simulated result of every configuration in Machine.Configs()
-// order, and memoizes the row; a failed sweep leaves the tenant as it
-// was.
-func (l *Learner) observe(tenant, kernel string, base ml.Features, sweep func() ([]*sim.Result, error)) {
+// observe makes a completed launch's signature, its kernel model km, its
+// tenant's most recently launched. On a memo miss it first runs sweep,
+// which returns the simulated result of every configuration in
+// Machine.Configs() order, and memoizes the row; a failed sweep leaves
+// the tenant as it was.
+func (l *Learner) observe(tenant string, km *sim.KernelModel, sweep func() ([]*sim.Result, error)) {
 	l.ingested.Add(1)
-	sg := sig{Kernel: kernel, Base: base}
+	sg := modelKey(km)
 	if l.oracleRow(sg, sweep) == nil {
 		return
 	}
 	l.mu.Lock()
 	ts := l.tenants[tenant]
 	if ts == nil {
-		ts = &tenantState{sigs: lru.New[sig, struct{}](tenantSigs, nil)}
+		ts = &tenantState{sigs: lru.New[string, struct{}](tenantSigs, nil)}
 		l.tenants[tenant] = ts
 	}
 	l.mu.Unlock()
@@ -187,7 +221,7 @@ func (l *Learner) observe(tenant, kernel string, base ml.Features, sweep func() 
 // oracleRow returns the memoized sweep of a signature, running (and
 // memoizing) sweep when the memo does not hold it. Two tenants missing
 // one signature at once may both sweep it; the rows are equal.
-func (l *Learner) oracleRow(sg sig, sweep func() ([]*sim.Result, error)) *oracleRow {
+func (l *Learner) oracleRow(sg string, sweep func() ([]*sim.Result, error)) *oracleRow {
 	if row, ok := l.rows.Get(sg); ok {
 		return row
 	}
@@ -250,16 +284,11 @@ type LearnerStatus struct {
 }
 
 // Status snapshots the learner. Safe to call concurrently with serving.
+// The totals are read after the tenants: advise bumps a tenant's count
+// and the total together under the tenant's lock, so a snapshot's totals
+// are never below the sum over its live tenants.
 func (l *Learner) Status() LearnerStatus {
-	st := LearnerStatus{
-		Epsilon:         epsilon,
-		RegretBudget:    regretBudget,
-		SamplesIngested: l.ingested.Load(),
-		Sweeps:          l.sweeps.Load(),
-		SweepErrors:     l.sweepErrs.Load(),
-		Learned:         l.learned.Load(),
-		Explorations:    l.explorations.Load(),
-	}
+	st := LearnerStatus{Epsilon: epsilon, RegretBudget: regretBudget}
 	l.mu.Lock()
 	for name, ts := range l.tenants {
 		ts.mu.Lock()
@@ -275,6 +304,8 @@ func (l *Learner) Status() LearnerStatus {
 		ts.mu.Unlock()
 	}
 	l.mu.Unlock()
+	st.SamplesIngested, st.Sweeps, st.SweepErrors = l.ingested.Load(), l.sweeps.Load(), l.sweepErrs.Load()
+	st.Learned, st.Explorations = l.learned.Load(), l.explorations.Load()
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	return st
 }

@@ -22,23 +22,19 @@ func (f fakeBase) Predict(ml.Features) float64 { return f.v }
 
 // sample is one fabricated launch of a synthetic signature.
 type sample struct {
-	tenant, kernel string
-	base           ml.Features
-	sweep          func() ([]*sim.Result, error)
+	tenant string
+	km     *sim.KernelModel
+	sweep  func() ([]*sim.Result, error)
 }
 
-// testSample fabricates one launch of a synthetic signature whose
-// oracle-best configuration is cfgs[bestIdx]: config i costs
-// 1 + 0.01*|i-bestIdx| simulated seconds. Kernels with names of equal
-// length share one feature vector.
+// testSample fabricates one launch of a synthetic signature, a model of a
+// kernel named kernel, whose oracle-best configuration is cfgs[bestIdx]:
+// config i costs 1 + 0.01*|i-bestIdx| simulated seconds.
 func testSample(l *Learner, tenant, kernel string, bestIdx int) sample {
-	var base ml.Features
-	base[ml.FGlobalSize] = float64(1000 + len(kernel))
-	base[ml.FWorkDim] = 1
 	return sample{
 		tenant: tenant,
-		kernel: kernel,
-		base:   base,
+		km: &sim.KernelModel{Name: kernel, WorkDim: 1, NumWGs: 16, WGSize: 64, GroupsPerRow: 1,
+			Sites: []sim.SiteModel{{Site: 1, ElemSize: 4, AccPerWG: 64}}},
 		sweep: func() ([]*sim.Result, error) {
 			rs := make([]*sim.Result, len(l.cfgs))
 			for i := range l.cfgs {
@@ -53,11 +49,9 @@ func testSample(l *Learner, tenant, kernel string, bestIdx int) sample {
 	}
 }
 
-func (s sample) observe(l *Learner) { l.observe(s.tenant, s.kernel, s.base, s.sweep) }
+func (s sample) observe(l *Learner) { l.observe(s.tenant, s.km, s.sweep) }
 
-func (s sample) advise(l *Learner, dec Decision) Decision {
-	return l.advise(s.tenant, s.kernel, s.base, dec)
-}
+func (s sample) advise(l *Learner, dec Decision) Decision { return l.advise(s.tenant, s.km, dec) }
 
 // exploit advises dec for s's tenant and signature until the bandit
 // leaves a call alone, so a test sees the exploited answer whatever the
@@ -156,7 +150,7 @@ func TestHotSwapReachesTheNextDecision(t *testing.T) {
 		t.Fatalf("the first launch was not learned from: %+v", l.Status())
 	}
 	var row *oracleRow
-	l.rows.Each(func(_ sig, r *oracleRow) { row = r })
+	l.rows.Each(func(_ string, r *oracleRow) { row = r })
 	want := l.cfgs[row.best]
 	if want == before.Config {
 		t.Fatalf("the oracle best %v is the model's argmax: the test cannot tell them apart", want)
@@ -231,14 +225,13 @@ func TestUntaggedLaunchIsNotLearned(t *testing.T) {
 	}
 }
 
-// TestAdviseKeysByKernel: two kernels with one feature vector have
-// their own oracle rows, and each gets its own argmax.
-func TestAdviseKeysByKernel(t *testing.T) {
+// TestAdviseKeysByModel: two models of one kernel that differ in one
+// site's access count have their own oracle rows, and each gets its own
+// argmax.
+func TestAdviseKeysByModel(t *testing.T) {
 	l := NewLearner(sim.Kaveri())
-	a, b := testSample(l, "s-1", "ka", 5), testSample(l, "s-1", "kb", 30)
-	if a.base != b.base {
-		t.Fatal("the two kernels must share a feature vector")
-	}
+	a, b := testSample(l, "s-1", "k", 5), testSample(l, "s-1", "k", 30)
+	b.km.Sites[0].AccPerWG++
 	a.observe(l)
 	b.observe(l)
 	dec := Decision{Config: l.cfgs[0], Evaluated: len(l.cfgs)}
@@ -247,8 +240,50 @@ func TestAdviseKeysByKernel(t *testing.T) {
 		best int
 	}{{a, 5}, {b, 30}} {
 		if got := exploit(l, c.s, dec); !got.Learned || got.Config != l.cfgs[c.best] {
-			t.Errorf("kernel %s advised %+v, want its own argmax %v", c.s.kernel, got, l.cfgs[c.best])
+			t.Errorf("model %+v advised %+v, want its own argmax %v", c.s.km.Sites, got, l.cfgs[c.best])
 		}
+	}
+}
+
+// TestModelKeyCoversEveryField: changing any one field of a kernel model,
+// or of one of its sites, changes its signature.
+func TestModelKeyCoversEveryField(t *testing.T) {
+	km := testSample(NewLearner(sim.Kaveri()), "s-1", "k", 0).km
+	key := modelKey(km)
+	perturb := func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		default:
+			t.Fatalf("no perturbation for a %v field", v.Kind())
+		}
+	}
+	check := func(v reflect.Value, where string) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Kind() == reflect.Slice {
+				continue
+			}
+			old := reflect.New(f.Type()).Elem()
+			old.Set(f)
+			perturb(f)
+			if modelKey(km) == key {
+				t.Errorf("changing %s.%s leaves the signature unchanged", where, v.Type().Field(i).Name)
+			}
+			f.Set(old)
+		}
+	}
+	check(reflect.ValueOf(km).Elem(), "KernelModel")
+	check(reflect.ValueOf(&km.Sites[0]).Elem(), "SiteModel")
+	km.Sites = append(km.Sites, km.Sites[0])
+	if modelKey(km) == key {
+		t.Error("adding a site leaves the signature unchanged")
 	}
 }
 
@@ -321,5 +356,45 @@ func TestForgetDropsClosedTenants(t *testing.T) {
 	}
 	if want := []string{"s-1", "s-3", "s-5", "s-7"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("tenants after closing the even ones: %v, want %v", got, want)
+	}
+}
+
+// TestStatusIsConsistent: a snapshot taken while tenants are advised
+// never counts more learned answers or explorations in its live tenants
+// than in the learner's totals. Run under -race.
+func TestStatusIsConsistent(t *testing.T) {
+	l := NewLearner(sim.Kaveri())
+	const tenants, launches = 4, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		s := testSample(l, fmt.Sprintf("s-%d", i), "k", i)
+		s.observe(l)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dec := Decision{Config: l.cfgs[0], Evaluated: len(l.cfgs)}
+			for j := 0; j < launches; j++ {
+				s.advise(l, dec)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		st := l.Status()
+		var learned, explores int64
+		for _, ts := range st.Tenants {
+			learned += ts.Learned
+			explores += ts.Explores
+		}
+		if st.Learned < learned || st.Explorations < explores {
+			t.Fatalf("snapshot %d: learned %d < Σ tenants %d or explorations %d < Σ tenants %d",
+				snaps, st.Learned, learned, st.Explorations, explores)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }

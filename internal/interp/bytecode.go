@@ -140,12 +140,13 @@ const (
 	// (norm&15, a, b), count (c) and exit target (imm); norm>>4 holds the
 	// body length, and the body and back edge stay in place unmodified,
 	// so the back edge still executes the exact unfused semantics. The
-	// executor (runFMALoop) runs the guard and the whole loop with
-	// buffer/site state hoisted out of the dispatch loop and
-	// constant-stride classifier runs batched through
+	// executor (runFMALoop) runs the guard and, in an untraced run whose
+	// trip and addresses it can compute up front, the whole loop in
+	// closed form, with constant-stride classifier runs batched through
 	// access.Classifier.ObserveRun — observably identical, per access,
-	// to the unfused sequence. A parking run stops a work-item here
-	// instead (park.go).
+	// to the unfused sequence. Otherwise dispatch continues into the
+	// unfused body. A parking run stops a work-item here instead
+	// (park.go).
 	opFMALoopF32
 
 	// Work-item functions. norm is the wi* code; static dim in imm,
@@ -697,24 +698,21 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 
 		case opFMALoopF32:
-			// Fused loop: the guard, the whole 1-2 term body and the
-			// opIncJCmpI back edge run in runFMALoop with buffers, site
-			// state, and classifier runs hoisted out of the dispatch loop.
-			// Counter deltas merge into the batched locals so the deferred
-			// flush keeps trap-time totals exact.
+			// Fused loop: runFMALoop runs the guard and, when it can, the
+			// whole 1-2 term body and the opIncJCmpI back edge in closed
+			// form, outside the dispatch loop; otherwise dispatch goes on
+			// into the unfused body. Counter deltas merge into the batched
+			// locals so the deferred flush keeps trap-time totals exact.
 			if rs.parking {
 				rs.parkAt = pc - 1
 				return false
 			}
-			exitPC, c, trap := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
+			next, c := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
 			aluI += c.aluI
 			aluF += c.aluF
 			loads += c.loads
 			loadB += c.loadB
-			if trap != nil {
-				rtErr(trap.pos, "index %d out of range [0,%d)", trap.idx, trap.n)
-			}
-			pc = exitPC
+			pc = next
 
 		// --- work-item queries ---
 		case opWISta:

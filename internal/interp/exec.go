@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"dopia/internal/analysis"
 	"dopia/internal/clc"
@@ -103,6 +105,11 @@ type Exec struct {
 	// it for a parkable program.
 	shardPin, itemPin string
 	shardPinResolved  bool
+
+	// id is the launch identity of the current binding and launch,
+	// derived on first use (identity) like shardPin.
+	id         launchIdentity
+	idResolved bool
 
 	seq     *runState   // shard-0 / sequential execution state
 	workers []*runState // extra shard workers, grown lazily
@@ -246,11 +253,6 @@ func (ex *Exec) SetArg(i int, a Arg) error {
 	return nil
 }
 
-// Args returns the bound arguments, each scalar normalized to its
-// parameter's kind as SetArg stores it. The slice is shared and must not
-// be modified.
-func (ex *Exec) Args() []Arg { return ex.args }
-
 // Bind sets all arguments at once.
 func (ex *Exec) Bind(args ...Arg) error {
 	if len(args) != len(ex.kernel.Params) {
@@ -281,7 +283,7 @@ func (ex *Exec) Launch(nd NDRange) error {
 		ex.paramVals = append(ex.paramVals, ex.args[i].Val)
 	}
 	ex.resolveEngine()
-	ex.launched, ex.shardPinResolved = true, false
+	ex.launched, ex.shardPinResolved, ex.idResolved = true, false, false
 	return nil
 }
 
@@ -334,31 +336,89 @@ func (ex *Exec) resolvePins() {
 	if ex.shardPinResolved {
 		return
 	}
+	id := ex.identity()
 	lf := analysis.LaunchFacts{
-		Scalars:   make([]int64, len(ex.args)),
-		BufferID:  make([]int, len(ex.args)),
+		Scalars:   id.scalars,
+		BufferID:  id.bufferID,
 		NumGroups: ex.nd.NumGroups(),
 		Local:     ex.nd.Local,
-	}
-	for i, b := range ex.bufs {
-		if b == nil {
-			lf.Scalars[i] = ex.args[i].Val.I
-			continue
-		}
-		// Identify a buffer by the first slot it is bound to.
-		lf.BufferID[i] = i + 1
-		for j := 0; j < i; j++ {
-			if ex.bufs[j] == b {
-				lf.BufferID[i] = j + 1
-				break
-			}
-		}
 	}
 	in := analysis.WorkGroupIndependence(ex.kernel)
 	ex.shardPin, ex.itemPin, ex.shardPinResolved = in.OrderSensitive(lf), "", true
 	if ex.prog != nil && ex.prog.parkable {
 		ex.itemPin = in.ItemOrderSensitive(lf)
 	}
+}
+
+// launchIdentity is what makes two launches of one kernel the same
+// launch: the alias group of every slot and one shape key.
+type launchIdentity struct {
+	// bufferID identifies the buffer bound to each slot by the first slot
+	// it is bound to, plus one; a scalar slot is 0. scalars holds each
+	// scalar slot's integer value. Both are analysis.LaunchFacts' fields.
+	bufferID []int
+	scalars  []int64
+	// shape encodes the normalized ND-range, every scalar's bits as SetArg
+	// normalized them, and each buffer's kind, length and bufferID, as
+	// varints: the kernel's signature fixes which slots are buffers, so
+	// the encoding needs no separators.
+	shape string
+}
+
+// identity derives the launch identity of the current binding and launch
+// on first use after Launch. It is the one walk of the arguments for
+// alias groups and shapes: the independence predicate (resolvePins) and
+// the scheduler's model memo (Identity) both read it. It reuses the
+// previous launch's slices.
+func (ex *Exec) identity() *launchIdentity {
+	id := &ex.id
+	if ex.idResolved {
+		return id
+	}
+	if n := len(ex.bufs); cap(id.bufferID) < n {
+		id.bufferID, id.scalars = make([]int, 0, n), make([]int64, 0, n)
+	}
+	var buf [256]byte
+	nd := ex.nd
+	k := binary.AppendVarint(buf[:0], int64(nd.Dims))
+	for d := 0; d < 3; d++ {
+		k = binary.AppendVarint(k, int64(nd.Global[d]))
+		k = binary.AppendVarint(k, int64(nd.Local[d]))
+		k = binary.AppendVarint(k, int64(nd.Offset[d]))
+	}
+	id.bufferID, id.scalars = id.bufferID[:0], id.scalars[:0]
+	for i, b := range ex.bufs {
+		if b == nil {
+			v := ex.args[i].Val
+			id.bufferID, id.scalars = append(id.bufferID, 0), append(id.scalars, v.I)
+			k = binary.AppendVarint(k, v.I)
+			k = binary.AppendUvarint(k, math.Float64bits(v.F))
+			continue
+		}
+		g := i + 1
+		for j := 0; j < i; j++ {
+			if ex.bufs[j] == b {
+				g = j + 1
+				break
+			}
+		}
+		id.bufferID, id.scalars = append(id.bufferID, g), append(id.scalars, 0)
+		k = binary.AppendVarint(k, int64(b.Kind))
+		k = binary.AppendVarint(k, int64(b.Len()))
+		k = binary.AppendVarint(k, int64(g))
+	}
+	id.shape, ex.idResolved = string(k), true
+	return id
+}
+
+// Identity returns the current launch's identity: its shape key (the
+// normalized ND-range, every scalar as SetArg normalized it, and each
+// buffer's kind, length and alias group) and the alias group of every
+// slot — the first slot bound to the same buffer, plus one, or 0 for a
+// scalar. The slice is shared and must not be modified.
+func (ex *Exec) Identity() (shape string, bufferID []int) {
+	id := ex.identity()
+	return id.shape, id.bufferID
 }
 
 // ShardPinned reports why the current launch executes its work-groups in
@@ -484,12 +544,13 @@ type runState struct {
 	ownStats *RunStats
 	log      *traceLog
 
-	// affineLoops counts the fused loops runFMALoopAffine served. Both
-	// ways of running such a loop are bit-identical in every result, so
-	// this is the only place a test can see which one ran. parked counts
-	// the work-items that parked at a column walk (park.go), for the same
-	// reason.
-	affineLoops, parked int64
+	// affineLoops counts the fused loops the closed form served, and
+	// unfusedLoops the fused loops whose guard held but which ran their
+	// unfused body. Both ways of running such a loop are bit-identical in
+	// every result, so this is the only place a test can see which one
+	// ran. parked counts the work-items that parked at a column walk
+	// (park.go), for the same reason.
+	affineLoops, unfusedLoops, parked int64
 
 	// parks says the groups of the run the state is claimed for park their
 	// work-items at their column walks (see claim). parking is set while

@@ -7,26 +7,28 @@ import "sort"
 // of running a fused loop are bit-identical in every result, so this is
 // the only place a test can see which one ran.
 func AffineLoops(ex *Exec) int64 {
-	var n int64
-	if ex.seq != nil {
-		n += ex.seq.affineLoops
-	}
-	for _, w := range ex.workers {
-		n += w.affineLoops
-	}
-	return n
+	return sumStates(ex, func(rs *runState) int64 { return rs.affineLoops })
+}
+
+// UnfusedLoops is the number of fused loops whose guard held but which
+// ran their unfused body on ex, summed like AffineLoops.
+func UnfusedLoops(ex *Exec) int64 {
+	return sumStates(ex, func(rs *runState) int64 { return rs.unfusedLoops })
 }
 
 // ParkedItems is the number of work-items that parked at a column walk
 // (park.go) on ex, summed like AffineLoops. Parking changes no result
 // either, so this is how a test sees it happen.
-func ParkedItems(ex *Exec) int64 {
+func ParkedItems(ex *Exec) int64 { return sumStates(ex, func(rs *runState) int64 { return rs.parked }) }
+
+// sumStates sums a counter over ex's sequential state and shard workers.
+func sumStates(ex *Exec, count func(*runState) int64) int64 {
 	var n int64
 	if ex.seq != nil {
-		n += ex.seq.parked
+		n += count(ex.seq)
 	}
 	for _, w := range ex.workers {
-		n += w.parked
+		n += count(w)
 	}
 	return n
 }

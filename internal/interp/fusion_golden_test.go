@@ -19,10 +19,11 @@ import (
 // that moves a kernel in or out of the fused loop shows up here as a
 // reviewed diff. Its parks columns say whether an unprofiled, untraced
 // run of the kernel and of its malleable form parks its work-items at
-// their column walks (park.go). It also holds that such a run of every
-// reduction kernel — the managed launch's functional run — is served by
-// the closed form rather than the per-iteration loop, and that it parks
-// exactly when the table says so.
+// their column walks (park.go). It also holds that every untraced run of
+// every reduction kernel and its malleable form, profiled or not, serves
+// each fused loop whose guard held by the closed form, never by the
+// unfused body, and that an unprofiled run of the kernel — the managed
+// launch's functional run — parks exactly when the table says so.
 func TestFusedLoopGolden(t *testing.T) {
 	const golden = "testdata/fused_loops.golden"
 	closedForm := map[string]bool{
@@ -61,17 +62,34 @@ func TestFusedLoopGolden(t *testing.T) {
 		parks := interp.Parks(ex)
 		fmt.Fprintf(&b, "%s %d %d %t %t\n", d.Name, interp.FusedHeads(ex), interp.FusedHeads(mex), parks, interp.Parks(mex))
 
-		if closedForm[d.Name] {
-			seg := []interp.Segment{{Ex: ex, ND: inst.ND, Count: inst.ND.TotalGroups()}}
-			if err := ex.RunUnprofiled(seg); err != nil {
-				t.Fatalf("%s: %v", d.Name, err)
+		if !closedForm[d.Name] {
+			continue
+		}
+		for _, leg := range []struct {
+			name     string
+			ex       *interp.Exec
+			profiled bool
+		}{
+			{"unprofiled", ex, false},
+			{"profiled", launched(t, k, inst.Args, inst.ND), true},
+			{"malleable unprofiled", mex, false},
+			{"malleable profiled", launched(t, mall.Kernel, margs, inst.ND), true},
+		} {
+			seg := []interp.Segment{{Ex: leg.ex, ND: inst.ND, Count: inst.ND.TotalGroups()}}
+			run := leg.ex.RunUnprofiled
+			if leg.profiled {
+				run = leg.ex.RunSegments
 			}
-			if interp.AffineLoops(ex) == 0 {
-				t.Errorf("%s: no loop of an untraced unprofiled run took the closed form", d.Name)
+			if err := run(seg); err != nil {
+				t.Fatalf("%s %s: %v", d.Name, leg.name, err)
 			}
-			if parked := interp.ParkedItems(ex); (parked != 0) != parks {
-				t.Errorf("%s: %d work-items parked, want parking %t", d.Name, parked, parks)
+			if served, unfused := interp.AffineLoops(leg.ex), interp.UnfusedLoops(leg.ex); served == 0 || unfused != 0 {
+				t.Errorf("%s %s: the closed form served %d loops and the unfused body ran %d, want every loop served",
+					d.Name, leg.name, served, unfused)
 			}
+		}
+		if parked := interp.ParkedItems(ex); (parked != 0) != parks {
+			t.Errorf("%s: %d work-items parked, want parking %t", d.Name, parked, parks)
 		}
 	}
 	want, err := os.ReadFile(golden)

@@ -15,7 +15,7 @@ package interp
 //     blockW adjacent columns walk A together, one row at a time (dotCol8);
 //  3. resume: in work-item order, each item gets its counters back and
 //     continues after its loop — or at its head, when its walk did not
-//     resolve, so the general loop runs and traps in order.
+//     resolve, so the unfused body runs and traps in order.
 //
 // This is exact because nothing observable happens before a work-item
 // parks (parkable: no store, atomic or __local access on any path from the
@@ -265,8 +265,8 @@ func (rs *runState) blockedPass(code []instr, n int) {
 // walk to the closed form, adding what both count to the item's deferred
 // counters and moving it past its loop. A walk whose trip or addresses
 // the closed form cannot take (out of range, beyond int32) stays parked
-// at its head, guard and all, so the general loop runs it in the resume
-// pass and traps in item order.
+// at its head, guard and all, so its unfused body runs in the resume pass
+// and traps in item order.
 func (rs *runState) resolveWalk(code []instr, it *parkedItem, ir []int64) {
 	head := it.at
 	g := &code[head]

@@ -4,25 +4,26 @@ package interp
 // whose multiplicands are global loads lowers to one opFMATermF32, whose
 // operands sit in the program's term table (fmaTerm). A lowering peephole
 // (fuseFMALoops) rewrites the head of a loop whose whole body is one or
-// two terms into opFMALoopF32, and runFMALoop then executes the loop
-// outside the dispatch switch. The head is the loop's zero-trip guard —
-// the compare-and-branch in front of the body that skips a loop whose
-// condition fails on entry — which keeps its compare, count and exit
-// target and so runs the whole loop, the guard included. Only the head
-// instruction's opcode and norm are rewritten; the body and the back edge
-// stay in place, so the back edge's jump into the window executes the
-// exact unfused semantics and the fused executor reads the body from the
-// unchanged instructions.
+// two terms into opFMALoopF32, and runFMALoop then runs the loop's
+// zero-trip guard and, when the trip and every address are computable up
+// front, the whole loop in closed form outside the dispatch switch. The
+// head is the guard — the compare-and-branch in front of the body that
+// skips a loop whose condition fails on entry — and keeps its compare,
+// count and exit target. Only the head instruction's opcode and norm are
+// rewritten; the body and the back edge stay in place, so a loop the
+// closed form declines (or a traced run's, which needs every access in
+// order) continues into its unfused body, and the back edge's jump into
+// the window executes the exact unfused semantics.
 //
-// Both ways of running the loop carry each accumulator as a float32 for
-// the whole trip. The closure engine widens the sum to float64 after
-// every add, but float32(float64(v)) == v for every float32 v, so that
-// widening is an identity and the sequence of float32 roundings is the
-// same; what it costs is a convert-add-convert chain of about 14 cycles
-// per iteration, against 4 for the float32 add alone. Dropping it took a
-// traced relaunch of ATAX1 from 3.24 to 0.91 ms and GESUMMV from 3.52 to
-// 1.10 ms, and fusing SYR2K's loop took it from 17.6 to 1.29 ms (2-core
-// Xeon; DESIGN.md § The fused FMA loop).
+// The closed form carries each accumulator as a float32 for the whole
+// trip. The closure engine widens the sum to float64 after every add, but
+// float32(float64(v)) == v for every float32 v, so that widening is an
+// identity and the sequence of float32 roundings is the same; what it
+// costs is a convert-add-convert chain of about 14 cycles per iteration,
+// against 4 for the float32 add alone. Dropping it took a traced relaunch
+// of ATAX1 from 3.24 to 0.91 ms and GESUMMV from 3.52 to 1.10 ms, and
+// fusing SYR2K's loop took it from 17.6 to 1.29 ms (2-core Xeon; DESIGN.md
+// § The fused FMA loop).
 
 import (
 	"slices"
@@ -200,66 +201,15 @@ type fmaLoopCounters struct {
 	aluI, aluF, loads, loadB int64
 }
 
-// fmaSiteTrack batches the classifier fast path of one site inside a
-// fused loop: the first access seeds the chain through the normal
-// recordAccess (first-touch / work-item-change handling), after which
-// every access is fast-path-eligible by construction, so only the
-// iteration deltas matter — tracked as constant-delta runs and flushed
-// through access.Classifier.ObserveRun. Flushing restores state
-// bit-identical to per-access recording.
-type fmaSiteTrack struct {
-	st     *siteState
-	base   int64
-	prevIa int64
-	runD   int64
-	runLen int64
-	bulk   int64
-	seeded bool
-}
-
-func (t *fmaSiteTrack) note(ia, wi int64) {
-	if !t.seeded {
-		t.st.recordAccess(t.base+ia*4, 4, wi)
-		t.seeded = true
-		t.prevIa = ia
-		return
-	}
-	d := ia - t.prevIa
-	t.prevIa = ia
-	t.bulk++
-	if t.runLen != 0 && d == t.runD {
-		t.runLen++
-		return
-	}
-	if t.runLen != 0 {
-		t.st.iter.ObserveRun(t.runD, t.runLen)
-	}
-	t.runD, t.runLen = d, 1
-}
-
-func (t *fmaSiteTrack) flush() {
-	if !t.seeded {
-		return
-	}
-	if t.runLen != 0 {
-		t.st.iter.ObserveRun(t.runD, t.runLen)
-		t.runLen = 0
-	}
-	t.st.count += t.bulk
-	t.st.bytes += t.bulk * 4
-	t.st.prevAddr = t.base + t.prevIa*4
-	t.bulk = 0
-}
-
 // fmaOperand is one term of a fused execution with its buffers, scale,
-// trap positions and site trackers hoisted out of the iteration.
+// trap positions and site states hoisted out of the iteration.
 type fmaOperand struct {
 	*fmaTerm
 	s            float64 // the scale's value; loop-invariant by fmaLoopFusible
 	fA, fX       []float32
 	baseA, baseX int64
 	posA, posX   clc.Pos
-	trkA, trkX   fmaSiteTrack
+	stA, stX     *siteState
 	pa, px       affIdx // the closed form's address progressions
 }
 
@@ -274,8 +224,7 @@ func decodeTerm(in *instr, terms []fmaTerm, fr []float64, bufs []*Buffer, sites 
 		fA:      bA.F32, fX: bX.F32,
 		baseA: bA.Base, baseX: bX.Base,
 		posA: in.pos, posX: in.pos2,
-		trkA: fmaSiteTrack{st: &sites[t.a.site], base: bA.Base},
-		trkX: fmaSiteTrack{st: &sites[t.x.site], base: bX.Base},
+		stA: &sites[t.a.site], stX: &sites[t.x.site],
 	}
 }
 
@@ -293,7 +242,7 @@ func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c
 	c.loads++
 	c.loadB += 4
 	if classify {
-		f.trkA.note(ia, wi)
+		f.stA.recordAccess(f.baseA+ia*4, 4, wi)
 	}
 	if sink != nil {
 		sink.Access(f.baseA+ia*4, 4, false)
@@ -306,7 +255,7 @@ func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c
 	c.loads++
 	c.loadB += 4
 	if classify {
-		f.trkX.note(ix, wi)
+		f.stX.recordAccess(f.baseX+ix*4, 4, wi)
 	}
 	if sink != nil {
 		sink.Access(f.baseX+ix*4, 4, false)
@@ -314,11 +263,11 @@ func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c
 	return fmaProduct(f.scaled, f.s, f.fA[ia], f.fX[ix]), nil
 }
 
-// runFMATerm executes the opFMATermF32 at pc `at` outside a fused loop.
-// A tracker's first note is a plain recordAccess, so one step needs no
-// flush. Like runFMALoop it takes the code and a pc, not the instruction
-// or the term table: every extra value live across these calls costs the
-// dispatch loop in execBC spills on every instruction it dispatches.
+// runFMATerm executes the opFMATermF32 at pc `at`: a term outside a
+// fused loop, or the body of a fused loop the closed form declined. Like
+// runFMALoop it takes the code and a pc, not the instruction or the term
+// table: every extra value live across these calls costs the dispatch
+// loop in execBC spills on every instruction it dispatches.
 func (rs *runState) runFMATerm(code []instr, at int, ir []int64, fr []float64, bufs []*Buffer,
 	sites []siteState, classify bool, sink TraceSink, wi int64,
 ) (c fmaLoopCounters, trap *fmaLoopTrap) {
@@ -411,10 +360,9 @@ func (f *fmaOperand) resolve(ir []int64, incDst int32, j0, jLast, step int64) bo
 }
 
 // affFlush replays trips accesses of one site analytically: seed the
-// chain through recordAccess exactly like the first per-access note,
-// then batch the remaining constant-delta run. Bit-identical to the
-// fmaSiteTrack per-access sequence because the delta stream is uniform
-// by construction.
+// chain through recordAccess exactly like the first access, then batch
+// the remaining constant-delta run. Bit-identical to recording every
+// access because the delta stream is uniform by construction.
 func affFlush(st *siteState, base int64, ai affIdx, trips, wi int64) {
 	st.recordAccess(base+ai.first*4, 4, wi)
 	if trips > 1 {
@@ -433,7 +381,7 @@ func affFlush(st *siteState, base int64, ai affIdx, trips, wi int64) {
 // pure loads and FMAs — counters and classifier state are closed-form
 // functions of the trip count, bit-identical to the per-iteration
 // bookkeeping. Returns ok=false (with no state touched) whenever any
-// precondition fails; the caller then runs the general loop.
+// precondition fails; the loop then runs its unfused body.
 func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 	ir []int64, fr []float64, classify bool, wi int64,
 ) (cnt fmaLoopCounters, ok bool) {
@@ -459,8 +407,8 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 
 	cnt = f1.tripCounters(trips, true)
 	if classify {
-		affFlush(f1.trkA.st, f1.baseA, f1.pa, trips, wi)
-		affFlush(f1.trkX.st, f1.baseX, f1.px, trips, wi)
+		affFlush(f1.stA, f1.baseA, f1.pa, trips, wi)
+		affFlush(f1.stX, f1.baseX, f1.px, trips, wi)
 	}
 	if two {
 		c2 := f2.tripCounters(trips, false)
@@ -469,8 +417,8 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 		cnt.loads += c2.loads
 		cnt.loadB += c2.loadB
 		if classify {
-			affFlush(f2.trkA.st, f2.baseA, f2.pa, trips, wi)
-			affFlush(f2.trkX.st, f2.baseX, f2.px, trips, wi)
+			affFlush(f2.stA, f2.baseA, f2.pa, trips, wi)
+			affFlush(f2.stX, f2.baseX, f2.px, trips, wi)
 		}
 	}
 	return cnt, true
@@ -561,7 +509,7 @@ func tripCount(inc *instr, ir []int64) (lt loopTrip, ok bool) {
 	jLast := j0 + (trips-1)*step
 	jEnd := jLast + step
 	if incNorm == normI32 && !fits32(jEnd) {
-		return lt, false // the general loop's truncation would wrap
+		return lt, false // the unfused loop's truncation would wrap
 	}
 	return loopTrip{j0: j0, jLast: jLast, jEnd: jEnd, trips: trips}, true
 }
@@ -695,92 +643,37 @@ func dotStrided(acc1, acc2 float32, f1, f2 *fmaOperand, shared bool, trips int64
 	return acc1, acc2
 }
 
-// runFMALoop executes a fused FMA loop (opFMALoopF32 head at pc `head`)
-// for one work-item, its zero-trip guard first. It returns the pc after
-// the loop, the statistic deltas to merge into the caller's batched
-// counters, and a non-nil trap when a bounds check fails — with all
-// pending classifier runs flushed first, so the stats at the trap are
-// exactly the per-access sequence's.
+// runFMALoop executes a fused FMA loop head (opFMALoopF32 at pc `head`)
+// for one work-item: the zero-trip guard, then, in an untraced run, the
+// whole loop in closed form. It returns the pc to continue at — the
+// loop's exit, or the first term of the body when the closed form
+// declines or the run is traced, so that dispatch runs the unfused body
+// and its back edge — and the statistic deltas to merge into the caller's
+// batched counters.
 func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
 	bufs []*Buffer, sites []siteState, classify bool, sink TraceSink, wi int64,
-) (exitPC int, cnt fmaLoopCounters, trap *fmaLoopTrap) {
+) (next int, cnt fmaLoopCounters) {
 	g := &code[head]
-	exitPC = int(g.imm)
 	cnt.aluI = int64(g.c)
 	if !cmpIRegs(g.norm&0xf, ir[g.a], ir[g.b]) {
-		return exitPC, cnt, nil
+		return int(g.imm), cnt
 	}
-	terms := rs.ex.prog.terms
 	n, first, back := fmaHead(code, head)
-	two := n == 2
-	f1 := decodeTerm(&code[first], terms, fr, bufs, sites)
-	var f2 fmaOperand
-	if two {
-		f2 = decodeTerm(&code[first+1], terms, fr, bufs, sites)
-	}
-	inc := &code[back]
-
-	// Traces need the interleaved per-access event stream, so the
-	// analytic path only serves untraced runs.
+	// Traces need the interleaved per-access event stream, so the closed
+	// form only serves untraced runs.
 	if sink == nil {
-		if c, ok := rs.runFMALoopAffine(&f1, &f2, two, inc, ir, fr, classify, wi); ok {
+		terms := rs.ex.prog.terms
+		f1 := decodeTerm(&code[first], terms, fr, bufs, sites)
+		var f2 fmaOperand
+		if n == 2 {
+			f2 = decodeTerm(&code[first+1], terms, fr, bufs, sites)
+		}
+		if c, ok := rs.runFMALoopAffine(&f1, &f2, n == 2, &code[back], ir, fr, classify, wi); ok {
 			rs.affineLoops++
 			c.aluI += cnt.aluI
-			return exitPC, c, nil
+			return int(g.imm), c
 		}
 	}
-
-	incDst := inc.dst
-	incNorm := inc.norm >> 4
-	incCmp := inc.norm & 0xf
-	step := int64(inc.c)
-	shared := two && f2.acc == f1.acc
-	acc1 := float32(fr[f1.acc])
-	var acc2 float32
-	if two && !shared {
-		acc2 = float32(fr[f2.acc])
-	}
-	for {
-		var p float32
-		if p, trap = f1.step(ir, classify, sink, wi, &cnt); trap != nil {
-			break
-		}
-		acc1 += p
-		if two {
-			if p, trap = f2.step(ir, classify, sink, wi, &cnt); trap != nil {
-				break
-			}
-			if shared {
-				acc1 += p
-			} else {
-				acc2 += p
-			}
-		}
-
-		// Fused back edge: post inc/dec + loop compare (opIncJCmpI).
-		cnt.aluI += 2
-		ir[incDst] = normReg(incNorm, ir[incDst]+step)
-		var take bool
-		if incCmp&cmpU != 0 {
-			take = cmpURegs(incCmp, ir[inc.a], ir[inc.b])
-		} else {
-			take = cmpSRegs(incCmp, ir[inc.a], ir[inc.b])
-		}
-		if !take {
-			break
-		}
-	}
-	if classify {
-		f1.trkA.flush()
-		f1.trkX.flush()
-		if two {
-			f2.trkA.flush()
-			f2.trkX.flush()
-		}
-	}
-	fr[f1.acc] = float64(acc1)
-	if two && !shared {
-		fr[f2.acc] = float64(acc2)
-	}
-	return exitPC, cnt, trap
+	rs.unfusedLoops++
+	return first, cnt
 }

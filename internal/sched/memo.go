@@ -2,8 +2,6 @@ package sched
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 
 	"dopia/internal/analysis"
 	"dopia/internal/lru"
@@ -63,48 +61,20 @@ func (p *memoProfile) sameInputs(inputs [][]byte) bool {
 	return true
 }
 
-// profileKey encodes the launched cpuEx's profile key and returns it with
-// views of the launch's input buffers. The inputs are the buffers bound
-// to res.ProfileInputs — unless one of those is also bound to another
-// slot: the analysis takes every slot for a distinct buffer, so a store
-// through the alias could reach the input unseen, and then every buffer
-// is an input. The encoding needs no separators: the kernel's signature
-// fixes which slots are buffers, and every number is a varint.
+// profileKey returns the launched cpuEx's profile key — its launch
+// identity's shape (interp.Exec.Identity) — with views of the launch's
+// input buffers. The inputs are the buffers bound to res.ProfileInputs —
+// unless one of those is also bound to another slot: the analysis takes
+// every slot for a distinct buffer, so a store through the alias could
+// reach the input unseen, and then every buffer is an input.
 func (e *Executor) profileKey(res *analysis.Result) (string, [][]byte) {
-	args := e.cpuEx.Args()
-	nd := e.nd.Normalized()
-	k := binary.AppendVarint(make([]byte, 0, 64), int64(nd.Dims))
-	for d := 0; d < 3; d++ {
-		k = binary.AppendVarint(k, int64(nd.Global[d]))
-		k = binary.AppendVarint(k, int64(nd.Local[d]))
-		k = binary.AppendVarint(k, int64(nd.Offset[d]))
-	}
-	group := make([]int, len(args))
-	shared := make([]bool, len(args))
-	for i, a := range args {
-		if !a.IsBuf {
-			k = binary.AppendVarint(k, a.Val.I)
-			k = binary.AppendUvarint(k, math.Float64bits(a.Val.F))
-			continue
-		}
-		group[i] = i
-		for j := 0; j < i; j++ {
-			if args[j].Buf == a.Buf {
-				group[i] = j
-				shared[i], shared[j] = true, true
-				break
-			}
-		}
-		k = binary.AppendVarint(k, int64(a.Buf.Kind))
-		k = binary.AppendVarint(k, int64(a.Buf.Len()))
-		k = binary.AppendVarint(k, int64(group[i]))
-	}
+	key, ids := e.cpuEx.Identity()
 	slots := res.ProfileInputs
 	for _, s := range slots {
-		if shared[s] {
+		if aliased(ids, s) {
 			slots = nil
-			for i, a := range args {
-				if a.IsBuf && group[i] == i {
+			for i, id := range ids {
+				if id == i+1 {
 					slots = append(slots, i)
 				}
 			}
@@ -113,7 +83,18 @@ func (e *Executor) profileKey(res *analysis.Result) (string, [][]byte) {
 	}
 	inputs := make([][]byte, len(slots))
 	for i, s := range slots {
-		inputs[i] = args[s].Buf.Raw()
+		inputs[i] = e.args[s].Buf.Raw()
 	}
-	return string(k), inputs
+	return key, inputs
+}
+
+// aliased reports whether the buffer at slot s is bound to another slot
+// too, given every slot's alias group.
+func aliased(ids []int, s int) bool {
+	for j, id := range ids {
+		if j != s && id == ids[s] {
+			return true
+		}
+	}
+	return false
 }

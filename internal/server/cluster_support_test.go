@@ -27,7 +27,7 @@ __kernel void acc(__global float* x, __global float* y, int n) {
     }
 }`
 
-func setupAcc(t *testing.T, c *Client, sid string, n int) (progID string, launch func(idem string) *LaunchResponse) {
+func setupAcc(t testing.TB, c *Client, sid string, n int) (progID string, launch func(idem string) *LaunchResponse) {
 	t.Helper()
 	prog, err := c.Compile(accSrc)
 	if err != nil {

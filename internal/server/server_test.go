@@ -30,7 +30,7 @@ __kernel void scale(__global float* x, __global float* y, float a, int n) {
     }
 }`
 
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server, *Client) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	cfg := Config{Machine: sim.Kaveri()}
 	if mutate != nil {
