@@ -731,8 +731,9 @@ func (a *analyzer) call(e *clc.Call) form {
 		case "get_local_id":
 			f, v = basisForm(basis{wik: wiLocalID, dim: dim}), pvar{varLocalID, dim}
 		case "get_group_id":
-			// Group ids restart at 0 in the offset sub-range launches
-			// co-execution uses, so they have no launch-wide exact value.
+			// Group ids are launch-wide (every co-execution span is a
+			// segment of the one launch), but the exact domain does not
+			// track them, so they have no exact value.
 			return basisForm(basis{wik: wiGroupID, dim: dim})
 		case "get_local_size":
 			f, v = uniformForm(), pvar{varLocalSize, dim}

@@ -22,9 +22,14 @@ package conformance
 //     {max}) with the return value discarded, so any execution order
 //     yields the same final value;
 //   - work-item functions are limited to get_global_id, get_local_id,
-//     and get_local_size, which are invariant under the scheduler's
-//     offset sub-range GPU chunks (get_group_id/get_num_groups/
-//     get_global_size are not, and are never emitted);
+//     and get_local_size. The launch-level queries (get_group_id,
+//     get_num_groups, get_global_size, get_global_offset) would be just
+//     as invariant: every leg runs each work-group inside the case's one
+//     launched ND range — shards and co-exec spans, CPU or GPU, are
+//     segments of it, never relaunches of a piece — so they answer for
+//     the whole launch (internal/sched's work-item query test pins
+//     this). They stay unemitted so the generator's RNG stream, and with
+//     it every recorded seed and crasher, is unchanged;
 //   - barriers appear only at the top level of the kernel body
 //     (sema's rule), paired with a __local array written at the own
 //     local id before the barrier and read after it — safe under

@@ -14,6 +14,7 @@ import (
 	"dopia/internal/sched"
 	"dopia/internal/server"
 	"dopia/internal/sim"
+	"dopia/internal/transform"
 )
 
 // Options selects which slices of the configuration lattice a RunCase
@@ -134,6 +135,30 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 		}
 	}
 
+	// Malleable legs (total cases whose kernel transforms): the malleable
+	// GPU form over the full range at every throttle setting a zoo
+	// machine's configuration gives the GPU. The runtime runs GPU spans
+	// on the original kernel and only charges the malleable form's
+	// timing, so these legs are what holds the form to the original's
+	// bytes. Only buffers and the error are observed: the form runs a
+	// work-group's items on fewer lanes, so its counters and trace differ
+	// by design.
+	if c.Class == ClassTotal {
+		k, err := compileCase(c)
+		if err != nil {
+			return nil, fmt.Errorf("%s: malleable legs: %w", c, err)
+		}
+		if mall, err := transform.MalleableGPU(k, c.ND.Dims); err == nil {
+			for _, p := range sim.ZooDopParams() {
+				leg, err := runMalleable(c, mall.Kernel, p[0], p[1])
+				if err != nil {
+					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+				}
+				addLeg(ref, leg)
+			}
+		}
+	}
+
 	// Machine×scheduler co-execution legs (total cases only: a total-
 	// class kernel's buffers are partition-invariant, so any machine's
 	// schedule — static split, work-queue, or HGuided — must reproduce
@@ -224,13 +249,9 @@ func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*O
 	if !profiled {
 		obs.Leg = fmt.Sprintf("%s-unprofiled/shards=%d", engine, par)
 	}
-	prog, err := clc.Compile(c.Source)
+	k, err := compileCase(c)
 	if err != nil {
-		return obs, fmt.Errorf("compile: %w", err)
-	}
-	k := prog.Kernel(c.Kernel)
-	if k == nil {
-		return obs, fmt.Errorf("kernel %q not found", c.Kernel)
+		return obs, err
 	}
 	ex, err := interp.NewExec(k)
 	if err != nil {
@@ -243,10 +264,7 @@ func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*O
 		sink = &RecordingSink{}
 		ex.Sink = sink
 	}
-	args := make([]interp.Arg, len(c.Args))
-	for i := range c.Args {
-		args[i] = c.Args[i].Arg()
-	}
+	args := caseArgs(c)
 	if err := ex.Bind(args...); err != nil {
 		return obs, fmt.Errorf("Bind: %w", err)
 	}
@@ -257,22 +275,68 @@ func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*O
 		obs.Err = ex.Run()
 		obs.Profile = ex.Stats()
 	} else {
-		obs.Err = ex.RunUnprofiled([]interp.Segment{{Ex: ex, ND: c.ND, Count: c.ND.TotalGroups()}})
+		obs.Err = ex.RunUnprofiled([]interp.Segment{{Count: c.ND.TotalGroups()}})
 		obs.Profile = countersOnly(ex.Stats())
 	}
 	if sink != nil {
 		obs.Trace = sink.Events
 	}
-	for i := range c.Args {
-		if !c.Args[i].IsBuf() {
-			continue
-		}
-		obs.Buffers = append(obs.Buffers, BufferObs{
-			Name:  c.Args[i].Name,
-			Bytes: BufferBytes(args[i].Buf),
-		})
-	}
+	obs.Buffers = caseBuffers(c, args)
 	return obs, nil
+}
+
+// runMalleable executes the case's malleable form k over the full range
+// on a fresh interp.Exec, throttled to {mod, alloc}.
+func runMalleable(c *Case, k *clc.Kernel, mod, alloc int64) (*Observation, error) {
+	obs := &Observation{Leg: fmt.Sprintf("malleable:mod=%d/alloc=%d", mod, alloc)}
+	ex, err := interp.NewExec(k)
+	if err != nil {
+		return obs, fmt.Errorf("NewExec: %w", err)
+	}
+	args := caseArgs(c)
+	if err := ex.Bind(append(args[:len(args):len(args)], interp.IntArg(mod), interp.IntArg(alloc))...); err != nil {
+		return obs, fmt.Errorf("Bind: %w", err)
+	}
+	if err := ex.Launch(c.ND); err != nil {
+		return obs, fmt.Errorf("Launch: %w", err)
+	}
+	obs.Err = ex.Run()
+	obs.Buffers = caseBuffers(c, args)
+	return obs, nil
+}
+
+// compileCase compiles the case's source and returns its kernel.
+func compileCase(c *Case) (*clc.Kernel, error) {
+	prog, err := clc.Compile(c.Source)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	k := prog.Kernel(c.Kernel)
+	if k == nil {
+		return nil, fmt.Errorf("kernel %q not found", c.Kernel)
+	}
+	return k, nil
+}
+
+// caseArgs returns fresh, deterministically initialised arguments for the
+// case.
+func caseArgs(c *Case) []interp.Arg {
+	args := make([]interp.Arg, len(c.Args))
+	for i := range c.Args {
+		args[i] = c.Args[i].Arg()
+	}
+	return args
+}
+
+// caseBuffers observes the final bytes of the case's buffer arguments.
+func caseBuffers(c *Case, args []interp.Arg) []BufferObs {
+	var out []BufferObs
+	for i := range c.Args {
+		if c.Args[i].IsBuf() {
+			out = append(out, BufferObs{Name: c.Args[i].Name, Bytes: BufferBytes(args[i].Buf)})
+		}
+	}
+	return out
 }
 
 // countersOnly is p without its per-site access profile.
@@ -329,23 +393,16 @@ func resolveScheds(names []string) ([]sim.Distribution, error) {
 // schedule make profiles non-comparable by design.
 func runCoexec(c *Case, m *sim.Machine, dist sim.Distribution, par int) (*Observation, error) {
 	obs := &Observation{Leg: fmt.Sprintf("coexec:%s/%s/shards=%d", m.Name, dist, par)}
-	prog, err := clc.Compile(c.Source)
+	k, err := compileCase(c)
 	if err != nil {
-		return obs, fmt.Errorf("compile: %w", err)
-	}
-	k := prog.Kernel(c.Kernel)
-	if k == nil {
-		return obs, fmt.Errorf("kernel %q not found", c.Kernel)
+		return obs, err
 	}
 	ex, err := sched.NewExecutor(m, k, nil)
 	if err != nil {
 		return obs, fmt.Errorf("NewExecutor: %w", err)
 	}
 	ex.Parallelism = par
-	args := make([]interp.Arg, len(c.Args))
-	for i := range c.Args {
-		args[i] = c.Args[i].Arg()
-	}
+	args := caseArgs(c)
 	if err := ex.Bind(args...); err != nil {
 		return obs, fmt.Errorf("Bind: %w", err)
 	}
@@ -357,15 +414,7 @@ func runCoexec(c *Case, m *sim.Machine, dist sim.Distribution, par int) (*Observ
 		CPUShare:   0.5,
 		Functional: true,
 	})
-	for i := range c.Args {
-		if !c.Args[i].IsBuf() {
-			continue
-		}
-		obs.Buffers = append(obs.Buffers, BufferObs{
-			Name:  c.Args[i].Name,
-			Bytes: BufferBytes(args[i].Buf),
-		})
-	}
+	obs.Buffers = caseBuffers(c, args)
 	return obs, nil
 }
 

@@ -72,7 +72,7 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	if err != nil {
 		return nil, err
 	}
-	ex.AssumeMalleable = true // Dopia always executes the malleable form
+	ex.AssumeMalleable = true // Dopia's GPU runs the malleable form: charge its timing
 	inst, err := w.Setup()
 	if err != nil {
 		return nil, err

@@ -57,7 +57,8 @@ type Exec struct {
 
 	stats *RunStats
 	Sink  TraceSink
-	AS    *AddressSpace
+	// as places bound buffers that no context has placed yet.
+	as AddressSpace
 
 	// Check, when non-nil, is polled before every work-group — by every
 	// shard worker in parallel mode — so a non-nil return aborts the run
@@ -99,10 +100,9 @@ type Exec struct {
 	launched       bool
 
 	// shardPin is the launch's work-group-independence verdict, resolved
-	// on first use (shardPinReason): an Exec that only ever runs as the
-	// secondary of someone else's plan never needs one. itemPin is the
-	// work-item-level verdict a parking run needs (parks), resolved with
-	// it for a parkable program.
+	// on first use (shardPinReason). itemPin is the work-item-level
+	// verdict a parking run needs (parks), resolved with it for a
+	// parkable program.
 	shardPin, itemPin string
 	shardPinResolved  bool
 
@@ -115,12 +115,10 @@ type Exec struct {
 	workers []*runState // extra shard workers, grown lazily
 	abort   abortFlag
 
-	// Scratch of the runs this Exec is the primary of, reused so a
-	// steady-state run allocates nothing: the shard tasks, the worker
-	// states to merge, and the segment lists Run* build.
-	tasks   []shardTask
-	touched []*runState
-	segs    []Segment
+	// Run scratch, reused so a steady-state run allocates nothing: the
+	// shard tasks and the segment lists Run* build.
+	tasks []shardTask
+	segs  []Segment
 }
 
 // Memo keys of the two compiled forms a kernel owns (see clc.Memo). They
@@ -153,7 +151,6 @@ func NewExec(k *clc.Kernel) (ex2 *Exec, err error) {
 		ck:     ck,
 		args:   make([]Arg, len(k.Params)),
 		bufs:   make([]*Buffer, len(k.Params)),
-		AS:     &AddressSpace{},
 	}
 	ex.ResetStats()
 	return ex, nil
@@ -227,9 +224,7 @@ func (ex *Exec) SetArg(i int, a Arg) error {
 			return fmt.Errorf("interp: buffer of kind %v incompatible with parameter %q (%v)",
 				a.Buf.Kind, p.Name, p.Type)
 		}
-		if ex.AS != nil {
-			ex.AS.Place(a.Buf)
-		}
+		ex.as.Place(a.Buf)
 		ex.bufs[i] = a.Buf
 	} else {
 		if a.IsBuf {
@@ -438,7 +433,7 @@ func (ex *Exec) ShardPinned() string {
 // classifier gate set (see runState.profiled).
 func (ex *Exec) seqState(profiled bool) *runState {
 	if ex.seq == nil {
-		ex.seq = &runState{ex: ex}
+		ex.seq = &runState{ex: ex, abort: &ex.abort}
 	}
 	ex.seq.claim(profiled)
 	ex.seq.prepare(ex.stats, ex.Sink)
@@ -463,7 +458,7 @@ func (ex *Exec) Run() error {
 // RunGroupSpan executes count work-groups starting at linear group id
 // start, splitting the span across Parallelism shard workers.
 func (ex *Exec) RunGroupSpan(start, count int) error {
-	ex.segs = append(ex.segs[:0], Segment{Ex: ex, ND: ex.nd, Start: start, Count: count})
+	ex.segs = append(ex.segs[:0], Segment{Start: start, Count: count})
 	return ex.RunSegments(ex.segs)
 }
 
@@ -483,7 +478,7 @@ func (ex *Exec) RunSampled(maxGroups int) (int, error) {
 	stride := total / maxGroups
 	ex.segs = ex.segs[:0]
 	for g := 0; g < total && len(ex.segs) < maxGroups; g += stride {
-		ex.segs = append(ex.segs, Segment{Ex: ex, ND: ex.nd, Start: g, Count: 1})
+		ex.segs = append(ex.segs, Segment{Start: g, Count: 1})
 	}
 	if err := ex.RunSegments(ex.segs); err != nil {
 		return 0, err
@@ -507,17 +502,12 @@ type runState struct {
 	ex    *Exec
 	stats *RunStats
 
-	// nd is the launch the groups being run belong to: the Exec's own
-	// range by default, a segment's range under RunSegments. Shards of one
-	// run execute different ranges at once, so it is per-state.
+	// nd is the Exec's launched range, copied when the state is prepared.
 	nd NDRange
 
-	// abort is the run's shared cancellation state, runID the sharded run
-	// the state was last claimed for and readyID the one it was last
-	// prepared for (see Exec.shardState and runState.ready).
-	abort   *abortFlag
-	runID   uint64
-	readyID uint64
+	// abort is the Exec's cancellation state, shared by the shards of a
+	// run.
+	abort *abortFlag
 
 	env env
 	wg  wgState

@@ -75,7 +75,7 @@ func TestFusedLoopGolden(t *testing.T) {
 			{"malleable unprofiled", mex, false},
 			{"malleable profiled", launched(t, mall.Kernel, margs, inst.ND), true},
 		} {
-			seg := []interp.Segment{{Ex: leg.ex, ND: inst.ND, Count: inst.ND.TotalGroups()}}
+			seg := []interp.Segment{{Count: inst.ND.TotalGroups()}}
 			run := leg.ex.RunUnprofiled
 			if leg.profiled {
 				run = leg.ex.RunSegments

@@ -94,28 +94,3 @@ func (nd NDRange) GroupCoords(lin int) [3]int {
 	g := nd.NumGroups()
 	return [3]int{lin % g[0], (lin / g[0]) % g[1], lin / (g[0] * g[1])}
 }
-
-// SubRange returns an NDRange covering count work-groups starting at
-// linear group id start, expressed as an independent launch whose global
-// offset makes get_global_id agree with the parent range. Only valid for
-// a contiguous span in the first dimension (which is how Dopia's runtime
-// pushes chunks to the GPU).
-func (nd NDRange) SubRange(start, count int) (NDRange, error) {
-	g := nd.NumGroups()
-	if g[1] != 1 || g[2] != 1 {
-		// Multi-dimensional chunking slices along the last dimension is
-		// not needed: the runtime chunks the linearized group list, and
-		// for 2-D ranges it slices rows of groups.
-		if start%g[0] != 0 || count%g[0] != 0 {
-			return NDRange{}, fmt.Errorf("ndrange: 2-D chunk must be whole rows of groups")
-		}
-		sub := nd
-		sub.Offset[1] = nd.Offset[1] + (start/g[0])*nd.Local[1]
-		sub.Global[1] = (count / g[0]) * nd.Local[1]
-		return sub, nil
-	}
-	sub := nd
-	sub.Offset[0] = nd.Offset[0] + start*nd.Local[0]
-	sub.Global[0] = count * nd.Local[0]
-	return sub, nil
-}

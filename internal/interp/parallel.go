@@ -37,19 +37,9 @@ func (ex *Exec) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Segment is one contiguous span of work-groups: Count groups starting at
-// linear group id Start of launch ND, executed by Ex.
+// Segment is one contiguous span of work-groups of the Exec's launched
+// ND range: Count groups starting at linear group id Start.
 type Segment struct {
-	// Ex runs the span. Inside one RunSegments call every Ex must be
-	// launched with the same work-group shape and bound to the same
-	// buffers, and — because the receiver's independence proof is applied
-	// to all of them — must perform, per work-group, the global accesses
-	// of the receiver's kernel (the receiver itself, or its malleable
-	// form).
-	Ex *Exec
-	// ND is the launch the groups belong to: Ex's own launched range, or
-	// an offset sub-range of it (NDRange.SubRange).
-	ND           NDRange
 	Start, Count int
 }
 
@@ -93,20 +83,14 @@ func (a *abortFlag) fail(shard int) {
 
 func (a *abortFlag) stops(shard int) bool { return a.first.Load() < int32(shard) }
 
-// piece is the part of one segment that falls into one shard.
-type piece struct {
-	rs           *runState // the shard's execution state on the segment's Exec
-	nd           NDRange
-	start, count int
-	evLo, evHi   int // the piece's window in rs.log
-}
-
-// shardTask is one shard of a run. Tasks are owned by the run's primary
+// shardTask is one shard of a run: the parts of the run's segments that
+// fall into it, run on the shard's execution state. Tasks are owned by the
 // Exec and reused across runs; done is buffered so pool workers never
 // block.
 type shardTask struct {
 	shard  int
-	pieces []piece
+	rs     *runState
+	pieces []Segment
 	err    error
 	pooled bool
 	done   chan struct{}
@@ -131,19 +115,11 @@ type handoff struct {
 
 // run executes the shard's pieces in list order.
 func (t *shardTask) run() {
-	for i := range t.pieces {
-		pc := &t.pieces[i]
-		rs := pc.rs
-		rs.ready()
-		rs.nd = pc.nd
-		if rs.log != nil {
-			pc.evLo = len(rs.log.events)
-		}
-		t.err = rs.runSpanAborting(pc.start, pc.count, t.shard)
-		if rs.log != nil {
-			pc.evHi = len(rs.log.events)
-		}
-		if t.err != nil {
+	if t.shard > 0 {
+		t.rs.ready()
+	}
+	for _, pc := range t.pieces {
+		if t.err = t.rs.runSpanAborting(pc.Start, pc.Count, t.shard); t.err != nil {
 			return
 		}
 	}
@@ -230,8 +206,8 @@ func tryPool(t *shardTask, id uint64) bool {
 	return true
 }
 
-// runSeq numbers sharded runs, so a shard state shared by several primary
-// Execs can tell whether it was already prepared for the current run.
+// runSeq numbers sharded runs, so a stale hand-off of a reused task can
+// tell it is stale (shardTask.take).
 var runSeq atomic.Uint64
 
 // runSpanAborting runs count work-groups starting at start, polling the
@@ -258,31 +234,23 @@ func (rs *runState) runSpanAborting(start, count, shard int) error {
 // Parallelism shard workers; otherwise it is walked exactly that way.
 // On failure the error of the earliest failing group in list order is
 // returned. Like Run, RunGroupSpan and RunSampled it keeps the per-access
-// pattern profile of every Exec in the list.
+// pattern profile.
 func (ex *Exec) RunSegments(segs []Segment) error { return ex.runSegments(segs, true) }
 
 // RunUnprofiled is RunSegments for a caller that wants the segments'
 // output and not their access profile: buffers, aggregate counters, traces
-// and errors are those of RunSegments, but no work-group of any Exec in
-// the list runs the per-access pattern classifier, so the site profiles
-// stay as they were. A managed launch's functional plan runs this way —
-// its profile was taken beforehand, by the sampled run behind the model.
+// and errors are those of RunSegments, but no work-group runs the
+// per-access pattern classifier, so the site profiles stay as they were.
+// A managed launch's functional plan runs this way — its profile was
+// taken beforehand, by the sampled run behind the model.
 func (ex *Exec) RunUnprofiled(segs []Segment) error { return ex.runSegments(segs, false) }
 
 func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
+	if !ex.launched {
+		return fmt.Errorf("interp: executor not launched")
+	}
 	total := 0
-	for i := range segs {
-		s := &segs[i]
-		if s.Ex == nil || !s.Ex.launched {
-			return fmt.Errorf("interp: segment %d: executor not launched", i)
-		}
-		if err := s.ND.Validate(); err != nil {
-			return err
-		}
-		if local := s.ND.Normalized().Local; local != s.Ex.nd.Local {
-			return fmt.Errorf("interp: segment %d: work-group shape %v differs from the executor's launch %v",
-				i, local, s.Ex.nd.Local)
-		}
+	for _, s := range segs {
 		if s.Count > 0 {
 			total += s.Count
 		}
@@ -294,10 +262,8 @@ func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
 		p = total
 	}
 	if p <= 1 || ex.shardPinReason() != "" {
-		for i := range segs {
-			s := &segs[i]
-			rs := s.Ex.seqState(profiled)
-			rs.nd = s.ND.Normalized()
+		rs := ex.seqState(profiled)
+		for _, s := range segs {
 			for g := s.Start; g < s.Start+s.Count; g++ {
 				if err := rs.runGroup(g); err != nil {
 					return err
@@ -309,49 +275,28 @@ func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
 	return ex.runSharded(segs, total, p, active, profiled)
 }
 
-// shardState returns the execution state shard uses on this Exec during
-// run id of primary: the live sequential state for shard 0, a private
-// worker state (fresh statistics and trace log) otherwise. A worker state
-// is only claimed here — handed the run's abort flag and classifier gate;
-// sizing its scratch is left to whoever runs the shard (runState.ready),
-// off the caller's critical path.
-func (ex *Exec) shardState(shard int, id uint64, primary *Exec, profiled bool) *runState {
-	var rs *runState
+// shardState returns the execution state shard uses during a run: the
+// live sequential state for shard 0, a private worker state (fresh
+// statistics and trace log) otherwise. A worker state is only claimed
+// here — handed the run's classifier gate; sizing its scratch is left to
+// whoever runs the shard (runState.ready), off the caller's critical path.
+func (ex *Exec) shardState(shard int, profiled bool) *runState {
 	if shard == 0 {
-		if ex.seq == nil {
-			ex.seq = &runState{ex: ex}
-		}
-		rs = ex.seq
-	} else {
-		for len(ex.workers) < shard {
-			ex.workers = append(ex.workers, &runState{ex: ex, ownStats: &RunStats{}})
-		}
-		rs = ex.workers[shard-1]
+		return ex.seqState(profiled)
 	}
-	if rs.runID == id {
-		return rs
+	for len(ex.workers) < shard {
+		ex.workers = append(ex.workers, &runState{ex: ex, abort: &ex.abort, ownStats: &RunStats{}})
 	}
-	rs.runID = id
-	rs.abort = &primary.abort
+	rs := ex.workers[shard-1]
 	rs.claim(profiled)
-	if shard == 0 {
-		rs.prepare(ex.stats, ex.Sink)
-		rs.readyID = id
-	} else {
-		primary.touched = append(primary.touched, rs)
-	}
 	return rs
 }
 
-// ready prepares a worker state for the run it was claimed for, once:
-// fresh statistics, an empty trace log when the Exec traces, scratch
-// sized for the launch. It only reads the Exec, so it is safe on a pool
-// worker while the caller runs shard 0.
+// ready prepares a worker state for the run it was claimed for: fresh
+// statistics, an empty trace log when the Exec traces, scratch sized for
+// the launch. It only reads the Exec, so it is safe on a pool worker
+// while the caller runs shard 0.
 func (rs *runState) ready() {
-	if rs.readyID == rs.runID {
-		return
-	}
-	rs.readyID = rs.runID
 	ex := rs.ex
 	rs.ownStats.resetFor(ex.ck)
 	var sink TraceSink
@@ -381,13 +326,13 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 		ex.tasks = append(ex.tasks[:cap(ex.tasks)], make([]shardTask, p-cap(ex.tasks))...)
 	}
 	ex.tasks = ex.tasks[:p]
-	ex.touched = ex.touched[:0]
 
 	base, rem := total/p, total%p
 	si, off := 0, 0 // next unassigned group: segs[si], off groups in
 	for i := range ex.tasks {
 		t := &ex.tasks[i]
 		t.shard, t.pieces, t.err, t.pooled = i, t.pieces[:0], nil, false
+		t.rs = ex.shardState(i, profiled)
 		need := base
 		if i < rem {
 			need++
@@ -399,12 +344,7 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 				n = need
 			}
 			if n > 0 {
-				t.pieces = append(t.pieces, piece{
-					rs:    s.Ex.shardState(i, id, ex, profiled),
-					nd:    s.ND.Normalized(),
-					start: s.Start + off,
-					count: n,
-				})
+				t.pieces = append(t.pieces, Segment{Start: s.Start + off, Count: n})
 				off += n
 				need -= n
 			}
@@ -452,19 +392,15 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 		}
 	}
 
-	// Deterministic merge in shard order: statistics first (touched is in
-	// shard order), then the trace replay piece by piece, so every sink
-	// observes the exact sequential stream.
-	for _, rs := range ex.touched {
-		rs.ex.stats.mergeFrom(rs.ownStats)
-	}
+	// Deterministic merge in shard order: statistics first, then the
+	// trace replay, so the sink observes the exact sequential stream.
 	for i := 1; i < p; i++ {
-		for _, pc := range ex.tasks[i].pieces {
-			if pc.rs.log == nil {
-				continue
-			}
-			for _, ev := range pc.rs.log.events[pc.evLo:pc.evHi] {
-				pc.rs.ex.Sink.Access(ev.addr, ev.size, ev.write)
+		ex.stats.mergeFrom(ex.tasks[i].rs.ownStats)
+	}
+	if ex.Sink != nil {
+		for i := 1; i < p; i++ {
+			for _, ev := range ex.tasks[i].rs.log.events {
+				ex.Sink.Access(ev.addr, ev.size, ev.write)
 			}
 		}
 	}

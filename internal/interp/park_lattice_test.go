@@ -41,7 +41,7 @@ func TestParkingLattice(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A trappy case may stop early; what parked before still counts.
-		_ = ex.RunUnprofiled([]interp.Segment{{Ex: ex, ND: c.ND, Count: c.ND.TotalGroups()}})
+		_ = ex.RunUnprofiled([]interp.Segment{{Count: c.ND.TotalGroups()}})
 		parked[c.Class] += interp.ParkedItems(ex)
 	}
 	t.Logf("parked: %v", parked)

@@ -113,7 +113,7 @@ func runWalk(t *testing.T, c walkCase, engine Engine, shards int, profiled, trac
 	if profiled {
 		run.err = ex.Run()
 	} else {
-		run.err = ex.RunUnprofiled([]Segment{{Ex: ex, ND: nd, Count: nd.TotalGroups()}})
+		run.err = ex.RunUnprofiled([]Segment{{Count: nd.TotalGroups()}})
 	}
 	for _, b := range []*Buffer{A, X, C, Y} {
 		var bits []uint32

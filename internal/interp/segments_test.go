@@ -13,16 +13,15 @@ import (
 	"dopia/internal/clc"
 	"dopia/internal/conformance"
 	"dopia/internal/interp"
-	"dopia/internal/transform"
 	"dopia/internal/workloads"
 )
 
-// TestRunSegmentsTwoExecs runs an out-of-order segment list that
-// alternates between the original kernel and its malleable form (as
-// offset sub-range launches), both tracing into one sink, and demands
-// that every shard count reproduces the sequential walk of the list:
-// buffers, both executors' profiles, and the interleaved trace stream.
-func TestRunSegmentsTwoExecs(t *testing.T) {
+// TestRunSegmentsOutOfOrder runs an out-of-order segment list (the shape
+// of a co-execution plan, whose spans arrive in simulated-completion
+// order) on one traced executor, and demands that every shard count
+// reproduces the sequential walk of the list: buffers, profile, and trace
+// stream.
+func TestRunSegmentsOutOfOrder(t *testing.T) {
 	ws, err := workloads.RealWorkloads(256, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -32,66 +31,44 @@ func TestRunSegmentsTwoExecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mall, err := transform.MalleableGPU(k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	type outcome struct {
-		bufs     [][]byte
-		cpu, gpu *interp.Profile
-		trace    []conformance.TraceEvent
+		bufs  [][]byte
+		prof  *interp.Profile
+		trace []conformance.TraceEvent
 	}
 	run := func(par int) outcome {
 		inst, err := w.Setup()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu, err := interp.NewExec(k)
+		ex, err := interp.NewExec(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpu, err := interp.NewExec(mall.Kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gpu.AS = cpu.AS
 		var sink conformance.RecordingSink
-		cpu.Sink, gpu.Sink = &sink, &sink
-		cpu.Parallelism = par
-		if err := cpu.Bind(inst.Args...); err != nil {
+		ex.Sink = &sink
+		ex.Parallelism = par
+		if err := ex.Bind(inst.Args...); err != nil {
 			t.Fatal(err)
 		}
-		gargs := append(append([]interp.Arg(nil), inst.Args...), interp.IntArg(4), interp.IntArg(3))
-		if err := gpu.Bind(gargs...); err != nil {
+		if err := ex.Launch(inst.ND); err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range []*interp.Exec{cpu, gpu} {
-			if err := ex.Launch(inst.ND); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if r := cpu.ShardPinned(); r != "" {
+		if r := ex.ShardPinned(); r != "" {
 			t.Fatalf("%s is pinned (%s): the sharded path is not under test", w.Name, r)
 		}
-		sub := func(start, count int) interp.Segment {
-			nd, err := inst.ND.SubRange(start, count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return interp.Segment{Ex: gpu, ND: nd, Count: count}
-		}
 		segs := []interp.Segment{
-			{Ex: cpu, ND: inst.ND, Start: 5, Count: 1},
-			sub(0, 3),
-			{Ex: cpu, ND: inst.ND, Start: 3, Count: 2},
-			{Ex: cpu, ND: inst.ND, Start: 7, Count: 0},
-			sub(6, 2),
+			{Start: 5, Count: 1},
+			{Start: 0, Count: 3},
+			{Start: 3, Count: 2},
+			{Start: 7, Count: 0},
+			{Start: 6, Count: 2},
 		}
-		if err := cpu.RunSegments(segs); err != nil {
+		if err := ex.RunSegments(segs); err != nil {
 			t.Fatalf("shards=%d: %v", par, err)
 		}
-		o := outcome{cpu: cpu.Stats(), gpu: gpu.Stats(), trace: sink.Events}
+		o := outcome{prof: ex.Stats(), trace: sink.Events}
 		for _, a := range inst.Args {
 			if a.IsBuf {
 				o.bufs = append(o.bufs, conformance.BufferBytes(a.Buf))
@@ -100,16 +77,16 @@ func TestRunSegmentsTwoExecs(t *testing.T) {
 		return o
 	}
 	want := run(interp.Sequential)
-	if want.cpu.GroupsRun != 3 || want.gpu.GroupsRun != 5 {
-		t.Fatalf("groups run: cpu %d gpu %d, want 3 and 5", want.cpu.GroupsRun, want.gpu.GroupsRun)
+	if want.prof.GroupsRun != 8 {
+		t.Fatalf("groups run: %d, want 8", want.prof.GroupsRun)
 	}
 	for _, par := range []int{2, 3, 8} {
 		got := run(par)
 		if !reflect.DeepEqual(got.bufs, want.bufs) {
 			t.Errorf("shards=%d: buffers differ from the sequential walk", par)
 		}
-		if !reflect.DeepEqual(got.cpu, want.cpu) || !reflect.DeepEqual(got.gpu, want.gpu) {
-			t.Errorf("shards=%d: profiles differ from the sequential walk", par)
+		if !reflect.DeepEqual(got.prof, want.prof) {
+			t.Errorf("shards=%d: profile differs from the sequential walk", par)
 		}
 		if d := conformance.DiffTraces(want.trace, got.trace); d != "" {
 			t.Errorf("shards=%d: trace: %s", par, d)
@@ -117,9 +94,10 @@ func TestRunSegmentsTwoExecs(t *testing.T) {
 	}
 }
 
-// TestRunSegmentsRejectsForeignShape: a segment whose work-group shape
-// differs from its executor's launch cannot reuse that launch's scratch.
-func TestRunSegmentsRejectsForeignShape(t *testing.T) {
+// TestRunSegmentsRequiresLaunch: segments are spans of the executor's
+// launched ND range, so a run before the first launch, or of a group past
+// the launch's last, is an error.
+func TestRunSegmentsRequiresLaunch(t *testing.T) {
 	prog, err := clc.Compile(cancelKernel)
 	if err != nil {
 		t.Fatal(err)
@@ -131,14 +109,14 @@ func TestRunSegmentsRejectsForeignShape(t *testing.T) {
 	if err := ex.Bind(interp.BufArg(interp.NewFloatBuffer(256))); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.RunSegments([]interp.Segment{{Ex: ex, ND: interp.ND1(256, 16), Count: 1}}); err == nil {
+	if err := ex.RunSegments([]interp.Segment{{Count: 1}}); err == nil {
 		t.Error("segment on an executor that was never launched: no error")
 	}
 	if err := ex.Launch(interp.ND1(256, 16)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.RunSegments([]interp.Segment{{Ex: ex, ND: interp.ND1(256, 32), Count: 1}}); err == nil {
-		t.Error("segment with a different work-group size: no error")
+	if err := ex.RunSegments([]interp.Segment{{Start: 15, Count: 2}}); err == nil {
+		t.Error("segment past the launch's 16 groups: no error")
 	}
 }
 

@@ -147,7 +147,7 @@ func runStraight(t *testing.T, src string, engine Engine, shards int, leg string
 		t.Fatal(err)
 	}
 	if leg == "unprofiled" {
-		run.err = ex.RunUnprofiled([]Segment{{Ex: ex, ND: nd, Count: nd.TotalGroups()}})
+		run.err = ex.RunUnprofiled([]Segment{{Count: nd.TotalGroups()}})
 	} else {
 		run.err = ex.Run()
 	}
@@ -318,7 +318,7 @@ func BenchmarkStencil(b *testing.B) {
 			if opCount(ex, opTapF32, opLdOpF32) == 0 {
 				b.Fatal("lowered without a fused tap or load-operand op")
 			}
-			seg := []Segment{{Ex: ex, ND: nd, Count: nd.TotalGroups()}}
+			seg := []Segment{{Count: nd.TotalGroups()}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ex.RunUnprofiled(seg); err != nil {

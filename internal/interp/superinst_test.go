@@ -286,7 +286,7 @@ func BenchmarkFusedLoop(b *testing.B) {
 			}
 			run := ex.Run
 			if c.unprofiled {
-				seg := []Segment{{Ex: ex, ND: c.nd, Count: c.nd.TotalGroups()}}
+				seg := []Segment{{Count: c.nd.TotalGroups()}}
 				run = func() error { return ex.RunUnprofiled(seg) }
 			}
 			b.ResetTimer()

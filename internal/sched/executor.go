@@ -1,18 +1,22 @@
 // Package sched implements Dopia's runtime workload management
 // (Algorithm 1 of the paper) on top of the performance simulator: it owns
-// the CPU-side and malleable-GPU-side interpreters for one kernel, builds
-// the kernel's performance model by sampled profiling, and functionally
-// executes exactly the spans of work-groups the simulated schedule assigns
-// to each device — pull-based single work-groups for CPU cores, push-based
-// chunks for the GPU.
+// the interpreter for one kernel launch, builds the kernel's performance
+// model by sampled profiling, and functionally executes exactly the spans
+// of work-groups the simulated schedule assigns to each device —
+// pull-based single work-groups for CPU cores, push-based chunks for the
+// GPU.
 //
 // A functional run is plan-then-execute. sim.Simulate is a pure timing
 // function: it runs first and only records, in simulated-completion
 // order, which device acquired which span — the plan. The plan is then
-// executed through interp.Exec.RunUnprofiled with exactly the device
-// assignment the schedule made: CPU spans are segments of the full ND
-// range on the original kernel, GPU spans are offset sub-range launches
-// of the malleable kernel. When the launch is work-group independent
+// executed through interp.Exec.RunUnprofiled: every span, CPU or GPU, is
+// a segment of the one launched ND range of the original kernel, so every
+// work-item sees the launch it belongs to (its group id, the group count,
+// the global size and offset) whichever device the schedule gave it. The
+// malleable GPU kernel throttles processing elements, which is a timing
+// effect: the simulator charges it to GPU chunks (AssumeMalleable), and
+// its bytes equal the original's at every throttle setting, a property
+// the transform's tests check. When the launch is work-group independent
 // (analysis.Independence — no global atomics, every store index provably
 // distinct across work-groups, stored buffers loaded only at the store's
 // index) the plan is cut into Parallelism shards that run concurrently,
@@ -41,20 +45,19 @@ import (
 type Executor struct {
 	Machine *sim.Machine
 	// AssumeMalleable charges GPU chunks with the malleable-kernel
-	// overhead even when no malleable kernel was supplied (timing-only
-	// sweeps that model Dopia's execution without generating code).
+	// overhead: Dopia's GPU runs the malleable form. NewExecutor sets it
+	// when given a malleable kernel; timing-only sweeps that model Dopia's
+	// execution without generating code set it themselves. It changes the
+	// simulated timing only: GPU spans run the original kernel either way.
 	AssumeMalleable bool
 	// Parallelism is interp.Exec.Parallelism for the executor's
-	// interpreters: the shard count of functional runs and of the sampled
+	// interpreter: the shard count of functional runs and of the sampled
 	// profile (0 = GOMAXPROCS at run time). Results are bit-identical
 	// for every value.
 	Parallelism int
 
-	orig      *clc.Kernel
-	malleable *clc.Kernel // nil when the GPU runs the original kernel
-
-	cpuEx *interp.Exec
-	gpuEx *interp.Exec
+	orig *clc.Kernel
+	ex   *interp.Exec
 
 	args     []interp.Arg
 	nd       interp.NDRange
@@ -63,32 +66,23 @@ type Executor struct {
 
 	// mu guards the lazily built model, so timing-only Run calls (which
 	// touch no interpreter state once the model exists) are safe to issue
-	// from multiple goroutines. Functional runs mutate buffers and
-	// interpreters and must stay single-threaded.
+	// from multiple goroutines. Functional runs mutate buffers and the
+	// interpreter and must stay single-threaded.
 	mu       sync.Mutex
 	model    *sim.KernelModel
 	profiled bool
 }
 
-// NewExecutor creates an executor for the original kernel and (optionally)
-// its malleable GPU form. Pass malleable == nil to run the unmodified
-// kernel on the GPU (the plain OpenCL baseline).
+// NewExecutor creates an executor for the original kernel. A non-nil
+// malleable (the kernel's malleable GPU form) sets AssumeMalleable and is
+// not otherwise used; pass nil to time the unmodified kernel on the GPU
+// (the plain OpenCL baseline).
 func NewExecutor(m *sim.Machine, orig, malleable *clc.Kernel) (*Executor, error) {
-	e := &Executor{Machine: m, orig: orig, malleable: malleable}
-	var err error
-	if e.cpuEx, err = interp.NewExec(orig); err != nil {
+	ex, err := interp.NewExec(orig)
+	if err != nil {
 		return nil, err
 	}
-	gk := orig
-	if malleable != nil {
-		gk = malleable
-	}
-	if e.gpuEx, err = interp.NewExec(gk); err != nil {
-		return nil, err
-	}
-	// Both executors address the same buffers: share one address space.
-	e.gpuEx.AS = e.cpuEx.AS
-	return e, nil
+	return &Executor{Machine: m, AssumeMalleable: malleable != nil, orig: orig, ex: ex}, nil
 }
 
 // Analysis returns the static analysis of the kernel — the kernel's own
@@ -100,33 +94,20 @@ func (e *Executor) Analysis() *analysis.Result {
 	return res
 }
 
-// EngineUsed reports the interpreter engine of the CPU-side executor for
-// the current launch, and — when the bytecode engine was requested but
-// this kernel fell back to closures — the reason (see interp.Exec).
-func (e *Executor) EngineUsed() (interp.Engine, string) { return e.cpuEx.EngineUsed() }
+// EngineUsed reports the interpreter engine for the current launch, and
+// — when the bytecode engine was requested but this kernel fell back to
+// closures — the reason (see interp.Exec).
+func (e *Executor) EngineUsed() (interp.Engine, string) { return e.ex.EngineUsed() }
 
 // PinReason reports why the current launch executes its plan in schedule
 // order on one goroutine (see interp.Exec.ShardPinned), or "" when the
 // launch is work-group independent and the plan is sharded.
-func (e *Executor) PinReason() string { return e.cpuEx.ShardPinned() }
+func (e *Executor) PinReason() string { return e.ex.ShardPinned() }
 
 // Bind sets the kernel arguments (the original kernel's signature).
 func (e *Executor) Bind(args ...interp.Arg) error {
-	if err := e.cpuEx.Bind(args...); err != nil {
+	if err := e.ex.Bind(args...); err != nil {
 		return err
-	}
-	if e.malleable != nil {
-		// The malleable kernel appends (dop_gpu_mod, dop_gpu_alloc);
-		// bind placeholders now, configured per run.
-		gargs := append(append([]interp.Arg(nil), args...),
-			interp.IntArg(8), interp.IntArg(8))
-		if err := e.gpuEx.Bind(gargs...); err != nil {
-			return err
-		}
-	} else {
-		if err := e.gpuEx.Bind(args...); err != nil {
-			return err
-		}
 	}
 	e.args = append([]interp.Arg(nil), args...)
 	e.bound = true
@@ -181,8 +162,8 @@ func (e *Executor) Model() (*sim.KernelModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.cpuEx.Parallelism = e.Parallelism
-	if err := e.cpuEx.Launch(e.nd); err != nil {
+	e.ex.Parallelism = e.Parallelism
+	if err := e.ex.Launch(e.nd); err != nil {
 		return nil, err
 	}
 	memo, _ := clc.Memo(e.orig, modelKey{}, newProfileMemo)
@@ -213,13 +194,13 @@ func (e *Executor) Profiled() bool {
 	return e.profiled
 }
 
-// profile runs the sampled profile of the launched cpuEx and builds its
-// model.
+// profile runs the sampled profile of the launched interpreter and builds
+// its model.
 func (e *Executor) profile(res *analysis.Result) (*sim.KernelModel, error) {
 	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
 	defer snap.Restore()
-	e.cpuEx.ResetStats()
-	if _, err := e.cpuEx.RunSampled(ProfileSampleWGs); err != nil {
+	e.ex.ResetStats()
+	if _, err := e.ex.RunSampled(ProfileSampleWGs); err != nil {
 		return nil, err
 	}
 	bufBytes := map[int]int64{}
@@ -228,7 +209,7 @@ func (e *Executor) profile(res *analysis.Result) (*sim.KernelModel, error) {
 			bufBytes[i] = a.Buf.Bytes()
 		}
 	}
-	return sim.BuildModel(e.orig.Name, e.cpuEx.Stats(), res, bufBytes, e.nd)
+	return sim.BuildModel(e.orig.Name, e.ex.Stats(), res, bufBytes, e.nd)
 }
 
 // RunOptions configure one simulated+functional execution.
@@ -264,8 +245,8 @@ func ctxErr(ctx context.Context) error {
 
 // Run executes the kernel under the given DoP configuration, returning
 // the simulation result. When opts.Functional is set, the schedule is
-// simulated first and every span it assigned is then executed by the
-// matching interpreter as one sharded plan (see the package comment), so
+// simulated first and every span it assigned is then executed as one
+// sharded plan over the launched ND range (see the package comment), so
 // buffers hold the kernel's true output afterwards. The plan is run for
 // that output: its profile was taken by Model, so no work-group of it
 // runs the access classifier (interp.Exec.RunUnprofiled). Panics below this
@@ -280,11 +261,11 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 	var plan []interp.Segment
 	var onSpan sim.SpanFunc
 	if opts.Functional {
-		if err := e.prepareFunctional(cfg); err != nil {
+		if err := e.prepareFunctional(); err != nil {
 			return nil, err
 		}
 		onSpan = func(device string, start, count int) error {
-			seg, err := e.segment(device, start, count)
+			seg, err := segment(device, start, count)
 			if err != nil {
 				return err
 			}
@@ -296,17 +277,16 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 		CPUShare:        opts.CPUShare,
 		OnSpan:          onSpan,
 		ExtraStartupSec: opts.ExtraStartupSec,
-		PlainGPU:        e.malleable == nil && !e.AssumeMalleable,
+		PlainGPU:        !e.AssumeMalleable,
 	})
 	if err == nil && opts.Functional {
 		if ctx := opts.Context; ctx != nil {
 			// Watchdog: every shard polls the context before every
-			// work-group through the interpreters' Check hook.
-			check := func() error { return ctxErr(ctx) }
-			e.cpuEx.Check, e.gpuEx.Check = check, check
-			defer func() { e.cpuEx.Check, e.gpuEx.Check = nil, nil }()
+			// work-group through the interpreter's Check hook.
+			e.ex.Check = func() error { return ctxErr(ctx) }
+			defer func() { e.ex.Check = nil }()
 		}
-		if err = e.cpuEx.RunUnprofiled(plan); err != nil {
+		if err = e.ex.RunUnprofiled(plan); err != nil {
 			return nil, err
 		}
 	}
@@ -356,42 +336,21 @@ func (e *Executor) RunConfigs(cfgs []sim.Config, opts RunOptions) ([]*sim.Result
 	return results, nil
 }
 
-// prepareFunctional launches both interpreters for the full ND range and
-// configures the malleable kernel's throttling parameters.
-func (e *Executor) prepareFunctional(cfg sim.Config) error {
-	e.cpuEx.Parallelism = e.Parallelism
-	if err := e.cpuEx.Launch(e.nd); err != nil {
-		return err
-	}
-	if e.malleable != nil && cfg.GPUFrac > 0 {
-		mod, alloc := sim.DopParams(cfg.GPUFrac)
-		n := len(e.args)
-		if err := e.gpuEx.SetArg(n, interp.IntArg(mod)); err != nil {
-			return err
-		}
-		if err := e.gpuEx.SetArg(n+1, interp.IntArg(alloc)); err != nil {
-			return err
-		}
-	}
-	return e.gpuEx.Launch(e.nd)
+// prepareFunctional launches the interpreter for the full ND range.
+func (e *Executor) prepareFunctional() error {
+	e.ex.Parallelism = e.Parallelism
+	return e.ex.Launch(e.nd)
 }
 
 // segment turns one span of the simulated schedule into a plan segment:
-// CPU spans run work-groups of the full ND range on the original kernel;
-// GPU spans are offset sub-range launches of the (malleable) GPU kernel,
-// exactly like Dopia's push-based chunks.
-func (e *Executor) segment(device string, start, count int) (interp.Segment, error) {
-	switch device {
-	case "cpu":
-		return interp.Segment{Ex: e.cpuEx, ND: e.nd, Start: start, Count: count}, nil
-	case "gpu":
-		sub, err := e.nd.SubRange(start, count)
-		if err != nil {
-			return interp.Segment{}, err
-		}
-		return interp.Segment{Ex: e.gpuEx, ND: sub, Count: sub.TotalGroups()}, nil
+// count work-groups of the launched ND range starting at start, whether
+// the span is a CPU core's work-group or one of the GPU's push-based
+// chunks.
+func segment(device string, start, count int) (interp.Segment, error) {
+	if device != "cpu" && device != "gpu" {
+		return interp.Segment{}, fmt.Errorf("sched: unknown device %q", device)
 	}
-	return interp.Segment{}, fmt.Errorf("sched: unknown device %q", device)
+	return interp.Segment{Start: start, Count: count}, nil
 }
 
 // BestStatic sweeps the paper's 19 static splits (5%..95% to the CPU) and

@@ -61,14 +61,14 @@ func (p *memoProfile) sameInputs(inputs [][]byte) bool {
 	return true
 }
 
-// profileKey returns the launched cpuEx's profile key — its launch
+// profileKey returns the launched interpreter's profile key — its launch
 // identity's shape (interp.Exec.Identity) — with views of the launch's
 // input buffers. The inputs are the buffers bound to res.ProfileInputs —
 // unless one of those is also bound to another slot: the analysis takes
 // every slot for a distinct buffer, so a store through the alias could
 // reach the input unseen, and then every buffer is an input.
 func (e *Executor) profileKey(res *analysis.Result) (string, [][]byte) {
-	key, ids := e.cpuEx.Identity()
+	key, ids := e.ex.Identity()
 	slots := res.ProfileInputs
 	for _, s := range slots {
 		if aliased(ids, s) {

@@ -371,7 +371,7 @@ func TestPinnedKernelsRunInScheduleOrder(t *testing.T) {
 				}
 				order := scheduleOrder(t, e, m.AllResources(), dist)
 				sink := &orderSink{mark: mark, wgSize: wg, seen: map[int]bool{}}
-				e.cpuEx.Sink, e.gpuEx.Sink = sink, sink
+				e.ex.Sink = sink
 				if _, err := e.Run(m.AllResources(), RunOptions{Dist: dist, CPUShare: 0.5, Functional: true}); err != nil {
 					t.Fatalf("%s/%s shards=%d: %v", name, dist, par, err)
 				}
@@ -516,7 +516,7 @@ func TestCancelAbortsEveryShard(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelSink{cancel: cancel}
-		e.cpuEx.Sink, e.gpuEx.Sink = sink, sink
+		e.ex.Sink = sink
 		_, err = e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true, Context: ctx})
 		cancel()
 		if !errors.Is(err, faults.ErrExecFailed) {

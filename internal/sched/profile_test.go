@@ -68,7 +68,7 @@ func freshModel(t *testing.T, e *Executor) *sim.KernelModel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.cpuEx.Launch(e.nd); err != nil {
+	if err := e.ex.Launch(e.nd); err != nil {
 		t.Fatal(err)
 	}
 	km, err := e.profile(res)
@@ -93,14 +93,14 @@ func runPlanProfiled(t *testing.T, e *Executor, cfg sim.Config, dist sim.Distrib
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.prepareFunctional(cfg); err != nil {
+	if err := e.prepareFunctional(); err != nil {
 		t.Fatal(err)
 	}
 	var plan []interp.Segment
 	_, err = sim.Simulate(e.Machine, km, cfg, dist, sim.SimOptions{
 		CPUShare: 0.5,
 		OnSpan: func(device string, start, count int) error {
-			seg, err := e.segment(device, start, count)
+			seg, err := segment(device, start, count)
 			plan = append(plan, seg)
 			return err
 		},
@@ -108,14 +108,14 @@ func runPlanProfiled(t *testing.T, e *Executor, cfg sim.Config, dist sim.Distrib
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.cpuEx.RunSegments(plan); err != nil {
+	if err := e.ex.RunSegments(plan); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestFunctionalRunKeepsNoProfile: for the fourteen real kernels and one
 // indirect synthetic workload, at Parallelism 1, 2 and 3, a functional run
-// classifies no access on either interpreter while its aggregate counters
+// classifies no access while its aggregate counters
 // are those of the same plan run profiled; its buffers are the
 // schedule-order run's; and a fresh profile after it builds the model
 // Model returned before it.
@@ -166,32 +166,25 @@ func TestFunctionalRunKeepsNoProfile(t *testing.T) {
 			}
 
 			// The profiled plan is the reference for the counters.
-			e.cpuEx.ResetStats()
-			e.gpuEx.ResetStats()
+			e.ex.ResetStats()
 			runPlanProfiled(t, e, cfg, dist)
-			cpuWant, gpuWant := e.cpuEx.Stats(), e.gpuEx.Stats()
-			if len(cpuWant.Sites)+len(gpuWant.Sites) == 0 {
+			profiled := e.ex.Stats()
+			if len(profiled.Sites) == 0 {
 				t.Fatalf("%s shards=%d: the profiled plan classified nothing", w.Name, par)
 			}
 
 			pristine.restore()
-			e.cpuEx.ResetStats()
-			e.gpuEx.ResetStats()
+			e.ex.ResetStats()
 			if _, err := e.Run(cfg, opts); err != nil {
 				t.Fatalf("%s shards=%d: %v", w.Name, par, err)
 			}
-			for _, side := range []struct {
-				name      string
-				got, want *interp.Profile
-			}{{"cpu", e.cpuEx.Stats(), cpuWant}, {"gpu", e.gpuEx.Stats(), gpuWant}} {
-				if len(side.got.Sites) != 0 {
-					t.Errorf("%s shards=%d: the functional run classified accesses at %d %s-side sites",
-						w.Name, par, len(side.got.Sites), side.name)
-				}
-				if got, want := counters(side.got), counters(side.want); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shards=%d: %s-side counters %+v, the profiled plan counts %+v",
-						w.Name, par, side.name, got, want)
-				}
+			got := e.ex.Stats()
+			if len(got.Sites) != 0 {
+				t.Errorf("%s shards=%d: the functional run classified accesses at %d sites",
+					w.Name, par, len(got.Sites))
+			}
+			if got, want := counters(got), counters(profiled); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s shards=%d: counters %+v, the profiled plan counts %+v", w.Name, par, got, want)
 			}
 			if par == 1 {
 				want = snapshotBuffers(inst.Args)

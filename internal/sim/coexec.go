@@ -176,8 +176,8 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 	gpuActive := cfg.GPUFrac > 0
 
 	// The allocation unit: single work-groups for 1-D kernels, whole rows
-	// of work-groups for 2-D kernels so GPU chunks stay contiguous
-	// offset-launchable sub-ranges.
+	// of work-groups for 2-D kernels, so GPU chunks stay contiguous blocks
+	// of rows.
 	unit := km.GroupsPerRow
 	if unit < 1 {
 		unit = 1

@@ -43,8 +43,8 @@ type KernelModel struct {
 	NumWGs  int
 	WGSize  int
 	// GroupsPerRow is the number of work-groups in the first dimension;
-	// 2-D kernels are scheduled in whole rows so GPU chunks remain
-	// contiguous offset sub-ranges.
+	// 2-D kernels are scheduled in whole rows, so a GPU chunk is a
+	// contiguous block of rows.
 	GroupsPerRow int
 
 	AluIntPerWG   float64

@@ -178,3 +178,24 @@ func MachineByName(name string) (*Machine, error) {
 	return nil, fmt.Errorf("sim: unknown machine %q (have %s)",
 		name, strings.Join(names, ", "))
 }
+
+// ZooDopParams returns the distinct malleable-kernel throttling parameters
+// {dop_gpu_mod, dop_gpu_alloc} (DopParams) of the zoo machines'
+// configurations that give the GPU work, in zoo and configuration order.
+func ZooDopParams() [][2]int64 {
+	var out [][2]int64
+	seen := map[[2]int64]bool{}
+	for _, m := range Zoo() {
+		for _, cfg := range m.Configs() {
+			if cfg.GPUFrac == 0 {
+				continue
+			}
+			mod, alloc := DopParams(cfg.GPUFrac)
+			if p := [2]int64{mod, alloc}; !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
