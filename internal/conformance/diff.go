@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 
 	"dopia/internal/interp"
 )
@@ -16,31 +15,6 @@ import (
 type TB interface {
 	Helper()
 	Errorf(format string, args ...any)
-}
-
-// TraceEvent is one recorded memory access from an interpreter trace
-// sink. The stream order is part of the bit-exactness contract: two legs
-// agree only if they produce the identical event sequence.
-type TraceEvent struct {
-	Addr  int64
-	Size  int64
-	Write bool
-}
-
-// RecordingSink is an interp.TraceSink that collects the access stream.
-// It is mutex-protected so it can be handed to sharded runs (the oracle
-// only *compares* traces from parallelism-1 legs, where the order is
-// deterministic).
-type RecordingSink struct {
-	mu     sync.Mutex
-	Events []TraceEvent
-}
-
-// Access implements interp.TraceSink.
-func (s *RecordingSink) Access(addr, size int64, write bool) {
-	s.mu.Lock()
-	s.Events = append(s.Events, TraceEvent{Addr: addr, Size: size, Write: write})
-	s.mu.Unlock()
 }
 
 // BufferBytes returns the bit-exact little-endian byte image of a
@@ -151,25 +125,6 @@ func profTotals(p *interp.Profile) string {
 		p.AluInt, p.AluFloat, p.Loads, p.Stores, p.LoadBytes, p.StoreBytes, p.GroupsRun, p.ItemsRun)
 }
 
-// DiffTraces compares two access streams ("" = identical), reporting the
-// first divergent event.
-func DiffTraces(a, b []TraceEvent) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return fmt.Sprintf("first divergent trace event at index %d: %+v != %+v (lengths %d/%d)",
-				i, a[i], b[i], len(a), len(b))
-		}
-	}
-	if len(a) != len(b) {
-		return fmt.Sprintf("trace lengths differ: %d != %d (equal up to event %d)", len(a), len(b), n)
-	}
-	return ""
-}
-
 // DiffErrors compares the error outcome of two legs: both nil, or both
 // non-nil with identical text ("" = agreement).
 func DiffErrors(a, b error) string {
@@ -193,7 +148,7 @@ type BufferObs struct {
 
 // Observation is everything one oracle leg observed about a case run:
 // final buffer contents, the run error (nil for success), and — when the
-// leg records them — the statistics profile and memory trace.
+// leg records it — the statistics profile.
 type Observation struct {
 	// Leg names the lattice point ("bytecode/shards=3", "rung:plain",
 	// "serving", ...).
@@ -206,16 +161,14 @@ type Observation struct {
 	// Profile is the summarized RunStats (nil when the leg does not
 	// expose one, e.g. the interposed-ladder and serving legs).
 	Profile *interp.Profile
-	// Trace is the recorded access stream (nil when not recorded).
-	Trace []TraceEvent
 	// Rung is the fallback-ladder rung that served the leg ("" for
 	// direct-interpretation legs).
 	Rung string
 }
 
 // DiffObservations compares a leg against the reference and returns one
-// message per divergence (empty = equivalent). Profiles and traces are
-// compared only when both observations carry them.
+// message per divergence (empty = equivalent). Profiles are compared only
+// when both observations carry them.
 func DiffObservations(ref, leg *Observation) []string {
 	var out []string
 	pre := func(msg string) string { return fmt.Sprintf("%s vs %s: %s", leg.Leg, ref.Leg, msg) }
@@ -238,11 +191,6 @@ func DiffObservations(ref, leg *Observation) []string {
 	}
 	if ref.Profile != nil && leg.Profile != nil {
 		if d := DiffProfiles(ref.Profile, leg.Profile); d != "" {
-			out = append(out, pre(d))
-		}
-	}
-	if ref.Trace != nil && leg.Trace != nil {
-		if d := DiffTraces(ref.Trace, leg.Trace); d != "" {
 			out = append(out, pre(d))
 		}
 	}

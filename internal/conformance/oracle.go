@@ -85,8 +85,8 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 	}
 	rep := &Report{Case: c}
 
-	// Reference leg: closure engine, sequential, exact profiling, traced.
-	ref, err := runDirect(c, interp.EngineClosures, 1, true, true)
+	// Reference leg: closure engine, sequential, exact profiling.
+	ref, err := runDirect(c, interp.EngineClosures, 1, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: reference leg: %w", c, err)
 	}
@@ -109,9 +109,9 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 	// Direct legs: both engines across the shard set, and the bytecode
 	// engine's unprofiled run — the managed launch's functional run, the
 	// only one whose work-items park (interp's blocked column walks) —
-	// which keeps no access profile and no trace, so only its buffers,
-	// aggregate counters and error meet the reference's. Trappy cases run
-	// the engine differential at parallelism 1 only.
+	// which keeps no access profile, so only its buffers, aggregate
+	// counters and error meet the reference's. Trappy cases run the engine
+	// differential at parallelism 1 only.
 	totals := &Observation{Leg: ref.Leg, Err: ref.Err, Buffers: ref.Buffers, Profile: countersOnly(ref.Profile)}
 	for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
 		for _, par := range shards {
@@ -119,14 +119,14 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 				continue
 			}
 			if engine != interp.EngineClosures || par != 1 { // not the reference
-				leg, err := runDirect(c, engine, par, par == 1, true)
+				leg, err := runDirect(c, engine, par, true)
 				if err != nil {
 					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
 				}
 				addLeg(ref, leg)
 			}
 			if engine == interp.EngineBytecode {
-				leg, err := runDirect(c, engine, par, false, false)
+				leg, err := runDirect(c, engine, par, false)
 				if err != nil {
 					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
 				}
@@ -141,8 +141,8 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 	// on the original kernel and only charges the malleable form's
 	// timing, so these legs are what holds the form to the original's
 	// bytes. Only buffers and the error are observed: the form runs a
-	// work-group's items on fewer lanes, so its counters and trace differ
-	// by design.
+	// work-group's items on fewer lanes, so its counters differ by
+	// design.
 	if c.Class == ClassTotal {
 		k, err := compileCase(c)
 		if err != nil {
@@ -244,7 +244,7 @@ func mutate(rep *Report, opts Options, obs *Observation) {
 // runDirect executes the case once on a fresh interp.Exec: with exact
 // access profiling (Run) when profiled, else through RunUnprofiled, whose
 // observation carries only the profile's aggregate counters.
-func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*Observation, error) {
+func runDirect(c *Case, engine interp.Engine, par int, profiled bool) (*Observation, error) {
 	obs := &Observation{Leg: fmt.Sprintf("%s/shards=%d", engine, par)}
 	if !profiled {
 		obs.Leg = fmt.Sprintf("%s-unprofiled/shards=%d", engine, par)
@@ -259,11 +259,6 @@ func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*O
 	}
 	ex.Engine = engine
 	ex.Parallelism = par
-	var sink *RecordingSink
-	if trace {
-		sink = &RecordingSink{}
-		ex.Sink = sink
-	}
 	args := caseArgs(c)
 	if err := ex.Bind(args...); err != nil {
 		return obs, fmt.Errorf("Bind: %w", err)
@@ -277,9 +272,6 @@ func runDirect(c *Case, engine interp.Engine, par int, trace, profiled bool) (*O
 	} else {
 		obs.Err = ex.RunUnprofiled([]interp.Segment{{Count: c.ND.TotalGroups()}})
 		obs.Profile = countersOnly(ex.Stats())
-	}
-	if sink != nil {
-		obs.Trace = sink.Events
 	}
 	obs.Buffers = caseBuffers(c, args)
 	return obs, nil
@@ -421,8 +413,8 @@ func runCoexec(c *Case, m *sim.Machine, dist sim.Distribution, par int) (*Observ
 // runRung executes the case through the full interposed OpenCL surface
 // (platform, context, framework, command queue), optionally with a
 // fault armed to force a specific ladder rung. The observation carries
-// buffers and the served rung; profiles and traces are not exposed
-// through the interposed path.
+// buffers and the served rung; profiles are not exposed through the
+// interposed path.
 func runRung(c *Case, name, injectPoint string) (*Observation, error) {
 	if injectPoint != "" {
 		faults.InjectError(injectPoint, errForced)

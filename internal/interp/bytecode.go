@@ -7,8 +7,8 @@ package interp
 // is the reference implementation and the per-kernel fallback.
 //
 // The engine is bit-identical to the closure engine in every observable:
-// output buffers, RunStats counters, per-site access patterns, trace
-// streams, and runtime-error behaviour (same messages, same positions,
+// output buffers, RunStats counters, per-site access patterns, and
+// runtime-error behaviour (same messages, same positions,
 // same panic containment). The lowering pass (lower.go) guarantees this
 // by construction: every instruction reproduces the exact arithmetic
 // (including OpenCL 32-bit wrap-around and float32 rounding), the exact
@@ -63,12 +63,10 @@ const (
 	// pre-payments merge (mergeStats), so one opStat may pay both.
 	opStat // AluInt += c; AluFloat += k
 
-	// Trap-order checks. The closure engine evaluates a divisor before
-	// the dividend and checks an atomic's buffer before evaluating the
-	// operand; these opcodes reproduce those trap points in-order when
+	// Trap-order check. The closure engine evaluates a divisor before
+	// the dividend; this opcode reproduces that trap point in-order when
 	// the surrounding operands have observable effects.
-	opChkDiv0  // trap if ir[a] == 0; imm 0 = division, 1 = modulo
-	opChkAtomG // trap if the atomic buffer in slot is empty
+	opChkDiv0 // trap if ir[a] == 0; imm 0 = division, 1 = modulo
 
 	// Constants, moves, conversions (no statistics, like closure convert).
 	opConstI // ir[dst] = imm
@@ -140,12 +138,12 @@ const (
 	// (norm&15, a, b), count (c) and exit target (imm); norm>>4 holds the
 	// body length, and the body and back edge stay in place unmodified,
 	// so the back edge still executes the exact unfused semantics. The
-	// executor (runFMALoop) runs the guard and, in an untraced run whose
-	// trip and addresses it can compute up front, the whole loop in
-	// closed form, with constant-stride classifier runs batched through
-	// access.Classifier.ObserveRun — observably identical, per access,
-	// to the unfused sequence. Otherwise dispatch continues into the
-	// unfused body. A parking run stops a work-item here instead
+	// executor (runFMALoop) runs the guard and, when it can compute the
+	// trip and addresses up front and the closed form has a loop for the
+	// shape, the whole loop in closed form, with constant-stride
+	// classifier runs batched through access.Classifier.ObserveRun —
+	// observably identical, per access, to the unfused sequence.
+	// Otherwise dispatch continues into the unfused body. A parking run stops a work-item here instead
 	// (park.go).
 	opFMALoopF32
 
@@ -156,9 +154,9 @@ const (
 
 	// Global-memory access: a = index register, slot = parameter slot,
 	// site = memory site, pos = subscript position for bounds traps.
-	// Loads/stores update Loads/Stores counters, the site classifier
-	// (unless sampling skips this group), and the trace sink, in exactly
-	// the closure engine's order: bounds check, record, data move.
+	// Loads/stores update Loads/Stores counters and the site classifier
+	// (unless sampling skips this group) in exactly the closure engine's
+	// order: bounds check, record, data move.
 	opLdGF32
 	opLdGF64
 	opLdGI64
@@ -280,7 +278,7 @@ type bcProgram struct {
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
 	terms    []fmaTerm // opFMATermF32 operands, indexed by imm
-	parkable bool      // an unprofiled, untraced run may park its work-items (park.go)
+	parkable bool      // an unprofiled run may park its work-items (park.go)
 }
 
 // normReg normalizes an integer result (normInt by code).
@@ -377,18 +375,14 @@ func cmpFRegs(code uint8, a, b float64) bool {
 	}
 }
 
-// recordG updates the sampled classifier and the trace for a
-// global-memory access from the VM; the aggregate load/store counters
-// are batched in execBC-local accumulators and flushed on return (also
-// during trap unwinding, so counters at a fault are bit-identical to
-// the closure engine's immediate increments).
-func recordG(e *env, st *siteState, b *Buffer, idx, es int64, write bool) {
-	addr := b.Base + idx*es
+// recordG updates the sampled classifier for a global-memory access from
+// the VM; the aggregate load/store counters are batched in execBC-local
+// accumulators and flushed on return (also during trap unwinding, so
+// counters at a fault are bit-identical to the closure engine's immediate
+// increments).
+func recordG(e *env, st *siteState, b *Buffer, idx, es int64) {
 	if e.classify {
-		st.recordAccess(addr, es, e.wi)
-	}
-	if e.sink != nil {
-		e.sink.Access(addr, es, write)
+		st.recordAccess(b.Base+idx*es, es, e.wi)
 	}
 }
 
@@ -422,13 +416,12 @@ func wiQuery(e *env, code uint8, d int) int64 {
 func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float64, prog *bcProgram) bool {
 	stats := e.stats
 	// Loop-invariant env fields: one execBC call runs one work-item, so
-	// the classifier gate, trace sink and linear work-item id are fixed
-	// for the whole dispatch loop.
+	// the classifier gate and linear work-item id are fixed for the whole
+	// dispatch loop.
 	classify := e.classify
-	sink := e.sink
 	wi := e.wi
-	// Hoisted slice headers: e escapes (sink is an interface), so
-	// without locals the compiler reloads these on every access.
+	// Hoisted slice headers: without locals the compiler reloads these
+	// on every access.
 	sites := stats.sites
 	bufs := e.bufs
 	// Aggregate counters are batched in locals and flushed on return.
@@ -502,10 +495,6 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 					rtErr(in.pos, "integer modulo by zero")
 				}
 				rtErr(in.pos, "integer division by zero")
-			}
-		case opChkAtomG:
-			if bufs[in.slot].Len() == 0 {
-				rtErr(in.pos, "atomic on empty buffer")
 			}
 
 		// --- constants, moves, conversions ---
@@ -672,7 +661,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			// One fused term outside a fused loop. Counter deltas merge
 			// into the batched locals so the deferred flush keeps
 			// trap-time totals exact.
-			c, trap := rs.runFMATerm(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
+			c, trap := rs.runFMATerm(code, pc-1, ir, fr, bufs, sites, classify, wi)
 			aluI += c.aluI
 			aluF += c.aluF
 			loads += c.loads
@@ -707,7 +696,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 				rs.parkAt = pc - 1
 				return false
 			}
-			next, c := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, sink, wi)
+			next, c := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, wi)
 			aluI += c.aluI
 			aluF += c.aluF
 			loads += c.loads
@@ -729,7 +718,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4, false)
+			recordG(e, &sites[in.site], b, i, 4)
 			fr[in.dst] = float64(b.F32[i])
 		case opLdGF64:
 			b := bufs[in.slot]
@@ -739,7 +728,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 8
-			recordG(e, &sites[in.site], b, i, 8, false)
+			recordG(e, &sites[in.site], b, i, 8)
 			fr[in.dst] = b.F64[i]
 		case opLdGI64:
 			b := bufs[in.slot]
@@ -749,7 +738,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 8
-			recordG(e, &sites[in.site], b, i, 8, false)
+			recordG(e, &sites[in.site], b, i, 8)
 			ir[in.dst] = b.I64[i]
 		case opLdGI32:
 			b := bufs[in.slot]
@@ -759,7 +748,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4, false)
+			recordG(e, &sites[in.site], b, i, 4)
 			ir[in.dst] = normReg(in.norm, int64(b.I32[i]))
 		case opStGF32:
 			b := bufs[in.slot]
@@ -769,7 +758,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			stores++
 			storeB += 4
-			recordG(e, &sites[in.site], b, i, 4, true)
+			recordG(e, &sites[in.site], b, i, 4)
 			b.F32[i] = float32(fr[in.b])
 		case opStGF64:
 			b := bufs[in.slot]
@@ -779,7 +768,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			stores++
 			storeB += 8
-			recordG(e, &sites[in.site], b, i, 8, true)
+			recordG(e, &sites[in.site], b, i, 8)
 			b.F64[i] = fr[in.b]
 		case opStGI64:
 			b := bufs[in.slot]
@@ -789,7 +778,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			stores++
 			storeB += 8
-			recordG(e, &sites[in.site], b, i, 8, true)
+			recordG(e, &sites[in.site], b, i, 8)
 			b.I64[i] = ir[in.b]
 		case opStGI32:
 			b := bufs[in.slot]
@@ -799,7 +788,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			stores++
 			storeB += 4
-			recordG(e, &sites[in.site], b, i, 4, true)
+			recordG(e, &sites[in.site], b, i, 4)
 			b.I32[i] = int32(ir[in.b])
 
 		case opLdGF32K:
@@ -812,7 +801,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4, false)
+			recordG(e, &sites[in.site], b, i, 4)
 			fr[in.dst] = float64(b.F32[i])
 		case opLdOpF32:
 			aluI += int64(in.c)
@@ -824,7 +813,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4, false)
+			recordG(e, &sites[in.site], b, i, 4)
 			x, v := fr[in.b], float64(b.F32[i])
 			switch in.norm {
 			case 0:
@@ -844,7 +833,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 			}
 			loads++
 			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4, false)
+			recordG(e, &sites[in.site], b, i, 4)
 			p := float64(float32(fr[in.b] * float64(b.F32[i])))
 			if in.norm == 0 {
 				fr[in.dst] = float64(float32(fr[in.dst] + p))

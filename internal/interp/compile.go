@@ -36,16 +36,15 @@ type env struct {
 	grp   [3]int64
 	wi    int64 // linear work-item index within the launch
 
-	stats *RunStats // statistics sink of this worker/shard
+	stats *RunStats // statistics of this worker/shard
 	bufs  []*Buffer // bound buffers, by parameter slot
-	sink  TraceSink // optional memory-trace sink (nil = disabled)
 	nd    *NDRange  // the launched ND range (shared, read-only)
 	wg    *wgState
 	priv  [][]Value // private arrays of the current work-item, by index
 
 	// classify gates the per-access pattern classifier: when false (an
 	// unsampled work-group under sampled profiling) recordAccess is
-	// skipped while the aggregate counters and the trace stay exact.
+	// skipped while the aggregate counters stay exact.
 	// Exact profiling keeps it true for every group.
 	classify bool
 }
@@ -904,10 +903,9 @@ func (cp *compiler) compileMemRef(ix *clc.Index) memRef {
 	return ref
 }
 
-// record updates statistics and the trace for a global-memory access.
+// record updates the statistics for a global-memory access.
 func record(e *env, b *Buffer, st *siteState, idx int64, write bool) {
 	es := b.ElemSize()
-	addr := b.Base + idx*es
 	stats := e.stats
 	if write {
 		stats.Stores++
@@ -917,10 +915,7 @@ func record(e *env, b *Buffer, st *siteState, idx int64, write bool) {
 		stats.LoadBytes += es
 	}
 	if e.classify {
-		st.recordAccess(addr, es, e.wi)
-	}
-	if e.sink != nil {
-		e.sink.Access(addr, es, write)
+		st.recordAccess(b.Base+idx*es, es, e.wi)
 	}
 }
 

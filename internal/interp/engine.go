@@ -2,7 +2,7 @@ package interp
 
 // Engine selects which execution engine an Exec uses to run compiled
 // kernels. Both engines are bit-identical in every observable: output
-// buffers, statistics, site profiles, trace streams, and fault behaviour.
+// buffers, statistics, site profiles, and fault behaviour.
 // The bytecode engine is the fast path; the closure engine is the
 // reference implementation and the fallback for anything the lowerer
 // cannot handle.

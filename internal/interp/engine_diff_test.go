@@ -3,8 +3,8 @@ package interp_test
 // Differential tests between the two execution engines. The closure
 // engine is the reference; the bytecode engine must be bit-identical in
 // every observable — output buffers, statistics profiles, per-site
-// access patterns, trace streams, runtime-error text, and fault
-// behaviour — under every shard count and sampling rate.
+// access patterns, runtime-error text, and fault behaviour — under every
+// shard count and sampling rate.
 //
 // Run with -race: the engines share compile caches and the bytecode
 // path adds per-shard register scratch, so the race detector doubles as
@@ -29,7 +29,7 @@ import (
 // runOnEngine executes one workload instance on a fresh Exec pinned to
 // the given engine and returns the executor for stats/buffer checks.
 func runOnEngine(t *testing.T, k *clc.Kernel, inst *workloads.Instance,
-	engine interp.Engine, parallelism int, sink interp.TraceSink) *interp.Exec {
+	engine interp.Engine, parallelism int) *interp.Exec {
 	t.Helper()
 	ex, err := interp.NewExec(k)
 	if err != nil {
@@ -37,7 +37,6 @@ func runOnEngine(t *testing.T, k *clc.Kernel, inst *workloads.Instance,
 	}
 	ex.Engine = engine
 	ex.Parallelism = parallelism
-	ex.Sink = sink
 	if err := ex.Bind(inst.Args...); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
@@ -60,8 +59,7 @@ func sameProfileModuloEngine(a, b *interp.Profile) bool {
 
 // TestEngineDifferentialRealWorkloads runs every real workload kernel on
 // the closure engine (sequential reference) and on the bytecode engine
-// at shard counts {1, 4}, demanding bit-identical buffers, profiles, and
-// trace streams. It also asserts that the bytecode engine actually ran
+// at shard counts {1, 4}, demanding bit-identical buffers and profiles. It also asserts that the bytecode engine actually ran
 // (no silent fallback) for every real kernel, so the differential
 // coverage is not vacuous.
 func TestEngineDifferentialRealWorkloads(t *testing.T) {
@@ -80,30 +78,21 @@ func TestEngineDifferentialRealWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Setup: %v", err)
 			}
-			refSink := &conformance.RecordingSink{}
-			ref := runOnEngine(t, k, refInst, interp.EngineClosures, 1, refSink)
-			refObs := observe("closures/shards=1", refInst, ref, refSink)
+			ref := runOnEngine(t, k, refInst, interp.EngineClosures, 1)
+			refObs := observe("closures/shards=1", refInst, ref)
 
 			for _, par := range []int{1, 4} {
 				inst, err := w.Setup()
 				if err != nil {
 					t.Fatalf("Setup: %v", err)
 				}
-				var sink *conformance.RecordingSink
-				if par == 1 {
-					sink = &conformance.RecordingSink{}
-				}
-				var ts interp.TraceSink
-				if sink != nil {
-					ts = sink
-				}
-				ex := runOnEngine(t, k, inst, interp.EngineBytecode, par, ts)
+				ex := runOnEngine(t, k, inst, interp.EngineBytecode, par)
 				eng, reason := ex.EngineUsed()
 				if eng != interp.EngineBytecode {
 					t.Fatalf("par=%d: fell back to %v (%s); real kernels must lower", par, eng, reason)
 				}
 				conformance.AssertIdentical(t, refObs,
-					observe(fmt.Sprintf("bytecode/shards=%d", par), inst, ex, sink))
+					observe(fmt.Sprintf("bytecode/shards=%d", par), inst, ex))
 			}
 		})
 	}
@@ -184,8 +173,8 @@ func synthesizeArgs(k *clc.Kernel, n int) []interp.Arg {
 }
 
 // runKernelOn runs a synthesized-argument kernel on one engine and
-// returns the full observation: buffer byte images, profile, trace, and
-// run error (nil for success).
+// returns the full observation: buffer byte images, profile, and run
+// error (nil for success).
 func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
 	parallelism, n int) *conformance.Observation {
 	t.Helper()
@@ -195,8 +184,6 @@ func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
 	}
 	ex.Engine = engine
 	ex.Parallelism = parallelism
-	sink := &conformance.RecordingSink{}
-	ex.Sink = sink
 	args := synthesizeArgs(k, n)
 	if err := ex.Bind(args...); err != nil {
 		t.Fatalf("Bind(%s): %v", k.Name, err)
@@ -208,7 +195,6 @@ func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
 		Leg:     fmt.Sprintf("%v/shards=%d", engine, parallelism),
 		Err:     ex.Run(),
 		Profile: ex.Stats(),
-		Trace:   append([]conformance.TraceEvent{}, sink.Events...),
 	}
 	for i, a := range args {
 		if a.IsBuf {
@@ -223,7 +209,7 @@ func runKernelOn(t *testing.T, k *clc.Kernel, engine interp.Engine,
 
 // TestEngineDifferentialFuzzCorpus runs every compiling fuzz-corpus
 // kernel through both engines with synthesized arguments and demands
-// identical buffers, profiles, traces — and, when the kernel traps,
+// identical buffers and profiles — and, when the kernel traps,
 // identical error text. Trap equality matters: runtime errors carry
 // source positions and counter state observed mid-kernel.
 //

@@ -11,9 +11,9 @@ import (
 )
 
 // AddressSpace assigns non-overlapping base addresses to buffers so that
-// trace addresses from different buffers never alias. One AddressSpace is
-// typically shared by all kernels of a context (buffers keep their base
-// across launches, which preserves reuse distances between kernels).
+// the access addresses the pattern classifier sees from different buffers
+// never alias. One AddressSpace is typically shared by all kernels of a
+// context (buffers keep their base across launches).
 type AddressSpace struct {
 	next   int64
 	nextID int
@@ -56,7 +56,6 @@ type Exec struct {
 	nd   NDRange
 
 	stats *RunStats
-	Sink  TraceSink
 	// as places bound buffers that no context has placed yet.
 	as AddressSpace
 
@@ -70,7 +69,7 @@ type Exec struct {
 	// Parallelism selects how many shards the Run* methods split their
 	// work-groups into: 0 uses GOMAXPROCS at the time of the run, and
 	// Sequential (1) forces the single-goroutine reference path.
-	// Results — output buffers, statistics, trace — are bit-identical
+	// Results — output buffers, statistics, traps — are bit-identical
 	// for every value. Launches that are not work-group independent
 	// always run sequentially (see ShardPinned).
 	Parallelism int
@@ -306,15 +305,15 @@ func (ex *Exec) resolveEngine() {
 
 // shardPinReason evaluates the work-group-independence predicate for the
 // current binding and launch, once per Launch. It is the single gate of
-// every execution mode that reorders work-groups: sharded
-// Run/RunGroupSpan, sharded sampled profiling, and the scheduler's
-// sharded co-execution plan.
+// every execution mode that reorders work-groups: a sharded Run,
+// sharded sampled profiling, and the scheduler's sharded co-execution
+// plan.
 func (ex *Exec) shardPinReason() string {
 	ex.resolvePins()
 	return ex.shardPin
 }
 
-// parks reports whether an unprofiled, untraced run of the current launch
+// parks reports whether an unprofiled run of the current launch
 // parks its work-items at their column walks (park.go): the lowered
 // program is parkable and the launch is work-item independent.
 func (ex *Exec) parks() bool {
@@ -429,36 +428,30 @@ func (ex *Exec) ShardPinned() string {
 }
 
 // seqState returns the sequential/shard-0 execution state, prepared for
-// the current launch, statistics, and trace sink, with the run's
-// classifier gate set (see runState.profiled).
+// the current launch and statistics, with the run's classifier gate set
+// (see runState.profiled).
 func (ex *Exec) seqState(profiled bool) *runState {
 	if ex.seq == nil {
 		ex.seq = &runState{ex: ex, abort: &ex.abort}
 	}
 	ex.seq.claim(profiled)
-	ex.seq.prepare(ex.stats, ex.Sink)
+	ex.seq.prepare(ex.stats)
 	return ex.seq
 }
 
 // claim sets up the state for the run it is claimed for: the classifier
-// gate, and whether the run's groups park (an unprofiled, untraced run of
-// a launch that parks). It runs on the caller's goroutine, so the
+// gate, and whether the run's groups park (an unprofiled run of a launch
+// that parks). It runs on the caller's goroutine, so the
 // launch's verdicts resolve there.
 func (rs *runState) claim(profiled bool) {
 	rs.profiled = profiled
-	rs.parks = !profiled && rs.ex.Sink == nil && rs.ex.parks()
+	rs.parks = !profiled && rs.ex.parks()
 }
 
 // Run executes every work-group of the launched ND range, splitting the
 // group space across Parallelism shard workers.
 func (ex *Exec) Run() error {
-	return ex.RunGroupSpan(0, ex.nd.TotalGroups())
-}
-
-// RunGroupSpan executes count work-groups starting at linear group id
-// start, splitting the span across Parallelism shard workers.
-func (ex *Exec) RunGroupSpan(start, count int) error {
-	ex.segs = append(ex.segs[:0], Segment{Start: start, Count: count})
+	ex.segs = append(ex.segs[:0], Segment{Count: ex.nd.TotalGroups()})
 	return ex.RunSegments(ex.segs)
 }
 
@@ -484,12 +477,6 @@ func (ex *Exec) RunSampled(maxGroups int) (int, error) {
 		return 0, err
 	}
 	return len(ex.segs), nil
-}
-
-// RunGroup executes a single work-group identified by its linear id
-// (dimension 0 fastest).
-func (ex *Exec) RunGroup(linear int) error {
-	return ex.RunGroupSpan(linear, 1)
 }
 
 // runState is the per-goroutine execution state for running work-groups:
@@ -524,15 +511,14 @@ type runState struct {
 	// profiled says what the run the state was claimed for is for: true
 	// keeps the per-access pattern profile of every group it runs, false
 	// is a run made for its output (RunUnprofiled),
-	// whose groups all skip the classifier while counters and trace stay
-	// exact. Set by whoever claims the state for a run (seqState,
+	// whose groups all skip the classifier while the counters stay exact.
+	// Set by whoever claims the state for a run (seqState,
 	// shardState).
 	profiled bool
 
-	// Parallel-run scratch, reused across runs: per-shard statistics and
-	// trace log, merged deterministically in shard order.
+	// Parallel-run scratch, reused across runs: per-shard statistics,
+	// merged deterministically in shard order.
 	ownStats *RunStats
-	log      *traceLog
 
 	// affineLoops counts the fused loops the closed form served, and
 	// unfusedLoops the fused loops whose guard held but which ran their
@@ -552,9 +538,9 @@ type runState struct {
 }
 
 // prepare sizes the scratch for the executor's current launch and points
-// the environment at the given statistics and trace sink. It is cheap
-// when the previously prepared sizes still fit.
-func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
+// the environment at the given statistics. It is cheap when the
+// previously prepared sizes still fit.
+func (rs *runState) prepare(stats *RunStats) {
 	ex := rs.ex
 	wgSize := ex.nd.GroupSize()
 	if len(rs.slotScratch) < wgSize {
@@ -597,7 +583,6 @@ func (rs *runState) prepare(stats *RunStats, sink TraceSink) {
 	rs.stats = stats
 	rs.env.stats = stats
 	rs.env.bufs = ex.bufs
-	rs.env.sink = sink
 	rs.nd = ex.nd
 	rs.env.nd = &rs.nd
 	rs.env.wg = &rs.wg

@@ -540,38 +540,6 @@ func TestAddressSpacePlacement(t *testing.T) {
 	}
 }
 
-type countingSink struct {
-	n      int64
-	writes int64
-}
-
-func (s *countingSink) Access(addr, size int64, write bool) {
-	s.n++
-	if write {
-		s.writes++
-	}
-}
-
-func TestTraceSink(t *testing.T) {
-	ex := newExec(t, vaddSrc, "vadd")
-	n := 32
-	a, b, c := NewFloatBuffer(n), NewFloatBuffer(n), NewFloatBuffer(n)
-	sink := &countingSink{}
-	ex.Sink = sink
-	if err := ex.Bind(BufArg(a), BufArg(b), BufArg(c), IntArg(int64(n))); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Launch(ND1(n, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.n != int64(3*n) || sink.writes != int64(n) {
-		t.Errorf("sink saw %d accesses (%d writes), want %d (%d)", sink.n, sink.writes, 3*n, n)
-	}
-}
-
 // TestDefaultParallelismFollowsGOMAXPROCS: an Exec with Parallelism 0
 // shards by the GOMAXPROCS of the moment it runs, not by whatever an
 // earlier launch in the process saw, and at every setting its buffers

@@ -1,6 +1,9 @@
 package interp
 
-import "sort"
+import (
+	"sort"
+	"time"
+)
 
 // AffineLoops is the number of fused loops the closed form has served on
 // ex, summed over its sequential state and its shard workers. Both ways
@@ -33,13 +36,41 @@ func sumStates(ex *Exec, count func(*runState) int64) int64 {
 	return n
 }
 
-// Parks reports whether an unprofiled, untraced run of ex's current
-// launch parks its work-items at their column walks.
+// PoolQuiet waits up to timeout for every shard pool worker to count
+// idle, starting the pool if no run has, and reports whether they do. A
+// worker whose shard its caller took back stays counted busy until it has
+// dequeued the stale hand-off, which on a loaded host can outlast the run
+// that made it.
+func PoolQuiet(timeout time.Duration) bool {
+	startPool()
+	for deadline := time.Now().Add(timeout); poolIdle.Load() != int32(poolWorkers); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// Parks reports whether an unprofiled run of ex's current launch parks
+// its work-items at their column walks.
 func Parks(ex *Exec) bool { return ex.parks() }
 
 // FusedHeads counts the fused loop heads of ex's lowered program; it is 0
 // when ex runs on the closure engine.
 func FusedHeads(ex *Exec) int { return opCount(ex, opFMALoopF32) }
+
+// OpHistogram counts the instructions of ex's lowered program by opcode
+// value; it is all zero when ex runs on the closure engine.
+func OpHistogram(ex *Exec) (h [256]int) {
+	if ex.prog != nil {
+		for _, code := range ex.prog.segments {
+			for i := range code {
+				h[code[i].op]++
+			}
+		}
+	}
+	return h
+}
 
 // straightOps names the opcodes straight.go adds: the shared-base float32
 // load, the load-operand op, the stencil tap, the offset guard and the

@@ -34,17 +34,22 @@ __kernel void edge(__global float* A, __global float* B, __global float* X, __gl
 }
 
 // edgeShapes is every shape the fused loop's closed form distinguishes.
-var edgeShapes = []struct{ name, loop, body string }{
-	{"row walk", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[j];"},
-	{"column walk", "int j = 0; j < N; j++", "acc += A[j * N + i] * X[j];"},
-	{"invariant X", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[i];"},
-	{"negative step", "int j = N - 1; j >= lo; j--", "acc += A[i * N + j] * X[j];"},
+// A strided shape is one the closed form has no loop for, so its fused
+// loops run their unfused body.
+var edgeShapes = []struct {
+	name, loop, body string
+	strided          bool
+}{
+	{"row walk", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[j];", false},
+	{"column walk", "int j = 0; j < N; j++", "acc += A[j * N + i] * X[j];", false},
+	{"invariant X", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[i];", true},
+	{"negative step", "int j = N - 1; j >= lo; j--", "acc += A[i * N + j] * X[j];", true},
 	{"two accumulators", "int j = 0; j < N; j++",
-		"acc += A[i * N + j] * X[j]; acc2 += B[i * N + j] * X[j];"},
-	{"scaled term", "int j = 0; j < N; j++", "acc += alpha * A[i * N + j] * X[j];"},
-	{"literal scale, column walk", "int j = 0; j < N; j++", "acc += 0.3f * A[j * N + i] * X[j];"},
+		"acc += A[i * N + j] * X[j]; acc2 += B[i * N + j] * X[j];", false},
+	{"scaled term", "int j = 0; j < N; j++", "acc += alpha * A[i * N + j] * X[j];", true},
+	{"literal scale, column walk", "int j = 0; j < N; j++", "acc += 0.3f * A[j * N + i] * X[j];", true},
 	{"two terms on one accumulator", "int j = 0; j < N; j++",
-		"acc += alpha * A[i * N + j] * B[r * N + j]; acc += alpha * B[i * N + j] * A[r * N + j];"},
+		"acc += alpha * A[i * N + j] * B[r * N + j]; acc += alpha * B[i * N + j] * A[r * N + j];", false},
 }
 
 // edgeFinite fills n floats with finite values: normal ones whose
@@ -109,20 +114,16 @@ func edgeInputs(n int) (A, B, X, C []float32) {
 
 // edgeRun is one execution of an edge kernel.
 type edgeRun struct {
-	ex    *Exec
-	y     []uint32 // the bits of Y, then Z
-	err   error
-	trace traceLog
+	ex  *Exec
+	y   []uint32 // the bits of Y, then Z
+	err error
 }
 
-func runEdge(t *testing.T, src string, engine Engine, shards, n, aLen int, traced bool) *edgeRun {
+func runEdge(t *testing.T, src string, engine Engine, shards, n, aLen int) *edgeRun {
 	t.Helper()
 	ex := newExec(t, src, "edge")
 	ex.Engine, ex.Parallelism = engine, shards
 	run := &edgeRun{ex: ex}
-	if traced {
-		ex.Sink = &run.trace
-	}
 	a, b, x, c := edgeInputs(n)
 	Y, Z := NewFloatBuffer(n), NewFloatBuffer(n)
 	if err := ex.Bind(BufArg(&Buffer{F32: a[:aLen]}), BufArg(&Buffer{F32: b}), BufArg(&Buffer{F32: x}),
@@ -150,8 +151,6 @@ func diffEdge(got, want *edgeRun, buffers bool) string {
 		return fmt.Sprintf("error %v, the closure engine reports %v", got.err, want.err)
 	case buffers && !reflect.DeepEqual(got.y, want.y):
 		return fmt.Sprintf("output bits diverge:\n got %x\nwant %x", got.y, want.y)
-	case !reflect.DeepEqual(got.trace, want.trace):
-		return fmt.Sprintf("trace diverges (%d vs %d events)", len(got.trace.events), len(want.trace.events))
 	}
 	gotProf, wantProf := got.ex.Stats(), want.ex.Stats()
 	gotProf.Engine, wantProf.Engine = 0, 0
@@ -163,10 +162,11 @@ func diffEdge(got, want *edgeRun, buffers bool) string {
 
 // TestFusedLoopEdgeValues runs every fused-loop shape over edge values
 // against the closure engine — output bits, profile and trap text — at 1,
-// 2 and 3 shards through the closed form, and traced through the general
-// per-iteration loop; with A cut short, every shape traps. The values
-// make a float64 accumulator rounded only at the loop's end read
-// differently from the float32 one rounded after every add.
+// 2 and 3 shards: through the closed form where it has a loop for the
+// shape, through the unfused body where it has not; with A cut short,
+// every shape traps. The values make a float64 accumulator rounded only
+// at the loop's end read differently from the float32 one rounded after
+// every add.
 func TestFusedLoopEdgeValues(t *testing.T) {
 	const n = 24
 	for _, s := range edgeShapes {
@@ -178,11 +178,11 @@ func TestFusedLoopEdgeValues(t *testing.T) {
 				name += ", A cut short"
 			}
 			for _, shards := range []int{1, 2, 3} {
-				want := runEdge(t, src, EngineClosures, shards, n, aLen, false)
+				want := runEdge(t, src, EngineClosures, shards, n, aLen)
 				if (want.err != nil) != trap {
 					t.Fatalf("%s: closure engine error %v", name, want.err)
 				}
-				got := runEdge(t, src, EngineBytecode, shards, n, aLen, false)
+				got := runEdge(t, src, EngineBytecode, shards, n, aLen)
 				if fused, ops := fusedHeads(t, got.ex); fused != 1 {
 					t.Fatalf("%s: %d fused loop heads, want 1 (opcodes:%s)", name, fused, ops)
 				}
@@ -192,17 +192,14 @@ func TestFusedLoopEdgeValues(t *testing.T) {
 				if d := diffEdge(got, want, !trap || shards == 1); d != "" {
 					t.Errorf("%s, %d shards: %s", name, shards, d)
 				}
-				if !trap && AffineLoops(got.ex) == 0 {
+				switch {
+				case trap:
+				case s.strided && (UnfusedLoops(got.ex) == 0 || AffineLoops(got.ex) != 0):
+					t.Errorf("%s, %d shards: the closed form served %d loops and the unfused body ran %d, want only the unfused body",
+						name, shards, AffineLoops(got.ex), UnfusedLoops(got.ex))
+				case !s.strided && AffineLoops(got.ex) == 0:
 					t.Errorf("%s, %d shards: the closed form served no loop", name, shards)
 				}
-			}
-			wantT := runEdge(t, src, EngineClosures, Sequential, n, aLen, true)
-			gotT := runEdge(t, src, EngineBytecode, Sequential, n, aLen, true)
-			if d := diffEdge(gotT, wantT, true); d != "" {
-				t.Errorf("%s, traced: %s", name, d)
-			}
-			if AffineLoops(gotT.ex) != 0 {
-				t.Errorf("%s, traced: the closed form served a traced run", name)
 			}
 		}
 	}

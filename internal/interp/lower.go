@@ -13,12 +13,13 @@ package interp
 //     the count is pre-paid with opStat and the instruction's count
 //     field is zero.
 //   - Trap order matches: integer division evaluates the divisor before
-//     the dividend with the zero check in between (opChkDiv0), and global
-//     atomics check for an empty buffer before evaluating their operand
-//     (opChkAtomG), whenever the surrounding operands have observable
-//     effects.
-//   - Memory accesses (bounds checks, site recording, trace events) are
-//     emitted in the exact closure order.
+//     the dividend with the zero check in between (opChkDiv0) whenever
+//     the surrounding operands have observable effects. An atomic's
+//     operand may have none (lowerAtomic refuses it, so such a kernel
+//     falls back to closures), and opAtomicG checks for an empty buffer
+//     itself.
+//   - Memory accesses (bounds checks, site recording) are emitted in the
+//     exact closure order.
 //
 // Variables live in dedicated registers. Because operands of the closure
 // engine are evaluated lazily at combination time, an operand lowered to a

@@ -9,22 +9,22 @@ import (
 )
 
 // This file implements the parallel ND-range execution engine. Every
-// run — a whole launch, a span, a sampled profile, or the co-execution
-// plan the scheduler simulated — is an ordered list of work-group
-// segments (RunSegments). The list is cut into p shards that are balanced
-// by group count and contiguous in list order; shard 0 runs on the calling
-// goroutine directly against the Exec's statistics and trace sink, shards
-// 1..p-1 run on a process-wide worker pool (or inline, when no worker is
-// idle) against private per-shard statistics and trace logs. A work-item
-// never spans two work-groups, so merging the per-shard statistics in
-// shard order (RunStats.mergeFrom) reproduces the counters, access
-// patterns, and trace stream of a sequential walk of the same list
-// bit-for-bit. Output buffers need no merge, because only launches whose
-// work-groups are provably independent (analysis.Independence: no global
-// atomics, every store index distinct across work-groups, every load of
-// a stored buffer at the store's own index) are sharded at all; every
-// other launch walks its segments in list order on the calling goroutine
-// and records why (RunStats.ShardPinReason).
+// run — a whole launch, a sampled profile, or the co-execution plan the
+// scheduler simulated — is an ordered list of work-group segments
+// (RunSegments). The list is cut into p shards that are balanced by group
+// count and contiguous in list order; shard 0 runs on the calling
+// goroutine directly against the Exec's statistics, shards 1..p-1 run on
+// a process-wide worker pool (or inline, when no worker is idle) against
+// private per-shard statistics. A work-item never spans two work-groups,
+// so merging the per-shard statistics in shard order (RunStats.mergeFrom)
+// reproduces the counters and access patterns of a sequential walk of the
+// same list bit-for-bit. Output buffers need no merge, because only
+// launches whose work-groups are provably independent
+// (analysis.Independence: no global atomics, every store index distinct
+// across work-groups, every load of a stored buffer at the store's own
+// index) are sharded at all; every other launch walks its segments in
+// list order on the calling goroutine and records why
+// (RunStats.ShardPinReason).
 
 // Sequential is the Parallelism value that forces the single-goroutine
 // reference execution path.
@@ -41,23 +41,6 @@ func (ex *Exec) parallelism() int {
 // ND range: Count groups starting at linear group id Start.
 type Segment struct {
 	Start, Count int
-}
-
-// traceEvent is one recorded memory access of a shard worker.
-type traceEvent struct {
-	addr, size int64
-	write      bool
-}
-
-// traceLog captures a shard's accesses so they can be replayed into the
-// Exec's TraceSink in shard order at merge time, preserving the exact
-// sequential event stream (shard 0 writes to the sink live).
-type traceLog struct {
-	events []traceEvent
-}
-
-func (l *traceLog) Access(addr, size int64, write bool) {
-	l.events = append(l.events, traceEvent{addr, size, write})
 }
 
 // abortFlag is the cooperative cancellation state shared by the shards
@@ -228,18 +211,18 @@ func (rs *runState) runSpanAborting(start, count, shard int) error {
 }
 
 // RunSegments executes the segments, in list order when observed through
-// statistics, traces and buffers: the result is bit-identical to walking
+// statistics, buffers and traps: the result is bit-identical to walking
 // the list group by group on one goroutine. When the receiver's launch is
 // work-group independent (see ShardPinned) the list is split across
 // Parallelism shard workers; otherwise it is walked exactly that way.
 // On failure the error of the earliest failing group in list order is
-// returned. Like Run, RunGroupSpan and RunSampled it keeps the per-access
-// pattern profile.
+// returned. Like Run and RunSampled it keeps the per-access pattern
+// profile.
 func (ex *Exec) RunSegments(segs []Segment) error { return ex.runSegments(segs, true) }
 
 // RunUnprofiled is RunSegments for a caller that wants the segments'
-// output and not their access profile: buffers, aggregate counters, traces
-// and errors are those of RunSegments, but no work-group runs the
+// output and not their access profile: buffers, aggregate counters and
+// errors are those of RunSegments, but no work-group runs the
 // per-access pattern classifier, so the site profiles stay as they were.
 // A managed launch's functional plan runs this way — its profile was
 // taken beforehand, by the sampled run behind the model.
@@ -277,7 +260,7 @@ func (ex *Exec) runSegments(segs []Segment, profiled bool) error {
 
 // shardState returns the execution state shard uses during a run: the
 // live sequential state for shard 0, a private worker state (fresh
-// statistics and trace log) otherwise. A worker state is only claimed
+// statistics) otherwise. A worker state is only claimed
 // here — handed the run's classifier gate; sizing its scratch is left to
 // whoever runs the shard (runState.ready), off the caller's critical path.
 func (ex *Exec) shardState(shard int, profiled bool) *runState {
@@ -293,23 +276,11 @@ func (ex *Exec) shardState(shard int, profiled bool) *runState {
 }
 
 // ready prepares a worker state for the run it was claimed for: fresh
-// statistics, an empty trace log when the Exec traces, scratch sized for
-// the launch. It only reads the Exec, so it is safe on a pool worker
-// while the caller runs shard 0.
+// statistics and scratch sized for the launch. It only reads the Exec, so
+// it is safe on a pool worker while the caller runs shard 0.
 func (rs *runState) ready() {
-	ex := rs.ex
-	rs.ownStats.resetFor(ex.ck)
-	var sink TraceSink
-	if ex.Sink != nil {
-		if rs.log == nil {
-			rs.log = &traceLog{}
-		}
-		rs.log.events = rs.log.events[:0]
-		sink = rs.log
-	} else {
-		rs.log = nil
-	}
-	rs.prepare(rs.ownStats, sink)
+	rs.ownStats.resetFor(rs.ex.ck)
+	rs.prepare(rs.ownStats)
 }
 
 // runSharded cuts the total groups of segs into p shards that are
@@ -366,9 +337,9 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 		}
 		t.pooled = tryPool(t, id)
 	}
-	// Shard 0 runs on the caller, directly into the Execs' statistics and
-	// sinks, so the chain state (prevAddr/prevWI, lane firsts) continues
-	// across repeated runs exactly as on the sequential path.
+	// Shard 0 runs on the caller, directly into the Exec's statistics, so
+	// the chain state (prevAddr/prevWI, lane firsts) continues across
+	// repeated runs exactly as on the sequential path.
 	for i := range ex.tasks {
 		if t := &ex.tasks[i]; !t.pooled {
 			t.run()
@@ -392,17 +363,9 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 		}
 	}
 
-	// Deterministic merge in shard order: statistics first, then the
-	// trace replay, so the sink observes the exact sequential stream.
+	// Deterministic merge in shard order.
 	for i := 1; i < p; i++ {
 		ex.stats.mergeFrom(ex.tasks[i].rs.ownStats)
-	}
-	if ex.Sink != nil {
-		for i := 1; i < p; i++ {
-			for _, ev := range ex.tasks[i].rs.log.events {
-				ex.Sink.Access(ev.addr, ev.size, ev.write)
-			}
-		}
 	}
 	return nil
 }

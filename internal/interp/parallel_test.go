@@ -23,14 +23,13 @@ import (
 
 // runInstance executes one workload instance on a fresh Exec with the
 // given parallelism and returns the executor (for stats/buffers).
-func runInstance(t *testing.T, k *clc.Kernel, inst *workloads.Instance, parallelism int, sink interp.TraceSink) *interp.Exec {
+func runInstance(t *testing.T, k *clc.Kernel, inst *workloads.Instance, parallelism int) *interp.Exec {
 	t.Helper()
 	ex, err := interp.NewExec(k)
 	if err != nil {
 		t.Fatalf("NewExec: %v", err)
 	}
 	ex.Parallelism = parallelism
-	ex.Sink = sink
 	if err := ex.Bind(inst.Args...); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
@@ -44,12 +43,12 @@ func runInstance(t *testing.T, k *clc.Kernel, inst *workloads.Instance, parallel
 }
 
 // observe summarizes one finished run as a conformance observation:
-// bit-exact byte images of every buffer argument, the statistics
-// profile, and — when a recording sink was attached — the trace stream.
+// bit-exact byte images of every buffer argument and the statistics
+// profile.
 // Comparisons then go through conformance.AssertIdentical, the canonical
 // equivalence check shared with the differential-conformance oracle, so
 // every divergence is reported with its first divergent byte offset.
-func observe(leg string, inst *workloads.Instance, ex *interp.Exec, sink *conformance.RecordingSink) *conformance.Observation {
+func observe(leg string, inst *workloads.Instance, ex *interp.Exec) *conformance.Observation {
 	obs := &conformance.Observation{Leg: leg, Profile: ex.Stats()}
 	for i, a := range inst.Args {
 		if a.IsBuf {
@@ -59,15 +58,12 @@ func observe(leg string, inst *workloads.Instance, ex *interp.Exec, sink *confor
 			})
 		}
 	}
-	if sink != nil {
-		obs.Trace = append([]conformance.TraceEvent{}, sink.Events...)
-	}
 	return obs
 }
 
 // TestParallelMatchesSequentialRealWorkloads runs every real workload on
 // the sequential reference path and on a 4-way sharded run and demands
-// bit-identical output buffers, statistics profiles, and trace streams.
+// bit-identical output buffers and statistics profiles.
 func TestParallelMatchesSequentialRealWorkloads(t *testing.T) {
 	ws, err := workloads.RealWorkloads(128, 32)
 	if err != nil {
@@ -88,12 +84,11 @@ func TestParallelMatchesSequentialRealWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Setup: %v", err)
 			}
-			var seqSink, parSink conformance.RecordingSink
-			seq := runInstance(t, k, seqInst, interp.Sequential, &seqSink)
-			par := runInstance(t, k, parInst, 4, &parSink)
+			seq := runInstance(t, k, seqInst, interp.Sequential)
+			par := runInstance(t, k, parInst, 4)
 			conformance.AssertIdentical(t,
-				observe("closures/seq", seqInst, seq, &seqSink),
-				observe("closures/shards=4", parInst, par, &parSink))
+				observe("closures/seq", seqInst, seq),
+				observe("closures/shards=4", parInst, par))
 		})
 	}
 }
@@ -125,24 +120,24 @@ func TestShardCountInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Setup: %v", err)
 			}
-			ref := runInstance(t, k, refInst, interp.Sequential, nil)
+			ref := runInstance(t, k, refInst, interp.Sequential)
 			// Second run on the same executor: merge must continue the
 			// chain state exactly like the sequential stream does.
 			if err := ref.Run(); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			refObs := observe("closures/seq", refInst, ref, nil)
+			refObs := observe("closures/seq", refInst, ref)
 			for _, p := range counts {
 				inst, err := w.Setup()
 				if err != nil {
 					t.Fatalf("Setup: %v", err)
 				}
-				ex := runInstance(t, k, inst, p, nil)
+				ex := runInstance(t, k, inst, p)
 				if err := ex.Run(); err != nil {
 					t.Fatalf("Run (p=%d): %v", p, err)
 				}
 				conformance.AssertIdentical(t, refObs,
-					observe(fmt.Sprintf("closures/shards=%d", p), inst, ex, nil))
+					observe(fmt.Sprintf("closures/shards=%d", p), inst, ex))
 			}
 		})
 	}

@@ -24,8 +24,8 @@ package interp
 // the work-item level), and because every item's counters enter RunStats
 // in item order: at a trap the totals are those of the sequential walk. A
 // trap in the park pass first drains the items parked before it, whose
-// own traps come first in item order. Only unprofiled, untraced runs park
-// (runState.claim): a profile or a trace observes the per-access order.
+// own traps come first in item order. Only unprofiled runs park
+// (runState.claim): a profile observes the per-access order.
 
 // parkedItem is one work-item of a parking group between its passes: the
 // counters it ran so far, held out of RunStats until it resumes; the pc it

@@ -69,21 +69,17 @@ var walkCases = []walkCase{
 
 // walkRun is one execution of a walk case.
 type walkRun struct {
-	ex    *Exec
-	bufs  [][]uint32 // the bits of A, X, C and Y after the run
-	err   error
-	trace traceLog
+	ex   *Exec
+	bufs [][]uint32 // the bits of A, X, C and Y after the run
+	err  error
 }
 
-// runWalk runs c once: unprofiled unless profiled, traced when traced.
-func runWalk(t *testing.T, c walkCase, engine Engine, shards int, profiled, traced bool) *walkRun {
+// runWalk runs c once: unprofiled unless profiled.
+func runWalk(t *testing.T, c walkCase, engine Engine, shards int, profiled bool) *walkRun {
 	t.Helper()
 	ex := newExec(t, c.src, "walk")
 	ex.Engine, ex.Parallelism = engine, shards
 	run := &walkRun{ex: ex}
-	if traced {
-		ex.Sink = &run.trace
-	}
 	or := func(n, def int) int {
 		if n == 0 {
 			return def
@@ -127,16 +123,14 @@ func runWalk(t *testing.T, c walkCase, engine Engine, shards int, profiled, trac
 
 // diffWalk reports how got differs from the closure engine's run want:
 // error text and position, buffers (unless buffers is false: a trapping
-// run on several shards stops its later shards on timing), the profile —
-// aggregate counters at the trap included — and the trace.
+// run on several shards stops its later shards on timing) and the
+// profile, aggregate counters at the trap included.
 func diffWalk(got, want *walkRun, buffers bool) string {
 	switch {
 	case fmt.Sprint(got.err) != fmt.Sprint(want.err):
 		return fmt.Sprintf("error %v, the closure engine reports %v", got.err, want.err)
 	case buffers && !reflect.DeepEqual(got.bufs, want.bufs):
 		return "buffers diverge"
-	case !reflect.DeepEqual(got.trace, want.trace):
-		return fmt.Sprintf("trace diverges (%d vs %d events)", len(got.trace.events), len(want.trace.events))
 	}
 	gotProf, wantProf := got.ex.Stats(), want.ex.Stats()
 	gotProf.Engine, wantProf.Engine = 0, 0
@@ -150,16 +144,16 @@ func diffWalk(got, want *walkRun, buffers bool) string {
 // shards against the closure engine — buffers, aggregate counters, trap
 // text and position, and the counters at a trap — and checks that the
 // eligible ones parked and blocked their walks and the refused ones did
-// not park. A profiled and a traced run of each must not park, and match
-// the closure engine too.
+// not park. A profiled run of each must not park, and match the closure
+// engine too.
 func TestParkedColumnWalks(t *testing.T) {
 	for _, c := range walkCases {
 		for _, shards := range []int{1, 2, 3} {
-			want := runWalk(t, c, EngineClosures, shards, false, false)
+			want := runWalk(t, c, EngineClosures, shards, false)
 			if (want.err != nil) != c.trap {
 				t.Fatalf("%s: closure engine error %v, want trap=%v", c.name, want.err, c.trap)
 			}
-			got := runWalk(t, c, EngineBytecode, shards, false, false)
+			got := runWalk(t, c, EngineBytecode, shards, false)
 			if Parks(got.ex) != c.parks {
 				t.Errorf("%s: parks=%v, want %v (pinned: %q)", c.name, Parks(got.ex), c.parks, got.ex.itemPin)
 			}
@@ -174,18 +168,13 @@ func TestParkedColumnWalks(t *testing.T) {
 					c.name, shards, blocked, c.wantClosedMin)
 			}
 		}
-		for _, leg := range []struct {
-			name             string
-			profiled, traced bool
-		}{{"profiled", true, false}, {"traced", false, true}} {
-			want := runWalk(t, c, EngineClosures, Sequential, leg.profiled, leg.traced)
-			got := runWalk(t, c, EngineBytecode, Sequential, leg.profiled, leg.traced)
-			if d := diffWalk(got, want, true); d != "" {
-				t.Errorf("%s, %s: %s", c.name, leg.name, d)
-			}
-			if parked := ParkedItems(got.ex); parked != 0 {
-				t.Errorf("%s, %s: %d work-items parked", c.name, leg.name, parked)
-			}
+		want := runWalk(t, c, EngineClosures, Sequential, true)
+		got := runWalk(t, c, EngineBytecode, Sequential, true)
+		if d := diffWalk(got, want, true); d != "" {
+			t.Errorf("%s, profiled: %s", c.name, d)
+		}
+		if parked := ParkedItems(got.ex); parked != 0 {
+			t.Errorf("%s, profiled: %d work-items parked", c.name, parked)
 		}
 	}
 }

@@ -136,11 +136,13 @@ func TestPropertyGroupOrderIrrelevant(t *testing.T) {
 		if err := ex.Launch(inst.ND); err != nil {
 			return false
 		}
-		order := rand.New(rand.NewSource(seed)).Perm(inst.ND.TotalGroups())
-		for _, g := range order {
-			if err := ex.RunGroup(g); err != nil {
-				return false
-			}
+		ex.Parallelism = interp.Sequential
+		var segs []interp.Segment
+		for _, g := range rand.New(rand.NewSource(seed)).Perm(inst.ND.TotalGroups()) {
+			segs = append(segs, interp.Segment{Start: g, Count: 1})
+		}
+		if err := ex.RunSegments(segs); err != nil {
+			return false
 		}
 		for _, oi := range ref.OutputArgs {
 			if !ref.Args[oi].Buf.Equal(inst.Args[oi].Buf) {

@@ -4,13 +4,6 @@ import (
 	"dopia/internal/access"
 )
 
-// TraceSink receives every memory access when tracing is enabled. The
-// reuse-distance profiler in internal/mem implements this interface.
-// Addr is a flat simulated byte address (buffer Base + element offset).
-type TraceSink interface {
-	Access(addr int64, size int64, write bool)
-}
-
 // RunStats accumulates execution statistics across the work-groups run by
 // one Exec. All counters are totals over executed operations.
 type RunStats struct {

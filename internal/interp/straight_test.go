@@ -116,25 +116,20 @@ func straightInputs(n int) (A, X []float32) {
 
 // straightRun is one execution of a straight-line shape.
 type straightRun struct {
-	ex    *Exec
-	out   []uint32
-	err   error
-	trace traceLog
+	ex  *Exec
+	out []uint32
+	err error
 }
 
 // runStraight runs src over 16×16 inputs in 4×4 work-groups on engine,
-// with A and X cut to aLen and xLen elements. The leg is "profiled" (Run),
-// "unprofiled" (RunUnprofiled, the managed launch's functional run) or
-// "traced".
+// with A and X cut to aLen and xLen elements. The leg is "profiled" (Run)
+// or "unprofiled" (RunUnprofiled, the managed launch's functional run).
 func runStraight(t *testing.T, src string, engine Engine, shards int, leg string, aLen, xLen int) *straightRun {
 	t.Helper()
 	const n = 16
 	ex := newExec(t, src, "st")
 	ex.Engine, ex.Parallelism = engine, shards
 	run := &straightRun{ex: ex}
-	if leg == "traced" {
-		ex.Sink = &run.trace
-	}
 	a, x := straightInputs(n)
 	B := NewFloatBuffer(n * n)
 	if err := ex.Bind(BufArg(&Buffer{F32: a[:aLen]}), BufArg(&Buffer{F32: x[:xLen]}), BufArg(B),
@@ -166,8 +161,6 @@ func diffStraight(got, want *straightRun, buffers bool) string {
 		return fmt.Sprintf("error %v, the closure engine reports %v", got.err, want.err)
 	case buffers && !reflect.DeepEqual(got.out, want.out):
 		return fmt.Sprintf("output bits diverge:\n got %x\nwant %x", got.out, want.out)
-	case !reflect.DeepEqual(got.trace, want.trace):
-		return fmt.Sprintf("trace diverges (%d vs %d events)", len(got.trace.events), len(want.trace.events))
 	}
 	gotProf, wantProf := got.ex.Stats(), want.ex.Stats()
 	gotProf.Engine, wantProf.Engine = 0, 0
@@ -178,16 +171,13 @@ func diffStraight(got, want *straightRun, buffers bool) string {
 }
 
 // checkStraight runs src on both engines — profiled and unprofiled at 1,
-// 2 and 3 shards, and traced — reports every divergence, and returns one
-// bytecode executor of it.
+// 2 and 3 shards — reports every divergence, and returns one bytecode
+// executor of it.
 func checkStraight(t *testing.T, name, src string, aLen, xLen int, trap bool) *Exec {
 	t.Helper()
 	var lowered *Exec
-	for _, leg := range []string{"profiled", "unprofiled", "traced"} {
+	for _, leg := range []string{"profiled", "unprofiled"} {
 		for _, shards := range []int{1, 2, 3} {
-			if leg == "traced" && shards > 1 {
-				break
-			}
 			want := runStraight(t, src, EngineClosures, shards, leg, aLen, xLen)
 			if (want.err != nil) != trap {
 				t.Fatalf("%s: closure engine error %v", name, want.err)
@@ -208,7 +198,7 @@ func checkStraight(t *testing.T, name, src string, aLen, xLen int, trap bool) *E
 // TestStraightLineEdgeValues runs every straight-line shape — shared
 // subscript bases, load-operand ops, stencil taps, folded literals and
 // offset guards — over edge values against the closure engine: output
-// bits, profile, trace and trap text, at 1, 2 and 3 shards. Each shape
+// bits, profile and trap text, at 1, 2 and 3 shards. Each shape
 // also runs with A and X cut short and with X of one element, and the
 // stencil with a one-element buffer under each tap in turn, so that a
 // trap lands on every kind of fused load, with its counts paid before the

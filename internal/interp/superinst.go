@@ -6,13 +6,13 @@ package interp
 // (fuseFMALoops) rewrites the head of a loop whose whole body is one or
 // two terms into opFMALoopF32, and runFMALoop then runs the loop's
 // zero-trip guard and, when the trip and every address are computable up
-// front, the whole loop in closed form outside the dispatch switch. The
-// head is the guard — the compare-and-branch in front of the body that
-// skips a loop whose condition fails on entry — and keeps its compare,
-// count and exit target. Only the head instruction's opcode and norm are
-// rewritten; the body and the back edge stay in place, so a loop the
-// closed form declines (or a traced run's, which needs every access in
-// order) continues into its unfused body, and the back edge's jump into
+// front and the closed form has a loop for the shape, the whole loop in
+// closed form outside the dispatch switch. The head is the guard — the
+// compare-and-branch in front of the body that skips a loop whose
+// condition fails on entry — and keeps its compare, count and exit
+// target. Only the head instruction's opcode and norm are rewritten; the
+// body and the back edge stay in place, so a loop the closed form
+// declines continues into its unfused body, and the back edge's jump into
 // the window executes the exact unfused semantics.
 //
 // The closed form carries each accumulator as a float32 for the whole
@@ -229,10 +229,10 @@ func decodeTerm(in *instr, terms []fmaTerm, fr []float64, bufs []*Buffer, sites 
 }
 
 // step runs one iteration of the term in the closure engine's order —
-// count the add and the multiplies; evaluate A's index, bounds-check,
-// record and trace the load; then the same for X — adding its statistics
-// to c. It returns the product, or the trap of the failing bounds check.
-func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c *fmaLoopCounters) (float32, *fmaLoopTrap) {
+// count the add and the multiplies; evaluate A's index, bounds-check and
+// record the load; then the same for X — adding its statistics to c. It
+// returns the product, or the trap of the failing bounds check.
+func (f *fmaOperand) step(ir []int64, classify bool, wi int64, c *fmaLoopCounters) (float32, *fmaLoopTrap) {
 	c.aluF += f.aluF()
 	c.aluI += f.a.aluI()
 	ia := f.a.index(ir)
@@ -244,9 +244,6 @@ func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c
 	if classify {
 		f.stA.recordAccess(f.baseA+ia*4, 4, wi)
 	}
-	if sink != nil {
-		sink.Access(f.baseA+ia*4, 4, false)
-	}
 	c.aluI += f.x.aluI()
 	ix := f.x.index(ir)
 	if uint64(ix) >= uint64(len(f.fX)) {
@@ -257,9 +254,6 @@ func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c
 	if classify {
 		f.stX.recordAccess(f.baseX+ix*4, 4, wi)
 	}
-	if sink != nil {
-		sink.Access(f.baseX+ix*4, 4, false)
-	}
 	return fmaProduct(f.scaled, f.s, f.fA[ia], f.fX[ix]), nil
 }
 
@@ -269,10 +263,10 @@ func (f *fmaOperand) step(ir []int64, classify bool, sink TraceSink, wi int64, c
 // table: every extra value live across these calls costs the dispatch
 // loop in execBC spills on every instruction it dispatches.
 func (rs *runState) runFMATerm(code []instr, at int, ir []int64, fr []float64, bufs []*Buffer,
-	sites []siteState, classify bool, sink TraceSink, wi int64,
+	sites []siteState, classify bool, wi int64,
 ) (c fmaLoopCounters, trap *fmaLoopTrap) {
 	f := decodeTerm(&code[at], rs.ex.prog.terms, fr, bufs, sites)
-	p, trap := f.step(ir, classify, sink, wi, &c)
+	p, trap := f.step(ir, classify, wi, &c)
 	if trap == nil {
 		fr[f.acc] = float64(float32(fr[f.acc]) + p)
 	}
@@ -375,12 +369,15 @@ func affFlush(st *siteState, base int64, ai affIdx, trips, wi int64) {
 
 // runFMALoopAffine is the analytic fast path of the fused-loop
 // executor: when the trip count is computable up front (signed
-// compare against a loop-invariant bound, non-truncating induction)
-// and every address progression is affine in the induction and
-// provably in bounds for the whole trip, the loop body reduces to
-// pure loads and FMAs — counters and classifier state are closed-form
-// functions of the trip count, bit-identical to the per-iteration
-// bookkeeping. Returns ok=false (with no state touched) whenever any
+// compare against a loop-invariant bound, non-truncating induction),
+// every address progression is affine in the induction and provably in
+// bounds for the whole trip, and the closed form has a loop for the
+// shape, the loop body reduces to pure loads and FMAs — counters and
+// classifier state are closed-form functions of the trip count,
+// bit-identical to the per-iteration bookkeeping. The shapes are the
+// unscaled one-term row and column walks, the unscaled row-walk pair on
+// two accumulators (GESUMMV) and the scaled row-walk pair on one
+// (SYR2K). Returns ok=false (with no state touched) whenever any
 // precondition fails; the loop then runs its unfused body.
 func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 	ir []int64, fr []float64, classify bool, wi int64,
@@ -394,15 +391,31 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 		return cnt, false
 	}
 
+	acc := float32(fr[f1.acc])
 	switch {
-	case !two:
-		fr[f1.acc] = float64(dotOne(float32(fr[f1.acc]), f1, trips))
-	case f1.acc == f2.acc:
-		fr[f1.acc] = float64(dotShared(float32(fr[f1.acc]), f1, f2, trips))
+	case !two && !f1.scaled && f1.px.delta == 1:
+		x := f1.fX[f1.px.first : f1.px.first+trips]
+		if f1.pa.delta == 1 {
+			acc = dotRow(acc, f1.fA[f1.pa.first:f1.pa.first+trips], x)
+		} else {
+			acc = dotCol(acc, f1.fA, f1.pa.first, f1.pa.delta, x)
+		}
+	case !two || !f1.unitRows() || !f2.unitRows() || f1.scaled != f2.scaled:
+		return cnt, false
+	case f1.acc != f2.acc && !f1.scaled:
+		a1, x1 := f1.rows(trips)
+		a2, x2 := f2.rows(trips)
+		var acc2 float32
+		acc, acc2 = dotRowPair(acc, float32(fr[f2.acc]), a1, x1, a2, x2)
+		fr[f2.acc] = float64(acc2)
+	case f1.acc == f2.acc && f1.scaled:
+		a1, x1 := f1.rows(trips)
+		a2, x2 := f2.rows(trips)
+		acc = dotRowShared(acc, f1.s, f2.s, a1, x1, a2, x2)
 	default:
-		acc1, acc2 := dotPair(float32(fr[f1.acc]), float32(fr[f2.acc]), f1, f2, trips)
-		fr[f1.acc], fr[f2.acc] = float64(acc1), float64(acc2)
+		return cnt, false
 	}
+	fr[f1.acc] = float64(acc)
 	ir[incDst] = lt.jEnd
 
 	cnt = f1.tripCounters(trips, true)
@@ -422,6 +435,16 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 		}
 	}
 	return cnt, true
+}
+
+// unitRows reports whether both of the operand's progressions advance by
+// one element per iteration.
+func (f *fmaOperand) unitRows() bool { return f.pa.delta == 1 && f.px.delta == 1 }
+
+// rows returns the stretches of A and X a unit-row operand reads in
+// trips iterations.
+func (f *fmaOperand) rows(trips int64) (a, x []float32) {
+	return f.fA[f.pa.first : f.pa.first+trips], f.fX[f.px.first : f.px.first+trips]
 }
 
 // tripCounters are the statistics of trips iterations of one term, with
@@ -519,48 +542,6 @@ func tripCount(inc *instr, ir []int64) (lt loopTrip, ok bool) {
 // allocator does not spill them; unit-stride operands are resliced to the
 // trip so the compiler drops their bounds checks.
 
-// dotOne runs a one-term trip: the row walk and the column walk have
-// loops of their own.
-func dotOne(acc float32, f *fmaOperand, trips int64) float32 {
-	a, x := f.pa, f.px
-	if !f.scaled {
-		switch {
-		case a.delta == 1 && x.delta == 1:
-			return dotRow(acc, f.fA[a.first:a.first+trips], f.fX[x.first:x.first+trips])
-		case x.delta == 1:
-			return dotCol(acc, f.fA, a.first, a.delta, f.fX[x.first:x.first+trips])
-		}
-	}
-	acc, _ = dotStrided(acc, 0, f, nil, false, trips)
-	return acc
-}
-
-// dotPair runs a two-term trip with one accumulator per term; the
-// unscaled row walk (GESUMMV) advances both add chains in one loop.
-func dotPair(acc1, acc2 float32, f1, f2 *fmaOperand, trips int64) (float32, float32) {
-	a1, x1, a2, x2 := f1.pa, f1.px, f2.pa, f2.px
-	if !f1.scaled && !f2.scaled && a1.delta == 1 && x1.delta == 1 && a2.delta == 1 && x2.delta == 1 {
-		return dotRowPair(acc1, acc2,
-			f1.fA[a1.first:a1.first+trips], f1.fX[x1.first:x1.first+trips],
-			f2.fA[a2.first:a2.first+trips], f2.fX[x2.first:x2.first+trips])
-	}
-	return dotStrided(acc1, acc2, f1, f2, false, trips)
-}
-
-// dotShared runs a two-term trip whose terms share one accumulator,
-// adding the products in body order; the scaled row walk (SYR2K) has a
-// loop of its own.
-func dotShared(acc float32, f1, f2 *fmaOperand, trips int64) float32 {
-	a1, x1, a2, x2 := f1.pa, f1.px, f2.pa, f2.px
-	if f1.scaled && f2.scaled && a1.delta == 1 && x1.delta == 1 && a2.delta == 1 && x2.delta == 1 {
-		return dotRowShared(acc, f1.s, f2.s,
-			f1.fA[a1.first:a1.first+trips], f1.fX[x1.first:x1.first+trips],
-			f2.fA[a2.first:a2.first+trips], f2.fX[x2.first:x2.first+trips])
-	}
-	acc, _ = dotStrided(acc, 0, f1, f2, true, trips)
-	return acc
-}
-
 func dotRow(acc float32, a, x []float32) float32 {
 	a = a[:len(x)]
 	for i, xv := range x {
@@ -622,36 +603,14 @@ func dotRowShared(acc float32, s1, s2 float64, a1, x1, a2, x2 []float32) float32
 	return acc
 }
 
-// dotStrided is the closed form's general loop: any strides, scales and
-// pairing. f2 is nil for one term; shared adds both products to acc1.
-func dotStrided(acc1, acc2 float32, f1, f2 *fmaOperand, shared bool, trips int64) (float32, float32) {
-	ia1, ix1 := f1.pa.first, f1.px.first
-	for t := int64(0); t < trips; t++ {
-		acc1 += fmaProduct(f1.scaled, f1.s, f1.fA[ia1], f1.fX[ix1])
-		ia1 += f1.pa.delta
-		ix1 += f1.px.delta
-		if f2 == nil {
-			continue
-		}
-		ia2, ix2 := f2.pa.first+t*f2.pa.delta, f2.px.first+t*f2.px.delta
-		if p := fmaProduct(f2.scaled, f2.s, f2.fA[ia2], f2.fX[ix2]); shared {
-			acc1 += p
-		} else {
-			acc2 += p
-		}
-	}
-	return acc1, acc2
-}
-
 // runFMALoop executes a fused FMA loop head (opFMALoopF32 at pc `head`)
-// for one work-item: the zero-trip guard, then, in an untraced run, the
-// whole loop in closed form. It returns the pc to continue at — the
-// loop's exit, or the first term of the body when the closed form
-// declines or the run is traced, so that dispatch runs the unfused body
-// and its back edge — and the statistic deltas to merge into the caller's
-// batched counters.
+// for one work-item: the zero-trip guard, then the whole loop in closed
+// form. It returns the pc to continue at — the loop's exit, or the first
+// term of the body when the closed form declines, so that dispatch runs
+// the unfused body and its back edge — and the statistic deltas to merge
+// into the caller's batched counters.
 func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
-	bufs []*Buffer, sites []siteState, classify bool, sink TraceSink, wi int64,
+	bufs []*Buffer, sites []siteState, classify bool, wi int64,
 ) (next int, cnt fmaLoopCounters) {
 	g := &code[head]
 	cnt.aluI = int64(g.c)
@@ -659,20 +618,16 @@ func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
 		return int(g.imm), cnt
 	}
 	n, first, back := fmaHead(code, head)
-	// Traces need the interleaved per-access event stream, so the closed
-	// form only serves untraced runs.
-	if sink == nil {
-		terms := rs.ex.prog.terms
-		f1 := decodeTerm(&code[first], terms, fr, bufs, sites)
-		var f2 fmaOperand
-		if n == 2 {
-			f2 = decodeTerm(&code[first+1], terms, fr, bufs, sites)
-		}
-		if c, ok := rs.runFMALoopAffine(&f1, &f2, n == 2, &code[back], ir, fr, classify, wi); ok {
-			rs.affineLoops++
-			c.aluI += cnt.aluI
-			return int(g.imm), c
-		}
+	terms := rs.ex.prog.terms
+	f1 := decodeTerm(&code[first], terms, fr, bufs, sites)
+	var f2 fmaOperand
+	if n == 2 {
+		f2 = decodeTerm(&code[first+1], terms, fr, bufs, sites)
+	}
+	if c, ok := rs.runFMALoopAffine(&f1, &f2, n == 2, &code[back], ir, fr, classify, wi); ok {
+		rs.affineLoops++
+		c.aluI += cnt.aluI
+		return int(g.imm), c
 	}
 	rs.unfusedLoops++
 	return first, cnt

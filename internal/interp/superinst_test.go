@@ -131,10 +131,10 @@ var (
 // runCol runs one of the column-walk kernels over an aLen-element matrix
 // with row stride n and m rows, sequentially, and returns the executor,
 // the output and the run's error.
-func runCol(t *testing.T, src string, engine Engine, aLen, n, m int, sink TraceSink) (*Exec, []float32, error) {
+func runCol(t *testing.T, src string, engine Engine, aLen, n, m int) (*Exec, []float32, error) {
 	t.Helper()
 	ex := newExec(t, src, "col")
-	ex.Engine, ex.Parallelism, ex.Sink = engine, Sequential, sink
+	ex.Engine, ex.Parallelism = engine, Sequential
 	A, x, y := NewFloatBuffer(aLen), NewFloatBuffer(m), NewFloatBuffer(m)
 	for i := range A.F32 {
 		A.F32[i] = float32(i%11)*0.3 - 1.2
@@ -154,8 +154,10 @@ func runCol(t *testing.T, src string, engine Engine, aLen, n, m int, sink TraceS
 // TestFusedLoopColumnWalk: the fused loop's closed form serves an index
 // the induction variable multiplies into, bit-identical to the closure
 // engine in buffers and profile; where the walk leaves the matrix, or the
-// stride takes the product out of int32, it declines, and the general
-// loop reports the closure engine's trap with its counters.
+// stride takes the product out of int32, it declines, and the unfused
+// body reports the closure engine's trap with its counters. A downward
+// walk, whose X index falls, is a shape the closed form has no loop for:
+// it runs the unfused body too.
 func TestFusedLoopColumnWalk(t *testing.T) {
 	const m = 24
 	cases := []struct {
@@ -166,17 +168,17 @@ func TestFusedLoopColumnWalk(t *testing.T) {
 	}{
 		{"in range", colSrc, 40 * m, 40, true, false},
 		{"multiplicands swapped", colSwappedSrc, 40 * m, 40, true, false},
-		{"negative step", colDownSrc, 40 * m, 40, true, false},
+		{"negative step", colDownSrc, 40 * m, 40, false, false},
 		{"induction in multiply and addend", colDiagSrc, 40 * m, 40, true, false},
 		{"matrix too small", colSrc, 40 * m / 2, 40, false, true},
 		{"product leaves int32", colSrc, 40 * m, 1 << 30, false, true},
 	}
 	for _, c := range cases {
-		bc, got, gotErr := runCol(t, c.src, EngineBytecode, c.aLen, c.n, m, nil)
+		bc, got, gotErr := runCol(t, c.src, EngineBytecode, c.aLen, c.n, m)
 		if fused, ops := fusedHeads(t, bc); fused == 0 {
 			t.Fatalf("%s: lowered without a fused FMA loop (opcodes:%s)", c.name, ops)
 		}
-		ref, want, wantErr := runCol(t, c.src, EngineClosures, c.aLen, c.n, m, nil)
+		ref, want, wantErr := runCol(t, c.src, EngineClosures, c.aLen, c.n, m)
 		if (gotErr != nil) != c.trap || (wantErr != nil) != c.trap {
 			t.Fatalf("%s: errors %v / %v, want trap=%v", c.name, gotErr, wantErr, c.trap)
 		}
@@ -194,26 +196,6 @@ func TestFusedLoopColumnWalk(t *testing.T) {
 		if served := bc.seq.affineLoops > 0; served != c.closed {
 			t.Errorf("%s: closed form served %d loops, want served=%v", c.name, bc.seq.affineLoops, c.closed)
 		}
-	}
-
-	// A trace needs the interleaved per-access stream: with a sink
-	// attached the closed form stays out of the way, and the stream is
-	// the closure engine's.
-	var bcSink, refSink traceLog
-	bc, got, err := runCol(t, colSrc, EngineBytecode, 40*m, 40, m, &bcSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, want, err := runCol(t, colSrc, EngineClosures, 40*m, 40, m, &refSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bc.seq.affineLoops != 0 {
-		t.Errorf("closed form served %d loops of a traced run", bc.seq.affineLoops)
-	}
-	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(bcSink, refSink) || len(bcSink.events) == 0 {
-		t.Errorf("traced column walk diverges from the closure engine (%d vs %d events)",
-			len(bcSink.events), len(refSink.events))
 	}
 }
 

@@ -2,9 +2,8 @@
 // functionally: work-item by work-item against real buffers. It is the
 // "silicon" of this reproduction — kernels genuinely compute their results
 // here — and at the same time the instrumentation layer: it counts
-// arithmetic operations, classifies memory-access patterns dynamically
-// (per loop iteration and per lane), and can stream addresses to a trace
-// sink for reuse-distance profiling.
+// arithmetic operations and classifies memory-access patterns
+// dynamically (per loop iteration and per lane).
 //
 // The interpreter uses closure compilation: each AST node is compiled once
 // into a Go closure, so the per-operation interpretive overhead is a single
@@ -35,7 +34,7 @@ func FloatValue(f float64) Value { return Value{F: f} }
 // Buffer is a typed memory object kernels read and write through
 // address-space-qualified pointer parameters. Base is the buffer's
 // position in the flat simulated address space; it is assigned when the
-// buffer is registered with an execution so trace addresses from
+// buffer is registered with an execution so the access addresses of
 // different buffers never alias.
 type Buffer struct {
 	Kind clc.Kind // element kind: KindFloat, KindInt, KindUInt, ...

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dopia/internal/analysis"
@@ -267,42 +269,46 @@ __kernel void neighbour(__global int* mark, __global int* out, __global int* unu
     }
 }`
 
-// orderSink observes a run through its memory trace. The first store to
-// mark of each work-group records the group; at that moment no group
-// beyond the ones already begun may have marked anything, which holds
-// only if the trace is live — the groups really execute one after the
-// other on the observed goroutine — and not replayed after the fact.
-type orderSink struct {
+// orderCtx observes a plan through the watchdog, which polls the run's
+// context before every work-group. At the k-th poll exactly the groups
+// order[:k] may have marked anything, which holds only if the groups
+// really execute one after the other, in schedule order, on the observed
+// goroutine. groups lists the groups in the order their marks appeared.
+type orderCtx struct {
+	context.Context
 	mu     sync.Mutex
 	mark   *interp.Buffer
 	wgSize int
+	order  []int
+	polls  int
 	groups []int
-	seen   map[int]bool
-	early  int // groups that had run before their turn
+	early  int // polls that found a group marked before its turn
 }
 
-func (s *orderSink) Access(addr, size int64, write bool) {
-	off := addr - s.mark.Base
-	if !write || off < 0 || off >= s.mark.Bytes() {
-		return
+// Err is the watchdog's poll.
+func (c *orderCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if marked := c.scan(); marked != c.polls || !slices.Equal(c.groups, c.order[:min(c.polls, len(c.order))]) {
+		c.early++
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := int(off/4) / s.wgSize
-	if s.seen[g] {
-		return
-	}
-	s.seen[g] = true
-	s.groups = append(s.groups, g)
+	c.polls++
+	return nil
+}
+
+// scan appends the groups that marked since the last scan to groups, in
+// group order, and returns how many groups have marked in all.
+func (c *orderCtx) scan() int {
 	marked := 0
-	for _, v := range s.mark.I32 {
-		if v != 0 {
+	for g := 0; g*c.wgSize < len(c.mark.I32); g++ {
+		if slices.ContainsFunc(c.mark.I32[g*c.wgSize:(g+1)*c.wgSize], func(v int32) bool { return v != 0 }) {
 			marked++
+			if !slices.Contains(c.groups, g) {
+				c.groups = append(c.groups, g)
+			}
 		}
 	}
-	if marked > len(s.groups)*s.wgSize {
-		s.early++
-	}
+	return marked
 }
 
 // scheduleOrder flattens the spans sim.Simulate assigns into the order
@@ -370,19 +376,22 @@ func TestPinnedKernelsRunInScheduleOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				order := scheduleOrder(t, e, m.AllResources(), dist)
-				sink := &orderSink{mark: mark, wgSize: wg, seen: map[int]bool{}}
-				e.ex.Sink = sink
-				if _, err := e.Run(m.AllResources(), RunOptions{Dist: dist, CPUShare: 0.5, Functional: true}); err != nil {
+				ctx := &orderCtx{Context: context.Background(), mark: mark, wgSize: wg, order: order}
+				if _, err := e.Run(m.AllResources(), RunOptions{Dist: dist, CPUShare: 0.5, Functional: true, Context: ctx}); err != nil {
 					t.Fatalf("%s/%s shards=%d: %v", name, dist, par, err)
 				}
+				ctx.scan() // the last group marks after the last poll
 				if e.PinReason() == "" {
 					t.Fatalf("%s: no pin reason recorded", name)
 				}
-				if !reflect.DeepEqual(sink.groups, order) {
-					t.Errorf("%s/%s shards=%d: groups ran in order %v, schedule order is %v", name, dist, par, sink.groups, order)
+				if !reflect.DeepEqual(ctx.groups, order) {
+					t.Errorf("%s/%s shards=%d: groups ran in order %v, schedule order is %v", name, dist, par, ctx.groups, order)
 				}
-				if sink.early > 0 {
-					t.Errorf("%s/%s shards=%d: %d groups had run before their turn", name, dist, par, sink.early)
+				if ctx.polls != len(order) {
+					t.Errorf("%s/%s shards=%d: the watchdog polled %d times for %d groups", name, dist, par, ctx.polls, len(order))
+				}
+				if ctx.early > 0 {
+					t.Errorf("%s/%s shards=%d: %d of %d polls found groups that had run before their turn", name, dist, par, ctx.early, ctx.polls)
 				}
 				if par == 1 {
 					want = snapshotBuffers(args)
@@ -473,13 +482,21 @@ __kernel void slow(__global int* mark, __global float* out, int n) {
     }
 }`
 
-// cancelSink cancels the run's context at the first traced access.
-type cancelSink struct {
-	once   sync.Once
-	cancel context.CancelFunc
+// cancelCtx is a context the watchdog finds cancelled from its second
+// poll on: the first work-group to start runs, and a cancellation arrives
+// while it does.
+type cancelCtx struct {
+	context.Context
+	polls atomic.Int32
 }
 
-func (s *cancelSink) Access(int64, int64, bool) { s.once.Do(s.cancel) }
+// Err is the watchdog's poll.
+func (c *cancelCtx) Err() error {
+	if c.polls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
 
 // TestCancelAbortsEveryShard: a context cancelled mid-plan stops every
 // shard within one work-group — no shard starts another group after the
@@ -514,11 +531,8 @@ func TestCancelAbortsEveryShard(t *testing.T) {
 		for i := range mark.I32 {
 			mark.I32[i] = 0
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		sink := &cancelSink{cancel: cancel}
-		e.ex.Sink = sink
+		ctx := &cancelCtx{Context: context.Background()}
 		_, err = e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true, Context: ctx})
-		cancel()
 		if !errors.Is(err, faults.ErrExecFailed) {
 			t.Fatalf("shards=%d: err = %v, want an execution failure", par, err)
 		}
