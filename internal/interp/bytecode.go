@@ -29,6 +29,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"dopia/internal/clc"
 	"dopia/internal/faults"
@@ -147,8 +148,8 @@ const (
 	// (park.go).
 	opFMALoopF32
 
-	// Work-item functions. norm is the wi* code; static dim in imm,
-	// dynamic dim in ir[a] (masked &3 like the closures).
+	// Work-item functions. norm is the wi* code; static dim in imm (in
+	// [0, 3): lowering resolves any other), dynamic dim in ir[a].
 	opWISta
 	opWIDyn
 
@@ -256,7 +257,7 @@ type instr struct {
 }
 
 // paramCopy moves one scalar kernel argument into its variable register
-// at work-item start (the closure engine's copy(slots, paramVals)).
+// (the closure engine's copy(slots, paramVals) at work-item start).
 type paramCopy struct {
 	slot int32
 	reg  int32
@@ -273,8 +274,12 @@ type bcProgram struct {
 	numF     int       // float register file size
 	initI    []int64   // a new int register row's contents (constants preloaded)
 	initF    []float64 // a new float register row's contents
+	// Scalar parameters the kernel writes, copied at each work-item's
+	// start, and those it never writes (declOnly), loaded once per run.
 	paramI   []paramCopy
 	paramF   []paramCopy
+	fixedI   []paramCopy
+	fixedF   []paramCopy
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
 	terms    []fmaTerm // opFMATermF32 operands, indexed by imm
@@ -386,8 +391,12 @@ func recordG(e *env, st *siteState, b *Buffer, idx, es int64) {
 	}
 }
 
-// wiQuery evaluates a work-item builtin for dimension d.
-func wiQuery(e *env, code uint8, d int) int64 {
+// wiQuery evaluates a work-item builtin for dimension d. A dimension
+// outside [0, 3), a huge unsigned one included, reads wiOutOfRange.
+func wiQuery(e *env, code uint8, d int64) int64 {
+	if uint64(d) >= 3 {
+		return wiOutOfRange(code)
+	}
 	switch code {
 	case wiGlobalID:
 		return e.gid[d]
@@ -407,17 +416,32 @@ func wiQuery(e *env, code uint8, d int) int64 {
 	return int64(e.nd.Dims) // wiWorkDim
 }
 
-// execBC runs one bytecode segment for the current work-item from pc. It
-// returns true when the work-item executed a return statement. Runtime
-// errors (bounds, division by zero) panic with *runtimeError exactly like
-// the closure engine and are recovered at the runGroup boundary. In a
-// parking pass (rs.parking) it stops at the first fused loop head and
-// leaves its pc in rs.parkAt.
-func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float64, prog *bcProgram) bool {
+// wiOutOfRange is what a work-item builtin answers for a dimension
+// outside [0, 3) in both engines (OpenCL 1.2 §6.12.1): 1 from the size
+// and group-count queries, 0 from the id, group and offset queries.
+func wiOutOfRange(code uint8) int64 {
+	if code == wiGlobalSize || code == wiLocalSize || code == wiNumGroups {
+		return 1
+	}
+	return 0
+}
+
+// execBC runs segment seg from pc for work-item lin, as rs.enterItem set
+// it up, then steps in place through the later items before end that have
+// not returned: lid and gid advance with dimension 0 fastest. A
+// one-segment program runs them all on one register row; with barriers,
+// each item keeps its own. Runtime errors panic with *runtimeError like
+// the closure engine's and are recovered at the runGroup boundary. A
+// parking pass (rs.parking) stops at the first fused loop head and leaves
+// its pc in rs.parkAt.
+func (rs *runState) execBC(seg, pc, lin, end int) {
+	prog := rs.ex.prog
+	code := prog.segments[seg]
+	e := &rs.env
+	ir, fr := rs.irScratch[lin], rs.frScratch[lin]
 	stats := e.stats
-	// Loop-invariant env fields: one execBC call runs one work-item, so
-	// the classifier gate and linear work-item id are fixed for the whole
-	// dispatch loop.
+	// Loop-invariant env fields: the classifier gate is fixed for the
+	// group, and the linear work-item id changes only where an item ends.
 	classify := e.classify
 	wi := e.wi
 	// Hoisted slice headers: without locals the compiler reloads these
@@ -428,7 +452,7 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 	// The deferred flush also runs while a runtime trap unwinds, so the
 	// counters observed at a fault are bit-identical to the closure
 	// engine's immediate increments.
-	var aluI, aluF, loads, loadB, stores, storeB int64
+	var aluI, aluF, loads, loadB, stores, storeB, items int64
 	defer func() {
 		stats.AluInt += aluI
 		stats.AluFloat += aluF
@@ -436,513 +460,559 @@ func (rs *runState) execBC(code []instr, pc int, e *env, ir []int64, fr []float6
 		stats.LoadBytes += loadB
 		stats.Stores += stores
 		stats.StoreBytes += storeB
+		stats.ItemsRun += items
 	}()
-	for pc < len(code) {
-		in := &code[pc]
-		pc++
-		switch in.op {
-		case opNop:
+	for {
+		for pc < len(code) {
+			in := &code[pc]
+			pc++
+			switch in.op {
+			case opNop:
 
-		// --- control flow ---
-		case opJmp:
-			pc = int(in.imm)
-		case opJmpZI:
-			if ir[in.a] == 0 {
+			// --- control flow ---
+			case opJmp:
 				pc = int(in.imm)
-			}
-		case opJmpNZI:
-			if ir[in.a] != 0 {
-				pc = int(in.imm)
-			}
-		case opJmpZF:
-			if fr[in.a] == 0 {
-				pc = int(in.imm)
-			}
-		case opJmpNZF:
-			if fr[in.a] != 0 {
-				pc = int(in.imm)
-			}
-		case opJCmpI:
-			aluI += int64(in.c)
-			var take bool
-			if in.norm&cmpU != 0 {
-				take = cmpURegs(in.norm, ir[in.a], ir[in.b])
-			} else {
-				take = cmpSRegs(in.norm, ir[in.a], ir[in.b])
-			}
-			if !take {
-				pc = int(in.imm)
-			}
-		case opJCmpF:
-			aluF += int64(in.c)
-			if !cmpFRegs(in.norm, fr[in.a], fr[in.b]) {
-				pc = int(in.imm)
-			}
-		case opJCmpIK:
-			aluI += int64(in.c)
-			if !cmpSRegs(in.norm, ir[in.a], int64(int32(ir[in.b]+int64(in.k)))) {
-				pc = int(in.imm)
-			}
-		case opRet:
-			return true
+			case opJmpZI:
+				if ir[in.a] == 0 {
+					pc = int(in.imm)
+				}
+			case opJmpNZI:
+				if ir[in.a] != 0 {
+					pc = int(in.imm)
+				}
+			case opJmpZF:
+				if fr[in.a] == 0 {
+					pc = int(in.imm)
+				}
+			case opJmpNZF:
+				if fr[in.a] != 0 {
+					pc = int(in.imm)
+				}
+			case opJCmpI:
+				aluI += int64(in.c)
+				var take bool
+				if in.norm&cmpU != 0 {
+					take = cmpURegs(in.norm, ir[in.a], ir[in.b])
+				} else {
+					take = cmpSRegs(in.norm, ir[in.a], ir[in.b])
+				}
+				if !take {
+					pc = int(in.imm)
+				}
+			case opJCmpF:
+				aluF += int64(in.c)
+				if !cmpFRegs(in.norm, fr[in.a], fr[in.b]) {
+					pc = int(in.imm)
+				}
+			case opJCmpIK:
+				aluI += int64(in.c)
+				if !cmpSRegs(in.norm, ir[in.a], int64(int32(ir[in.b]+int64(in.k)))) {
+					pc = int(in.imm)
+				}
+			case opRet:
+				rs.doneScratch[lin] = true
+				pc = len(code)
 
-		case opStat:
-			aluI += int64(in.c)
-			aluF += int64(in.k)
-		case opChkDiv0:
-			if ir[in.a] == 0 {
-				if in.imm != 0 {
+			case opStat:
+				aluI += int64(in.c)
+				aluF += int64(in.k)
+			case opChkDiv0:
+				if ir[in.a] == 0 {
+					if in.imm != 0 {
+						rtErr(in.pos, "integer modulo by zero")
+					}
+					rtErr(in.pos, "integer division by zero")
+				}
+
+			// --- constants, moves, conversions ---
+			case opConstI:
+				ir[in.dst] = in.imm
+			case opConstF:
+				fr[in.dst] = in.fimm
+			case opMovI:
+				ir[in.dst] = normReg(in.norm, ir[in.a])
+			case opMovF:
+				fr[in.dst] = normFReg(in.norm, fr[in.a])
+			case opI2F:
+				var v float64
+				if in.norm&convUnsigned != 0 {
+					v = float64(uint64(ir[in.a]))
+				} else {
+					v = float64(ir[in.a])
+				}
+				if in.norm&convRound32 != 0 {
+					v = float64(float32(v))
+				}
+				fr[in.dst] = v
+			case opF2I:
+				ir[in.dst] = normReg(in.norm, int64(fr[in.a]))
+
+			// --- integer ALU ---
+			case opAddI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]+ir[in.b])
+			case opSubI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]-ir[in.b])
+			case opMulI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]*ir[in.b])
+			case opMulAddI:
+				aluI += int64(in.norm)
+				v := int64(int32(ir[in.a] * ir[in.b]))
+				ir[in.dst] = int64(int32(v + ir[in.c]))
+			case opDivI:
+				aluI += int64(in.c)
+				rv := ir[in.b]
+				if rv == 0 {
+					rtErr(in.pos, "integer division by zero")
+				}
+				ir[in.dst] = normReg(in.norm, ir[in.a]/rv)
+			case opDivU:
+				aluI += int64(in.c)
+				rv := ir[in.b]
+				if rv == 0 {
+					rtErr(in.pos, "integer division by zero")
+				}
+				ir[in.dst] = normReg(in.norm, int64(uint64(ir[in.a])/uint64(rv)))
+			case opRemI:
+				aluI += int64(in.c)
+				rv := ir[in.b]
+				if rv == 0 {
 					rtErr(in.pos, "integer modulo by zero")
 				}
-				rtErr(in.pos, "integer division by zero")
-			}
+				ir[in.dst] = normReg(in.norm, ir[in.a]%rv)
+			case opRemU:
+				aluI += int64(in.c)
+				rv := ir[in.b]
+				if rv == 0 {
+					rtErr(in.pos, "integer modulo by zero")
+				}
+				ir[in.dst] = normReg(in.norm, int64(uint64(ir[in.a])%uint64(rv)))
+			case opShlI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]<<uint64(ir[in.b]&in.imm))
+			case opShrI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]>>uint64(ir[in.b]&in.imm))
+			case opShrU:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, int64(uint64(ir[in.a])>>uint64(ir[in.b]&in.imm)))
+			case opAndI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]&ir[in.b])
+			case opOrI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]|ir[in.b])
+			case opXorI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ir[in.a]^ir[in.b])
+			case opNegI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, -ir[in.a])
+			case opBitNotI:
+				aluI += int64(in.c)
+				ir[in.dst] = normReg(in.norm, ^ir[in.a])
+			case opIncDecI:
+				aluI++
+				ir[in.dst] = normReg(in.norm, ir[in.dst]+in.imm)
+			case opStepI:
+				ir[in.dst] = normReg(in.norm, ir[in.a]+in.imm)
+			case opCmpI:
+				aluI += int64(in.c)
+				ir[in.dst] = b2i(cmpIRegs(in.norm, ir[in.a], ir[in.b]))
+			case opNotI:
+				aluI += int64(in.c)
+				ir[in.dst] = b2i(ir[in.a] == 0)
+			case opNotF:
+				aluI += int64(in.c)
+				ir[in.dst] = b2i(fr[in.a] == 0)
+			case opMinMaxI:
+				aluI += int64(in.c)
+				x, y := ir[in.a], ir[in.b]
+				if (x < y) == (in.norm != 0) {
+					ir[in.dst] = x
+				} else {
+					ir[in.dst] = y
+				}
+			case opAbsI:
+				aluI += int64(in.c)
+				v := ir[in.a]
+				if v < 0 {
+					v = -v
+				}
+				ir[in.dst] = v
 
-		// --- constants, moves, conversions ---
-		case opConstI:
-			ir[in.dst] = in.imm
-		case opConstF:
-			fr[in.dst] = in.fimm
-		case opMovI:
-			ir[in.dst] = normReg(in.norm, ir[in.a])
-		case opMovF:
-			fr[in.dst] = normFReg(in.norm, fr[in.a])
-		case opI2F:
-			var v float64
-			if in.norm&convUnsigned != 0 {
-				v = float64(uint64(ir[in.a]))
-			} else {
-				v = float64(ir[in.a])
-			}
-			if in.norm&convRound32 != 0 {
-				v = float64(float32(v))
-			}
-			fr[in.dst] = v
-		case opF2I:
-			ir[in.dst] = normReg(in.norm, int64(fr[in.a]))
+			// --- float ALU ---
+			case opAddF:
+				aluF += int64(in.c)
+				fr[in.dst] = normFReg(in.norm, fr[in.a]+fr[in.b])
+			case opSubF:
+				aluF += int64(in.c)
+				fr[in.dst] = normFReg(in.norm, fr[in.a]-fr[in.b])
+			case opMulF:
+				aluF += int64(in.c)
+				fr[in.dst] = normFReg(in.norm, fr[in.a]*fr[in.b])
+			case opDivF:
+				aluF += int64(in.c)
+				fr[in.dst] = normFReg(in.norm, fr[in.a]/fr[in.b])
+			case opFMAAF32:
+				aluF += int64(in.norm)
+				fr[in.dst] = float64(float32(fr[in.dst] + float64(float32(fr[in.a]*fr[in.b]))))
+			case opNegF:
+				aluF += int64(in.c)
+				fr[in.dst] = normFReg(in.norm, -fr[in.a])
+			case opIncDecF:
+				aluF++
+				fr[in.dst] = normFReg(in.norm, fr[in.dst]+in.fimm)
+			case opStepF:
+				fr[in.dst] = normFReg(in.norm, fr[in.a]+in.fimm)
+			case opCmpF:
+				aluF += int64(in.c)
+				ir[in.dst] = b2i(cmpFRegs(in.norm, fr[in.a], fr[in.b]))
+			case opMinMaxF:
+				aluF += int64(in.c)
+				x, y := fr[in.a], fr[in.b]
+				if (x < y) == (in.norm != 0) {
+					fr[in.dst] = x
+				} else {
+					fr[in.dst] = y
+				}
+			case opMath1:
+				aluF += int64(in.c)
+				fr[in.dst] = float64(float32(prog.math1[in.imm](fr[in.a])))
+			case opMath2:
+				aluF += int64(in.c)
+				fr[in.dst] = float64(float32(prog.math2[in.imm](fr[in.a], fr[in.b])))
+			case opFMATermF32:
+				// One fused term outside a fused loop. Counter deltas merge
+				// into the batched locals so the deferred flush keeps
+				// trap-time totals exact.
+				c, trap := rs.runFMATerm(code, pc-1, ir, fr, bufs, sites, classify, wi)
+				aluI += c.aluI
+				aluF += c.aluF
+				loads += c.loads
+				loadB += c.loadB
+				if trap != nil {
+					rtErr(trap.pos, "index %d out of range [0,%d)", trap.idx, trap.n)
+				}
+			case opIncJCmpI:
+				// Fused loop back-edge: post inc/dec of an int variable
+				// (AluInt++), then the loop condition compare (AluInt++),
+				// then the jump back to the body when it holds.
+				aluI += 2
+				ir[in.dst] = normReg(in.norm>>4, ir[in.dst]+int64(in.c))
+				cc := in.norm & 0xf
+				var take bool
+				if cc&cmpU != 0 {
+					take = cmpURegs(cc, ir[in.a], ir[in.b])
+				} else {
+					take = cmpSRegs(cc, ir[in.a], ir[in.b])
+				}
+				if take {
+					pc = int(in.imm)
+				}
 
-		// --- integer ALU ---
-		case opAddI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]+ir[in.b])
-		case opSubI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]-ir[in.b])
-		case opMulI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]*ir[in.b])
-		case opMulAddI:
-			aluI += int64(in.norm)
-			v := int64(int32(ir[in.a] * ir[in.b]))
-			ir[in.dst] = int64(int32(v + ir[in.c]))
-		case opDivI:
-			aluI += int64(in.c)
-			rv := ir[in.b]
-			if rv == 0 {
-				rtErr(in.pos, "integer division by zero")
-			}
-			ir[in.dst] = normReg(in.norm, ir[in.a]/rv)
-		case opDivU:
-			aluI += int64(in.c)
-			rv := ir[in.b]
-			if rv == 0 {
-				rtErr(in.pos, "integer division by zero")
-			}
-			ir[in.dst] = normReg(in.norm, int64(uint64(ir[in.a])/uint64(rv)))
-		case opRemI:
-			aluI += int64(in.c)
-			rv := ir[in.b]
-			if rv == 0 {
-				rtErr(in.pos, "integer modulo by zero")
-			}
-			ir[in.dst] = normReg(in.norm, ir[in.a]%rv)
-		case opRemU:
-			aluI += int64(in.c)
-			rv := ir[in.b]
-			if rv == 0 {
-				rtErr(in.pos, "integer modulo by zero")
-			}
-			ir[in.dst] = normReg(in.norm, int64(uint64(ir[in.a])%uint64(rv)))
-		case opShlI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]<<uint64(ir[in.b]&in.imm))
-		case opShrI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]>>uint64(ir[in.b]&in.imm))
-		case opShrU:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, int64(uint64(ir[in.a])>>uint64(ir[in.b]&in.imm)))
-		case opAndI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]&ir[in.b])
-		case opOrI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]|ir[in.b])
-		case opXorI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ir[in.a]^ir[in.b])
-		case opNegI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, -ir[in.a])
-		case opBitNotI:
-			aluI += int64(in.c)
-			ir[in.dst] = normReg(in.norm, ^ir[in.a])
-		case opIncDecI:
-			aluI++
-			ir[in.dst] = normReg(in.norm, ir[in.dst]+in.imm)
-		case opStepI:
-			ir[in.dst] = normReg(in.norm, ir[in.a]+in.imm)
-		case opCmpI:
-			aluI += int64(in.c)
-			ir[in.dst] = b2i(cmpIRegs(in.norm, ir[in.a], ir[in.b]))
-		case opNotI:
-			aluI += int64(in.c)
-			ir[in.dst] = b2i(ir[in.a] == 0)
-		case opNotF:
-			aluI += int64(in.c)
-			ir[in.dst] = b2i(fr[in.a] == 0)
-		case opMinMaxI:
-			aluI += int64(in.c)
-			x, y := ir[in.a], ir[in.b]
-			if (x < y) == (in.norm != 0) {
-				ir[in.dst] = x
-			} else {
-				ir[in.dst] = y
-			}
-		case opAbsI:
-			aluI += int64(in.c)
-			v := ir[in.a]
-			if v < 0 {
-				v = -v
-			}
-			ir[in.dst] = v
+			case opFMALoopF32:
+				// Fused loop: runFMALoop runs the guard and, when it can, the
+				// whole 1-2 term body and the opIncJCmpI back edge in closed
+				// form, outside the dispatch loop; otherwise dispatch goes on
+				// into the unfused body. Counter deltas merge into the batched
+				// locals so the deferred flush keeps trap-time totals exact.
+				if rs.parking {
+					rs.parkAt = pc - 1
+					return
+				}
+				next, c := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, wi)
+				aluI += c.aluI
+				aluF += c.aluF
+				loads += c.loads
+				loadB += c.loadB
+				pc = next
 
-		// --- float ALU ---
-		case opAddF:
-			aluF += int64(in.c)
-			fr[in.dst] = normFReg(in.norm, fr[in.a]+fr[in.b])
-		case opSubF:
-			aluF += int64(in.c)
-			fr[in.dst] = normFReg(in.norm, fr[in.a]-fr[in.b])
-		case opMulF:
-			aluF += int64(in.c)
-			fr[in.dst] = normFReg(in.norm, fr[in.a]*fr[in.b])
-		case opDivF:
-			aluF += int64(in.c)
-			fr[in.dst] = normFReg(in.norm, fr[in.a]/fr[in.b])
-		case opFMAAF32:
-			aluF += int64(in.norm)
-			fr[in.dst] = float64(float32(fr[in.dst] + float64(float32(fr[in.a]*fr[in.b]))))
-		case opNegF:
-			aluF += int64(in.c)
-			fr[in.dst] = normFReg(in.norm, -fr[in.a])
-		case opIncDecF:
-			aluF++
-			fr[in.dst] = normFReg(in.norm, fr[in.dst]+in.fimm)
-		case opStepF:
-			fr[in.dst] = normFReg(in.norm, fr[in.a]+in.fimm)
-		case opCmpF:
-			aluF += int64(in.c)
-			ir[in.dst] = b2i(cmpFRegs(in.norm, fr[in.a], fr[in.b]))
-		case opMinMaxF:
-			aluF += int64(in.c)
-			x, y := fr[in.a], fr[in.b]
-			if (x < y) == (in.norm != 0) {
-				fr[in.dst] = x
-			} else {
-				fr[in.dst] = y
-			}
-		case opMath1:
-			aluF += int64(in.c)
-			fr[in.dst] = float64(float32(prog.math1[in.imm](fr[in.a])))
-		case opMath2:
-			aluF += int64(in.c)
-			fr[in.dst] = float64(float32(prog.math2[in.imm](fr[in.a], fr[in.b])))
-		case opFMATermF32:
-			// One fused term outside a fused loop. Counter deltas merge
-			// into the batched locals so the deferred flush keeps
-			// trap-time totals exact.
-			c, trap := rs.runFMATerm(code, pc-1, ir, fr, bufs, sites, classify, wi)
-			aluI += c.aluI
-			aluF += c.aluF
-			loads += c.loads
-			loadB += c.loadB
-			if trap != nil {
-				rtErr(trap.pos, "index %d out of range [0,%d)", trap.idx, trap.n)
-			}
-		case opIncJCmpI:
-			// Fused loop back-edge: post inc/dec of an int variable
-			// (AluInt++), then the loop condition compare (AluInt++),
-			// then the jump back to the body when it holds.
-			aluI += 2
-			ir[in.dst] = normReg(in.norm>>4, ir[in.dst]+int64(in.c))
-			cc := in.norm & 0xf
-			var take bool
-			if cc&cmpU != 0 {
-				take = cmpURegs(cc, ir[in.a], ir[in.b])
-			} else {
-				take = cmpSRegs(cc, ir[in.a], ir[in.b])
-			}
-			if take {
-				pc = int(in.imm)
-			}
+			// --- work-item queries ---
+			case opWISta:
+				switch in.norm {
+				case wiGlobalID:
+					ir[in.dst] = e.gid[in.imm]
+				case wiLocalID:
+					ir[in.dst] = e.lid[in.imm]
+				default:
+					ir[in.dst] = wiQuery(e, in.norm, in.imm)
+				}
+			case opWIDyn:
+				ir[in.dst] = wiQuery(e, in.norm, ir[in.a])
 
-		case opFMALoopF32:
-			// Fused loop: runFMALoop runs the guard and, when it can, the
-			// whole 1-2 term body and the opIncJCmpI back edge in closed
-			// form, outside the dispatch loop; otherwise dispatch goes on
-			// into the unfused body. Counter deltas merge into the batched
-			// locals so the deferred flush keeps trap-time totals exact.
-			if rs.parking {
-				rs.parkAt = pc - 1
-				return false
-			}
-			next, c := rs.runFMALoop(code, pc-1, ir, fr, bufs, sites, classify, wi)
-			aluI += c.aluI
-			aluF += c.aluF
-			loads += c.loads
-			loadB += c.loadB
-			pc = next
+			// --- global memory ---
+			case opLdGF32:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.F32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+				}
+				loads++
+				loadB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				fr[in.dst] = float64(b.F32[i])
+			case opLdGF64:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.F64)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F64))
+				}
+				loads++
+				loadB += 8
+				recordG(e, &sites[in.site], b, i, 8)
+				fr[in.dst] = b.F64[i]
+			case opLdGI64:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.I64)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I64))
+				}
+				loads++
+				loadB += 8
+				recordG(e, &sites[in.site], b, i, 8)
+				ir[in.dst] = b.I64[i]
+			case opLdGI32:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.I32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I32))
+				}
+				loads++
+				loadB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				ir[in.dst] = normReg(in.norm, int64(b.I32[i]))
+			case opStGF32:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.F32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+				}
+				stores++
+				storeB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				b.F32[i] = float32(fr[in.b])
+			case opStGF64:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.F64)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F64))
+				}
+				stores++
+				storeB += 8
+				recordG(e, &sites[in.site], b, i, 8)
+				b.F64[i] = fr[in.b]
+			case opStGI64:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.I64)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I64))
+				}
+				stores++
+				storeB += 8
+				recordG(e, &sites[in.site], b, i, 8)
+				b.I64[i] = ir[in.b]
+			case opStGI32:
+				b := bufs[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(b.I32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I32))
+				}
+				stores++
+				storeB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				b.I32[i] = int32(ir[in.b])
 
-		// --- work-item queries ---
-		case opWISta:
-			ir[in.dst] = wiQuery(e, in.norm, int(in.imm))
-		case opWIDyn:
-			ir[in.dst] = wiQuery(e, in.norm, int(ir[in.a]&3))
+			case opLdGF32K:
+				aluI += int64(in.c)
+				aluF += int64(in.k)
+				b := bufs[in.slot]
+				i := int64(int32(ir[in.a] + in.imm))
+				if uint64(i) >= uint64(len(b.F32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+				}
+				loads++
+				loadB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				fr[in.dst] = float64(b.F32[i])
+			case opLdOpF32:
+				aluI += int64(in.c)
+				aluF += int64(in.k)
+				b := bufs[in.slot]
+				i := int64(int32(ir[in.a] + in.imm))
+				if uint64(i) >= uint64(len(b.F32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+				}
+				loads++
+				loadB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				x, v := fr[in.b], float64(b.F32[i])
+				switch in.norm {
+				case 0:
+					fr[in.dst] = float64(float32(x + v))
+				case 1:
+					fr[in.dst] = float64(float32(x - v))
+				default:
+					fr[in.dst] = float64(float32(x * v))
+				}
+			case opTapF32:
+				aluI += int64(in.c)
+				aluF += int64(in.k)
+				b := bufs[in.slot]
+				i := int64(int32(ir[in.a] + in.imm))
+				if uint64(i) >= uint64(len(b.F32)) {
+					rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+				}
+				loads++
+				loadB += 4
+				recordG(e, &sites[in.site], b, i, 4)
+				p := float64(float32(fr[in.b] * float64(b.F32[i])))
+				if in.norm == 0 {
+					fr[in.dst] = float64(float32(fr[in.dst] + p))
+				} else {
+					fr[in.dst] = float64(float32(fr[in.dst] - p))
+				}
 
-		// --- global memory ---
-		case opLdGF32:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
-			}
-			loads++
-			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			fr[in.dst] = float64(b.F32[i])
-		case opLdGF64:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.F64)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F64))
-			}
-			loads++
-			loadB += 8
-			recordG(e, &sites[in.site], b, i, 8)
-			fr[in.dst] = b.F64[i]
-		case opLdGI64:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.I64)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I64))
-			}
-			loads++
-			loadB += 8
-			recordG(e, &sites[in.site], b, i, 8)
-			ir[in.dst] = b.I64[i]
-		case opLdGI32:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.I32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I32))
-			}
-			loads++
-			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			ir[in.dst] = normReg(in.norm, int64(b.I32[i]))
-		case opStGF32:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
-			}
-			stores++
-			storeB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			b.F32[i] = float32(fr[in.b])
-		case opStGF64:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.F64)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F64))
-			}
-			stores++
-			storeB += 8
-			recordG(e, &sites[in.site], b, i, 8)
-			b.F64[i] = fr[in.b]
-		case opStGI64:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.I64)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I64))
-			}
-			stores++
-			storeB += 8
-			recordG(e, &sites[in.site], b, i, 8)
-			b.I64[i] = ir[in.b]
-		case opStGI32:
-			b := bufs[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(b.I32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.I32))
-			}
-			stores++
-			storeB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			b.I32[i] = int32(ir[in.b])
+			// --- __local arrays ---
+			case opLdLI:
+				arr := e.wg.locals[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
+				}
+				ir[in.dst] = arr[i].I
+			case opLdLF:
+				arr := e.wg.locals[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
+				}
+				fr[in.dst] = arr[i].F
+			case opStLI:
+				arr := e.wg.locals[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
+				}
+				arr[i] = Value{I: ir[in.b]}
+			case opStLF:
+				arr := e.wg.locals[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
+				}
+				arr[i] = Value{F: fr[in.b]}
 
-		case opLdGF32K:
-			aluI += int64(in.c)
-			aluF += int64(in.k)
-			b := bufs[in.slot]
-			i := int64(int32(ir[in.a] + in.imm))
-			if uint64(i) >= uint64(len(b.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
-			}
-			loads++
-			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			fr[in.dst] = float64(b.F32[i])
-		case opLdOpF32:
-			aluI += int64(in.c)
-			aluF += int64(in.k)
-			b := bufs[in.slot]
-			i := int64(int32(ir[in.a] + in.imm))
-			if uint64(i) >= uint64(len(b.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
-			}
-			loads++
-			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			x, v := fr[in.b], float64(b.F32[i])
-			switch in.norm {
-			case 0:
-				fr[in.dst] = float64(float32(x + v))
-			case 1:
-				fr[in.dst] = float64(float32(x - v))
+			// --- private arrays ---
+			case opLdPI:
+				arr := e.priv[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
+				}
+				ir[in.dst] = arr[i].I
+			case opLdPF:
+				arr := e.priv[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
+				}
+				fr[in.dst] = arr[i].F
+			case opStPI:
+				arr := e.priv[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
+				}
+				arr[i] = Value{I: ir[in.b]}
+			case opStPF:
+				arr := e.priv[in.slot]
+				i := ir[in.a]
+				if uint64(i) >= uint64(len(arr)) {
+					rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
+				}
+				arr[i] = Value{F: fr[in.b]}
+
+			// --- __local scalars ---
+			case opLdLSI:
+				ir[in.dst] = e.wg.locals[in.slot][0].I
+			case opLdLSF:
+				fr[in.dst] = e.wg.locals[in.slot][0].F
+			case opStLSI:
+				e.wg.locals[in.slot][0] = Value{I: ir[in.a]}
+			case opStLSF:
+				e.wg.locals[in.slot][0] = Value{F: fr[in.a]}
+
+			// --- atomics ---
+			case opAtomicL:
+				aluI += int64(in.c)
+				arr := e.wg.locals[in.slot]
+				old := arr[0].I
+				arr[0] = Value{I: atomicApply(atomicOp(in.norm), old, in, ir)}
+				ir[in.dst] = old
+			case opAtomicG:
+				aluI += int64(in.c)
+				b := bufs[in.slot]
+				if b.Len() == 0 {
+					rtErr(in.pos, "atomic on empty buffer")
+				}
+				var old int64
+				if b.I32 != nil {
+					old = int64(b.I32[0])
+				} else {
+					old = b.I64[0]
+				}
+				nv := atomicApply(atomicOp(in.norm), old, in, ir)
+				if b.I32 != nil {
+					b.I32[0] = int32(nv)
+				} else {
+					b.I64[0] = nv
+				}
+				ir[in.dst] = old
+
 			default:
-				fr[in.dst] = float64(float32(x * v))
+				rtErr(in.pos, "bytecode: invalid opcode %d", in.op)
 			}
-		case opTapF32:
-			aluI += int64(in.c)
-			aluF += int64(in.k)
-			b := bufs[in.slot]
-			i := int64(int32(ir[in.a] + in.imm))
-			if uint64(i) >= uint64(len(b.F32)) {
-				rtErr(in.pos, "index %d out of range [0,%d)", i, len(b.F32))
+		}
+		// The item is through the segment: step to the next one that has
+		// not returned. The step stays outside the dispatch loop: inside
+		// it, what the step rewrites (lin, the row slices) is live at the
+		// loop head, and the compiler spills it on every dispatch.
+		for {
+			if lin++; lin == end {
+				return
 			}
-			loads++
-			loadB += 4
-			recordG(e, &sites[in.site], b, i, 4)
-			p := float64(float32(fr[in.b] * float64(b.F32[i])))
-			if in.norm == 0 {
-				fr[in.dst] = float64(float32(fr[in.dst] + p))
-			} else {
-				fr[in.dst] = float64(float32(fr[in.dst] - p))
+			wi++
+			e.lid[0]++
+			e.gid[0]++
+			if l0 := int64(rs.nd.Local[0]); e.lid[0] == l0 {
+				e.lid[0], e.gid[0] = 0, e.gid[0]-l0
+				e.lid[1]++
+				e.gid[1]++
+				if l1 := int64(rs.nd.Local[1]); e.lid[1] == l1 {
+					e.lid[1], e.gid[1] = 0, e.gid[1]-l1
+					e.lid[2]++
+					e.gid[2]++
+				}
 			}
-
-		// --- __local arrays ---
-		case opLdLI:
-			arr := e.wg.locals[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
+			if !rs.doneScratch[lin] {
+				break
 			}
-			ir[in.dst] = arr[i].I
-		case opLdLF:
-			arr := e.wg.locals[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
-			}
-			fr[in.dst] = arr[i].F
-		case opStLI:
-			arr := e.wg.locals[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
-			}
-			arr[i] = Value{I: ir[in.b]}
-		case opStLF:
-			arr := e.wg.locals[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "local index %d out of range [0,%d)", i, len(arr))
-			}
-			arr[i] = Value{F: fr[in.b]}
-
-		// --- private arrays ---
-		case opLdPI:
-			arr := e.priv[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
-			}
-			ir[in.dst] = arr[i].I
-		case opLdPF:
-			arr := e.priv[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
-			}
-			fr[in.dst] = arr[i].F
-		case opStPI:
-			arr := e.priv[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
-			}
-			arr[i] = Value{I: ir[in.b]}
-		case opStPF:
-			arr := e.priv[in.slot]
-			i := ir[in.a]
-			if uint64(i) >= uint64(len(arr)) {
-				rtErr(in.pos, "private index %d out of range [0,%d)", i, len(arr))
-			}
-			arr[i] = Value{F: fr[in.b]}
-
-		// --- __local scalars ---
-		case opLdLSI:
-			ir[in.dst] = e.wg.locals[in.slot][0].I
-		case opLdLSF:
-			fr[in.dst] = e.wg.locals[in.slot][0].F
-		case opStLSI:
-			e.wg.locals[in.slot][0] = Value{I: ir[in.a]}
-		case opStLSF:
-			e.wg.locals[in.slot][0] = Value{F: fr[in.a]}
-
-		// --- atomics ---
-		case opAtomicL:
-			aluI += int64(in.c)
-			arr := e.wg.locals[in.slot]
-			old := arr[0].I
-			arr[0] = Value{I: atomicApply(atomicOp(in.norm), old, in, ir)}
-			ir[in.dst] = old
-		case opAtomicG:
-			aluI += int64(in.c)
-			b := bufs[in.slot]
-			if b.Len() == 0 {
-				rtErr(in.pos, "atomic on empty buffer")
-			}
-			var old int64
-			if b.I32 != nil {
-				old = int64(b.I32[0])
-			} else {
-				old = b.I64[0]
-			}
-			nv := atomicApply(atomicOp(in.norm), old, in, ir)
-			if b.I32 != nil {
-				b.I32[0] = int32(nv)
-			} else {
-				b.I64[0] = nv
-			}
-			ir[in.dst] = old
-
-		default:
-			rtErr(in.pos, "bytecode: invalid opcode %d", in.op)
+		}
+		e.wi, pc = wi, 0
+		if len(prog.segments) > 1 {
+			ir, fr = rs.irScratch[lin], rs.frScratch[lin]
+		}
+		if rs.privScratch != nil {
+			e.priv = rs.privScratch[lin]
+		}
+		if seg == 0 {
+			items++
+			rs.startItem(ir, fr)
 		}
 	}
-	return false
 }
 
 // atomicApply computes the new value of an atomic read-modify-write,
@@ -974,8 +1044,9 @@ func atomicApply(op atomicOp, old int64, in *instr, ir []int64) int64 {
 
 // runGroupBC executes one work-group on the bytecode engine. It mirrors
 // the closure engine's runGroup loop exactly: same segment/work-item
-// iteration order, same scratch reuse, same panic containment, same
-// statistics, and the same per-group sampling decision.
+// iteration order, same panic containment, same statistics, and the same
+// per-group sampling decision. Each segment is one execBC call, which runs
+// the group's work-items itself.
 func (rs *runState) runGroupBC(linear int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -997,23 +1068,14 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 	if linear < 0 || linear >= total {
 		return fmt.Errorf("interp: work-group %d out of range [0,%d)", linear, total)
 	}
-	prog := ex.prog
 	coords := rs.nd.GroupCoords(linear)
 	wgSize := rs.nd.GroupSize()
 
 	for _, arr := range rs.wg.locals {
-		for j := range arr {
-			arr[j] = Value{}
-		}
+		clear(arr)
 	}
-	for i := 0; i < wgSize; i++ {
-		rs.doneScratch[i] = false
-	}
-
-	e := &rs.env
-	e.classify = rs.profiled
-	nd := &rs.nd
-	l0, l1 := int64(nd.Local[0]), int64(nd.Local[1])
+	clear(rs.doneScratch[:wgSize])
+	rs.env.classify = rs.profiled
 	baseWI := int64(linear) * int64(wgSize)
 
 	rs.stats.GroupsRun++
@@ -1021,51 +1083,37 @@ func (rs *runState) runGroupBC(linear int) (err error) {
 		rs.runGroupParked(coords, baseWI, wgSize)
 		return nil
 	}
-	for segIdx, seg := range prog.segments {
-		lin := 0
-		for l2v := 0; l2v < nd.Local[2]; l2v++ {
-			for l1v := 0; l1v < nd.Local[1]; l1v++ {
-				for l0v := 0; l0v < nd.Local[0]; l0v++ {
-					if rs.doneScratch[lin] {
-						lin++
-						continue
-					}
-					ir := rs.irScratch[lin]
-					fr := rs.frScratch[lin]
-					if segIdx == 0 {
-						for _, pc := range prog.paramI {
-							ir[pc.reg] = ex.paramVals[pc.slot].I
-						}
-						for _, pc := range prog.paramF {
-							fr[pc.reg] = ex.paramVals[pc.slot].F
-						}
-						if rs.privScratch != nil {
-							for _, arr := range rs.privScratch[lin] {
-								for j := range arr {
-									arr[j] = Value{}
-								}
-							}
-						}
-						rs.stats.ItemsRun++
-					}
-					if rs.privScratch != nil {
-						e.priv = rs.privScratch[lin]
-					}
-					e.lid = [3]int64{int64(l0v), int64(l1v), int64(l2v)}
-					e.grp = [3]int64{int64(coords[0]), int64(coords[1]), int64(coords[2])}
-					e.gid = [3]int64{
-						int64(nd.Offset[0]) + e.grp[0]*l0 + e.lid[0],
-						int64(nd.Offset[1]) + e.grp[1]*l1 + e.lid[1],
-						int64(nd.Offset[2]) + e.grp[2]*int64(nd.Local[2]) + e.lid[2],
-					}
-					e.wi = baseWI + int64(lin)
-					if rs.execBC(seg, 0, e, ir, fr, prog) {
-						rs.doneScratch[lin] = true
-					}
-					lin++
-				}
-			}
+	for seg := range ex.prog.segments {
+		lin := slices.Index(rs.doneScratch[:wgSize], false)
+		if lin < 0 {
+			break
 		}
+		rs.enterItem(lin, coords, baseWI)
+		if seg == 0 {
+			rs.stats.ItemsRun++
+			rs.startItem(rs.irScratch[lin], rs.frScratch[lin])
+		}
+		rs.execBC(seg, 0, lin, wgSize)
 	}
 	return nil
+}
+
+// startItem readies the current work-item for its first segment: the
+// parameters the kernel writes are copied into its registers again (the
+// others stay as prepare loaded them) and its private arrays are cleared.
+func (rs *runState) startItem(ir []int64, fr []float64) {
+	loadParams(ir, fr, rs.ex.prog.paramI, rs.ex.prog.paramF, rs.ex.paramVals)
+	for _, arr := range rs.env.priv {
+		clear(arr)
+	}
+}
+
+// loadParams copies the scalar arguments pi and pf name into a register row.
+func loadParams(ir []int64, fr []float64, pi, pf []paramCopy, vals []Value) {
+	for _, pc := range pi {
+		ir[pc.reg] = vals[pc.slot].I
+	}
+	for _, pc := range pf {
+		fr[pc.reg] = vals[pc.slot].F
+	}
 }

@@ -1379,13 +1379,22 @@ func mathFn2(name string) func(a, b float64) float64 {
 
 func (cp *compiler) compileWorkItemFn(call *clc.Call) evalFn {
 	name := call.Name
+	code, ok := wiCodes[name]
+	if !ok {
+		cp.fail(call.Pos(), "interp: unhandled work-item fn %q", name)
+		return func(e *env) Value { return Value{} }
+	}
 	if name == "get_work_dim" {
 		return func(e *env) Value { return Value{I: int64(e.nd.Dims)} }
 	}
 	// Constant dimension (the overwhelmingly common case): resolve the
 	// index at compile time so the hot path is a single array load.
 	if lit, ok := call.Args[0].(*clc.IntLit); ok {
-		d := int(lit.Value) & 3
+		if uint64(lit.Value) >= 3 {
+			v := Value{I: wiOutOfRange(code)}
+			return func(e *env) Value { return v }
+		}
+		d := int(lit.Value)
 		switch name {
 		case "get_global_id":
 			return func(e *env) Value { return Value{I: e.gid[d]} }
@@ -1404,24 +1413,7 @@ func (cp *compiler) compileWorkItemFn(call *clc.Call) evalFn {
 		}
 	}
 	dimFn := cp.compileExpr(call.Args[0])
-	switch name {
-	case "get_global_id":
-		return func(e *env) Value { return Value{I: e.gid[dimFn(e).I&3]} }
-	case "get_local_id":
-		return func(e *env) Value { return Value{I: e.lid[dimFn(e).I&3]} }
-	case "get_group_id":
-		return func(e *env) Value { return Value{I: e.grp[dimFn(e).I&3]} }
-	case "get_global_size":
-		return func(e *env) Value { return Value{I: int64(e.nd.Global[dimFn(e).I&3])} }
-	case "get_local_size":
-		return func(e *env) Value { return Value{I: int64(e.nd.Local[dimFn(e).I&3])} }
-	case "get_num_groups":
-		return func(e *env) Value { return Value{I: int64(e.nd.NumGroups()[dimFn(e).I&3])} }
-	case "get_global_offset":
-		return func(e *env) Value { return Value{I: int64(e.nd.Offset[dimFn(e).I&3])} }
-	}
-	cp.fail(call.Pos(), "interp: unhandled work-item fn %q", name)
-	return func(e *env) Value { return Value{} }
+	return func(e *env) Value { return Value{I: wiQuery(e, code, dimFn(e).I)} }
 }
 
 // compileAtomic lowers atomic builtins. The interpreter executes

@@ -503,8 +503,8 @@ type runState struct {
 	privScratch [][][]Value
 	doneScratch []bool
 
-	// Bytecode-engine register files, one row per work-item of a group
-	// (registers persist across segments like slotScratch rows do).
+	// Bytecode-engine register rows: one per work-item of a group where its
+	// registers outlive a segment or a park pass, else row 0 for them all.
 	irScratch [][]int64
 	frScratch [][]float64
 
@@ -576,6 +576,11 @@ func (rs *runState) prepare(stats *RunStats) {
 			rs.irScratch[i] = append([]int64(nil), prog.initI...)
 			rs.frScratch[i] = append([]float64(nil), prog.initF...)
 		}
+	}
+	// A parameter the kernel never writes holds its value for the whole
+	// run, in every register row.
+	for i := 0; ex.prog != nil && i < wgSize; i++ {
+		loadParams(rs.irScratch[i], rs.frScratch[i], ex.prog.fixedI, ex.prog.fixedF, ex.paramVals)
 	}
 	if rs.parks && len(rs.items) < wgSize {
 		rs.items = make([]parkedItem, wgSize)

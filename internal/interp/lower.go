@@ -429,10 +429,14 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 			continue // parameter never referenced
 		}
 		pc := paramCopy{slot: int32(prm.Sym.Slot), reg: reg}
+		ints, floats := &p.paramI, &p.paramF
+		if lw.declOnly[prm.Sym.Slot] {
+			ints, floats = &p.fixedI, &p.fixedF
+		}
 		if lw.slotIsF[prm.Sym.Slot] {
-			p.paramF = append(p.paramF, pc)
+			*floats = append(*floats, pc)
 		} else {
-			p.paramI = append(p.paramI, pc)
+			*ints = append(*ints, pc)
 		}
 	}
 	fuseFMALoops(p)
@@ -1362,7 +1366,11 @@ func (lw *lowerer) lowerWorkItem(call *clc.Call) breg {
 	// Constant dimension: resolve the index at lowering time, like the
 	// closure engine's const-dim fast path.
 	if lit, ok := call.Args[0].(*clc.IntLit); ok {
-		lw.emit(instr{op: opWISta, norm: code, dst: t.idx, imm: lit.Value & 3})
+		if uint64(lit.Value) >= 3 {
+			lw.emit(instr{op: opConstI, dst: t.idx, imm: wiOutOfRange(code)})
+		} else {
+			lw.emit(instr{op: opWISta, norm: code, dst: t.idx, imm: lit.Value})
+		}
 		return t
 	}
 	d := lw.lowerExpr(call.Args[0])

@@ -137,26 +137,13 @@ func effectful(op opcode) bool {
 // runGroupParked runs the work-group at coords in the three passes of a
 // parking run. Its traps panic like execBC's.
 func (rs *runState) runGroupParked(coords [3]int, baseWI int64, wgSize int) {
-	ex := rs.ex
-	prog := ex.prog
-	code := prog.segments[0]
+	code := rs.ex.prog.segments[0]
 	for lin := 0; lin < wgSize; lin++ {
-		ir, fr := rs.irScratch[lin], rs.frScratch[lin]
-		for _, pc := range prog.paramI {
-			ir[pc.reg] = ex.paramVals[pc.slot].I
-		}
-		for _, pc := range prog.paramF {
-			fr[pc.reg] = ex.paramVals[pc.slot].F
-		}
-		if rs.privScratch != nil {
-			for _, arr := range rs.privScratch[lin] {
-				clear(arr)
-			}
-		}
 		rs.enterItem(lin, coords, baseWI)
+		rs.startItem(rs.irScratch[lin], rs.frScratch[lin])
 		before := rs.stats.counters()
 		rs.stats.ItemsRun++
-		trap := rs.parkPass(code, ir, fr)
+		trap := rs.parkPass(lin)
 		it := &rs.items[lin]
 		*it = parkedItem{delta: rs.stats.counters().sub(before), at: rs.parkAt}
 		rs.stats.add(it.delta, -1)
@@ -174,22 +161,21 @@ func (rs *runState) runGroupParked(coords [3]int, baseWI int64, wgSize int) {
 	rs.drain(code, wgSize, coords, baseWI)
 }
 
-// parkPass runs the current work-item from the entry until it parks or
-// finishes, returning what it panicked with, if anything.
-func (rs *runState) parkPass(code []instr, ir []int64, fr []float64) (trap any) {
+// parkPass runs work-item lin from the entry until it parks or finishes,
+// returning what it panicked with, if anything.
+func (rs *runState) parkPass(lin int) (trap any) {
 	defer func() {
 		rs.parking = false
 		trap = recover()
 	}()
 	rs.parking, rs.parkAt = true, -1
-	rs.execBC(code, 0, &rs.env, ir, fr, rs.ex.prog)
+	rs.execBC(0, 0, lin, lin+1)
 	return nil
 }
 
 // enterItem points the environment at work-item lin of the group at
-// coords. runGroupBC sets the same fields inline: a call per work-item
-// there made FDTD1–3 ≈ 5 % and 2DCONV ≈ 4 % slower (untraced relaunch,
-// 12 alternating pairs, 2 cores).
+// coords: a group's first item in each segment, and every item of a
+// parking group. execBC steps to the later items in place.
 func (rs *runState) enterItem(lin int, coords [3]int, baseWI int64) {
 	e, nd := &rs.env, &rs.nd
 	l0, l1 := nd.Local[0], nd.Local[1]
@@ -217,7 +203,7 @@ func (rs *runState) drain(code []instr, n int, coords [3]int, baseWI int64) {
 			continue
 		}
 		rs.enterItem(lin, coords, baseWI)
-		rs.execBC(code, it.at, &rs.env, rs.irScratch[lin], rs.frScratch[lin], rs.ex.prog)
+		rs.execBC(0, it.at, lin, lin+1)
 	}
 }
 
