@@ -19,9 +19,9 @@ package interp
 //   - opMulAddI: multiply-add addressing (row*n + col);
 //   - opJCmpI, opJCmpIK, opIncJCmpI: compare-and-branch, against a
 //     register plus a constant, and a counted loop's whole back edge;
-//   - opFMAAF32, opFMATermF32, opFMALoopF32: float32 accumulation, a
-//     fused two-load term, and a whole fused reduction loop
-//     (superinst.go);
+//   - opFMAAF32, opFMALoopF32: float32 accumulation, and a whole
+//     reduction loop over one or two of them, recognised from its generic
+//     code (superinst.go);
 //   - opLdGF32K, opLdOpF32, opTapF32: a float32 load at a shared
 //     subscript base plus a constant, alone, as the last operand of a
 //     float op, and as a stencil tap acc ± k·A[base+imm] (straight.go);
@@ -124,28 +124,21 @@ const (
 	// closure engine's exact statistic/record/trap order.
 	opIncJCmpI // ir[dst] = norm>>4(ir[dst]+c); AluInt += 2; jump to imm if cmpI(norm&15, ir[a], ir[b])
 
-	// opFMATermF32 is one fused accumulation acc += [s *] A[ia] * X[ix]
-	// over two global float32 loads; its operands are the program's
-	// term imm (bcProgram.terms, see fmaTerm), and pos/pos2 are the
-	// trap positions of the A and X subscripts. Each index is a register
-	// or an absorbed multiply-add whose scratch register is dead and so
-	// not written.
-	opFMATermF32
-
 	// opFMALoopF32 is a fused loop head (see fuseFMALoops): it replaces
-	// the zero-trip guard (an opJCmpI) of a loop whose 1-2 instruction
-	// body of opFMATermF32 accumulations is closed by an opIncJCmpI
-	// jumping back to the body. The head keeps the guard's compare
-	// (norm&15, a, b), count (c) and exit target (imm); norm>>4 holds the
-	// body length, and the body and back edge stay in place unmodified,
-	// so the back edge still executes the exact unfused semantics. The
-	// executor (runFMALoop) runs the guard and, when it can compute the
-	// trip and addresses up front and the closed form has a loop for the
-	// shape, the whole loop in closed form, with constant-stride
-	// classifier runs batched through access.Classifier.ObserveRun —
-	// observably identical, per access, to the unfused sequence.
-	// Otherwise dispatch continues into the unfused body. A parking run stops a work-item here instead
-	// (park.go).
+	// the zero-trip guard (an opJCmpI) of a loop whose body is the generic
+	// code of one or two float32 accumulations acc += [s *] A[ia] * X[ix]
+	// over global loads, closed by an opIncJCmpI jumping back to the body.
+	// The head keeps the guard's compare (norm&15, a, b), count (c) and
+	// exit target (imm), so the back edge sits at imm-1; norm>>4 holds
+	// the term count and k the first term's index in bcProgram.terms. The
+	// body and back edge stay in place unmodified. The executor
+	// (runFMALoop) runs the guard and, when it can compute the trip and
+	// addresses up front and the closed form has a loop for the shape,
+	// the whole loop in closed form, with constant-stride classifier runs
+	// batched through access.Classifier.ObserveRun — observably
+	// identical, per access, to the generic body. Otherwise dispatch
+	// continues into the body. A parking run stops a work-item here
+	// instead (park.go).
 	opFMALoopF32
 
 	// Work-item functions. norm is the wi* code; static dim in imm (in
@@ -249,11 +242,10 @@ type instr struct {
 	c    int32
 	slot int32
 	site int32
-	k    int32 // AluFloat count of opStat and the straight-line loads; opJCmpIK's constant
+	k    int32 // AluFloat count of opStat and the straight-line loads; opJCmpIK's constant; opFMALoopF32's first term
 	imm  int64
 	fimm float64
 	pos  clc.Pos
-	pos2 clc.Pos // second trap position (fused two-load instructions)
 }
 
 // paramCopy moves one scalar kernel argument into its variable register
@@ -282,7 +274,7 @@ type bcProgram struct {
 	fixedF   []paramCopy
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
-	terms    []fmaTerm // opFMATermF32 operands, indexed by imm
+	terms    []fmaTerm // fused loops' terms, from each head's k (fuseFMALoops)
 	parkable bool      // an unprofiled run may park its work-items (park.go)
 }
 
@@ -684,18 +676,6 @@ func (rs *runState) execBC(seg, pc, lin, end int) {
 			case opMath2:
 				aluF += int64(in.c)
 				fr[in.dst] = float64(float32(prog.math2[in.imm](fr[in.a], fr[in.b])))
-			case opFMATermF32:
-				// One fused term outside a fused loop. Counter deltas merge
-				// into the batched locals so the deferred flush keeps
-				// trap-time totals exact.
-				c, trap := rs.runFMATerm(code, pc-1, ir, fr, bufs, sites, classify, wi)
-				aluI += c.aluI
-				aluF += c.aluF
-				loads += c.loads
-				loadB += c.loadB
-				if trap != nil {
-					rtErr(trap.pos, "index %d out of range [0,%d)", trap.idx, trap.n)
-				}
 			case opIncJCmpI:
 				// Fused loop back-edge: post inc/dec of an int variable
 				// (AluInt++), then the loop condition compare (AluInt++),
@@ -717,7 +697,7 @@ func (rs *runState) execBC(seg, pc, lin, end int) {
 				// Fused loop: runFMALoop runs the guard and, when it can, the
 				// whole 1-2 term body and the opIncJCmpI back edge in closed
 				// form, outside the dispatch loop; otherwise dispatch goes on
-				// into the unfused body. Counter deltas merge into the batched
+				// into the generic body. Counter deltas merge into the batched
 				// locals so the deferred flush keeps trap-time totals exact.
 				if rs.parking {
 					rs.parkAt = pc - 1

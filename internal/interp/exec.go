@@ -116,7 +116,7 @@ type Exec struct {
 
 	// Run scratch, reused so a steady-state run allocates nothing: the
 	// shard tasks and the segment lists Run* build.
-	tasks []shardTask
+	tasks []*shardTask
 	segs  []Segment
 }
 

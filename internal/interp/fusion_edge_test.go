@@ -33,23 +33,33 @@ __kernel void edge(__global float* A, __global float* B, __global float* X, __gl
 }`
 }
 
-// edgeShapes is every shape the fused loop's closed form distinguishes.
-// A strided shape is one the closed form has no loop for, so its fused
-// loops run their unfused body.
+// edgeShapes is every shape the fused loop's closed form distinguishes,
+// and the shapes fusion refuses. A strided shape is one the closed form
+// has no loop for, so its fused loops run their generic body; a refused
+// shape lowers to no fused loop head at all.
 var edgeShapes = []struct {
 	name, loop, body string
-	strided          bool
+	strided, refused bool
 }{
-	{"row walk", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[j];", false},
-	{"column walk", "int j = 0; j < N; j++", "acc += A[j * N + i] * X[j];", false},
-	{"invariant X", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[i];", true},
-	{"negative step", "int j = N - 1; j >= lo; j--", "acc += A[i * N + j] * X[j];", true},
+	{"row walk", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[j];", false, false},
+	{"column walk", "int j = 0; j < N; j++", "acc += A[j * N + i] * X[j];", false, false},
+	{"invariant X", "int j = 0; j < N; j++", "acc += A[i * N + j] * X[i];", true, false},
+	{"negative step", "int j = N - 1; j >= lo; j--", "acc += A[i * N + j] * X[j];", true, false},
 	{"two accumulators", "int j = 0; j < N; j++",
-		"acc += A[i * N + j] * X[j]; acc2 += B[i * N + j] * X[j];", false},
-	{"scaled term", "int j = 0; j < N; j++", "acc += alpha * A[i * N + j] * X[j];", true},
-	{"literal scale, column walk", "int j = 0; j < N; j++", "acc += 0.3f * A[j * N + i] * X[j];", true},
+		"acc += A[i * N + j] * X[j]; acc2 += B[i * N + j] * X[j];", false, false},
+	{"scaled term", "int j = 0; j < N; j++", "acc += alpha * A[i * N + j] * X[j];", true, false},
+	{"literal scale, column walk", "int j = 0; j < N; j++", "acc += 0.3f * A[j * N + i] * X[j];", true, false},
 	{"two terms on one accumulator", "int j = 0; j < N; j++",
-		"acc += alpha * A[i * N + j] * B[r * N + j]; acc += alpha * B[i * N + j] * A[r * N + j];", false},
+		"acc += alpha * A[i * N + j] * B[r * N + j]; acc += alpha * B[i * N + j] * A[r * N + j];", false, false},
+	{"index through a temporary", "int j = 0; j < N; j++", "acc += A[(j + lo) * N + i] * X[j];", false, true},
+	{"load through a variable", "int j = 0; j < N; j++", "float t = A[i * N + j]; acc += t * X[j];", false, true},
+	{"scale from the other accumulator", "int j = 0; j < N; j++",
+		"acc += A[i * N + j] * X[j]; acc2 += acc * B[i * N + j] * X[j];", false, true},
+	{"scale from its own accumulator", "int j = 0; j < N; j++", "acc += acc * A[i * N + j] * X[j];", false, true},
+	{"a third statement", "int j = 0; j < N; j++",
+		"acc += A[i * N + j] * X[j]; acc2 += B[i * N + j] * X[j]; acc2 += X[j];", false, true},
+	{"three terms", "int j = 0; j < N; j++",
+		"acc += A[i * N + j] * X[j]; acc2 += B[i * N + j] * X[j]; acc += B[r * N + j] * X[j];", false, true},
 }
 
 // edgeFinite fills n floats with finite values: normal ones whose
@@ -163,8 +173,9 @@ func diffEdge(got, want *edgeRun, buffers bool) string {
 // TestFusedLoopEdgeValues runs every fused-loop shape over edge values
 // against the closure engine — output bits, profile and trap text — at 1,
 // 2 and 3 shards: through the closed form where it has a loop for the
-// shape, through the unfused body where it has not; with A cut short,
-// every shape traps. The values make a float64 accumulator rounded only
+// shape, through the generic body where it has not, and as plain generic
+// code where fusion refuses the loop; with A cut short, every shape
+// traps. The values make a float64 accumulator rounded only
 // at the loop's end read differently from the float32 one rounded after
 // every add.
 func TestFusedLoopEdgeValues(t *testing.T) {
@@ -183,8 +194,12 @@ func TestFusedLoopEdgeValues(t *testing.T) {
 					t.Fatalf("%s: closure engine error %v", name, want.err)
 				}
 				got := runEdge(t, src, EngineBytecode, shards, n, aLen)
-				if fused, ops := fusedHeads(t, got.ex); fused != 1 {
-					t.Fatalf("%s: %d fused loop heads, want 1 (opcodes:%s)", name, fused, ops)
+				wantHeads := 1
+				if s.refused {
+					wantHeads = 0
+				}
+				if fused, ops := fusedHeads(t, got.ex); fused != wantHeads {
+					t.Fatalf("%s: %d fused loop heads, want %d (opcodes:%s)", name, fused, wantHeads, ops)
 				}
 				if reason := got.ex.Stats().ShardPinReason; reason != "" {
 					t.Fatalf("%s: pinned to one shard: %s", name, reason)
@@ -193,7 +208,7 @@ func TestFusedLoopEdgeValues(t *testing.T) {
 					t.Errorf("%s, %d shards: %s", name, shards, d)
 				}
 				switch {
-				case trap:
+				case trap, s.refused:
 				case s.strided && (UnfusedLoops(got.ex) == 0 || AffineLoops(got.ex) != 0):
 					t.Errorf("%s, %d shards: the closed form served %d loops and the unfused body ran %d, want only the unfused body",
 						name, shards, AffineLoops(got.ex), UnfusedLoops(got.ex))

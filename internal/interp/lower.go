@@ -75,7 +75,6 @@ type lowerer struct {
 	math2Idx map[string]int
 	math1    []func(float64) float64
 	math2    []func(a, b float64) float64
-	terms    []fmaTerm
 
 	// Straight-line state (straight.go): which slots are declaration-only
 	// and which of those are constants, the preloaded constant registers,
@@ -418,7 +417,6 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 		initF:    append(lw.initF, make([]float64, int(lw.maxF)-len(lw.initF))...),
 		math1:    lw.math1,
 		math2:    lw.math2,
-		terms:    lw.terms,
 	}
 	for _, prm := range k.Params {
 		if prm.Type.Ptr || prm.Sym == nil {
@@ -439,7 +437,7 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 			*ints = append(*ints, pc)
 		}
 	}
-	fuseFMALoops(p)
+	fuseFMALoops(p, lw.baseI, lw.baseF)
 	p.parkable = parkable(p)
 	return p, nil
 }
@@ -1678,7 +1676,9 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 // fuses it into opFMAAF32 (two AluFloat counts, both float32 roundings
 // preserved). Bails out unless the multiply is float32-promoted and its
 // operands neither write variables (the accumulator read is deferred to
-// the fused instruction) nor require an intermediate conversion.
+// the fused instruction) nor require an intermediate conversion. A loop
+// whose body is one or two of these over global loads becomes a fused
+// loop (fuseFMALoops).
 func (lw *lowerer) tryFMA(as *clc.Assign, dst breg, rk clc.Kind) (breg, bool) {
 	if as.Op != clc.AssignAdd || rk != clc.KindFloat || !dst.f {
 		return breg{}, false
@@ -1696,9 +1696,6 @@ func (lw *lowerer) tryFMA(as *clc.Assign, dst breg, rk clc.Kind) (breg, bool) {
 	if writesVars(mul.L) || writesVars(mul.R) {
 		return breg{}, false
 	}
-	if v, ok := lw.tryFMATerm(dst, mul); ok {
-		return v, true
-	}
 	n := uint8(2)
 	if canTrap(mul.L) || canTrap(mul.R) {
 		lw.pay(0, 2)
@@ -1707,121 +1704,6 @@ func (lw *lowerer) tryFMA(as *clc.Assign, dst breg, rk clc.Kind) (breg, bool) {
 	x := lw.lowerConverted(mul.L, clc.KindFloat, mul.Pos())
 	y := lw.lowerConverted(mul.R, clc.KindFloat, mul.Pos())
 	lw.emit(instr{op: opFMAAF32, norm: n, dst: dst.idx, a: x.idx, b: y.idx})
-	return dst, true
-}
-
-// pureNoTrap reports that evaluating x has no side effects and cannot
-// trap, though it may count ALU statistics (unlike pureNoEffects, which
-// additionally requires stat-freedom). Reordering such code is safe
-// whenever every later trap point observes the same set of increments
-// in both engines.
-func pureNoTrap(x clc.Expr) bool {
-	return !canTrap(x) && !writesVars(x)
-}
-
-// globalF32Load reports whether x is a load of a float32 element from a
-// global buffer with an effect- and trap-free integer index — the shape a
-// fused FMA term can absorb.
-func globalF32Load(x clc.Expr) (*clc.Index, bool) {
-	ix, ok := x.(*clc.Index)
-	if !ok {
-		return nil, false
-	}
-	base, ok := ix.Base.(*clc.Ident)
-	if !ok || base.Sym == nil {
-		return nil, false
-	}
-	sym := base.Sym
-	if sym.Class != clc.SymParam || !sym.Type.Ptr || sym.Type.Kind != clc.KindFloat {
-		return nil, false
-	}
-	if ix.Idx.ResultType().Kind.IsFloat() || !pureNoTrap(ix.Idx) {
-		return nil, false
-	}
-	return ix, true
-}
-
-// floatScale reports whether x can be a fused term's scale — a float
-// parameter, private variable or literal, read without conversion — and
-// records it in t.
-func (lw *lowerer) floatScale(x clc.Expr, t *fmaTerm) bool {
-	if x.ResultType().Kind != clc.KindFloat {
-		return false
-	}
-	switch s := x.(type) {
-	case *clc.FloatLit:
-		t.sLit = float64(float32(s.Value))
-		return true
-	case *clc.Ident:
-		if sym := s.Sym; sym != nil && !sym.Type.Ptr && sym.ArrayLen == 0 && !sym.IsLocal {
-			t.sReg = lw.varReg(sym, s.Pos()).idx
-			return true
-		}
-	}
-	return false
-}
-
-// absorbMulAdd moves a trailing opMulAddI that computed the index idx
-// (emitted at or after mark) into ref and drops it from the code: the
-// fused term evaluates the multiply-add itself, and its scratch register
-// is dead.
-func (lw *lowerer) absorbMulAdd(ref *fmaRef, idx breg, mark int) bool {
-	n := len(lw.code)
-	if n <= mark || idx.varRef || lw.code[n-1].op != opMulAddI || lw.code[n-1].norm != 2 || lw.code[n-1].dst != idx.idx {
-		return false
-	}
-	ma := lw.code[n-1]
-	ref.ma, ref.r0, ref.r1, ref.r2 = true, ma.a, ma.b, ma.c
-	lw.code = lw.code[:n-1]
-	return true
-}
-
-// tryFMATerm fuses `acc += A[i]*X[j]` and `acc += s*A[i]*X[j]` — A and X
-// global float32 loads with pure indexes, s a scale (floatScale) — into
-// one opFMATermF32 that counts, records, loads and accumulates in the
-// closure engine's exact order: the add and the multiplies, A's index,
-// A's load, X's index, X's load. Code an index needs runs before the
-// instruction, which is unobservable for A's (pure, so only its counts
-// move, and no trap point lies between). X's code would run before A's
-// bounds check, so X's index must count nothing or be one multiply-add,
-// which the term absorbs and counts after A's load; A's trailing
-// multiply-add is absorbed too when X left no code behind it.
-func (lw *lowerer) tryFMATerm(dst breg, mul *clc.Binary) (breg, bool) {
-	t := fmaTerm{acc: dst.idx, sReg: -1}
-	aX := mul.L
-	if sm, ok := mul.L.(*clc.Binary); ok && sm.Op == clc.BinMul {
-		if !lw.floatScale(sm.L, &t) {
-			return breg{}, false
-		}
-		t.scaled, aX = true, sm.R
-	}
-	la, ok := globalF32Load(aX)
-	if !ok {
-		return breg{}, false
-	}
-	ra, ok := globalF32Load(mul.R)
-	if !ok {
-		return breg{}, false
-	}
-	if _, _, ma := mulAddParts(ra.Idx); !ma && !pureNoEffects(ra.Idx) {
-		return breg{}, false
-	}
-	refA, refX := lw.memRefOf(la), lw.memRefOf(ra)
-	t.a = fmaRef{slot: refA.argIndex, site: refA.site}
-	t.x = fmaRef{slot: refX.argIndex, site: refX.site}
-	markA := len(lw.code)
-	idxA := lw.lowerExpr(la.Idx)
-	markX := len(lw.code)
-	idxX := lw.lowerExpr(ra.Idx)
-	t.a.r0, t.x.r0 = idxA.idx, idxX.idx
-	if !pureNoEffects(ra.Idx) && !lw.absorbMulAdd(&t.x, idxX, markX) {
-		lw.fail(ra.Pos(), "interp: fused FMA index did not lower to a multiply-add")
-	}
-	if len(lw.code) == markX {
-		lw.absorbMulAdd(&t.a, idxA, markA)
-	}
-	lw.emit(instr{op: opFMATermF32, imm: int64(len(lw.terms)), pos: la.Pos(), pos2: ra.Pos()})
-	lw.terms = append(lw.terms, t)
 	return dst, true
 }
 

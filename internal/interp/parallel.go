@@ -292,16 +292,18 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 	ex.abort.reset()
 	id := runSeq.Add(1)
 	// The task and piece scratch is reused across runs, so a steady-state
-	// run allocates nothing here.
-	if cap(ex.tasks) < p {
-		ex.tasks = append(ex.tasks[:cap(ex.tasks)], make([]shardTask, p-cap(ex.tasks))...)
+	// run allocates nothing here. Tasks are held by pointer: a pool worker
+	// may still be reading a task's claim for a stale hand-off, so growing
+	// the list must not copy them.
+	for len(ex.tasks) < p {
+		ex.tasks = append(ex.tasks, new(shardTask))
 	}
-	ex.tasks = ex.tasks[:p]
+	tasks := ex.tasks[:p]
 
 	base, rem := total/p, total%p
 	si, off := 0, 0 // next unassigned group: segs[si], off groups in
-	for i := range ex.tasks {
-		t := &ex.tasks[i]
+	for i := range tasks {
+		t := tasks[i]
 		t.shard, t.pieces, t.err, t.pooled = i, t.pieces[:0], nil, false
 		t.rs = ex.shardState(i, profiled)
 		need := base
@@ -331,7 +333,7 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 	// shards would stall this one.
 	spare := poolWorkers - active
 	for i := 1; i < p && i <= spare; i++ {
-		t := &ex.tasks[i]
+		t := tasks[i]
 		if t.done == nil {
 			t.done = make(chan struct{}, 1)
 		}
@@ -340,16 +342,16 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 	// Shard 0 runs on the caller, directly into the Exec's statistics, so
 	// the chain state (prevAddr/prevWI, lane firsts) continues across
 	// repeated runs exactly as on the sequential path.
-	for i := range ex.tasks {
-		if t := &ex.tasks[i]; !t.pooled {
+	for i := range tasks {
+		if t := tasks[i]; !t.pooled {
 			t.run()
 		}
 	}
 	// Join every shard before looking at errors: task memory is reused
 	// on the next run, so no worker may still be running it. A pooled
 	// shard its worker has not started yet is run here instead.
-	for i := range ex.tasks {
-		if t := &ex.tasks[i]; t.pooled {
+	for i := range tasks {
+		if t := tasks[i]; t.pooled {
 			if t.take(id) {
 				t.run()
 			} else {
@@ -357,15 +359,15 @@ func (ex *Exec) runSharded(segs []Segment, total, p, active int, profiled bool) 
 			}
 		}
 	}
-	for i := range ex.tasks {
-		if err := ex.tasks[i].err; err != nil {
+	for i := range tasks {
+		if err := tasks[i].err; err != nil {
 			return err
 		}
 	}
 
 	// Deterministic merge in shard order.
 	for i := 1; i < p; i++ {
-		ex.stats.mergeFrom(ex.tasks[i].rs.ownStats)
+		ex.stats.mergeFrom(tasks[i].rs.ownStats)
 	}
 	return nil
 }

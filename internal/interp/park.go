@@ -15,7 +15,7 @@ package interp
 //     blockW adjacent columns walk A together, one row at a time (dotCol8);
 //  3. resume: in work-item order, each item gets its counters back and
 //     continues after its loop — or at its head, when its walk did not
-//     resolve, so the unfused body runs and traps in order.
+//     resolve, so the generic body runs and traps in order.
 //
 // This is exact because nothing observable happens before a work-item
 // parks (parkable: no store, atomic or __local access on any path from the
@@ -89,7 +89,7 @@ func parkable(p *bcProgram) bool {
 	heads := 0
 	for pc := range code {
 		if code[pc].op == opFMALoopF32 {
-			if !colWalkHead(code, pc, p.terms) {
+			if !p.colWalkHead(code, pc) {
 				return false
 			}
 			heads++
@@ -261,19 +261,18 @@ func (rs *runState) resolveWalk(code []instr, it *parkedItem, ir []int64) {
 		it.at = int(g.imm)
 		return
 	}
-	_, first, back := fmaHead(code, head)
-	inc := &code[back]
+	terms, inc := rs.ex.prog.fmaHead(code, head)
 	lt, ok := tripCount(inc, ir)
 	if !ok {
 		return
 	}
-	t := &rs.ex.prog.terms[code[first].imm]
+	t := &terms[0]
 	bufs := rs.env.bufs
 	f := fmaOperand{fmaTerm: t, fA: bufs[t.a.slot].F32, fX: bufs[t.x.slot].F32}
-	if !f.resolve(ir, inc.dst, lt.j0, lt.jLast, int64(inc.c)) {
+	if !f.resolve(ir, inc.dst, lt) {
 		return
 	}
-	c := t.tripCounters(lt.trips, true)
+	c := loopCounters(terms, lt.trips)
 	it.delta.aluI += int64(g.c) + c.aluI
 	it.delta.aluF += c.aluF
 	it.delta.loads += c.loads

@@ -1,19 +1,21 @@
 package interp
 
-// The fused FMA loop. Every float32 accumulation `acc += [s *] A[i] * X[j]`
-// whose multiplicands are global loads lowers to one opFMATermF32, whose
-// operands sit in the program's term table (fmaTerm). A lowering peephole
-// (fuseFMALoops) rewrites the head of a loop whose whole body is one or
-// two terms into opFMALoopF32, and runFMALoop then runs the loop's
-// zero-trip guard and, when the trip and every address are computable up
-// front and the closed form has a loop for the shape, the whole loop in
-// closed form outside the dispatch switch. The head is the guard — the
-// compare-and-branch in front of the body that skips a loop whose
-// condition fails on entry — and keeps its compare, count and exit
-// target. Only the head instruction's opcode and norm are rewritten; the
-// body and the back edge stay in place, so a loop the closed form
-// declines continues into its unfused body, and the back edge's jump into
-// the window executes the exact unfused semantics.
+// The fused FMA loop. Lowering emits every float32 accumulation
+// `acc += [s *] A[i] * X[j]` as generic code (tryFMA): the statistics
+// pre-payment, each global load with the multiply-add of its index, the
+// scale's multiply and one opFMAAF32. A peephole (fuseFMALoops)
+// recognises a loop whose whole body is one or two such accumulations,
+// records their operands in the program's term table (fmaTerm) and
+// rewrites the loop's head into opFMALoopF32; runFMALoop then runs the
+// loop's zero-trip guard and, when the trip and every address are
+// computable up front and the closed form has a loop for the shape, the
+// whole loop in closed form outside the dispatch switch. The head is the
+// guard — the compare-and-branch in front of the body that skips a loop
+// whose condition fails on entry — and keeps its compare, count and exit
+// target. Only the head instruction's opcode, norm and k are rewritten;
+// the body and the back edge stay in place, so a loop the closed form
+// declines continues into its generic body, which executes the exact
+// unfused semantics.
 //
 // The closed form carries each accumulator as a float32 for the whole
 // trip. The closure engine widens the sum to float64 after every add, but
@@ -25,16 +27,12 @@ package interp
 // fusing SYR2K's loop took it from 17.6 to 1.29 ms (2-core Xeon; DESIGN.md
 // § The fused FMA loop).
 
-import (
-	"slices"
-
-	"dopia/internal/clc"
-)
+import "slices"
 
 // fmaRef is one global float32 load of a fused term: the buffer's
 // parameter slot and memory site, and the element index — the register
-// r0, or, when ma, the absorbed multiply-add
-// n32(n32(ir[r0]*ir[r1]) + ir[r2]) with its AluInt += 2.
+// r0, or, when ma, the multiply-add n32(n32(ir[r0]*ir[r1]) + ir[r2]) that
+// computed it.
 type fmaRef struct {
 	slot, site int32
 	ma         bool
@@ -49,62 +47,28 @@ func (r *fmaRef) index(ir []int64) int64 {
 	return ir[r.r0]
 }
 
-// aluI is the integer statistics evaluating the index counts.
-func (r *fmaRef) aluI() int64 {
-	if r.ma {
-		return 2
-	}
-	return 0
-}
-
-// fmaTerm is the operand record of one opFMATermF32 (bcProgram.terms):
+// fmaTerm is one accumulation of a fused loop's body (bcProgram.terms):
 // fr[acc] += f32(A*X), or f32(f32(s*A)*X) when scaled, where s is the
-// float register sReg or, when sReg < 0, the float32-rounded literal sLit.
+// float register sReg (a literal scale's is a constant register). aluI and
+// aluF are what one iteration of the term's code counts.
 type fmaTerm struct {
-	acc    int32
-	scaled bool
-	sReg   int32
-	sLit   float64
-	a, x   fmaRef
+	acc        int32
+	scaled     bool
+	sReg       int32
+	a, x       fmaRef
+	aluI, aluF int64
 }
 
-// aluF is the float statistics the term counts: the add and one
-// multiply per factor after the first.
-func (t *fmaTerm) aluF() int64 {
-	if t.scaled {
-		return 3
-	}
-	return 2
-}
-
-// scale reads the term's scale factor.
-func (t *fmaTerm) scale(fr []float64) float64 {
-	if t.sReg < 0 {
-		return t.sLit
-	}
-	return fr[t.sReg]
-}
-
-// fmaProduct is a term's product rounded exactly as the closure engine
-// rounds it: f32(f64(a)*f64(x)), and f32(f32(s*f64(a))*f64(x)) when
-// scaled. The float64 product of two float32 values is exact (48 <= 53
-// mantissa bits), so rounding it equals the float32 multiply; only s*a,
-// whose s is a float64, is formed wide. The explicit float32 conversions
-// are fusion barriers: the Go spec lets x*y+z become a hardware FMA only
-// when no explicit rounding intervenes.
-func fmaProduct(scaled bool, s float64, a, x float32) float32 {
-	if scaled {
-		return float32(float32(s*float64(a)) * x)
-	}
-	return float32(a * x)
-}
-
-// fuseFMALoops fuses every loop of a lowered program whose body is one
-// or two opFMATermF32 instructions closed by an opIncJCmpI whose back
-// edge targets the body's first instruction, and which is entered through
-// its zero-trip guard. The guard becomes the head; its norm keeps the
-// compare code in the low four bits and takes the body length above them.
-func fuseFMALoops(p *bcProgram) {
+// fuseFMALoops fuses every loop of a lowered program whose body is one or
+// two accumulations in the generic code matchTerm reads, closed by an
+// opIncJCmpI whose back edge targets the body's first instruction, and
+// which is entered through its zero-trip guard. The guard becomes the
+// head: its norm keeps the compare code in the low four bits and takes
+// the term count above them, and k is the first term's index in p.terms.
+// Registers below baseI and baseF are variables and constants; those from
+// them up are statement temporaries, dead once the loop is left, so the
+// closed form need not write them.
+func fuseFMALoops(p *bcProgram, baseI, baseF int32) {
 	for _, code := range p.segments {
 		for pc := range code {
 			inc := &code[pc]
@@ -112,21 +76,91 @@ func fuseFMALoops(p *bcProgram) {
 				continue
 			}
 			first := int(inc.imm)
-			n := pc - first
-			if first < 1 || n < 1 || n > 2 {
+			if first < 1 || first >= pc || !loopGuard(&code[first-1], inc, pc+1) {
+				continue
+			}
+			var terms []fmaTerm
+			for body := code[first:pc]; len(body) > 0; {
+				t, n, ok := matchTerm(body, baseI, baseF)
+				if !ok {
+					terms = nil
+					break
+				}
+				terms, body = append(terms, t), body[n:]
+			}
+			if len(terms) == 0 || len(terms) > 2 || !fmaLoopFusible(terms) {
 				continue
 			}
 			g := &code[first-1]
-			body := code[first:pc]
-			if !loopGuard(g, inc, pc+1) || slices.ContainsFunc(body, func(in instr) bool {
-				return in.op != opFMATermF32
-			}) || !fmaLoopFusible(p.terms, body) {
-				continue
-			}
 			g.op = opFMALoopF32
-			g.norm |= uint8(n) << 4
+			g.norm |= uint8(len(terms)) << 4
+			g.k = int32(len(p.terms))
+			p.terms = append(p.terms, terms...)
 		}
 	}
+}
+
+// matchTerm reads one accumulation from the front of body, in the code
+// tryFMA emits for `acc += [s *] A[ia] * X[ix]`:
+//
+//	[opStat] [opMulAddI] opLdGF32 [opMulF] [opMulAddI] opLdGF32 opFMAAF32
+//
+// Each multiply-add computes its load's index into a temporary from
+// non-temporaries, a load without one is indexed by a non-temporary, the
+// multiply scales A's load by a float non-temporary, and the accumulator
+// is a float non-temporary. It returns the term and the number of
+// instructions it spans. Every instruction matched writes a temporary or
+// the accumulator, so the body's other registers are loop-invariant but
+// for the induction.
+func matchTerm(body []instr, baseI, baseF int32) (t fmaTerm, n int, ok bool) {
+	next := func(op opcode) *instr {
+		if n < len(body) && body[n].op == op {
+			n++
+			return &body[n-1]
+		}
+		return nil
+	}
+	load := func(r *fmaRef) (int32, bool) {
+		idx := int32(-1)
+		if ma := next(opMulAddI); ma != nil {
+			if ma.a >= baseI || ma.b >= baseI || ma.c >= baseI || ma.dst < baseI {
+				return 0, false
+			}
+			t.aluI += int64(ma.norm)
+			r.ma, r.r0, r.r1, r.r2, idx = true, ma.a, ma.b, ma.c, ma.dst
+		}
+		ld := next(opLdGF32)
+		if ld == nil || ld.dst < baseF || r.ma && ld.a != idx || !r.ma && ld.a >= baseI {
+			return 0, false
+		}
+		r.slot, r.site = ld.slot, ld.site
+		if !r.ma {
+			r.r0 = ld.a
+		}
+		return ld.dst, true
+	}
+	if s := next(opStat); s != nil {
+		t.aluI, t.aluF = int64(s.c), int64(s.k)
+	}
+	a, ok := load(&t.a)
+	if !ok {
+		return t, 0, false
+	}
+	if mul := next(opMulF); mul != nil {
+		if mul.norm != normF32 || mul.a >= baseF || mul.b != a || mul.dst < baseF {
+			return t, 0, false
+		}
+		t.aluF += int64(mul.c)
+		t.scaled, t.sReg, a = true, mul.a, mul.dst
+	}
+	x, ok := load(&t.x)
+	fma := next(opFMAAF32)
+	if !ok || fma == nil || fma.a != a || fma.b != x || a == x || fma.dst >= baseF {
+		return t, 0, false
+	}
+	t.aluF += int64(fma.norm)
+	t.acc = fma.dst
+	return t, n, true
 }
 
 // loopGuard reports whether g is the zero-trip guard of the loop closed by
@@ -136,52 +170,47 @@ func loopGuard(g, inc *instr, exit int) bool {
 	return g.op == opJCmpI && g.a == inc.a && g.b == inc.b && g.norm == inc.norm&0xf && g.imm == int64(exit)
 }
 
-// fmaHead is a fused loop head decoded: its body length, and the pcs of
-// the first term and of the back edge.
-func fmaHead(code []instr, head int) (n, first, back int) {
-	n = int(code[head].norm >> 4)
-	return n, head + 1, head + 1 + n
+// fmaHead decodes the fused loop head at code[head]: its terms, and its
+// back edge, the instruction before its exit.
+func (p *bcProgram) fmaHead(code []instr, head int) (terms []fmaTerm, back *instr) {
+	g := &code[head]
+	return p.terms[g.k : g.k+int32(g.norm>>4)], &code[g.imm-1]
 }
 
 // colWalkHead reports whether the fused head at code[head] is a column
 // walk: one unscaled term whose A index has the induction as a
 // multiplicand (A[j*N + i]) and whose X index is the induction itself,
 // advancing by 1. ATAX2, BICG1 and MVT2 are column walks.
-func colWalkHead(code []instr, head int, terms []fmaTerm) bool {
-	n, first, back := fmaHead(code, head)
-	if n != 1 {
+func (p *bcProgram) colWalkHead(code []instr, head int) bool {
+	terms, inc := p.fmaHead(code, head)
+	if len(terms) != 1 {
 		return false
 	}
-	t, inc := &terms[code[first].imm], &code[back]
-	j := inc.dst
+	t, j := &terms[0], inc.dst
 	return !t.scaled && t.a.ma && (t.a.r0 == j) != (t.a.r1 == j) && t.a.r2 != j &&
 		!t.x.ma && t.x.r0 == j && inc.c == 1
 }
 
 // fmaLoopFusible checks the safety conditions the fused-loop executor
-// relies on beyond the opcode shape: all touched sites distinct (the
+// relies on beyond the code's shape: all touched sites distinct (the
 // executor tracks classifier runs per site occurrence, which is only
 // per-access-identical when no two occurrences alias one site), and no
 // scale read from an accumulator (the executor reads each scale once per
 // loop, so it must be loop-invariant). The two terms may share their
 // accumulator (SYR2K) or keep one each (GESUMMV).
-func fmaLoopFusible(terms []fmaTerm, body []instr) bool {
+func fmaLoopFusible(terms []fmaTerm) bool {
 	var sites []int32
-	for i := range body {
-		t := &terms[body[i].imm]
-		sites = append(sites, t.a.site, t.x.site)
+	for i := range terms {
+		sites = append(sites, terms[i].a.site, terms[i].x.site)
 	}
 	for i := range sites {
-		for j := i + 1; j < len(sites); j++ {
-			if sites[i] == sites[j] {
-				return false
-			}
+		if slices.Contains(sites[i+1:], sites[i]) {
+			return false
 		}
 	}
-	for i := range body {
-		t := &terms[body[i].imm]
-		for j := range body {
-			if t.scaled && t.sReg >= 0 && t.sReg == terms[body[j].imm].acc {
+	for i := range terms {
+		for j := range terms {
+			if terms[i].scaled && terms[i].sReg == terms[j].acc {
 				return false
 			}
 		}
@@ -189,88 +218,49 @@ func fmaLoopFusible(terms []fmaTerm, body []instr) bool {
 	return true
 }
 
-// fmaLoopTrap describes a bounds trap raised inside a fused FMA term.
-type fmaLoopTrap struct {
-	pos    clc.Pos
-	idx, n int64
-}
-
-// fmaLoopCounters are the statistic deltas of one fused-term or
-// fused-loop execution, merged into the caller's batched counter locals.
+// fmaLoopCounters are the statistic deltas of one fused-loop execution,
+// merged into the caller's batched counter locals.
 type fmaLoopCounters struct {
 	aluI, aluF, loads, loadB int64
 }
 
-// fmaOperand is one term of a fused execution with its buffers, scale,
-// trap positions and site states hoisted out of the iteration.
+// loopCounters are the statistics of trips iterations of a fused loop:
+// each term's code, its two loads, and the back edge's increment and
+// compare.
+func loopCounters(terms []fmaTerm, trips int64) (c fmaLoopCounters) {
+	c.aluI = 2
+	for i := range terms {
+		c.aluI += terms[i].aluI
+		c.aluF += terms[i].aluF
+	}
+	n := int64(len(terms))
+	return fmaLoopCounters{aluI: c.aluI * trips, aluF: c.aluF * trips, loads: 2 * n * trips, loadB: 8 * n * trips}
+}
+
+// fmaOperand is one term of a fused execution with its buffers, scale and
+// site states hoisted out of the iteration.
 type fmaOperand struct {
 	*fmaTerm
 	s            float64 // the scale's value; loop-invariant by fmaLoopFusible
 	fA, fX       []float32
 	baseA, baseX int64
-	posA, posX   clc.Pos
 	stA, stX     *siteState
 	pa, px       affIdx // the closed form's address progressions
 }
 
-// decodeTerm hoists the operands of in: an opFMATermF32, or the fused
-// loop head that replaced one.
-func decodeTerm(in *instr, terms []fmaTerm, fr []float64, bufs []*Buffer, sites []siteState) fmaOperand {
-	t := &terms[in.imm]
+// decodeTerm hoists the operands of t.
+func decodeTerm(t *fmaTerm, fr []float64, bufs []*Buffer, sites []siteState) fmaOperand {
 	bA, bX := bufs[t.a.slot], bufs[t.x.slot]
-	return fmaOperand{
+	f := fmaOperand{
 		fmaTerm: t,
-		s:       t.scale(fr),
 		fA:      bA.F32, fX: bX.F32,
 		baseA: bA.Base, baseX: bX.Base,
-		posA: in.pos, posX: in.pos2,
 		stA: &sites[t.a.site], stX: &sites[t.x.site],
 	}
-}
-
-// step runs one iteration of the term in the closure engine's order —
-// count the add and the multiplies; evaluate A's index, bounds-check and
-// record the load; then the same for X — adding its statistics to c. It
-// returns the product, or the trap of the failing bounds check.
-func (f *fmaOperand) step(ir []int64, classify bool, wi int64, c *fmaLoopCounters) (float32, *fmaLoopTrap) {
-	c.aluF += f.aluF()
-	c.aluI += f.a.aluI()
-	ia := f.a.index(ir)
-	if uint64(ia) >= uint64(len(f.fA)) {
-		return 0, &fmaLoopTrap{pos: f.posA, idx: ia, n: int64(len(f.fA))}
+	if t.scaled {
+		f.s = fr[t.sReg]
 	}
-	c.loads++
-	c.loadB += 4
-	if classify {
-		f.stA.recordAccess(f.baseA+ia*4, 4, wi)
-	}
-	c.aluI += f.x.aluI()
-	ix := f.x.index(ir)
-	if uint64(ix) >= uint64(len(f.fX)) {
-		return 0, &fmaLoopTrap{pos: f.posX, idx: ix, n: int64(len(f.fX))}
-	}
-	c.loads++
-	c.loadB += 4
-	if classify {
-		f.stX.recordAccess(f.baseX+ix*4, 4, wi)
-	}
-	return fmaProduct(f.scaled, f.s, f.fA[ia], f.fX[ix]), nil
-}
-
-// runFMATerm executes the opFMATermF32 at pc `at`: a term outside a
-// fused loop, or the body of a fused loop the closed form declined. Like
-// runFMALoop it takes the code and a pc, not the instruction or the term
-// table: every extra value live across these calls costs the dispatch
-// loop in execBC spills on every instruction it dispatches.
-func (rs *runState) runFMATerm(code []instr, at int, ir []int64, fr []float64, bufs []*Buffer,
-	sites []siteState, classify bool, wi int64,
-) (c fmaLoopCounters, trap *fmaLoopTrap) {
-	f := decodeTerm(&code[at], rs.ex.prog.terms, fr, bufs, sites)
-	p, trap := f.step(ir, classify, wi, &c)
-	if trap == nil {
-		fr[f.acc] = float64(float32(fr[f.acc]) + p)
-	}
-	return c, trap
+	return f
 }
 
 // fits32 reports whether v survives an int32 round trip.
@@ -284,15 +274,16 @@ type affIdx struct {
 }
 
 // affRef maps one term operand's index onto an address progression over
-// the induction values j0, j0+step, ..., jLast, or reports ok=false when
-// the index is not affine in the induction (the induction times itself)
-// or its progression cannot be formed exactly (a multiplicand or addend
+// the induction values j0, j0+1, ..., jLast, or reports ok=false when the
+// index is not affine in the induction (the induction times itself) or
+// its progression cannot be formed exactly (a multiplicand or addend
 // beyond int32). Every register but the induction is loop-invariant: the
-// body writes no other int register.
-func affRef(r *fmaRef, ir []int64, incDst int32, j0, jLast, step int64) (ai affIdx, ok bool) {
+// body writes no other int register but temporaries, and no index reads
+// one.
+func affRef(r *fmaRef, ir []int64, incDst int32, j0, jLast int64) (ai affIdx, ok bool) {
 	if !r.ma {
 		if r.r0 == incDst {
-			return affIdx{first: j0, last: jLast, delta: step}, true
+			return affIdx{first: j0, last: jLast, delta: 1}, true
 		}
 		return affIdx{first: ir[r.r0], last: ir[r.r0]}, true
 	}
@@ -314,9 +305,9 @@ func affRef(r *fmaRef, ir []int64, incDst int32, j0, jLast, step int64) (ai affI
 		if !fits32(m) {
 			return ai, false
 		}
-		ai = affIdx{first: j0 * m, last: jLast * m, delta: step * m}
+		ai = affIdx{first: j0 * m, last: jLast * m, delta: m}
 		if r.r2 == incDst {
-			ai = affIdx{first: ai.first + j0, last: ai.last + jLast, delta: ai.delta + step}
+			ai = affIdx{first: ai.first + j0, last: ai.last + jLast, delta: ai.delta + 1}
 		} else if c := ir[r.r2]; fits32(c) {
 			ai.first, ai.last = ai.first+c, ai.last+c
 		} else {
@@ -324,7 +315,7 @@ func affRef(r *fmaRef, ir []int64, incDst int32, j0, jLast, step int64) (ai affI
 		}
 	case r.r2 == incDst:
 		prod := int64(int32(ir[r.r0] * ir[r.r1]))
-		ai = affIdx{first: prod + j0, last: prod + jLast, delta: step}
+		ai = affIdx{first: prod + j0, last: prod + jLast, delta: 1}
 	default:
 		ia := r.index(ir)
 		ai = affIdx{first: ia, last: ia}
@@ -346,10 +337,10 @@ func (ai affIdx) inRange(n int64) bool {
 
 // resolve fills the operand's address progressions, reporting whether
 // both are affine and in bounds for the whole trip.
-func (f *fmaOperand) resolve(ir []int64, incDst int32, j0, jLast, step int64) bool {
+func (f *fmaOperand) resolve(ir []int64, incDst int32, lt loopTrip) bool {
 	var okA, okX bool
-	f.pa, okA = affRef(&f.a, ir, incDst, j0, jLast, step)
-	f.px, okX = affRef(&f.x, ir, incDst, j0, jLast, step)
+	f.pa, okA = affRef(&f.a, ir, incDst, lt.j0, lt.jLast)
+	f.px, okX = affRef(&f.x, ir, incDst, lt.j0, lt.jLast)
 	return okA && okX && f.pa.inRange(int64(len(f.fA))) && f.px.inRange(int64(len(f.fX)))
 }
 
@@ -367,27 +358,25 @@ func affFlush(st *siteState, base int64, ai affIdx, trips, wi int64) {
 	}
 }
 
-// runFMALoopAffine is the analytic fast path of the fused-loop
-// executor: when the trip count is computable up front (signed
-// compare against a loop-invariant bound, non-truncating induction),
-// every address progression is affine in the induction and provably in
-// bounds for the whole trip, and the closed form has a loop for the
-// shape, the loop body reduces to pure loads and FMAs — counters and
-// classifier state are closed-form functions of the trip count,
-// bit-identical to the per-iteration bookkeeping. The shapes are the
-// unscaled one-term row and column walks, the unscaled row-walk pair on
-// two accumulators (GESUMMV) and the scaled row-walk pair on one
-// (SYR2K). Returns ok=false (with no state touched) whenever any
-// precondition fails; the loop then runs its unfused body.
-func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
+// runFMALoopAffine is the closed form of a fused loop: when the trip
+// count is computable up front (tripCount), every address progression is
+// affine in the induction and provably in bounds for the whole trip, and
+// the closed form has a loop for the shape, the loop body reduces to pure
+// loads and FMAs — counters and classifier state are closed-form
+// functions of the trip count, bit-identical to the per-iteration
+// bookkeeping. The shapes are the unscaled one-term row and column walks,
+// the unscaled row-walk pair on two accumulators (GESUMMV) and the scaled
+// row-walk pair on one (SYR2K). Returns ok=false (with no state touched)
+// whenever any precondition fails; the loop then runs its generic body.
+func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, terms []fmaTerm, inc *instr,
 	ir []int64, fr []float64, classify bool, wi int64,
 ) (cnt fmaLoopCounters, ok bool) {
 	lt, ok := tripCount(inc, ir)
 	if !ok {
 		return cnt, false
 	}
-	incDst, step, trips := inc.dst, int64(inc.c), lt.trips
-	if !f1.resolve(ir, incDst, lt.j0, lt.jLast, step) || two && !f2.resolve(ir, incDst, lt.j0, lt.jLast, step) {
+	two, trips := len(terms) == 2, lt.trips
+	if !f1.resolve(ir, inc.dst, lt) || two && !f2.resolve(ir, inc.dst, lt) {
 		return cnt, false
 	}
 
@@ -416,25 +405,17 @@ func (rs *runState) runFMALoopAffine(f1, f2 *fmaOperand, two bool, inc *instr,
 		return cnt, false
 	}
 	fr[f1.acc] = float64(acc)
-	ir[incDst] = lt.jEnd
+	ir[inc.dst] = lt.jEnd
 
-	cnt = f1.tripCounters(trips, true)
 	if classify {
 		affFlush(f1.stA, f1.baseA, f1.pa, trips, wi)
 		affFlush(f1.stX, f1.baseX, f1.px, trips, wi)
-	}
-	if two {
-		c2 := f2.tripCounters(trips, false)
-		cnt.aluI += c2.aluI
-		cnt.aluF += c2.aluF
-		cnt.loads += c2.loads
-		cnt.loadB += c2.loadB
-		if classify {
+		if two {
 			affFlush(f2.stA, f2.baseA, f2.pa, trips, wi)
 			affFlush(f2.stX, f2.baseX, f2.px, trips, wi)
 		}
 	}
-	return cnt, true
+	return loopCounters(terms, trips), true
 }
 
 // unitRows reports whether both of the operand's progressions advance by
@@ -447,16 +428,6 @@ func (f *fmaOperand) rows(trips int64) (a, x []float32) {
 	return f.fA[f.pa.first : f.pa.first+trips], f.fX[f.px.first : f.px.first+trips]
 }
 
-// tripCounters are the statistics of trips iterations of one term, with
-// the back edge's two integer operations per iteration when backEdge.
-func (t *fmaTerm) tripCounters(trips int64, backEdge bool) fmaLoopCounters {
-	aluI := t.a.aluI() + t.x.aluI()
-	if backEdge {
-		aluI += 2
-	}
-	return fmaLoopCounters{aluI: aluI * trips, aluF: t.aluF() * trips, loads: 2 * trips, loadB: 8 * trips}
-}
-
 // loopTrip is a fused loop's trip in closed form: the induction's value
 // on entry, in the last iteration and at the exit, and the iteration
 // count.
@@ -465,15 +436,15 @@ type loopTrip struct {
 }
 
 // tripCount computes the trip of the fused loop closed by the back edge
-// inc, entered (its guard holding) with the registers ir: the compare is
-// signed against a loop-invariant bound and the induction does not
-// truncate. ok is false when the trip cannot be computed up front.
+// inc, entered (its guard holding) with the registers ir: the induction
+// steps by +1 and does not truncate, and the compare is signed against a
+// loop-invariant bound. ok is false when the trip cannot be computed up
+// front; a downward loop is one.
 func tripCount(inc *instr, ir []int64) (lt loopTrip, ok bool) {
 	incDst := inc.dst
 	incNorm := inc.norm >> 4
 	code := inc.norm & 0xf
-	step := int64(inc.c)
-	if step == 0 || code&cmpU != 0 || (incNorm != normNone && incNorm != normI32) {
+	if inc.c != 1 || code&cmpU != 0 || (incNorm != normNone && incNorm != normI32) {
 		return lt, false
 	}
 
@@ -487,54 +458,40 @@ func tripCount(inc *instr, ir []int64) (lt loopTrip, ok bool) {
 		bound = ir[inc.a]
 		// Mirror the compare so the induction reads as the left side.
 		switch code {
-		case cmpLt:
-			code = cmpGt
 		case cmpGt:
 			code = cmpLt
-		case cmpLe:
-			code = cmpGe
 		case cmpGe:
 			code = cmpLe
+		default:
+			return lt, false
 		}
 	default:
 		return lt, false
 	}
 	j0 := ir[incDst]
-	if !fits32(j0) || !fits32(bound) || !fits32(step) {
+	if !fits32(j0) || !fits32(bound) {
 		return lt, false
 	}
 
 	// Closed-form do-while trip count: the body runs once, then once
 	// more per post-increment value satisfying the compare.
 	var num int64
-	switch {
-	case step > 0 && code == cmpLt:
+	switch code {
+	case cmpLt:
 		num = bound - 1 - j0
-	case step > 0 && code == cmpLe:
+	case cmpLe:
 		num = bound - j0
-	case step < 0 && code == cmpGt:
-		num = j0 - bound - 1
-	case step < 0 && code == cmpGe:
-		num = j0 - bound
 	default:
 		return lt, false
 	}
-	trips := int64(1)
-	if num >= 0 {
-		abs := step
-		if abs < 0 {
-			abs = -abs
-		}
-		trips = 1 + num/abs
-	}
+	trips := 1 + max(num, 0)
 	// The last induction value the body sees lies between j0 and bound,
-	// so it fits int32 like they do; the exit value may be one step past.
-	jLast := j0 + (trips-1)*step
-	jEnd := jLast + step
-	if incNorm == normI32 && !fits32(jEnd) {
+	// so it fits int32 like they do; the exit value may be one past.
+	jLast := j0 + trips - 1
+	if incNorm == normI32 && !fits32(jLast+1) {
 		return lt, false // the unfused loop's truncation would wrap
 	}
-	return loopTrip{j0: j0, jLast: jLast, jEnd: jEnd, trips: trips}, true
+	return loopTrip{j0: j0, jLast: jLast, jEnd: jLast + 1, trips: trips}, true
 }
 
 // The closed form's loops. Each keeps its accumulators in float32
@@ -605,9 +562,9 @@ func dotRowShared(acc float32, s1, s2 float64, a1, x1, a2, x2 []float32) float32
 
 // runFMALoop executes a fused FMA loop head (opFMALoopF32 at pc `head`)
 // for one work-item: the zero-trip guard, then the whole loop in closed
-// form. It returns the pc to continue at — the loop's exit, or the first
-// term of the body when the closed form declines, so that dispatch runs
-// the unfused body and its back edge — and the statistic deltas to merge
+// form. It returns the pc to continue at — the loop's exit, or the body's
+// first instruction when the closed form declines, so that dispatch runs
+// the generic body and its back edge — and the statistic deltas to merge
 // into the caller's batched counters.
 func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
 	bufs []*Buffer, sites []siteState, classify bool, wi int64,
@@ -617,18 +574,17 @@ func (rs *runState) runFMALoop(code []instr, head int, ir []int64, fr []float64,
 	if !cmpIRegs(g.norm&0xf, ir[g.a], ir[g.b]) {
 		return int(g.imm), cnt
 	}
-	n, first, back := fmaHead(code, head)
-	terms := rs.ex.prog.terms
-	f1 := decodeTerm(&code[first], terms, fr, bufs, sites)
+	terms, back := rs.ex.prog.fmaHead(code, head)
+	f1 := decodeTerm(&terms[0], fr, bufs, sites)
 	var f2 fmaOperand
-	if n == 2 {
-		f2 = decodeTerm(&code[first+1], terms, fr, bufs, sites)
+	if len(terms) == 2 {
+		f2 = decodeTerm(&terms[1], fr, bufs, sites)
 	}
-	if c, ok := rs.runFMALoopAffine(&f1, &f2, n == 2, &code[back], ir, fr, classify, wi); ok {
+	if c, ok := rs.runFMALoopAffine(&f1, &f2, terms, back, ir, fr, classify, wi); ok {
 		rs.affineLoops++
 		c.aluI += cnt.aluI
 		return int(g.imm), c
 	}
 	rs.unfusedLoops++
-	return first, cnt
+	return head + 1, cnt
 }

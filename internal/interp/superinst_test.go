@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dopia/internal/clc"
 )
@@ -22,6 +23,15 @@ func fusedHeads(t testing.TB, ex *Exec) (int, string) {
 		}
 	}
 	return FusedHeads(ex), ops
+}
+
+// TestInstrSize pins a VM instruction at 64 bytes, a cache line: the
+// dispatch loop streams instructions, so a field added to instr has to fit
+// or pay for the wider stream.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(instr{}); n != 64 {
+		t.Fatalf("instr is %d bytes, want 64", n)
+	}
 }
 
 // TestFusedLoopPresent proves the peephole actually fires on the

@@ -221,10 +221,11 @@ type RunOptions struct {
 	Functional bool
 	// ExtraStartupSec charges one-time runtime overhead (model inference).
 	ExtraStartupSec float64
-	// Context, when non-nil, bounds the functional execution: it is
-	// polled before every work-group by every shard, so a pathological
-	// ND range cannot wedge the host application past the deadline. A
-	// deadline hit is classified as faults.ErrExecTimeout.
+	// Context, when non-nil, bounds a functional run: the simulated
+	// schedule polls it once per span, and the functional execution before
+	// every work-group by every shard, so a pathological ND range cannot
+	// wedge the host application past the deadline. A deadline hit is
+	// classified as faults.ErrExecTimeout.
 	Context context.Context
 }
 
@@ -264,7 +265,20 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 		if err := e.prepareFunctional(); err != nil {
 			return nil, err
 		}
+		var done <-chan struct{}
+		if opts.Context != nil {
+			done = opts.Context.Done()
+		}
 		onSpan = func(device string, start, count int) error {
+			// The deadline bounds the simulated schedule too: it builds
+			// one segment per span, which on a huge ND range takes as
+			// long as a run. A receive on Done, fetched once, costs a
+			// span less than Err.
+			select {
+			case <-done:
+				return ctxErr(opts.Context)
+			default:
+			}
 			seg, err := segment(device, start, count)
 			if err != nil {
 				return err
