@@ -109,11 +109,8 @@ func (r *Result) Site(id int) *SiteClass {
 	return nil
 }
 
-// Memo keys of the two analyses a kernel owns (see clc.Memo).
-type (
-	analysisKey     struct{}
-	independenceKey struct{}
-)
+// analysisKey is the memo key of a kernel's analysis (see clc.Memo).
+type analysisKey struct{}
 
 // Analyze performs the static analysis of a checked kernel, once per
 // kernel: the result is shared and must not be modified. Panics in the
@@ -124,24 +121,26 @@ func Analyze(k *clc.Kernel) (res *Result, err error) {
 	if err := faults.Hit("analysis.analyze"); err != nil {
 		return nil, faults.Wrap(faults.StageAnalysis, err)
 	}
-	return clc.Memo(k, analysisKey{}, func() (*Result, error) { return runAnalysis(k, false) })
+	return analysisOf(k)
 }
 
-// runAnalysis walks the kernel. With exact set it additionally tracks
-// the exact value of every integer expression (poly.go) and fills in the
-// work-group-independence summary; the classification is the same either
-// way, the exact walk just costs about half as much again.
-func runAnalysis(k *clc.Kernel, exact bool) (*Result, error) {
+// analysisOf returns kernel k's memoized analysis, running runAnalysis on
+// first use. Analyze and WorkGroupIndependence both read it.
+func analysisOf(k *clc.Kernel) (*Result, error) {
+	return clc.Memo(k, analysisKey{}, func() (*Result, error) { return runAnalysis(k) })
+}
+
+// runAnalysis walks the kernel once: it classifies every site and, by
+// tracking the exact value of every integer expression (poly.go), fills
+// in the work-group-independence summary.
+func runAnalysis(k *clc.Kernel) (*Result, error) {
 	a := &analyzer{
-		res:   &Result{KernelName: k.Name},
-		env:   map[*clc.Symbol]form{},
-		exact: exact,
+		res: &Result{KernelName: k.Name},
+		env: map[*clc.Symbol]form{},
 	}
 	// Parameters are launch-constant.
 	for _, p := range k.Params {
-		if exact {
-			a.res.indep.params = append(a.res.indep.params, p.Name)
-		}
+		a.res.indep.params = append(a.res.indep.params, p.Name)
 		if !p.Type.Ptr {
 			a.env[p.Sym] = a.paramForm(p.Sym)
 		}
@@ -178,16 +177,14 @@ func (a *analyzer) paramForm(sym *clc.Symbol) form {
 }
 
 // variable gives f the exact value "variable v"; lit gives a literal form
-// its own value. Both do nothing in an analysis that is not exact.
+// its own value.
 func (a *analyzer) variable(f form, v pvar) form {
-	if a.exact {
-		f.p = varPoly(v)
-	}
+	f.p = varPoly(v)
 	return f
 }
 
 func (a *analyzer) lit(f form) form {
-	if a.exact && f.litOK {
+	if f.litOK {
 		f.p = constPoly(f.lit)
 	}
 	return f
@@ -212,8 +209,6 @@ type analyzer struct {
 	res   *Result
 	env   map[*clc.Symbol]form
 	loops []loopInfo // enclosing loops, innermost last
-	// exact turns on exact-value tracking (see runAnalysis).
-	exact bool
 	// loopIDs numbers the for loops; the number names the loop's
 	// induction variable in exact index polynomials.
 	loopIDs map[*clc.ForStmt]int
@@ -309,10 +304,7 @@ func (a *analyzer) forLoop(st *clc.ForStmt) {
 		a.stmt(st.Init)
 	}
 	sym, step := inductionOf(st)
-	id := 0
-	if a.exact {
-		id = a.loopID(st)
-	}
+	id := a.loopID(st)
 	var lo poly
 	if sym != nil {
 		lo = a.env[sym].p
@@ -322,7 +314,7 @@ func (a *analyzer) forLoop(st *clc.ForStmt) {
 			return
 		}
 		a.expr(st.Cond)
-		if a.exact && a.suppress == 0 && sym != nil {
+		if a.suppress == 0 && sym != nil {
 			// The recording pass sees the loop-head environment after
 			// widening, so a bound the body modifies is already unknown.
 			a.res.indep.loops[id] = a.rangeOf(sym, lo, step, st.Cond)
@@ -485,7 +477,7 @@ func (a *analyzer) loopBody(sym *clc.Symbol, step int64, iv pvar, body clc.Stmt,
 	pre := a.envClone()
 	cond()
 	a.stmt(body)
-	if sym != nil && a.exact && a.suppress == 0 && !a.env[sym].p.equal(varPoly(iv)) {
+	if sym != nil && a.suppress == 0 && !a.env[sym].p.equal(varPoly(iv)) {
 		// The body moves the induction variable itself, so the values it
 		// takes are not the init/bound/step progression.
 		a.res.indep.loops[iv.n] = loopRange{}
@@ -827,10 +819,8 @@ func (a *analyzer) recordSite(ix *clc.Index, write bool) {
 	if id, ok := ix.Base.(*clc.Ident); ok && id.Sym != nil {
 		if id.Sym.Class == clc.SymParam {
 			sc.ArgIndex = id.Sym.Slot
-			if a.exact {
-				a.res.indep.accesses = append(a.res.indep.accesses,
-					globalAccess{slot: sc.ArgIndex, write: write, idx: f.p})
-			}
+			a.res.indep.accesses = append(a.res.indep.accesses,
+				globalAccess{slot: sc.ArgIndex, write: write, idx: f.p})
 		} else {
 			sc.Local = true
 		}

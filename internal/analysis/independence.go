@@ -71,25 +71,26 @@ type LaunchFacts struct {
 	NumGroups, Local [3]int
 }
 
-// WorkGroupIndependence analyzes k for the execution engine, once per
-// kernel. Unlike Analyze it is not a fault-injection site — the engine's
-// bookkeeping is not the managed path's feature extraction — and it
-// cannot fail: a kernel the analyzer rejects is reported order-sensitive.
-func WorkGroupIndependence(k *clc.Kernel) *Independence {
-	in, _ := clc.Memo(k, independenceKey{}, func() (in *Independence, _ error) {
-		defer func() {
-			if r := recover(); r != nil {
-				in = &Independence{static: "kernel not analyzable"}
-			}
-		}()
-		res, err := runAnalysis(k, true)
-		if err != nil {
-			return &Independence{static: "kernel not analyzable"}, nil
+// WorkGroupIndependence returns k's independence summary for the
+// execution engine, from the analysis Analyze memoizes. Unlike Analyze it
+// is not a fault-injection site — the engine's bookkeeping is not the
+// managed path's feature extraction — and it cannot fail: a kernel the
+// analyzer rejects is reported order-sensitive.
+func WorkGroupIndependence(k *clc.Kernel) (in *Independence) {
+	defer func() {
+		if r := recover(); r != nil {
+			in = notAnalyzable
 		}
-		return &res.indep, nil
-	})
-	return in
+	}()
+	res, err := analysisOf(k)
+	if err != nil {
+		return notAnalyzable
+	}
+	return &res.indep
 }
+
+// notAnalyzable is the summary of a kernel the analyzer rejects.
+var notAnalyzable = &Independence{static: "kernel not analyzable"}
 
 // OrderSensitive reports why the launch described by lf must execute its
 // work-groups in order on one goroutine, or "" when the kernel is

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dopia/internal/access"
 	"dopia/internal/clc"
 )
 
@@ -235,10 +236,10 @@ func TestWorkItemIndependence(t *testing.T) {
 	}
 }
 
-// TestExactValuesLeaveClassificationAlone: the exact walk tracks values
-// beside the abstract forms and must never change a Table-1 class — a
-// join of i and i+1 is still one linear form to the classifier — so the
-// exact and the plain walk of one kernel classify every site alike.
+// TestExactValuesLeaveClassificationAlone: the walk tracks exact values
+// beside the abstract forms and they must never change a Table-1 class —
+// a join of i and i+1 is still one linear form to the classifier — so the
+// walk classifies every site as the abstract forms alone did.
 func TestExactValuesLeaveClassificationAlone(t *testing.T) {
 	k := mustCompile(t, `__kernel void k(__global float* a, __global float* b, int n) {
 		int i = get_global_id(0);
@@ -246,18 +247,17 @@ func TestExactValuesLeaveClassificationAlone(t *testing.T) {
 		if (n > 3) { p = i + 1; }
 		for (int j = 0; j < n; j++) { p += 1; a[p] = b[i * n + j]; }
 	}`)
-	plain, err := runAnalysis(k, false)
+	res, err := runAnalysis(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := runAnalysis(k, true)
-	if err != nil {
-		t.Fatal(err)
+	want := []SiteClass{
+		{Site: 1, ArgIndex: 1, Depth: 1, Iter: access.Continuous, IterStride: 1, Lane: access.Strided},
+		{Site: 0, ArgIndex: 0, Write: true, Depth: 1, Iter: access.Constant, Lane: access.Continuous, LaneStride: 1},
 	}
-	exact.indep = Independence{}
-	plain.indep = Independence{}
-	if !reflect.DeepEqual(plain, exact) {
-		t.Errorf("exact walk classifies differently:\nplain %+v\nexact %+v", plain, exact)
+	if !reflect.DeepEqual(res.Sites, want) || res.MemConstant != 1 || res.MemContinuous != 1 {
+		t.Errorf("exact walk classifies differently:\ngot  %+v (%d constant, %d continuous)\nwant %+v",
+			res.Sites, res.MemConstant, res.MemContinuous, want)
 	}
 }
 

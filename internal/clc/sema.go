@@ -172,17 +172,18 @@ func (c *checker) checkDecl(ds *DeclStmt) {
 		d.Sym = sym
 		c.kernel.Locals = append(c.kernel.Locals, sym)
 		if d.Init != nil {
-			if d.ArrayLen > 0 {
+			switch {
+			case d.ArrayLen > 0:
 				c.errorf(d.NamePos, "array initializers are not supported")
+			case d.IsLocal:
+				// OpenCL C forbids it: the variable is shared by the
+				// work-group, and the interpreter zeroes it per group.
+				c.errorf(d.NamePos, "__local variables cannot have initializers")
 			}
 			it := c.checkExpr(d.Init)
 			if !assignable(t, it) {
 				c.errorf(d.NamePos, "cannot initialize %s %q with %s", t, d.Name, it)
 			}
-		}
-		if d.IsLocal && d.ArrayLen == 0 && !t.Ptr {
-			// A __local scalar is shared by the work-group; supported.
-			_ = sym
 		}
 		c.declare(d.Name, d.NamePos, sym)
 	}

@@ -87,9 +87,9 @@ func DiffBuffers(name string, a, b []byte) string {
 	return ""
 }
 
-// DiffProfiles compares two execution profiles modulo the engine
-// metadata (Engine, FallbackReason), which legitimately differs between
-// legs. It returns "" when equal, else a description.
+// DiffProfiles compares two execution profiles modulo the engine that
+// ran them, which legitimately differs between legs. It returns "" when
+// equal, else a description.
 func DiffProfiles(a, b *interp.Profile) string {
 	if a == nil || b == nil {
 		if a != b {
@@ -98,8 +98,7 @@ func DiffProfiles(a, b *interp.Profile) string {
 		return ""
 	}
 	ac, bc := *a, *b
-	ac.Engine, ac.FallbackReason = 0, ""
-	bc.Engine, bc.FallbackReason = 0, ""
+	ac.Engine, bc.Engine = 0, 0
 	if reflect.DeepEqual(&ac, &bc) {
 		return ""
 	}

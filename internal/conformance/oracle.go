@@ -111,26 +111,36 @@ func RunCase(c *Case, opts Options) (*Report, error) {
 	// only one whose work-items park (interp's blocked column walks) —
 	// which keeps no access profile, so only its buffers, aggregate
 	// counters and error meet the reference's. Trappy cases run the engine
-	// differential at parallelism 1 only.
+	// differential at parallelism 1 only. Every direct leg must have run
+	// on the engine it selected, or the differential compares an engine
+	// with itself.
 	totals := &Observation{Leg: ref.Leg, Err: ref.Err, Buffers: ref.Buffers, Profile: countersOnly(ref.Profile)}
+	direct := func(base *Observation, engine interp.Engine, par int, profiled bool) error {
+		leg, err := runDirect(c, engine, par, profiled)
+		if err != nil {
+			return fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+		}
+		if leg.Profile.Engine != engine {
+			rep.Divergences = append(rep.Divergences,
+				fmt.Sprintf("%s: leg %s ran on the %s engine", c, leg.Leg, leg.Profile.Engine))
+		}
+		addLeg(base, leg)
+		return nil
+	}
 	for _, engine := range []interp.Engine{interp.EngineClosures, interp.EngineBytecode} {
 		for _, par := range shards {
 			if c.Class == ClassTrappy && par != 1 {
 				continue
 			}
 			if engine != interp.EngineClosures || par != 1 { // not the reference
-				leg, err := runDirect(c, engine, par, true)
-				if err != nil {
-					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+				if err := direct(ref, engine, par, true); err != nil {
+					return nil, err
 				}
-				addLeg(ref, leg)
 			}
 			if engine == interp.EngineBytecode {
-				leg, err := runDirect(c, engine, par, false)
-				if err != nil {
-					return nil, fmt.Errorf("%s: leg %s: %w", c, leg.Leg, err)
+				if err := direct(totals, engine, par, false); err != nil {
+					return nil, err
 				}
-				addLeg(totals, leg)
 			}
 		}
 	}

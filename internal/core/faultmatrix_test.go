@@ -163,6 +163,21 @@ func faultMatrixCases() []matrixCase {
 			},
 		},
 		{
+			// Lowering backs every launch's bytecode program and nothing
+			// falls back to closures: Count:2 fails the managed and co-exec
+			// launches at the compile stage and leaves the plain runtime's
+			// own lowering healthy.
+			name:     "interp.lower/error",
+			armEarly: func() { faults.Inject("interp.lower", faults.Plan{Count: 2}) },
+			check: func(t *testing.T, fw, q faults.Snapshot) {
+				if fw.Plain != 1 || q.Plain != 1 {
+					t.Errorf("lowering fault did not degrade to plain: fw=%s q=%s", fw, q)
+				}
+				wantStage(t, fw, faults.StageCompile, "fw")
+				wantStage(t, q, faults.StageCompile, "q")
+			},
+		},
+		{
 			// A model that cannot be loaded costs nothing but the model:
 			// the framework starts with the ALL baseline and the launch is
 			// still fully managed.
@@ -312,6 +327,7 @@ func TestEvaluateWorkloadFaults(t *testing.T) {
 		{"clc.parse", faults.StageParse},
 		{"analysis.analyze", faults.StageAnalysis},
 		{"interp.compile", faults.StageCompile},
+		{"interp.lower", faults.StageCompile},
 	} {
 		for _, mode := range []struct {
 			name string

@@ -368,32 +368,13 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 	}, nil
 }
 
-// engineString renders the interpreter engine an executor's CPU side
-// resolved for the current launch, why it fell back to closures if it
-// did, and why the plan ran in schedule order on one goroutine if the
+// engineString renders the interpreter engine of an executor's current
+// launch, and why the plan ran in schedule order on one goroutine if the
 // launch is not work-group independent.
 func engineString(ex *sched.Executor) string {
-	eng, reason := ex.EngineUsed()
-	s := eng.String()
-	if reason != "" {
-		s += " (fallback: " + reason + ")"
-	}
+	s := ex.EngineUsed().String()
 	if pin := ex.PinReason(); pin != "" {
 		s += " (in order: " + pin + ")"
 	}
 	return s
-}
-
-// ExecuteCoExecAll runs one launch on the second rung of the ladder:
-// co-execution of the *original* kernel on all resources, without the
-// malleable transform and without the model. It preserves Dopia's
-// CPU+GPU utilization while requiring nothing but a compiled kernel.
-func (f *Framework) ExecuteCoExecAll(k *clc.Kernel, args []interp.Arg, nd interp.NDRange) (*Execution, error) {
-	return f.ExecuteCoExecAllCtx(context.Background(), k, args, nd)
-}
-
-// ExecuteCoExecAllCtx is ExecuteCoExecAll bounded by a caller context
-// (see ExecuteCtx).
-func (f *Framework) ExecuteCoExecAllCtx(ctx context.Context, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) (*Execution, error) {
-	return f.coExecute(ctx, k, nil, nil, args, nd)
 }

@@ -16,7 +16,8 @@ import (
 //	clc.parse          — front-end Parse/Compile (incl. malleable recompile)
 //	analysis.analyze   — static feature extraction
 //	transform.gpu      — malleable GPU code generation
-//	interp.compile     — interpreter kernel compilation
+//	interp.compile     — interpreter kernel layout (NewExec)
+//	interp.lower       — bytecode lowering (Exec.Launch)
 //	ml.load            — model deserialization
 //	ml.predict         — per-launch model inference
 //	core.exec          — managed co-execution (Dopia-side only)

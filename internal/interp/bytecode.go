@@ -3,8 +3,9 @@ package interp
 // This file implements the register-based bytecode execution engine: a
 // flat instruction array per barrier-delimited segment, dispatched by one
 // tight switch loop over separate int64/float64 register files. It is the
-// fast path of the interpreter; the tree-of-closures engine (compile.go)
-// is the reference implementation and the per-kernel fallback.
+// interpreter's default engine and lowers every kernel the checker
+// accepts; the tree-of-closures engine (compile.go) is the reference
+// implementation, run only when a caller selects it.
 //
 // The engine is bit-identical to the closure engine in every observable:
 // output buffers, RunStats counters, per-site access patterns, and
@@ -41,16 +42,14 @@ type opcode uint8
 
 // Instruction opcodes.
 const (
-	opNop opcode = iota
-
 	// Control flow. imm is the absolute target pc within the segment.
-	opJmp
-	opJmpZI  // jump if ir[a] == 0
-	opJmpNZI // jump if ir[a] != 0
-	opJmpZF  // jump if fr[a] == 0
-	opJmpNZF // jump if fr[a] != 0
-	opJCmpI  // AluInt += c; jump if !cmpI(norm, ir[a], ir[b])
-	opJCmpF  // AluFloat += c; jump if !cmpF(norm, fr[a], fr[b])
+	opJmp    opcode = iota
+	opJmpZI         // jump if ir[a] == 0
+	opJmpNZI        // jump if ir[a] != 0
+	opJmpZF         // jump if fr[a] == 0
+	opJmpNZF        // jump if fr[a] != 0
+	opJCmpI         // AluInt += c; jump if !cmpI(norm, ir[a], ir[b])
+	opJCmpF         // AluFloat += c; jump if !cmpF(norm, fr[a], fr[b])
 	// opJCmpIK is a guard against a register plus a constant, as in
 	// i < N - 1: AluInt += c; jump if !cmpS(norm, ir[a], n32(ir[b] + k)).
 	opJCmpIK
@@ -186,9 +185,19 @@ const (
 	opStLSI // a = source register
 	opStLSF
 
-	// Atomics (norm = atomicOp, a = operand register or -1, dst = old).
-	opAtomicL // slot = local index
-	opAtomicG // slot = parameter slot; kernel is pinned sequential anyway
+	// Atomics (norm&7 = atomicOp, a = operand register, dst = old value).
+	// opAtomicL and opAtomicG count, load, apply and store at once (slot =
+	// local index or parameter slot); lowering uses them when the operand
+	// is absent or has no observable effect. Otherwise the atomic runs in
+	// two phases around the operand's code: opAtomicLd counts and loads
+	// ir[dst], and opAtomicSt applies and stores. Both phases address a
+	// global target when norm has atomGlobal. A global target traps "atomic
+	// on empty buffer" at pos; global atomics pin the launch to one
+	// goroutine.
+	opAtomicL
+	opAtomicG
+	opAtomicLd
+	opAtomicSt
 )
 
 // norm codes for integer results (opcode-specific interpretation).
@@ -199,6 +208,10 @@ const (
 	normBool              // v != 0
 	normF32               // float64(float32(v)) — float ops/moves only
 )
+
+// atomGlobal, or-ed onto the norm of opAtomicLd and opAtomicSt, selects
+// a global target (slot = parameter slot) over a __local one.
+const atomGlobal uint8 = 8
 
 // conversion flag bits for opI2F (kept separate from norm codes).
 const (
@@ -459,8 +472,6 @@ func (rs *runState) execBC(seg, pc, lin, end int) {
 			in := &code[pc]
 			pc++
 			switch in.op {
-			case opNop:
-
 			// --- control flow ---
 			case opJmp:
 				pc = int(in.imm)
@@ -934,23 +945,22 @@ func (rs *runState) execBC(seg, pc, lin, end int) {
 				ir[in.dst] = old
 			case opAtomicG:
 				aluI += int64(in.c)
-				b := bufs[in.slot]
-				if b.Len() == 0 {
-					rtErr(in.pos, "atomic on empty buffer")
-				}
-				var old int64
-				if b.I32 != nil {
-					old = int64(b.I32[0])
+				ir[in.dst] = atomicLoad(bufs[in.slot], in.pos)
+				atomicStore(bufs[in.slot], atomicApply(atomicOp(in.norm), ir[in.dst], in, ir))
+			case opAtomicLd:
+				aluI += int64(in.c)
+				if in.norm&atomGlobal != 0 {
+					ir[in.dst] = atomicLoad(bufs[in.slot], in.pos)
 				} else {
-					old = b.I64[0]
+					ir[in.dst] = e.wg.locals[in.slot][0].I
 				}
-				nv := atomicApply(atomicOp(in.norm), old, in, ir)
-				if b.I32 != nil {
-					b.I32[0] = int32(nv)
+			case opAtomicSt:
+				nv := atomicApply(atomicOp(in.norm&^atomGlobal), ir[in.dst], in, ir)
+				if in.norm&atomGlobal != 0 {
+					atomicStore(bufs[in.slot], nv)
 				} else {
-					b.I64[0] = nv
+					e.wg.locals[in.slot][0] = Value{I: nv}
 				}
-				ir[in.dst] = old
 
 			default:
 				rtErr(in.pos, "bytecode: invalid opcode %d", in.op)
@@ -992,6 +1002,27 @@ func (rs *runState) execBC(seg, pc, lin, end int) {
 			items++
 			rs.startItem(ir, fr)
 		}
+	}
+}
+
+// atomicLoad reads element 0 of a global atomic's target b, trapping at
+// pos when b is empty.
+func atomicLoad(b *Buffer, pos clc.Pos) int64 {
+	if b.Len() == 0 {
+		rtErr(pos, "atomic on empty buffer")
+	}
+	if b.I32 != nil {
+		return int64(b.I32[0])
+	}
+	return b.I64[0]
+}
+
+// atomicStore writes v to element 0 of a global atomic's target b.
+func atomicStore(b *Buffer, v int64) {
+	if b.I32 != nil {
+		b.I32[0] = int32(v)
+	} else {
+		b.I64[0] = v
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"testing"
 
+	"dopia/internal/clc"
 	"dopia/internal/faults"
 )
 
 // TestCompileCacheShared verifies that two executors of the same kernel
-// share one immutable compiled form, and that distinct kernels do not.
+// share one immutable layout, and that distinct kernels do not.
 func TestCompileCacheShared(t *testing.T) {
 	src := `
 __kernel void add(__global float* a, __global float* b) {
@@ -33,20 +34,20 @@ __kernel void sub(__global float* a, __global float* b) {
 	if err != nil {
 		t.Fatalf("NewExec: %v", err)
 	}
-	if ex1.ck != ex2.ck {
-		t.Errorf("same kernel compiled twice: compiled forms not shared")
+	if ex1.lay != ex2.lay {
+		t.Errorf("same kernel laid out twice: layouts not shared")
 	}
-	if ex1.ck == ex3.ck {
-		t.Errorf("distinct kernels share a compiled form")
+	if ex1.lay == ex3.lay {
+		t.Errorf("distinct kernels share a layout")
 	}
 }
 
-// TestCompileCacheEngineKeyed checks that the two compiled forms of one
-// kernel are stored apart: a bytecode launch and a closure-pinned launch
-// each reuse their own form, and the closure-pinned executor never
-// reports (or holds) the bytecode program. The memo keys are distinct
-// types, so serving one form as the other is a compile error rather than
-// something to assert at run time.
+// TestCompileCacheEngineKeyed checks that the two programs of one kernel
+// are stored apart and built only for the engine a launch selects: two
+// bytecode launches share one lowered program and hold no closure tree,
+// two closure launches share one closure tree and hold no bytecode
+// program. The memo keys are distinct types, so serving one form as the
+// other is a compile error rather than something to assert at run time.
 func TestCompileCacheEngineKeyed(t *testing.T) {
 	src := `
 __kernel void ek(__global float* a) {
@@ -64,36 +65,67 @@ __kernel void ek(__global float* a) {
 		if err := ex.Bind(BufArg(NewFloatBuffer(32))); err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
-		if err := ex.Launch(ND1(32, 8)); err != nil { // resolves + lowers
+		if err := ex.Launch(ND1(32, 8)); err != nil { // builds the engine's program
 			t.Fatalf("Launch: %v", err)
 		}
 		return ex
 	}
 	bc1, bc2 := launch(EngineBytecode), launch(EngineBytecode)
-	for _, ex := range []*Exec{bc1, bc2} {
-		if eng, reason := ex.EngineUsed(); eng != EngineBytecode {
-			t.Fatalf("bytecode launch fell back to %v (%s)", eng, reason)
-		}
-	}
 	if bc1.prog == nil || bc1.prog != bc2.prog {
 		t.Error("bytecode executors do not share one lowered program")
 	}
-
-	cl := launch(EngineClosures)
-	if eng, _ := cl.EngineUsed(); eng != EngineClosures {
-		t.Fatalf("closure launch reports engine %v", eng)
+	if bc1.ck != nil {
+		t.Error("bytecode executor holds a closure tree")
 	}
-	if cl.ck != bc1.ck {
-		t.Error("closure executor did not reuse the kernel's closure tree")
+	cl1, cl2 := launch(EngineClosures), launch(EngineClosures)
+	if cl1.ck == nil || cl1.ck != cl2.ck {
+		t.Error("closure executors do not share one closure tree")
 	}
-	if cl.prog != nil {
+	if cl1.prog != nil {
 		t.Error("closure-pinned executor holds a bytecode program")
 	}
-	if err := cl.Run(); err != nil {
+	if err := cl1.Run(); err != nil {
 		t.Fatalf("closure run: %v", err)
 	}
-	if p := cl.Stats(); p.Engine != EngineClosures {
+	if p := cl1.Stats(); p.Engine != EngineClosures {
 		t.Errorf("closure-pinned run reports engine %v", p.Engine)
+	}
+}
+
+// TestDefaultLaunchBuildsNoClosureTree checks that a default-engine
+// NewExec, Launch and Run never build the kernel's closure tree: had any
+// of them stored it on the kernel, the memo would serve it below instead
+// of building one.
+func TestDefaultLaunchBuildsNoClosureTree(t *testing.T) {
+	k := compileKernelSrc(t, `
+__kernel void dflt(__global float* a) {
+	a[get_global_id(0)] = 3.0f;
+}`, "dflt")
+	ex, err := NewExec(k)
+	if err != nil {
+		t.Fatalf("NewExec: %v", err)
+	}
+	if err := ex.Bind(BufArg(NewFloatBuffer(32))); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if err := ex.Launch(ND1(32, 8)); err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	if err := ex.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if ex.prog == nil || ex.ck != nil {
+		t.Fatalf("default launch holds program %v, closure tree %v; want bytecode only", ex.prog != nil, ex.ck != nil)
+	}
+	built := false
+	if _, err := clc.Memo(k, closureKey{}, func() (*compiled, error) {
+		built = true
+		return compileKernel(k, ex.lay)
+	}); err != nil {
+		t.Fatalf("compileKernel: %v", err)
+	}
+	if !built {
+		t.Error("the default launch stored a closure tree on the kernel")
 	}
 }
 

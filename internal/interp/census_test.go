@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"dopia/internal/clc"
+	"dopia/internal/conformance"
 	"dopia/internal/interp"
 )
 
@@ -18,7 +20,8 @@ import (
 // run at 1 and 3 shards, how many fused loops the closed form served
 // (affine), how many ran their unfused body (unfused) and how many
 // work-items parked at a column walk (parked). The footer names the
-// opcodes no real kernel emits. A specialised path earns its place with
+// opcodes no real kernel emits, and then those that the conformance
+// lattice's generated cases do not emit either. A specialised path earns its place with
 // a hit here; a change that moves a kernel onto or off a path shows up as
 // a reviewed diff.
 func TestInterpCensus(t *testing.T) {
@@ -54,7 +57,38 @@ func TestInterpCensus(t *testing.T) {
 			}
 		}
 	})
-	line := "# emitted by no real kernel:"
+	writeUnemitted(&b, "# emitted by no real kernel:", names, emitted)
+	// The lattice's generated cases: the first 200 of each class at the
+	// quick lattice's base seed, launched on the bytecode engine.
+	for _, class := range []conformance.Class{conformance.ClassTotal, conformance.ClassTrappy} {
+		for i := 0; i < 200; i++ {
+			c, err := conformance.GenerateClass(conformance.CaseSeed(1, i), class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := clc.Compile(c.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := make([]interp.Arg, len(c.Args))
+			for j := range c.Args {
+				args[j] = c.Args[j].Arg()
+			}
+			for op, n := range interp.OpHistogram(launched(t, prog.Kernel(c.Kernel), args, c.ND)) {
+				if n > 0 {
+					emitted[op] = true
+				}
+			}
+		}
+	}
+	writeUnemitted(&b, "# nor by the first 200 generated cases per class:", names, emitted)
+	checkGolden(t, golden, b.String())
+}
+
+// writeUnemitted writes the names of the opcodes not emitted, after head,
+// as comment lines of at most 72 bytes.
+func writeUnemitted(b *strings.Builder, head string, names []string, emitted []bool) {
+	line := head
 	for op, name := range names {
 		if emitted[op] {
 			continue
@@ -66,7 +100,6 @@ func TestInterpCensus(t *testing.T) {
 		line += " " + name
 	}
 	b.WriteString(line + "\n")
-	checkGolden(t, golden, b.String())
 }
 
 // opcodeNames lists the interpreter's opcodes in value order, without

@@ -69,45 +69,15 @@ func rtErr(pos clc.Pos, format string, args ...any) {
 // compiled is a kernel lowered to closures, split into barrier-delimited
 // segments. A compiled form is immutable after compileKernel returns and
 // holds no execution state, so it is shared freely across executors and
-// goroutines (see NewExec).
+// goroutines (see Exec.Launch).
 type compiled struct {
-	kernel   *clc.Kernel
 	segments []stmtFn
-	numSites int
-
-	localSyms []*clc.Symbol // __local arrays/scalars, indexed by localIdx
-	privSyms  []*clc.Symbol // private arrays, indexed by privIdx
-	localIdx  map[*clc.Symbol]int
-	privIdx   map[*clc.Symbol]int
-
-	// Static per-site metadata, resolved at compile time so the hot
-	// memory-access paths do not re-store it on every access.
-	siteArg   []int  // parameter slot of the accessed buffer; -1 otherwise
-	siteWrite []bool // true when the site is a store target
 }
 
 // compiler holds state while lowering one kernel.
 type compiler struct {
-	c   *compiled
+	lay *layout
 	err error
-
-	siteArg   map[int]int
-	siteWrite map[int]bool
-}
-
-// regSite records compile-time metadata of a global-memory site.
-func (cp *compiler) regSite(ref memRef, write bool) {
-	if ref.site < 0 || ref.argIndex < 0 {
-		return
-	}
-	if cp.siteArg == nil {
-		cp.siteArg = map[int]int{}
-		cp.siteWrite = map[int]bool{}
-	}
-	cp.siteArg[ref.site] = ref.argIndex
-	if write {
-		cp.siteWrite[ref.site] = true
-	}
 }
 
 func (cp *compiler) fail(pos clc.Pos, format string, args ...any) {
@@ -116,24 +86,10 @@ func (cp *compiler) fail(pos clc.Pos, format string, args ...any) {
 	}
 }
 
-// compileKernel lowers a checked kernel to closures.
-func compileKernel(k *clc.Kernel) (*compiled, error) {
-	c := &compiled{
-		kernel:   k,
-		localIdx: map[*clc.Symbol]int{},
-		privIdx:  map[*clc.Symbol]int{},
-	}
-	for _, sym := range k.Locals {
-		switch {
-		case sym.IsLocal:
-			c.localIdx[sym] = len(c.localSyms)
-			c.localSyms = append(c.localSyms, sym)
-		case sym.ArrayLen > 0:
-			c.privIdx[sym] = len(c.privSyms)
-			c.privSyms = append(c.privSyms, sym)
-		}
-	}
-	cp := &compiler{c: c}
+// compileKernel lowers a checked kernel with layout lay to closures.
+func compileKernel(k *clc.Kernel, lay *layout) (*compiled, error) {
+	c := &compiled{}
+	cp := &compiler{lay: lay}
 
 	// Split the body at top-level barriers into segments.
 	var seg []clc.Stmt
@@ -163,102 +119,10 @@ func compileKernel(k *clc.Kernel) (*compiled, error) {
 		}
 	}
 	flush()
-	c.numSites = countSites(k)
-	c.siteArg = make([]int, c.numSites)
-	c.siteWrite = make([]bool, c.numSites)
-	for i := range c.siteArg {
-		c.siteArg[i] = -1
-	}
-	for s, a := range cp.siteArg {
-		c.siteArg[s] = a
-	}
-	for s := range cp.siteWrite {
-		c.siteWrite[s] = true
-	}
 	if cp.err != nil {
 		return nil, cp.err
 	}
 	return c, nil
-}
-
-// countSites returns the number of memory sites the checker assigned.
-func countSites(k *clc.Kernel) int {
-	max := -1
-	var walkExpr func(x clc.Expr)
-	walkExpr = func(x clc.Expr) {
-		switch e := x.(type) {
-		case *clc.Index:
-			if e.Site > max {
-				max = e.Site
-			}
-			walkExpr(e.Base)
-			walkExpr(e.Idx)
-		case *clc.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *clc.Unary:
-			walkExpr(e.X)
-		case *clc.Cond:
-			walkExpr(e.C)
-			walkExpr(e.Then)
-			walkExpr(e.Else)
-		case *clc.Call:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *clc.Cast:
-			walkExpr(e.X)
-		case *clc.Assign:
-			walkExpr(e.LHS)
-			walkExpr(e.RHS)
-		case *clc.IncDec:
-			walkExpr(e.X)
-		}
-	}
-	var walkStmt func(s clc.Stmt)
-	walkStmt = func(s clc.Stmt) {
-		switch st := s.(type) {
-		case *clc.Block:
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *clc.DeclStmt:
-			for _, d := range st.Decls {
-				if d.Init != nil {
-					walkExpr(d.Init)
-				}
-			}
-		case *clc.ExprStmt:
-			walkExpr(st.X)
-		case *clc.IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *clc.ForStmt:
-			if st.Init != nil {
-				walkStmt(st.Init)
-			}
-			if st.Cond != nil {
-				walkExpr(st.Cond)
-			}
-			if st.Post != nil {
-				walkExpr(st.Post)
-			}
-			walkStmt(st.Body)
-		case *clc.WhileStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Body)
-		case *clc.DoWhileStmt:
-			walkStmt(st.Body)
-			walkExpr(st.Cond)
-		}
-	}
-	if k.Body != nil {
-		walkStmt(k.Body)
-	}
-	return max + 1
 }
 
 // ---------------------------------------------------------------------------
@@ -400,10 +264,8 @@ func (cp *compiler) compileDecl(d *clc.VarDecl) stmtFn {
 		return func(e *env) ctrl { return ctrlNormal }
 	}
 	if sym.IsLocal {
-		if d.Init != nil {
-			cp.fail(d.NamePos, "__local variables cannot have initializers")
-		}
-		// Local memory is zeroed by the executor at work-group start.
+		// Local memory is zeroed by the executor at work-group start;
+		// the checker rejects an initializer.
 		return func(e *env) ctrl { return ctrlNormal }
 	}
 	if sym.ArrayLen > 0 {
@@ -538,7 +400,7 @@ func (cp *compiler) compileIdentLoad(id *clc.Ident) evalFn {
 		return func(e *env) Value { return Value{} }
 	}
 	if sym.IsLocal {
-		idx := cp.c.localIdx[sym]
+		idx := cp.lay.localIdx[sym]
 		return func(e *env) Value { return e.wg.locals[idx][0] }
 	}
 	slot := sym.Slot
@@ -893,10 +755,10 @@ func (cp *compiler) compileMemRef(ix *clc.Index) memRef {
 		ref.argIndex = sym.Slot
 	case sym.ArrayLen > 0 && sym.IsLocal:
 		ref.kind = sym.Type.Kind
-		ref.localIdx = cp.c.localIdx[sym]
+		ref.localIdx = cp.lay.localIdx[sym]
 	case sym.ArrayLen > 0:
 		ref.kind = sym.Type.Kind
-		ref.privIdx = cp.c.privIdx[sym]
+		ref.privIdx = cp.lay.privIdx[sym]
 	default:
 		cp.fail(ix.Pos(), "interp: subscript of non-array %q", sym.Name)
 	}
@@ -921,7 +783,6 @@ func record(e *env, b *Buffer, st *siteState, idx int64, write bool) {
 
 func (cp *compiler) compileLoad(ix *clc.Index) evalFn {
 	ref := cp.compileMemRef(ix)
-	cp.regSite(ref, false)
 	idxFn := ref.idxFn
 	switch {
 	case ref.argIndex >= 0:
@@ -1003,7 +864,6 @@ type storeFn func(e *env, i int64, v Value)
 type loadAtFn func(e *env, i int64) Value
 
 func (cp *compiler) makeStore(ref memRef) storeFn {
-	cp.regSite(ref, true)
 	switch {
 	case ref.argIndex >= 0:
 		slot := ref.argIndex
@@ -1071,7 +931,6 @@ func (cp *compiler) makeStore(ref memRef) storeFn {
 }
 
 func (cp *compiler) makeLoadAt(ref memRef) loadAtFn {
-	cp.regSite(ref, false)
 	switch {
 	case ref.argIndex >= 0:
 		slot := ref.argIndex
@@ -1135,7 +994,7 @@ func (cp *compiler) compileAssign(as *clc.Assign) evalFn {
 		var load evalFn
 		var store func(e *env, v Value)
 		if sym.IsLocal {
-			li := cp.c.localIdx[sym]
+			li := cp.lay.localIdx[sym]
 			load = func(e *env) Value { return e.wg.locals[li][0] }
 			store = func(e *env, v Value) { e.wg.locals[li][0] = v }
 		} else {
@@ -1212,7 +1071,7 @@ func (cp *compiler) compileIncDec(id *clc.IncDec) evalFn {
 			return func(e *env) Value { return Value{} }
 		}
 		if sym.IsLocal {
-			li := cp.c.localIdx[sym]
+			li := cp.lay.localIdx[sym]
 			post := id.Post
 			return func(e *env) Value {
 				e.stats.AluInt++
@@ -1431,30 +1290,14 @@ func (cp *compiler) compileAtomic(call *clc.Call) evalFn {
 	var store func(e *env, v int64)
 	switch {
 	case sym.IsLocal && sym.ArrayLen > 0:
-		li := cp.c.localIdx[sym]
+		li := cp.lay.localIdx[sym]
 		load = func(e *env) int64 { return e.wg.locals[li][0].I }
 		store = func(e *env, v int64) { e.wg.locals[li][0] = Value{I: v} }
 	case sym.Class == clc.SymParam && sym.Type.Ptr:
 		slot := sym.Slot
 		pos := call.Pos()
-		load = func(e *env) int64 {
-			b := e.bufs[slot]
-			if b.Len() == 0 {
-				rtErr(pos, "atomic on empty buffer")
-			}
-			if b.I32 != nil {
-				return int64(b.I32[0])
-			}
-			return b.I64[0]
-		}
-		store = func(e *env, v int64) {
-			b := e.bufs[slot]
-			if b.I32 != nil {
-				b.I32[0] = int32(v)
-			} else {
-				b.I64[0] = v
-			}
-		}
+		load = func(e *env) int64 { return atomicLoad(e.bufs[slot], pos) }
+		store = func(e *env, v int64) { atomicStore(e.bufs[slot], v) }
 	default:
 		cp.fail(call.Args[0].Pos(), "interp: atomic target must be a __local array or global int pointer")
 		return func(e *env) Value { return Value{} }

@@ -1,29 +1,24 @@
 package interp
 
-// Engine selects which execution engine an Exec uses to run compiled
-// kernels. Both engines are bit-identical in every observable: output
+// Engine selects which execution engine an Exec builds and runs at
+// Launch. Both engines are bit-identical in every observable: output
 // buffers, statistics, site profiles, and fault behaviour.
-// The bytecode engine is the fast path; the closure engine is the
-// reference implementation and the fallback for anything the lowerer
-// cannot handle.
+// The bytecode engine is the fast path and lowers every kernel the
+// checker accepts; the closure engine is the reference implementation,
+// run only when a caller selects it.
 type Engine int8
 
 // Engine values.
 const (
-	// EngineAuto, the zero value, means the bytecode engine.
-	EngineAuto Engine = iota
-	// EngineBytecode runs kernels on the register-based bytecode VM,
-	// falling back per kernel to closures when lowering fails (the
-	// fallback reason is recorded in RunStats/Profile).
-	EngineBytecode
+	// EngineBytecode, the zero value, runs kernels on the register-based
+	// bytecode VM.
+	EngineBytecode Engine = iota
 	// EngineClosures runs kernels on the tree-of-closures interpreter.
 	EngineClosures
 )
 
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EngineBytecode:
 		return "bytecode"
 	case EngineClosures:

@@ -59,9 +59,7 @@ func sameProfileModuloEngine(a, b *interp.Profile) bool {
 
 // TestEngineDifferentialRealWorkloads runs every real workload kernel on
 // the closure engine (sequential reference) and on the bytecode engine
-// at shard counts {1, 4}, demanding bit-identical buffers and profiles. It also asserts that the bytecode engine actually ran
-// (no silent fallback) for every real kernel, so the differential
-// coverage is not vacuous.
+// at shard counts {1, 4}, demanding bit-identical buffers and profiles.
 func TestEngineDifferentialRealWorkloads(t *testing.T) {
 	ws, err := workloads.RealWorkloads(128, 32)
 	if err != nil {
@@ -87,10 +85,6 @@ func TestEngineDifferentialRealWorkloads(t *testing.T) {
 					t.Fatalf("Setup: %v", err)
 				}
 				ex := runOnEngine(t, k, inst, interp.EngineBytecode, par)
-				eng, reason := ex.EngineUsed()
-				if eng != interp.EngineBytecode {
-					t.Fatalf("par=%d: fell back to %v (%s); real kernels must lower", par, eng, reason)
-				}
 				conformance.AssertIdentical(t, refObs,
 					observe(fmt.Sprintf("bytecode/shards=%d", par), inst, ex))
 			}
@@ -249,6 +243,47 @@ var trapKernels = []struct{ name, src string }{
 		int i = get_global_id(0);
 		a[i % 8] = i % (n - 5);
 	}`},
+	// The atomic counts and loads its old value before its operand's
+	// load traps.
+	{"atomic-operand", `__kernel void atomop(__global int* a, int n) {
+		int i = get_global_id(0);
+		atomic_add(a, a[i + n * 16]);
+	}`},
+}
+
+// TestEngineDifferentialAtomics runs atomics whose operands have effects
+// — loads, nested atomics on the same target, writes to variables — on
+// both engines, __local and global, over int and long targets, and
+// demands identical buffers and profiles.
+func TestEngineDifferentialAtomics(t *testing.T) {
+	for _, src := range []string{
+		`__kernel void atomg(__global int* a, int n, __global int* b) {
+			int i = get_global_id(0);
+			int old = atomic_add(a, atomic_inc(a) + b[i]);
+			b[i] = atomic_xchg(a, b[i % n]) + atomic_min(a, old = b[i + 1]) + old;
+		}`,
+		`__kernel void atoml(__global long* a, int n, __global int* b) {
+			__local int s[2];
+			int i = get_global_id(0);
+			int k = 0;
+			atomic_max(s, atomic_add(s, i) + k++);
+			a[i] = atomic_sub(a, atomic_dec(s) * k) + s[0] + s[1];
+		}`,
+	} {
+		prog, err := clc.Compile(src)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		k := prog.Kernels[0]
+		t.Run(k.Name, func(t *testing.T) {
+			cObs := runKernelOn(t, k, interp.EngineClosures, 1, 64)
+			bObs := runKernelOn(t, k, interp.EngineBytecode, 1, 64)
+			if cObs.Err != nil {
+				t.Fatalf("closure engine trapped: %v", cObs.Err)
+			}
+			conformance.AssertIdentical(t, cObs, bObs)
+		})
+	}
 }
 
 // TestEngineDifferentialTraps compiles each trap kernel and verifies
@@ -273,11 +308,12 @@ func TestEngineDifferentialTraps(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackOnLoweringFault injects a fault into the lowering
-// pass and verifies the bytecode request degrades to the closure engine
-// with the reason recorded — and that the fault sequence is not masked
-// by the bytecode program cache (caches are bypassed while armed).
-func TestEngineFallbackOnLoweringFault(t *testing.T) {
+// TestLoweringFaultFailsLaunch injects a fault into the lowering pass
+// and verifies that a bytecode launch fails with a compile-stage error —
+// no launch falls back to the closure engine — and that the fault
+// sequence is not masked by the bytecode program memo (it is bypassed
+// while armed): the injection site is hit once per Launch.
+func TestLoweringFaultFailsLaunch(t *testing.T) {
 	src := `__kernel void f(__global float* a) {
 		int i = get_global_id(0);
 		a[i] = 2.0f;
@@ -287,72 +323,42 @@ func TestEngineFallbackOnLoweringFault(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	k := prog.Kernels[0]
-
-	// Warm both caches first so the test proves the bypass.
-	warm, err := interp.NewExec(k)
-	if err != nil {
-		t.Fatalf("NewExec: %v", err)
+	launch := func() (*interp.Exec, error) {
+		ex, err := interp.NewExec(k)
+		if err != nil {
+			t.Fatalf("NewExec: %v", err)
+		}
+		if err := ex.Bind(interp.BufArg(interp.NewFloatBuffer(64))); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		return ex, ex.Launch(interp.ND1(32, 8))
 	}
-	warm.Engine = interp.EngineBytecode
-	b := interp.NewFloatBuffer(64)
-	if err := warm.Bind(interp.BufArg(b)); err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	if err := warm.Launch(interp.ND1(32, 8)); err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	if eng, _ := warm.EngineUsed(); eng != interp.EngineBytecode {
-		t.Fatalf("warm launch did not select bytecode")
+	// Warm the memo first so the test proves the bypass.
+	if _, err := launch(); err != nil {
+		t.Fatalf("warm Launch: %v", err)
 	}
 
 	boom := errors.New("lowering fault")
 	faults.InjectError("interp.lower", boom)
 	t.Cleanup(faults.Reset)
-
 	for i := 0; i < 2; i++ {
-		ex, err := interp.NewExec(k)
-		if err != nil {
-			t.Fatalf("NewExec: %v", err)
+		ex, err := launch()
+		if !errors.Is(err, boom) || faults.StageOf(err) != faults.StageCompile {
+			t.Fatalf("launch %d: err = %v (stage %v), want the injected fault at %v",
+				i, err, faults.StageOf(err), faults.StageCompile)
 		}
-		ex.Engine = interp.EngineBytecode
-		bb := interp.NewFloatBuffer(64)
-		if err := ex.Bind(interp.BufArg(bb)); err != nil {
-			t.Fatalf("Bind: %v", err)
-		}
-		if err := ex.Launch(interp.ND1(32, 8)); err != nil {
-			t.Fatalf("Launch: %v", err)
-		}
-		eng, reason := ex.EngineUsed()
-		if eng != interp.EngineClosures {
-			t.Fatalf("launch %d: engine = %v, want closure fallback", i, eng)
-		}
-		if !strings.Contains(reason, "lowering fault") {
-			t.Fatalf("launch %d: fallback reason %q does not carry the fault", i, reason)
-		}
-		if err := ex.Run(); err != nil {
-			t.Fatalf("launch %d: fallback run failed: %v", i, err)
-		}
-		p := ex.Stats()
-		if p.Engine != interp.EngineClosures || !strings.Contains(p.FallbackReason, "lowering fault") {
-			t.Fatalf("launch %d: profile metadata %v/%q", i, p.Engine, p.FallbackReason)
-		}
-		for j, v := range bb.F32 {
-			if j < 32 && v != 2.0 {
-				t.Fatalf("launch %d: fallback run produced wrong data at %d: %v", i, j, v)
-			}
+		if err := ex.Run(); err == nil {
+			t.Fatalf("launch %d: Run after a failed Launch succeeded", i)
 		}
 	}
-	// The armed point must have been reached once per Launch: the cached
-	// (pre-fault) bytecode program must not mask the injected sequence.
 	if got := faults.HitCount("interp.lower"); got != 2 {
-		t.Errorf("interp.lower hit count = %d, want 2 (cache bypassed while armed)", got)
+		t.Errorf("interp.lower hit count = %d, want 2 (memo bypassed while armed)", got)
 	}
 }
 
 // TestEngineZeroValueSelection pins down the Engine field's contract: an
-// explicit engine always wins, and the zero value (EngineAuto) means
-// bytecode — before and after Launch — with the closure fallback and its
-// reason recorded when the kernel cannot be lowered.
+// explicit engine always wins, and the zero value means bytecode — before
+// and after Launch.
 func TestEngineZeroValueSelection(t *testing.T) {
 	src := `__kernel void g(__global float* a) { a[get_global_id(0)] = 1.0f; }`
 	prog, err := clc.Compile(src)
@@ -360,14 +366,19 @@ func TestEngineZeroValueSelection(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	k := prog.Kernels[0]
-	launch := func(engine interp.Engine) *interp.Exec {
+	var zero interp.Engine
+	for _, tc := range []struct{ set, want interp.Engine }{
+		{interp.EngineClosures, interp.EngineClosures},
+		{interp.EngineBytecode, interp.EngineBytecode},
+		{zero, interp.EngineBytecode},
+	} {
 		ex, err := interp.NewExec(k)
 		if err != nil {
 			t.Fatalf("NewExec: %v", err)
 		}
-		ex.Engine = engine
-		if eng, _ := ex.EngineUsed(); engine == interp.EngineAuto && eng != interp.EngineBytecode {
-			t.Errorf("before Launch the zero Engine reports %v, want bytecode", eng)
+		ex.Engine = tc.set
+		if eng, _ := ex.EngineUsed(); eng != interp.EngineBytecode {
+			t.Errorf("before Launch an executor reports %v, want bytecode", eng)
 		}
 		if err := ex.Bind(interp.BufArg(interp.NewFloatBuffer(32))); err != nil {
 			t.Fatalf("Bind: %v", err)
@@ -375,30 +386,11 @@ func TestEngineZeroValueSelection(t *testing.T) {
 		if err := ex.Launch(interp.ND1(32, 8)); err != nil {
 			t.Fatalf("Launch: %v", err)
 		}
-		return ex
-	}
-	for _, tc := range []struct{ set, want interp.Engine }{
-		{interp.EngineClosures, interp.EngineClosures},
-		{interp.EngineBytecode, interp.EngineBytecode},
-		{interp.EngineAuto, interp.EngineBytecode},
-	} {
-		ex := launch(tc.set)
 		if eng, reason := ex.EngineUsed(); eng != tc.want || reason != "" {
 			t.Errorf("Engine=%v resolved to %v (%q), want %v", tc.set, eng, reason, tc.want)
 		}
 		if p := ex.Stats(); p.Engine != tc.want {
 			t.Errorf("Engine=%v: profile engine = %v, want %v", tc.set, p.Engine, tc.want)
 		}
-	}
-
-	faults.InjectError("interp.lower", errors.New("lowering fault"))
-	t.Cleanup(faults.Reset)
-	ex := launch(interp.EngineAuto)
-	eng, reason := ex.EngineUsed()
-	if eng != interp.EngineClosures || !strings.Contains(reason, "lowering fault") {
-		t.Errorf("zero Engine with a lowering fault resolved to %v (%q), want the closure fallback with its reason", eng, reason)
-	}
-	if p := ex.Stats(); p.Engine != interp.EngineClosures || p.FallbackReason != reason {
-		t.Errorf("fallback profile metadata %v/%q, want closures/%q", p.Engine, p.FallbackReason, reason)
 	}
 }

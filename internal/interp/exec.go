@@ -41,15 +41,15 @@ func (as *AddressSpace) Place(b *Buffer) {
 }
 
 // Exec executes one kernel. It owns the bound arguments and the
-// statistics of the runs performed through it. The compiled kernel form
-// itself is immutable, stored on the kernel and shared.
+// statistics of the runs performed through it. The kernel's layout and
+// its engine's program are immutable, stored on the kernel and shared.
 //
 // An Exec is not safe for concurrent use by multiple goroutines, but its
 // Run* methods internally execute disjoint shards of the work-group space
 // on a worker pool (see Parallelism and RunSegments).
 type Exec struct {
 	kernel *clc.Kernel
-	ck     *compiled
+	lay    *layout
 
 	args []Arg
 	bufs []*Buffer // indexed by parameter slot; nil for scalars
@@ -74,12 +74,9 @@ type Exec struct {
 	// always run sequentially (see ShardPinned).
 	Parallelism int
 
-	// Engine selects the execution engine: EngineAuto (the default)
-	// means the bytecode engine. When the bytecode
-	// engine is selected but the kernel cannot be lowered, the launch
-	// transparently falls back to the closure engine and records the
-	// reason in RunStats.FallbackReason. Results are bit-identical
-	// across engines.
+	// Engine selects the execution engine Launch builds the program of:
+	// the bytecode engine (the zero value) or the closure engine.
+	// Results are bit-identical across engines.
 	Engine Engine
 
 	// LaneWidth is ignored: the lane tier it selected is deleted. The
@@ -90,13 +87,13 @@ type Exec struct {
 
 	paramVals []Value
 
-	// Resolved at Launch: the lowered bytecode program (nil = closure
-	// engine), the engine actually used, and the fallback reason when
-	// the bytecode engine was requested but unavailable.
-	prog           *bcProgram
-	engineUsed     Engine
-	fallbackReason string
-	launched       bool
+	// Resolved at Launch: the engine that runs the launch and its
+	// program, the lowered bytecode or the closure tree (exactly one is
+	// non-nil after a successful Launch).
+	engineUsed Engine
+	prog       *bcProgram
+	ck         *compiled
+	launched   bool
 
 	// shardPin is the launch's work-group-independence verdict, resolved
 	// on first use (shardPinReason). itemPin is the work-item-level
@@ -120,34 +117,153 @@ type Exec struct {
 	segs  []Segment
 }
 
-// Memo keys of the two compiled forms a kernel owns (see clc.Memo). They
-// are distinct types, so the closure tree and the bytecode program of one
-// kernel can never be served to each other's engine.
+// Memo keys of what a kernel owns in this package (see clc.Memo): its
+// layout and the program of each engine. They are distinct types, so
+// the closure tree and the bytecode program of one kernel can never be
+// served to each other's engine.
 type (
+	layoutKey   struct{}
 	closureKey  struct{}
 	bytecodeKey struct{}
 )
 
-// NewExec compiles kernel k and returns an executor for it. The kernel
-// must come from a checked program (clc.Compile). The compiled form is
-// immutable, holds no execution state and is stored on the kernel, so
-// every Exec of one kernel shares it and constructing executors is
-// cheap. Panics in the interpreter compiler are contained and returned
-// as classified errors.
+// layout is the part of a kernel every engine reads: where its __local
+// and private arrays live, and what each memory site accesses.
+type layout struct {
+	localSyms []*clc.Symbol // __local arrays/scalars, indexed by localIdx
+	privSyms  []*clc.Symbol // private arrays, indexed by privIdx
+	localIdx  map[*clc.Symbol]int
+	privIdx   map[*clc.Symbol]int
+
+	// Static per-site metadata, one entry per memory site the checker
+	// assigned, so the hot memory-access paths do not re-store it on
+	// every access: the parameter slot of the accessed buffer (-1 for a
+	// __local or private array) and whether the site is a store target.
+	siteArg   []int
+	siteWrite []bool
+}
+
+// newLayout derives kernel k's layout: one pass over its symbols and one
+// walk of its body for the sites.
+func newLayout(k *clc.Kernel) *layout {
+	l := &layout{localIdx: map[*clc.Symbol]int{}, privIdx: map[*clc.Symbol]int{}}
+	for _, sym := range k.Locals {
+		switch {
+		case sym.IsLocal:
+			l.localIdx[sym] = len(l.localSyms)
+			l.localSyms = append(l.localSyms, sym)
+		case sym.ArrayLen > 0:
+			l.privIdx[sym] = len(l.privSyms)
+			l.privSyms = append(l.privSyms, sym)
+		}
+	}
+	site := func(x clc.Expr, write bool) {
+		ix, ok := x.(*clc.Index)
+		if !ok {
+			return
+		}
+		for len(l.siteArg) <= ix.Site {
+			l.siteArg, l.siteWrite = append(l.siteArg, -1), append(l.siteWrite, false)
+		}
+		if b, ok := ix.Base.(*clc.Ident); ok && b.Sym != nil && b.Sym.Class == clc.SymParam && b.Sym.Type.Ptr {
+			l.siteArg[ix.Site] = b.Sym.Slot
+			l.siteWrite[ix.Site] = l.siteWrite[ix.Site] || write
+		}
+	}
+	var walkExpr func(x clc.Expr)
+	walkExpr = func(x clc.Expr) {
+		switch e := x.(type) {
+		case *clc.Index:
+			site(e, false)
+			walkExpr(e.Base)
+			walkExpr(e.Idx)
+		case *clc.Binary:
+			walkExpr(e.L)
+			walkExpr(e.R)
+		case *clc.Unary:
+			walkExpr(e.X)
+		case *clc.Cond:
+			walkExpr(e.C)
+			walkExpr(e.Then)
+			walkExpr(e.Else)
+		case *clc.Call:
+			for _, a := range e.Args {
+				walkExpr(a)
+			}
+		case *clc.Cast:
+			walkExpr(e.X)
+		case *clc.Assign:
+			site(e.LHS, true)
+			walkExpr(e.LHS)
+			walkExpr(e.RHS)
+		case *clc.IncDec:
+			site(e.X, true)
+			walkExpr(e.X)
+		}
+	}
+	var walkStmt func(s clc.Stmt)
+	walkStmt = func(s clc.Stmt) {
+		switch st := s.(type) {
+		case *clc.Block:
+			for _, inner := range st.Stmts {
+				walkStmt(inner)
+			}
+		case *clc.DeclStmt:
+			for _, d := range st.Decls {
+				if d.Init != nil {
+					walkExpr(d.Init)
+				}
+			}
+		case *clc.ExprStmt:
+			walkExpr(st.X)
+		case *clc.IfStmt:
+			walkExpr(st.Cond)
+			walkStmt(st.Then)
+			if st.Else != nil {
+				walkStmt(st.Else)
+			}
+		case *clc.ForStmt:
+			if st.Init != nil {
+				walkStmt(st.Init)
+			}
+			if st.Cond != nil {
+				walkExpr(st.Cond)
+			}
+			if st.Post != nil {
+				walkExpr(st.Post)
+			}
+			walkStmt(st.Body)
+		case *clc.WhileStmt:
+			walkExpr(st.Cond)
+			walkStmt(st.Body)
+		case *clc.DoWhileStmt:
+			walkStmt(st.Body)
+			walkExpr(st.Cond)
+		}
+	}
+	if k.Body != nil {
+		walkStmt(k.Body)
+	}
+	return l
+}
+
+// NewExec returns an executor for kernel k. The kernel must come from a
+// checked program (clc.Compile). NewExec derives only the kernel's
+// layout; Launch builds the selected engine's program. Both are
+// immutable, hold no execution state and are stored on the kernel, so
+// every Exec of one kernel shares them and constructing executors is
+// cheap. Panics are contained and returned as classified errors.
 func NewExec(k *clc.Kernel) (ex2 *Exec, err error) {
 	defer faults.Recover(faults.StageCompile, &err)
 	// The injection site fires before the memo is consulted, so a stored
-	// form cannot mask an injected compile fault.
+	// layout cannot mask an injected compile fault.
 	if err := faults.Hit("interp.compile"); err != nil {
 		return nil, faults.Wrap(faults.StageCompile, err)
 	}
-	ck, err := clc.Memo(k, closureKey{}, func() (*compiled, error) { return compileKernel(k) })
-	if err != nil {
-		return nil, faults.Wrap(faults.StageCompile, err)
-	}
+	lay, _ := clc.Memo(k, layoutKey{}, func() (*layout, error) { return newLayout(k), nil })
 	ex := &Exec{
 		kernel: k,
-		ck:     ck,
+		lay:    lay,
 		args:   make([]Arg, len(k.Params)),
 		bufs:   make([]*Buffer, len(k.Params)),
 	}
@@ -160,31 +276,31 @@ func (ex *Exec) Kernel() *clc.Kernel { return ex.kernel }
 
 // ResetStats clears accumulated statistics.
 func (ex *Exec) ResetStats() {
-	ex.stats = newRunStats(ex.ck)
+	ex.stats = newRunStats(ex.lay)
 	ex.stats.EngineUsed = ex.engineUsed
-	ex.stats.FallbackReason = ex.fallbackReason
 }
 
 // newRunStats allocates run statistics with per-site metadata resolved
-// from the compiled kernel.
-func newRunStats(ck *compiled) *RunStats {
+// from the kernel's layout.
+func newRunStats(lay *layout) *RunStats {
 	s := &RunStats{}
-	s.resetFor(ck)
+	s.resetFor(lay)
 	return s
 }
 
 // resetFor clears the statistics in place, reusing the site slice, and
 // re-seeds the static per-site metadata.
-func (s *RunStats) resetFor(ck *compiled) {
+func (s *RunStats) resetFor(lay *layout) {
+	n := len(lay.siteArg)
 	sites := s.sites
-	if cap(sites) < ck.numSites {
-		sites = make([]siteState, ck.numSites)
+	if cap(sites) < n {
+		sites = make([]siteState, n)
 	} else {
-		sites = sites[:ck.numSites]
+		sites = sites[:n]
 	}
 	*s = RunStats{sites: sites}
 	for i := range sites {
-		sites[i] = siteState{argIndex: ck.siteArg[i], write: ck.siteWrite[i]}
+		sites[i] = siteState{argIndex: lay.siteArg[i], write: lay.siteWrite[i]}
 	}
 }
 
@@ -196,16 +312,12 @@ func (ex *Exec) Stats() *Profile {
 	return ex.stats.Summarize()
 }
 
-// EngineUsed reports the execution engine selected at Launch and, when
-// the bytecode engine was requested but this kernel fell back to the
-// closure engine, the reason. Before the first Launch it reports the
-// engine that would be used for an EngineAuto request.
-func (ex *Exec) EngineUsed() (Engine, string) {
-	if ex.engineUsed == EngineAuto {
-		return EngineBytecode, ""
-	}
-	return ex.engineUsed, ex.fallbackReason
-}
+// EngineUsed reports the execution engine the last Launch built the
+// program of (the bytecode engine before the first Launch). The string
+// is always empty: no launch falls back from one engine to the other.
+// It is kept only because benchmark/ (frozen outside benchmark PRs)
+// reads both results (ROADMAP item 0).
+func (ex *Exec) EngineUsed() (Engine, string) { return ex.engineUsed, "" }
 
 // SetArg binds argument i. Buffers are placed in the executor's address
 // space; scalar values are converted to the parameter's kind.
@@ -261,7 +373,9 @@ func (ex *Exec) Bind(args ...Arg) error {
 	return nil
 }
 
-// Launch validates and sets the ND range for subsequent Run* calls.
+// Launch validates and sets the ND range for subsequent Run* calls, and
+// builds the selected engine's program (once per kernel). A kernel the
+// engine cannot build fails the launch with a faults.StageCompile error.
 func (ex *Exec) Launch(nd NDRange) error {
 	if err := nd.Validate(); err != nil {
 		return err
@@ -271,36 +385,36 @@ func (ex *Exec) Launch(nd NDRange) error {
 			return fmt.Errorf("interp: argument %d (%s) not bound", i, p.Name)
 		}
 	}
+	if err := ex.build(); err != nil {
+		ex.launched = false
+		return err
+	}
 	ex.nd = nd.Normalized()
 	ex.paramVals = ex.paramVals[:0]
 	for i := range ex.kernel.Params {
 		ex.paramVals = append(ex.paramVals, ex.args[i].Val)
 	}
-	ex.resolveEngine()
 	ex.launched, ex.shardPinResolved, ex.idResolved = true, false, false
 	return nil
 }
 
-// resolveEngine resolves the Engine field for the current launch and
-// stamps the outcome into the executor's statistics. The bytecode engine
-// falls back per kernel to the closure engine when lowering fails; the
-// run still succeeds, with the reason recorded.
-func (ex *Exec) resolveEngine() {
-	ex.prog, ex.engineUsed, ex.fallbackReason = nil, EngineClosures, ""
-	if ex.Engine != EngineClosures {
-		// Lowered once per kernel, refusals included: the fallback
-		// decision is deterministic, so it is not re-derived per launch.
-		prog, err := clc.Memo(ex.kernel, bytecodeKey{}, func() (*bcProgram, error) {
-			return lowerKernel(ex.kernel, ex.ck)
+// build resolves the Engine field for the current launch: it fetches or
+// builds that engine's program and stamps the engine into the executor's
+// statistics.
+func (ex *Exec) build() (err error) {
+	defer faults.Recover(faults.StageCompile, &err)
+	ex.prog, ex.ck, ex.engineUsed = nil, nil, ex.Engine
+	if ex.Engine == EngineClosures {
+		ex.ck, err = clc.Memo(ex.kernel, closureKey{}, func() (*compiled, error) {
+			return compileKernel(ex.kernel, ex.lay)
 		})
-		if err != nil {
-			ex.fallbackReason = err.Error()
-		} else {
-			ex.prog, ex.engineUsed = prog, EngineBytecode
-		}
+	} else {
+		ex.prog, err = clc.Memo(ex.kernel, bytecodeKey{}, func() (*bcProgram, error) {
+			return lowerKernel(ex.kernel, ex.lay)
+		})
 	}
 	ex.stats.EngineUsed = ex.engineUsed
-	ex.stats.FallbackReason = ex.fallbackReason
+	return faults.Wrap(faults.StageCompile, err)
 }
 
 // shardPinReason evaluates the work-group-independence predicate for the
@@ -549,19 +663,19 @@ func (rs *runState) prepare(stats *RunStats) {
 			rs.slotScratch[i] = make([]Value, ex.kernel.NumSlots)
 		}
 		rs.doneScratch = make([]bool, wgSize)
-		if len(ex.ck.privSyms) > 0 {
+		if len(ex.lay.privSyms) > 0 {
 			rs.privScratch = make([][][]Value, wgSize)
 			for i := range rs.privScratch {
-				rs.privScratch[i] = make([][]Value, len(ex.ck.privSyms))
-				for j, sym := range ex.ck.privSyms {
+				rs.privScratch[i] = make([][]Value, len(ex.lay.privSyms))
+				for j, sym := range ex.lay.privSyms {
 					rs.privScratch[i][j] = make([]Value, sym.ArrayLen)
 				}
 			}
 		}
 	}
-	if rs.wg.locals == nil && len(ex.ck.localSyms) > 0 {
-		rs.wg.locals = make([][]Value, len(ex.ck.localSyms))
-		for i, sym := range ex.ck.localSyms {
+	if rs.wg.locals == nil && len(ex.lay.localSyms) > 0 {
+		rs.wg.locals = make([][]Value, len(ex.lay.localSyms))
+		for i, sym := range ex.lay.localSyms {
 			ln := sym.ArrayLen
 			if ln == 0 {
 				ln = 1 // __local scalar

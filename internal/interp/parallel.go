@@ -279,7 +279,7 @@ func (ex *Exec) shardState(shard int, profiled bool) *runState {
 // statistics and scratch sized for the launch. It only reads the Exec, so
 // it is safe on a pool worker while the caller runs shard 0.
 func (rs *runState) ready() {
-	rs.ownStats.resetFor(rs.ex.ck)
+	rs.ownStats.resetFor(rs.ex.lay)
 	rs.prepare(rs.ownStats)
 }
 

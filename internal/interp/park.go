@@ -128,7 +128,7 @@ func effectful(op opcode) bool {
 	switch op {
 	case opStGF32, opStGF64, opStGI64, opStGI32,
 		opLdLI, opLdLF, opStLI, opStLF, opLdLSI, opLdLSF, opStLSI, opStLSF,
-		opAtomicL, opAtomicG:
+		opAtomicL, opAtomicG, opAtomicLd, opAtomicSt:
 		return true
 	}
 	return false

@@ -16,12 +16,9 @@ type RunStats struct {
 	GroupsRun  int64
 	ItemsRun   int64
 
-	// EngineUsed is the execution engine that actually ran (stamped at
-	// Launch); FallbackReason is non-empty when the bytecode engine was
-	// requested but the kernel fell back to the closure engine. Both are
-	// launch metadata, not merged counters.
-	EngineUsed     Engine
-	FallbackReason string
+	// EngineUsed is the execution engine that ran (stamped at Launch):
+	// launch metadata, not a merged counter.
+	EngineUsed Engine
 
 	// ShardPinReason is non-empty when the launch is not work-group
 	// independent, so its work-groups run in order on one goroutine at
@@ -134,11 +131,8 @@ type Profile struct {
 	ItemsRun   int64
 	Sites      []SiteProfile
 
-	// Engine is the execution engine the profiled launches ran on;
-	// FallbackReason records why a bytecode-engine request fell back to
-	// the closure engine (empty otherwise).
-	Engine         Engine
-	FallbackReason string
+	// Engine is the execution engine the profiled launches ran on.
+	Engine Engine
 
 	// ShardPinReason records why the profiled launches could not be
 	// sharded (see RunStats.ShardPinReason); empty for work-group
@@ -258,7 +252,6 @@ func (s *RunStats) Summarize() *Profile {
 		GroupsRun:      s.GroupsRun,
 		ItemsRun:       s.ItemsRun,
 		Engine:         s.EngineUsed,
-		FallbackReason: s.FallbackReason,
 		ShardPinReason: s.ShardPinReason,
 	}
 	for i := range s.sites {

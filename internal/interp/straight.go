@@ -700,7 +700,7 @@ func isJump(op opcode) bool {
 // across it.
 func inert(op opcode) bool {
 	switch op {
-	case opNop, opConstI, opConstF, opMovI, opMovF, opI2F, opF2I,
+	case opConstI, opConstF, opMovI, opMovF, opI2F, opF2I,
 		opAddI, opSubI, opMulI, opMulAddI, opShlI, opShrI, opShrU, opAndI, opOrI, opXorI,
 		opNegI, opBitNotI, opIncDecI, opStepI, opCmpI, opNotI, opNotF, opMinMaxI, opAbsI,
 		opAddF, opSubF, opMulF, opDivF, opFMAAF32, opNegF, opIncDecF, opStepF, opCmpF,

@@ -183,9 +183,6 @@ func checkStraight(t *testing.T, name, src string, aLen, xLen int, trap bool) *E
 				t.Fatalf("%s: closure engine error %v", name, want.err)
 			}
 			got := runStraight(t, src, EngineBytecode, shards, leg, aLen, xLen)
-			if eng, reason := got.ex.EngineUsed(); eng != EngineBytecode {
-				t.Fatalf("%s: fell back to %v (%s)", name, eng, reason)
-			}
 			if d := diffStraight(got, want, !trap || shards == 1); d != "" {
 				t.Errorf("%s, %s, %d shards: %s", name, leg, shards, d)
 			}

@@ -94,10 +94,11 @@ func (e *Executor) Analysis() *analysis.Result {
 	return res
 }
 
-// EngineUsed reports the interpreter engine for the current launch, and
-// — when the bytecode engine was requested but this kernel fell back to
-// closures — the reason (see interp.Exec).
-func (e *Executor) EngineUsed() (interp.Engine, string) { return e.ex.EngineUsed() }
+// EngineUsed reports the interpreter engine of the current launch.
+func (e *Executor) EngineUsed() interp.Engine {
+	eng, _ := e.ex.EngineUsed()
+	return eng
+}
 
 // PinReason reports why the current launch executes its plan in schedule
 // order on one goroutine (see interp.Exec.ShardPinned), or "" when the

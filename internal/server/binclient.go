@@ -259,17 +259,6 @@ func (c *BinClient) CreateBufferZero(sid, name string, kind byte, elems int) err
 	return err
 }
 
-// CreateBufferFill allocates a buffer filled server-side by the
-// deterministic workload generator (mod applies to 'i' only).
-func (c *BinClient) CreateBufferFill(sid, name string, kind byte, elems int, seed uint32, mod int32) error {
-	b := c.bufferHeader(sid, name, kind, elems, binContentFill)
-	b = appendU32(b, seed)
-	b = appendU32(b, uint32(mod))
-	c.out = b
-	_, err := c.call(opCreateBuffer, b)
-	return err
-}
-
 // CreateBufferRaw allocates a buffer from raw little-endian element
 // bytes (len(raw) must be a multiple of 4).
 func (c *BinClient) CreateBufferRaw(sid, name string, kind byte, raw []byte) error {

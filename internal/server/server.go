@@ -342,9 +342,6 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // not draining.
 func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ProgramIDs lists the content-addressed IDs in the program registry,
 // sorted. /healthz reports them, so a router can re-push anything
 // missing.
