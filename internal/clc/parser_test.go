@@ -388,3 +388,28 @@ func TestPrinterNestedSigns(t *testing.T) {
 		t.Errorf("re-parsed printed source contains %d inc/dec nodes, want 0:\n%s", incdec, out)
 	}
 }
+
+// TestPrinterFloatLiteralWithoutText pins that a float literal built
+// without source text (as generated code builds them) prints as a float:
+// a whole value must gain its ".0", or it re-parses as an int.
+func TestPrinterFloatLiteralWithoutText(t *testing.T) {
+	for _, v := range []float64{2, 0.5, 1e20, 1e-7} {
+		k := &Kernel{
+			Name:   "k",
+			Params: []*Param{{Name: "out", Type: Type{Kind: KindFloat, Ptr: true, Space: SpaceGlobal}}},
+			Body: &Block{Stmts: []Stmt{&ExprStmt{X: &Assign{
+				LHS: &Index{Base: &Ident{Name: "out"}, Idx: &Call{Name: "get_global_id", Args: []Expr{&IntLit{Value: 0}}}},
+				RHS: &FloatLit{Value: v},
+			}}}},
+		}
+		src := PrintKernel(k)
+		prog, err := Compile(src)
+		if err != nil {
+			t.Fatalf("%v: printed kernel does not compile: %v\n%s", v, err, src)
+		}
+		rhs := prog.Kernels[0].Body.Stmts[0].(*ExprStmt).X.(*Assign).RHS
+		if lit, ok := rhs.(*FloatLit); !ok || lit.Value != v {
+			t.Errorf("%v printed as %q, which re-parses as %T", v, src, rhs)
+		}
+	}
+}

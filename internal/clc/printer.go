@@ -231,8 +231,9 @@ func printExpr(b *strings.Builder, x Expr, minPrec int) {
 				b.WriteString(".0")
 			}
 		} else {
-			fmt.Fprintf(b, "%g", e.Value)
-			if !strings.ContainsAny(b.String(), ".e") {
+			lit := fmt.Sprintf("%g", e.Value)
+			b.WriteString(lit)
+			if !strings.ContainsAny(lit, ".e") {
 				b.WriteString(".0")
 			}
 		}

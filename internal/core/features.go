@@ -1,11 +1,12 @@
 // Package core is Dopia itself: the online parallelism-management
 // framework of the paper. At program-creation time it statically analyzes
-// each kernel and generates its malleable GPU form; at enqueue time it
-// combines the static code features with the launch geometry (Table 1),
-// evaluates the trained ML model over the machine's 44 degree-of-
-// parallelism configurations, and executes the kernel with the predicted
-// best configuration using dynamic CPU/GPU workload distribution
-// (Algorithm 1). All runtime overhead — model inference included — is
+// each kernel; at enqueue time it checks that the kernel has a malleable
+// GPU form (transform.Check), whose throttling the simulator charges as
+// timing while GPU spans run the original kernel, combines the static
+// code features with the launch geometry (Table 1), evaluates the
+// trained ML model over the machine's 44 degree-of-parallelism
+// configurations, and executes the kernel with the predicted best
+// configuration using dynamic CPU/GPU workload distribution (Algorithm 1). All runtime overhead — model inference included — is
 // charged to the simulated clock, as in the paper's evaluation.
 package core
 

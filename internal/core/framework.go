@@ -24,7 +24,7 @@ const DefaultWatchdogTimeout = 30 * time.Second
 
 // Framework is a Dopia instance for one machine: it drives enqueue-time
 // configuration selection and dynamic co-execution. The compile-time
-// artifacts it works from (static analysis, malleable code) are owned by
+// artifacts it works from (static analysis, compiled forms) are owned by
 // the kernels themselves (clc.Memo), so every framework, session and
 // tenant launching one kernel shares them and they die with the kernel.
 //
@@ -114,9 +114,10 @@ func (f *Framework) watchdog(parent context.Context) (context.Context, context.C
 }
 
 // AnalyzeProgram performs Dopia's compile-time stage on every kernel of a
-// program: static feature extraction. Malleable code is generated lazily
-// per (kernel, work-dim) at first launch, since the rewrite depends on the
-// launch dimensionality. A kernel that fails here stays unmanaged.
+// program: static feature extraction. No malleable code is generated: a
+// launch asks transform.Check whether the kernel has a malleable form at
+// its work-dim, and only Malleable (for display and tests) builds one. A
+// kernel that fails here stays unmanaged.
 func (f *Framework) AnalyzeProgram(prog *clc.Program) error {
 	for _, k := range prog.Kernels {
 		if _, err := f.Analysis(k); err != nil {
@@ -141,7 +142,8 @@ func (f *Framework) Analysis(k *clc.Kernel) (*analysis.Result, error) {
 }
 
 // Malleable returns the malleable GPU form of a kernel for a launch
-// dimensionality.
+// dimensionality. Launches never call it: they need only the verdict
+// (transform.Check), since GPU spans run the original kernel.
 func (f *Framework) Malleable(k *clc.Kernel, workDim int) (*transform.GPUResult, error) {
 	return transform.MalleableGPU(k, workDim)
 }
@@ -248,9 +250,10 @@ type Execution struct {
 	Result   *sim.Result
 	// Kernel/launch identification for reporting.
 	KernelName string
-	// Engine names the interpreter engine the CPU-side functional
-	// execution used ("bytecode" or "closures", with the per-kernel
-	// fallback reason appended when the bytecode engine declined).
+	// Engine names the interpreter engine the functional execution used
+	// ("bytecode" or "closures"), with " (in order: <reason>)" appended
+	// when the launch is not work-group independent and its plan ran in
+	// schedule order on one goroutine.
 	Engine string
 	// Profiled reports that the launch ran the sampled profile behind its
 	// model; false means the model came from the kernel's memo of an
@@ -280,27 +283,28 @@ func (f *Framework) ExecuteCtx(ctx context.Context, k *clc.Kernel, args []interp
 	if err != nil {
 		return nil, err
 	}
-	mall, err := f.Malleable(k, nd.Dims)
-	if err != nil {
+	if err := transform.Check(k, nd.Dims); err != nil {
 		return nil, err
 	}
-	return f.coExecute(ctx, k, res, mall.Kernel, args, nd)
+	return f.coExecute(ctx, k, res, true, args, nd)
 }
 
-// coExecute is the body of both managed rungs. With a malleable kernel
-// it is rung 1: the model (and, for a tenant's launch, the Learner when
-// set) picks the DoP from the kernel's analysis res. With malleable ==
-// nil it is rung 2: the original kernel on ALL resources, no model, no
-// decision.
-func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.Result, malleable *clc.Kernel, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
+// coExecute is the body of both managed rungs. Managed, it is rung 1: the
+// kernel has a malleable form (transform.Check), whose overhead the
+// simulator charges to GPU chunks, and the model (and, for a tenant's
+// launch, the Learner when set) picks the DoP from the kernel's analysis
+// res. Otherwise it is rung 2: the original kernel on ALL resources, no
+// model, no decision.
+func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.Result, managed bool, args []interp.Arg, nd interp.NDRange) (exec *Execution, err error) {
 	defer faults.Recover(faults.StageExec, &err)
 	if err := faults.Hit("core.exec"); err != nil {
 		return nil, faults.Wrap(faults.StageExec, err)
 	}
-	ex, err := sched.NewExecutor(f.Machine, k, malleable)
+	ex, err := sched.NewExecutor(f.Machine, k, nil)
 	if err != nil {
 		return nil, err
 	}
+	ex.AssumeMalleable = managed
 	if err := ex.Bind(args...); err != nil {
 		return nil, err
 	}
@@ -313,7 +317,7 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 	if tenant == "" {
 		lrn = nil // an untagged launch has no tenant whose state could ever be forgotten
 	}
-	if malleable == nil {
+	if !managed {
 		lrn = nil // rung 2 makes no decision to advise or learn from
 	} else {
 		var decErr error

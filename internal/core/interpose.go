@@ -4,6 +4,7 @@ import (
 	"dopia/internal/faults"
 	"dopia/internal/interp"
 	"dopia/internal/ocl"
+	"dopia/internal/transform"
 )
 
 // interposer adapts a Framework to the ocl.Interposer interface, so that
@@ -14,9 +15,10 @@ import (
 // The interposer FAILS OPEN. A production application must never fail or
 // hang because Dopia stumbled, so every launch degrades down a ladder:
 //
-//	rung 1: full Dopia — malleable co-execution + model DoP selection
-//	rung 2: ALL co-execution of the original kernel (no malleable code,
-//	        no model)
+//	rung 1: full Dopia — co-execution timed as the malleable form (the
+//	        kernel passes transform.Check) + model DoP selection
+//	rung 2: ALL co-execution of the original kernel (no malleable
+//	        timing, no model)
 //	rung 3: the plain single-device runtime (handled=false)
 //
 // Panics from any pipeline stage are contained, watchdog timeouts abort
@@ -136,9 +138,9 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 	snap := interp.SnapshotArgs(args, res.WrittenArgs())
 
 	// Rung 1: full Dopia management.
-	var cause error
-	if mall, merr := ip.fw.Malleable(k.Compiled(), nd.Dims); merr == nil {
-		exec, xerr := ip.fw.coExecute(ctx, k.Compiled(), res, mall.Kernel, args, nd)
+	cause := transform.Check(k.Compiled(), nd.Dims)
+	if cause == nil {
+		exec, xerr := ip.fw.coExecute(ctx, k.Compiled(), res, true, args, nd)
 		if xerr == nil {
 			rec.managed()
 			q.LastResult = exec.Result
@@ -147,16 +149,14 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 		}
 		snap.Restore()
 		cause = xerr
-	} else {
-		cause = merr
 	}
 
 	// A dead request context means every further rung can only fail the
 	// same way; skip straight to the plain runtime, which will surface
 	// the canonical timeout/cancellation error.
 	if ctx.Err() == nil {
-		// Rung 2: ALL co-execution without the malleable kernel.
-		exec, xerr := ip.fw.coExecute(ctx, k.Compiled(), nil, nil, args, nd)
+		// Rung 2: ALL co-execution without malleable timing.
+		exec, xerr := ip.fw.coExecute(ctx, k.Compiled(), nil, false, args, nd)
 		if xerr == nil {
 			rec.coExecAll(cause)
 			q.LastResult = exec.Result

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"dopia/internal/faults"
 	"dopia/internal/interp"
 	"dopia/internal/ml"
 	"dopia/internal/ocl"
@@ -103,5 +105,41 @@ func TestInterposedEnqueue(t *testing.T) {
 		if diff > 1e-2 {
 			t.Fatalf("y[%d] = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// earlyExitSrc returns from inside a loop, which the malleable rewrite
+// cannot express (its continue would bind to the user loop).
+const earlyExitSrc = `
+__kernel void earlyexit(__global float* a, __global float* b, int n) {
+    int i = get_global_id(0);
+    for (int j = 0; j < 4; j++) {
+        if (a[(i + j) % n] > 1.0f) return;
+        b[i] = b[i] + a[(i + j) % n];
+    }
+}`
+
+// TestReturnInLoopDegradesAsTransform checks that the transform's
+// return-in-loop rejection reaches the ladder classified: the launch
+// co-executes on ALL, attributed to the transform stage as an
+// unsupported kernel, with the plain path's bytes.
+func TestReturnInLoopDegradesAsTransform(t *testing.T) {
+	model := testModel(t)
+	const n, wg, seed = 256, 64, 7
+	want := plainReference(t, earlyExitSrc, "earlyexit", n, wg, seed)
+	res := runLaunch(t, earlyExitSrc, "earlyexit", n, wg, seed,
+		func(m *sim.Machine) *Framework { return New(m, model) }, nil, nil)
+	if res.err != nil {
+		t.Fatalf("interposed launch failed closed: %v", res.err)
+	}
+	bitsEqual(t, res.bits, want)
+	for _, snap := range []faults.Snapshot{res.fw.Stats.Snapshot(), res.q.Fallback.Snapshot()} {
+		if snap.CoExecAll != 1 || snap.ByStage[faults.StageTransform] != 1 {
+			t.Errorf("want one coexec-all fallback attributed to transform: %s", snap)
+		}
+	}
+	info := res.q.LastLaunch.(*LaunchInfo)
+	if info.Rung != "coexec-all" || !errors.Is(info.Cause, faults.ErrUnsupportedKernel) {
+		t.Errorf("rung %q, cause %v: want coexec-all for an unsupported kernel", info.Rung, info.Cause)
 	}
 }

@@ -13,9 +13,10 @@ import (
 //
 // Injection points are string-named sites compiled into the pipeline:
 //
-//	clc.parse          — front-end Parse/Compile (incl. malleable recompile)
+//	clc.parse          — front-end Parse/Compile (never reached by an enqueue)
 //	analysis.analyze   — static feature extraction
-//	transform.gpu      — malleable GPU code generation
+//	transform.gpu      — the malleable-form verdict (transform.Check), which
+//	                     every managed launch and every generation asks
 //	interp.compile     — interpreter kernel layout (NewExec)
 //	interp.lower       — bytecode lowering (Exec.Launch)
 //	ml.load            — model deserialization

@@ -11,7 +11,8 @@ import (
 
 // progCacheCap bounds how many distinct sources stay resident. It is the
 // one number that bounds every build-time artifact in the process: a
-// kernel's analysis, malleable code and compiled forms are stored on the
+// kernel's analysis, layout and compiled forms (and its malleable code,
+// where a caller asked transform.MalleableGPU for it) are stored on the
 // kernel (clc.Memo), so evicting a program here frees them with it once
 // the application has released its own Program objects.
 const progCacheCap = 256

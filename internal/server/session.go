@@ -3,8 +3,8 @@ package server
 // Tenant sessions. Each session owns an OpenCL context of its own — its
 // buffers, its command queue, its address space, its per-queue
 // FallbackStats — while sharing the compiled artifacts (program dedup,
-// and through it each kernel's analysis, malleable code and compiled
-// forms) with every other tenant. That split is the isolation contract:
+// and through it each kernel's analysis, layout and compiled forms) with
+// every other tenant. That split is the isolation contract:
 // compiled artifacts are immutable and safe to share; mutable state
 // (buffers) never crosses a session boundary.
 

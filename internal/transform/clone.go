@@ -1,14 +1,16 @@
 // Package transform implements Dopia's malleable code generation (paper
-// §6): it rewrites an OpenCL kernel into (a) a malleable GPU kernel whose
+// §6): it rewrites an OpenCL kernel into a malleable GPU kernel whose
 // degree of parallelism is controlled at launch time by two extra
 // parameters, dop_gpu_mod and dop_gpu_alloc, using lane throttling and a
-// CU-local atomic worklist (Figures 5 and 6), and (b) a CPU variant that
-// processes whole work-groups pulled from a shared worklist (Figure 7).
+// CU-local atomic worklist (Figures 5 and 6). The CPU side (Figure 7)
+// needs no generated code: internal/sched runs the original kernel's
+// work-groups off the simulated schedule.
 //
 // The transformation is source-to-source: it clones the AST, substitutes
 // work-item index queries, wraps the body in the throttling scaffold,
 // prints the result, and re-compiles it through the clc front-end. The
-// output is therefore always a valid, type-checked kernel.
+// output is therefore always a valid, type-checked kernel. Check is its
+// rules without the rewrite, and all a launch asks.
 package transform
 
 import (
@@ -61,7 +63,11 @@ func cloneExpr(x clc.Expr, sub subst) clc.Expr {
 	panic(fmt.Sprintf("transform: cannot clone expression %T", x))
 }
 
-// cloneStmt deep-copies a statement tree with call substitution.
+// cloneStmt deep-copies a statement tree with call substitution. A return
+// becomes a continue of the worklist loop the clone is placed in: in the
+// malleable kernel a return would abandon the lane's remaining dynamic
+// work, not just the current work-item (Check rejects a return inside a
+// user loop, where the continue would bind to that loop).
 func cloneStmt(s clc.Stmt, sub subst) clc.Stmt {
 	switch st := s.(type) {
 	case *clc.Block:
@@ -111,7 +117,7 @@ func cloneStmt(s clc.Stmt, sub subst) clc.Stmt {
 	case *clc.DoWhileStmt:
 		return &clc.DoWhileStmt{Body: cloneStmt(st.Body, sub), Cond: cloneExpr(st.Cond, sub)}
 	case *clc.ReturnStmt:
-		return &clc.ReturnStmt{}
+		return &clc.ContinueStmt{}
 	case *clc.BreakStmt:
 		return &clc.BreakStmt{}
 	case *clc.ContinueStmt:

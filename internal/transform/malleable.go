@@ -32,9 +32,34 @@ type GPUResult struct {
 	WorkDim int
 }
 
+// Check is the transform's verdict on kernel k at a launch's work
+// dimensionality: nil exactly when MalleableGPU(k, workDim) succeeds,
+// otherwise the error MalleableGPU returns. It generates nothing. A
+// launch needs only the verdict: GPU spans run the original kernel, and
+// the simulator charges the malleable form's overhead as timing
+// (sched.Executor.AssumeMalleable).
+func Check(k *clc.Kernel, workDim int) (err error) {
+	defer faults.Recover(faults.StageTransform, &err)
+	if err := faults.Hit("transform.gpu"); err != nil {
+		return faults.Wrap(faults.StageTransform, err)
+	}
+	if workDim < 1 || workDim > 2 {
+		return unsupported(fmt.Errorf("transform: unsupported work dimension %d (want 1 or 2)", workDim))
+	}
+	return unsupported(checkTransformable(k))
+}
+
+// unsupported classifies a rejection of the kernel (nil stays nil).
+func unsupported(err error) error {
+	if err == nil {
+		return nil
+	}
+	return faults.Wrap(faults.StageTransform, fmt.Errorf("%w: %w", faults.ErrUnsupportedKernel, err))
+}
+
 // MalleableGPU rewrites kernel k into its malleable GPU form for a given
 // work dimensionality (1 or 2; 3-D kernels are not used by any workload in
-// the paper's evaluation).
+// the paper's evaluation). It rejects exactly the kernels Check rejects.
 //
 // The generated kernel executes each work-group with only the processing
 // elements whose lane index l satisfies l % dop_gpu_mod < dop_gpu_alloc;
@@ -43,30 +68,20 @@ type GPUResult struct {
 // Figures 5 and 6 of the paper.
 func MalleableGPU(k *clc.Kernel, workDim int) (res *GPUResult, err error) {
 	defer faults.Recover(faults.StageTransform, &err)
-	if err := faults.Hit("transform.gpu"); err != nil {
-		return nil, faults.Wrap(faults.StageTransform, err)
+	if err := Check(k, workDim); err != nil {
+		return nil, err
 	}
 	// A pure function of the (immutable, checked) kernel AST and the work
-	// dimensionality: derived once per kernel, rejections included. The
-	// result and the ASTs it references are immutable and shared.
+	// dimensionality: derived once per kernel. The result and the ASTs it
+	// references are immutable and shared.
 	return clc.Memo(k, malleableKey{workDim}, func() (*GPUResult, error) { return malleableGPU(k, workDim) })
 }
 
 // malleableKey is the memo key of one work-dim's transformation.
 type malleableKey struct{ workDim int }
 
-// malleableGPU is the transformation itself.
+// malleableGPU is the transformation of a kernel Check accepted.
 func malleableGPU(k *clc.Kernel, workDim int) (*GPUResult, error) {
-	if workDim < 1 || workDim > 2 {
-		return nil, faults.Wrap(faults.StageTransform, fmt.Errorf(
-			"%w: transform: unsupported work dimension %d (want 1 or 2)",
-			faults.ErrUnsupportedKernel, workDim))
-	}
-	if err := checkTransformable(k); err != nil {
-		return nil, faults.Wrap(faults.StageTransform,
-			fmt.Errorf("%w: %w", faults.ErrUnsupportedKernel, err))
-	}
-
 	// Build the substitution for work-item queries. Within the dynamic
 	// worklist loop, the work-item identity is derived from __dopia_work:
 	//   lid0 = work % lsize0, lid1 = work / lsize0 (lanes fastest),
@@ -119,11 +134,7 @@ func malleableGPU(k *clc.Kernel, workDim int) (*GPUResult, error) {
 		)
 	}
 	for _, s := range k.Body.Stmts {
-		cs := cloneStmt(s, sub)
-		if err := rewriteReturns(cs, 0); err != nil {
-			return nil, fmt.Errorf("transform: kernel %s: %w", k.Name, err)
-		}
-		inner.Stmts = append(inner.Stmts, cs)
+		inner.Stmts = append(inner.Stmts, cloneStmt(s, sub))
 	}
 
 	// for (int work = atomic_inc(wl); work < wgSize; work = atomic_inc(wl))
@@ -170,64 +181,11 @@ func malleableGPU(k *clc.Kernel, workDim int) (*GPUResult, error) {
 	src := clc.PrintKernel(nk)
 	prog, err := clc.Compile(src)
 	if err != nil {
-		return nil, fmt.Errorf("transform: generated malleable kernel does not compile: %w\n%s", err, src)
-	}
-	if len(prog.Kernels) == 0 {
-		return nil, faults.Wrap(faults.StageTransform, fmt.Errorf(
-			"%w: recompiled malleable source contains no kernel", faults.ErrTransformFailed))
+		// A kernel Check accepts whose form does not compile is a gap in
+		// Check's rules; %v keeps the front-end's stage off the error.
+		return nil, unsupported(fmt.Errorf("transform: generated malleable kernel %s does not compile: %v", k.Name, err))
 	}
 	return &GPUResult{Kernel: prog.Kernels[0], Source: src, WorkDim: workDim}, nil
-}
-
-// rewriteReturns converts `return` statements in the cloned body into
-// `continue` statements targeting the dynamic worklist loop: in the
-// malleable kernel a return would abandon the lane's remaining dynamic
-// work, not just the current work-item. The rewrite is only sound when the
-// return is not nested inside a user loop (where continue would bind to
-// that loop); such kernels are rejected.
-func rewriteReturns(s clc.Stmt, loopDepth int) error {
-	switch st := s.(type) {
-	case *clc.Block:
-		for i, inner := range st.Stmts {
-			if _, ok := inner.(*clc.ReturnStmt); ok {
-				if loopDepth > 0 {
-					return fmt.Errorf("return inside a loop cannot be made malleable")
-				}
-				st.Stmts[i] = &clc.ContinueStmt{}
-				continue
-			}
-			if err := rewriteReturns(inner, loopDepth); err != nil {
-				return err
-			}
-		}
-	case *clc.IfStmt:
-		if err := rewriteReturnsNested(&st.Then, loopDepth); err != nil {
-			return err
-		}
-		if st.Else != nil {
-			if err := rewriteReturnsNested(&st.Else, loopDepth); err != nil {
-				return err
-			}
-		}
-	case *clc.ForStmt:
-		return rewriteReturnsNested(&st.Body, loopDepth+1)
-	case *clc.WhileStmt:
-		return rewriteReturnsNested(&st.Body, loopDepth+1)
-	case *clc.DoWhileStmt:
-		return rewriteReturnsNested(&st.Body, loopDepth+1)
-	}
-	return nil
-}
-
-func rewriteReturnsNested(sp *clc.Stmt, loopDepth int) error {
-	if _, ok := (*sp).(*clc.ReturnStmt); ok {
-		if loopDepth > 0 {
-			return fmt.Errorf("return inside a loop cannot be made malleable")
-		}
-		*sp = &clc.ContinueStmt{}
-		return nil
-	}
-	return rewriteReturns(*sp, loopDepth)
 }
 
 // checkTransformable rejects kernels the malleable rewrite cannot handle.
@@ -240,15 +198,54 @@ func checkTransformable(k *clc.Kernel) error {
 			return fmt.Errorf("transform: kernel %s uses barriers; the malleable rewrite would nest them inside the worklist loop", k.Name)
 		}
 	}
+	// The scaffold declares its own names under the reserved prefix; a
+	// parameter or local of that name would shadow them or be shadowed.
+	reserved := func(name string) error {
+		if strings.HasPrefix(name, "__dopia_") {
+			return fmt.Errorf("transform: kernel %s uses reserved identifier %s", k.Name, name)
+		}
+		return nil
+	}
 	for _, p := range k.Params {
 		if p.Name == ParamMod || p.Name == ParamAlloc {
 			return fmt.Errorf("transform: kernel %s already has a parameter named %s", k.Name, p.Name)
 		}
-	}
-	for _, sym := range k.Locals {
-		if strings.HasPrefix(sym.Name, "__dopia_") {
-			return fmt.Errorf("transform: kernel %s uses reserved identifier %s", k.Name, sym.Name)
+		if err := reserved(p.Name); err != nil {
+			return err
 		}
 	}
+	for _, sym := range k.Locals {
+		if err := reserved(sym.Name); err != nil {
+			return err
+		}
+	}
+	if returnInLoop(k.Body, false) {
+		return fmt.Errorf("transform: kernel %s: return inside a loop cannot be made malleable", k.Name)
+	}
 	return nil
+}
+
+// returnInLoop reports whether s holds a return nested in a loop (inLoop:
+// s itself is in one). The rewrite turns a return into a continue of the
+// worklist loop, which inside a user loop would bind to that loop.
+func returnInLoop(s clc.Stmt, inLoop bool) bool {
+	switch st := s.(type) {
+	case *clc.ReturnStmt:
+		return inLoop
+	case *clc.Block:
+		for _, inner := range st.Stmts {
+			if returnInLoop(inner, inLoop) {
+				return true
+			}
+		}
+	case *clc.IfStmt:
+		return returnInLoop(st.Then, inLoop) || st.Else != nil && returnInLoop(st.Else, inLoop)
+	case *clc.ForStmt:
+		return returnInLoop(st.Body, true)
+	case *clc.WhileStmt:
+		return returnInLoop(st.Body, true)
+	case *clc.DoWhileStmt:
+		return returnInLoop(st.Body, true)
+	}
+	return false
 }

@@ -1,11 +1,13 @@
 package transform
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"dopia/internal/clc"
+	"dopia/internal/faults"
 	"dopia/internal/interp"
 )
 
@@ -260,5 +262,28 @@ func TestMalleableRejections(t *testing.T) {
 
 	if _, err := MalleableGPU(compileOne(t, k1D), 3); err == nil {
 		t.Error("expected rejection of 3-D transform")
+	}
+}
+
+// TestReservedParameterNames checks that a parameter under the scaffold's
+// reserved prefix is rejected like a local of that name: a pointer
+// parameter named like the work counter or a rebuilt gid would be
+// shadowed by the scaffold's int, and one named like the worklist would
+// shadow it instead, so the form would store into the worklist.
+func TestReservedParameterNames(t *testing.T) {
+	for _, name := range []string{"__dopia_work", "__dopia_gid0", "__dopia_worklist"} {
+		t.Run(name, func(t *testing.T) {
+			src := `__kernel void kp(__global int* ` + name + `, int n) {
+                int i = get_global_id(0);
+                if (i < n) ` + name + `[i] = i;
+            }`
+			_, err := MalleableGPU(compileOne(t, src), 1)
+			if err == nil || !strings.Contains(err.Error(), "uses reserved identifier "+name) {
+				t.Fatalf("got %v, want a reserved-identifier rejection", err)
+			}
+			if faults.StageOf(err) != faults.StageTransform || !errors.Is(err, faults.ErrUnsupportedKernel) {
+				t.Errorf("rejection not classified as an unsupported kernel at the transform stage: %v", err)
+			}
+		})
 	}
 }
