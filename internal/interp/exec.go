@@ -569,28 +569,33 @@ func (ex *Exec) Run() error {
 	return ex.RunSegments(ex.segs)
 }
 
-// RunSampled executes at most maxGroups work-groups, spread evenly across
-// the ND range, and returns how many were run. Statistics can be scaled by
-// TotalGroups/groupsRun to extrapolate. Buffers hold partial results after
-// a sampled run; use Run for functional output. The sampled groups are
-// sharded like any other run, with the same bit-identical profile.
+// RunSampled executes the work-groups SampleSegments(maxGroups) names and
+// returns how many were run. Statistics can be scaled by
+// TotalGroups/groupsRun to extrapolate. The sampled groups' writes stay
+// in the buffers. The sampled groups are sharded like any other run, with
+// the same bit-identical profile.
 func (ex *Exec) RunSampled(maxGroups int) (int, error) {
-	total := ex.nd.TotalGroups()
-	if maxGroups <= 0 || maxGroups >= total {
-		if err := ex.Run(); err != nil {
-			return 0, err
-		}
-		return total, nil
-	}
-	stride := total / maxGroups
-	ex.segs = ex.segs[:0]
-	for g := 0; g < total && len(ex.segs) < maxGroups; g += stride {
-		ex.segs = append(ex.segs, Segment{Start: g, Count: 1})
-	}
-	if err := ex.RunSegments(ex.segs); err != nil {
+	segs := ex.SampleSegments(maxGroups)
+	if err := ex.RunSegments(segs); err != nil {
 		return 0, err
 	}
-	return len(ex.segs), nil
+	return len(segs), nil
+}
+
+// SampleSegments returns the work-groups RunSampled(maxGroups) runs, one
+// segment each, in ascending order: min(maxGroups, TotalGroups) groups
+// spread evenly across the ND range, or all of them when maxGroups is not
+// positive.
+func (ex *Exec) SampleSegments(maxGroups int) []Segment {
+	total := ex.nd.TotalGroups()
+	if maxGroups <= 0 || maxGroups > total {
+		maxGroups = total
+	}
+	segs := make([]Segment, maxGroups)
+	for i := range segs {
+		segs[i] = Segment{Start: i * (total / len(segs)), Count: 1}
+	}
+	return segs
 }
 
 // runState is the per-goroutine execution state for running work-groups:

@@ -24,7 +24,8 @@
 // schedule span is a single work-group; buffers, statistics and traces
 // stay bit-identical to the schedule-order walk. Any other launch
 // executes the plan in schedule order on one goroutine, and PinReason
-// says why. The sampled profile behind Model is sharded by the same rule.
+// says why. The sampled profile is sharded by the same rule, and a
+// functional run keeps the output of one it takes (see Run).
 package sched
 
 import (
@@ -146,44 +147,53 @@ const ProfileSampleWGs = 4
 // earlier profile of the same kernel (see profileKey) is answered with
 // that profile's model, which is what re-profiling would build. Output
 // buffers are snapshotted and restored on every exit path of a profile
-// run, so profiling leaves no functional trace even for read-modify-write
-// kernels or when a sampled group traps. The profile run is the one run
-// that keeps the interpreter's exact access profile; nothing else in
-// production reads interp statistics.
+// run Model makes, so Model leaves no functional trace even for
+// read-modify-write kernels or when a sampled group traps. The profile
+// run is the one run that keeps the interpreter's exact access profile;
+// nothing else in production reads interp statistics.
 func (e *Executor) Model() (*sim.KernelModel, error) {
+	km, _, err := e.buildModel(false)
+	return km, err
+}
+
+// buildModel is Model; with keep set, a profile of an independent launch
+// keeps its sampled groups' output and returns them (see Run).
+func (e *Executor) buildModel(keep bool) (*sim.KernelModel, []interp.Segment, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.model != nil {
-		return e.model, nil
+		return e.model, nil, nil
 	}
 	if !e.bound || !e.launched {
-		return nil, fmt.Errorf("sched: executor not bound/launched")
+		return nil, nil, fmt.Errorf("sched: executor not bound/launched")
 	}
 	res, err := analysis.Analyze(e.orig)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.ex.Parallelism = e.Parallelism
 	if err := e.ex.Launch(e.nd); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	memo, _ := clc.Memo(e.orig, modelKey{}, newProfileMemo)
 	key, inputs := e.profileKey(res)
 	if p, ok := memo.Get(key); ok && p.sameInputs(inputs) {
 		e.model, e.profiled = p.model, false
-		return p.model, nil
+		return p.model, nil, nil
 	}
-	km, err := e.profile(res)
+	p := newProfile(inputs) // before a kept group can write an input
+	km, kept, err := e.profile(res, keep && e.ex.ShardPinned() == "")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !faults.Active() {
 		// A model profiled while a fault was armed may carry it: keep it
 		// to this launch.
-		memo.Put(key, newProfile(km, inputs))
+		p.model = km
+		memo.Put(key, p)
 	}
 	e.model, e.profiled = km, true
-	return km, nil
+	return km, kept, nil
 }
 
 // Profiled reports whether the current model was built by a sampled
@@ -196,13 +206,19 @@ func (e *Executor) Profiled() bool {
 }
 
 // profile runs the sampled profile of the launched interpreter and builds
-// its model.
-func (e *Executor) profile(res *analysis.Result) (*sim.KernelModel, error) {
+// its model. It restores the written buffers unless keep is set and it
+// succeeds; then it returns the groups it ran.
+func (e *Executor) profile(res *analysis.Result, keep bool) (km *sim.KernelModel, kept []interp.Segment, err error) {
 	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
-	defer snap.Restore()
+	defer func() {
+		if kept == nil {
+			snap.Restore()
+		}
+	}()
 	e.ex.ResetStats()
-	if _, err := e.ex.RunSampled(ProfileSampleWGs); err != nil {
-		return nil, err
+	sample := e.ex.SampleSegments(ProfileSampleWGs)
+	if err := e.ex.RunSegments(sample); err != nil {
+		return nil, nil, err
 	}
 	bufBytes := map[int]int64{}
 	for i, a := range e.args {
@@ -210,7 +226,10 @@ func (e *Executor) profile(res *analysis.Result) (*sim.KernelModel, error) {
 			bufBytes[i] = a.Buf.Bytes()
 		}
 	}
-	return sim.BuildModel(e.orig.Name, e.ex.Stats(), res, bufBytes, e.nd)
+	if km, err = sim.BuildModel(e.orig.Name, e.ex.Stats(), res, bufBytes, e.nd); err == nil && keep {
+		kept = sample
+	}
+	return km, kept, err
 }
 
 // RunOptions configure one simulated+functional execution.
@@ -250,13 +269,21 @@ func ctxErr(ctx context.Context) error {
 // simulated first and every span it assigned is then executed as one
 // sharded plan over the launched ND range (see the package comment), so
 // buffers hold the kernel's true output afterwards. The plan is run for
-// that output: its profile was taken by Model, so no work-group of it
-// runs the access classifier (interp.Exec.RunUnprofiled). Panics below this
-// boundary are contained and returned as classified errors; a
-// opts.Context deadline aborts the run with faults.ErrExecTimeout.
+// that output: its profile was taken by the model build, so no work-group
+// of it runs the access classifier (interp.Exec.RunUnprofiled), and the
+// groups this run's own build kept (buildModel) are cut from it. Panics
+// below this boundary are contained and returned as classified errors;
+// an opts.Context deadline aborts the run, sampled groups included, with
+// faults.ErrExecTimeout.
 func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err error) {
 	defer faults.Recover(faults.StageExec, &err)
-	km, err := e.Model()
+	if ctx := opts.Context; ctx != nil && opts.Functional {
+		// Watchdog: every shard polls the context before every
+		// work-group through the interpreter's Check hook.
+		e.ex.Check = func() error { return ctxErr(ctx) }
+		defer func() { e.ex.Check = nil }()
+	}
+	km, kept, err := e.buildModel(opts.Functional)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +311,7 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 			if err != nil {
 				return err
 			}
-			plan = append(plan, seg)
+			plan = cut(plan, seg, kept)
 			return nil
 		}
 	}
@@ -295,17 +322,24 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 		PlainGPU:        !e.AssumeMalleable,
 	})
 	if err == nil && opts.Functional {
-		if ctx := opts.Context; ctx != nil {
-			// Watchdog: every shard polls the context before every
-			// work-group through the interpreter's Check hook.
-			e.ex.Check = func() error { return ctxErr(ctx) }
-			defer func() { e.ex.Check = nil }()
-		}
 		if err = e.ex.RunUnprofiled(plan); err != nil {
 			return nil, err
 		}
 	}
 	return res, err
+}
+
+// cut appends a span to the plan less the single groups of kept, in
+// ascending order; an emptied piece is appended too and runs nothing.
+func cut(plan []interp.Segment, s interp.Segment, kept []interp.Segment) []interp.Segment {
+	for _, k := range kept {
+		if k.Start >= s.Start && k.Start < s.Start+s.Count {
+			plan = append(plan, interp.Segment{Start: s.Start, Count: k.Start - s.Start})
+			s.Count -= k.Start + 1 - s.Start
+			s.Start = k.Start + 1
+		}
+	}
+	return append(plan, s)
 }
 
 // RunConfigs runs one simulation per configuration and returns the

@@ -1,0 +1,334 @@
+package sched
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"dopia/internal/clc"
+	"dopia/internal/faults"
+	"dopia/internal/interp"
+	"dopia/internal/sim"
+	"dopia/internal/workloads"
+)
+
+// A functional run that builds its own model keeps the output of the
+// model's sampled work-groups and leaves them out of its plan, so a
+// work-group-independent launch runs each group once.
+
+// firstLaunchWorkloads instantiates the fourteen real kernels at the
+// first_launch benchmark's geometry: 1-D kernels at n = 64 and 256, 2-D
+// kernels at 32 and 64, groups of 64 (SYR2K floors its size at 64, so
+// its two sizes are one workload).
+func firstLaunchWorkloads(tb testing.TB) []*workloads.Workload {
+	tb.Helper()
+	var out []*workloads.Workload
+	seen := map[string]bool{}
+	for _, d := range workloads.RealDescs() {
+		sizes := []int{64, 256}
+		if d.TwoDim {
+			sizes = []int{32, 64}
+		}
+		for _, n := range sizes {
+			w, err := d.Build(n, 64)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if !seen[w.Name] {
+				seen[w.Name] = true
+				out = append(out, w)
+			}
+		}
+	}
+	return out
+}
+
+// referenceRun runs k over args with one plain interp.Exec.Run.
+func referenceRun(t *testing.T, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) {
+	t.Helper()
+	ex, err := interp.NewExec(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Bind(args...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Launch(nd); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// firstRun makes a fresh kernel's first functional Run on a new executor
+// and returns the executor.
+func firstRun(t *testing.T, k *clc.Kernel, args []interp.Arg, nd interp.NDRange, cfg sim.Config) *Executor {
+	t.Helper()
+	e, err := NewExecutor(sim.Kaveri(), k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AssumeMalleable = true
+	if err := e.Bind(args...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Launch(nd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(cfg, RunOptions{Dist: sim.Dynamic, Functional: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Profiled() {
+		t.Fatal("a fresh kernel's first run did not profile")
+	}
+	return e
+}
+
+// TestFirstRunRunsEachGroupOnce: a fresh real kernel's first functional
+// run, at AllResources and at CPUOnly, leaves the bytes of a plain run
+// and runs exactly the launch's work-groups; a pinned kernel (a global
+// atomic) still profiles on a snapshot and runs sampled + total groups.
+func TestFirstRunRunsEachGroupOnce(t *testing.T) {
+	m := sim.Kaveri()
+	for _, w := range firstLaunchWorkloads(t) {
+		for _, cfg := range []sim.Config{m.AllResources(), m.CPUOnly()} {
+			k, err := w.CompileKernel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := w.Setup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pristine := snapshotBuffers(inst.Args)
+			e := firstRun(t, k, inst.Args, inst.ND, cfg)
+			if r := e.PinReason(); r != "" {
+				t.Fatalf("%s is pinned (%s): the kept-groups path is not under test", w.Name, r)
+			}
+			got := snapshotBuffers(inst.Args)
+			pristine.restore()
+			referenceRun(t, k, inst.Args, inst.ND)
+			if i := got.diff(); i >= 0 {
+				t.Errorf("%s %v: argument %d differs from a plain run", w.Name, cfg, i)
+			}
+			if g, total := e.ex.Stats().GroupsRun, int64(inst.ND.TotalGroups()); g != total {
+				t.Errorf("%s %v: %d work-groups ran, the launch has %d", w.Name, cfg, g, total)
+			}
+		}
+	}
+
+	const src = `
+__kernel void sum(__global int* in, __global int* total, __global int* out) {
+    int i = get_global_id(0);
+    atomic_add(total, in[i] & 7);
+    out[i] = in[i] + 1;
+}`
+	const n, wg = 1024, 64
+	for _, cfg := range []sim.Config{m.AllResources(), m.CPUOnly()} {
+		prog, err := clc.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := prog.Kernel("sum")
+		args := []interp.Arg{
+			interp.BufArg(workloads.NewFilledInt(n, 3, 1000)),
+			interp.BufArg(interp.NewIntBuffer(1)),
+			interp.BufArg(interp.NewIntBuffer(n)),
+		}
+		pristine := snapshotBuffers(args)
+		e := firstRun(t, k, args, interp.ND1(n, wg), cfg)
+		if e.PinReason() == "" {
+			t.Fatal("the atomic kernel is not pinned")
+		}
+		got := snapshotBuffers(args)
+		pristine.restore()
+		referenceRun(t, k, args, interp.ND1(n, wg))
+		if i := got.diff(); i >= 0 {
+			t.Errorf("pinned %v: argument %d differs from a plain run", cfg, i)
+		}
+		if g, want := e.ex.Stats().GroupsRun, int64(ProfileSampleWGs+n/wg); g != want {
+			t.Errorf("pinned %v: %d work-groups ran, want sampled + total = %d", cfg, g, want)
+		}
+	}
+}
+
+// TestDeadlineBoundsProfile: a functional run whose deadline has passed
+// times out before the model's sampled groups run, and leaves the buffers
+// as they were.
+func TestDeadlineBoundsProfile(t *testing.T) {
+	var w *workloads.Workload
+	for _, d := range workloads.RealDescs() {
+		if d.Name == "GESUMMV" {
+			var err error
+			if w, err = d.Build(4096, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	k, err := w.CompileKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := w.Setup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := snapshotBuffers(inst.Args)
+	e, err := NewExecutor(sim.Kaveri(), k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Bind(inst.Args...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Launch(inst.ND); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err = e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true, Context: ctx})
+	if !errors.Is(err, faults.ErrExecTimeout) {
+		t.Fatalf("err = %v, want a watchdog timeout", err)
+	}
+	if g := e.ex.Stats().GroupsRun; g != 0 {
+		t.Errorf("%d work-groups ran past the deadline", g)
+	}
+	if i := pristine.diff(); i >= 0 {
+		t.Errorf("argument %d changed", i)
+	}
+}
+
+// TestTrappedFirstRunLeavesNoWrites: when a sampled group of a
+// work-group-independent launch traps, a functional run returns the trap
+// and puts back what the other sampled groups wrote, as Model does.
+func TestTrappedFirstRunLeavesNoWrites(t *testing.T) {
+	prog, err := clc.Compile(trapSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, wg = 1024, 64 // sampled groups 0, 4, 8, 12; group 4 holds i = 300
+	args := []interp.Arg{
+		interp.BufArg(workloads.NewFilledInt(n, 3, 1000)),
+		interp.BufArg(workloads.NewFilledInt(n, 5, 1000)),
+		interp.IntArg(n),
+	}
+	for _, par := range planShards {
+		pristine := snapshotBuffers(args)
+		e, err := NewExecutor(sim.Kaveri(), prog.Kernel("traps"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Parallelism = par
+		if err := e.Bind(args...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Launch(interp.ND1(n, wg)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true}); err == nil {
+			t.Fatalf("shards=%d: no trap", par)
+		}
+		if e.PinReason() != "" || e.model != nil {
+			t.Fatalf("shards=%d: the run did not fail in an independent launch's profile", par)
+		}
+		if i := pristine.diff(); i >= 0 {
+			t.Errorf("shards=%d: argument %d kept the failed profile's writes", par, i)
+		}
+	}
+}
+
+// TestMemoKeepsProfiledBytes: a kernel that writes one of its profile
+// inputs memoizes the bytes its profile read, not the bytes the kept
+// groups left. Its 4 groups are all sampled, so the functional run keeps
+// the whole launch.
+func TestMemoKeepsProfiledBytes(t *testing.T) {
+	const src = `__kernel void k(__global float* x) { int i = get_global_id(0); if (x[i] > 0.0f) x[i] = x[i] - 1.0f; }`
+	prog, err := clc.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prog.Kernel("k")
+	const n, wg = 256, 64
+	orig := interp.NewFloatBuffer(n)
+	for i := range orig.F32 {
+		orig.F32[i] = float32(i%5) - 2
+	}
+	x := orig.Clone()
+	e := firstRun(t, k, []interp.Arg{interp.BufArg(x)}, interp.ND1(n, wg), sim.Kaveri().AllResources())
+	if r := e.PinReason(); r != "" {
+		t.Fatalf("the kernel is pinned (%s)", r)
+	}
+	if sameBits(x, orig) {
+		t.Fatal("the run left x unchanged: the test needs a kernel that writes its input")
+	}
+	for _, c := range []struct {
+		name    string
+		buf     *interp.Buffer
+		profile bool
+	}{{"original bytes", orig.Clone(), false}, {"post-run bytes", x.Clone(), true}} {
+		e, err := NewExecutor(sim.Kaveri(), k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Bind(interp.BufArg(c.buf)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Launch(interp.ND1(n, wg)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Model(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Profiled() != c.profile {
+			t.Errorf("%s: Profiled() = %v, want %v", c.name, e.Profiled(), c.profile)
+		}
+	}
+}
+
+// BenchmarkFirstRun times a freshly compiled kernel's first functional
+// run — analysis, lowering, the sampled profile, the simulation and the
+// plan — for each real kernel at first_launch geometry on Kaveri at
+// AllResources; compilation and executor set-up stay outside the timer.
+// groups/op counts the work-groups the run executed: the launch's group
+// count, since the plan leaves out the groups the profile kept.
+func BenchmarkFirstRun(b *testing.B) {
+	m := sim.Kaveri()
+	for _, w := range firstLaunchWorkloads(b) {
+		b.Run(w.Name, func(b *testing.B) {
+			inst, err := w.Setup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			pristine := snapshotBuffers(inst.Args)
+			var groups int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pristine.restore()
+				k, err := w.CompileKernel()
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, err := NewExecutor(m, k, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.AssumeMalleable = true
+				if err := e.Bind(inst.Args...); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Launch(inst.ND); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := e.Run(m.AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true}); err != nil {
+					b.Fatal(err)
+				}
+				groups += e.ex.Stats().GroupsRun
+			}
+			b.ReportMetric(float64(groups)/float64(b.N), "groups/op")
+		})
+	}
+}

@@ -40,8 +40,8 @@ type memoProfile struct {
 	inputs [][]byte
 }
 
-func newProfile(km *sim.KernelModel, inputs [][]byte) *memoProfile {
-	p := &memoProfile{model: km, inputs: make([][]byte, len(inputs))}
+func newProfile(inputs [][]byte) *memoProfile {
+	p := &memoProfile{inputs: make([][]byte, len(inputs))}
 	for i, b := range inputs {
 		p.inputs[i] = bytes.Clone(b)
 	}

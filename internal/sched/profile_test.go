@@ -71,7 +71,7 @@ func freshModel(t *testing.T, e *Executor) *sim.KernelModel {
 	if err := e.ex.Launch(e.nd); err != nil {
 		t.Fatal(err)
 	}
-	km, err := e.profile(res)
+	km, _, err := e.profile(res, false)
 	if err != nil {
 		t.Fatal(err)
 	}
