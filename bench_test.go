@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dopia"
 	"dopia/internal/analysis"
 	"dopia/internal/clc"
 	"dopia/internal/core"
@@ -243,6 +244,27 @@ func BenchmarkFig13RealWorld(b *testing.B) {
 			func(string) bool { return false }, ml.TreeTrainer{})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Characterization: the training and oracle pipeline's unit of work,
+// one dopia.Characterize (profile, model, 44-configuration sweep) of
+// each of the fourteen real kernels at n=256 on Kaveri, inputs included.
+
+func BenchmarkCharacterize(b *testing.B) {
+	ws, err := workloads.RealWorkloads(256, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := dopia.Kaveri()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			if _, err := dopia.Characterize(m, w); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

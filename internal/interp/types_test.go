@@ -224,6 +224,35 @@ func TestTernaryAndUnsigned(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsKindAndBindability clones a buffer of every kind at
+// lengths 0 and 3: the clone must equal the original, bind to the same
+// parameter kinds, and share no storage with it.
+func TestCloneKeepsKindAndBindability(t *testing.T) {
+	kinds := []clc.Kind{clc.KindFloat, clc.KindDouble, clc.KindInt, clc.KindUInt,
+		clc.KindBool, clc.KindLong, clc.KindULong}
+	for _, kind := range kinds {
+		for _, n := range []int{0, 3} {
+			b := NewBuffer(kind, n)
+			c := b.Clone()
+			if !c.Equal(b) || c.Kind != b.Kind || c.Len() != n {
+				t.Errorf("%v[%d]: clone differs from the original", kind, n)
+			}
+			for _, k := range kinds {
+				if c.CompatibleWith(k) != b.CompatibleWith(k) {
+					t.Errorf("%v[%d]: clone binds to %v: %t, original: %t",
+						kind, n, k, c.CompatibleWith(k), b.CompatibleWith(k))
+				}
+			}
+			if n > 0 {
+				c.Raw()[0] ^= 0xff
+				if c.Equal(b) {
+					t.Errorf("%v[%d]: clone shares storage", kind, n)
+				}
+			}
+		}
+	}
+}
+
 func TestBufferHelpers(t *testing.T) {
 	b := NewFloatBuffer(3)
 	b.F32[1] = 5

@@ -12,6 +12,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"dopia/internal/clc"
@@ -143,22 +144,17 @@ func (b *Buffer) Raw() []byte {
 	return nil
 }
 
-// Clone returns a deep copy of the buffer (ID/Base are not copied).
+// Clone returns a deep copy of the buffer (ID/Base are not copied). An
+// empty buffer's clone keeps its non-nil slice, so it binds wherever the
+// original does (CompatibleWith).
 func (b *Buffer) Clone() *Buffer {
-	nb := &Buffer{Kind: b.Kind}
-	if b.F32 != nil {
-		nb.F32 = append([]float32(nil), b.F32...)
+	return &Buffer{
+		Kind: b.Kind,
+		F32:  slices.Clone(b.F32),
+		I32:  slices.Clone(b.I32),
+		F64:  slices.Clone(b.F64),
+		I64:  slices.Clone(b.I64),
 	}
-	if b.I32 != nil {
-		nb.I32 = append([]int32(nil), b.I32...)
-	}
-	if b.F64 != nil {
-		nb.F64 = append([]float64(nil), b.F64...)
-	}
-	if b.I64 != nil {
-		nb.I64 = append([]int64(nil), b.I64...)
-	}
-	return nb
 }
 
 // CopyFrom overwrites the buffer's contents with those of src, a Clone

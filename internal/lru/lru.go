@@ -2,9 +2,9 @@
 // registry that may forget an entry — the ocl program cache, dopiad's
 // per-session idempotency cache, its program registry, the router's
 // source registry, the online learner's oracle-sweep memo and per-tenant
-// signature sets, and each kernel's model memo in sched — is an instance
-// of Cache, so there is one eviction policy, one accounting rule and one
-// stats struct to test.
+// signature sets, each kernel's model memo in sched, and the workloads'
+// input memo — is an instance of Cache, so there is one eviction policy,
+// one accounting rule and one stats struct to test.
 package lru
 
 import "sync"

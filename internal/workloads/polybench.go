@@ -80,12 +80,12 @@ func nameOf(base string, n, wg int) string {
 // matVecInstance builds the common (matrix, x, y) instance.
 func matVecInstance(n, wg int, extraIn int) *Instance {
 	inst := &Instance{BufBytes: map[int]int64{}}
-	A := NewFilledFloat(n*n, 3)
+	A := memoFloat(n*n, 3)
 	inst.Args = append(inst.Args, interp.BufArg(A))
 	inst.BufBytes[0] = A.Bytes()
 	arg := 1
 	for i := 0; i < extraIn; i++ {
-		v := NewFilledFloat(n, uint32(5+i))
+		v := memoFloat(n, uint32(5+i))
 		inst.Args = append(inst.Args, interp.BufArg(v))
 		inst.BufBytes[arg] = v.Bytes()
 		arg++
@@ -198,9 +198,9 @@ func buildGesummv(n, wg int) (*Workload, error) {
 		Name: nameOf("GESUMMV", n, wg), Source: src, Kernel: "gesummv", WorkDim: 1,
 		Setup: func() (*Instance, error) {
 			inst := &Instance{BufBytes: map[int]int64{}}
-			A := NewFilledFloat(n*n, 3)
-			B := NewFilledFloat(n*n, 7)
-			x := NewFilledFloat(n, 11)
+			A := memoFloat(n*n, 3)
+			B := memoFloat(n*n, 7)
+			x := memoFloat(n, 11)
 			y := interp.NewFloatBuffer(n)
 			inst.Args = []interp.Arg{
 				interp.BufArg(A), interp.BufArg(B), interp.BufArg(x), interp.BufArg(y),
@@ -253,9 +253,9 @@ func buildMVT2(n, wg int) (*Workload, error) {
 }
 
 func mvtInstance(n, wg int) *Instance {
-	A := NewFilledFloat(n*n, 3)
-	yv := NewFilledFloat(n, 5)
-	xv := NewFilledFloat(n, 9)
+	A := memoFloat(n*n, 3)
+	yv := memoFloat(n, 5)
+	xv := memoFloat(n, 9)
 	return &Instance{
 		Args: []interp.Arg{
 			interp.BufArg(A), interp.BufArg(yv), interp.BufArg(xv), interp.IntArg(int64(n)),
@@ -285,7 +285,7 @@ func build2DConv(n, wg int) (*Workload, error) {
 	return &Workload{
 		Name: nameOf("2DCONV", n, wg), Source: src, Kernel: "conv2d", WorkDim: 2,
 		Setup: func() (*Instance, error) {
-			A := NewFilledFloat(n*n, 3)
+			A := memoFloat(n*n, 3)
 			B := interp.NewFloatBuffer(n * n)
 			s := side(wg)
 			return &Instance{
@@ -304,10 +304,10 @@ func build2DConv(n, wg int) (*Workload, error) {
 // --- FDTD-2D: three kernels ------------------------------------------------
 
 func fdtdInstance(n, wg int) *Instance {
-	ex := NewFilledFloat(n*n, 3)
-	ey := NewFilledFloat(n*n, 5)
-	hz := NewFilledFloat(n*n, 7)
-	fict := NewFilledFloat(n, 9)
+	ex := memoFloat(n*n, 3)
+	ey := memoFloat(n*n, 5)
+	hz := memoFloat(n*n, 7)
+	fict := memoFloat(n, 9)
 	s := side(wg)
 	return &Instance{
 		Args: []interp.Arg{
@@ -399,9 +399,9 @@ func buildSYR2K(n, wg int) (*Workload, error) {
 	return &Workload{
 		Name: nameOf("SYR2K", sn, wg), Source: src, Kernel: "syr2k", WorkDim: 2,
 		Setup: func() (*Instance, error) {
-			A := NewFilledFloat(sn*sn, 3)
-			B := NewFilledFloat(sn*sn, 5)
-			C := NewFilledFloat(sn*sn, 7)
+			A := memoFloat(sn*sn, 3)
+			B := memoFloat(sn*sn, 5)
+			C := memoFloat(sn*sn, 7)
 			s := side(wg)
 			return &Instance{
 				Args: []interp.Arg{

@@ -75,11 +75,11 @@ func buildSpMV(n, wg int) (*Workload, error) {
 	return &Workload{
 		Name: nameOf("SpMV", n, wg), Source: spmvSrc, Kernel: "spmv", WorkDim: 1,
 		Setup: func() (*Instance, error) {
-			m := RandomCSR(n, n, nnzPerRow, 42)
+			m := memoCSR(n, n, nnzPerRow, 42)
 			rowptr := interp.FromInts(m.RowPtr)
 			colidx := interp.FromInts(m.ColIdx)
 			val := interp.FromFloats(m.Val)
-			x := NewFilledFloat(n, 13)
+			x := memoFloat(n, 13)
 			y := interp.NewFloatBuffer(n)
 			return &Instance{
 				Args: []interp.Arg{
@@ -118,7 +118,7 @@ func buildPageRank(n, wg int) (*Workload, error) {
 	return &Workload{
 		Name: nameOf("PageRank", n, wg), Source: pagerankSrc, Kernel: "pagerank", WorkDim: 1,
 		Setup: func() (*Instance, error) {
-			g := RandomCSR(n, n, degree, 77)
+			g := memoCSR(n, n, degree, 77)
 			rowptr := interp.FromInts(g.RowPtr)
 			colidx := interp.FromInts(g.ColIdx)
 			rank := interp.NewFloatBuffer(n)

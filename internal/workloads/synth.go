@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"dopia/internal/clc"
 	"dopia/internal/interp"
@@ -294,9 +296,9 @@ func (s SynthSpec) setup(nz, ny, nx, nw int, needsD, needsC3 bool) (*Instance, e
 	inst := &Instance{BufBytes: map[int]int64{}}
 	mk := func(seed uint32) *interp.Buffer {
 		if s.DType.IsInteger() {
-			return NewFilledInt(s.Size, seed, 1000)
+			return memoInt(s.Size, seed, 1000)
 		}
-		return NewFilledFloat(s.Size, seed)
+		return memoFloat(s.Size, seed)
 	}
 	arg := 0
 	addBuf := func(buf *interp.Buffer, out bool) {
@@ -316,7 +318,7 @@ func (s SynthSpec) setup(nz, ny, nx, nw int, needsD, needsC3 bool) (*Instance, e
 	}
 	addBuf(mk(97), true) // C
 	if needsD {
-		addBuf(NewFilledInt(s.Size, 1234, int32(s.Size)), false)
+		addBuf(memoInt(s.Size, 1234, int32(s.Size)), false)
 	}
 	for g := 0; g < s.Gamma; g++ {
 		if s.DType.IsInteger() {
@@ -386,8 +388,16 @@ func TablePatterns() []SynthSpec {
 
 // SyntheticGrid enumerates the full Table 4 training grid: 17 patterns ×
 // 2 data types × 2 work dimensions × 3 computational intensities ×
-// 3 matrix sizes × 2 work-group sizes = 1,224 workloads.
+// 3 matrix sizes × 2 work-group sizes = 1,224 workloads. The grid is
+// generated (and every source compiled to validate it) once per process;
+// each call returns a fresh slice over the same workloads, which no
+// caller may modify.
 func SyntheticGrid() ([]*Workload, error) {
+	grid, err := syntheticGrid()
+	return slices.Clone(grid), err
+}
+
+var syntheticGrid = sync.OnceValues(func() ([]*Workload, error) {
 	var out []*Workload
 	for _, pat := range TablePatterns() {
 		for _, dtype := range []clc.Kind{clc.KindFloat, clc.KindInt} {
@@ -413,4 +423,4 @@ func SyntheticGrid() ([]*Workload, error) {
 		}
 	}
 	return out, nil
-}
+})

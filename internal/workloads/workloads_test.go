@@ -60,6 +60,31 @@ func TestSyntheticGridComplete(t *testing.T) {
 	}
 }
 
+// TestSyntheticGridBuiltOnce holds SyntheticGrid to its contract: every
+// call returns the same workloads, each in a slice of its own.
+func TestSyntheticGridBuiltOnce(t *testing.T) {
+	a, err := SyntheticGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SyntheticGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("two calls returned %d and %d workloads", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("workload %d (%s) was generated twice", i, a[i].Name)
+		}
+	}
+	a[0] = nil
+	if b[0] == nil {
+		t.Error("two calls share one slice")
+	}
+}
+
 func TestSyntheticNames(t *testing.T) {
 	s := SynthSpec{Alpha: 2, MatDims: 3, Gamma: 2, Transposed: 1, Random: 1, Constant: 1,
 		WorkDim: 1, DType: clc.KindFloat, Size: 16384, WGSize: 64}
