@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dopia/internal/clc"
 	"dopia/internal/cluster"
 	"dopia/internal/core"
 	"dopia/internal/experiments"
@@ -520,13 +519,9 @@ func newRefOracle(w *workloads.Workload) (*refOracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := clc.Compile(w.Source)
+	k, err := w.CompileKernel()
 	if err != nil {
 		return nil, err
-	}
-	k := prog.Kernel(w.Kernel)
-	if k == nil {
-		return nil, fmt.Errorf("kernel %q missing", w.Kernel)
 	}
 	ex, err := interp.NewExec(k)
 	if err != nil {
@@ -604,13 +599,9 @@ func newTenant(c *server.Client, bin *server.BinClient, w *workloads.Workload, p
 	if err != nil {
 		return nil, err
 	}
-	prog, err := clc.Compile(w.Source)
+	k, err := w.CompileKernel()
 	if err != nil {
 		return nil, err
-	}
-	k := prog.Kernel(w.Kernel)
-	if k == nil {
-		return nil, fmt.Errorf("kernel %q missing", w.Kernel)
 	}
 	t := &tenant{
 		client: c, bin: bin, sid: sid, prefix: w.Name + "-", progID: progID, kernel: w.Kernel,

@@ -1,5 +1,6 @@
 // Package lru is the one bounded cache in the stack: every memo and
-// registry that may forget an entry — the ocl program cache, dopiad's
+// registry that may forget an entry — the clc program cache (which serves
+// ocl's builds and the workloads' kernels alike), dopiad's
 // per-session idempotency cache, its program registry, the router's
 // source registry, the online learner's oracle-sweep memo and per-tenant
 // signature sets, each kernel's model memo in sched, and the workloads'

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dopia/internal/clc"
 	"dopia/internal/core"
 	"dopia/internal/interp"
 	"dopia/internal/ocl"
@@ -69,7 +70,7 @@ func TestEvictedProgramArtifactsAreCollectable(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	for i := 0; i < ocl.ProgCacheCap; i++ {
+	for i := 0; i < clc.ProgCacheCap; i++ {
 		if err := ctx.CreateProgramWithSource(lifetimeSrc(i)).Build(); err != nil {
 			t.Fatal(err)
 		}

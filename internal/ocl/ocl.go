@@ -177,7 +177,7 @@ func (c *Context) CreateProgramWithSource(src string) *Program {
 // Interposer failures surface later as per-launch fallbacks (Dopia's
 // interposer records them in FallbackStats), never as build errors.
 func (p *Program) Build() error {
-	prog, err := compileSource(p.Source)
+	prog, err := clc.CompileShared(p.Source)
 	if err != nil {
 		return fmt.Errorf("ocl: build failed: %w", err)
 	}
@@ -192,6 +192,12 @@ func (p *Program) Build() error {
 	}
 	return nil
 }
+
+// ProgCacheSnapshot is the program cache's view (clc.CompileShared).
+type ProgCacheSnapshot = clc.ProgCacheSnapshot
+
+// ProgCacheStats reads the program cache's counters.
+func ProgCacheStats() ProgCacheSnapshot { return clc.ProgCacheStats() }
 
 // Compiled returns the checked program (nil before Build).
 func (p *Program) Compiled() *clc.Program { return p.prog }

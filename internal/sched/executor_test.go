@@ -13,10 +13,7 @@ import (
 // transform, plus a reference instance executed directly.
 func newWorkloadExecutor(t *testing.T, w *workloads.Workload) (*Executor, *workloads.Instance, *workloads.Instance) {
 	t.Helper()
-	k, err := w.CompileKernel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := freshKernel(t, w)
 	mall, err := transform.MalleableGPU(k, w.WorkDim)
 	if err != nil {
 		t.Fatal(err)

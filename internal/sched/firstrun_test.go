@@ -44,6 +44,22 @@ func firstLaunchWorkloads(tb testing.TB) []*workloads.Workload {
 	return out
 }
 
+// freshKernel compiles w's source into a private kernel whose memos
+// (analysis, compiled forms, the model memo) start empty:
+// w.CompileKernel shares one kernel per source across the process.
+func freshKernel(tb testing.TB, w *workloads.Workload) *clc.Kernel {
+	tb.Helper()
+	prog, err := clc.Compile(w.Source)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := prog.Kernel(w.Kernel)
+	if k == nil {
+		tb.Fatalf("%s: kernel %q not found", w.Name, w.Kernel)
+	}
+	return k
+}
+
 // referenceRun runs k over args with one plain interp.Exec.Run.
 func referenceRun(t *testing.T, k *clc.Kernel, args []interp.Arg, nd interp.NDRange) {
 	t.Helper()
@@ -94,10 +110,7 @@ func TestFirstRunRunsEachGroupOnce(t *testing.T) {
 	m := sim.Kaveri()
 	for _, w := range firstLaunchWorkloads(t) {
 		for _, cfg := range []sim.Config{m.AllResources(), m.CPUOnly()} {
-			k, err := w.CompileKernel()
-			if err != nil {
-				t.Fatal(err)
-			}
+			k := freshKernel(t, w)
 			inst, err := w.Setup()
 			if err != nil {
 				t.Fatal(err)
@@ -307,11 +320,7 @@ func BenchmarkFirstRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				pristine.restore()
-				k, err := w.CompileKernel()
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := NewExecutor(m, k, nil)
+				e, err := NewExecutor(m, freshKernel(b, w), nil)
 				if err != nil {
 					b.Fatal(err)
 				}

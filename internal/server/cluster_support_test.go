@@ -363,7 +363,7 @@ func registrySrc(i int) string {
 // registry holds: the least recently *launched* one is evicted (not the
 // least recently registered), a launch naming it gets the 404 a router
 // repairs by re-pushing, the eviction is counted, and — the reason the
-// bound exists — once the ocl program cache has let go of it too, its
+// bound exists — once the clc program cache has let go of it too, its
 // analysis and malleable code are collected even though the daemon that
 // compiled them is still running.
 func TestProgramRegistryIsBounded(t *testing.T) {
@@ -446,7 +446,7 @@ func TestProgramRegistryIsBounded(t *testing.T) {
 	}
 
 	// Re-pushed, the program is resident in the registry and (it never
-	// left) in the equally sized process-wide ocl program cache: nothing
+	// left) in the equally sized process-wide clc program cache: nothing
 	// may be collected yet. Then push it out of both.
 	runtime.GC()
 	select {

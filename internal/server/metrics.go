@@ -171,9 +171,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// ---- memoization stack ----
 	pc := ocl.ProgCacheStats()
-	m.counter("dopia_progcache_hits_total", "Program builds served from the source-hash dedup cache.", pc.Hits)
-	m.counter("dopia_progcache_misses_total", "Program builds that compiled fresh.", pc.Misses)
-	m.counter("dopia_progcache_errors_total", "Program builds that failed to compile.", pc.Errors)
+	m.counter("dopia_progcache_hits_total", "Compilations (program builds and workload kernels) served from the source-hash program cache.", pc.Hits)
+	m.counter("dopia_progcache_misses_total", "Compilations that ran fresh.", pc.Misses)
+	m.counter("dopia_progcache_errors_total", "Compilations that failed.", pc.Errors)
 	m.counter("dopia_progcache_bypasses_total", "Cache reads skipped while fault injection was armed.", pc.Bypasses)
 	m.counter("dopia_launch_profiles_reused_total", "Managed launches that reused the model their kernel stored for an identical earlier launch instead of running a sampled profile.", s.met.profilesReused.Load())
 

@@ -173,7 +173,7 @@ type Server struct {
 }
 
 // programRegistryCap bounds the program registry at the same 256 sources
-// as the ocl program cache under it (and the router's source registry
+// as the clc program cache under it (and the router's source registry
 // above it), so a registered program pins no more build-time artifacts
 // than that cache already allows.
 const programRegistryCap = 256

@@ -7,6 +7,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dopia/internal/clc"
 	"dopia/internal/interp"
@@ -40,9 +41,11 @@ type Instance struct {
 	OutputArgs []int
 }
 
-// CompileKernel compiles the workload's program and returns its kernel.
+// CompileKernel returns the workload's kernel, shared and read-only: every
+// workload and ocl build of the same source gets one *clc.Kernel and one
+// set of its memos (clc.CompileShared). Call clc.Compile for a private one.
 func (w *Workload) CompileKernel() (*clc.Kernel, error) {
-	prog, err := clc.Compile(w.Source)
+	prog, err := clc.CompileShared(w.Source)
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", w.Name, err)
 	}
@@ -76,17 +79,21 @@ func FillFloats(b *interp.Buffer, seed uint32) {
 	}
 }
 
-// FillInts fills an int buffer with deterministic values in [0, mod).
+// FillInts fills an int buffer with deterministic values in [0, mod): each
+// draw's int32 residue. A negative draw x − 2³² has the residue of
+// x − (2³² mod mod), so every draw is reduced by Lemire's fastmod, a
+// reciprocal multiply exact for 32-bit operands (m wraps to 0 at mod = 1).
 func FillInts(b *interp.Buffer, seed uint32, mod int32) {
 	s := xorshift32(seed)
 	if mod <= 0 {
 		mod = 1 << 30
 	}
+	d := uint64(mod)
+	m, wrap := ^uint64(0)/d+1, uint32((1<<32)%d)
 	for i := range b.I32 {
-		b.I32[i] = int32(s.next()) % mod
-		if b.I32[i] < 0 {
-			b.I32[i] += mod
-		}
+		x := s.next()
+		hi, _ := bits.Mul64(m*uint64(x-(x>>31)*wrap), d)
+		b.I32[i] = int32(hi)
 	}
 }
 

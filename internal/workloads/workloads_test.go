@@ -330,3 +330,36 @@ func TestFillDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestFillIntsMatchesRemainder checks FillInts' reciprocal multiply
+// against the remainder it replaces — each draw read as an int32, taken
+// % mod, and lifted into [0, mod) — over many seeds and moduli: 1, small
+// and prime ones, powers of two, the grid's sizes, the largest int32 and
+// the non-positive moduli that mean 2³⁰.
+func TestFillIntsMatchesRemainder(t *testing.T) {
+	mods := []int32{1, 2, 3, 7, 50, 64, 97, 1000, 16384, 65536, 1 << 30, 1<<31 - 1, 0, -5, math.MinInt32}
+	r := xorshift32(12345)
+	for range 40 {
+		mods = append(mods, int32(r.next()>>uint(r.next()%31))|1)
+	}
+	for _, mod := range mods {
+		for seed := uint32(0); seed < 64; seed++ {
+			b := interp.NewIntBuffer(4096)
+			FillInts(b, seed, mod)
+			m := mod
+			if m <= 0 {
+				m = 1 << 30
+			}
+			s := xorshift32(seed)
+			for i, got := range b.I32 {
+				want := int32(s.next()) % m
+				if want < 0 {
+					want += m
+				}
+				if got != want {
+					t.Fatalf("mod %d seed %d element %d: got %d, want %d", mod, seed, i, got, want)
+				}
+			}
+		}
+	}
+}
