@@ -328,8 +328,8 @@ func (f *Framework) coExecute(ctx context.Context, k *clc.Kernel, res *analysis.
 		if lrn != nil {
 			// The learner keys on the launch's kernel model, which the run
 			// below needs anyway: build it first, outside the decision's
-			// cost.
-			if km, err = ex.Model(); err != nil {
+			// cost, keeping the sampled groups' output for that run.
+			if km, err = ex.ModelForRun(); err != nil {
 				return nil, faults.Wrap(faults.StageExec, err)
 			}
 			if !dec.ModelDiscarded {

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dopia/internal/clc"
 	"dopia/internal/interp"
 	"dopia/internal/ml"
+	"dopia/internal/sched"
 	"dopia/internal/sim"
+	"dopia/internal/workloads"
 )
 
 // fakeBase is a deterministic stand-in for the global offline model: it
@@ -396,5 +399,74 @@ func TestStatusIsConsistent(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// pollCounter counts its Err polls. A functional run's watchdog polls its
+// context once before every work-group the run's plan executes; the
+// sampled profile behind the model is not polled.
+type pollCounter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *pollCounter) Err() error {
+	c.n.Add(1)
+	return c.Context.Err()
+}
+
+// TestLearnerFirstLaunchRunsEachGroupOnce: a tenant's first launch of a
+// never-profiled kernel on a framework with a Learner builds its model
+// before the run (the learner keys on it), and still runs each work-group
+// once: the run's plan leaves out the ProfileSampleWGs groups the profile
+// kept, and the buffers hold the bytes of a plain run.
+func TestLearnerFirstLaunchRunsEachGroupOnce(t *testing.T) {
+	const src = `__kernel void axpy(__global float* x, __global float* y, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        y[i] = 2.0f * x[i] + y[i];
+    }
+}`
+	const n, wg = 4096, 64
+	prog, err := clc.Compile(src) // private: its model memo is empty
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prog.Kernel("axpy")
+	x, y := workloads.NewFilledFloat(n, 3), workloads.NewFilledFloat(n, 5)
+	want := []interp.Arg{interp.BufArg(x.Clone()), interp.BufArg(y.Clone()), interp.IntArg(n)}
+	ref, err := interp.NewExec(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Bind(want...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Launch(interp.ND1(n, wg)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := sim.Kaveri()
+	f := New(m, nil)
+	f.Learner = NewLearner(m)
+	f.WatchdogTimeout = -1 // the run polls the caller's context itself
+	polls := &pollCounter{Context: context.Background()}
+	exec, err := f.ExecuteCtx(WithTenant(polls, "t-1"), k,
+		[]interp.Arg{interp.BufArg(x), interp.BufArg(y), interp.IntArg(n)}, interp.ND1(n, wg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exec.Profiled {
+		t.Fatal("the first launch did not profile: the kept-groups path is not under test")
+	}
+	if got, want := polls.n.Load(), int64(n/wg-sched.ProfileSampleWGs); got != want {
+		t.Errorf("the run executed %d work-groups after the profile's %d, want %d (of %d)",
+			got, sched.ProfileSampleWGs, want, n/wg)
+	}
+	if !x.Equal(want[0].Buf) || !y.Equal(want[1].Buf) {
+		t.Error("the launch's buffers differ from a plain run's")
 	}
 }

@@ -58,7 +58,10 @@ func (we *WorkloadEval) Time(cfg sim.Config) float64 {
 
 // EvaluateWorkload profiles a workload once and simulates every DoP
 // configuration of the machine with dynamic distribution (timing only; no
-// functional execution).
+// functional execution). It binds views of the input memo's masters, not
+// copies: only the buffers the kernel writes are cloned (timingInstance),
+// so a characterization whose model the kernel's memo already holds
+// copies no input at all.
 func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, error) {
 	k, err := w.CompileKernel()
 	if err != nil {
@@ -73,7 +76,7 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 		return nil, err
 	}
 	ex.AssumeMalleable = true // Dopia's GPU runs the malleable form: charge its timing
-	inst, err := w.Setup()
+	inst, err := timingInstance(w, res)
 	if err != nil {
 		return nil, err
 	}
@@ -104,8 +107,29 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	return we, nil
 }
 
-// EvaluateAll characterizes a set of workloads in parallel (each worker
-// owns its buffers and executor, so workers are independent).
+// timingInstance is w's launch instance for a timing-only run: views of
+// the input memo's masters (workloads.Views), less the buffers the kernel
+// writes, which it clones. Those are the buffers the sampled profile
+// snapshots and restores, so no run through the instance writes a master
+// another worker may be reading.
+func timingInstance(w *workloads.Workload, res *analysis.Result) (*workloads.Instance, error) {
+	inst, err := w.Views()
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range res.WrittenArgs() {
+		if a := &inst.Args[i]; a.IsBuf {
+			a.Buf = a.Buf.Clone()
+		}
+	}
+	return inst, nil
+}
+
+// EvaluateAll characterizes a set of workloads in parallel. Workers own
+// their executors and the buffers their kernels write; the inputs they
+// only read are views of the input memo's masters, which several workers
+// may bind at once because nothing writes a master and each view is
+// placed in its own executor's address space.
 func EvaluateAll(m *sim.Machine, wls []*workloads.Workload, parallelism int) ([]*WorkloadEval, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

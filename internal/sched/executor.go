@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dopia/internal/analysis"
 	"dopia/internal/clc"
@@ -72,6 +73,9 @@ type Executor struct {
 	mu       sync.Mutex
 	model    *sim.KernelModel
 	profiled bool
+	// kept lists the sampled groups whose output the model's profile
+	// kept for the next functional Run to leave out.
+	kept []interp.Segment
 }
 
 // NewExecutor creates an executor for the original kernel. A non-nil
@@ -121,7 +125,7 @@ func (e *Executor) Bind(args ...interp.Arg) error {
 // geometry changes.
 func (e *Executor) invalidate() {
 	e.mu.Lock()
-	e.model, e.profiled = nil, false
+	e.model, e.profiled, e.kept = nil, false, nil
 	e.mu.Unlock()
 }
 
@@ -152,39 +156,49 @@ const ProfileSampleWGs = 4
 // run is the one run that keeps the interpreter's exact access profile;
 // nothing else in production reads interp statistics.
 func (e *Executor) Model() (*sim.KernelModel, error) {
-	km, _, err := e.buildModel(false)
-	return km, err
+	return e.buildModel(false)
+}
+
+// ModelForRun is Model for a caller whose next call on the executor is a
+// functional Run of this launch, made when the configuration that Run
+// executes depends on the model. A profile it takes of a work-group
+// independent launch keeps its sampled groups' output, as Run's own
+// model build does, and that Run leaves those groups out of its plan, so
+// the launch runs each work-group once. Until then the written buffers
+// hold the sampled groups' output.
+func (e *Executor) ModelForRun() (*sim.KernelModel, error) {
+	return e.buildModel(true)
 }
 
 // buildModel is Model; with keep set, a profile of an independent launch
-// keeps its sampled groups' output and returns them (see Run).
-func (e *Executor) buildModel(keep bool) (*sim.KernelModel, []interp.Segment, error) {
+// keeps its sampled groups' output and records them in kept (see Run).
+func (e *Executor) buildModel(keep bool) (*sim.KernelModel, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.model != nil {
-		return e.model, nil, nil
+		return e.model, nil
 	}
 	if !e.bound || !e.launched {
-		return nil, nil, fmt.Errorf("sched: executor not bound/launched")
+		return nil, fmt.Errorf("sched: executor not bound/launched")
 	}
 	res, err := analysis.Analyze(e.orig)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.ex.Parallelism = e.Parallelism
 	if err := e.ex.Launch(e.nd); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	memo, _ := clc.Memo(e.orig, modelKey{}, newProfileMemo)
 	key, inputs := e.profileKey(res)
 	if p, ok := memo.Get(key); ok && p.sameInputs(inputs) {
 		e.model, e.profiled = p.model, false
-		return p.model, nil, nil
+		return p.model, nil
 	}
 	p := newProfile(inputs) // before a kept group can write an input
 	km, kept, err := e.profile(res, keep && e.ex.ShardPinned() == "")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !faults.Active() {
 		// A model profiled while a fault was armed may carry it: keep it
@@ -192,8 +206,8 @@ func (e *Executor) buildModel(keep bool) (*sim.KernelModel, []interp.Segment, er
 		p.model = km
 		memo.Put(key, p)
 	}
-	e.model, e.profiled = km, true
-	return km, kept, nil
+	e.model, e.profiled, e.kept = km, true, kept
+	return km, nil
 }
 
 // Profiled reports whether the current model was built by a sampled
@@ -271,10 +285,10 @@ func ctxErr(ctx context.Context) error {
 // buffers hold the kernel's true output afterwards. The plan is run for
 // that output: its profile was taken by the model build, so no work-group
 // of it runs the access classifier (interp.Exec.RunUnprofiled), and the
-// groups this run's own build kept (buildModel) are cut from it. Panics
-// below this boundary are contained and returned as classified errors;
-// an opts.Context deadline aborts the run, sampled groups included, with
-// faults.ErrExecTimeout.
+// groups a build kept for it (this run's own, or ModelForRun's) are cut
+// from it. Panics below this boundary are contained and returned as
+// classified errors; an opts.Context deadline aborts the run, sampled
+// groups included, with faults.ErrExecTimeout.
 func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err error) {
 	defer faults.Recover(faults.StageExec, &err)
 	if ctx := opts.Context; ctx != nil && opts.Functional {
@@ -283,13 +297,16 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 		e.ex.Check = func() error { return ctxErr(ctx) }
 		defer func() { e.ex.Check = nil }()
 	}
-	km, kept, err := e.buildModel(opts.Functional)
+	km, err := e.buildModel(opts.Functional)
 	if err != nil {
 		return nil, err
 	}
-	var plan []interp.Segment
+	var plan, kept []interp.Segment
 	var onSpan sim.SpanFunc
 	if opts.Functional {
+		e.mu.Lock()
+		kept, e.kept = e.kept, nil
+		e.mu.Unlock()
 		if err := e.prepareFunctional(); err != nil {
 			return nil, err
 		}
@@ -343,11 +360,11 @@ func cut(plan []interp.Segment, s interp.Segment, kept []interp.Segment) []inter
 }
 
 // RunConfigs runs one simulation per configuration and returns the
-// results in configuration order. Timing-only sweeps (the 44-config DoP
-// sweep of the training pipeline, the scheduler's per-launch decision)
-// are embarrassingly parallel and fan out across GOMAXPROCS goroutines;
-// functional sweeps mutate interpreter and buffer state and therefore run
-// sequentially. On error the lowest-indexed failure wins.
+// results in configuration order. A timing-only sweep (the 44-config DoP
+// sweep of the training pipeline, the learner's oracle row) builds the
+// model once and then simulates the configurations on fanOut's workers;
+// a functional sweep mutates interpreter and buffer state and therefore
+// runs sequentially. On error the lowest-indexed failure wins.
 func (e *Executor) RunConfigs(cfgs []sim.Config, opts RunOptions) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(cfgs))
 	if opts.Functional || len(cfgs) < 2 {
@@ -365,18 +382,9 @@ func (e *Executor) RunConfigs(cfgs []sim.Config, opts RunOptions) ([]*sim.Result
 		return nil, err
 	}
 	errs := make([]error, len(cfgs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.Run(cfgs[i], opts)
-		}(i)
-	}
-	wg.Wait()
+	fanOut(len(cfgs), func(i int) {
+		results[i], errs[i] = e.Run(cfgs[i], opts)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -414,19 +422,10 @@ func (e *Executor) BestStatic(cfg sim.Config) (float64, *sim.Result, error) {
 	const n = 19
 	results := make([]*sim.Result, n)
 	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			share := float64(i+1) * 0.05
-			results[i], errs[i] = e.Run(cfg, RunOptions{Dist: sim.Static, CPUShare: share})
-		}(i)
-	}
-	wg.Wait()
+	fanOut(n, func(i int) {
+		share := float64(i+1) * 0.05
+		results[i], errs[i] = e.Run(cfg, RunOptions{Dist: sim.Static, CPUShare: share})
+	})
 	for _, err := range errs {
 		if err != nil {
 			return 0, nil, err
@@ -440,4 +439,31 @@ func (e *Executor) BestStatic(cfg sim.Config) (float64, *sim.Result, error) {
 		}
 	}
 	return bestShare, best, nil
+}
+
+// fanOut calls do(i) once for every i in [0, n) on min(GOMAXPROCS, n)
+// workers, the caller being one of them, each pulling the next index
+// from a shared counter; it returns when every call has. At GOMAXPROCS 1
+// it starts no goroutine.
+func fanOut(n int, do func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			do(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

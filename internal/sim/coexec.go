@@ -166,14 +166,21 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 		cpuCost = m.CPUWGCost(km, cfg)
 	}
 
-	const gpuAgent = -1
-	type agentState struct {
-		start, count int // span being executed
+	// One slot per agent, cores first and the GPU last; a slot is its
+	// agent's fluid owner. An agent executes one span at a time.
+	type agent struct {
+		start, count int     // span being executed
+		t0           float64 // when it started
+		weight       float64 // HGuided's observed throughput
 	}
-	agents := map[int]*agentState{} // agent id -> current span
-	taskAgent := map[int]int{}      // fluid task id -> agent id
-	agentStart := map[int]float64{} // agent id -> task start time
+	gpuSlot := cfg.CPUCores
+	agents := make([]agent, cfg.CPUCores+1)
 	gpuActive := cfg.GPUFrac > 0
+	// begin starts the agent in slot on count work-groups from start.
+	begin := func(slot, start, count int, cost TaskCost) {
+		agents[slot].start, agents[slot].count, agents[slot].t0 = start, count, fl.Time
+		fl.Add(slot, cost)
+	}
 
 	// The allocation unit: single work-groups for 1-D kernels, whole rows
 	// of work-groups for 2-D kernels, so GPU chunks stay contiguous blocks
@@ -203,31 +210,27 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 		}
 		minChunk = (minChunk / unit) * unit
 
-		// HGuided tracks one throughput weight per agent (cores first,
-		// GPU in the last slot), seeded from the model's contention-free
-		// estimates and replaced by observed WGs/sec as spans complete.
-		// A slice (not a map) keeps the weight sum order-stable so
-		// replays are bit-identical.
-		gpuSlot := cfg.CPUCores
-		var weights []float64
+		// HGuided tracks one throughput weight per agent, seeded from
+		// the model's contention-free estimates and replaced by observed
+		// WGs/sec as spans complete. Summing in slot order keeps replays
+		// bit-identical.
 		if dist == HGuided {
-			weights = make([]float64, cfg.CPUCores+1)
 			for core := 0; core < cfg.CPUCores; core++ {
 				if t := m.scaleCoreCost(cpuCost, core).AloneTime(); t > 0 {
-					weights[core] = 1 / t
+					agents[core].weight = 1 / t
 				}
 			}
 			if gpuActive {
 				gcost, _ := m.gpuChunkCost(km, km.NumWGs, cfg, !opts.PlainGPU)
 				if t := gcost.AloneTime(); t > 0 {
-					weights[gpuSlot] = float64(km.NumWGs) / t
+					agents[gpuSlot].weight = float64(km.NumWGs) / t
 				}
 			}
 		}
 		sumW := func() float64 {
 			var s float64
-			for _, w := range weights {
-				s += w
+			for i := range agents {
+				s += agents[i].weight
 			}
 			return s
 		}
@@ -242,14 +245,11 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 			case WorkQueue:
 				cnt = chunk
 			case HGuided:
-				cnt = HGuidedChunk(rem, unit, minChunk, weights[core], sumW())
+				cnt = HGuidedChunk(rem, unit, minChunk, agents[core].weight, sumW())
 			}
 			if cnt > rem {
 				cnt = rem
 			}
-			span := &agentState{start: next, count: cnt}
-			next += cnt
-			agents[core] = span
 			cost := m.scaleCoreCost(cpuCost, core)
 			if cnt > 1 {
 				cost = TaskCost{
@@ -259,9 +259,8 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 					PeakBW:   cost.PeakBW,
 				}
 			}
-			id := fl.Add(core, cost)
-			taskAgent[id] = core
-			agentStart[core] = fl.Time
+			begin(core, next, cnt, cost)
+			next += cnt
 			return true
 		}
 		grabGPU := func() bool {
@@ -278,21 +277,17 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 					count = unit
 				}
 			case dist == HGuided:
-				count = HGuidedChunk(rem, unit, minChunk, weights[gpuSlot], sumW())
+				count = HGuidedChunk(rem, unit, minChunk, agents[gpuSlot].weight, sumW())
 			}
 			if count > rem {
 				count = rem
 			}
-			span := &agentState{start: next, count: count}
-			next += count
 			cost, trans := m.gpuChunkCost(km, count, cfg, !opts.PlainGPU)
 			cost.Compute += m.GPU.DispatchSec
 			res.Transactions += trans
 			res.GPUChunks++
-			agents[gpuAgent] = span
-			id := fl.Add(gpuAgent, cost)
-			taskAgent[id] = gpuAgent
-			agentStart[gpuAgent] = fl.Time
+			begin(gpuSlot, next, count, cost)
+			next += count
 			return true
 		}
 		// The GPU is dispatched first: under Algorithm 1 its chunk is a
@@ -311,20 +306,13 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 			if !ok {
 				break
 			}
-			for _, id := range done {
-				agent := taskAgent[id]
-				delete(taskAgent, id)
-				span := agents[agent]
-				delete(agents, agent)
-				busy := fl.Time - agentStart[agent]
+			for _, slot := range done {
+				span := &agents[slot]
+				busy := fl.Time - span.t0
 				if dist == HGuided && busy > 0 {
-					slot := agent
-					if agent == gpuAgent {
-						slot = gpuSlot
-					}
-					weights[slot] = float64(span.count) / busy
+					span.weight = float64(span.count) / busy
 				}
-				if agent == gpuAgent {
+				if slot == gpuSlot {
 					res.WGsGPU += span.count
 					res.GPUBusy += busy
 					if err := emitSpan(opts.OnSpan, "gpu", span.start, span.count); err != nil {
@@ -337,7 +325,7 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 					if err := emitSpan(opts.OnSpan, "cpu", span.start, span.count); err != nil {
 						return nil, err
 					}
-					grabCPU(agent)
+					grabCPU(slot)
 				}
 			}
 		}
@@ -377,10 +365,7 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 				MemBytes: coreCost.MemBytes * float64(cnt),
 				PeakBW:   coreCost.PeakBW,
 			}
-			agents[core] = &agentState{start: start, count: cnt}
-			id := fl.Add(core, cost)
-			taskAgent[id] = core
-			agentStart[core] = fl.Time
+			begin(core, start, cnt, cost)
 			start += cnt
 			res.WGsCPU += cnt
 		}
@@ -389,10 +374,7 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 			cost.Compute += m.GPU.DispatchSec
 			res.Transactions += trans
 			res.GPUChunks++
-			agents[gpuAgent] = &agentState{start: start, count: gpuWGs}
-			id := fl.Add(gpuAgent, cost)
-			taskAgent[id] = gpuAgent
-			agentStart[gpuAgent] = fl.Time
+			begin(gpuSlot, start, gpuWGs, cost)
 			res.WGsGPU += gpuWGs
 		}
 		for {
@@ -400,14 +382,11 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 			if !ok {
 				break
 			}
-			for _, id := range done {
-				agent := taskAgent[id]
-				delete(taskAgent, id)
-				span := agents[agent]
-				delete(agents, agent)
-				busy := fl.Time - agentStart[agent]
+			for _, slot := range done {
+				span := agents[slot]
+				busy := fl.Time - span.t0
 				dev := "cpu"
-				if agent == gpuAgent {
+				if slot == gpuSlot {
 					dev = "gpu"
 					res.GPUBusy += busy
 				} else {

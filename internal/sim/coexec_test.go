@@ -10,7 +10,7 @@ import (
 
 // buildModelFromSource compiles, analyzes, and profile-runs a kernel to
 // produce its KernelModel — the same pipeline Dopia's runtime uses.
-func buildModelFromSource(t *testing.T, src, name string, args []interp.Arg,
+func buildModelFromSource(t testing.TB, src, name string, args []interp.Arg,
 	bufBytes map[int]int64, nd interp.NDRange, sampleWGs int) *KernelModel {
 	t.Helper()
 	prog, err := clc.Compile(src)
@@ -46,7 +46,7 @@ func buildModelFromSource(t *testing.T, src, name string, args []interp.Arg,
 // paper's problem size (N=16384) by profiling a scaled-down instance
 // (N=2048, where the interpreter is fast) and rescaling the geometry:
 // every per-work-group quantity of this kernel scales linearly in N.
-func gesummvModel(t *testing.T, n, wg int) *KernelModel {
+func gesummvModel(t testing.TB, n, wg int) *KernelModel {
 	t.Helper()
 	small := 2048
 	src := `__kernel void gesummv(__global float* A, __global float* B,

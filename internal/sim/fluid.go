@@ -4,7 +4,6 @@ import "math"
 
 // fluidTask is one in-flight unit of work inside the fluid engine.
 type fluidTask struct {
-	id      int
 	owner   int // agent id
 	compute float64
 	latency float64
@@ -20,14 +19,21 @@ type fluidTask struct {
 // congested), and a byte count served from the shared bandwidth by
 // water-filling across per-task demand caps. Events occur when a task
 // completes; rates are recomputed at each event.
+//
+// An agent (a CPU core, the GPU) has at most one task in flight, so a
+// task is known by its owner: Step reports finished tasks by owner.
 type Fluid struct {
 	BW   float64
 	Time float64
-	// tasks holds the in-flight tasks in insertion (= id) order, so every
+	// tasks holds the in-flight tasks in insertion order, so every
 	// floating-point sum over them is taken in one fixed order and a
 	// simulation is bit-identical run to run.
 	tasks []*fluidTask
-	next  int
+	// free holds finished tasks for Add to reuse; unsat is waterfill's
+	// scratch and done Step's result.
+	free  []*fluidTask
+	unsat []*fluidTask
+	done  []int
 }
 
 // NewFluid returns an engine for a memory system with the given peak
@@ -39,11 +45,15 @@ func NewFluid(bw float64) *Fluid {
 // Active returns the number of in-flight tasks.
 func (f *Fluid) Active() int { return len(f.tasks) }
 
-// Add inserts a task for an agent and returns its id.
-func (f *Fluid) Add(owner int, c TaskCost) int {
-	f.next++
-	t := &fluidTask{
-		id:      f.next,
+// Add inserts a task for an agent that has none in flight.
+func (f *Fluid) Add(owner int, c TaskCost) {
+	var t *fluidTask
+	if n := len(f.free); n > 0 {
+		t, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		t = new(fluidTask)
+	}
+	*t = fluidTask{
 		owner:   owner,
 		compute: c.Compute,
 		latency: c.Latency,
@@ -64,7 +74,6 @@ func (f *Fluid) Add(owner int, c TaskCost) int {
 		t.demand = t.memB / busy
 	}
 	f.tasks = append(f.tasks, t)
-	return t.id
 }
 
 // congestion returns the demand overload factor rho = max(0, D/BW - 1).
@@ -83,7 +92,7 @@ func (f *Fluid) congestion() float64 {
 // capped at each task's demand (max-min fairness).
 func (f *Fluid) waterfill() {
 	remaining := f.BW
-	unsat := make([]*fluidTask, 0, len(f.tasks))
+	unsat := f.unsat[:0]
 	for _, t := range f.tasks {
 		t.rate = 0
 		if t.demand > 0 && t.memB > 0 {
@@ -115,12 +124,13 @@ func (f *Fluid) waterfill() {
 			break
 		}
 	}
+	f.unsat = unsat[:0]
 }
 
-// Step advances simulated time to the next event and returns the ids of
-// the tasks that finished (possibly none, when the event was a task
-// draining its memory and freeing bandwidth). ok is false when no tasks
-// remain in flight.
+// Step advances simulated time to the next event and returns the owners
+// of the tasks that finished (possibly none, when the event was a task
+// draining its memory and freeing bandwidth), valid until the next Step.
+// ok is false when no tasks remain in flight.
 func (f *Fluid) Step() (done []int, ok bool) {
 	if len(f.tasks) == 0 {
 		return nil, false
@@ -173,6 +183,7 @@ func (f *Fluid) Step() (done []int, ok bool) {
 	}
 
 	f.Time += dt
+	done = f.done[:0]
 	live := f.tasks[:0]
 	for _, t := range f.tasks {
 		t.compute -= dt
@@ -188,24 +199,16 @@ func (f *Fluid) Step() (done []int, ok bool) {
 			t.memB = 0
 		}
 		if t.compute <= 1e-15 && t.latency <= 1e-15 && t.memB <= 0 {
-			// Simultaneous completions come back in id order, so
-			// schedules that react to them replay deterministically.
-			done = append(done, t.id)
+			// Simultaneous completions come back in insertion order,
+			// so schedules that react to them replay deterministically.
+			done = append(done, t.owner)
+			f.free = append(f.free, t)
 		} else {
 			live = append(live, t)
 		}
 	}
 	clear(f.tasks[len(live):])
 	f.tasks = live
+	f.done = done
 	return done, true
-}
-
-// Owner returns the agent owning a task id (valid before completion).
-func (f *Fluid) Owner(id int) int {
-	for _, t := range f.tasks {
-		if t.id == id {
-			return t.owner
-		}
-	}
-	return -1
 }

@@ -7,7 +7,7 @@ import (
 
 func drain(t *testing.T, f *Fluid) map[int]float64 {
 	t.Helper()
-	finish := map[int]float64{}
+	finish := map[int]float64{} // by owner
 	for i := 0; i < 100000; i++ {
 		done, ok := f.Step()
 		if !ok {
@@ -25,7 +25,8 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol*math.Abs(b)+1e
 
 func TestFluidPureCompute(t *testing.T) {
 	f := NewFluid(10e9)
-	id := f.Add(0, TaskCost{Compute: 2.5})
+	id := 0
+	f.Add(id, TaskCost{Compute: 2.5})
 	fin := drain(t, f)
 	if !approx(fin[id], 2.5, 1e-9) {
 		t.Errorf("compute-only task finished at %v, want 2.5", fin[id])
@@ -34,7 +35,8 @@ func TestFluidPureCompute(t *testing.T) {
 
 func TestFluidPureMemory(t *testing.T) {
 	f := NewFluid(10e9)
-	id := f.Add(0, TaskCost{MemBytes: 20e9})
+	id := 0
+	f.Add(id, TaskCost{MemBytes: 20e9})
 	fin := drain(t, f)
 	if !approx(fin[id], 2.0, 1e-9) {
 		t.Errorf("memory-only task finished at %v, want 2.0", fin[id])
@@ -43,8 +45,10 @@ func TestFluidPureMemory(t *testing.T) {
 
 func TestFluidBandwidthSharing(t *testing.T) {
 	f := NewFluid(10e9)
-	a := f.Add(0, TaskCost{MemBytes: 10e9})
-	b := f.Add(1, TaskCost{MemBytes: 10e9})
+	a := 0
+	f.Add(a, TaskCost{MemBytes: 10e9})
+	b := 1
+	f.Add(b, TaskCost{MemBytes: 10e9})
 	fin := drain(t, f)
 	// Two saturating tasks share fairly: both finish at 2s.
 	if !approx(fin[a], 2.0, 1e-6) || !approx(fin[b], 2.0, 1e-6) {
@@ -54,7 +58,8 @@ func TestFluidBandwidthSharing(t *testing.T) {
 
 func TestFluidPerAgentCap(t *testing.T) {
 	f := NewFluid(20e9)
-	id := f.Add(0, TaskCost{MemBytes: 10e9, PeakBW: 5e9})
+	id := 0
+	f.Add(id, TaskCost{MemBytes: 10e9, PeakBW: 5e9})
 	fin := drain(t, f)
 	// The cap, not the DRAM, limits this agent.
 	if !approx(fin[id], 2.0, 1e-9) {
@@ -65,8 +70,10 @@ func TestFluidPerAgentCap(t *testing.T) {
 func TestFluidComputeBoundUnaffectedByContention(t *testing.T) {
 	f := NewFluid(10e9)
 	// A compute-bound task (needs only 1 GB/s) next to a saturating one.
-	a := f.Add(0, TaskCost{Compute: 2, MemBytes: 2e9})
-	b := f.Add(1, TaskCost{MemBytes: 30e9})
+	a := 0
+	f.Add(a, TaskCost{Compute: 2, MemBytes: 2e9})
+	b := 1
+	f.Add(b, TaskCost{MemBytes: 30e9})
 	fin := drain(t, f)
 	if !approx(fin[a], 2.0, 0.01) {
 		t.Errorf("compute-bound task finished at %v, want ~2.0", fin[a])
@@ -81,12 +88,14 @@ func TestFluidComputeBoundUnaffectedByContention(t *testing.T) {
 func TestFluidLatencyStretchesUnderCongestion(t *testing.T) {
 	// Latency-bound task alone.
 	f1 := NewFluid(10e9)
-	a1 := f1.Add(0, TaskCost{Latency: 1, MemBytes: 1e9, PeakBW: 5e9})
+	a1 := 0
+	f1.Add(a1, TaskCost{Latency: 1, MemBytes: 1e9, PeakBW: 5e9})
 	fin1 := drain(t, f1)
 
 	// Same task next to two saturating streams.
 	f2 := NewFluid(10e9)
-	a2 := f2.Add(0, TaskCost{Latency: 1, MemBytes: 1e9, PeakBW: 5e9})
+	a2 := 0
+	f2.Add(a2, TaskCost{Latency: 1, MemBytes: 1e9, PeakBW: 5e9})
 	f2.Add(1, TaskCost{MemBytes: 100e9})
 	f2.Add(2, TaskCost{MemBytes: 100e9})
 	fin2 := drain(t, f2)
@@ -101,8 +110,10 @@ func TestFluidMemoryDrainFreesBandwidth(t *testing.T) {
 	f := NewFluid(10e9)
 	// Short memory task and a long one: after the short one drains, the
 	// long one should speed up.
-	short := f.Add(0, TaskCost{MemBytes: 5e9})
-	long := f.Add(1, TaskCost{MemBytes: 15e9})
+	short := 0
+	f.Add(short, TaskCost{MemBytes: 5e9})
+	long := 1
+	f.Add(long, TaskCost{MemBytes: 15e9})
 	fin := drain(t, f)
 	// Phase 1: both at 5 GB/s until short finishes at t=1.
 	// Phase 2: long at 10 GB/s for remaining 10e9 -> 1s more.
@@ -117,7 +128,8 @@ func TestFluidMemoryDrainFreesBandwidth(t *testing.T) {
 func TestFluidRooflineOverlap(t *testing.T) {
 	f := NewFluid(10e9)
 	// Compute 1s, memory 2s: overlapped, finishes at 2s.
-	id := f.Add(0, TaskCost{Compute: 1, MemBytes: 20e9})
+	id := 0
+	f.Add(id, TaskCost{Compute: 1, MemBytes: 20e9})
 	fin := drain(t, f)
 	if !approx(fin[id], 2.0, 1e-6) {
 		t.Errorf("roofline task finished at %v, want 2.0", fin[id])

@@ -29,8 +29,8 @@ func TestPropertyFluidConservation(t *testing.T) {
 				MemBytes: rng.Float64() * 1e8,
 				PeakBW:   bw * (0.05 + rng.Float64()),
 			}
-			id := f.Add(i, c)
-			lower[id] = c.AloneTime()
+			f.Add(i, c)
+			lower[i] = c.AloneTime()
 			totalBytes += c.MemBytes
 		}
 		finish := map[int]float64{}

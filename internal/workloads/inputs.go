@@ -26,7 +26,7 @@ type inputKey struct {
 
 // master is the memo's immutable copy of one input: buf for a dense
 // array, csr for a matrix. Nothing outside this file sees a master, only
-// clones of it.
+// clones of it and views over its elements, which nobody writes.
 type master struct {
 	buf *interp.Buffer
 	csr *CSR
@@ -54,6 +54,10 @@ func (m master) bytes() int64 {
 	return m.buf.Bytes()
 }
 
+// draw hands out a master: master.clone for a copy the caller owns,
+// master.view for a read-only one.
+type draw func(master) master
+
 func (m master) clone() master {
 	if m.csr != nil {
 		c := *m.csr
@@ -63,30 +67,43 @@ func (m master) clone() master {
 	return master{buf: m.buf.Clone()}
 }
 
-// input returns a copy of k's input that the caller owns.
-func input(k inputKey) master {
+// view shares the master's elements under fresh headers. A view buffer
+// has no address-space placement of its own yet, so executors binding
+// views of one master concurrently each place their own header.
+func (m master) view() master {
+	if m.csr != nil {
+		c := *m.csr
+		return master{csr: &c}
+	}
+	v := *m.buf
+	v.ID, v.Base = 0, 0
+	return master{buf: &v}
+}
+
+// input returns k's input as d draws it.
+func input(d draw, k inputKey) master {
 	if m, ok := inputs.Get(k); ok {
-		return m.clone()
+		return d(m)
 	}
 	m := k.generate()
 	if m.bytes() > inputMemoBytes {
 		return m // too large to keep: the caller gets the only copy
 	}
 	inputs.Put(k, m)
-	return m.clone()
+	return d(m)
 }
 
 // memoFloat is NewFilledFloat through the memo.
-func memoFloat(n int, seed uint32) *interp.Buffer {
-	return input(inputKey{kind: clc.KindFloat, n: n, seed: seed}).buf
+func memoFloat(d draw, n int, seed uint32) *interp.Buffer {
+	return input(d, inputKey{kind: clc.KindFloat, n: n, seed: seed}).buf
 }
 
 // memoInt is NewFilledInt through the memo.
-func memoInt(n int, seed uint32, mod int32) *interp.Buffer {
-	return input(inputKey{kind: clc.KindInt, n: n, mod: mod, seed: seed}).buf
+func memoInt(d draw, n int, seed uint32, mod int32) *interp.Buffer {
+	return input(d, inputKey{kind: clc.KindInt, n: n, mod: mod, seed: seed}).buf
 }
 
 // memoCSR is RandomCSR through the memo.
-func memoCSR(rows, cols, nnzPerRow int, seed uint32) *CSR {
-	return input(inputKey{n: rows, cols: cols, nnzPerRow: nnzPerRow, seed: seed}).csr
+func memoCSR(d draw, rows, cols, nnzPerRow int, seed uint32) *CSR {
+	return input(d, inputKey{n: rows, cols: cols, nnzPerRow: nnzPerRow, seed: seed}).csr
 }

@@ -78,14 +78,14 @@ func nameOf(base string, n, wg int) string {
 }
 
 // matVecInstance builds the common (matrix, x, y) instance.
-func matVecInstance(n, wg int, extraIn int) *Instance {
+func matVecInstance(d draw, n, wg int, extraIn int) *Instance {
 	inst := &Instance{BufBytes: map[int]int64{}}
-	A := memoFloat(n*n, 3)
+	A := memoFloat(d, n*n, 3)
 	inst.Args = append(inst.Args, interp.BufArg(A))
 	inst.BufBytes[0] = A.Bytes()
 	arg := 1
 	for i := 0; i < extraIn; i++ {
-		v := memoFloat(n, uint32(5+i))
+		v := memoFloat(d, n, uint32(5+i))
 		inst.Args = append(inst.Args, interp.BufArg(v))
 		inst.BufBytes[arg] = v.Bytes()
 		arg++
@@ -115,7 +115,7 @@ func buildATAX1(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("ATAX1", n, wg), Source: src, Kernel: "atax1", WorkDim: 1,
-		Setup: func() (*Instance, error) { return matVecInstance(n, wg, 1), nil },
+		build: func(d draw) (*Instance, error) { return matVecInstance(d, n, wg, 1), nil },
 	}, nil
 }
 
@@ -135,7 +135,7 @@ func buildATAX2(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("ATAX2", n, wg), Source: src, Kernel: "atax2", WorkDim: 1,
-		Setup: func() (*Instance, error) { return matVecInstance(n, wg, 1), nil },
+		build: func(d draw) (*Instance, error) { return matVecInstance(d, n, wg, 1), nil },
 	}, nil
 }
 
@@ -155,7 +155,7 @@ func buildBICG1(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("BICG1", n, wg), Source: src, Kernel: "bicg1", WorkDim: 1,
-		Setup: func() (*Instance, error) { return matVecInstance(n, wg, 1), nil },
+		build: func(d draw) (*Instance, error) { return matVecInstance(d, n, wg, 1), nil },
 	}, nil
 }
 
@@ -173,7 +173,7 @@ func buildBICG2(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("BICG2", n, wg), Source: src, Kernel: "bicg2", WorkDim: 1,
-		Setup: func() (*Instance, error) { return matVecInstance(n, wg, 1), nil },
+		build: func(d draw) (*Instance, error) { return matVecInstance(d, n, wg, 1), nil },
 	}, nil
 }
 
@@ -196,11 +196,11 @@ func buildGesummv(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("GESUMMV", n, wg), Source: src, Kernel: "gesummv", WorkDim: 1,
-		Setup: func() (*Instance, error) {
+		build: func(d draw) (*Instance, error) {
 			inst := &Instance{BufBytes: map[int]int64{}}
-			A := memoFloat(n*n, 3)
-			B := memoFloat(n*n, 7)
-			x := memoFloat(n, 11)
+			A := memoFloat(d, n*n, 3)
+			B := memoFloat(d, n*n, 7)
+			x := memoFloat(d, n, 11)
 			y := interp.NewFloatBuffer(n)
 			inst.Args = []interp.Arg{
 				interp.BufArg(A), interp.BufArg(B), interp.BufArg(x), interp.BufArg(y),
@@ -230,7 +230,7 @@ func buildMVT1(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("MVT1", n, wg), Source: src, Kernel: "mvt1", WorkDim: 1,
-		Setup: func() (*Instance, error) { return mvtInstance(n, wg), nil },
+		build: func(d draw) (*Instance, error) { return mvtInstance(d, n, wg), nil },
 	}, nil
 }
 
@@ -248,14 +248,14 @@ func buildMVT2(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("MVT2", n, wg), Source: src, Kernel: "mvt2", WorkDim: 1,
-		Setup: func() (*Instance, error) { return mvtInstance(n, wg), nil },
+		build: func(d draw) (*Instance, error) { return mvtInstance(d, n, wg), nil },
 	}, nil
 }
 
-func mvtInstance(n, wg int) *Instance {
-	A := memoFloat(n*n, 3)
-	yv := memoFloat(n, 5)
-	xv := memoFloat(n, 9)
+func mvtInstance(d draw, n, wg int) *Instance {
+	A := memoFloat(d, n*n, 3)
+	yv := memoFloat(d, n, 5)
+	xv := memoFloat(d, n, 9)
 	return &Instance{
 		Args: []interp.Arg{
 			interp.BufArg(A), interp.BufArg(yv), interp.BufArg(xv), interp.IntArg(int64(n)),
@@ -284,8 +284,8 @@ func build2DConv(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("2DCONV", n, wg), Source: src, Kernel: "conv2d", WorkDim: 2,
-		Setup: func() (*Instance, error) {
-			A := memoFloat(n*n, 3)
+		build: func(d draw) (*Instance, error) {
+			A := memoFloat(d, n*n, 3)
 			B := interp.NewFloatBuffer(n * n)
 			s := side(wg)
 			return &Instance{
@@ -303,11 +303,11 @@ func build2DConv(n, wg int) (*Workload, error) {
 
 // --- FDTD-2D: three kernels ------------------------------------------------
 
-func fdtdInstance(n, wg int) *Instance {
-	ex := memoFloat(n*n, 3)
-	ey := memoFloat(n*n, 5)
-	hz := memoFloat(n*n, 7)
-	fict := memoFloat(n, 9)
+func fdtdInstance(d draw, n, wg int) *Instance {
+	ex := memoFloat(d, n*n, 3)
+	ey := memoFloat(d, n*n, 5)
+	hz := memoFloat(d, n*n, 7)
+	fict := memoFloat(d, n, 9)
 	s := side(wg)
 	return &Instance{
 		Args: []interp.Arg{
@@ -336,7 +336,7 @@ func buildFDTD1(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("FDTD1", n, wg), Source: src, Kernel: "fdtd1", WorkDim: 2,
-		Setup: func() (*Instance, error) { return fdtdInstance(n, wg), nil },
+		build: func(d draw) (*Instance, error) { return fdtdInstance(d, n, wg), nil },
 	}, nil
 }
 
@@ -352,7 +352,7 @@ func buildFDTD2(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("FDTD2", n, wg), Source: src, Kernel: "fdtd2", WorkDim: 2,
-		Setup: func() (*Instance, error) { return fdtdInstance(n, wg), nil },
+		build: func(d draw) (*Instance, error) { return fdtdInstance(d, n, wg), nil },
 	}, nil
 }
 
@@ -370,7 +370,7 @@ func buildFDTD3(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("FDTD3", n, wg), Source: src, Kernel: "fdtd3", WorkDim: 2,
-		Setup: func() (*Instance, error) { return fdtdInstance(n, wg), nil },
+		build: func(d draw) (*Instance, error) { return fdtdInstance(d, n, wg), nil },
 	}, nil
 }
 
@@ -398,10 +398,10 @@ func buildSYR2K(n, wg int) (*Workload, error) {
 }`
 	return &Workload{
 		Name: nameOf("SYR2K", sn, wg), Source: src, Kernel: "syr2k", WorkDim: 2,
-		Setup: func() (*Instance, error) {
-			A := memoFloat(sn*sn, 3)
-			B := memoFloat(sn*sn, 5)
-			C := memoFloat(sn*sn, 7)
+		build: func(d draw) (*Instance, error) {
+			A := memoFloat(d, sn*sn, 3)
+			B := memoFloat(d, sn*sn, 5)
+			C := memoFloat(d, sn*sn, 7)
 			s := side(wg)
 			return &Instance{
 				Args: []interp.Arg{

@@ -74,12 +74,12 @@ func buildSpMV(n, wg int) (*Workload, error) {
 	}
 	return &Workload{
 		Name: nameOf("SpMV", n, wg), Source: spmvSrc, Kernel: "spmv", WorkDim: 1,
-		Setup: func() (*Instance, error) {
-			m := memoCSR(n, n, nnzPerRow, 42)
+		build: func(d draw) (*Instance, error) {
+			m := memoCSR(d, n, n, nnzPerRow, 42)
 			rowptr := interp.FromInts(m.RowPtr)
 			colidx := interp.FromInts(m.ColIdx)
 			val := interp.FromFloats(m.Val)
-			x := memoFloat(n, 13)
+			x := memoFloat(d, n, 13)
 			y := interp.NewFloatBuffer(n)
 			return &Instance{
 				Args: []interp.Arg{
@@ -117,8 +117,8 @@ func buildPageRank(n, wg int) (*Workload, error) {
 	degree := 16
 	return &Workload{
 		Name: nameOf("PageRank", n, wg), Source: pagerankSrc, Kernel: "pagerank", WorkDim: 1,
-		Setup: func() (*Instance, error) {
-			g := memoCSR(n, n, degree, 77)
+		build: func(d draw) (*Instance, error) {
+			g := memoCSR(d, n, n, degree, 77)
 			rowptr := interp.FromInts(g.RowPtr)
 			colidx := interp.FromInts(g.ColIdx)
 			rank := interp.NewFloatBuffer(n)

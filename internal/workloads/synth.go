@@ -283,7 +283,7 @@ func (s SynthSpec) Generate() (*Workload, error) {
 		Source:  src,
 		Kernel:  "synth",
 		WorkDim: s.WorkDim,
-		Setup:   func() (*Instance, error) { return spec.setup(nz, ny, nx, nw, needsD, needsC3) },
+		build:   func(d draw) (*Instance, error) { return spec.setup(d, nz, ny, nx, nw, needsD, needsC3) },
 	}
 	// Validate the generated source compiles.
 	if _, err := w.CompileKernel(); err != nil {
@@ -292,13 +292,13 @@ func (s SynthSpec) Generate() (*Workload, error) {
 	return w, nil
 }
 
-func (s SynthSpec) setup(nz, ny, nx, nw int, needsD, needsC3 bool) (*Instance, error) {
+func (s SynthSpec) setup(d draw, nz, ny, nx, nw int, needsD, needsC3 bool) (*Instance, error) {
 	inst := &Instance{BufBytes: map[int]int64{}}
 	mk := func(seed uint32) *interp.Buffer {
 		if s.DType.IsInteger() {
-			return memoInt(s.Size, seed, 1000)
+			return memoInt(d, s.Size, seed, 1000)
 		}
-		return memoFloat(s.Size, seed)
+		return memoFloat(d, s.Size, seed)
 	}
 	arg := 0
 	addBuf := func(buf *interp.Buffer, out bool) {
@@ -318,7 +318,7 @@ func (s SynthSpec) setup(nz, ny, nx, nw int, needsD, needsC3 bool) (*Instance, e
 	}
 	addBuf(mk(97), true) // C
 	if needsD {
-		addBuf(memoInt(s.Size, 1234, int32(s.Size)), false)
+		addBuf(memoInt(d, s.Size, 1234, int32(s.Size)), false)
 	}
 	for g := 0; g < s.Gamma; g++ {
 		if s.DType.IsInteger() {

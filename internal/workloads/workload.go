@@ -24,10 +24,22 @@ type Workload struct {
 	Kernel string
 	// WorkDim is the launch dimensionality.
 	WorkDim int
-	// Setup allocates and fills fresh input buffers and returns the launch
-	// instance. Each call returns independent buffers.
-	Setup func() (*Instance, error)
+	// build returns the launch instance, drawing every memoized input
+	// through d (see Setup and Views).
+	build func(d draw) (*Instance, error)
 }
+
+// Setup allocates and fills fresh input buffers and returns the launch
+// instance. Each call returns independent buffers.
+func (w *Workload) Setup() (*Instance, error) { return w.build(master.clone) }
+
+// Views returns the launch instance with every memoized input bound as a
+// read-only view of the memo's master: a fresh, unplaced buffer over the
+// master's elements, so binding it places the view, never the master.
+// Buffers no memo holds (outputs, derived arrays) are fresh as in Setup.
+// The caller must not write a view; it clones each buffer a launch may
+// write before binding it.
+func (w *Workload) Views() (*Instance, error) { return w.build(master.view) }
 
 // Instance is a concrete, runnable instantiation of a workload.
 type Instance struct {
