@@ -40,21 +40,17 @@ var fixtures struct {
 func benchEvals(b *testing.B) ([]*core.WorkloadEval, *ml.Dataset, ml.Model) {
 	b.Helper()
 	fixtures.once.Do(func() {
-		grid, err := workloads.SyntheticGrid()
+		sub, err := core.TrainingSet{Synthetic: 40}.Workloads()
 		if err != nil {
 			fixtures.err = err
 			return
-		}
-		var sub []*workloads.Workload
-		for i := 0; i < len(grid) && len(sub) < 40; i += len(grid) / 40 {
-			sub = append(sub, grid[i])
 		}
 		fixtures.evals, fixtures.err = core.EvaluateAll(sim.Kaveri(), sub, 0)
 		if fixtures.err != nil {
 			return
 		}
 		fixtures.ds = core.BuildDataset(sim.Kaveri(), fixtures.evals)
-		fixtures.dt, fixtures.err = ml.TreeTrainer{}.Fit(fixtures.ds)
+		fixtures.dt, fixtures.err = core.Train(sim.Kaveri(), ml.TreeTrainer{}, fixtures.evals)
 	})
 	if fixtures.err != nil {
 		b.Fatal(fixtures.err)

@@ -25,7 +25,7 @@ func main() {
 		kernelName  = flag.String("kernel", "GESUMMV", "kernel: one of the 14 real workloads")
 		n           = flag.Int("n", workloads.DefaultRealSize, "problem size")
 		wg          = flag.Int("wg", 256, "work-group size (64 or 256)")
-		trainLimit  = flag.Int("train", 120, "synthetic workloads used to train the model")
+		trainLimit  = flag.Int("train", core.DefaultTrainingSet.Synthetic, "synthetic workloads used to train the model (0 = the whole grid)")
 		modelName   = flag.String("model", "DT", "model family: LIN, SVR, DT, RF")
 		showCode    = flag.Bool("show-malleable", false, "print the generated malleable GPU kernel")
 		evalsPath   = flag.String("evals", "", "load a saved characterization instead of training fresh")
@@ -59,7 +59,7 @@ func main() {
 		evals, err := core.LoadEvals(*evalsPath, m.Name)
 		check(err)
 		fmt.Printf("loaded %d workload characterizations from %s\n", len(evals), *evalsPath)
-		model, err = trainer.Fit(core.BuildDataset(m, evals))
+		model, err = core.Train(m, trainer, evals)
 		check(err)
 	} else {
 		t0 := time.Now()

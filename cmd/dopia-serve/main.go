@@ -45,7 +45,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8034", "listen address")
 		machineName  = flag.String("machine", "Kaveri", "machine model: any zoo machine (Kaveri, Skylake, BigLittle, DiscretePCIe, AppleM)")
 		modelName    = flag.String("model", "DT", "model family trained at startup: LIN, SVR, DT, RF")
-		trainLimit   = flag.Int("train", 48, "synthetic workloads used to train the model (0 = no model, ALL heuristic)")
+		trainLimit   = flag.Int("train", core.DefaultTrainingSet.Synthetic, "synthetic workloads used to train the model (0 = no model, ALL heuristic)")
 		modelFile    = flag.String("model-file", "", "load a model saved by dopia-train -save-model instead of training")
 		queueDepth   = flag.Int("queue-depth", 256, "admission queue capacity")
 		workers      = flag.Int("workers", 0, "launch worker pool size (0 = GOMAXPROCS)")

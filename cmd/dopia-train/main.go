@@ -4,8 +4,10 @@
 // the paper compares, and reports their cross-validated selection quality
 // and inference overheads (the data behind Figure 10).
 //
-// The characterization can be saved with -out and reused by dopia-bench
-// via its -cache flag.
+// The characterization can be saved with -out. dopia-bench -cache DIR
+// reuses it as its synthetic grid when the file is
+// DIR/synth-<machine>-l<limit>.json.gz, written without -with-real, and
+// dopia-bench runs with the same -synth-limit.
 package main
 
 import (
@@ -47,15 +49,12 @@ func main() {
 		check(err)
 	}
 
-	grid, err := core.SyntheticSlice(*limit)
-	check(err)
+	set := core.TrainingSet{Synthetic: *limit}
 	if *withReal {
-		for _, wgsz := range []int{64, 256} {
-			ws, err := workloads.RealWorkloads(*realN, wgsz)
-			check(err)
-			grid = append(grid, ws...)
-		}
+		set.RealN = []int{*realN}
 	}
+	grid, err := set.Workloads()
+	check(err)
 
 	fmt.Printf("characterizing %d workloads x %d configurations on %s...\n",
 		len(grid), len(m.Configs()), m.Name)
@@ -70,7 +69,7 @@ func main() {
 		fmt.Printf("characterization written to %s\n", *out)
 	}
 	if *saveModel != "" {
-		dt, err := ml.TreeTrainer{}.Fit(core.BuildDataset(m, evals))
+		dt, err := core.Train(m, ml.TreeTrainer{}, evals)
 		check(err)
 		check(ml.SaveModelFile(*saveModel, dt))
 		fmt.Printf("decision-tree model written to %s\n", *saveModel)

@@ -13,7 +13,8 @@
 //	platform := dopia.NewPlatform(machine)
 //	ctx := platform.CreateContext()
 //
-//	model, _ := dopia.TrainDefaultModel(machine, trainingWorkloads)
+//	train, _ := dopia.DefaultTrainingSet.Workloads()
+//	model, _ := dopia.TrainDefaultModel(machine, train)
 //	fw := dopia.NewFramework(machine, model)
 //	fw.Attach(ctx) // every EnqueueNDRangeKernel is now Dopia-managed
 //
@@ -186,6 +187,10 @@ func Characterize(m *Machine, w *Workload) (*Characterization, error) {
 	return core.EvaluateWorkload(m, w)
 }
 
+// DefaultTrainingSet is the set dopia-run, dopia-serve and the examples
+// train on: 48 workloads spread evenly over the synthetic grid.
+var DefaultTrainingSet = core.DefaultTrainingSet
+
 // TrainDefaultModel characterizes the given workloads on the machine and
 // fits the paper's deployed model family (a decision tree). Pass the
 // synthetic grid for the paper's training setup; smaller sets train
@@ -195,7 +200,7 @@ func TrainDefaultModel(m *Machine, wls []*Workload) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ml.TreeTrainer{}.Fit(core.BuildDataset(m, evals))
+	return core.Train(m, ml.TreeTrainer{}, evals)
 }
 
 // MachineFromJSON parses a custom machine description (see

@@ -23,9 +23,9 @@ func TestPublicAPIFlow(t *testing.T) {
 	if len(grid) != 1224 {
 		t.Fatalf("synthetic grid has %d workloads, want 1224", len(grid))
 	}
-	var train []*dopia.Workload
-	for i := 0; i < len(grid); i += len(grid) / 30 {
-		train = append(train, grid[i])
+	train, err := dopia.DefaultTrainingSet.Workloads()
+	if err != nil {
+		t.Fatal(err)
 	}
 	model, err := dopia.TrainDefaultModel(machine, train)
 	if err != nil {

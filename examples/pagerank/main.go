@@ -37,13 +37,9 @@ func main() {
 	platform := dopia.NewPlatform(machine)
 	ctx := platform.CreateContext()
 
-	grid, err := dopia.SyntheticWorkloads()
+	train, err := dopia.DefaultTrainingSet.Workloads()
 	if err != nil {
 		log.Fatal(err)
-	}
-	var train []*dopia.Workload
-	for i := 0; i < len(grid); i += len(grid) / 80 {
-		train = append(train, grid[i])
 	}
 	model, err := dopia.TrainDefaultModel(machine, train)
 	if err != nil {

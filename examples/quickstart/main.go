@@ -34,16 +34,13 @@ func main() {
 	platform := dopia.NewPlatform(machine)
 	ctx := platform.CreateContext()
 
-	// Train Dopia's model on a slice of the paper's synthetic workload
-	// grid (the full 1,224-workload grid is available via
-	// dopia.SyntheticWorkloads; a slice keeps the quickstart fast).
-	grid, err := dopia.SyntheticWorkloads()
+	// Train Dopia's model on the default training set, an evenly spread
+	// slice of the paper's synthetic workload grid (the full 1,224-workload
+	// grid is available via dopia.SyntheticWorkloads; a slice keeps the
+	// quickstart fast).
+	train, err := dopia.DefaultTrainingSet.Workloads()
 	if err != nil {
 		log.Fatal(err)
-	}
-	var train []*dopia.Workload
-	for i := 0; i < len(grid); i += len(grid) / 100 {
-		train = append(train, grid[i])
 	}
 	fmt.Printf("training Dopia's model on %d synthetic workloads...\n", len(train))
 	model, err := dopia.TrainDefaultModel(machine, train)

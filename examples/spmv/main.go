@@ -58,13 +58,9 @@ func main() {
 	ctx := platform.CreateContext()
 
 	// Train Dopia.
-	grid, err := dopia.SyntheticWorkloads()
+	train, err := dopia.DefaultTrainingSet.Workloads()
 	if err != nil {
 		log.Fatal(err)
-	}
-	var train []*dopia.Workload
-	for i := 0; i < len(grid); i += len(grid) / 80 {
-		train = append(train, grid[i])
 	}
 	model, err := dopia.TrainDefaultModel(machine, train)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dopia/internal/ml"
@@ -9,31 +10,84 @@ import (
 	"dopia/internal/workloads"
 )
 
-// TestSyntheticSlice pins the training-slice contract every tool relies
-// on: exactly limit workloads, spread over the whole grid (not a
-// prefix), deterministic, and the whole grid for limit <= 0 or too big.
-func TestSyntheticSlice(t *testing.T) {
+// TestTrainingSet pins the training-set contract every tool relies on:
+// exactly Synthetic workloads, spread over the whole grid (not a prefix),
+// deterministic; the whole grid for 0 or too big a count and none for a
+// negative one; then the real kernels at each size, work-group 64 first.
+func TestTrainingSet(t *testing.T) {
 	grid, err := workloads.SyntheticGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, limit := range []int{0, -3, len(grid), len(grid) + 1} {
-		got, err := SyntheticSlice(limit)
+	for _, n := range []int{0, len(grid), len(grid) + 1} {
+		got, err := TrainingSet{Synthetic: n}.Workloads()
 		if err != nil || len(got) != len(grid) {
-			t.Errorf("limit %d: %d workloads (err %v), want the whole grid of %d", limit, len(got), err, len(grid))
+			t.Errorf("Synthetic %d: %d workloads (err %v), want the whole grid of %d", n, len(got), err, len(grid))
 		}
 	}
-	for _, limit := range []int{1, 7, 48, len(grid) - 1} {
-		got, err := SyntheticSlice(limit)
-		if err != nil || len(got) != limit {
-			t.Fatalf("limit %d: %d workloads (err %v)", limit, len(got), err)
+	for _, n := range []int{1, 7, 48, len(grid) - 1} {
+		got, err := TrainingSet{Synthetic: n}.Workloads()
+		if err != nil || len(got) != n {
+			t.Fatalf("Synthetic %d: %d workloads (err %v)", n, len(got), err)
 		}
-		stride := len(grid) / limit
+		stride := len(grid) / n
 		for i, w := range got {
 			if w.Name != grid[i*stride].Name {
-				t.Fatalf("limit %d: slot %d is %s, want grid[%d] = %s", limit, i, w.Name, i*stride, grid[i*stride].Name)
+				t.Fatalf("Synthetic %d: slot %d is %s, want grid[%d] = %s", n, i, w.Name, i*stride, grid[i*stride].Name)
 			}
 		}
+	}
+	got, err := TrainingSet{Synthetic: -1, RealN: []int{256, 128}}.Workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*workloads.Workload
+	for _, n := range []int{256, 128} {
+		for _, wg := range []int{64, 256} {
+			ws, err := workloads.RealWorkloads(n, wg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, ws...)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("real-only set has %d workloads, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name {
+			t.Fatalf("real-only set slot %d is %s, want %s", i, got[i].Name, want[i].Name)
+		}
+	}
+}
+
+// TestDefaultTrainingSetCoversEveryPair: the default set trains on every
+// (size, work-group size) pair of the synthetic grid. Those are the grid's
+// two innermost loops, so a count whose stride is a multiple of 2 or 3
+// (120 gives 10) sees only some of them.
+func TestDefaultTrainingSetCoversEveryPair(t *testing.T) {
+	pair := func(w *workloads.Workload) string {
+		f := strings.Split(w.Name, ".")
+		return strings.Join(f[len(f)-2:], ".")
+	}
+	grid, err := workloads.SyntheticGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := map[string]bool{}
+	for _, w := range grid {
+		all[pair(w)] = true
+	}
+	set, err := DefaultTrainingSet.Workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, w := range set {
+		seen[pair(w)] = true
+	}
+	if len(all) != 6 || len(seen) != len(all) {
+		t.Errorf("the default set covers %d of the grid's %d (size, work-group) pairs: %v", len(seen), len(all), seen)
 	}
 }
 
@@ -53,7 +107,7 @@ func TestBootstrapModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := SyntheticSlice(6)
+	slice, err := TrainingSet{Synthetic: 6}.Workloads()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,8 +173,7 @@ func TestDecideChargesInferenceTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := BuildDataset(m, evals)
-	model, err := (ml.SVRTrainer{}).Fit(ds)
+	model, err := Train(m, ml.SVRTrainer{}, evals)
 	if err != nil {
 		t.Fatal(err)
 	}

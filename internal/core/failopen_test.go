@@ -63,7 +63,7 @@ func testModel(t *testing.T) ml.Model {
 			trainedError = err
 			return
 		}
-		trainedMdl, trainedError = (ml.TreeTrainer{}).Fit(BuildDataset(m, evals))
+		trainedMdl, trainedError = Train(m, ml.TreeTrainer{}, evals)
 	})
 	if trainedError != nil {
 		t.Fatal(trainedError)

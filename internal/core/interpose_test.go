@@ -41,7 +41,7 @@ func TestInterposedEnqueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := (ml.TreeTrainer{}).Fit(BuildDataset(m, evals))
+	model, err := Train(m, ml.TreeTrainer{}, evals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,28 +198,65 @@ func TrainerByName(name string) (ml.Trainer, error) {
 	return nil, fmt.Errorf("core: unknown model %q (want LIN, SVR, DT, or RF)", name)
 }
 
-// SyntheticSlice returns limit workloads of the synthetic training grid,
-// spread evenly over it rather than taken as a prefix so a truncated run
-// still covers every pattern family. limit <= 0 (or >= the grid size)
-// returns the whole grid.
-func SyntheticSlice(limit int) ([]*workloads.Workload, error) {
-	grid, err := workloads.SyntheticGrid()
-	if err != nil || limit <= 0 || limit >= len(grid) {
-		return grid, err
+// TrainingSet declares the workloads a model is trained on: a slice of
+// the synthetic grid, then the real kernels at each listed size, each size
+// at work-group 64 and then 256.
+type TrainingSet struct {
+	// Synthetic is how many synthetic workloads to take, spread evenly
+	// over the grid rather than taken as a prefix, so a small set still
+	// covers every pattern family. 0 (or at least the grid's size) takes
+	// the whole grid; a negative count takes none.
+	Synthetic int
+	// RealN lists the problem sizes at which the fourteen real kernels
+	// join the set.
+	RealN []int
+}
+
+// DefaultTrainingSet is the set dopia-run, dopia-serve and the examples
+// train on. 48 workloads give a stride of 25, which visits all six
+// (size, work-group) pairs of the grid's innermost loops.
+var DefaultTrainingSet = TrainingSet{Synthetic: 48}
+
+// Workloads returns the set's workloads, synthetic first.
+func (s TrainingSet) Workloads() ([]*workloads.Workload, error) {
+	var out []*workloads.Workload
+	if s.Synthetic >= 0 {
+		grid, err := workloads.SyntheticGrid()
+		if err != nil {
+			return nil, err
+		}
+		if s.Synthetic == 0 || s.Synthetic >= len(grid) {
+			out = append(out, grid...)
+		} else {
+			stride := len(grid) / s.Synthetic
+			for i := 0; len(out) < s.Synthetic; i += stride {
+				out = append(out, grid[i])
+			}
+		}
 	}
-	stride := len(grid) / limit
-	sub := make([]*workloads.Workload, 0, limit)
-	for i := 0; i < len(grid) && len(sub) < limit; i += stride {
-		sub = append(sub, grid[i])
+	for _, n := range s.RealN {
+		for _, wg := range []int{64, 256} {
+			ws, err := workloads.RealWorkloads(n, wg)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, ws...)
+		}
 	}
-	return sub, nil
+	return out, nil
+}
+
+// Train fits a model to characterizations: the one way every tool,
+// example and experiment gets a model from data.
+func Train(m *sim.Machine, trainer ml.Trainer, evals []*WorkloadEval) (ml.Model, error) {
+	return trainer.Fit(BuildDataset(m, evals))
 }
 
 // BootstrapModel is the one way a command-line tool gets its
 // DoP-selection model: loaded from file when one is named, otherwise the
-// named family (see TrainerByName) trained on SyntheticSlice(limit)
-// characterized on m.
-func BootstrapModel(m *sim.Machine, family, file string, limit int) (ml.Model, error) {
+// named family (see TrainerByName) trained on synthetic workloads of the
+// grid (TrainingSet.Synthetic) characterized on m.
+func BootstrapModel(m *sim.Machine, family, file string, synthetic int) (ml.Model, error) {
 	if file != "" {
 		return ml.LoadModelFile(file)
 	}
@@ -227,13 +264,13 @@ func BootstrapModel(m *sim.Machine, family, file string, limit int) (ml.Model, e
 	if err != nil {
 		return nil, err
 	}
-	slice, err := SyntheticSlice(limit)
+	wls, err := TrainingSet{Synthetic: synthetic}.Workloads()
 	if err != nil {
 		return nil, err
 	}
-	evals, err := EvaluateAll(m, slice, 0)
+	evals, err := EvaluateAll(m, wls, 0)
 	if err != nil {
 		return nil, err
 	}
-	return trainer.Fit(BuildDataset(m, evals))
+	return Train(m, trainer, evals)
 }

@@ -27,22 +27,7 @@ func Fig13(s *Suite) error {
 		if err != nil {
 			return err
 		}
-		// Targets: the fourteen kernels at the paper's work-group
-		// organization (the wg-256 variants), one per kernel family —
-		// the first wg-256 occurrence comes from the full-size batch.
-		var targets []*core.WorkloadEval
-		seen := map[string]bool{}
-		for _, we := range realEv {
-			if !strings.Contains(we.Name, "wg256") {
-				continue
-			}
-			base := baseName(we.Name)
-			if seen[base] {
-				continue
-			}
-			seen[base] = true
-			targets = append(targets, we)
-		}
+		targets := fig13Targets(realEv)
 		train := append(append([]*core.WorkloadEval(nil), synth...), realEv...)
 
 		s.printf("\nFigure 13 (%s): normalized performance to exhaustive search\n", m.Name)
@@ -98,6 +83,21 @@ func Fig13(s *Suite) error {
 	}
 	s.printf("paper: Dopia.DT average 0.84 on both systems, ALL 0.76/0.75; SVR accuracy eaten by inference overhead\n")
 	return nil
+}
+
+// fig13Targets picks the fourteen kernels at the paper's work-group
+// organization (the wg-256 variants), one per kernel family: the first
+// wg-256 occurrence comes from the full-size batch.
+func fig13Targets(realEv []*core.WorkloadEval) []*core.WorkloadEval {
+	var targets []*core.WorkloadEval
+	seen := map[string]bool{}
+	for _, we := range realEv {
+		if base := baseName(we.Name); strings.Contains(we.Name, "wg256") && !seen[base] {
+			seen[base] = true
+			targets = append(targets, we)
+		}
+	}
+	return targets
 }
 
 // baseName strips the size/work-group suffixes from a workload name

@@ -15,7 +15,7 @@ import (
 // single-device execution is far worse on average.
 func Fig9(s *Suite) error {
 	for _, m := range Machines() {
-		grid, err := s.realGrid()
+		grid, err := s.realSet().Workloads()
 		if err != nil {
 			return err
 		}

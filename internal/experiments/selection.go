@@ -104,21 +104,13 @@ func CrossValSelections(m *sim.Machine, evals []*core.WorkloadEval,
 	for f := 0; f < folds; f++ {
 		lo := f * len(evals) / folds
 		hi := (f + 1) * len(evals) / folds
-		train := &ml.Dataset{}
+		var train []*core.WorkloadEval
 		for i, pi := range perm {
-			if i >= lo && i < hi {
-				continue
-			}
-			we := evals[pi]
-			for _, ct := range we.Times {
-				y := 0.0
-				if ct.Time > 0 {
-					y = we.BestTime / ct.Time
-				}
-				train.Add(core.WithConfig(we.Base, m, ct.Config), y)
+			if i < lo || i >= hi {
+				train = append(train, evals[pi])
 			}
 		}
-		model, err := tr.Fit(train)
+		model, err := core.Train(m, tr, train)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fold %d: %w", f, err)
 		}
@@ -138,20 +130,13 @@ func CrossValSelections(m *sim.Machine, evals []*core.WorkloadEval,
 func LeaveOneOutSelection(m *sim.Machine, train []*core.WorkloadEval,
 	target *core.WorkloadEval, exclude func(name string) bool,
 	tr ml.Trainer) (Selection, error) {
-	ds := &ml.Dataset{}
+	var kept []*core.WorkloadEval
 	for _, we := range train {
-		if exclude(we.Name) {
-			continue
-		}
-		for _, ct := range we.Times {
-			y := 0.0
-			if ct.Time > 0 {
-				y = we.BestTime / ct.Time
-			}
-			ds.Add(core.WithConfig(we.Base, m, ct.Config), y)
+		if !exclude(we.Name) {
+			kept = append(kept, we)
 		}
 	}
-	model, err := tr.Fit(ds)
+	model, err := core.Train(m, tr, kept)
 	if err != nil {
 		return Selection{}, err
 	}

@@ -59,74 +59,45 @@ func (s *Suite) printf(format string, args ...any) {
 
 // SynthEvals characterizes (or loads) the synthetic training grid on m.
 func (s *Suite) SynthEvals(m *sim.Machine) ([]*core.WorkloadEval, error) {
-	if ev, ok := s.synth[m.Name]; ok {
-		return ev, nil
-	}
-	cachePath := ""
-	if s.CacheDir != "" {
-		cachePath = filepath.Join(s.CacheDir,
-			fmt.Sprintf("synth-%s-l%d.json.gz", m.Name, s.SynthLimit))
-		if ev, err := core.LoadEvals(cachePath, m.Name); err == nil {
-			s.synth[m.Name] = ev
-			return ev, nil
-		}
-	}
-	grid, err := core.SyntheticSlice(s.SynthLimit)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := core.EvaluateAll(m, grid, s.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	s.synth[m.Name] = ev
-	if cachePath != "" {
-		if err := os.MkdirAll(s.CacheDir, 0o755); err == nil {
-			_ = core.SaveEvals(cachePath, m.Name, ev)
-		}
-	}
-	return ev, nil
+	return s.evals(m, s.synth, fmt.Sprintf("synth-%s-l%d.json.gz", m.Name, s.SynthLimit),
+		core.TrainingSet{Synthetic: s.SynthLimit})
 }
 
-// realGrid builds the Figure 9 / training real-workload set: the fourteen
+// realSet is the Figure 9 / training real-workload set: the fourteen
 // kernels at two problem sizes and two work-group organizations.
-func (s *Suite) realGrid() ([]*workloads.Workload, error) {
-	var out []*workloads.Workload
-	for _, n := range []int{s.RealN, s.RealN / 2} {
-		for _, wg := range []int{64, 256} {
-			ws, err := workloads.RealWorkloads(n, wg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ws...)
-		}
-	}
-	return out, nil
+func (s *Suite) realSet() core.TrainingSet {
+	return core.TrainingSet{Synthetic: -1, RealN: []int{s.RealN, s.RealN / 2}}
 }
 
 // RealEvals characterizes (or loads) the real-workload grid on m.
 func (s *Suite) RealEvals(m *sim.Machine) ([]*core.WorkloadEval, error) {
-	if ev, ok := s.real[m.Name]; ok {
+	return s.evals(m, s.real, fmt.Sprintf("real-%s-n%d.json.gz", m.Name, s.RealN), s.realSet())
+}
+
+// evals characterizes set on m once per suite, through the memory cache
+// and, when CacheDir is set, the named file under it.
+func (s *Suite) evals(m *sim.Machine, cache map[string][]*core.WorkloadEval,
+	file string, set core.TrainingSet) ([]*core.WorkloadEval, error) {
+	if ev, ok := cache[m.Name]; ok {
 		return ev, nil
 	}
 	cachePath := ""
 	if s.CacheDir != "" {
-		cachePath = filepath.Join(s.CacheDir,
-			fmt.Sprintf("real-%s-n%d.json.gz", m.Name, s.RealN))
+		cachePath = filepath.Join(s.CacheDir, file)
 		if ev, err := core.LoadEvals(cachePath, m.Name); err == nil {
-			s.real[m.Name] = ev
+			cache[m.Name] = ev
 			return ev, nil
 		}
 	}
-	grid, err := s.realGrid()
+	wls, err := set.Workloads()
 	if err != nil {
 		return nil, err
 	}
-	ev, err := core.EvaluateAll(m, grid, s.Parallelism)
+	ev, err := core.EvaluateAll(m, wls, s.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	s.real[m.Name] = ev
+	cache[m.Name] = ev
 	if cachePath != "" {
 		if err := os.MkdirAll(s.CacheDir, 0o755); err == nil {
 			_ = core.SaveEvals(cachePath, m.Name, ev)

@@ -1,0 +1,129 @@
+package experiments
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"dopia"
+	"dopia/internal/core"
+	"dopia/internal/ml"
+	"dopia/internal/sim"
+	"dopia/internal/workloads"
+)
+
+// trainingProbe is the fixed input every training row is read on: the 44
+// configuration feature vectors of each of the fourteen real kernels at
+// n=256, work-group 256.
+func trainingProbe(t *testing.T, m *sim.Machine) []ml.Features {
+	t.Helper()
+	ws, err := workloads.RealWorkloads(256, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, err := core.EvaluateAll(m, ws, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe []ml.Features
+	for _, we := range evals {
+		for _, cfg := range m.Configs() {
+			probe = append(probe, core.WithConfig(we.Base, m, cfg))
+		}
+	}
+	return probe
+}
+
+// predictionDigest hashes the bits of a model's prediction on every
+// probe vector.
+func predictionDigest(model ml.Model, probe []ml.Features) string {
+	h := sha256.New()
+	for _, x := range probe {
+		fmt.Fprintf(h, "%x\n", math.Float64bits(model.Predict(x)))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// selectionDigest hashes what each selection chose and the bits of its
+// normalized performance; inference time is wall time and stays out.
+func selectionDigest(sel []Selection) string {
+	h := sha256.New()
+	for _, s := range sel {
+		fmt.Fprintf(h, "%s %v %x\n", s.Workload, s.Chosen, math.Float64bits(s.Perf))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainingGolden pins what every model-building path trains on, as one
+// SHA-256 per path on Kaveri: over the predictions on a fixed probe of the
+// command-line bootstrap at 12 and 48 synthetic workloads and of the
+// facade's TrainDefaultModel on the benchmark's 102-workload slice; and
+// over the selections of Fig. 13's leave-one-family-out models and of
+// Fig. 10's cross-validation folds at tinySuite scale, for all four model
+// families. A change to which workloads a path characterizes, or to the
+// order its samples reach the trainer, shows up here.
+func TestTrainingGolden(t *testing.T) {
+	const golden = "testdata/training.golden"
+	m := sim.Kaveri()
+	probe := trainingProbe(t, m)
+	var b strings.Builder
+	for _, limit := range []int{12, 48} {
+		model, err := core.BootstrapModel(m, "DT", "", limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "bootstrap-DT-%d %s\n", limit, predictionDigest(model, probe))
+	}
+	slice, err := core.TrainingSet{Synthetic: 102}.Workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := dopia.TrainDefaultModel(m, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "default-model-102 %s\n", predictionDigest(model, probe))
+
+	var out bytes.Buffer
+	s := tinySuite(&out)
+	synth, err := s.SynthEvals(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	realEv, err := s.RealEvals(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := fig13Targets(realEv)
+	train := append(append([]*core.WorkloadEval(nil), synth...), realEv...)
+	for _, tr := range core.Trainers() {
+		var loo []Selection
+		for _, target := range targets {
+			family := baseName(target.Name)
+			sel, err := LeaveOneOutSelection(m, train, target,
+				func(name string) bool { return baseName(name) == family }, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loo = append(loo, sel)
+		}
+		fmt.Fprintf(&b, "fig13-%s %s\n", tr.Name(), selectionDigest(loo))
+		cv, err := CrossValSelections(m, synth, tr, s.Folds, s.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "fig10-%s %s\n", tr.Name(), selectionDigest(cv))
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v; the table this run produced:\n%s", err, b.String())
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("%s is stale; the table this run produced:\n%s", golden, got)
+	}
+}

@@ -4,15 +4,12 @@
 // families the paper compares — linear regression, support-vector
 // regression (realized as RBF kernel ridge regression, which has the same
 // O(#training points) inference cost profile that drives the paper's
-// overhead findings), a CART decision-tree regressor, and a random forest
-// — plus k-fold cross-validation.
+// overhead findings), a CART decision-tree regressor, and a random forest.
+// Cross-validation holds out workloads, not samples, so it lives in
+// internal/experiments (CrossValSelections).
 package ml
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "math"
 
 // NumFeatures is the length of the Table 1 feature vector.
 const NumFeatures = 11
@@ -62,37 +59,6 @@ func (d *Dataset) Add(x Features, y float64) {
 
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
-
-// Clone returns a deep copy.
-func (d *Dataset) Clone() *Dataset {
-	return &Dataset{Samples: append([]Sample(nil), d.Samples...)}
-}
-
-// Shuffle permutes the samples with the given RNG.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.Samples), func(i, j int) {
-		d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i]
-	})
-}
-
-// Fold returns the i-th of k cross-validation folds: test is the i-th
-// slice, train the rest.
-func (d *Dataset) Fold(i, k int) (train, test *Dataset, err error) {
-	n := len(d.Samples)
-	if k < 2 || k > n {
-		return nil, nil, fmt.Errorf("ml: invalid fold count %d for %d samples", k, n)
-	}
-	if i < 0 || i >= k {
-		return nil, nil, fmt.Errorf("ml: fold index %d out of range", i)
-	}
-	lo := i * n / k
-	hi := (i + 1) * n / k
-	test = &Dataset{Samples: append([]Sample(nil), d.Samples[lo:hi]...)}
-	train = &Dataset{Samples: make([]Sample, 0, n-(hi-lo))}
-	train.Samples = append(train.Samples, d.Samples[:lo]...)
-	train.Samples = append(train.Samples, d.Samples[hi:]...)
-	return train, test, nil
-}
 
 // Model is a trained regressor over Table 1 feature vectors.
 type Model interface {

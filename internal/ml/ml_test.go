@@ -137,31 +137,6 @@ func TestTreePredictionWithinTrainingRange(t *testing.T) {
 	}
 }
 
-func TestFoldPartition(t *testing.T) {
-	d := synthDataset(103, 10, linearTarget)
-	k := 8
-	seen := 0
-	for i := 0; i < k; i++ {
-		train, test, err := d.Fold(i, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if train.Len()+test.Len() != d.Len() {
-			t.Fatalf("fold %d: %d+%d != %d", i, train.Len(), test.Len(), d.Len())
-		}
-		seen += test.Len()
-	}
-	if seen != d.Len() {
-		t.Errorf("folds cover %d samples, want %d", seen, d.Len())
-	}
-	if _, _, err := d.Fold(9, 8); err == nil {
-		t.Error("expected error for out-of-range fold")
-	}
-	if _, _, err := d.Fold(0, 1); err == nil {
-		t.Error("expected error for k=1")
-	}
-}
-
 func TestSVRInferenceCostlierThanTree(t *testing.T) {
 	d := synthDataset(1200, 12, nonlinearTarget)
 	inferTime := func(tr Trainer) time.Duration {

@@ -9,21 +9,17 @@ import (
 	"dopia/internal/workloads"
 )
 
-// TestCharacterizeDrawsEachInputOnce characterizes the training slice
-// (every twelfth synthetic workload) twice on one goroutine, starting
-// from an empty input memo. The first pass misses each input key exactly
+// TestCharacterizeDrawsEachInputOnce characterizes the benchmark's
+// training slice (102 workloads, every twelfth synthetic one) twice on
+// one goroutine, starting from an empty input memo. The first pass misses each input key exactly
 // once and the second generates nothing. Every twelfth workload has size
 // 16384 (size and work-group size are the grid's innermost loops), so
 // the slice draws 7 distinct arrays: 2 element kinds × seeds 11, 18 and
 // 97, plus the index array D.
 func TestCharacterizeDrawsEachInputOnce(t *testing.T) {
-	grid, err := workloads.SyntheticGrid()
+	slice, err := core.TrainingSet{Synthetic: 102}.Workloads()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var slice []*workloads.Workload
-	for i := 0; i < len(grid); i += 12 {
-		slice = append(slice, grid[i])
 	}
 	workloads.PurgeInputMemo()
 	start := workloads.InputMemoStats()
