@@ -44,7 +44,7 @@ func TestQuickLattice(t *testing.T) {
 			Machines: []string{"all"},
 			Scheds:   []string{"all"},
 		},
-		Log:   t.Logf,
+		Log: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)

@@ -58,10 +58,9 @@ func (we *WorkloadEval) Time(cfg sim.Config) float64 {
 
 // EvaluateWorkload profiles a workload once and simulates every DoP
 // configuration of the machine with dynamic distribution (timing only; no
-// functional execution). It binds views of the input memo's masters, not
-// copies: only the buffers the kernel writes are cloned (timingInstance),
-// so a characterization whose model the kernel's memo already holds
-// copies no input at all.
+// functional execution). It binds views of the input memo's masters
+// (workloads.Views), which a timing-only executor never writes, so a
+// characterization whose model the kernel's memo holds copies no buffer.
 func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, error) {
 	k, err := w.CompileKernel()
 	if err != nil {
@@ -76,7 +75,7 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 		return nil, err
 	}
 	ex.AssumeMalleable = true // Dopia's GPU runs the malleable form: charge its timing
-	inst, err := timingInstance(w, res)
+	inst, err := w.Views()
 	if err != nil {
 		return nil, err
 	}
@@ -107,29 +106,11 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	return we, nil
 }
 
-// timingInstance is w's launch instance for a timing-only run: views of
-// the input memo's masters (workloads.Views), less the buffers the kernel
-// writes, which it clones. Those are the buffers the sampled profile
-// snapshots and restores, so no run through the instance writes a master
-// another worker may be reading.
-func timingInstance(w *workloads.Workload, res *analysis.Result) (*workloads.Instance, error) {
-	inst, err := w.Views()
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range res.WrittenArgs() {
-		if a := &inst.Args[i]; a.IsBuf {
-			a.Buf = a.Buf.Clone()
-		}
-	}
-	return inst, nil
-}
-
 // EvaluateAll characterizes a set of workloads in parallel. Workers own
-// their executors and the buffers their kernels write; the inputs they
-// only read are views of the input memo's masters, which several workers
-// may bind at once because nothing writes a master and each view is
-// placed in its own executor's address space.
+// their executors; every buffer they bind is a view of an input memo
+// master or a fresh output, and several workers may bind views of one
+// master at once because no timing-only executor writes a bound buffer
+// and each view is placed in its own executor's address space.
 func EvaluateAll(m *sim.Machine, wls []*workloads.Workload, parallelism int) ([]*WorkloadEval, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

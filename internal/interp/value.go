@@ -173,12 +173,12 @@ type ArgSnapshot struct {
 	bufs, copies []*Buffer
 }
 
-// SnapshotArgs clones the buffers bound to the given parameter slots
-// (the kernel's analysis.Result.WrittenArgs).
+// SnapshotArgs clones each distinct buffer bound to the given parameter
+// slots (the kernel's analysis.Result.WrittenArgs).
 func SnapshotArgs(args []Arg, slots []int) *ArgSnapshot {
 	s := &ArgSnapshot{}
 	for _, i := range slots {
-		if a := args[i]; a.IsBuf && a.Buf != nil {
+		if a := args[i]; a.IsBuf && a.Buf != nil && !slices.Contains(s.bufs, a.Buf) {
 			s.bufs = append(s.bufs, a.Buf)
 			s.copies = append(s.copies, a.Buf.Clone())
 		}
@@ -191,6 +191,16 @@ func SnapshotArgs(args []Arg, slots []int) *ArgSnapshot {
 func (s *ArgSnapshot) Restore() {
 	for i, b := range s.bufs {
 		b.CopyFrom(s.copies[i])
+	}
+}
+
+// Swap exchanges each snapshotted buffer's storage with its copy's, in
+// O(1): between two Swaps a run writes only the copies.
+func (s *ArgSnapshot) Swap() {
+	for i, b := range s.bufs {
+		c := s.copies[i]
+		c.ID, c.Base = b.ID, b.Base
+		*b, *c = *c, *b
 	}
 }
 

@@ -149,10 +149,10 @@ const ProfileSampleWGs = 4
 // executing ProfileSampleWGs work-groups — and it is memoized on the
 // kernel: a launch whose profile key and input bytes equal those of an
 // earlier profile of the same kernel (see profileKey) is answered with
-// that profile's model, which is what re-profiling would build. Output
-// buffers are snapshotted and restored on every exit path of a profile
-// run Model makes, so Model leaves no functional trace even for
-// read-modify-write kernels or when a sampled group traps. The profile
+// that profile's model, which is what re-profiling would build. A
+// profile run Model makes writes private copies of the written buffers,
+// so Model never writes a bound buffer, even when a sampled group traps,
+// and a caller may bind read-only views of shared storage. The profile
 // run is the one run that keeps the interpreter's exact access profile;
 // nothing else in production reads interp statistics.
 func (e *Executor) Model() (*sim.KernelModel, error) {
@@ -220,12 +220,17 @@ func (e *Executor) Profiled() bool {
 }
 
 // profile runs the sampled profile of the launched interpreter and builds
-// its model. It restores the written buffers unless keep is set and it
-// succeeds; then it returns the groups it ran.
+// its model on private copies of the written buffers, unless keep is set:
+// then it writes them in place and returns the groups it ran, or restores
+// them if it fails.
 func (e *Executor) profile(res *analysis.Result, keep bool) (km *sim.KernelModel, kept []interp.Segment, err error) {
 	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
+	if !keep {
+		snap.Swap()
+		defer snap.Swap()
+	}
 	defer func() {
-		if kept == nil {
+		if keep && kept == nil {
 			snap.Restore()
 		}
 	}()

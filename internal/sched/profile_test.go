@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dopia/internal/analysis"
@@ -56,6 +58,72 @@ func TestFailedProfileLeavesNoWrites(t *testing.T) {
 		}
 		if before.diff() >= 0 {
 			t.Errorf("shards=%d: the failed profile run left its writes in the output buffer", par)
+		}
+	}
+}
+
+// TestModelNeverWritesABoundBuffer: Model's profile writes private
+// copies of the written buffers, so a second header over a bound buffer's
+// elements reads the same bytes before every sampled group and after
+// Model, and the bound buffer keeps its elements: for a read-modify-write
+// kernel, when a sampled group traps, and when one buffer is bound to two
+// slots.
+func TestModelNeverWritesABoundBuffer(t *testing.T) {
+	const n, wg = 1024, 64
+	cases := []struct {
+		name, src, kernel string
+		args              func() []interp.Arg
+		traps             bool
+	}{
+		{"read-modify-write", `__kernel void rmw(__global float* x) { int i = get_global_id(0); x[i] = x[i] * 2.0f + 1.0f; }`, "rmw",
+			func() []interp.Arg { return []interp.Arg{interp.BufArg(workloads.NewFilledFloat(n, 7))} }, false},
+		{"trap", spillSrc, "spill",
+			func() []interp.Arg {
+				return []interp.Arg{interp.BufArg(workloads.NewFilledInt(n, 5, 1000)), interp.IntArg(n)}
+			}, true},
+		{"two slots", `__kernel void two(__global int* a, __global int* b) { int i = get_global_id(0); a[i] = b[i] + 1; b[i] = a[i] * 2; }`, "two",
+			func() []interp.Arg {
+				b := workloads.NewFilledInt(n, 5, 1000)
+				return []interp.Arg{interp.BufArg(b), interp.BufArg(b)}
+			}, false},
+	}
+	for _, c := range cases {
+		for _, par := range planShards {
+			prog, err := clc.Compile(c.src) // a fresh model memo: Model profiles
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := c.args()
+			bound := args[0].Buf
+			shadow := *bound
+			want := bytes.Clone(shadow.Raw())
+			e, err := NewExecutor(sim.Kaveri(), prog.Kernel(c.kernel), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Parallelism = par
+			if err := e.Bind(args...); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Launch(interp.ND1(n, wg)); err != nil {
+				t.Fatal(err)
+			}
+			var wrote atomic.Bool
+			e.ex.Check = func() error {
+				if !bytes.Equal(shadow.Raw(), want) {
+					wrote.Store(true)
+				}
+				return nil
+			}
+			if _, err := e.Model(); (err != nil) != c.traps {
+				t.Fatalf("%s, shards=%d: Model() error = %v, want a trap: %v", c.name, par, err, c.traps)
+			}
+			if wrote.Load() || !bytes.Equal(shadow.Raw(), want) {
+				t.Errorf("%s, shards=%d: the profile wrote the bound buffer", c.name, par)
+			}
+			if &bound.Raw()[0] != &shadow.Raw()[0] {
+				t.Errorf("%s, shards=%d: the bound buffer no longer holds its elements", c.name, par)
+			}
 		}
 	}
 }

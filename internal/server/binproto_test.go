@@ -188,7 +188,7 @@ func TestBinaryMatchesJSONBitExact(t *testing.T) {
 		SessionID: bsid, ProgramID: progID, Kernel: "scale",
 		Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &nn}},
 		Global: []int{n}, Local: []int{64},
-		Read:   []string{"y"},
+		Read: []string{"y"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestBinaryMatchesJSONBitExact(t *testing.T) {
 		SessionID: jsid, ProgramID: progID, Kernel: "scale",
 		Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Float: &a}, {Int: &nn}},
 		Global: []int{n}, Local: []int{64},
-		Read:   []string{"y"},
+		Read: []string{"y"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestBinaryIdempotentReplayCarriesRawBuffers(t *testing.T) {
 		SessionID: sid, ProgramID: progID, Kernel: "acc",
 		Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}},
 		Global: []int{n}, Local: []int{32},
-		Read:   []string{"y"},
+		Read:    []string{"y"},
 		IdemKey: "k1",
 	}
 	first, err := bc.Launch(req)

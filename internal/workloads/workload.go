@@ -37,8 +37,8 @@ func (w *Workload) Setup() (*Instance, error) { return w.build(master.clone) }
 // read-only view of the memo's master: a fresh, unplaced buffer over the
 // master's elements, so binding it places the view, never the master.
 // Buffers no memo holds (outputs, derived arrays) are fresh as in Setup.
-// The caller must not write a view; it clones each buffer a launch may
-// write before binding it.
+// Nothing may write a view: bind it only where no buffer is written, such
+// as a timing-only sched.Executor, whose profile writes private copies.
 func (w *Workload) Views() (*Instance, error) { return w.build(master.view) }
 
 // Instance is a concrete, runnable instantiation of a workload.
