@@ -7,7 +7,7 @@
 //
 // Experiments: fig1 fig3 fig9 fig10 table5 fig11 fig12 table6 fig13, or
 // "all" (default). The heavy experiments share one workload
-// characterization per machine; use -cache to persist it between runs.
+// characterization per machine, made afresh by every run.
 //
 // Profiling:
 //
@@ -33,8 +33,6 @@ func main() {
 		synthLimit = flag.Int("synth-limit", 0, "limit the 1,224-workload synthetic grid (0 = full)")
 		realN      = flag.Int("real-n", 0, "real-kernel problem size (0 = default)")
 		folds      = flag.Int("folds", 64, "cross-validation folds (paper: 64)")
-		parallel   = flag.Int("parallel", 0, "characterization workers (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache", "", "directory for characterization caches")
 		seed       = flag.Int64("seed", 1, "random seed for fold shuffling")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -83,8 +81,6 @@ func main() {
 	s := experiments.NewSuite(os.Stdout)
 	s.SynthLimit = *synthLimit
 	s.Folds = *folds
-	s.Parallelism = *parallel
-	s.CacheDir = *cacheDir
 	s.Seed = *seed
 	if *realN > 0 {
 		s.RealN = *realN

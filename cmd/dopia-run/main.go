@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"dopia/internal/core"
-	"dopia/internal/ml"
-	"dopia/internal/sched"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
 	"dopia/internal/workloads"
@@ -28,7 +26,6 @@ func main() {
 		trainLimit  = flag.Int("train", core.DefaultTrainingSet.Synthetic, "synthetic workloads used to train the model (0 = the whole grid)")
 		modelName   = flag.String("model", "DT", "model family: LIN, SVR, DT, RF")
 		showCode    = flag.Bool("show-malleable", false, "print the generated malleable GPU kernel")
-		evalsPath   = flag.String("evals", "", "load a saved characterization instead of training fresh")
 		modelFile   = flag.String("model-file", "", "load a model saved by dopia-train -save-model")
 	)
 	flag.Parse()
@@ -51,22 +48,11 @@ func main() {
 		fail("unknown kernel %q; available: %v", *kernelName, kernelNames())
 	}
 
-	// Load the model, fit it to a saved characterization, or train it.
-	var model ml.Model
-	if *evalsPath != "" && *modelFile == "" {
-		trainer, err := core.TrainerByName(*modelName)
-		check(err)
-		evals, err := core.LoadEvals(*evalsPath, m.Name)
-		check(err)
-		fmt.Printf("loaded %d workload characterizations from %s\n", len(evals), *evalsPath)
-		model, err = core.Train(m, trainer, evals)
-		check(err)
-	} else {
-		t0 := time.Now()
-		model, err = core.BootstrapModel(m, *modelName, *modelFile, *trainLimit)
-		check(err)
-		fmt.Printf("%s model ready in %v\n", model.Name(), time.Since(t0).Round(time.Millisecond))
-	}
+	// Load the model or train it.
+	t0 := time.Now()
+	model, err := core.BootstrapModel(m, *modelName, *modelFile, *trainLimit)
+	check(err)
+	fmt.Printf("%s model ready in %v\n", model.Name(), time.Since(t0).Round(time.Millisecond))
 
 	fw := core.New(m, model)
 	k, err := w.CompileKernel()
@@ -101,23 +87,9 @@ func main() {
 	}
 	fmt.Printf("profile: %s\n", profile)
 
-	// Baselines and the oracle.
-	ex, err := sched.NewExecutor(m, k, nil)
+	// Baselines and the oracle, from the workload's characterization.
+	we, err := core.EvaluateWorkload(m, w)
 	check(err)
-	ex.AssumeMalleable = true // time every configuration as the managed launch above was
-	inst2, err := w.Setup()
-	check(err)
-	check(ex.Bind(inst2.Args...))
-	check(ex.Launch(inst2.ND))
-	bestTime := 0.0
-	var best sim.Config
-	for _, cfg := range m.Configs() {
-		r, err := ex.Run(cfg, sched.RunOptions{Dist: sim.Dynamic})
-		check(err)
-		if bestTime == 0 || r.Time < bestTime {
-			bestTime, best = r.Time, cfg
-		}
-	}
 	var rows [][]string
 	for _, row := range []struct {
 		name string
@@ -127,15 +99,14 @@ func main() {
 		{"GPU only", m.GPUOnly()},
 		{"ALL", m.AllResources()},
 		{"Dopia", d.Config},
-		{"Exhaustive", best},
+		{"Exhaustive", we.Best},
 	} {
-		r, err := ex.Run(row.cfg, sched.RunOptions{Dist: sim.Dynamic})
-		check(err)
+		t := we.Time(row.cfg)
 		rows = append(rows, []string{
 			row.name,
 			fmt.Sprintf("cpu=%d gpu=%.0f%%", row.cfg.CPUCores, row.cfg.GPUFrac*100),
-			stats.Fmt(r.Time * 1e3),
-			stats.Fmt(bestTime / r.Time),
+			stats.Fmt(t * 1e3),
+			stats.Fmt(we.BestTime / t),
 		})
 	}
 	fmt.Println()

@@ -4,10 +4,10 @@
 // the paper compares, and reports their cross-validated selection quality
 // and inference overheads (the data behind Figure 10).
 //
-// The characterization can be saved with -out. dopia-bench -cache DIR
-// reuses it as its synthetic grid when the file is
-// DIR/synth-<machine>-l<limit>.json.gz, written without -with-real, and
-// dopia-bench runs with the same -synth-limit.
+// Nothing reads a characterization back from disk: characterizing the
+// full grid takes seconds, so every tool characterizes afresh. The
+// trained decision tree can be kept with -save-model and loaded by
+// dopia-run and dopia-serve with -model-file.
 package main
 
 import (
@@ -28,9 +28,7 @@ func main() {
 	var (
 		machineName = flag.String("machine", "Kaveri", "machine model: any zoo machine (Kaveri, Skylake, BigLittle, DiscretePCIe, AppleM)")
 		limit       = flag.Int("limit", 0, "limit the synthetic grid (0 = full 1,224)")
-		parallel    = flag.Int("parallel", 0, "characterization workers (0 = GOMAXPROCS)")
 		folds       = flag.Int("folds", 16, "cross-validation folds for the report")
-		out         = flag.String("out", "", "write the characterization to this .json.gz file")
 		saveModel   = flag.String("save-model", "", "write the trained DT model to this JSON file")
 		machineFile = flag.String("machine-file", "", "load a custom machine description (JSON)")
 		withReal    = flag.Bool("with-real", false, "also characterize the 14 real-world kernels")
@@ -59,15 +57,11 @@ func main() {
 	fmt.Printf("characterizing %d workloads x %d configurations on %s...\n",
 		len(grid), len(m.Configs()), m.Name)
 	start := time.Now()
-	evals, err := core.EvaluateAll(m, grid, *parallel)
+	evals, err := core.EvaluateAll(m, grid, 0)
 	check(err)
 	fmt.Printf("done in %v (%d data points)\n",
 		time.Since(start).Round(time.Millisecond), len(evals)*len(m.Configs()))
 
-	if *out != "" {
-		check(core.SaveEvals(*out, m.Name, evals))
-		fmt.Printf("characterization written to %s\n", *out)
-	}
 	if *saveModel != "" {
 		dt, err := core.Train(m, ml.TreeTrainer{}, evals)
 		check(err)

@@ -97,20 +97,121 @@ func TestTrainAndDecideEndToEnd(t *testing.T) {
 	}
 }
 
-// decideFromEval mirrors Framework.Decide but starts from a prebuilt base
-// feature vector.
+// decideFromEval is Framework.Decide from a prebuilt base feature vector.
 func decideFromEval(fw *Framework, base ml.Features) sim.Config {
-	var best sim.Config
-	bestV := 0.0
-	first := true
-	for _, cfg := range fw.Machine.Configs() {
-		v := fw.Model.Predict(WithConfig(base, fw.Machine, cfg))
-		if first || v > bestV {
-			best, bestV = cfg, v
-			first = false
-		}
+	best, _, _, err := SelectConfig(fw.Machine, fw.Model, base)
+	if err != nil {
+		panic(err)
 	}
 	return best
+}
+
+// orderProbe scores a configuration by the order it is asked about,
+// recording the (CPU, GPU) utilization of each question.
+type orderProbe struct{ seen [][2]float64 }
+
+func (p *orderProbe) Name() string { return "probe" }
+func (p *orderProbe) Predict(x ml.Features) float64 {
+	p.seen = append(p.seen, [2]float64{x[ml.FCPUUtil], x[ml.FGPUUtil]})
+	return float64(len(p.seen) % 7)
+}
+
+// TestSelectConfigScansConfigsInOrder holds SelectConfig to the argmax
+// over m.Configs(), in that order, first maximum winning.
+func TestSelectConfigScansConfigsInOrder(t *testing.T) {
+	for _, m := range sim.Zoo() {
+		p := &orderProbe{}
+		best, bestV, n, err := SelectConfig(m, p, ml.Features{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := m.Configs()
+		if n != len(cfgs) || len(p.seen) != len(cfgs) {
+			t.Fatalf("%s: scored %d (asked %d), want %d", m.Name, n, len(p.seen), len(cfgs))
+		}
+		for i, cfg := range cfgs {
+			if want := [2]float64{m.CPUUtil(cfg), cfg.GPUFrac}; p.seen[i] != want {
+				t.Fatalf("%s: question %d was %v, want %v", m.Name, i, p.seen[i], want)
+			}
+		}
+		if best != cfgs[5] || bestV != 6 {
+			t.Errorf("%s: argmax %+v (%v), want the first 6 at %+v", m.Name, best, bestV, cfgs[5])
+		}
+	}
+}
+
+// TestDecideAllocatesNothing holds the per-launch decision to zero heap
+// allocations with the deployed model family.
+func TestDecideAllocatesNothing(t *testing.T) {
+	m := sim.Kaveri()
+	grid := smallGrid(t)[:4]
+	evals, err := EvaluateAll(m, grid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := Train(m, ml.TreeTrainer{}, evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := New(m, model)
+	k, err := grid[0].CompileKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fw.Analysis(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := grid[0].Views()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { fw.decide(res, inst.ND) }); a != 0 {
+		t.Errorf("decide allocates %v times per call, want 0", a)
+	}
+}
+
+func TestTrainerByName(t *testing.T) {
+	for _, name := range []string{"LIN", "SVR", "DT", "RF"} {
+		tr, err := TrainerByName(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if tr.Name() != name {
+			t.Errorf("TrainerByName(%s).Name() = %s", name, tr.Name())
+		}
+	}
+	if _, err := TrainerByName("XGBOOST"); err == nil {
+		t.Error("expected error for unknown trainer")
+	}
+	if len(Trainers()) != 4 {
+		t.Errorf("%d trainers, want the paper's 4", len(Trainers()))
+	}
+}
+
+func TestWorkloadEvalAccessors(t *testing.T) {
+	we := &WorkloadEval{
+		Name:     "x",
+		BestTime: 1,
+		Best:     sim.Config{CPUCores: 2},
+		Times: []ConfigTime{
+			{Config: sim.Config{CPUCores: 2}, Time: 1},
+			{Config: sim.Config{CPUCores: 4}, Time: 2},
+		},
+	}
+	if we.Perf(sim.Config{CPUCores: 4}) != 0.5 {
+		t.Error("Perf wrong")
+	}
+	if we.Perf(sim.Config{CPUCores: 9}) != 0 {
+		t.Error("unknown config must have zero perf")
+	}
+	if we.Time(sim.Config{CPUCores: 2}) != 1 {
+		t.Error("Time wrong")
+	}
+	if t0 := we.Time(sim.Config{CPUCores: 9}); t0 == t0 && t0 < 1e300 {
+		t.Error("unknown config must have infinite time")
+	}
 }
 
 func TestFrameworkExecuteProducesCorrectOutput(t *testing.T) {

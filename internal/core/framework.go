@@ -214,27 +214,17 @@ func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, e
 	if f.Model == nil {
 		return Decision{Config: f.Machine.AllResources()}, nil
 	}
-	base := BaseFeatures(res, nd)
 	start := time.Now()
-	var best sim.Config
-	bestV := 0.0
-	n := 0
-	for _, cfg := range f.Machine.Configs() {
-		v, err := predictOne(f.Model, WithConfig(base, f.Machine, cfg))
-		if err != nil {
-			// Model invalid: discard it for this launch and fall back to
-			// all resources (the paper's ALL baseline).
-			return Decision{
-				Config:         f.Machine.AllResources(),
-				InferTime:      time.Since(start),
-				Evaluated:      n,
-				ModelDiscarded: true,
-			}, err
-		}
-		n++
-		if n == 1 || v > bestV {
-			best, bestV = cfg, v
-		}
+	best, bestV, n, err := SelectConfig(f.Machine, f.Model, BaseFeatures(res, nd))
+	if err != nil {
+		// Model invalid: discard it for this launch and fall back to all
+		// resources (the paper's ALL baseline).
+		return Decision{
+			Config:         f.Machine.AllResources(),
+			InferTime:      time.Since(start),
+			Evaluated:      n,
+			ModelDiscarded: true,
+		}, err
 	}
 	return Decision{
 		Config:    best,
@@ -242,6 +232,32 @@ func (f *Framework) decide(res *analysis.Result, nd interp.NDRange) (Decision, e
 		InferTime: time.Since(start),
 		Evaluated: n,
 	}, nil
+}
+
+// SelectConfig is the model argmax every selection makes: it scores each
+// configuration of m, in Configs order, for a workload of the given base
+// features and returns the first with the highest prediction, that
+// prediction, and how many configurations it scored. The first invalid
+// prediction (NaN, Inf, out of range, or an inference panic) stops the
+// sweep with a classified error. It allocates nothing.
+func SelectConfig(m *sim.Machine, model ml.Model, base ml.Features) (best sim.Config, bestV float64, n int, err error) {
+	for _, c := range m.CPUSteps {
+		for _, g := range m.GPUSteps {
+			cfg := sim.Config{CPUCores: c, GPUFrac: g}
+			if !cfg.Valid() {
+				continue
+			}
+			v, err := predictOne(model, WithConfig(base, m, cfg))
+			if err != nil {
+				return sim.Config{}, 0, n, err
+			}
+			n++
+			if n == 1 || v > bestV {
+				best, bestV = cfg, v
+			}
+		}
+	}
+	return best, bestV, n, nil
 }
 
 // Execution is the result of one Dopia-managed kernel execution.

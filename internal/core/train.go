@@ -56,39 +56,51 @@ func (we *WorkloadEval) Time(cfg sim.Config) float64 {
 	return math.Inf(1)
 }
 
-// EvaluateWorkload profiles a workload once and simulates every DoP
-// configuration of the machine with dynamic distribution (timing only; no
-// functional execution). It binds views of the input memo's masters
-// (workloads.Views), which a timing-only executor never writes, so a
-// characterization whose model the kernel's memo holds copies no buffer.
-func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, error) {
+// TimingExecutor builds the executor every timing-only sweep of a
+// workload runs on: w's kernel, launched on m over views of w's inputs
+// (workloads.Views), with Dopia's GPU charged as the malleable form. It
+// also returns w's Table 1 base features. Binding views is safe because a
+// timing-only executor never writes a bound buffer: Executor.Model's
+// sampled profile writes private copies of the written ones. So several
+// such executors may bind views of one master at once, and the returned
+// executor must never Run functionally.
+func TimingExecutor(m *sim.Machine, w *workloads.Workload) (*sched.Executor, ml.Features, error) {
 	k, err := w.CompileKernel()
 	if err != nil {
-		return nil, err
+		return nil, ml.Features{}, err
 	}
 	res, err := analysis.Analyze(k)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", w.Name, err)
+		return nil, ml.Features{}, fmt.Errorf("core: %s: %w", w.Name, err)
 	}
 	ex, err := sched.NewExecutor(m, k, nil)
 	if err != nil {
-		return nil, err
+		return nil, ml.Features{}, err
 	}
-	ex.AssumeMalleable = true // Dopia's GPU runs the malleable form: charge its timing
+	ex.AssumeMalleable = true
 	inst, err := w.Views()
+	if err != nil {
+		return nil, ml.Features{}, err
+	}
+	if err := ex.Bind(inst.Args...); err != nil {
+		return nil, ml.Features{}, err
+	}
+	if err := ex.Launch(inst.ND); err != nil {
+		return nil, ml.Features{}, err
+	}
+	return ex, BaseFeatures(res, inst.ND), nil
+}
+
+// EvaluateWorkload profiles a workload once and simulates every DoP
+// configuration of the machine with dynamic distribution on its
+// TimingExecutor, so a characterization whose model the kernel's memo
+// holds copies no buffer.
+func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, error) {
+	ex, base, err := TimingExecutor(m, w)
 	if err != nil {
 		return nil, err
 	}
-	if err := ex.Bind(inst.Args...); err != nil {
-		return nil, err
-	}
-	if err := ex.Launch(inst.ND); err != nil {
-		return nil, err
-	}
-	we := &WorkloadEval{
-		Name: w.Name,
-		Base: BaseFeatures(res, inst.ND),
-	}
+	we := &WorkloadEval{Name: w.Name, Base: base}
 	// The 44-config sweep is timing-only and embarrassingly parallel:
 	// RunConfigs builds the model once, then fans the simulations out.
 	cfgs := m.Configs()
@@ -106,11 +118,9 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	return we, nil
 }
 
-// EvaluateAll characterizes a set of workloads in parallel. Workers own
-// their executors; every buffer they bind is a view of an input memo
-// master or a fresh output, and several workers may bind views of one
-// master at once because no timing-only executor writes a bound buffer
-// and each view is placed in its own executor's address space.
+// EvaluateAll characterizes a set of workloads on parallelism workers
+// (0 = GOMAXPROCS). Workers own their executors, each a TimingExecutor
+// whose views are placed in its own address space.
 func EvaluateAll(m *sim.Machine, wls []*workloads.Workload, parallelism int) ([]*WorkloadEval, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
+	"dopia/internal/ml"
 	"dopia/internal/sim"
 )
 
@@ -18,22 +20,37 @@ func tinySuite(buf *bytes.Buffer) *Suite {
 	return s
 }
 
+// tiny is the one tinySuite the package's tests share, so each
+// characterization and each model fit they read is made once per test
+// binary: TestTrainingGolden reads the cross-validation and Figure 13
+// selections TestAllExperimentsRun made.
+var tiny struct {
+	once sync.Once
+	out  bytes.Buffer
+	s    *Suite
+}
+
+func sharedTinySuite() *Suite {
+	tiny.once.Do(func() { tiny.s = tinySuite(&tiny.out) })
+	return tiny.s
+}
+
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	var buf bytes.Buffer
-	s := tinySuite(&buf)
+	s := sharedTinySuite()
+	start := tiny.out.Len()
 	for _, e := range All() {
-		before := buf.Len()
+		before := tiny.out.Len()
 		if err := e.Run(s); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if buf.Len() == before {
+		if tiny.out.Len() == before {
 			t.Errorf("%s produced no output", e.ID)
 		}
 	}
-	t.Logf("combined output:\n%s", buf.String())
+	t.Logf("combined output:\n%s", tiny.out.String()[start:])
 }
 
 func TestByID(t *testing.T) {
@@ -50,9 +67,7 @@ func TestByID(t *testing.T) {
 
 func TestFixedSelections(t *testing.T) {
 	m := sim.Kaveri()
-	var buf bytes.Buffer
-	s := tinySuite(&buf)
-	evals, err := s.SynthEvals(m)
+	evals, err := sharedTinySuite().SynthEvals(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +90,7 @@ func TestFixedSelections(t *testing.T) {
 
 func TestSuiteCaching(t *testing.T) {
 	m := sim.Kaveri()
-	var buf bytes.Buffer
-	s := tinySuite(&buf)
+	s := sharedTinySuite()
 	e1, err := s.SynthEvals(m)
 	if err != nil {
 		t.Fatal(err)
@@ -88,36 +102,16 @@ func TestSuiteCaching(t *testing.T) {
 	if &e1[0] != &e2[0] {
 		t.Error("synthetic evals not cached")
 	}
-}
-
-func TestDiskCache(t *testing.T) {
-	var buf bytes.Buffer
-	s := tinySuite(&buf)
-	s.SynthLimit = 10
-	s.CacheDir = t.TempDir()
-	m := sim.Kaveri()
-	e1, err := s.SynthEvals(m)
+	c1, err := s.crossVal(m, ml.TreeTrainer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second suite with the same cache dir loads from disk.
-	s2 := tinySuite(&buf)
-	s2.SynthLimit = 10
-	s2.CacheDir = s.CacheDir
-	e2, err := s2.SynthEvals(m)
+	c2, err := s.crossVal(m, ml.TreeTrainer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e1) != len(e2) {
-		t.Fatalf("cache round-trip changed count: %d vs %d", len(e1), len(e2))
-	}
-	for i := range e1 {
-		if e1[i].Name != e2[i].Name || e1[i].BestTime != e2[i].BestTime {
-			t.Fatalf("cache round-trip changed eval %d", i)
-		}
-		if e1[i].Best != e2[i].Best {
-			t.Fatalf("cache round-trip changed best config %d", i)
-		}
+	if &c1[0] != &c2[0] {
+		t.Error("cross-validated selections not cached")
 	}
 }
 

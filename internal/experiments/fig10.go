@@ -25,7 +25,7 @@ func Fig10(s *Suite) error {
 			m.Name, folds, len(evals))
 		var rows [][]string
 		for _, tr := range core.Trainers() {
-			sel, err := CrossValSelections(m, evals, tr, folds, s.Seed)
+			sel, err := s.crossVal(m, tr)
 			if err != nil {
 				return err
 			}

@@ -11,23 +11,7 @@ import (
 // dopiaSelections runs the paper's Dopia pipeline (DT model, k-fold CV
 // over workloads) on a machine's synthetic characterizations.
 func dopiaSelections(s *Suite, m *sim.Machine) ([]Selection, error) {
-	if sel, ok := s.dopiaSel[m.Name]; ok {
-		return sel, nil
-	}
-	evals, err := s.SynthEvals(m)
-	if err != nil {
-		return nil, err
-	}
-	folds := s.Folds
-	if folds > len(evals) {
-		folds = len(evals) / 2
-	}
-	sel, err := CrossValSelections(m, evals, ml.TreeTrainer{}, folds, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.dopiaSel[m.Name] = sel
-	return sel, nil
+	return s.crossVal(m, ml.TreeTrainer{})
 }
 
 // Table5 reproduces Table 5: the number of workloads for which each

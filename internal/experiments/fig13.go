@@ -19,16 +19,14 @@ import (
 // advantage is eaten by its inference cost; MVT2 is the known outlier.
 func Fig13(s *Suite) error {
 	for _, m := range Machines() {
-		synth, err := s.SynthEvals(m)
-		if err != nil {
-			return err
-		}
 		realEv, err := s.RealEvals(m)
 		if err != nil {
 			return err
 		}
-		targets := fig13Targets(realEv)
-		train := append(append([]*core.WorkloadEval(nil), synth...), realEv...)
+		loo, err := s.looSelections(m)
+		if err != nil {
+			return err
+		}
 
 		s.printf("\nFigure 13 (%s): normalized performance to exhaustive search\n", m.Name)
 		headers := []string{"kernel", "CPU", "GPU", "ALL",
@@ -37,29 +35,22 @@ func Fig13(s *Suite) error {
 		sums := make([]float64, 8)
 		geos := make([]float64, 8)
 		count := 0
-		for _, target := range targets {
-			kernelBase := baseName(target.Name)
-			exclude := func(name string) bool {
-				return baseName(name) == kernelBase
-			}
+		for t, target := range fig13Targets(realEv) {
 			vals := []float64{
 				target.Perf(m.CPUOnly()),
 				target.Perf(m.GPUOnly()),
 				target.Perf(m.AllResources()),
 			}
 			var dtNoOH float64
-			for _, tr := range core.Trainers() {
-				sel, err := LeaveOneOutSelection(m, train, target, exclude, tr)
-				if err != nil {
-					return err
-				}
+			for j, tr := range core.Trainers() {
+				sel := loo[j][t]
 				vals = append(vals, sel.PerfWithOverhead)
 				if tr.Name() == "DT" {
 					dtNoOH = sel.Perf
 				}
 			}
 			vals = append(vals, dtNoOH)
-			row := []string{kernelBase}
+			row := []string{baseName(target.Name)}
 			for i, v := range vals {
 				row = append(row, stats.Fmt(v))
 				sums[i] += v

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"dopia/internal/core"
 	"dopia/internal/sched"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
@@ -15,54 +16,18 @@ import (
 // single-device execution is far worse on average.
 func Fig9(s *Suite) error {
 	for _, m := range Machines() {
-		grid, err := s.realSet().Workloads()
+		ratios, err := fig9Ratios(s, m)
 		if err != nil {
 			return err
 		}
 		var cpuN, gpuN, dynN []float64
-		for _, w := range grid {
-			k, err := w.CompileKernel()
-			if err != nil {
-				return err
-			}
-			ex, err := sched.NewExecutor(m, k, nil)
-			if err != nil {
-				return err
-			}
-			ex.AssumeMalleable = true
-			inst, err := w.Setup()
-			if err != nil {
-				return err
-			}
-			if err := ex.Bind(inst.Args...); err != nil {
-				return err
-			}
-			if err := ex.Launch(inst.ND); err != nil {
-				return err
-			}
-			all := m.AllResources()
-			cpu, err := ex.Run(m.CPUOnly(), sched.RunOptions{Dist: sim.Static, CPUShare: 1})
-			if err != nil {
-				return err
-			}
-			gpu, err := ex.Run(m.GPUOnly(), sched.RunOptions{Dist: sim.Static})
-			if err != nil {
-				return err
-			}
-			_, static, err := ex.BestStatic(all)
-			if err != nil {
-				return err
-			}
-			dyn, err := ex.Run(all, sched.RunOptions{Dist: sim.Dynamic})
-			if err != nil {
-				return err
-			}
-			cpuN = append(cpuN, cpu.Time/static.Time)
-			gpuN = append(gpuN, gpu.Time/static.Time)
-			dynN = append(dynN, dyn.Time/static.Time)
+		for _, r := range ratios {
+			cpuN = append(cpuN, r.CPU)
+			gpuN = append(gpuN, r.GPU)
+			dynN = append(dynN, r.Dynamic)
 		}
 		s.printf("\nFigure 9 (%s): execution time normalized to best STATIC over %d workloads\n",
-			m.Name, len(grid))
+			m.Name, len(ratios))
 		rows := [][]string{
 			boxRow("CPU", stats.BoxOf(cpuN)),
 			boxRow("GPU", stats.BoxOf(gpuN)),
@@ -75,6 +40,52 @@ func Fig9(s *Suite) error {
 			dynBox.Mean)
 	}
 	return nil
+}
+
+// fig9Ratio is one workload of Figure 9: its CPU-only, GPU-only and
+// dynamic (ALL resources) times, each divided by its best static split.
+type fig9Ratio struct {
+	Workload          string
+	CPU, GPU, Dynamic float64
+}
+
+// fig9Ratios times every workload of the suite's real set on m.
+func fig9Ratios(s *Suite, m *sim.Machine) ([]fig9Ratio, error) {
+	grid, err := s.realSet().Workloads()
+	if err != nil {
+		return nil, err
+	}
+	var out []fig9Ratio
+	for _, w := range grid {
+		ex, _, err := core.TimingExecutor(m, w)
+		if err != nil {
+			return nil, err
+		}
+		all := m.AllResources()
+		cpu, err := ex.Run(m.CPUOnly(), sched.RunOptions{Dist: sim.Static, CPUShare: 1})
+		if err != nil {
+			return nil, err
+		}
+		gpu, err := ex.Run(m.GPUOnly(), sched.RunOptions{Dist: sim.Static})
+		if err != nil {
+			return nil, err
+		}
+		_, static, err := ex.BestStatic(all)
+		if err != nil {
+			return nil, err
+		}
+		dyn, err := ex.Run(all, sched.RunOptions{Dist: sim.Dynamic})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fig9Ratio{
+			Workload: w.Name,
+			CPU:      cpu.Time / static.Time,
+			GPU:      gpu.Time / static.Time,
+			Dynamic:  dyn.Time / static.Time,
+		})
+	}
+	return out, nil
 }
 
 func boxRow(name string, b stats.Box) []string {

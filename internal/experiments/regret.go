@@ -62,7 +62,10 @@ func EvalTrace(m *sim.Machine, evals []*core.WorkloadEval, frozen ml.Model, trac
 	for _, we := range evals {
 		byName[we.Name] = we
 		if frozen != nil {
-			cfg, _ := modelSelect(m, frozen, we.Base)
+			cfg, _, _, err := core.SelectConfig(m, frozen, we.Base)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: frozen model on %s: %w", we.Name, err)
+			}
 			frozenCfg[we.Name] = cfg
 		} else {
 			frozenCfg[we.Name] = m.AllResources()

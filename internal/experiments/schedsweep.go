@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"dopia/internal/sched"
+	"dopia/internal/core"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
 	"dopia/internal/workloads"
@@ -32,23 +32,8 @@ func SchedPolicies() []string {
 // mixes, footprints, access patterns), so a single profile serves every
 // machine of the zoo.
 func workloadModel(w *workloads.Workload) (*sim.KernelModel, error) {
-	k, err := w.CompileKernel()
+	ex, _, err := core.TimingExecutor(sim.Kaveri(), w)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	ex, err := sched.NewExecutor(sim.Kaveri(), k, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	ex.AssumeMalleable = true
-	inst, err := w.Setup()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	if err := ex.Bind(inst.Args...); err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	if err := ex.Launch(inst.ND); err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	km, err := ex.Model()

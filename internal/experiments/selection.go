@@ -56,22 +56,15 @@ func FixedSelections(m *sim.Machine, evals []*core.WorkloadEval, cfg sim.Config)
 	return out
 }
 
-// modelSelect scores all configurations of m with the model and returns
-// the argmax plus the wall-clock inference time.
-func modelSelect(m *sim.Machine, model ml.Model, base ml.Features) (sim.Config, float64) {
+// selectionOf lets model choose a configuration for we (core.SelectConfig)
+// and records the outcome, timing the choice.
+func selectionOf(m *sim.Machine, we *core.WorkloadEval, model ml.Model) (Selection, error) {
 	start := time.Now()
-	var best sim.Config
-	bestV := math.Inf(-1)
-	for _, cfg := range m.Configs() {
-		if v := model.Predict(core.WithConfig(base, m, cfg)); v > bestV {
-			best, bestV = cfg, v
-		}
+	chosen, _, _, err := core.SelectConfig(m, model, we.Base)
+	inferSec := time.Since(start).Seconds()
+	if err != nil {
+		return Selection{}, fmt.Errorf("experiments: %s: %w", we.Name, err)
 	}
-	return best, time.Since(start).Seconds()
-}
-
-// selectionOf builds the Selection record for a model choice.
-func selectionOf(m *sim.Machine, we *core.WorkloadEval, chosen sim.Config, inferSec float64) Selection {
 	t := we.Time(chosen)
 	perf := 0.0
 	perfOH := 0.0
@@ -87,7 +80,7 @@ func selectionOf(m *sim.Machine, we *core.WorkloadEval, chosen sim.Config, infer
 		Dist:             distError(m, chosen, we.Best),
 		Exact:            chosen == we.Best,
 		InferSec:         inferSec,
-	}
+	}, nil
 }
 
 // CrossValSelections performs k-fold cross-validation over *workloads*
@@ -115,9 +108,11 @@ func CrossValSelections(m *sim.Machine, evals []*core.WorkloadEval,
 			return nil, fmt.Errorf("experiments: fold %d: %w", f, err)
 		}
 		for i := lo; i < hi; i++ {
-			we := evals[perm[i]]
-			chosen, inferSec := modelSelect(m, model, we.Base)
-			out = append(out, selectionOf(m, we, chosen, inferSec))
+			sel, err := selectionOf(m, evals[perm[i]], model)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, sel)
 		}
 	}
 	return out, nil
@@ -140,8 +135,7 @@ func LeaveOneOutSelection(m *sim.Machine, train []*core.WorkloadEval,
 	if err != nil {
 		return Selection{}, err
 	}
-	chosen, inferSec := modelSelect(m, model, target.Base)
-	return selectionOf(m, target, chosen, inferSec), nil
+	return selectionOf(m, target, model)
 }
 
 // Perfs extracts the Perf column.

@@ -8,21 +8,20 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"dopia/internal/core"
+	"dopia/internal/ml"
 	"dopia/internal/sim"
 	"dopia/internal/workloads"
 )
 
 // Suite holds the shared configuration and caches of the experiment
-// drivers. Workload characterizations (the expensive part: one sampled
-// profile plus 44 simulations per workload) are computed once per machine
-// and reused across experiments, optionally cached on disk.
+// drivers. Workload characterizations (one sampled profile plus 44
+// simulations per workload), cross-validated selections and Figure 13's
+// leave-one-out selections are computed once per machine and reused
+// across experiments.
 type Suite struct {
-	Out         io.Writer
-	Parallelism int
+	Out io.Writer
 	// SynthLimit truncates the 1,224-workload synthetic grid for quick
 	// runs; 0 uses the full grid.
 	SynthLimit int
@@ -32,24 +31,24 @@ type Suite struct {
 	// Folds is the cross-validation fold count (paper: 64).
 	Folds int
 	Seed  int64
-	// CacheDir, when set, persists characterizations between runs.
-	CacheDir string
 
-	synth    map[string][]*core.WorkloadEval
-	real     map[string][]*core.WorkloadEval
-	dopiaSel map[string][]Selection
+	synth map[string][]*core.WorkloadEval
+	real  map[string][]*core.WorkloadEval
+	cv    map[string][]Selection   // machine + "/" + model family
+	loo   map[string][][]Selection // machine -> per model family, per fig13Targets
 }
 
 // NewSuite returns a suite writing to out with paper-default settings.
 func NewSuite(out io.Writer) *Suite {
 	return &Suite{
-		Out:      out,
-		RealN:    workloads.DefaultRealSize,
-		Folds:    64,
-		Seed:     1,
-		synth:    map[string][]*core.WorkloadEval{},
-		real:     map[string][]*core.WorkloadEval{},
-		dopiaSel: map[string][]Selection{},
+		Out:   out,
+		RealN: workloads.DefaultRealSize,
+		Folds: 64,
+		Seed:  1,
+		synth: map[string][]*core.WorkloadEval{},
+		real:  map[string][]*core.WorkloadEval{},
+		cv:    map[string][]Selection{},
+		loo:   map[string][][]Selection{},
 	}
 }
 
@@ -57,10 +56,9 @@ func (s *Suite) printf(format string, args ...any) {
 	fmt.Fprintf(s.Out, format, args...)
 }
 
-// SynthEvals characterizes (or loads) the synthetic training grid on m.
+// SynthEvals characterizes the synthetic training grid on m.
 func (s *Suite) SynthEvals(m *sim.Machine) ([]*core.WorkloadEval, error) {
-	return s.evals(m, s.synth, fmt.Sprintf("synth-%s-l%d.json.gz", m.Name, s.SynthLimit),
-		core.TrainingSet{Synthetic: s.SynthLimit})
+	return s.evals(m, s.synth, core.TrainingSet{Synthetic: s.SynthLimit})
 }
 
 // realSet is the Figure 9 / training real-workload set: the fourteen
@@ -69,41 +67,87 @@ func (s *Suite) realSet() core.TrainingSet {
 	return core.TrainingSet{Synthetic: -1, RealN: []int{s.RealN, s.RealN / 2}}
 }
 
-// RealEvals characterizes (or loads) the real-workload grid on m.
+// RealEvals characterizes the real-workload grid on m.
 func (s *Suite) RealEvals(m *sim.Machine) ([]*core.WorkloadEval, error) {
-	return s.evals(m, s.real, fmt.Sprintf("real-%s-n%d.json.gz", m.Name, s.RealN), s.realSet())
+	return s.evals(m, s.real, s.realSet())
 }
 
-// evals characterizes set on m once per suite, through the memory cache
-// and, when CacheDir is set, the named file under it.
+// evals characterizes set on m once per suite.
 func (s *Suite) evals(m *sim.Machine, cache map[string][]*core.WorkloadEval,
-	file string, set core.TrainingSet) ([]*core.WorkloadEval, error) {
+	set core.TrainingSet) ([]*core.WorkloadEval, error) {
 	if ev, ok := cache[m.Name]; ok {
 		return ev, nil
-	}
-	cachePath := ""
-	if s.CacheDir != "" {
-		cachePath = filepath.Join(s.CacheDir, file)
-		if ev, err := core.LoadEvals(cachePath, m.Name); err == nil {
-			cache[m.Name] = ev
-			return ev, nil
-		}
 	}
 	wls, err := set.Workloads()
 	if err != nil {
 		return nil, err
 	}
-	ev, err := core.EvaluateAll(m, wls, s.Parallelism)
+	ev, err := core.EvaluateAll(m, wls, 0)
 	if err != nil {
 		return nil, err
 	}
 	cache[m.Name] = ev
-	if cachePath != "" {
-		if err := os.MkdirAll(s.CacheDir, 0o755); err == nil {
-			_ = core.SaveEvals(cachePath, m.Name, ev)
-		}
-	}
 	return ev, nil
+}
+
+// crossVal is the suite's k-fold cross-validation of one model family on
+// m's synthetic grid (CrossValSelections with the suite's folds, at most
+// half the workloads, and seed), computed once per suite.
+func (s *Suite) crossVal(m *sim.Machine, tr ml.Trainer) ([]Selection, error) {
+	key := m.Name + "/" + tr.Name()
+	if sel, ok := s.cv[key]; ok {
+		return sel, nil
+	}
+	evals, err := s.SynthEvals(m)
+	if err != nil {
+		return nil, err
+	}
+	folds := s.Folds
+	if folds > len(evals) {
+		folds = len(evals) / 2
+	}
+	sel, err := CrossValSelections(m, evals, tr, folds, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	s.cv[key] = sel
+	return sel, nil
+}
+
+// looSelections is Figure 13's leave-one-family-out selection on m: for
+// each model family of core.Trainers, in order, one Selection per
+// fig13Targets target by a model trained on the synthetic grid and the
+// real set minus every variant of the target's kernel. It is computed
+// once per suite.
+func (s *Suite) looSelections(m *sim.Machine) ([][]Selection, error) {
+	if sel, ok := s.loo[m.Name]; ok {
+		return sel, nil
+	}
+	synth, err := s.SynthEvals(m)
+	if err != nil {
+		return nil, err
+	}
+	realEv, err := s.RealEvals(m)
+	if err != nil {
+		return nil, err
+	}
+	train := append(append([]*core.WorkloadEval(nil), synth...), realEv...)
+	var out [][]Selection
+	for _, tr := range core.Trainers() {
+		var sel []Selection
+		for _, target := range fig13Targets(realEv) {
+			family := baseName(target.Name)
+			se, err := LeaveOneOutSelection(m, train, target,
+				func(name string) bool { return baseName(name) == family }, tr)
+			if err != nil {
+				return nil, err
+			}
+			sel = append(sel, se)
+		}
+		out = append(out, sel)
+	}
+	s.loo[m.Name] = out
+	return out, nil
 }
 
 // Machines returns the two evaluated platforms.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -89,31 +88,14 @@ func TestTrainingGolden(t *testing.T) {
 	}
 	fmt.Fprintf(&b, "default-model-102 %s\n", predictionDigest(model, probe))
 
-	var out bytes.Buffer
-	s := tinySuite(&out)
-	synth, err := s.SynthEvals(m)
+	s := sharedTinySuite()
+	loo, err := s.looSelections(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	realEv, err := s.RealEvals(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := fig13Targets(realEv)
-	train := append(append([]*core.WorkloadEval(nil), synth...), realEv...)
-	for _, tr := range core.Trainers() {
-		var loo []Selection
-		for _, target := range targets {
-			family := baseName(target.Name)
-			sel, err := LeaveOneOutSelection(m, train, target,
-				func(name string) bool { return baseName(name) == family }, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loo = append(loo, sel)
-		}
-		fmt.Fprintf(&b, "fig13-%s %s\n", tr.Name(), selectionDigest(loo))
-		cv, err := CrossValSelections(m, synth, tr, s.Folds, s.Seed)
+	for i, tr := range core.Trainers() {
+		fmt.Fprintf(&b, "fig13-%s %s\n", tr.Name(), selectionDigest(loo[i]))
+		cv, err := s.crossVal(m, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

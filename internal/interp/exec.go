@@ -662,11 +662,15 @@ type runState struct {
 func (rs *runState) prepare(stats *RunStats) {
 	ex := rs.ex
 	wgSize := ex.nd.GroupSize()
-	if len(rs.slotScratch) < wgSize {
+	if ex.prog == nil && len(rs.slotScratch) < wgSize {
+		// Only the closure engine keeps a work-item's variables in slots;
+		// bytecode keeps them in its register rows.
 		rs.slotScratch = make([][]Value, wgSize)
 		for i := range rs.slotScratch {
 			rs.slotScratch[i] = make([]Value, ex.kernel.NumSlots)
 		}
+	}
+	if len(rs.doneScratch) < wgSize {
 		rs.doneScratch = make([]bool, wgSize)
 		if len(ex.lay.privSyms) > 0 {
 			rs.privScratch = make([][][]Value, wgSize)

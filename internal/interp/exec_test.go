@@ -585,3 +585,37 @@ func TestDefaultParallelismFollowsGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestBytecodeRunSizesNoSlotScratch holds a fresh bytecode Exec's run to
+// its own scratch: one integer and one float register row per work-item
+// of a group plus a fixed overhead. The closure engine's per-work-item
+// variable slots (another row per work-item) are sized only for a
+// closure launch.
+func TestBytecodeRunSizesNoSlotScratch(t *testing.T) {
+	k := compileKernelSrc(t, vaddSrc, "vadd")
+	const n = 256 // one work-group of n work-items
+	a, b, c := NewFloatBuffer(n), NewFloatBuffer(n), NewFloatBuffer(n)
+	run := func() {
+		ex, err := NewExec(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.Parallelism = 1
+		if err := ex.Bind(BufArg(a), BufArg(b), BufArg(c), IntArg(n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Launch(ND1(n, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if eng, _ := ex.EngineUsed(); eng != EngineBytecode {
+			t.Fatalf("ran on %v, want bytecode", eng)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs >= 2*n+n/2 {
+		t.Errorf("a fresh bytecode run allocates %v times, want < %d (two register rows per work-item)", allocs, 2*n+n/2)
+	}
+}
