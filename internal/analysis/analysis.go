@@ -67,8 +67,9 @@ type Result struct {
 	// MaxLoopDepth is the deepest loop nest in the kernel.
 	MaxLoopDepth int
 
-	// written is WrittenArgs, filled in once the walk is done.
-	written []int
+	// written and loaded are WrittenArgs and LoadedArgs, filled in once
+	// the walk is done.
+	written, loaded []int
 
 	// indep is the static half of the work-group-independence predicate
 	// (see independence.go).
@@ -93,6 +94,12 @@ func (r *Result) addAtomicArg(slot int) { r.AtomicArgs = appendSlot(r.AtomicArgs
 // snapshots, restores or invalidates "the written buffers" asks here.
 // The slice is shared and must not be modified.
 func (r *Result) WrittenArgs() []int { return r.written }
+
+// LoadedArgs returns the parameter slots the kernel reads: the buffers
+// of its load sites, which include the targets of compound assignments
+// and ++/--, plus AtomicArgs, each once. The slice is shared and must not
+// be modified.
+func (r *Result) LoadedArgs() []int { return r.loaded }
 
 // MemTotal returns the total number of classified memory operations.
 func (r *Result) MemTotal() int {
@@ -153,12 +160,17 @@ func runAnalysis(k *clc.Kernel) (*Result, error) {
 			fmt.Errorf("%w: %w", faults.ErrAnalysisFailed, a.err))
 	}
 	for _, sc := range a.res.Sites {
-		if sc.Write && sc.ArgIndex >= 0 {
+		switch {
+		case sc.ArgIndex < 0:
+		case sc.Write:
 			a.res.written = appendSlot(a.res.written, sc.ArgIndex)
+		default:
+			a.res.loaded = appendSlot(a.res.loaded, sc.ArgIndex)
 		}
 	}
 	for _, slot := range a.res.AtomicArgs {
 		a.res.written = appendSlot(a.res.written, slot)
+		a.res.loaded = appendSlot(a.res.loaded, slot)
 	}
 	if len(a.res.AtomicArgs) > 0 {
 		a.res.indep.static = "global atomics"

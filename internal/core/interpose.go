@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dopia/internal/analysis"
 	"dopia/internal/faults"
 	"dopia/internal/interp"
 	"dopia/internal/ocl"
@@ -133,9 +134,11 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 		return false, 0, nil
 	}
 
-	// The buffers the kernel writes, so a partially executed rung can be
-	// rolled back before the next rung re-executes the launch.
-	snap := interp.SnapshotArgs(args, res.WrittenArgs())
+	// The written buffers a re-execution reads back, so a partially
+	// executed rung can be rolled back before the next rung re-runs the
+	// launch. A store-only buffer needs no copy: a launch's stores do not
+	// depend on its configuration, so the next rung rewrites them all.
+	snap := interp.SnapshotArgs(args, readBack(args, res))
 
 	// Rung 1: full Dopia management.
 	cause := transform.Check(k.Compiled(), nd.Dims)
@@ -171,4 +174,19 @@ func (ip *interposer) Enqueue(q *ocl.CommandQueue, k *ocl.Kernel, nd interp.NDRa
 	rec.plain(cause)
 	q.LastLaunch = &LaunchInfo{Rung: "plain", Cause: cause}
 	return false, 0, nil
+}
+
+// readBack returns the written slots whose buffer the kernel also loads,
+// through that slot or any other bound to the same buffer.
+func readBack(args []interp.Arg, res *analysis.Result) []int {
+	var slots []int
+	for _, w := range res.WrittenArgs() {
+		for _, r := range res.LoadedArgs() {
+			if args[r].Buf == args[w].Buf {
+				slots = append(slots, w)
+				break
+			}
+		}
+	}
+	return slots
 }

@@ -100,17 +100,17 @@ func EvaluateWorkload(m *sim.Machine, w *workloads.Workload) (*WorkloadEval, err
 	if err != nil {
 		return nil, err
 	}
-	we := &WorkloadEval{Name: w.Name, Base: base}
-	// The 44-config sweep is timing-only and embarrassingly parallel:
-	// RunConfigs builds the model once, then fans the simulations out.
+	// The 44-config sweep is timing-only: RunConfigs builds the model
+	// once, then simulates the configurations on this goroutine.
 	cfgs := m.Configs()
 	results, err := ex.RunConfigs(cfgs, sched.RunOptions{Dist: sim.Dynamic})
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", w.Name, err)
 	}
+	we := &WorkloadEval{Name: w.Name, Base: base, Times: make([]ConfigTime, len(cfgs))}
 	for i, cfg := range cfgs {
 		r := results[i]
-		we.Times = append(we.Times, ConfigTime{Config: cfg, Time: r.Time})
+		we.Times[i] = ConfigTime{Config: cfg, Time: r.Time}
 		if we.BestTime == 0 || r.Time < we.BestTime {
 			we.Best, we.BestTime = cfg, r.Time
 		}

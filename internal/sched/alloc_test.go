@@ -21,7 +21,9 @@ import (
 // relaunch passes the kernel's malleable form, as the framework's managed
 // rung does; it only changes the simulated timing, so on the CPU-only
 // configuration, whose plan it cannot change, it allocates no more than a
-// relaunch without it.
+// relaunch without it; race builds skip that comparison, since a run
+// simulates and the race detector makes the simulator's pool drop its
+// scratch at random.
 func TestMemoHitRelaunchAllocs(t *testing.T) {
 	ws, err := workloads.RealWorkloads(128, 64)
 	if err != nil {
@@ -86,7 +88,7 @@ func TestMemoHitRelaunchAllocs(t *testing.T) {
 		})
 		t.Logf("%s: %.0f allocations per managed relaunch; CPU-only %.0f, %.0f with the malleable kernel; %.0f per re-launch and model",
 			w.Name, full, cpuOnly, managed, model)
-		if managed > cpuOnly {
+		if managed > cpuOnly && !sched.RaceBuild {
 			t.Errorf("%s: a CPU-only relaunch with the malleable kernel allocates %.0f times, %.0f without it",
 				w.Name, managed, cpuOnly)
 		}

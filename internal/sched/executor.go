@@ -32,9 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"dopia/internal/analysis"
 	"dopia/internal/clc"
@@ -43,7 +40,8 @@ import (
 	"dopia/internal/sim"
 )
 
-// Executor runs one kernel on one simulated machine.
+// Executor runs one kernel on one simulated machine. It is not safe for
+// concurrent use: a bulk caller parallelizes across executors.
 type Executor struct {
 	Machine *sim.Machine
 	// AssumeMalleable charges GPU chunks with the malleable-kernel
@@ -66,11 +64,6 @@ type Executor struct {
 	bound    bool
 	launched bool
 
-	// mu guards the lazily built model, so timing-only Run calls (which
-	// touch no interpreter state once the model exists) are safe to issue
-	// from multiple goroutines. Functional runs mutate buffers and the
-	// interpreter and must stay single-threaded.
-	mu       sync.Mutex
 	model    *sim.KernelModel
 	profiled bool
 	// kept lists the sampled groups whose output the model's profile
@@ -124,9 +117,7 @@ func (e *Executor) Bind(args ...interp.Arg) error {
 // invalidate drops the model; called whenever the binding or launch
 // geometry changes.
 func (e *Executor) invalidate() {
-	e.mu.Lock()
 	e.model, e.profiled, e.kept = nil, false, nil
-	e.mu.Unlock()
 }
 
 // Launch sets the ND range for subsequent runs.
@@ -173,8 +164,6 @@ func (e *Executor) ModelForRun() (*sim.KernelModel, error) {
 // buildModel is Model; with keep set, a profile of an independent launch
 // keeps its sampled groups' output and records them in kept (see Run).
 func (e *Executor) buildModel(keep bool) (*sim.KernelModel, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.model != nil {
 		return e.model, nil
 	}
@@ -213,11 +202,7 @@ func (e *Executor) buildModel(keep bool) (*sim.KernelModel, error) {
 // Profiled reports whether the current model was built by a sampled
 // profile run of this launch; it is false when the model came from the
 // kernel's memo, and before Model has run.
-func (e *Executor) Profiled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.profiled
-}
+func (e *Executor) Profiled() bool { return e.profiled }
 
 // profile runs the sampled profile of the launched interpreter and builds
 // its model on private copies of the written buffers, unless keep is set:
@@ -309,9 +294,7 @@ func (e *Executor) Run(cfg sim.Config, opts RunOptions) (res *sim.Result, err er
 	var plan, kept []interp.Segment
 	var onSpan sim.SpanFunc
 	if opts.Functional {
-		e.mu.Lock()
 		kept, e.kept = e.kept, nil
-		e.mu.Unlock()
 		if err := e.prepareFunctional(); err != nil {
 			return nil, err
 		}
@@ -364,36 +347,21 @@ func cut(plan []interp.Segment, s interp.Segment, kept []interp.Segment) []inter
 	return append(plan, s)
 }
 
-// RunConfigs runs one simulation per configuration and returns the
-// results in configuration order. A timing-only sweep (the 44-config DoP
-// sweep of the training pipeline, the learner's oracle row) builds the
-// model once and then simulates the configurations on fanOut's workers;
-// a functional sweep mutates interpreter and buffer state and therefore
-// runs sequentially. On error the lowest-indexed failure wins.
+// RunConfigs runs one simulation per configuration, in configuration
+// order on the calling goroutine, and returns the results in that order;
+// the first failure wins. A timing-only sweep (the 44-config DoP sweep of
+// the training pipeline, the learner's oracle row) builds the model once
+// and then only simulates, a few microseconds per configuration, so a
+// bulk caller parallelizes across sweeps (core.EvaluateAll) rather than
+// within one.
 func (e *Executor) RunConfigs(cfgs []sim.Config, opts RunOptions) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(cfgs))
-	if opts.Functional || len(cfgs) < 2 {
-		for i, cfg := range cfgs {
-			r, err := e.Run(cfg, opts)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-	// Build the model once, on this goroutine, before fanning out.
-	if _, err := e.Model(); err != nil {
-		return nil, err
-	}
-	errs := make([]error, len(cfgs))
-	fanOut(len(cfgs), func(i int) {
-		results[i], errs[i] = e.Run(cfgs[i], opts)
-	})
-	for _, err := range errs {
+	for i, cfg := range cfgs {
+		r, err := e.Run(cfg, opts)
 		if err != nil {
 			return nil, err
 		}
+		results[i] = r
 	}
 	return results, nil
 }
@@ -417,58 +385,20 @@ func segment(device string, start, count int) (interp.Segment, error) {
 
 // BestStatic sweeps the paper's 19 static splits (5%..95% to the CPU) and
 // returns the best share and its result (the Figure 9 "STATIC" baseline).
-// The splits are timing-only and simulated in parallel; scanning the
-// results in share order keeps the tie-breaking identical to the old
-// sequential sweep (lowest share wins ties).
+// The splits are timing-only and simulated in share order, the lowest
+// share winning ties.
 func (e *Executor) BestStatic(cfg sim.Config) (float64, *sim.Result, error) {
-	if _, err := e.Model(); err != nil {
-		return 0, nil, err
-	}
-	const n = 19
-	results := make([]*sim.Result, n)
-	errs := make([]error, n)
-	fanOut(n, func(i int) {
-		share := float64(i+1) * 0.05
-		results[i], errs[i] = e.Run(cfg, RunOptions{Dist: sim.Static, CPUShare: share})
-	})
-	for _, err := range errs {
+	var bestShare float64
+	var best *sim.Result
+	for i := 1; i <= 19; i++ {
+		share := float64(i) * 0.05
+		r, err := e.Run(cfg, RunOptions{Dist: sim.Static, CPUShare: share})
 		if err != nil {
 			return 0, nil, err
 		}
-	}
-	var bestShare float64
-	var best *sim.Result
-	for i, r := range results {
 		if best == nil || r.Time < best.Time {
-			best, bestShare = r, float64(i+1)*0.05
+			best, bestShare = r, share
 		}
 	}
 	return bestShare, best, nil
-}
-
-// fanOut calls do(i) once for every i in [0, n) on min(GOMAXPROCS, n)
-// workers, the caller being one of them, each pulling the next index
-// from a shared counter; it returns when every call has. At GOMAXPROCS 1
-// it starts no goroutine.
-func fanOut(n int, do func(i int)) {
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			do(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }

@@ -12,3 +12,6 @@ func MemoStats(k *clc.Kernel) lru.Stats {
 	memo, _ := clc.Memo(k, modelKey{}, newProfileMemo)
 	return memo.Stats()
 }
+
+// RaceBuild is raceBuild for the external tests.
+const RaceBuild = raceBuild

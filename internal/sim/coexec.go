@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 )
 
 // SpanFunc is an optional callback invoked for every span of work-groups
@@ -144,6 +145,25 @@ func HGuidedChunk(remaining, unit, minChunk int, w, sumW float64) int {
 	return c
 }
 
+// agent is one simulated agent's slot: a CPU core or the GPU. An agent
+// executes one span at a time.
+type agent struct {
+	start, count int     // span being executed
+	t0           float64 // when it started
+	weight       float64 // HGuided's observed throughput
+}
+
+// scratch is what one simulation uses and drops: the fluid engine, its
+// tasks and slices, and the agent table. Simulate takes one from
+// scratchPool and puts it back on return, so however many goroutines
+// simulate at once, a simulation allocates only its Result.
+type scratch struct {
+	fl     Fluid
+	agents []agent
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Simulate runs one kernel execution on the machine under the given DoP
 // configuration and distribution scheme.
 func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts SimOptions) (*Result, error) {
@@ -158,8 +178,10 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 	}
 
 	res := &Result{}
-	fl := NewFluid(m.Mem.BandwidthBs)
-	fl.Time = opts.ExtraStartupSec
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	fl := &sc.fl
+	fl.reset(m.Mem.BandwidthBs, opts.ExtraStartupSec)
 
 	cpuCost := TaskCost{}
 	if cfg.CPUCores > 0 {
@@ -167,14 +189,10 @@ func Simulate(m *Machine, km *KernelModel, cfg Config, dist Distribution, opts S
 	}
 
 	// One slot per agent, cores first and the GPU last; a slot is its
-	// agent's fluid owner. An agent executes one span at a time.
-	type agent struct {
-		start, count int     // span being executed
-		t0           float64 // when it started
-		weight       float64 // HGuided's observed throughput
-	}
+	// agent's fluid owner.
 	gpuSlot := cfg.CPUCores
-	agents := make([]agent, cfg.CPUCores+1)
+	agents := append(sc.agents[:0], make([]agent, gpuSlot+1)...)
+	sc.agents = agents
 	gpuActive := cfg.GPUFrac > 0
 	// begin starts the agent in slot on count work-groups from start.
 	begin := func(slot, start, count int, cost TaskCost) {

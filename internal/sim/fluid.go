@@ -27,11 +27,9 @@ type Fluid struct {
 	Time float64
 	// tasks holds the in-flight tasks in insertion order, so every
 	// floating-point sum over them is taken in one fixed order and a
-	// simulation is bit-identical run to run.
-	tasks []*fluidTask
-	// free holds finished tasks for Add to reuse; unsat is waterfill's
+	// simulation is bit-identical run to run. unsat is waterfill's
 	// scratch and done Step's result.
-	free  []*fluidTask
+	tasks []fluidTask
 	unsat []*fluidTask
 	done  []int
 }
@@ -42,18 +40,19 @@ func NewFluid(bw float64) *Fluid {
 	return &Fluid{BW: bw}
 }
 
+// reset empties the engine for a memory system of peak bandwidth bw and
+// sets its clock to t0, keeping its slices' storage.
+func (f *Fluid) reset(bw, t0 float64) {
+	f.BW, f.Time = bw, t0
+	f.tasks, f.done = f.tasks[:0], f.done[:0]
+}
+
 // Active returns the number of in-flight tasks.
 func (f *Fluid) Active() int { return len(f.tasks) }
 
 // Add inserts a task for an agent that has none in flight.
 func (f *Fluid) Add(owner int, c TaskCost) {
-	var t *fluidTask
-	if n := len(f.free); n > 0 {
-		t, f.free = f.free[n-1], f.free[:n-1]
-	} else {
-		t = new(fluidTask)
-	}
-	*t = fluidTask{
+	t := fluidTask{
 		owner:   owner,
 		compute: c.Compute,
 		latency: c.Latency,
@@ -79,8 +78,8 @@ func (f *Fluid) Add(owner int, c TaskCost) {
 // congestion returns the demand overload factor rho = max(0, D/BW - 1).
 func (f *Fluid) congestion() float64 {
 	var d float64
-	for _, t := range f.tasks {
-		d += t.demand
+	for i := range f.tasks {
+		d += f.tasks[i].demand
 	}
 	if f.BW <= 0 || d <= f.BW {
 		return 0
@@ -93,7 +92,8 @@ func (f *Fluid) congestion() float64 {
 func (f *Fluid) waterfill() {
 	remaining := f.BW
 	unsat := f.unsat[:0]
-	for _, t := range f.tasks {
+	for i := range f.tasks {
+		t := &f.tasks[i]
 		t.rate = 0
 		if t.demand > 0 && t.memB > 0 {
 			unsat = append(unsat, t)
@@ -142,7 +142,8 @@ func (f *Fluid) Step() (done []int, ok bool) {
 	// Earliest event: either a task fully completes, or a task drains its
 	// memory (which frees bandwidth for the others).
 	dt := math.Inf(1)
-	for _, t := range f.tasks {
+	for i := range f.tasks {
+		t := &f.tasks[i]
 		fin := t.compute
 		if lt := t.latency / latRate; lt > fin {
 			fin = lt
@@ -175,8 +176,8 @@ func (f *Fluid) Step() (done []int, ok bool) {
 		// them — otherwise Step would return forever without progress.
 		// The tasks still pay their compute and latency on later steps.
 		dt = 0
-		for _, t := range f.tasks {
-			if t.memB > 0 && t.rate <= 0 {
+		for i := range f.tasks {
+			if t := &f.tasks[i]; t.memB > 0 && t.rate <= 0 {
 				t.memB = 0
 			}
 		}
@@ -185,7 +186,8 @@ func (f *Fluid) Step() (done []int, ok bool) {
 	f.Time += dt
 	done = f.done[:0]
 	live := f.tasks[:0]
-	for _, t := range f.tasks {
+	for i := range f.tasks {
+		t := &f.tasks[i]
 		t.compute -= dt
 		if t.compute < 0 {
 			t.compute = 0
@@ -202,12 +204,10 @@ func (f *Fluid) Step() (done []int, ok bool) {
 			// Simultaneous completions come back in insertion order,
 			// so schedules that react to them replay deterministically.
 			done = append(done, t.owner)
-			f.free = append(f.free, t)
 		} else {
-			live = append(live, t)
+			live = append(live, *t)
 		}
 	}
-	clear(f.tasks[len(live):])
 	f.tasks = live
 	f.done = done
 	return done, true

@@ -215,9 +215,9 @@ func (c Config) Valid() bool { return c.CPUCores > 0 || c.GPUFrac > 0 }
 
 // Configs enumerates the machine's DoP configuration space (Table 3),
 // excluding the all-idle configuration — 44 entries for both evaluated
-// machines.
+// machines. It allocates once, for the whole grid.
 func (m *Machine) Configs() []Config {
-	var out []Config
+	out := make([]Config, 0, len(m.CPUSteps)*len(m.GPUSteps))
 	for _, c := range m.CPUSteps {
 		for _, g := range m.GPUSteps {
 			cfg := Config{CPUCores: c, GPUFrac: g}

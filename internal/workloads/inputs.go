@@ -32,6 +32,11 @@ type master struct {
 	csr *CSR
 }
 
+// zeros holds one zeroed float buffer per length: the outputs no input
+// memo holds, drawn as inputs are, so a view of one shares the buffer. It
+// is kept apart from inputs, which holds only what a generator draws.
+var zeros = lru.New[int, master](inputMemoBytes, master.bytes)
+
 // inputs is the process-wide input memo. Setup is a pure function of the
 // workload, so every Setup of a key past the first copies the master
 // instead of running the generator again.
@@ -106,4 +111,18 @@ func memoInt(d draw, n int, seed uint32, mod int32) *interp.Buffer {
 // memoCSR is RandomCSR through the memo.
 func memoCSR(d draw, rows, cols, nnzPerRow int, seed uint32) *CSR {
 	return input(d, inputKey{n: rows, cols: cols, nnzPerRow: nnzPerRow, seed: seed}).csr
+}
+
+// zeroFloat is NewFloatBuffer through zeros. A build draws at most one
+// zero buffer per length, so no two of its views share elements.
+func zeroFloat(d draw, n int) *interp.Buffer {
+	z, ok := zeros.Get(n)
+	if !ok {
+		z = master{buf: interp.NewFloatBuffer(n)}
+		if z.bytes() > inputMemoBytes {
+			return z.buf // too large to keep: the caller gets the only copy
+		}
+		zeros.Put(n, z)
+	}
+	return d(z).buf
 }

@@ -90,7 +90,7 @@ func matVecInstance(d draw, n, wg int, extraIn int) *Instance {
 		inst.BufBytes[arg] = v.Bytes()
 		arg++
 	}
-	out := interp.NewFloatBuffer(n)
+	out := zeroFloat(d, n)
 	inst.Args = append(inst.Args, interp.BufArg(out))
 	inst.BufBytes[arg] = out.Bytes()
 	inst.OutputArgs = []int{arg}
@@ -201,7 +201,7 @@ func buildGesummv(n, wg int) (*Workload, error) {
 			A := memoFloat(d, n*n, 3)
 			B := memoFloat(d, n*n, 7)
 			x := memoFloat(d, n, 11)
-			y := interp.NewFloatBuffer(n)
+			y := zeroFloat(d, n)
 			inst.Args = []interp.Arg{
 				interp.BufArg(A), interp.BufArg(B), interp.BufArg(x), interp.BufArg(y),
 				interp.FloatArg(1.5), interp.FloatArg(1.2), interp.IntArg(int64(n)),
@@ -286,7 +286,7 @@ func build2DConv(n, wg int) (*Workload, error) {
 		Name: nameOf("2DCONV", n, wg), Source: src, Kernel: "conv2d", WorkDim: 2,
 		build: func(d draw) (*Instance, error) {
 			A := memoFloat(d, n*n, 3)
-			B := interp.NewFloatBuffer(n * n)
+			B := zeroFloat(d, n*n)
 			s := side(wg)
 			return &Instance{
 				Args: []interp.Arg{

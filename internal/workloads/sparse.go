@@ -80,7 +80,7 @@ func buildSpMV(n, wg int) (*Workload, error) {
 			colidx := interp.FromInts(m.ColIdx)
 			val := interp.FromFloats(m.Val)
 			x := memoFloat(d, n, 13)
-			y := interp.NewFloatBuffer(n)
+			y := zeroFloat(d, n)
 			return &Instance{
 				Args: []interp.Arg{
 					interp.BufArg(rowptr), interp.BufArg(colidx), interp.BufArg(val),
@@ -138,7 +138,7 @@ func buildPageRank(n, wg int) (*Workload, error) {
 				}
 				outdeg.F32[i] = float32(counts[i])
 			}
-			next := interp.NewFloatBuffer(n)
+			next := zeroFloat(d, n)
 			return &Instance{
 				Args: []interp.Arg{
 					interp.BufArg(rowptr), interp.BufArg(colidx), interp.BufArg(rank),

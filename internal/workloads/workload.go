@@ -36,9 +36,10 @@ func (w *Workload) Setup() (*Instance, error) { return w.build(master.clone) }
 // Views returns the launch instance with every memoized input bound as a
 // read-only view of the memo's master: a fresh, unplaced buffer over the
 // master's elements, so binding it places the view, never the master.
-// Buffers no memo holds (outputs, derived arrays) are fresh as in Setup.
-// Nothing may write a view: bind it only where no buffer is written, such
-// as a timing-only sched.Executor, whose profile writes private copies.
+// A zeroed output is a view of the one zero buffer of its length, and
+// derived arrays are fresh as in Setup. Nothing may write a view: bind
+// it only where no buffer is written, such as a timing-only
+// sched.Executor, whose profile writes private copies.
 func (w *Workload) Views() (*Instance, error) { return w.build(master.view) }
 
 // Instance is a concrete, runnable instantiation of a workload.
