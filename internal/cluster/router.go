@@ -352,9 +352,9 @@ func (r *Router) applyReplicaLaunch(p *placement, req *server.LaunchRequest, raw
 	}
 	// raw carries the idem-key-stamped launch encoded once by
 	// handleLaunch — the same bytes the primary saw, no re-encode.
-	resp, err := c.LaunchRaw(raw)
+	resp, _, err := c.LaunchRaw(raw)
 	if err != nil && isMissingProgram(err) && r.pushProgram(p.replica, req.ProgramID) {
-		resp, err = c.LaunchRaw(raw)
+		resp, _, err = c.LaunchRaw(raw)
 	}
 	if err != nil {
 		// A broken mirror is repaired by re-snapshotting, not retried
@@ -393,6 +393,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeBody answers 200 with a member's JSON body, relayed unchanged.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // passThrough relays a proxied-call error with its original status.
@@ -627,13 +636,13 @@ func (r *Router) handleReadBuffer(w http.ResponseWriter, req *http.Request) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var data *server.BufferData
+	var body []byte
 	ok = r.onPrimary(p, w, func(c *server.Client) (err error) {
-		data, err = c.ReadBuffer(sid, name)
+		_, body, err = c.ReadBufferRaw(sid, name)
 		return err
 	})
 	if ok {
-		writeJSON(w, http.StatusOK, data)
+		writeBody(w, body)
 	}
 }
 
@@ -677,10 +686,11 @@ func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
 	// Mark the program used, as the member running the launch does.
 	r.sources.Get(lr.ProgramID)
 	var resp *server.LaunchResponse
+	var out []byte
 	ok = r.onPrimary(p, w, func(c *server.Client) (err error) {
-		resp, err = c.LaunchRaw(raw)
+		resp, out, err = c.LaunchRaw(raw)
 		if err != nil && isMissingProgram(err) && r.pushProgram(p.primary, lr.ProgramID) {
-			resp, err = c.LaunchRaw(raw)
+			resp, out, err = c.LaunchRaw(raw)
 		}
 		return err
 	})
@@ -690,7 +700,7 @@ func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
 	}
 	r.met.launches.Add(1)
 	r.applyReplicaLaunch(p, &lr, raw, resp)
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, out)
 }
 
 // ---------- repair loop ----------

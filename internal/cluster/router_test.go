@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -110,4 +112,61 @@ func TestRouterErrorPaths(t *testing.T) {
 	}
 	h.launchRound(0)
 	h.verifyFinal()
+}
+
+// TestRouterRelaysMemberBytes: the router answers a launch and a buffer
+// read with its primary's body, unchanged: a read reads as it does on the
+// member, and a launch reads as encoding/json writes its decoded value.
+func TestRouterRelaysMemberBytes(t *testing.T) {
+	h := newHarness(t, 2, 1)
+	h.launchRound(0)
+	sid := h.sids[0]
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", url, resp.StatusCode, err)
+		}
+		return body
+	}
+	path := "/v1/sessions/" + sid + "/buffers/y"
+	var member string
+	for _, n := range h.l.Nodes {
+		if n.ID == h.primaryOf(sid) {
+			member = n.URL
+		}
+	}
+	if got, want := get(h.l.RouterURL+path), get(member+path); !bytes.Equal(got, want) {
+		t.Errorf("router read body:\n got %s\nwant %s", got, want)
+	}
+
+	nn := int64(bufN)
+	req, _ := json.Marshal(&server.LaunchRequest{
+		SessionID: sid, ProgramID: h.prog, Kernel: "acc",
+		Args:   []server.LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}},
+		Global: []int{bufN}, Local: []int{32}, Read: []string{"x", "y"},
+	})
+	resp, err := http.Post(h.l.RouterURL+"/v1/launch", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("launch via router: %d %v", resp.StatusCode, err)
+	}
+	var lr server.LaunchResponse
+	if err := json.Unmarshal(body, &lr); err != nil || len(lr.Buffers) != 2 {
+		t.Fatalf("launch via router: %d buffers (%v)", len(lr.Buffers), err)
+	}
+	var want bytes.Buffer
+	_ = json.NewEncoder(&want).Encode(&lr)
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("router launch body:\n got %s\nwant %s", body, want.Bytes())
+	}
 }

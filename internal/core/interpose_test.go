@@ -234,7 +234,7 @@ func TestRollbackOnlyWhatIsReadBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slots := readBack(args, res); slices.Contains(slots, 1) != c.loadsB {
+			if slots := interp.ReadBack(args, res.WrittenArgs(), res.LoadedArgs()); slices.Contains(slots, 1) != c.loadsB {
 				t.Errorf("the ladder snapshots slots %v: want b (slot 1) among them %v", slots, c.loadsB)
 			}
 			// Rung 1 on its own: it fails, and b holds part of the output.

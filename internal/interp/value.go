@@ -186,6 +186,24 @@ func SnapshotArgs(args []Arg, slots []int) *ArgSnapshot {
 	return s
 }
 
+// ReadBack returns the written slots whose buffer the kernel also loads,
+// through that slot or any other bound to the same buffer: what a partial
+// run must put back before the launch runs again. A store-only buffer
+// needs no copy, since what a launch stores does not depend on what the
+// buffer held: a complete run rewrites everything a partial one stored.
+func ReadBack(args []Arg, written, loaded []int) []int {
+	var slots []int
+	for _, w := range written {
+		for _, r := range loaded {
+			if args[r].Buf == args[w].Buf {
+				slots = append(slots, w)
+				break
+			}
+		}
+	}
+	return slots
+}
+
 // Restore rolls every snapshotted buffer back to its contents at
 // SnapshotArgs time.
 func (s *ArgSnapshot) Restore() {

@@ -206,10 +206,15 @@ func (e *Executor) Profiled() bool { return e.profiled }
 
 // profile runs the sampled profile of the launched interpreter and builds
 // its model on private copies of the written buffers, unless keep is set:
-// then it writes them in place and returns the groups it ran, or restores
-// them if it fails.
+// then it writes them in place and returns the groups it ran, or, if it
+// fails, restores the buffers the launch reads back (interp.ReadBack), so
+// the launch's next complete run leaves the bytes of a clean one.
 func (e *Executor) profile(res *analysis.Result, keep bool) (km *sim.KernelModel, kept []interp.Segment, err error) {
-	snap := interp.SnapshotArgs(e.args, res.WrittenArgs())
+	slots := res.WrittenArgs()
+	if keep {
+		slots = interp.ReadBack(e.args, slots, res.LoadedArgs())
+	}
+	snap := interp.SnapshotArgs(e.args, slots)
 	if !keep {
 		snap.Swap()
 		defer snap.Swap()

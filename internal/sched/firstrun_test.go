@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -215,39 +216,154 @@ func TestDeadlineBoundsProfile(t *testing.T) {
 
 // TestTrappedFirstRunLeavesNoWrites: when a sampled group of a
 // work-group-independent launch traps, a functional run returns the trap
-// and puts back what the other sampled groups wrote, as Model does.
+// and puts back what the other sampled groups wrote to a buffer the
+// kernel reads back ("traps_rmw"). A store-only output ("traps") keeps
+// those writes: the launch's next complete run rewrites them
+// (TestFailedFirstRunRollsBackOnlyWhatIsReadBack).
 func TestTrappedFirstRunLeavesNoWrites(t *testing.T) {
-	prog, err := clc.Compile(trapSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n, wg = 1024, 64 // sampled groups 0, 4, 8, 12; group 4 holds i = 300
-	args := []interp.Arg{
-		interp.BufArg(workloads.NewFilledInt(n, 3, 1000)),
-		interp.BufArg(workloads.NewFilledInt(n, 5, 1000)),
-		interp.IntArg(n),
-	}
-	for _, par := range planShards {
-		pristine := snapshotBuffers(args)
-		e, err := NewExecutor(sim.Kaveri(), prog.Kernel("traps"), nil)
+	for _, c := range []struct {
+		src, kname string
+		outLoaded  bool
+	}{{trapSrc, "traps", false}, {trapRMWSrc, "traps_rmw", true}} {
+		prog, err := clc.Compile(c.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Parallelism = par
-		if err := e.Bind(args...); err != nil {
+		args := []interp.Arg{
+			interp.BufArg(workloads.NewFilledInt(n, 3, 1000)),
+			interp.BufArg(workloads.NewFilledInt(n, 5, 1000)),
+			interp.IntArg(n),
+		}
+		for _, par := range planShards {
+			pristine := snapshotBuffers(args)
+			e, err := NewExecutor(sim.Kaveri(), prog.Kernel(c.kname), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Parallelism = par
+			if err := e.Bind(args...); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Launch(interp.ND1(n, wg)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true}); err == nil {
+				t.Fatalf("%s shards=%d: no trap", c.kname, par)
+			}
+			if e.PinReason() != "" || e.model != nil {
+				t.Fatalf("%s shards=%d: the run did not fail in an independent launch's profile", c.kname, par)
+			}
+			if !sameBits(args[0].Buf, pristine.saved[0]) {
+				t.Errorf("%s shards=%d: the run wrote its input", c.kname, par)
+			}
+			if c.outLoaded && !sameBits(args[1].Buf, pristine.saved[1]) {
+				t.Errorf("%s shards=%d: out, which the kernel reads back, kept the failed profile's writes", c.kname, par)
+			}
+			pristine.restore()
+		}
+	}
+}
+
+// trapRMWSrc is trapSrc accumulating into out, so the kernel reads it
+// back.
+const trapRMWSrc = `
+__kernel void traps_rmw(__global int* in, __global int* out, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        if (i >= 512) {
+            out[i] += in[i] % (i - 700);
+        } else {
+            out[i] += in[i] / (i - 300);
+        }
+    }
+}`
+
+// writtenCtx is a context that expires as soon as buf holds anything but
+// the sentinel: a profile under it fails right after its first sampled
+// group writes buf. Only a single-shard run may poll it, since it reads
+// buf unsynchronized.
+type writtenCtx struct {
+	context.Context
+	buf      *interp.Buffer
+	sentinel float32
+}
+
+func (c writtenCtx) Err() error {
+	for _, v := range c.buf.F32 {
+		if v != c.sentinel {
+			return context.DeadlineExceeded
+		}
+	}
+	return nil
+}
+
+// TestFailedFirstRunRollsBackOnlyWhatIsReadBack: a fresh kernel's first
+// functional run whose profile fails after its sampled groups wrote b
+// puts b back only when the kernel reads it back; either way the launch's
+// next run leaves the bytes of a clean run. The failed run copies b only
+// when it reads b back, so it allocates b's size only then.
+func TestFailedFirstRunRollsBackOnlyWhatIsReadBack(t *testing.T) {
+	const n, wg, sentinel = 1 << 18, 64, -7
+	for _, c := range []struct {
+		op     string
+		loadsB bool
+	}{{"=", false}, {"+=", true}} {
+		src := `__kernel void k(__global const float* a, __global float* b) {
+    int i = get_global_id(0);
+    b[i] ` + c.op + ` 2.0f * a[i];
+}`
+		prog, err := clc.Compile(src)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Launch(interp.ND1(n, wg)); err != nil {
+		k := prog.Kernel("k")
+		b := interp.NewFloatBuffer(n)
+		for i := range b.F32 {
+			b.F32[i] = sentinel
+		}
+		args := []interp.Arg{interp.BufArg(workloads.NewFilledFloat(n, 9)), interp.BufArg(b)}
+		pristine := snapshotBuffers(args)
+		referenceRun(t, k, args, interp.ND1(n, wg))
+		want := snapshotBuffers(args)
+		pristine.restore()
+
+		run := func(ctx context.Context) error {
+			e, err := NewExecutor(sim.Kaveri(), k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Parallelism = 1
+			if err := e.Bind(args...); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Launch(interp.ND1(n, wg)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true, Context: ctx})
+			return err
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = run(writtenCtx{context.Background(), b, sentinel})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, faults.ErrExecTimeout) {
+			t.Fatalf("b %s: the failing run returned %v, want a watchdog timeout", c.op, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; (grew >= uint64(b.Bytes())) != c.loadsB {
+			t.Errorf("b %s: the failed run allocated %d bytes, b holds %d: want a copy of b %v", c.op, grew, b.Bytes(), c.loadsB)
+		}
+		if !sameBits(args[0].Buf, pristine.saved[0]) {
+			t.Errorf("b %s: the failed run wrote a", c.op)
+		}
+		if c.loadsB != sameBits(b, pristine.saved[1]) {
+			t.Errorf("b %s: b put back %v after the failed run, want %v", c.op, !c.loadsB, c.loadsB)
+		}
+		if err := run(nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Run(sim.Kaveri().AllResources(), RunOptions{Dist: sim.Dynamic, Functional: true}); err == nil {
-			t.Fatalf("shards=%d: no trap", par)
-		}
-		if e.PinReason() != "" || e.model != nil {
-			t.Fatalf("shards=%d: the run did not fail in an independent launch's profile", par)
-		}
-		if i := pristine.diff(); i >= 0 {
-			t.Errorf("shards=%d: argument %d kept the failed profile's writes", par, i)
+		if i := want.diff(); i >= 0 {
+			t.Errorf("b %s: argument %d after the rerun differs from a clean run", c.op, i)
 		}
 	}
 }

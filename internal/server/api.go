@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"net/http"
 	"slices"
 	"sort"
 	"sync"
@@ -278,16 +279,31 @@ func launchFromRequest(req *LaunchRequest) (*launch, error) {
 	return l, nil
 }
 
-// response encodes a result for JSON, base64 from the read-set slabs.
-// It runs after the session lock is released (or, for an export, off the
-// launch path).
-func (r *launchResult) response() *LaunchResponse {
-	resp := &LaunchResponse{
+// small is the JSON response of a result without its buffers.
+func (r *launchResult) small() *LaunchResponse {
+	return &LaunchResponse{
 		Rung: r.rung, Engine: r.engine,
 		Decision: r.decision, Result: r.sim, Fallback: r.fallback,
 		QueueMS: r.queueMS, ExecMS: r.execMS,
 		Replayed: r.replayed,
 	}
+}
+
+// writeJSON answers 200 with the result's JSON launch response, base64
+// encoded from the read-set slabs as it is written. It runs after the
+// session lock is released.
+func (r *launchResult) writeJSON(w http.ResponseWriter) {
+	bufs := make([]*rawBuf, len(r.bufs))
+	for i := range r.bufs {
+		bufs[i] = &r.bufs[i]
+	}
+	writeLaunch(w, r.small(), bufs)
+}
+
+// response is the result as a wire struct, for an export: writeJSON
+// writes the same bytes json.NewEncoder(w).Encode(response()) would.
+func (r *launchResult) response() *LaunchResponse {
+	resp := r.small()
 	if len(r.bufs) > 0 {
 		resp.Buffers = make(map[string]BufferData, len(r.bufs))
 		for i := range r.bufs {

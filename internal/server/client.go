@@ -206,7 +206,20 @@ func (c *Client) doOnce(method, path string, raw []byte, out any) error {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	body, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return err
+	}
+	if kb, ok := out.(*keepBody); ok {
+		kb.body, out = body, kb.v
+	}
+	return decodeJSON(body, out)
+}
+
+// keepBody is an out that decodes into v and keeps the body's bytes.
+type keepBody struct {
+	v    any
+	body []byte
 }
 
 // Compile registers OpenCL C source and returns its program ID.
@@ -246,12 +259,19 @@ func (c *Client) CreateBuffer(sessionID string, req *BufferRequest) error {
 
 // ReadBuffer snapshots a session buffer's content.
 func (c *Client) ReadBuffer(sessionID, name string) (*BufferData, error) {
-	var out BufferData
+	out, _, err := c.ReadBufferRaw(sessionID, name)
+	return out, err
+}
+
+// ReadBufferRaw is ReadBuffer that also returns the response body's
+// bytes, for a relay to pass on unchanged.
+func (c *Client) ReadBufferRaw(sessionID, name string) (*BufferData, []byte, error) {
+	out := keepBody{v: new(BufferData)}
 	path := "/v1/sessions/" + url.PathEscape(sessionID) + "/buffers/" + url.PathEscape(name)
 	if err := c.do("GET", path, nil, &out); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &out, nil
+	return out.v.(*BufferData), out.body, nil
 }
 
 // ExportSession snapshots a session for replication or migration.
@@ -279,14 +299,15 @@ func (c *Client) Launch(req *LaunchRequest) (*LaunchResponse, error) {
 }
 
 // LaunchRaw enqueues a launch from pre-encoded JSON bytes, skipping the
-// per-hop re-encode. The body must already carry the idempotency key if
-// the caller intends to reuse it across nodes.
-func (c *Client) LaunchRaw(body []byte) (*LaunchResponse, error) {
-	var out LaunchResponse
-	if err := c.doRaw("POST", "/v1/launch", body, &out); err != nil {
-		return nil, err
+// per-hop re-encode, and returns the response with its body's bytes, for
+// a relay to pass on unchanged. The request must already carry the
+// idempotency key if the caller intends to reuse it across nodes.
+func (c *Client) LaunchRaw(req []byte) (*LaunchResponse, []byte, error) {
+	out := keepBody{v: new(LaunchResponse)}
+	if err := c.doRaw("POST", "/v1/launch", req, &out); err != nil {
+		return nil, nil, err
 	}
-	return &out, nil
+	return out.v.(*LaunchResponse), out.body, nil
 }
 
 // Healthz reads the daemon's liveness summary. It answers 200 even

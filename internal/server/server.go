@@ -420,12 +420,15 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, resp)
 }
 
-// DecodeBody decodes a JSON request body of at most limit bytes into v.
-// On failure it has answered 400 and returns false.
+// DecodeBody decodes a JSON request body of at most limit bytes into v,
+// as json.NewDecoder does; a buffer's payload bypasses encoding/json
+// (decodeJSON). On failure it has answered 400 and returns false.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body := io.LimitReader(r.Body, limit)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
+	body, err := readBody(io.LimitReader(r.Body, limit), min(r.ContentLength, limit))
+	if err == nil {
+		err = decodeJSON(body, v)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return false
 	}
@@ -676,7 +679,7 @@ func (s *Server) handleReadBuffer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rb.release()
-	writeJSON(w, http.StatusOK, rb.data())
+	writeBuffer(w, &rb)
 }
 
 // handleLaunch is the JSON codec around submit: decode the body into a
@@ -702,7 +705,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res.response())
+	res.writeJSON(w)
 	res.release()
 	s.met.stages.Record(stageEncode, time.Since(encodeStart).Seconds())
 }
