@@ -14,6 +14,19 @@ import (
 // same bits.
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// checkGolden compares got with the golden file's contents and prints
+// got in full when they differ, so a deliberate change can be recorded.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v; the table this run produced:\n%s", err, got)
+	}
+	if got != string(want) {
+		t.Errorf("%s is stale; the table this run produced:\n%s", golden, got)
+	}
+}
+
 // TestFig3Fig9Golden pins, at tinySuite scale, every row behind Figure 3
 // (per GPU step: time, memory requests, GPU requests) and every ratio
 // behind Figure 9's boxes (per workload and machine: CPU-only, GPU-only
@@ -52,11 +65,5 @@ func TestFig3Fig9Golden(t *testing.T) {
 				m.Name, r.Workload, g(r.CPU), g(r.GPU), g(r.Dynamic))
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v; the table this run produced:\n%s", err, b.String())
-	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("%s is stale; the table this run produced:\n%s", golden, got)
-	}
+	checkGolden(t, golden, b.String())
 }

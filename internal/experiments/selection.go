@@ -125,17 +125,24 @@ func CrossValSelections(m *sim.Machine, evals []*core.WorkloadEval,
 func LeaveOneOutSelection(m *sim.Machine, train []*core.WorkloadEval,
 	target *core.WorkloadEval, exclude func(name string) bool,
 	tr ml.Trainer) (Selection, error) {
+	model, err := trainExcluding(m, train, exclude, tr)
+	if err != nil {
+		return Selection{}, err
+	}
+	return selectionOf(m, target, model)
+}
+
+// trainExcluding fits tr to every characterization of train whose name
+// exclude does not match.
+func trainExcluding(m *sim.Machine, train []*core.WorkloadEval,
+	exclude func(name string) bool, tr ml.Trainer) (ml.Model, error) {
 	var kept []*core.WorkloadEval
 	for _, we := range train {
 		if !exclude(we.Name) {
 			kept = append(kept, we)
 		}
 	}
-	model, err := core.Train(m, tr, kept)
-	if err != nil {
-		return Selection{}, err
-	}
-	return selectionOf(m, target, model)
+	return core.Train(m, tr, kept)
 }
 
 // Perfs extracts the Perf column.
