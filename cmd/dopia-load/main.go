@@ -59,7 +59,6 @@ import (
 	"dopia/internal/core"
 	"dopia/internal/experiments"
 	"dopia/internal/interp"
-	"dopia/internal/ml"
 	"dopia/internal/server"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
@@ -84,11 +83,10 @@ func main() {
 		mixSchedule = flag.String("mix-schedule", "",
 			"piecewise drifting mix: name@offsetMS segments, e.g. poly@0,spmv@2000 "+
 				"(aliases poly/spmv; join explicit names with +). Tenants keep their sessions across shifts.")
-		trainLimit = flag.Int("train", 0,
-			"train a local model on N synthetic workloads: it boots the embedded server and is the frozen "+
-				"baseline of the decision-quality trace (0 = off)")
-		modelFamily = flag.String("model", "DT", "model family for -train: LIN, SVR, DT, RF")
-		onlineOn    = flag.Bool("online", false, "enable the embedded server's closed-loop online learner")
+		modelFamily = flag.String("model", "none",
+			"local model family: LIN, SVR, DT, RF, or none. A model boots the embedded server and is the "+
+				"frozen baseline of the decision-quality trace")
+		onlineOn = flag.Bool("online", false, "enable the embedded server's closed-loop online learner")
 	)
 	flag.Parse()
 
@@ -110,18 +108,16 @@ func main() {
 		fail("%v", err)
 	}
 
-	// -train builds the same deterministic model dopia-serve -train N
-	// -model F would: it boots the embedded server and anchors the
-	// frozen-baseline side of the decision-quality trace.
-	var localModel ml.Model
-	if *trainLimit > 0 {
-		t0 := time.Now()
-		localModel, err = core.BootstrapModel(machine, *modelFamily, "", *trainLimit)
-		if err != nil {
-			fail("train: %v", err)
-		}
-		fmt.Printf("dopia-load: trained %s on a %d-workload synthetic slice in %v\n",
-			localModel.Name(), *trainLimit, time.Since(t0).Round(time.Millisecond))
+	// -model builds the same deterministic model dopia-serve -model F
+	// would: it boots the embedded server and anchors the frozen-baseline
+	// side of the decision-quality trace.
+	t0 := time.Now()
+	localModel, err := core.BootstrapModel(machine, *modelFamily, "")
+	if err != nil {
+		fail("model: %v", err)
+	}
+	if localModel != nil {
+		fmt.Printf("dopia-load: trained %s in %v\n", localModel.Name(), time.Since(t0).Round(time.Millisecond))
 	}
 
 	base := *addr
@@ -373,7 +369,7 @@ func main() {
 	// the exhaustive oracle and against what the frozen local model
 	// would have picked (the closed-loop-vs-frozen comparison).
 	var quality *experiments.RegretReport
-	if *trainLimit > 0 {
+	if localModel != nil {
 		var trace []experiments.TraceStep
 		for _, ts := range traces {
 			trace = append(trace, ts...)

@@ -31,7 +31,7 @@ func TestOnlineQualityGate(t *testing.T) {
 		budget   = 2.0
 	)
 	machine := sim.Kaveri()
-	model, err := core.BootstrapModel(machine, "DT", "", 12)
+	model, err := core.BootstrapModel(machine, "DT", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,10 @@
 // Table 1 features, the generated malleable GPU kernel, the model's
 // configuration choice, and the resulting co-execution statistics compared
 // to the CPU-only / GPU-only / ALL baselines and the exhaustive oracle.
+//
+// The model is trained at startup on core.DefaultTrainingSet (-model
+// names the family) or loaded from a file produced by dopia-train
+// -save-model (-model-file); -model none decides with the ALL heuristic.
 package main
 
 import (
@@ -23,8 +27,7 @@ func main() {
 		kernelName  = flag.String("kernel", "GESUMMV", "kernel: one of the 14 real workloads")
 		n           = flag.Int("n", workloads.DefaultRealSize, "problem size")
 		wg          = flag.Int("wg", 256, "work-group size (64 or 256)")
-		trainLimit  = flag.Int("train", core.DefaultTrainingSet.Synthetic, "synthetic workloads used to train the model (0 = the whole grid)")
-		modelName   = flag.String("model", "DT", "model family: LIN, SVR, DT, RF")
+		modelName   = flag.String("model", "DT", "model family: LIN, SVR, DT, RF, or none (ALL heuristic)")
 		showCode    = flag.Bool("show-malleable", false, "print the generated malleable GPU kernel")
 		modelFile   = flag.String("model-file", "", "load a model saved by dopia-train -save-model")
 	)
@@ -50,9 +53,13 @@ func main() {
 
 	// Load the model or train it.
 	t0 := time.Now()
-	model, err := core.BootstrapModel(m, *modelName, *modelFile, *trainLimit)
+	model, err := core.BootstrapModel(m, *modelName, *modelFile)
 	check(err)
-	fmt.Printf("%s model ready in %v\n", model.Name(), time.Since(t0).Round(time.Millisecond))
+	if model == nil {
+		fmt.Println("no model: the ALL heuristic decides")
+	} else {
+		fmt.Printf("%s model ready in %v\n", model.Name(), time.Since(t0).Round(time.Millisecond))
+	}
 
 	fw := core.New(m, model)
 	k, err := w.CompileKernel()

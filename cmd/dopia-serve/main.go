@@ -6,10 +6,11 @@
 // and each kernel's analysis, malleable code and compiled forms — are
 // shared process-wide.
 //
-// The model is either trained at startup on the synthetic grid (-train)
-// or loaded from a file produced by dopia-train -save-model
-// (-model-file). With -train 0 and no model file the daemon serves with
-// the ALL heuristic (no model), which still exercises co-execution.
+// The model is either trained at startup on core.DefaultTrainingSet
+// (-model names the family) or loaded from a file produced by dopia-train
+// -save-model (-model-file). With -model none and no model file the
+// daemon serves with the ALL heuristic (no model), which still exercises
+// co-execution.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, admitted
 // launches finish (bounded by their deadlines, then -drain-timeout),
@@ -44,8 +45,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8034", "listen address")
 		machineName  = flag.String("machine", "Kaveri", "machine model: any zoo machine (Kaveri, Skylake, BigLittle, DiscretePCIe, AppleM)")
-		modelName    = flag.String("model", "DT", "model family trained at startup: LIN, SVR, DT, RF")
-		trainLimit   = flag.Int("train", core.DefaultTrainingSet.Synthetic, "synthetic workloads used to train the model (0 = no model, ALL heuristic)")
+		modelName    = flag.String("model", "DT", "model family trained at startup: LIN, SVR, DT, RF, or none (ALL heuristic)")
 		modelFile    = flag.String("model-file", "", "load a model saved by dopia-train -save-model instead of training")
 		queueDepth   = flag.Int("queue-depth", 256, "admission queue capacity")
 		workers      = flag.Int("workers", 0, "launch worker pool size (0 = GOMAXPROCS)")
@@ -64,10 +64,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model, err := loadModel(m, *modelName, *modelFile, *trainLimit)
+	t0 := time.Now()
+	model, err := core.BootstrapModel(m, *modelName, *modelFile)
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("dopia-serve: model %s ready in %v", modelDesc(model), time.Since(t0).Round(time.Millisecond))
 
 	scfg := server.Config{
 		Machine:         m,
@@ -143,27 +145,6 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// loadModel loads or trains the DoP-selection model. limit == 0 and no
-// file means no model (the framework falls back to the ALL heuristic).
-func loadModel(m *sim.Machine, family, file string, limit int) (ml.Model, error) {
-	if file == "" && limit <= 0 {
-		log.Printf("dopia-serve: no model (ALL heuristic)")
-		return nil, nil
-	}
-	t0 := time.Now()
-	model, err := core.BootstrapModel(m, family, file, limit)
-	if err != nil {
-		return nil, err
-	}
-	if file != "" {
-		log.Printf("dopia-serve: loaded %s model from %s", model.Name(), file)
-	} else {
-		log.Printf("dopia-serve: trained %s on a %d-workload synthetic slice in %v",
-			model.Name(), limit, time.Since(t0).Round(time.Millisecond))
-	}
-	return model, nil
 }
 
 func modelDesc(model ml.Model) string {

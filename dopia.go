@@ -187,8 +187,10 @@ func Characterize(m *Machine, w *Workload) (*Characterization, error) {
 	return core.EvaluateWorkload(m, w)
 }
 
-// DefaultTrainingSet is the set dopia-run, dopia-serve and the examples
-// train on: 48 workloads spread evenly over the synthetic grid.
+// DefaultTrainingSet is the set dopia-run, dopia-serve, dopia-load and
+// the examples train on: 48 workloads spread evenly over the synthetic
+// grid. The tools take no count; a different set is a change to this
+// value, reviewed through the decision golden.
 var DefaultTrainingSet = core.DefaultTrainingSet
 
 // TrainDefaultModel characterizes the given workloads on the machine and

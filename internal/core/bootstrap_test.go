@@ -91,27 +91,27 @@ func TestDefaultTrainingSetCoversEveryPair(t *testing.T) {
 	}
 }
 
-// TestBootstrapModel covers the three ways a tool gets its model: trained
-// (deterministically, by family name), loaded from a file, or refused for
-// an unknown family.
+// TestBootstrapModel covers the ways a tool gets its model: trained
+// (deterministically, by family name, on DefaultTrainingSet), loaded from
+// a file, none (the ALL heuristic), or refused for an unknown family.
 func TestBootstrapModel(t *testing.T) {
 	m := sim.Kaveri()
-	trained, err := BootstrapModel(m, "DT", "", 6)
+	trained, err := BootstrapModel(m, "DT", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trained.Name() != "DT" {
 		t.Errorf("trained model is %q, want DT", trained.Name())
 	}
-	again, err := BootstrapModel(m, "DT", "", 6)
+	again, err := BootstrapModel(m, "DT", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := TrainingSet{Synthetic: 6}.Workloads()
+	probe, err := TrainingSet{Synthetic: 6}.Workloads()
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, err := EvaluateAll(m, slice, 0)
+	evals, err := EvaluateAll(m, probe, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestBootstrapModel(t *testing.T) {
 	if err := ml.SaveModelFile(path, trained); err != nil {
 		t.Fatal(err)
 	}
-	// A named file wins over family and limit, which are not even checked.
-	loaded, err := BootstrapModel(m, "no-such-family", path, 0)
+	// A named file wins over the family, which is not even checked.
+	loaded, err := BootstrapModel(m, "no-such-family", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,13 @@ func TestBootstrapModel(t *testing.T) {
 		}
 	}
 
-	if _, err := BootstrapModel(m, "no-such-family", "", 6); err == nil {
+	if none, err := BootstrapModel(m, "none", ""); none != nil || err != nil {
+		t.Errorf("family none gave model %v, error %v; want no model and no error", none, err)
+	}
+	if _, err := BootstrapModel(m, "no-such-family", ""); err == nil {
 		t.Error("unknown family accepted")
 	}
-	if _, err := BootstrapModel(m, "DT", filepath.Join(t.TempDir(), "missing.json"), 6); err == nil {
+	if _, err := BootstrapModel(m, "DT", filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing model file accepted")
 	}
 }

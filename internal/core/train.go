@@ -203,9 +203,10 @@ type TrainingSet struct {
 	RealN []int
 }
 
-// DefaultTrainingSet is the set dopia-run, dopia-serve and the examples
-// train on. 48 workloads give a stride of 25, which visits all six
-// (size, work-group) pairs of the grid's innermost loops.
+// DefaultTrainingSet is the set every model BootstrapModel trains (the
+// one dopia-run, dopia-serve and dopia-load use) and the examples train
+// on. 48 workloads give a stride of 25, which visits all six (size,
+// work-group) pairs of the grid's innermost loops.
 var DefaultTrainingSet = TrainingSet{Synthetic: 48}
 
 // Workloads returns the set's workloads, synthetic first.
@@ -245,17 +246,21 @@ func Train(m *sim.Machine, trainer ml.Trainer, evals []*WorkloadEval) (ml.Model,
 
 // BootstrapModel is the one way a command-line tool gets its
 // DoP-selection model: loaded from file when one is named, otherwise the
-// named family (see TrainerByName) trained on synthetic workloads of the
-// grid (TrainingSet.Synthetic) characterized on m.
-func BootstrapModel(m *sim.Machine, family, file string, synthetic int) (ml.Model, error) {
+// named family (see TrainerByName) trained on DefaultTrainingSet
+// characterized on m. The family "none" means no model: it returns nil,
+// and the framework decides with the ALL heuristic.
+func BootstrapModel(m *sim.Machine, family, file string) (ml.Model, error) {
 	if file != "" {
 		return ml.LoadModelFile(file)
+	}
+	if family == "none" {
+		return nil, nil
 	}
 	trainer, err := TrainerByName(family)
 	if err != nil {
 		return nil, err
 	}
-	wls, err := TrainingSet{Synthetic: synthetic}.Workloads()
+	wls, err := DefaultTrainingSet.Workloads()
 	if err != nil {
 		return nil, err
 	}

@@ -177,16 +177,6 @@ func (s *Server) submit(l *launch) (launchResult, int, error) {
 	return out.res, out.status, out.err
 }
 
-// workerOf pins a session to a worker by FNV-1a hash of its ID, so all
-// of one session's launches run on one goroutine.
-func (s *Server) workerOf(sessionID string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(sessionID); i++ {
-		h = (h ^ uint32(sessionID[i])) * 16777619
-	}
-	return int(h % uint32(len(s.queues)))
-}
-
 // queueLen sums the depth of every per-worker queue.
 func (s *Server) queueLen() int {
 	n := 0
@@ -208,7 +198,7 @@ func (s *Server) queueCap() int {
 // admit places l in its session's per-worker queue. It returns an HTTP
 // status: 0 (admitted), 503 (draining), or 429 (queue full).
 func (s *Server) admit(l *launch) int {
-	q := s.queues[s.workerOf(l.sessionID)]
+	q := s.queues[l.sess.worker]
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	if s.draining.Load() {

@@ -48,19 +48,13 @@ func TestIdenticalLaunchesEachExecute(t *testing.T) {
 	}
 	const n = 64
 	x, after := accInputs(n)
-	// Two sessions on distinct workers, so the concurrent leg really
-	// overlaps.
+	// Two consecutive sessions land on distinct workers, so the
+	// concurrent leg really overlaps.
 	var sids []string
-	for tries := 0; len(sids) < 2; tries++ {
-		if tries == 64 {
-			t.Fatal("could not place two sessions on distinct workers")
-		}
+	for len(sids) < 2 {
 		sid, err := c.NewSession()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(sids) == 1 && s.workerOf(sid) == s.workerOf(sids[0]) {
-			continue
 		}
 		for _, req := range []*BufferRequest{
 			{Name: "x", Kind: "float32", F32B64: EncodeF32(x)},
@@ -71,6 +65,11 @@ func TestIdenticalLaunchesEachExecute(t *testing.T) {
 			}
 		}
 		sids = append(sids, sid)
+	}
+	first, _ := s.session(sids[0])
+	second, _ := s.session(sids[1])
+	if first.worker == second.worker {
+		t.Fatalf("consecutive sessions %s and %s share worker %d", sids[0], sids[1], first.worker)
 	}
 	nn := int64(n)
 	launch := func(sid string) (*LaunchResponse, error) {

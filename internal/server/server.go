@@ -136,9 +136,9 @@ type Server struct {
 	start    time.Time
 
 	// queues holds one bounded channel per worker. Launches are pinned
-	// to a worker by session-ID hash (session affinity), so one
-	// session's launches stay ordered on one goroutine and its
-	// compiled-artifact touches stay core-hot; total capacity
+	// to the worker their session was assigned at creation (session
+	// affinity), so one session's launches stay ordered on one goroutine
+	// and its compiled-artifact touches stay core-hot; total capacity
 	// approximates Config.QueueDepth.
 	queues      []chan *launch
 	stopWorkers chan struct{}
@@ -158,6 +158,9 @@ type Server struct {
 	mu          sync.Mutex // guards sessions
 	sessions    map[string]*session
 	nextSession atomic.Int64
+	// nextWorker hands each new session the next worker round-robin, so
+	// consecutive sessions land on distinct workers.
+	nextWorker atomic.Uint64
 	// programs is the registry of compiled programs by content-addressed
 	// ID, least recently launched first out. It is correctness state (a
 	// launch names its program by ID), so it is consulted while faults are

@@ -24,6 +24,8 @@ import (
 type session struct {
 	id      string
 	created time.Time
+	// worker indexes the queue all of the session's launches run from.
+	worker int
 
 	// mu serializes everything touching the session's mutable state:
 	// buffer creation/reads and launches (an ocl.CommandQueue is an
@@ -59,6 +61,7 @@ func (s *Server) newSession(id string) *session {
 	return &session{
 		id:      id,
 		created: time.Now(),
+		worker:  int((s.nextWorker.Add(1) - 1) % uint64(len(s.queues))),
 		ctx:     ctx,
 		queue:   ctx.CreateCommandQueue(s.platform.Device(ocl.DeviceCPU)),
 		bufs:    map[string]*ocl.Buffer{},
