@@ -5,8 +5,9 @@
 // to the CPU-only / GPU-only / ALL baselines and the exhaustive oracle.
 //
 // The model is trained at startup on core.DefaultTrainingSet (-model
-// names the family) or loaded from a file produced by dopia-train
-// -save-model (-model-file); -model none decides with the ALL heuristic.
+// names the family) or loaded from -model-file, such as the copy of that
+// DT dopia-train -save-model writes; -model none decides with the ALL
+// heuristic.
 package main
 
 import (

@@ -7,10 +7,10 @@
 // shared process-wide.
 //
 // The model is either trained at startup on core.DefaultTrainingSet
-// (-model names the family) or loaded from a file produced by dopia-train
-// -save-model (-model-file). With -model none and no model file the
-// daemon serves with the ALL heuristic (no model), which still exercises
-// co-execution.
+// (-model names the family) or loaded from -model-file, such as the
+// copy of that DT dopia-train -save-model writes. With -model none and
+// no model file the daemon serves with the ALL heuristic (no model),
+// which still exercises co-execution.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, admitted
 // launches finish (bounded by their deadlines, then -drain-timeout),

@@ -1,13 +1,13 @@
-// Command dopia-train generates Dopia's training data — the 1,224
-// synthetic workloads of Table 4, each characterized across the machine's
-// 44 degree-of-parallelism configurations — trains the four model families
-// the paper compares, and reports their cross-validated selection quality
-// and inference overheads (the data behind Figure 10).
+// Command dopia-train characterizes core.DefaultTrainingSet, the 132
+// workloads every shipped model trains on (48 synthetic workloads of
+// Table 4 and the fourteen real kernels at n = 1024, 256 and 64, each
+// across the machine's 44 DoP configurations), and reports the four model
+// families' cross-validated selection quality and inference overhead on
+// it; the full-grid Figure 10 is dopia-bench fig10.
 //
-// Nothing reads a characterization back from disk: characterizing the
-// full grid takes seconds, so every tool characterizes afresh. The
-// trained decision tree can be kept with -save-model and loaded by
-// dopia-run and dopia-serve with -model-file.
+// -save-model writes the DT core.BootstrapModel trains, which dopia-run
+// and dopia-serve load with -model-file. Nothing reads a characterization
+// back from disk: characterizing the set takes well under a second.
 package main
 
 import (
@@ -21,63 +21,43 @@ import (
 	"dopia/internal/ml"
 	"dopia/internal/sim"
 	"dopia/internal/stats"
-	"dopia/internal/workloads"
 )
 
 func main() {
 	var (
 		machineName = flag.String("machine", "Kaveri", "machine model: any zoo machine (Kaveri, Skylake, BigLittle, DiscretePCIe, AppleM)")
-		limit       = flag.Int("limit", 0, "limit the synthetic grid (0 = full 1,224)")
 		folds       = flag.Int("folds", 16, "cross-validation folds for the report")
-		saveModel   = flag.String("save-model", "", "write the trained DT model to this JSON file")
+		saveModel   = flag.String("save-model", "", "write the shipped DT model to this JSON file")
 		machineFile = flag.String("machine-file", "", "load a custom machine description (JSON)")
-		withReal    = flag.Bool("with-real", false, "also characterize the 14 real-world kernels")
-		realN       = flag.Int("real-n", workloads.DefaultRealSize, "real-kernel problem size")
 	)
 	flag.Parse()
 
-	var m *sim.Machine
+	m, err := sim.MachineByName(*machineName)
 	if *machineFile != "" {
-		var err error
 		m, err = sim.LoadMachine(*machineFile)
-		check(err)
-	} else {
-		var err error
-		m, err = sim.MachineByName(*machineName)
-		check(err)
 	}
-
-	set := core.TrainingSet{Synthetic: *limit}
-	if *withReal {
-		set.RealN = []int{*realN}
-	}
-	grid, err := set.Workloads()
 	check(err)
 
+	wls, err := core.DefaultTrainingSet.Workloads()
+	check(err)
 	fmt.Printf("characterizing %d workloads x %d configurations on %s...\n",
-		len(grid), len(m.Configs()), m.Name)
+		len(wls), len(m.Configs()), m.Name)
 	start := time.Now()
-	evals, err := core.EvaluateAll(m, grid, 0)
+	evals, err := core.EvaluateAll(m, wls, 0)
 	check(err)
 	fmt.Printf("done in %v (%d data points)\n",
 		time.Since(start).Round(time.Millisecond), len(evals)*len(m.Configs()))
 
 	if *saveModel != "" {
-		dt, err := core.Train(m, ml.TreeTrainer{}, evals)
-		check(err)
-		check(ml.SaveModelFile(*saveModel, dt))
+		check(saveDefaultModel(m, *saveModel))
 		fmt.Printf("decision-tree model written to %s\n", *saveModel)
 	}
 
 	// Report model quality: k-fold CV over workloads (the paper's §9.2).
-	k := *folds
-	if k > len(evals) {
-		k = len(evals) / 2
-	}
-	fmt.Printf("\nmodel comparison (%d-fold cross-validation over workloads):\n", k)
+	fmt.Printf("\nmodel comparison (%d-fold cross-validation over workloads):\n", *folds)
 	var rows [][]string
 	for _, tr := range core.Trainers() {
-		sel, err := experiments.CrossValSelections(m, evals, tr, k, 1)
+		sel, err := experiments.CrossValSelections(m, evals, tr, *folds, 1)
 		check(err)
 		b := stats.BoxOf(experiments.Perfs(sel))
 		var infer float64
@@ -94,6 +74,16 @@ func main() {
 	}
 	stats.RenderTable(os.Stdout,
 		[]string{"model", "mean perf", "median perf", "exact best", "inference (44 cfgs)"}, rows)
+}
+
+// saveDefaultModel writes the DT core.BootstrapModel trains on m, so a
+// tool given the file with -model-file decides as one that trains it.
+func saveDefaultModel(m *sim.Machine, path string) error {
+	dt, err := core.BootstrapModel(m, "DT", "")
+	if err != nil {
+		return err
+	}
+	return ml.SaveModelFile(path, dt)
 }
 
 func check(err error) {

@@ -187,10 +187,10 @@ func Characterize(m *Machine, w *Workload) (*Characterization, error) {
 	return core.EvaluateWorkload(m, w)
 }
 
-// DefaultTrainingSet is the set dopia-run, dopia-serve, dopia-load and
-// the examples train on: 48 workloads spread evenly over the synthetic
-// grid. The tools take no count; a different set is a change to this
-// value, reviewed through the decision golden.
+// DefaultTrainingSet is the one set every shipped model trains on: 48
+// workloads spread over the synthetic grid, then the fourteen real kernels
+// at n = 1024, 256 and 64. No tool takes another set; a different set is
+// a change to this value, reviewed through the decision golden.
 var DefaultTrainingSet = core.DefaultTrainingSet
 
 // TrainDefaultModel characterizes the given workloads on the machine and

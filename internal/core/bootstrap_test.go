@@ -61,10 +61,13 @@ func TestTrainingSet(t *testing.T) {
 	}
 }
 
-// TestDefaultTrainingSetCoversEveryPair: the default set trains on every
-// (size, work-group size) pair of the synthetic grid. Those are the grid's
-// two innermost loops, so a count whose stride is a multiple of 2 or 3
-// (120 gives 10) sees only some of them.
+// TestDefaultTrainingSetCoversEveryPair: the default set's synthetic
+// workloads cover every (size, work-group size) pair of the synthetic
+// grid, and after them come all fourteen real kernels at every RealN size,
+// each at work-group 64 and 256 (SYR2K floors its size, so n = 1024, 256
+// and 64 are one SYR2K workload, held three times). Size and work-group
+// size are the grid's two innermost loops, so a count whose stride is a
+// multiple of 2 or 3 (120 gives 10) sees only some of the pairs.
 func TestDefaultTrainingSetCoversEveryPair(t *testing.T) {
 	pair := func(w *workloads.Workload) string {
 		f := strings.Split(w.Name, ".")
@@ -82,12 +85,43 @@ func TestDefaultTrainingSetCoversEveryPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	synth := DefaultTrainingSet.Synthetic
+	if len(set) < synth {
+		t.Fatalf("the default set has %d workloads, fewer than its %d synthetic ones", len(set), synth)
+	}
 	seen := map[string]bool{}
-	for _, w := range set {
+	for _, w := range set[:synth] {
 		seen[pair(w)] = true
 	}
 	if len(all) != 6 || len(seen) != len(all) {
-		t.Errorf("the default set covers %d of the grid's %d (size, work-group) pairs: %v", len(seen), len(all), seen)
+		t.Errorf("the default set's synthetic workloads cover %d of the grid's %d (size, work-group) pairs: %v", len(seen), len(all), seen)
+	}
+
+	reals := map[string]bool{}
+	for _, w := range set[synth:] {
+		reals[w.Name] = true
+	}
+	if len(DefaultTrainingSet.RealN) == 0 {
+		t.Error("the default set holds no real kernel")
+	}
+	want := 0
+	for _, n := range DefaultTrainingSet.RealN {
+		for _, wg := range []int{64, 256} {
+			for _, d := range workloads.RealDescs() {
+				w, err := d.Build(n, wg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want++
+				if !reals[w.Name] {
+					t.Errorf("the default set lacks %s at n=%d, work-group %d (%s)", d.Name, n, wg, w.Name)
+				}
+			}
+		}
+	}
+	if len(set[synth:]) != want {
+		t.Errorf("the default set holds %d real workloads, want %d: fourteen kernels x %d sizes x 2 work-groups",
+			len(set[synth:]), want, len(DefaultTrainingSet.RealN))
 	}
 }
 

@@ -60,7 +60,8 @@ func selectionDigest(sel []Selection) string {
 // TestTrainingGolden pins what every model-building path trains on, as one
 // SHA-256 per path on Kaveri: over the predictions on a fixed probe of the
 // command-line bootstrap (DefaultTrainingSet) and of the facade's
-// TrainDefaultModel on the benchmark's 102-workload slice; and
+// TrainDefaultModel on the benchmark's 102-workload slice (every twelfth
+// synthetic workload); and
 // over the selections of Fig. 13's leave-one-family-out models and of
 // Fig. 10's cross-validation folds at tinySuite scale, for all four model
 // families. A change to which workloads a path characterizes, or to the
@@ -75,9 +76,15 @@ func TestTrainingGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&b, "bootstrap-DT %s\n", predictionDigest(model, probe))
-	slice, err := core.TrainingSet{Synthetic: 102}.Workloads()
+	// The benchmark's slice, built as benchmark/kernels.go's
+	// trainingSlice(12) builds it: every twelfth synthetic workload.
+	grid, err := dopia.SyntheticWorkloads()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var slice []*workloads.Workload
+	for i := 0; i < len(grid); i += 12 {
+		slice = append(slice, grid[i])
 	}
 	model, err = dopia.TrainDefaultModel(m, slice)
 	if err != nil {

@@ -3,6 +3,7 @@ package workloads_test
 import (
 	"testing"
 
+	"dopia"
 	"dopia/internal/core"
 	"dopia/internal/lru"
 	"dopia/internal/sim"
@@ -10,16 +11,21 @@ import (
 )
 
 // TestCharacterizeDrawsEachInputOnce characterizes the benchmark's
-// training slice (102 workloads, every twelfth synthetic one) twice on
-// one goroutine, starting from an empty input memo. The first pass misses each input key exactly
+// training slice (102 workloads, every twelfth synthetic one, as
+// benchmark/kernels.go's trainingSlice(12) takes them) twice on one
+// goroutine, starting from an empty input memo. The first pass misses each input key exactly
 // once and the second generates nothing. Every twelfth workload has size
 // 16384 (size and work-group size are the grid's innermost loops), so
 // the slice draws 7 distinct arrays: 2 element kinds × seeds 11, 18 and
 // 97, plus the index array D.
 func TestCharacterizeDrawsEachInputOnce(t *testing.T) {
-	slice, err := core.TrainingSet{Synthetic: 102}.Workloads()
+	grid, err := dopia.SyntheticWorkloads()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var slice []*workloads.Workload
+	for i := 0; i < len(grid); i += 12 {
+		slice = append(slice, grid[i])
 	}
 	workloads.PurgeInputMemo()
 	start := workloads.InputMemoStats()
