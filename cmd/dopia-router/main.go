@@ -45,10 +45,8 @@ func main() {
 		local        = flag.Int("local", 0, "boot N in-process member nodes instead of joining external ones")
 		machineName  = flag.String("machine", "Kaveri", "machine model for -local members: any zoo machine")
 		chaosSpec    = flag.String("chaos", "", "fault schedule against -local members, e.g. kill:n1@3s,slow:n2@1s:2s:30ms")
-		vnodes       = flag.Int("vnodes", 64, "virtual nodes per ring member")
 		janitorEvery = flag.Duration("janitor-interval", 100*time.Millisecond, "probe-and-repair loop period")
 		callTimeout  = flag.Duration("call-timeout", 15*time.Second, "per-request timeout on member calls")
-		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on ring-down 503s")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
@@ -62,9 +60,7 @@ func main() {
 	}
 
 	router := cluster.NewRouter(cluster.RouterConfig{
-		Vnodes:          *vnodes,
 		CallTimeout:     *callTimeout,
-		RetryAfter:      *retryAfter,
 		JanitorInterval: *janitorEvery,
 	})
 
@@ -122,8 +118,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("dopia-router: listening on http://%s (%d members, %d vnodes)",
-			*addr, len(members)+len(external), *vnodes)
+		log.Printf("dopia-router: listening on http://%s (%d members)",
+			*addr, len(members)+len(external))
 		errCh <- hs.ListenAndServe()
 	}()
 

@@ -16,9 +16,9 @@
 // launches finish (bounded by their deadlines, then -drain-timeout),
 // new work is refused with 503.
 //
-// Any daemon can be a ring member: GET /healthz carries its readiness,
-// session count and program-registry contents, which is all a
-// dopia-router needs to place sessions on it and detect its failure.
+// Any daemon can be a ring member: GET /healthz carries its readiness
+// and session count, which is all a dopia-router needs to place
+// sessions on it and detect its failure.
 // Register it with `dopia-router -nodes <id>=<addr>`.
 package main
 
@@ -51,7 +51,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "launch worker pool size (0 = GOMAXPROCS)")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		maxDeadline  = flag.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
-		watchdog     = flag.Duration("watchdog", 0, "per-execution watchdog timeout (0 = framework default)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain after SIGTERM")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -78,7 +77,6 @@ func main() {
 		Workers:         *workers,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		WatchdogTimeout: *watchdog,
 		Online:          *onlineOn,
 	}
 	if *onlineOn {

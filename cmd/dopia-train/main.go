@@ -28,14 +28,10 @@ func main() {
 		machineName = flag.String("machine", "Kaveri", "machine model: any zoo machine (Kaveri, Skylake, BigLittle, DiscretePCIe, AppleM)")
 		folds       = flag.Int("folds", 16, "cross-validation folds for the report")
 		saveModel   = flag.String("save-model", "", "write the shipped DT model to this JSON file")
-		machineFile = flag.String("machine-file", "", "load a custom machine description (JSON)")
 	)
 	flag.Parse()
 
 	m, err := sim.MachineByName(*machineName)
-	if *machineFile != "" {
-		m, err = sim.LoadMachine(*machineFile)
-	}
 	check(err)
 
 	wls, err := core.DefaultTrainingSet.Workloads()

@@ -10,6 +10,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -258,14 +259,15 @@ func (h *harness) waitReplicated() {
 // CPU load; the test's claim was right and the router was wrong: the
 // membership mesh of the time relayed a stale unready record that
 // outranked the router's own readiness probe, and the first janitor pass
-// drained a healthy member. That drain lost sessions two ways:
-// migrateLocked closed the session on the member it had just rebuilt the
-// replica on (the drained one, ready again by then), so the kill promoted
-// a replica that held nothing; and a drain racing the kill dropped live
-// replicas whose primary then died before the rebuild. The mesh is gone —
-// the router's probe is now the only source of readiness — and
-// TestMigrateKeepsRebuiltReplica and TestJanitorRestoresReplica pin the
-// two router repairs.
+// drained a healthy member. That drain lost sessions two ways: its
+// export-and-import move closed the session on the member it had just
+// rebuilt the replica on (the drained one, ready again by then), so the
+// kill promoted a replica that held nothing; and a drain racing the kill
+// dropped live replicas whose primary then died before the rebuild. The
+// mesh is gone — the router's probe is now the only source of readiness —
+// a drain now hands each session to its replica, and
+// TestDrainKeepsRebuiltReplica and TestJanitorRestoresReplica pin the two
+// router repairs.
 func TestClusterKillFailoverZeroLoss(t *testing.T) {
 	h := newHarness(t, 4, 8)
 	const iters = 24
@@ -291,27 +293,39 @@ func TestClusterKillFailoverZeroLoss(t *testing.T) {
 	}
 }
 
-// TestMigrateKeepsRebuiltReplica: on a two-member ring a migration's
-// only replica target is the member being migrated from. Its copy must
-// survive the migration, or the placement names a replica that holds
-// nothing.
-func TestMigrateKeepsRebuiltReplica(t *testing.T) {
+// TestDrainKeepsRebuiltReplica: on a two-member ring a drain promotes
+// the replica, and the only member left to take the new replica is the
+// drained one, still ready because the operator drained it before it
+// turned unready. Its copy must survive the drain, or the placement names
+// a replica that holds nothing.
+func TestDrainKeepsRebuiltReplica(t *testing.T) {
 	h := newHarness(t, 2, 1)
 	h.launchRound(0)
 	sid := h.sids[0]
+	from := h.primaryOf(sid)
+	resp, err := http.Post(h.l.RouterURL+"/cluster/v1/drain/"+from, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain %s: status %d", from, resp.StatusCode)
+	}
 	p, _ := h.l.Router.placement(sid)
 	p.mu.Lock()
-	from := p.primary
-	h.l.Router.migrateLocked(p, from)
 	pr, rep := p.primary, p.replica
 	p.mu.Unlock()
 	if pr == from || rep != from {
-		t.Fatalf("after migrating off %s: primary %q replica %q", from, pr, rep)
+		t.Fatalf("after draining %s: primary %q replica %q", from, pr, rep)
 	}
 	if _, err := h.l.Router.client(rep).ExportSession(sid); err != nil {
 		t.Fatalf("replica %s does not hold the session: %v", rep, err)
 	}
+	if m, f := h.metric("dopia_router_migrations_total"), h.metric("dopia_router_failovers_total"); m != 1 || f != 0 {
+		t.Errorf("migrations = %d, failovers = %d: want the drain's one hand-over and no failover", m, f)
+	}
 	h.launchRound(1)
+	h.launchRound(2)
 	h.verifyFinal()
 }
 
@@ -452,7 +466,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 // TestClusterDrainRaceMigration races a graceful drain against
 // concurrent in-flight launches: every launch must complete exactly
 // once (the accumulator kernel detects double-apply bit-wise), the
-// drained node's sessions migrate with zero loss.
+// drained node's sessions move to their replicas with zero loss.
 func TestClusterDrainRaceMigration(t *testing.T) {
 	h := newHarness(t, 4, 8)
 	const perSession = 60
@@ -483,14 +497,14 @@ func TestClusterDrainRaceMigration(t *testing.T) {
 	}
 
 	// Drain the victim mid-burst: it flips unready, the next probe reads
-	// the flag, and the janitor migrates its primaries while launches race.
+	// the flag, and the janitor hands its primaries over while launches race.
 	time.Sleep(10 * time.Millisecond)
 	h.l.Node(victim).BeginDrain()
 
-	// The migration must land while the burst is still meaningful: wait
+	// The hand-over must land while the burst is still meaningful: wait
 	// for the janitor to move every session off the drained node before
 	// asserting, so the placement check below cannot race it.
-	waitFor(t, 10*time.Second, "drained node's primaries migrated", func() bool {
+	waitFor(t, 10*time.Second, "drained node's primaries handed over", func() bool {
 		for _, sid := range h.sids {
 			if h.primaryOf(sid) == victim {
 				return false

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,30 +249,162 @@ func TestUnreadyProbeDrainsOnce(t *testing.T) {
 	}
 }
 
-// A program the router holds that is missing from a member's probe is
-// re-pushed on that tick.
-func TestProbeRepushesMissingProgram(t *testing.T) {
+// accSession places a session through the router and gives it acc's
+// buffers; launch applies acc to it once under idem key sid-iter and
+// returns y as the router answered it.
+func (tr *tickedRing) accSession(prog string) (sid string, launch func(iter int) string) {
+	tr.t.Helper()
+	sid = tr.newSession()
+	seed := uint32(5)
+	if err := tr.c.CreateBuffer(sid, &server.BufferRequest{Name: "x", Kind: "float32", Len: bufN, FillSeed: &seed}); err != nil {
+		tr.t.Fatal(err)
+	}
+	if err := tr.c.CreateBuffer(sid, &server.BufferRequest{Name: "y", Kind: "float32", Len: bufN}); err != nil {
+		tr.t.Fatal(err)
+	}
+	nn := int64(bufN)
+	return sid, func(iter int) string {
+		tr.t.Helper()
+		resp, err := tr.c.Launch(&server.LaunchRequest{
+			SessionID: sid, ProgramID: prog, Kernel: "acc",
+			Args:   []server.LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}},
+			Global: []int{bufN}, Local: []int{32},
+			Read: []string{"y"}, IdemKey: fmt.Sprintf("%s-%d", sid, iter),
+		})
+		if err != nil {
+			tr.t.Fatalf("launch %d of %s: %v", iter, sid, err)
+		}
+		return resp.Buffers["y"].F32B64
+	}
+}
+
+// holds reads y of session sid straight from member id.
+func (tr *tickedRing) holds(id, sid string) string {
+	tr.t.Helper()
+	b, err := server.NewClient(tr.node(id).URL, nil).ReadBuffer(sid, "y")
+	if err != nil {
+		tr.t.Fatalf("%s does not hold %s: %v", id, sid, err)
+	}
+	return b.F32B64
+}
+
+// programsOn reads member id's program-registry gauge.
+func (tr *tickedRing) programsOn(id string) string {
+	tr.t.Helper()
+	text, err := server.NewClient(tr.node(id).URL, nil).Metrics()
+	if err != nil {
+		tr.t.Fatal(err)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, "dopia_programs_registered "); ok {
+			return v
+		}
+	}
+	tr.t.Fatalf("%s exposes no dopia_programs_registered", id)
+	return ""
+}
+
+// A program reaches a member only when a launch needs it there: a
+// registration compiles it on one member, a probe tick pushes nothing,
+// and after an eviction the next launch that lands on the member pushes
+// it again, whether the member runs the launch as primary or mirrors it.
+func TestLaunchRepushesMissingProgram(t *testing.T) {
 	tr := newTickedRing(t, 2)
 	p, err := tr.c.Compile(clusterAccSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pushes, repushes := &tr.r.met.programPushes, &tr.r.met.programRepushes
+	if n := pushes.Load(); n != 1 {
+		t.Fatalf("program pushes = %d after one registration, want 1", n)
+	}
+	tr.tick(3)
+	if got := tr.programsOn("n0") + "/" + tr.programsOn("n1"); got != "1/0" || pushes.Load() != 1 || repushes.Load() != 0 {
+		t.Fatalf("after three ticks: n0/n1 hold %s programs, pushes %d, repushes %d; want 1/0, 1, 0",
+			got, pushes.Load(), repushes.Load())
+	}
+
+	sid, launch := tr.accSession(p.ProgramID)
+	primary, replica := tr.placed(sid)
+	launch(0)
+	if n := repushes.Load(); n != 1 {
+		t.Fatalf("repushes = %d after the first launch, want 1 (n1 had never held the program)", n)
+	}
+	tr.node(primary).Srv.EvictPrograms()
+	launch(1)
+	if n := repushes.Load(); n != 2 {
+		t.Fatalf("repushes = %d after evicting the primary %s, want 2", n, primary)
+	}
+	tr.node(replica).Srv.EvictPrograms()
+	y := launch(2)
+	if n := repushes.Load(); n != 3 {
+		t.Fatalf("repushes = %d after evicting the replica %s, want 3", n, replica)
+	}
+	if pr, rep := tr.placed(sid); pr != primary || rep != replica {
+		t.Fatalf("placement moved to (%s, %s): a missing program is not a member failure", pr, rep)
+	}
+	if tr.holds(primary, sid) != y || tr.holds(replica, sid) != y {
+		t.Fatal("primary and replica do not both hold the launched y")
+	}
+	if d := tr.r.met.replicaDivergence.Load(); d != 0 || pushes.Load() != 1 {
+		t.Fatalf("divergence = %d, pushes = %d; want 0 and 1", d, pushes.Load())
+	}
+}
+
+// A drain of a placement with no replica first copies the primary, which
+// still serves, then hands the session to that copy: nothing is lost.
+func TestDrainWithoutReplicaCopiesPrimary(t *testing.T) {
+	tr := newTickedRing(t, 3)
+	p, err := tr.c.Compile(clusterAccSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, launch := tr.accSession(p.ProgramID)
+	y := launch(0)
+	victim, _ := tr.placed(sid)
+	pl, _ := tr.r.placement(sid)
+	pl.mu.Lock()
+	pl.replica = ""
+	pl.mu.Unlock()
+
+	tr.node(victim).BeginDrain()
 	tr.tick(1)
-	if rp := tr.r.met.programRepushes.Load(); rp != 0 {
-		t.Fatalf("repushes = %d with every member holding the program", rp)
+	pr, rep := tr.placed(sid)
+	if pr == victim || rep == victim || pr == "" || rep == "" {
+		t.Fatalf("after draining %s: primary %q replica %q", victim, pr, rep)
 	}
-	if n := tr.nodes[1].Srv.EvictPrograms(); n != 1 {
-		t.Fatalf("evicted %d programs, want 1", n)
+	if tr.holds(pr, sid) != y || tr.holds(rep, sid) != y {
+		t.Fatal("the session's two new copies do not hold its y")
 	}
-	tr.tick(1)
-	if ids := tr.nodes[1].Srv.ProgramIDs(); len(ids) != 1 || ids[0] != p.ProgramID {
-		t.Fatalf("n1 programs after the tick = %v, want [%s]", ids, p.ProgramID)
+	met := &tr.r.met
+	if met.sessionsLost.Load() != 0 || met.migrations.Load() != 1 || met.failovers.Load() != 0 || met.replicaRebuilds.Load() != 2 {
+		t.Fatalf("lost %d, migrations %d, failovers %d, rebuilds %d; want 0, 1, 0, 2",
+			met.sessionsLost.Load(), met.migrations.Load(), met.failovers.Load(), met.replicaRebuilds.Load())
 	}
-	if rp := tr.r.met.programRepushes.Load(); rp != 1 {
-		t.Fatalf("repushes = %d, want 1", rp)
+	launch(1)
+}
+
+// A drain that finds no member to take a copy leaves the session on the
+// drained member, which still serves it, rather than losing it.
+func TestDrainWithNoTargetKeepsSession(t *testing.T) {
+	tr := newTickedRing(t, 1)
+	p, err := tr.c.Compile(clusterAccSrc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tr.r.Members()["n0"].Programs; len(got) != 1 || got[0] != p.ProgramID {
-		t.Fatalf("table row for n0 lists programs %v", got)
+	sid, launch := tr.accSession(p.ProgramID)
+	y := launch(0)
+	tr.node("n0").BeginDrain()
+	tr.tick(2)
+	if pr, rep := tr.placed(sid); pr != "n0" || rep != "" {
+		t.Fatalf("after draining the only member: primary %q replica %q, want n0 alone", pr, rep)
+	}
+	if tr.r.met.drains.Load() != 1 || tr.r.met.sessionsLost.Load() != 0 || tr.r.met.migrations.Load() != 0 {
+		t.Fatalf("drains %d, lost %d, migrations %d; want 1, 0, 0",
+			tr.r.met.drains.Load(), tr.r.met.sessionsLost.Load(), tr.r.met.migrations.Load())
+	}
+	if tr.holds("n0", sid) != y {
+		t.Fatal("the drained member no longer holds the session's y")
 	}
 }
 

@@ -106,8 +106,8 @@ func (n *Node) SetSlow(d time.Duration) { n.slowNS.Store(int64(d)) }
 func (n *Node) SetPartitioned(p bool) { n.partitioned.Store(p) }
 
 // BeginDrain flips the member unready. The router's next probe reads
-// the flag and it migrates the node's primaries away, after which
-// Shutdown completes the drain.
+// the flag and it hands the node's sessions to their replicas, after
+// which Shutdown completes the drain.
 func (n *Node) BeginDrain() { n.Srv.SetReady(false) }
 
 // Shutdown drains and stops a live member gracefully. A killed member

@@ -17,8 +17,8 @@ package cluster
 //
 // Lock ordering: a placement's mu may be held while briefly taking
 // router.mu (node/source snapshots); never the reverse. Launches of
-// one session serialize on placement.mu, which is also what makes
-// migration atomic with respect to in-flight launches.
+// one session serialize on placement.mu, which is also what makes a
+// drain's hand-over atomic with respect to in-flight launches.
 
 import (
 	"encoding/json"
@@ -38,33 +38,30 @@ import (
 
 // RouterConfig parameterizes a Router.
 type RouterConfig struct {
-	// Vnodes per member on the placement ring (default 64).
-	Vnodes int
 	// CallTimeout bounds one proxied node call (default 15s).
 	CallTimeout time.Duration
-	// RetryAfter is the hint on ring-down 503s (default 1s).
-	RetryAfter time.Duration
 	// JanitorInterval paces the repair loop: one /healthz probe of every
-	// member, then dead-node failover, drain migration and program
-	// anti-entropy off the answers (default 100ms). The member table's
-	// thresholds are multiples of it (members.go).
+	// member, then dead-node failover and drain hand-over off the answers
+	// (default 100ms). The member table's thresholds are multiples of it
+	// (members.go).
 	JanitorInterval time.Duration
 }
 
 func (c *RouterConfig) fillDefaults() {
-	if c.Vnodes <= 0 {
-		c.Vnodes = 64
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 15 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.JanitorInterval <= 0 {
 		c.JanitorInterval = 100 * time.Millisecond
 	}
 }
+
+const (
+	// ringVnodes is each member's virtual node count on the placement ring.
+	ringVnodes = 64
+	// ringDownRetryAfter is the Retry-After hint on ring-down 503s.
+	ringDownRetryAfter = time.Second
+)
 
 // placement is one logical session's location: a primary node serving
 // it and a replica node holding a bit-identical copy. placement.mu
@@ -95,9 +92,10 @@ type routerMetrics struct {
 }
 
 // sourceRegistryCap bounds the router's source registry at the members'
-// own program-registry bound. A launch touches its program here and on
-// the member that runs it, so both evict in the same order and the
-// janitor's re-push of what a member lost converges on the router's set.
+// own program-registry bound. A launch touches its program here, so the
+// router forgets the least recently launched source first; a launch of a
+// forgotten program fails with the member's 404 until it is registered
+// again.
 const sourceRegistryCap = 256
 
 // Router places sessions, mirrors state, and repairs the ring.
@@ -132,7 +130,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	cfg.fillDefaults()
 	r := &Router{
 		cfg:        cfg,
-		ring:       NewRing(cfg.Vnodes),
+		ring:       NewRing(ringVnodes),
 		hc:         &http.Client{Timeout: cfg.CallTimeout},
 		hzc:        &http.Client{Timeout: probeTimeoutTicks * cfg.JanitorInterval},
 		limits:     server.DefaultBodyLimits(),
@@ -164,26 +162,19 @@ func NewRouter(cfg RouterConfig) *Router {
 func (r *Router) Handler() http.Handler { return r.mux }
 
 // AddNode registers a member: probe it once (so a ready member is
-// routable without waiting for a janitor tick), add it to the ring, and
-// push every known program so it can serve any session immediately.
+// routable without waiting for a janitor tick) and add it to the ring.
+// It gets a program when a launch first needs one there.
 func (r *Router) AddNode(id, addr string) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("cluster: AddNode needs id and addr")
 	}
-	c := server.NewClient(addr, r.hc)
-	m := &member{addr: addr, c: c, hz: server.NewClient(addr, r.hzc)}
+	m := &member{addr: addr, c: server.NewClient(addr, r.hc), hz: server.NewClient(addr, r.hzc)}
 	m.observe(m.hz.Healthz())
 
 	r.mu.Lock()
 	r.members[id] = m
 	r.mu.Unlock()
 	r.ring.Add(id)
-
-	r.sources.Each(func(_, src string) {
-		if _, err := c.Compile(src); err == nil {
-			r.met.programPushes.Add(1)
-		}
-	})
 	return nil
 }
 
@@ -247,7 +238,8 @@ func isNodeFailure(err error) bool {
 }
 
 // isMissingProgram detects a 404 caused by an evicted/never-pushed
-// program — repaired inline by re-pushing the stored source.
+// program — repaired inline by pushing the stored source. That is the
+// only way a program reaches a member after its registration.
 func isMissingProgram(err error) bool {
 	apiErr, ok := err.(*server.APIError)
 	return ok && apiErr.Status == http.StatusNotFound && strings.Contains(apiErr.Message, "no program")
@@ -261,7 +253,8 @@ func isMissingSession(err error) bool {
 	return ok && apiErr.Status == http.StatusNotFound && strings.Contains(apiErr.Message, "no session")
 }
 
-// pushProgram re-registers a stored source on one node.
+// pushProgram registers a stored source on one node that a launch found
+// without it.
 func (r *Router) pushProgram(nodeID, progID string) bool {
 	src, ok := r.sources.Get(progID)
 	if !ok {
@@ -382,7 +375,7 @@ func (r *Router) writeError(w http.ResponseWriter, status int, err error) {
 	}
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
 		if resp.RetryAfterMS == 0 {
-			resp.RetryAfterMS = r.cfg.RetryAfter.Milliseconds()
+			resp.RetryAfterMS = ringDownRetryAfter.Milliseconds()
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(int((time.Duration(resp.RetryAfterMS)*time.Millisecond+time.Second-1)/time.Second)))
 	}
@@ -419,8 +412,9 @@ func (r *Router) ringDown(w http.ResponseWriter) {
 	r.writeError(w, http.StatusServiceUnavailable, faults.ErrRingDown)
 }
 
-// handleProgram registers source with the router (for re-push) and
-// pushes it to every healthy member. Succeeds if any member took it.
+// handleProgram registers source with the router and compiles it on the
+// first healthy member that answers; every other member gets it from the
+// first launch that needs it there.
 func (r *Router) handleProgram(w http.ResponseWriter, req *http.Request) {
 	var pr server.ProgramRequest
 	if !server.DecodeBody(w, req, r.limits.Program, &pr) {
@@ -432,34 +426,30 @@ func (r *Router) handleProgram(w http.ResponseWriter, req *http.Request) {
 	}
 	id := server.ProgramID(pr.Source)
 	_, known := r.sources.Get(id)
-	r.sources.Put(id, pr.Source)
 
-	var out *server.ProgramResponse
 	var lastErr error
 	for _, nid := range r.memberIDs() {
 		if !r.healthy(nid) {
 			continue
 		}
-		resp, err := r.client(nid).Compile(pr.Source)
+		out, err := r.client(nid).Compile(pr.Source)
 		if err != nil {
-			lastErr = err
-			continue
+			if lastErr = err; isNodeFailure(err) {
+				continue
+			}
+			break
 		}
 		r.met.programPushes.Add(1)
-		if out == nil {
-			out = resp
-		}
-	}
-	if out == nil {
-		if lastErr != nil {
-			r.passThrough(w, lastErr)
-		} else {
-			r.ringDown(w)
-		}
+		r.sources.Put(id, pr.Source)
+		out.Cached = known
+		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	out.Cached = known
-	writeJSON(w, http.StatusOK, out)
+	if lastErr != nil {
+		r.passThrough(w, lastErr)
+	} else {
+		r.ringDown(w)
+	}
 }
 
 // handleCreateSession places a new session: primary from the ring,
@@ -707,15 +697,12 @@ func (r *Router) handleLaunch(w http.ResponseWriter, req *http.Request) {
 
 // janitor is one tick of the repair loop: probe every member, then act
 // on the table — dead members are failed over, alive-but-unready members
-// are drained (sessions migrated away), members whose probe listed fewer
-// programs than the router holds get the rest re-pushed (anti-entropy
-// against registry eviction), and single-copy placements are
-// re-replicated.
+// are drained (sessions handed to their replicas), and single-copy
+// placements are re-replicated.
 func (r *Router) janitor() {
 	r.probeAll()
 	for _, id := range r.memberIDs() {
-		var failover, drain, repair bool
-		var programs []string
+		var failover, drain bool
 		r.mu.Lock()
 		m := r.members[id]
 		switch st := m.status(); {
@@ -723,7 +710,6 @@ func (r *Router) janitor() {
 			failover, m.deadHandled = !m.deadHandled, true
 		case st == StatusAlive && m.ready:
 			m.deadHandled, m.drainHandled = false, false
-			repair, programs = true, m.programs
 		case st == StatusAlive && !m.lastOK.IsZero():
 			// Answered and said unready; a member that has never
 			// answered has nothing to drain.
@@ -738,16 +724,6 @@ func (r *Router) janitor() {
 		case drain:
 			r.met.drains.Add(1)
 			r.drainNode(id)
-		case repair:
-			have := make(map[string]bool, len(programs))
-			for _, pid := range programs {
-				have[pid] = true
-			}
-			r.sources.Each(func(pid, _ string) {
-				if !have[pid] {
-					r.pushProgram(id, pid)
-				}
-			})
 		}
 	}
 
@@ -778,65 +754,38 @@ func (r *Router) failoverNode(dead string) {
 	}
 }
 
-// drainNode migrates sessions off an alive-but-unready member via
-// export → import to the ring successor: zero-loss handoff while the
-// member still serves. Each migration holds placement.mu, so it is
-// atomic against in-flight launches of that session.
+// drainNode moves every session off an alive-but-unready member while it
+// still serves. A primary hands over to its replica, which holds every
+// launch and buffer write mirrored under placement.mu: the replica is
+// promoted, a new one is rebuilt, and the drained member's copy is
+// closed. A placement without a healthy replica first gets one copied
+// from the primary; if no member can take that copy, the session stays
+// on the drained member, which still serves it. Each hand-over holds
+// placement.mu, so it is atomic against in-flight launches.
 func (r *Router) drainNode(id string) {
 	for _, p := range r.snapshotPlacements() {
 		p.mu.Lock()
-		if p.primary == id {
-			r.migrateLocked(p, id)
-		} else if p.replica == id {
-			p.replica = ""
+		switch {
+		case p.primary == id:
+			if p.replica == "" || !r.healthy(p.replica) {
+				r.rebuildReplicaLocked(p)
+			}
+			if p.replica == "" {
+				break
+			}
+			p.primary = p.replica
+			r.rebuildReplicaLocked(p)
+			// A member whose readiness flapped back may have just been
+			// picked as the new replica: its copy is then live.
+			if c := r.client(id); c != nil && p.replica != id {
+				_ = c.CloseSession(p.id)
+			}
+			r.met.migrations.Add(1)
+		case p.replica == id:
 			r.rebuildReplicaLocked(p)
 		}
 		p.mu.Unlock()
 	}
-}
-
-// migrateLocked moves a primary off a still-serving node. Falls back
-// to replica promotion when the export path fails. Caller holds p.mu.
-func (r *Router) migrateLocked(p *placement, from string) {
-	var target string
-	for _, cand := range r.ring.Place(p.id, 3, r.healthy) {
-		if cand != from {
-			target = cand
-			break
-		}
-	}
-	fc := r.client(from)
-	tc := r.client(target)
-	if target == "" || fc == nil || tc == nil {
-		r.failoverLocked(p, from)
-		return
-	}
-	exp, err := fc.ExportSession(p.id)
-	if err != nil {
-		if isNodeFailure(err) {
-			r.condemn(from)
-		}
-		r.failoverLocked(p, from)
-		return
-	}
-	if err := tc.ImportSession(exp); err != nil {
-		if isNodeFailure(err) {
-			r.condemn(target)
-		}
-		r.failoverLocked(p, from)
-		return
-	}
-	oldReplica := p.replica
-	p.primary = target
-	if oldReplica == target || oldReplica == from || oldReplica == "" {
-		r.rebuildReplicaLocked(p)
-	}
-	// A member whose readiness flapped back during the migration may
-	// have just been chosen as the new replica: its copy is then live.
-	if p.replica != from {
-		_ = fc.CloseSession(p.id)
-	}
-	r.met.migrations.Add(1)
 }
 
 func (r *Router) snapshotPlacements() []*placement {
@@ -923,7 +872,7 @@ func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// handleDrain triggers migration off a member (the operator's
+// handleDrain moves every session off a member (the operator's
 // pre-shutdown step; the member should already be unready).
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
@@ -955,11 +904,11 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	counter("dopia_router_launches_total", "Launches proxied successfully.", r.met.launches.Load())
 	counter("dopia_router_launch_errors_total", "Launches that failed through the router.", r.met.launchErrors.Load())
 	counter("dopia_router_failovers_total", "Primary promotions after node failure.", r.met.failovers.Load())
-	counter("dopia_router_migrations_total", "Zero-loss session migrations (drain path).", r.met.migrations.Load())
+	counter("dopia_router_migrations_total", "Sessions a drain handed to their replicas.", r.met.migrations.Load())
 	counter("dopia_router_replica_rebuilds_total", "Replica re-establishments via export/import.", r.met.replicaRebuilds.Load())
 	counter("dopia_router_replica_divergence_total", "Replica responses that differed bit-wise from the primary.", r.met.replicaDivergence.Load())
 	counter("dopia_router_program_pushes_total", "Program registrations pushed to members.", r.met.programPushes.Load())
-	counter("dopia_router_program_repushes_total", "Programs re-pushed after loss or eviction.", r.met.programRepushes.Load())
+	counter("dopia_router_program_repushes_total", "Programs pushed to a member when a launch found it missing.", r.met.programRepushes.Load())
 	counter("dopia_router_ring_down_total", "Requests refused because no member was healthy.", r.met.ringDown.Load())
 	counter("dopia_router_node_deaths_total", "Members declared dead.", r.met.nodeDeaths.Load())
 	counter("dopia_router_drains_total", "Member drains executed.", r.met.drains.Load())

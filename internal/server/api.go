@@ -240,9 +240,6 @@ type HealthResponse struct {
 	InFlight      int     `json:"in_flight"`
 	Sessions      int     `json:"sessions"`
 	Launches      int64   `json:"launches_total"`
-	// Programs is the program registry's content-addressed IDs, sorted:
-	// what a cluster router's probe compares against the sources it holds.
-	Programs []string `json:"programs"`
 }
 
 // stageOf renders the failure stage of an error for ErrorResponse.

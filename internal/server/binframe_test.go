@@ -19,14 +19,13 @@ type binHarness struct {
 	sid, progID string
 }
 
-// newBinHarness builds the harness on a server whose default, maximum and
-// watchdog deadlines are all 20 ms, so no launch holds a call for long.
+// newBinHarness builds the harness on a server whose default and maximum
+// deadlines are both 20 ms, so no launch holds a call for long.
 func newBinHarness(t testing.TB) *binHarness {
 	t.Helper()
 	s, _, c := newTestServer(t, func(cfg *Config) {
 		cfg.DefaultDeadline = 20 * time.Millisecond
 		cfg.MaxDeadline = 20 * time.Millisecond
-		cfg.WatchdogTimeout = 20 * time.Millisecond
 		cfg.MaxBufferBytes = 1 << 12
 	})
 	sid, err := c.NewSession()

@@ -189,8 +189,8 @@ func TestStartUnreadyAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids := s.ProgramIDs(); len(ids) != 1 || ids[0] != p.ProgramID {
-		t.Errorf("ProgramIDs = %v", ids)
+	if _, ok := s.programs.Get(p.ProgramID); !ok || s.programs.Stats().Entries != 1 {
+		t.Errorf("registry holds %d programs, want only %s", s.programs.Stats().Entries, p.ProgramID)
 	}
 	if n := s.EvictPrograms(); n != 1 {
 		t.Errorf("EvictPrograms = %d, want 1", n)
@@ -421,7 +421,7 @@ func TestProgramRegistryIsBounded(t *testing.T) {
 	for i := 0; i < programRegistryCap-1; i++ {
 		register(i)
 	}
-	if got := len(s.ProgramIDs()); got != programRegistryCap {
+	if got := s.programs.Stats().Entries; got != programRegistryCap {
 		t.Fatalf("%d programs registered after cap+1 registrations, want %d", got, programRegistryCap)
 	}
 	err = launch(victim)

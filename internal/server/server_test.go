@@ -449,6 +449,44 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestLaunchBoundOnlyByDeadline: a served launch's request deadline is
+// its only bound. A framework watchdog under it (30 s by default) would
+// abort a launch whose client allowed it up to MaxDeadline, and serve it
+// on the plain rung; without one, a long deadline lets the launch finish
+// managed, and a deadline that lapses mid-run still aborts it.
+func TestLaunchBoundOnlyByDeadline(t *testing.T) {
+	s, _, c := newTestServer(t, nil)
+	if d := s.fw.WatchdogTimeout; d >= 0 {
+		t.Fatalf("framework watchdog = %v under the request deadline, want off (< 0)", d)
+	}
+	sid, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 20
+	prog, _ := setupAcc(t, c, sid, n)
+	nn := int64(n)
+	launch := func(deadlineMS int64) (*LaunchResponse, error) {
+		return c.Launch(&LaunchRequest{
+			SessionID: sid, ProgramID: prog, Kernel: "acc",
+			Args:   []LaunchArg{{Buf: "x"}, {Buf: "y"}, {Int: &nn}},
+			Global: []int{n}, Local: []int{256},
+			DeadlineMS: deadlineMS,
+		})
+	}
+	resp, err := launch(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rung != "managed" || resp.Fallback == nil || resp.Fallback.Timeouts != 0 {
+		t.Fatalf("launch under a 10 s deadline: rung %q, fallback %+v; want managed with no timeout", resp.Rung, resp.Fallback)
+	}
+	_, err = launch(1)
+	if apiErr, ok := err.(*APIError); !ok || apiErr.Status != http.StatusGatewayTimeout {
+		t.Fatalf("launch under a 1 ms deadline: %v, want 504", err)
+	}
+}
+
 func TestGracefulDrain(t *testing.T) {
 	s, _, c := newTestServer(t, nil)
 	prog, err := c.Compile(scaleSrc)
