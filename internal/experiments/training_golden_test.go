@@ -58,24 +58,17 @@ func selectionDigest(sel []Selection) string {
 }
 
 // TestTrainingGolden pins what every model-building path trains on, as one
-// SHA-256 per path on Kaveri: over the predictions on a fixed probe of the
+// SHA-256 per path: over the predictions on a fixed probe of the
 // command-line bootstrap (DefaultTrainingSet) and of the facade's
 // TrainDefaultModel on the benchmark's 102-workload slice (every twelfth
-// synthetic workload); and
-// over the selections of Fig. 13's leave-one-family-out models and of
-// Fig. 10's cross-validation folds at tinySuite scale, for all four model
-// families. A change to which workloads a path characterizes, or to the
-// order its samples reach the trainer, shows up here.
+// synthetic workload), on every zoo machine (Kaveri's rows carry no
+// machine suffix); and over the selections of Fig. 13's
+// leave-one-family-out models and of Fig. 10's cross-validation folds at
+// tinySuite scale on Kaveri, for all four model families. A change to
+// which workloads a path characterizes, to the order its samples reach
+// the trainer, or to the tree a DT fit grows from them shows up here.
 func TestTrainingGolden(t *testing.T) {
 	const golden = "testdata/training.golden"
-	m := sim.Kaveri()
-	probe := trainingProbe(t, m)
-	var b strings.Builder
-	model, err := core.BootstrapModel(m, "DT", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&b, "bootstrap-DT %s\n", predictionDigest(model, probe))
 	// The benchmark's slice, built as benchmark/kernels.go's
 	// trainingSlice(12) builds it: every twelfth synthetic workload.
 	grid, err := dopia.SyntheticWorkloads()
@@ -86,12 +79,26 @@ func TestTrainingGolden(t *testing.T) {
 	for i := 0; i < len(grid); i += 12 {
 		slice = append(slice, grid[i])
 	}
-	model, err = dopia.TrainDefaultModel(m, slice)
-	if err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for _, m := range sim.Zoo() {
+		suffix := ""
+		if m.Name != sim.Kaveri().Name {
+			suffix = "/" + m.Name
+		}
+		probe := trainingProbe(t, m)
+		model, err := core.BootstrapModel(m, "DT", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "bootstrap-DT%s %s\n", suffix, predictionDigest(model, probe))
+		model, err = dopia.TrainDefaultModel(m, slice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "default-model-102%s %s\n", suffix, predictionDigest(model, probe))
 	}
-	fmt.Fprintf(&b, "default-model-102 %s\n", predictionDigest(model, probe))
 
+	m := sim.Kaveri()
 	s := sharedTinySuite()
 	loo, err := s.looSelections(m)
 	if err != nil {
