@@ -39,22 +39,43 @@ func solveSPD(a []float64, b []float64, n int) ([]float64, error) {
 }
 
 // cholesky factors a into lower-triangular form in place; returns false
-// when a pivot is non-positive.
+// when a pivot is non-positive. Below the diagonal, each row i of column j
+// is a dot product of row i's and row j's first j elements that no other
+// row of the column reads, so the loop runs four rows through one k-loop
+// to overlap their add chains. Each row keeps its own summation order, so
+// every element is bit-equal to a row-at-a-time loop.
 func cholesky(a []float64, n int) bool {
 	for j := 0; j < n; j++ {
+		rj := a[j*n : j*n+j]
 		d := a[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * a[j*n+k]
+		for _, v := range rj {
+			d -= v * v
 		}
 		if d <= 0 {
 			return false
 		}
 		d = sqrt(d)
 		a[j*n+j] = d
-		for i := j + 1; i < n; i++ {
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0 := a[i*n : i*n+j]
+			r1 := a[(i+1)*n : (i+1)*n+j]
+			r2 := a[(i+2)*n : (i+2)*n+j]
+			r3 := a[(i+3)*n : (i+3)*n+j]
+			s0, s1, s2, s3 := a[i*n+j], a[(i+1)*n+j], a[(i+2)*n+j], a[(i+3)*n+j]
+			for k, v := range rj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
+			}
+			a[i*n+j], a[(i+1)*n+j], a[(i+2)*n+j], a[(i+3)*n+j] = s0/d, s1/d, s2/d, s3/d
+		}
+		for ; i < n; i++ {
+			ri := a[i*n : i*n+j]
 			s := a[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * a[j*n+k]
+			for k, v := range rj {
+				s -= ri[k] * v
 			}
 			a[i*n+j] = s / d
 		}
