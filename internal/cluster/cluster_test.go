@@ -10,11 +10,13 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,15 +355,16 @@ func TestClusterChaosMatrix(t *testing.T) {
 		spec string // victim placeholder V filled with a live primary
 		// settled reports that the router visibly performed the
 		// scenario's expected recovery action; load keeps flowing until
-		// it holds (or the deadline trips).
-		settled func(h *harness) bool
-		check   func(t *testing.T, h *harness)
+		// it holds (or the deadline trips). repushesAtFault is the
+		// router's program repush count just before the fault fired.
+		settled func(h *harness, repushesAtFault int64) bool
+		check   func(t *testing.T, h *harness, repushesAtFault int64)
 	}{
 		{
 			name:    "kill",
 			spec:    "kill:V@0s",
-			settled: func(h *harness) bool { return h.metric("dopia_router_failovers_total") >= 1 },
-			check: func(t *testing.T, h *harness) {
+			settled: func(h *harness, _ int64) bool { return h.metric("dopia_router_failovers_total") >= 1 },
+			check: func(t *testing.T, h *harness, _ int64) {
 				if f := h.metric("dopia_router_failovers_total"); f < 1 {
 					t.Errorf("failovers = %d, want >= 1", f)
 				}
@@ -373,8 +376,8 @@ func TestClusterChaosMatrix(t *testing.T) {
 			// The silenced member ages to dead on the router's clock;
 			// the janitor moves its sessions even though its data path
 			// still answers.
-			settled: func(h *harness) bool { return h.metric("dopia_router_node_deaths_total") >= 1 },
-			check: func(t *testing.T, h *harness) {
+			settled: func(h *harness, _ int64) bool { return h.metric("dopia_router_node_deaths_total") >= 1 },
+			check: func(t *testing.T, h *harness, _ int64) {
 				if d := h.metric("dopia_router_node_deaths_total"); d < 1 {
 					t.Errorf("node deaths = %d, want >= 1", d)
 				}
@@ -385,16 +388,21 @@ func TestClusterChaosMatrix(t *testing.T) {
 			spec: "slow:V@0s:600ms:30ms",
 			// Latency under the call timeout: no failover required, the
 			// run just has to keep completing correctly while slowed.
-			settled: func(h *harness) bool { return false },
-			check:   func(t *testing.T, h *harness) {},
+			settled: func(*harness, int64) bool { return false },
+			check:   func(*testing.T, *harness, int64) {},
 		},
 		{
-			name:    "evict",
-			spec:    "evict:V@0s",
-			settled: func(h *harness) bool { return h.metric("dopia_router_program_repushes_total") >= 1 },
-			check: func(t *testing.T, h *harness) {
-				if rp := h.metric("dopia_router_program_repushes_total"); rp < 1 {
-					t.Errorf("program repushes = %d, want >= 1 after eviction", rp)
+			// A launch that first needs the program on a member pushes
+			// it too, so only pushes past the count at the eviction show
+			// its repair.
+			name: "evict",
+			spec: "evict:V@0s",
+			settled: func(h *harness, atFault int64) bool {
+				return h.metric("dopia_router_program_repushes_total") > atFault
+			},
+			check: func(t *testing.T, h *harness, atFault int64) {
+				if rp := h.metric("dopia_router_program_repushes_total"); rp <= atFault {
+					t.Errorf("program repushes = %d, want > %d (the count at the eviction)", rp, atFault)
 				}
 			},
 		},
@@ -407,7 +415,14 @@ func TestClusterChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctrl := NewChaosController(events, h.l.Node, t.Logf)
+			// The controller looks a victim up just before injecting.
+			var repushesAtFault atomic.Int64
+			repushesAtFault.Store(math.MaxInt64)
+			lookup := func(id string) *Node {
+				repushesAtFault.Store(h.l.Router.met.programRepushes.Load())
+				return h.l.Node(id)
+			}
+			ctrl := NewChaosController(events, lookup, t.Logf)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			chaosDone := make(chan struct{})
@@ -433,7 +448,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 					injected = true
 				default:
 				}
-				if injected && iter >= minRounds && (sc.settled(h) || sc.name == "slow") {
+				if injected && iter >= minRounds && (sc.settled(h, repushesAtFault.Load()) || sc.name == "slow") {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -452,7 +467,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 			if d := h.metric("dopia_router_replica_divergence_total"); d != 0 {
 				t.Errorf("replica divergence = %d, want 0", d)
 			}
-			sc.check(t, h)
+			sc.check(t, h, repushesAtFault.Load())
 			t.Logf("%s: %d rounds, failovers=%d migrations=%d rebuilds=%d repushes=%d",
 				sc.name, iter,
 				h.metric("dopia_router_failovers_total"),
