@@ -1,6 +1,10 @@
 package interp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -146,4 +150,54 @@ func opCount(ex *Exec, ops ...opcode) int {
 		}
 	}
 	return n
+}
+
+// posReaders are the opcodes whose execution reads an instruction's pos:
+// the integer division and its zero check, every bounds-checked global,
+// __local and private array access, and the global atomics' empty-buffer
+// check. LoweredDigest hashes pos on these only.
+var posReaders = map[opcode]bool{
+	opChkDiv0: true, opDivI: true, opDivU: true, opRemI: true, opRemU: true,
+	opLdGF32: true, opLdGF64: true, opLdGI64: true, opLdGI32: true,
+	opStGF32: true, opStGF64: true, opStGI64: true, opStGI32: true,
+	opLdGF32K: true, opLdOpF32: true, opTapF32: true,
+	opLdLI: true, opLdLF: true, opStLI: true, opStLF: true,
+	opLdPI: true, opLdPF: true, opStPI: true, opStPF: true,
+	opAtomicG: true, opAtomicLd: true,
+}
+
+// LoweredDigest is the SHA-256, in hex, of ex's lowered program: every
+// field of every instruction of every segment, the register file sizes,
+// the init rows, the parameter copies, the math table sizes, the fused
+// loops' terms and whether the program parks. An instruction's pos is
+// hashed only when its opcode is one of posReaders: on the ALU, move,
+// conversion, compare, jump, statistics, work-item, inc/dec, __local
+// scalar and min/max/abs/math opcodes, the fused heads and back edges,
+// and opAtomicL and opAtomicSt, execution never reads it. It is "" when
+// ex runs on the closure engine.
+func LoweredDigest(ex *Exec) string {
+	p := ex.prog
+	if p == nil {
+		return ""
+	}
+	h := sha256.New()
+	for s, code := range p.segments {
+		fmt.Fprintf(h, "segment %d %d\n", s, len(code))
+		for i := range code {
+			in := &code[i]
+			fmt.Fprintf(h, "%d %d %d %d %d %d %d %d %d %d %x", in.op, in.norm, in.dst, in.a, in.b, in.c,
+				in.slot, in.site, in.k, in.imm, math.Float64bits(in.fimm))
+			if posReaders[in.op] {
+				fmt.Fprintf(h, " @%d:%d", in.pos.Line, in.pos.Col)
+			}
+			fmt.Fprintln(h)
+		}
+	}
+	fmt.Fprintf(h, "regs %d %d\ninitI %v\ninitF", p.numI, p.numF, p.initI)
+	for _, v := range p.initF {
+		fmt.Fprintf(h, " %x", math.Float64bits(v))
+	}
+	fmt.Fprintf(h, "\nparams %v %v %v %v\nmath %d %d\nterms %+v\nparkable %t\n",
+		p.paramI, p.paramF, p.fixedI, p.fixedF, len(p.math1), len(p.math2), p.terms, p.parkable)
+	return hex.EncodeToString(h.Sum(nil))
 }
