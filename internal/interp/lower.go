@@ -143,12 +143,17 @@ func (lw *lowerer) snapshot(r breg) breg {
 		return r
 	}
 	t := lw.temp(r.f)
-	if r.f {
-		lw.emit(instr{op: opMovF, norm: normNone, dst: t.idx, a: r.idx})
-	} else {
-		lw.emit(instr{op: opMovI, norm: normNone, dst: t.idx, a: r.idx})
-	}
+	lw.move(t, r)
 	return t
+}
+
+// move emits dst = src, both of dst's file, without normalization.
+func (lw *lowerer) move(dst, src breg) {
+	op := opMovI
+	if dst.f {
+		op = opMovF
+	}
+	lw.emit(instr{op: op, norm: normNone, dst: dst.idx, a: src.idx})
 }
 
 func (lw *lowerer) patch(pcs []int, target int) {
@@ -284,15 +289,66 @@ func normCodeFloat(k clc.Kind) uint8 {
 	return normNone
 }
 
-func shiftMaskOf(pk clc.Kind) int64 {
-	if pk == clc.KindLong || pk == clc.KindULong {
-		return 63
+// binOpcode maps an arithmetic or bitwise operator over the promoted
+// kind pk to its opcode, and the shift mask that a shift carries in imm.
+// It is the lowerer's one operator table: an expression, a compound
+// assignment to any target and an integer division all emit through it.
+func binOpcode(op clc.BinaryOp, pk clc.Kind) (code opcode, mask int64, ok bool) {
+	if pk.IsFloat() {
+		switch op {
+		case clc.BinAdd:
+			return opAddF, 0, true
+		case clc.BinSub:
+			return opSubF, 0, true
+		case clc.BinMul:
+			return opMulF, 0, true
+		case clc.BinDiv:
+			return opDivF, 0, true
+		}
+		return 0, 0, false
 	}
-	return 31
+	mask = 31
+	if pk == clc.KindLong || pk == clc.KindULong {
+		mask = 63
+	}
+	u := pk.IsUnsigned()
+	switch op {
+	case clc.BinAdd:
+		return opAddI, 0, true
+	case clc.BinSub:
+		return opSubI, 0, true
+	case clc.BinMul:
+		return opMulI, 0, true
+	case clc.BinDiv:
+		if u {
+			return opDivU, 0, true
+		}
+		return opDivI, 0, true
+	case clc.BinRem:
+		if u {
+			return opRemU, 0, true
+		}
+		return opRemI, 0, true
+	case clc.BinAnd:
+		return opAndI, 0, true
+	case clc.BinOr:
+		return opOrI, 0, true
+	case clc.BinXor:
+		return opXorI, 0, true
+	case clc.BinShl:
+		return opShlI, mask, true
+	case clc.BinShr:
+		if u {
+			return opShrU, mask, true
+		}
+		return opShrI, mask, true
+	}
+	return 0, 0, false
 }
 
-// icmpCode maps a comparison operator to a cmp code for integer operands.
-func icmpCode(op clc.BinaryOp, unsigned bool) uint8 {
+// cmpCode maps a comparison operator to a cmp code; unsigned applies to
+// integer operands only.
+func cmpCode(op clc.BinaryOp, unsigned bool) uint8 {
 	var c uint8
 	switch op {
 	case clc.BinEq:
@@ -312,23 +368,6 @@ func icmpCode(op clc.BinaryOp, unsigned bool) uint8 {
 		c |= cmpU
 	}
 	return c
-}
-
-// fcmpCode maps a comparison operator to a cmp code for float operands.
-func fcmpCode(op clc.BinaryOp) uint8 {
-	switch op {
-	case clc.BinEq:
-		return cmpEq
-	case clc.BinNe:
-		return cmpNe
-	case clc.BinLt:
-		return cmpLt
-	case clc.BinGt:
-		return cmpGt
-	case clc.BinLe:
-		return cmpLe
-	}
-	return cmpGe
 }
 
 // invertICmp negates an integer cmp code (safe for integers only; float
@@ -658,13 +697,8 @@ func (lw *lowerer) moveTo(dst, src breg) {
 	if dst.idx == src.idx && dst.f == src.f {
 		return
 	}
-	if lw.retarget(dst, src) {
-		return
-	}
-	if dst.f {
-		lw.emit(instr{op: opMovF, norm: normNone, dst: dst.idx, a: src.idx})
-	} else {
-		lw.emit(instr{op: opMovI, norm: normNone, dst: dst.idx, a: src.idx})
+	if !lw.retarget(dst, src) {
+		lw.move(dst, src)
 	}
 }
 
@@ -744,24 +778,15 @@ func (lw *lowerer) jumpIfTrue(x clc.Expr) []int {
 // Float jump-if-true materializes the comparison instead of inverting it,
 // because inverted float comparisons are NaN-incorrect.
 func (lw *lowerer) emitCmpJump(b *clc.Binary, ifTrue bool) int {
-	lk := b.L.ResultType().Kind
-	rk := b.R.ResultType().Kind
-	pk := promoteKind(lk, rk)
-	prepay := canTrap(b.L) || canTrap(b.R)
-	c := int32(1)
-	if prepay {
-		c = 0
+	pk := promoteKind(b.L.ResultType().Kind, b.R.ResultType().Kind)
+	c := lw.countAt(canTrap(b.L) || canTrap(b.R), pk.IsFloat())
+	l := lw.lowerConverted(b.L, pk, b.Pos())
+	if l.varRef && writesVars(b.R) {
+		l = lw.snapshot(l)
 	}
+	code := cmpCode(b.Op, pk.IsUnsigned())
 	if pk.IsFloat() {
-		if prepay {
-			lw.pay(0, 1)
-		}
-		l := lw.lowerConverted(b.L, pk, b.Pos())
-		if l.varRef && writesVars(b.R) {
-			l = lw.snapshot(l)
-		}
 		r := lw.lowerConverted(b.R, pk, b.Pos())
-		code := fcmpCode(b.Op)
 		if !ifTrue {
 			return lw.emit(instr{op: opJCmpF, norm: code, a: l.idx, b: r.idx, c: c, imm: -1})
 		}
@@ -769,14 +794,6 @@ func (lw *lowerer) emitCmpJump(b *clc.Binary, ifTrue bool) int {
 		lw.emit(instr{op: opCmpF, norm: code, dst: t.idx, a: l.idx, b: r.idx, c: c})
 		return lw.emit(instr{op: opJmpNZI, a: t.idx, imm: -1})
 	}
-	if prepay {
-		lw.pay(1, 0)
-	}
-	l := lw.lowerConverted(b.L, pk, b.Pos())
-	if l.varRef && writesVars(b.R) {
-		l = lw.snapshot(l)
-	}
-	code := icmpCode(b.Op, pk.IsUnsigned())
 	if ifTrue {
 		code = invertICmp(code)
 	}
@@ -785,6 +802,71 @@ func (lw *lowerer) emitCmpJump(b *clc.Binary, ifTrue bool) int {
 	}
 	r := lw.lowerConverted(b.R, pk, b.Pos())
 	return lw.emit(instr{op: opJCmpI, norm: code, a: l.idx, b: r.idx, c: c, imm: -1})
+}
+
+// countAt returns the count field of an operation that counts one AluInt,
+// or one AluFloat when float, and is about to lower its operands. The
+// closure engine counts an operation before its operands, so when they
+// can trap (trap) the count is paid now, ahead of their code, and the
+// instruction counts 0; otherwise nothing can observe the difference and
+// the instruction counts 1 as it runs.
+func (lw *lowerer) countAt(trap, float bool) int32 {
+	switch {
+	case !trap:
+		return 1
+	case float:
+		lw.pay(0, 1)
+	default:
+		lw.pay(1, 0)
+	}
+	return 0
+}
+
+// newTemp, as emitBinOp's destination, asks for a fresh temporary.
+var newTemp = breg{idx: -1}
+
+// emitBinOp emits dst = a op b over the promoted kind pk, counting c as
+// it runs, and returns dst. A dst of newTemp is a temporary allocated
+// after the operands'.
+func (lw *lowerer) emitBinOp(op clc.BinaryOp, pk clc.Kind, dst, a, b breg, c int32, pos clc.Pos) breg {
+	code, mask, ok := binOpcode(op, pk)
+	if !ok {
+		lw.fail(pos, "interp: invalid operator %v over %v", op, pk)
+		return breg{}
+	}
+	if dst.idx < 0 {
+		dst = lw.temp(pk.IsFloat())
+	}
+	norm := normCodeInt(pk)
+	if pk.IsFloat() {
+		norm = normCodeFloat(pk)
+	}
+	lw.emit(instr{op: code, norm: norm, dst: dst.idx, a: a.idx, b: b.idx, c: c, imm: mask, pos: pos})
+	return dst
+}
+
+// emitDivision lowers the integer x / y or x % y over kind pk into dst
+// (as emitBinOp) in the closure engine's event order: the count, the
+// divisor, its zero check (opChkDiv0), then the dividend. When the
+// dividend has no observable effect and the divisor cannot trap, nothing
+// can tell that order from the operation's own, which counts as it runs
+// and checks the divisor itself, so the count and the check fold into it.
+func (lw *lowerer) emitDivision(op clc.BinaryOp, pk clc.Kind, dst breg, x, y clc.Expr, pos clc.Pos) breg {
+	full := !pureNoEffects(x) || canTrap(y)
+	c := lw.countAt(full, false)
+	r := lw.lowerConverted(y, pk, pos)
+	if r.varRef && writesVars(x) {
+		r = lw.snapshot(r)
+	}
+	if full {
+		chk := instr{op: opChkDiv0, a: r.idx, pos: pos}
+		if op == clc.BinRem {
+			chk.imm = 1
+		}
+		lw.emit(chk)
+	}
+	l := lw.lowerConverted(x, pk, pos)
+	return lw.emitBinOp(op, pk, dst, l, r, c, pos)
 }
 
 // ---------------------------------------------------------------------------
@@ -908,71 +990,45 @@ func (lw *lowerer) lowerIdentLoad(id *clc.Ident) breg {
 }
 
 func (lw *lowerer) lowerUnary(u *clc.Unary) breg {
-	rk := u.ResultType().Kind
-	xk := u.X.ResultType().Kind
-	prepay := canTrap(u.X)
-	c := int32(1)
-	if prepay {
-		c = 0
-	}
-	switch u.Op {
-	case clc.UnaryPlus:
+	if u.Op == clc.UnaryPlus {
 		return lw.lowerExpr(u.X)
-	case clc.UnaryNeg:
-		if xk.IsFloat() {
-			if prepay {
-				lw.pay(0, 1)
-			}
-			v := lw.lowerExpr(u.X)
-			t := lw.tempF()
-			lw.emit(instr{op: opNegF, norm: normCodeFloat(rk), dst: t.idx, a: v.idx, c: c})
-			return t
-		}
-		if prepay {
-			lw.pay(1, 0)
-		}
-		v := lw.lowerExpr(u.X)
-		t := lw.tempI()
-		lw.emit(instr{op: opNegI, norm: normCodeInt(rk), dst: t.idx, a: v.idx, c: c})
-		return t
-	case clc.UnaryNot:
-		// Logical not counts AluInt even over a float operand.
-		if prepay {
-			lw.pay(1, 0)
-		}
-		v := lw.lowerExpr(u.X)
-		t := lw.tempI()
-		op := opNotI
-		if v.f {
-			op = opNotF
-		}
-		lw.emit(instr{op: op, dst: t.idx, a: v.idx, c: c})
-		return t
-	case clc.UnaryBitNot:
-		if prepay {
-			lw.pay(1, 0)
-		}
-		v := lw.lowerExpr(u.X)
-		t := lw.tempI()
-		lw.emit(instr{op: opBitNotI, norm: normCodeInt(rk), dst: t.idx, a: v.idx, c: c})
-		return t
 	}
-	lw.fail(u.Pos(), "interp: unhandled unary op %v", u.Op)
-	return breg{}
+	rk := u.ResultType().Kind
+	// Logical not counts AluInt even over a float operand.
+	isF := u.Op == clc.UnaryNeg && u.X.ResultType().Kind.IsFloat()
+	var in instr
+	switch u.Op {
+	case clc.UnaryNeg:
+		in.op, in.norm = opNegI, normCodeInt(rk)
+		if isF {
+			in.op, in.norm = opNegF, normCodeFloat(rk)
+		}
+	case clc.UnaryNot:
+		in.op = opNotI
+	case clc.UnaryBitNot:
+		in.op, in.norm = opBitNotI, normCodeInt(rk)
+	default:
+		lw.fail(u.Pos(), "interp: unhandled unary op %v", u.Op)
+		return breg{}
+	}
+	in.c = lw.countAt(canTrap(u.X), isF)
+	v := lw.lowerExpr(u.X)
+	if in.op == opNotI && v.f {
+		in.op = opNotF
+	}
+	t := lw.temp(isF)
+	in.dst, in.a = t.idx, v.idx
+	lw.emit(in)
+	return t
 }
 
 func (lw *lowerer) lowerBinary(b *clc.Binary) breg {
 	if b.Op.IsLogical() {
 		return lw.lowerLogical(b)
 	}
-	lk := b.L.ResultType().Kind
-	rk := b.R.ResultType().Kind
-	pk := promoteKind(lk, rk)
-	if pk.IsFloat() {
-		return lw.lowerBinaryFloat(b, pk)
-	}
+	pk := promoteKind(b.L.ResultType().Kind, b.R.ResultType().Kind)
 	if (b.Op == clc.BinDiv || b.Op == clc.BinRem) && !pk.IsFloat() {
-		return lw.lowerIntDiv(b, pk)
+		return lw.emitDivision(b.Op, pk, newTemp, b.L, b.R, b.Pos())
 	}
 	// Fused multiply-add addressing: (a*b)+c / c+(a*b) over pure int32
 	// operands (e.g. row*n+col subscripts). Counts AluInt += 2 at once;
@@ -982,61 +1038,7 @@ func (lw *lowerer) lowerBinary(b *clc.Binary) breg {
 			return t
 		}
 	}
-	prepay := canTrap(b.L) || canTrap(b.R)
-	c := int32(1)
-	if prepay {
-		c = 0
-	}
-	if prepay {
-		lw.pay(1, 0)
-	}
-	l := lw.lowerConverted(b.L, pk, b.Pos())
-	if l.varRef && writesVars(b.R) {
-		l = lw.snapshot(l)
-	}
-	r := lw.lowerConverted(b.R, pk, b.Pos())
-	t := lw.tempI()
-	in := instr{dst: t.idx, a: l.idx, b: r.idx, c: c, norm: normCodeInt(pk), pos: b.Pos()}
-	unsigned := pk.IsUnsigned()
-	switch b.Op {
-	case clc.BinAdd:
-		in.op = opAddI
-	case clc.BinSub:
-		in.op = opSubI
-	case clc.BinMul:
-		in.op = opMulI
-	case clc.BinShl:
-		in.op, in.imm = opShlI, shiftMaskOf(pk)
-	case clc.BinShr:
-		in.op, in.imm = opShrI, shiftMaskOf(pk)
-		if unsigned {
-			in.op = opShrU
-		}
-	case clc.BinAnd:
-		in.op = opAndI
-	case clc.BinOr:
-		in.op = opOrI
-	case clc.BinXor:
-		in.op = opXorI
-	case clc.BinEq, clc.BinNe, clc.BinLt, clc.BinGt, clc.BinLe, clc.BinGe:
-		in.op, in.norm = opCmpI, icmpCode(b.Op, unsigned)
-	default:
-		lw.fail(b.Pos(), "interp: unhandled binary op %v", b.Op)
-		return breg{}
-	}
-	lw.emit(in)
-	return t
-}
-
-func (lw *lowerer) lowerBinaryFloat(b *clc.Binary, pk clc.Kind) breg {
-	prepay := canTrap(b.L) || canTrap(b.R)
-	c := int32(1)
-	if prepay {
-		c = 0
-	}
-	if prepay {
-		lw.pay(0, 1)
-	}
+	c := lw.countAt(canTrap(b.L) || canTrap(b.R), pk.IsFloat())
 	l := lw.lowerConverted(b.L, pk, b.Pos())
 	if l.varRef && writesVars(b.R) {
 		l = lw.snapshot(l)
@@ -1046,69 +1048,15 @@ func (lw *lowerer) lowerBinaryFloat(b *clc.Binary, pk clc.Kind) breg {
 	}
 	r := lw.lowerConverted(b.R, pk, b.Pos())
 	if b.Op.IsComparison() {
+		op := opCmpI
+		if pk.IsFloat() {
+			op = opCmpF
+		}
 		t := lw.tempI()
-		lw.emit(instr{op: opCmpF, norm: fcmpCode(b.Op), dst: t.idx, a: l.idx, b: r.idx, c: c})
+		lw.emit(instr{op: op, norm: cmpCode(b.Op, pk.IsUnsigned()), dst: t.idx, a: l.idx, b: r.idx, c: c})
 		return t
 	}
-	var op opcode
-	switch b.Op {
-	case clc.BinAdd:
-		op = opAddF
-	case clc.BinSub:
-		op = opSubF
-	case clc.BinMul:
-		op = opMulF
-	case clc.BinDiv:
-		op = opDivF
-	default:
-		lw.fail(b.Pos(), "interp: invalid float operator %v", b.Op)
-		return breg{}
-	}
-	t := lw.tempF()
-	lw.emit(instr{op: op, norm: normCodeFloat(pk), dst: t.idx, a: l.idx, b: r.idx, c: c})
-	return t
-}
-
-// lowerIntDiv lowers integer / and % with the closure engine's event
-// order: count, divisor, zero check, dividend. The compact fused form is
-// used only when the dividend has no observable effects and the divisor
-// cannot trap, where the reordering is unobservable.
-func (lw *lowerer) lowerIntDiv(b *clc.Binary, pk clc.Kind) breg {
-	isRem := b.Op == clc.BinRem
-	unsigned := pk.IsUnsigned()
-	var op opcode
-	switch {
-	case isRem && unsigned:
-		op = opRemU
-	case isRem:
-		op = opRemI
-	case unsigned:
-		op = opDivU
-	default:
-		op = opDivI
-	}
-	full := !pureNoEffects(b.L) || canTrap(b.R)
-	in := instr{op: op, norm: normCodeInt(pk), c: 1, pos: b.Pos()}
-	if full {
-		lw.pay(1, 0)
-		in.c = 0
-	}
-	r := lw.lowerConverted(b.R, pk, b.Pos())
-	if r.varRef && writesVars(b.L) {
-		r = lw.snapshot(r)
-	}
-	if full {
-		chk := instr{op: opChkDiv0, a: r.idx, pos: b.Pos()}
-		if isRem {
-			chk.imm = 1
-		}
-		lw.emit(chk)
-	}
-	l := lw.lowerConverted(b.L, pk, b.Pos())
-	t := lw.tempI()
-	in.dst, in.a, in.b = t.idx, l.idx, r.idx
-	lw.emit(in)
-	return t
+	return lw.emitBinOp(b.Op, pk, newTemp, l, r, c, b.Pos())
 }
 
 // mulAddParts splits (a*b)+c or c+(a*b) over int32-promoted, pure
@@ -1230,81 +1178,76 @@ func (lw *lowerer) memRefOf(ix *clc.Index) bcRef {
 }
 
 // globalLoadOp returns the load opcode and norm for a buffer element kind.
-func globalLoadOp(kind clc.Kind) (opcode, uint8, bool) {
+func globalLoadOp(kind clc.Kind) (opcode, uint8) {
 	switch kind {
 	case clc.KindFloat:
-		return opLdGF32, 0, true
+		return opLdGF32, 0
 	case clc.KindDouble:
-		return opLdGF64, 0, true
+		return opLdGF64, 0
 	case clc.KindLong, clc.KindULong:
-		return opLdGI64, 0, false
+		return opLdGI64, 0
 	default: // int, uint: re-widen like normInt(kind, int64(b.I32[i]))
-		return opLdGI32, normCodeInt(kind), false
+		return opLdGI32, normCodeInt(kind)
 	}
 }
 
 // globalStoreOp returns the store opcode for a buffer element kind.
-func globalStoreOp(kind clc.Kind) (opcode, bool) {
+func globalStoreOp(kind clc.Kind) opcode {
 	switch kind {
 	case clc.KindFloat:
-		return opStGF32, true
+		return opStGF32
 	case clc.KindDouble:
-		return opStGF64, true
+		return opStGF64
 	case clc.KindLong, clc.KindULong:
-		return opStGI64, false
+		return opStGI64
 	default:
-		return opStGI32, false
+		return opStGI32
 	}
 }
 
 // emitLoad emits the load of ref at index register idx.
 func (lw *lowerer) emitLoad(ref bcRef, idx breg) breg {
+	isF := ref.kind.IsFloat()
+	in := instr{a: idx.idx, pos: ref.pos}
 	switch {
 	case ref.argIndex >= 0:
-		op, n, isF := globalLoadOp(ref.kind)
-		t := lw.temp(isF)
-		lw.emit(instr{op: op, norm: n, dst: t.idx, a: idx.idx, slot: ref.argIndex, site: ref.site, pos: ref.pos})
-		return t
+		in.op, in.norm = globalLoadOp(ref.kind)
+		in.slot, in.site = ref.argIndex, ref.site
 	case ref.localIdx >= 0:
-		if ref.kind.IsFloat() {
-			t := lw.tempF()
-			lw.emit(instr{op: opLdLF, dst: t.idx, a: idx.idx, slot: ref.localIdx, pos: ref.pos})
-			return t
+		in.op, in.slot = opLdLI, ref.localIdx
+		if isF {
+			in.op = opLdLF
 		}
-		t := lw.tempI()
-		lw.emit(instr{op: opLdLI, dst: t.idx, a: idx.idx, slot: ref.localIdx, pos: ref.pos})
-		return t
 	default:
-		if ref.kind.IsFloat() {
-			t := lw.tempF()
-			lw.emit(instr{op: opLdPF, dst: t.idx, a: idx.idx, slot: ref.privIdx, pos: ref.pos})
-			return t
+		in.op, in.slot = opLdPI, ref.privIdx
+		if isF {
+			in.op = opLdPF
 		}
-		t := lw.tempI()
-		lw.emit(instr{op: opLdPI, dst: t.idx, a: idx.idx, slot: ref.privIdx, pos: ref.pos})
-		return t
 	}
+	t := lw.temp(isF)
+	in.dst = t.idx
+	lw.emit(in)
+	return t
 }
 
 // emitStore emits the store of value v through ref at index register idx.
 func (lw *lowerer) emitStore(ref bcRef, idx, v breg) {
+	in := instr{a: idx.idx, b: v.idx, pos: ref.pos}
 	switch {
 	case ref.argIndex >= 0:
-		op, _ := globalStoreOp(ref.kind)
-		lw.emit(instr{op: op, a: idx.idx, b: v.idx, slot: ref.argIndex, site: ref.site, pos: ref.pos})
+		in.op, in.slot, in.site = globalStoreOp(ref.kind), ref.argIndex, ref.site
 	case ref.localIdx >= 0:
-		op := opStLI
+		in.op, in.slot = opStLI, ref.localIdx
 		if v.f {
-			op = opStLF
+			in.op = opStLF
 		}
-		lw.emit(instr{op: op, a: idx.idx, b: v.idx, slot: ref.localIdx, pos: ref.pos})
 	default:
-		op := opStPI
+		in.op, in.slot = opStPI, ref.privIdx
 		if v.f {
-			op = opStPF
+			in.op = opStPF
 		}
-		lw.emit(instr{op: op, a: idx.idx, b: v.idx, slot: ref.privIdx, pos: ref.pos})
 	}
+	lw.emit(in)
 }
 
 func (lw *lowerer) lowerIndexLoad(ix *clc.Index) breg {
@@ -1337,12 +1280,7 @@ func (lw *lowerer) lowerCall(call *clc.Call) breg {
 	case clc.BuiltinIntMinMax:
 		return lw.lowerMinMax(call)
 	case clc.BuiltinAbs:
-		prepay := canTrap(call.Args[0])
-		c := int32(1)
-		if prepay {
-			lw.pay(1, 0)
-			c = 0
-		}
+		c := lw.countAt(canTrap(call.Args[0]), false)
 		v := lw.lowerExpr(call.Args[0])
 		if v.f {
 			lw.fail(call.Pos(), "interp: abs over float operand")
@@ -1392,12 +1330,7 @@ func (lw *lowerer) lowerWorkItem(call *clc.Call) breg {
 // counts AluFloat before evaluating the (float-converted) arguments, so
 // the count is pre-paid whenever an argument can trap.
 func (lw *lowerer) lowerMath(call *clc.Call, nargs int) breg {
-	prepay := canTrap(call.Args[0]) || (nargs == 2 && canTrap(call.Args[1]))
-	c := int32(1)
-	if prepay {
-		lw.pay(0, 1)
-		c = 0
-	}
+	c := lw.countAt(canTrap(call.Args[0]) || (nargs == 2 && canTrap(call.Args[1])), true)
 	a0 := lw.lowerConverted(call.Args[0], clc.KindFloat, call.Args[0].Pos())
 	if nargs == 1 {
 		t := lw.tempF()
@@ -1437,34 +1370,23 @@ func (lw *lowerer) mathIdx2(name string) int {
 
 func (lw *lowerer) lowerMinMax(call *clc.Call) breg {
 	rk := call.ResultType().Kind
-	isMin := call.Name == "min"
 	sel := uint8(0)
-	if isMin {
+	if call.Name == "min" {
 		sel = 1
 	}
-	prepay := canTrap(call.Args[0]) || canTrap(call.Args[1])
-	c := int32(1)
-	if prepay {
-		if rk.IsFloat() {
-			lw.pay(0, 1)
-		} else {
-			lw.pay(1, 0)
-		}
-		c = 0
-	}
+	c := lw.countAt(canTrap(call.Args[0]) || canTrap(call.Args[1]), rk.IsFloat())
 	a0 := lw.lowerConverted(call.Args[0], rk, call.Pos())
 	if writesVars(call.Args[1]) {
 		a0 = lw.snapshot(a0)
 	}
 	a1 := lw.lowerConverted(call.Args[1], rk, call.Pos())
 	// The closure engine does not re-normalize the selected value.
+	op := opMinMaxI
 	if rk.IsFloat() {
-		t := lw.tempF()
-		lw.emit(instr{op: opMinMaxF, norm: sel, dst: t.idx, a: a0.idx, b: a1.idx, c: c})
-		return t
+		op = opMinMaxF
 	}
-	t := lw.tempI()
-	lw.emit(instr{op: opMinMaxI, norm: sel, dst: t.idx, a: a0.idx, b: a1.idx, c: c})
+	t := lw.temp(rk.IsFloat())
+	lw.emit(instr{op: op, norm: sel, dst: t.idx, a: a0.idx, b: a1.idx, c: c})
 	return t
 }
 
@@ -1529,6 +1451,7 @@ func (lw *lowerer) lowerAtomic(call *clc.Call) breg {
 
 func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 	rk := as.LHS.ResultType().Kind
+	binOp, _ := as.Op.BinOp()
 	switch lhs := as.LHS.(type) {
 	case *clc.Ident:
 		sym := lhs.Sym
@@ -1537,7 +1460,16 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 			return breg{}
 		}
 		if sym.IsLocal {
-			return lw.lowerLocalScalarAssign(as, sym, rk)
+			// A __local scalar lives in work-group storage: the value is
+			// computed in a temporary, then stored.
+			var nv breg
+			if as.Op == clc.AssignPlain {
+				nv = lw.lowerConverted(as.RHS, rk, as.Pos())
+			} else {
+				nv = lw.lowerCompound(binOp, rk, newTemp, lhs, as.RHS, as.Pos())
+			}
+			lw.storeLocalScalar(sym, nv, as.Pos())
+			return nv
 		}
 		dst := lw.varReg(sym, lhs.Pos())
 		if as.Op == clc.AssignPlain {
@@ -1548,114 +1480,7 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 		if v, ok := lw.tryFMA(as, dst, rk); ok {
 			return v
 		}
-		binOp, _ := as.Op.BinOp()
-		// Compound assignment through binOpFn: the promoted kind is the
-		// LHS kind, the RHS is pre-converted to it.
-		if rk.IsFloat() {
-			prepay := canTrap(as.RHS)
-			c := int32(1)
-			if prepay {
-				lw.pay(0, 1)
-				c = 0
-			}
-			// Closure order: count, load LHS, evaluate RHS. The load is
-			// folded into the operation below, which reads the variable
-			// register after the RHS code ran — snapshot if the RHS
-			// writes variables.
-			a := breg(dst)
-			if writesVars(as.RHS) {
-				a = lw.snapshot(a)
-			}
-			rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-			var op opcode
-			switch binOp {
-			case clc.BinAdd:
-				op = opAddF
-			case clc.BinSub:
-				op = opSubF
-			case clc.BinMul:
-				op = opMulF
-			case clc.BinDiv:
-				op = opDivF
-			default:
-				lw.fail(as.Pos(), "interp: invalid float operator %v", binOp)
-				return breg{}
-			}
-			lw.emit(instr{op: op, norm: normCodeFloat(rk), dst: dst.idx, a: a.idx, b: rv.idx, c: c})
-			return dst
-		}
-		if binOp == clc.BinDiv || binOp == clc.BinRem {
-			// Closure order for integer division: count, evaluate RHS,
-			// zero-check, load LHS — the LHS read already follows the
-			// RHS code, so it never needs a snapshot.
-			full := canTrap(as.RHS)
-			c := int32(1)
-			if full {
-				lw.pay(1, 0)
-				c = 0
-			}
-			rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-			isRem := binOp == clc.BinRem
-			if full {
-				imm := int64(0)
-				if isRem {
-					imm = 1
-				}
-				lw.emit(instr{op: opChkDiv0, a: rv.idx, imm: imm, pos: as.Pos()})
-			}
-			op := opDivI
-			switch {
-			case isRem && rk.IsUnsigned():
-				op = opRemU
-			case isRem:
-				op = opRemI
-			case rk.IsUnsigned():
-				op = opDivU
-			}
-			lw.emit(instr{op: op, norm: normCodeInt(rk), dst: dst.idx, a: dst.idx, b: rv.idx, c: c, pos: as.Pos()})
-			return dst
-		}
-		prepay := canTrap(as.RHS)
-		c := int32(1)
-		if prepay {
-			lw.pay(1, 0)
-			c = 0
-		}
-		a := breg(dst)
-		if writesVars(as.RHS) {
-			a = lw.snapshot(a)
-		}
-		rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-		var op opcode
-		imm := int64(0)
-		switch binOp {
-		case clc.BinAdd:
-			op = opAddI
-		case clc.BinSub:
-			op = opSubI
-		case clc.BinMul:
-			op = opMulI
-		case clc.BinAnd:
-			op = opAndI
-		case clc.BinOr:
-			op = opOrI
-		case clc.BinXor:
-			op = opXorI
-		case clc.BinShl:
-			op, imm = opShlI, shiftMaskOf(rk)
-		case clc.BinShr:
-			if rk.IsUnsigned() {
-				op = opShrU
-			} else {
-				op = opShrI
-			}
-			imm = shiftMaskOf(rk)
-		default:
-			lw.fail(as.Pos(), "interp: invalid operator %v", binOp)
-			return breg{}
-		}
-		lw.emit(instr{op: op, norm: normCodeInt(rk), dst: dst.idx, a: a.idx, b: rv.idx, c: c, imm: imm})
-		return dst
+		return lw.lowerCompound(binOp, rk, dst, lhs, as.RHS, as.Pos())
 
 	case *clc.Index:
 		ref := lw.memRefOf(lhs)
@@ -1671,21 +1496,52 @@ func (lw *lowerer) lowerAssign(as *clc.Assign, want bool) breg {
 		// Compound assignment through an element: the closure engine
 		// evaluates index, loads the element (recording the access),
 		// evaluates the RHS, and only then counts the operation and
-		// applies it (applyBin) — so the fused operation needs no
-		// statistics pre-payment, ever.
+		// applies it (applyBin) — so the operation, integer division
+		// included, counts and checks as it runs, never ahead.
 		idx := lw.lowerExpr(lhs.Idx)
 		if writesVars(as.RHS) {
 			idx = lw.snapshot(idx)
 		}
 		old := lw.emitLoad(ref, idx)
 		rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-		binOp, _ := as.Op.BinOp()
-		nv := lw.emitApplyBin(binOp, rk, old, rv, as.Pos())
+		nv := lw.emitBinOp(binOp, rk, newTemp, old, rv, 1, as.Pos())
 		lw.emitStore(ref, idx, nv)
 		return nv
 	}
 	lw.fail(as.Pos(), "interp: invalid assignment target %T", as.LHS)
 	return breg{}
+}
+
+// lowerCompound lowers v op= y for a variable or __local scalar v into
+// dst (as emitBinOp) through binOpFn: the promoted kind is v's kind and y
+// is converted to it. The closure engine counts, reads v, evaluates y and
+// applies, so v is read like the left operand of v op y; an integer
+// division takes emitDivision's order, where v is read after y.
+func (lw *lowerer) lowerCompound(op clc.BinaryOp, rk clc.Kind, dst breg, v *clc.Ident, y clc.Expr, pos clc.Pos) breg {
+	if (op == clc.BinDiv || op == clc.BinRem) && !rk.IsFloat() {
+		return lw.emitDivision(op, rk, dst, v, y, pos)
+	}
+	c := lw.countAt(canTrap(y), rk.IsFloat())
+	a := lw.lowerExpr(v)
+	if a.varRef && writesVars(y) {
+		a = lw.snapshot(a)
+	}
+	rv := lw.lowerConverted(y, rk, pos)
+	return lw.emitBinOp(op, rk, dst, a, rv, c, pos)
+}
+
+// storeLocalScalar stores v into the __local scalar sym.
+func (lw *lowerer) storeLocalScalar(sym *clc.Symbol, v breg, pos clc.Pos) {
+	li, ok := lw.lay.localIdx[sym]
+	if !ok {
+		lw.fail(pos, "interp: unknown __local symbol %q", sym.Name)
+		return
+	}
+	op := opStLSI
+	if v.f {
+		op = opStLSF
+	}
+	lw.emit(instr{op: op, a: v.idx, slot: int32(li)})
 }
 
 // tryFMA recognizes the reduction pattern `acc += x*y` over float32 and
@@ -1723,214 +1579,23 @@ func (lw *lowerer) tryFMA(as *clc.Assign, dst breg, rk clc.Kind) (breg, bool) {
 	return dst, true
 }
 
-// emitApplyBin emits the fused count-at-execution binary operation used
-// by compound element assignments (the closure engine's applyBin).
-func (lw *lowerer) emitApplyBin(binOp clc.BinaryOp, rk clc.Kind, a, b breg, pos clc.Pos) breg {
-	if rk.IsFloat() {
-		var op opcode
-		switch binOp {
-		case clc.BinAdd:
-			op = opAddF
-		case clc.BinSub:
-			op = opSubF
-		case clc.BinMul:
-			op = opMulF
-		case clc.BinDiv:
-			op = opDivF
-		default:
-			lw.fail(pos, "interp: invalid float operator %v", binOp)
-			return breg{}
-		}
-		t := lw.tempF()
-		lw.emit(instr{op: op, norm: normCodeFloat(rk), dst: t.idx, a: a.idx, b: b.idx, c: 1})
-		return t
-	}
-	var op opcode
-	imm := int64(0)
-	switch binOp {
-	case clc.BinAdd:
-		op = opAddI
-	case clc.BinSub:
-		op = opSubI
-	case clc.BinMul:
-		op = opMulI
-	case clc.BinDiv:
-		if rk.IsUnsigned() {
-			op = opDivU
-		} else {
-			op = opDivI
-		}
-	case clc.BinRem:
-		if rk.IsUnsigned() {
-			op = opRemU
-		} else {
-			op = opRemI
-		}
-	case clc.BinAnd:
-		op = opAndI
-	case clc.BinOr:
-		op = opOrI
-	case clc.BinXor:
-		op = opXorI
-	case clc.BinShl:
-		op, imm = opShlI, shiftMaskOf(rk)
-	case clc.BinShr:
-		if rk.IsUnsigned() {
-			op = opShrU
-		} else {
-			op = opShrI
-		}
-		imm = shiftMaskOf(rk)
-	default:
-		lw.fail(pos, "interp: invalid operator %v", binOp)
-		return breg{}
-	}
-	t := lw.tempI()
-	lw.emit(instr{op: op, norm: normCodeInt(rk), dst: t.idx, a: a.idx, b: b.idx, c: 1, imm: imm, pos: pos})
-	return t
-}
-
-// lowerLocalScalarAssign lowers assignment to a __local scalar, which
-// lives in work-group storage instead of a register.
-func (lw *lowerer) lowerLocalScalarAssign(as *clc.Assign, sym *clc.Symbol, rk clc.Kind) breg {
-	li, ok := lw.lay.localIdx[sym]
-	if !ok {
-		lw.fail(as.Pos(), "interp: unknown __local symbol %q", sym.Name)
-		return breg{}
-	}
-	isF := rk.IsFloat()
-	store := func(v breg) {
-		op := opStLSI
-		if isF {
-			op = opStLSF
-		}
-		lw.emit(instr{op: op, a: v.idx, slot: int32(li)})
-	}
-	load := func() breg {
-		t := lw.temp(isF)
-		op := opLdLSI
-		if isF {
-			op = opLdLSF
-		}
-		lw.emit(instr{op: op, dst: t.idx, slot: int32(li)})
-		return t
-	}
-	if as.Op == clc.AssignPlain {
-		rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-		store(rv)
-		return rv
-	}
-	binOp, _ := as.Op.BinOp()
-	if !isF && (binOp == clc.BinDiv || binOp == clc.BinRem) {
-		// Count, RHS, zero-check, then the deferred LHS load.
-		full := canTrap(as.RHS)
-		c := int32(1)
-		if full {
-			lw.pay(1, 0)
-			c = 0
-		}
-		rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-		if full {
-			imm := int64(0)
-			if binOp == clc.BinRem {
-				imm = 1
-			}
-			lw.emit(instr{op: opChkDiv0, a: rv.idx, imm: imm, pos: as.Pos()})
-		}
-		old := load()
-		nv := lw.tempI()
-		op := opDivI
-		switch {
-		case binOp == clc.BinRem && rk.IsUnsigned():
-			op = opRemU
-		case binOp == clc.BinRem:
-			op = opRemI
-		case rk.IsUnsigned():
-			op = opDivU
-		}
-		lw.emit(instr{op: op, norm: normCodeInt(rk), dst: nv.idx, a: old.idx, b: rv.idx, c: c, pos: as.Pos()})
-		store(nv)
-		return nv
-	}
-	// Count, load LHS, RHS, operate, store.
-	prepay := canTrap(as.RHS)
-	c := int32(1)
-	if prepay {
-		if isF {
-			lw.pay(0, 1)
-		} else {
-			lw.pay(1, 0)
-		}
-		c = 0
-	}
-	old := load()
-	rv := lw.lowerConverted(as.RHS, rk, as.Pos())
-	nv := lw.emitBinOpTo(binOp, rk, old, rv, c, as.Pos())
-	store(nv)
-	return nv
-}
-
-// emitBinOpTo emits a non-division binary operation with explicit count
-// c into a fresh temporary (division handled by callers for ordering).
-func (lw *lowerer) emitBinOpTo(binOp clc.BinaryOp, rk clc.Kind, a, b breg, c int32, pos clc.Pos) breg {
-	if rk.IsFloat() {
-		var op opcode
-		switch binOp {
-		case clc.BinAdd:
-			op = opAddF
-		case clc.BinSub:
-			op = opSubF
-		case clc.BinMul:
-			op = opMulF
-		case clc.BinDiv:
-			op = opDivF
-		default:
-			lw.fail(pos, "interp: invalid float operator %v", binOp)
-			return breg{}
-		}
-		t := lw.tempF()
-		lw.emit(instr{op: op, norm: normCodeFloat(rk), dst: t.idx, a: a.idx, b: b.idx, c: c})
-		return t
-	}
-	var op opcode
-	imm := int64(0)
-	switch binOp {
-	case clc.BinAdd:
-		op = opAddI
-	case clc.BinSub:
-		op = opSubI
-	case clc.BinMul:
-		op = opMulI
-	case clc.BinAnd:
-		op = opAndI
-	case clc.BinOr:
-		op = opOrI
-	case clc.BinXor:
-		op = opXorI
-	case clc.BinShl:
-		op, imm = opShlI, shiftMaskOf(rk)
-	case clc.BinShr:
-		if rk.IsUnsigned() {
-			op = opShrU
-		} else {
-			op = opShrI
-		}
-		imm = shiftMaskOf(rk)
-	default:
-		lw.fail(pos, "interp: invalid operator %v", binOp)
-		return breg{}
-	}
-	t := lw.tempI()
-	lw.emit(instr{op: op, norm: normCodeInt(rk), dst: t.idx, a: a.idx, b: b.idx, c: c, imm: imm})
-	return t
-}
-
 func (lw *lowerer) lowerIncDec(id *clc.IncDec, want bool) breg {
 	rk := id.X.ResultType().Kind
 	step := int64(1)
 	if id.Decr {
 		step = -1
 	}
+	// stepped emits old ± 1 into a new temporary, without statistics.
+	stepped := func(old breg) breg {
+		nv := lw.temp(old.f)
+		if old.f {
+			lw.emit(instr{op: opStepF, norm: normCodeFloat(rk), dst: nv.idx, a: old.idx, fimm: float64(step)})
+		} else {
+			lw.emit(instr{op: opStepI, norm: normCodeInt(rk), dst: nv.idx, a: old.idx, imm: step})
+		}
+		return nv
+	}
+	var old, nv breg
 	switch x := id.X.(type) {
 	case *clc.Ident:
 		sym := x.Sym
@@ -1941,68 +1606,41 @@ func (lw *lowerer) lowerIncDec(id *clc.IncDec, want bool) breg {
 		if sym.IsLocal {
 			// __local scalar: always an integer count, stepped by the
 			// element kind.
-			li, ok := lw.lay.localIdx[sym]
-			if !ok {
-				lw.fail(x.Pos(), "interp: unknown __local symbol %q", sym.Name)
-				return breg{}
-			}
 			lw.pay(1, 0)
-			isF := rk.IsFloat()
-			old := lw.temp(isF)
-			if isF {
-				lw.emit(instr{op: opLdLSF, dst: old.idx, slot: int32(li)})
-				nv := lw.tempF()
-				lw.emit(instr{op: opStepF, norm: normCodeFloat(rk), dst: nv.idx, a: old.idx, fimm: float64(step)})
-				lw.emit(instr{op: opStLSF, a: nv.idx, slot: int32(li)})
-				if id.Post {
-					return old
-				}
-				return nv
-			}
-			lw.emit(instr{op: opLdLSI, dst: old.idx, slot: int32(li)})
-			nv := lw.tempI()
-			lw.emit(instr{op: opStepI, norm: normCodeInt(rk), dst: nv.idx, a: old.idx, imm: step})
-			lw.emit(instr{op: opStLSI, a: nv.idx, slot: int32(li)})
-			if id.Post {
-				return old
-			}
-			return nv
+			old = lw.lowerIdentLoad(x)
+			nv = stepped(old)
+			lw.storeLocalScalar(sym, nv, x.Pos())
+			break
 		}
 		dst := lw.varReg(sym, x.Pos())
-		var old breg
-		if want && id.Post {
-			old = lw.snapshot(breg{idx: dst.idx, f: dst.f, varRef: true})
+		if !want || !id.Post {
+			old = dst
+		} else {
+			old = lw.snapshot(dst)
 		}
 		if dst.f {
 			lw.emit(instr{op: opIncDecF, norm: normCodeFloat(rk), dst: dst.idx, fimm: float64(step)})
 		} else {
 			lw.emit(instr{op: opIncDecI, norm: normCodeInt(rk), dst: dst.idx, imm: step})
 		}
-		if want && id.Post {
-			return old
-		}
-		return dst
+		nv = dst
 	case *clc.Index:
 		// The closure engine counts AluInt before evaluating the index,
 		// for float elements too.
 		ref := lw.memRefOf(x)
 		lw.pay(1, 0)
 		idx := lw.lowerExpr(x.Idx)
-		old := lw.emitLoad(ref, idx)
-		nv := lw.temp(old.f)
-		if old.f {
-			lw.emit(instr{op: opStepF, norm: normCodeFloat(rk), dst: nv.idx, a: old.idx, fimm: float64(step)})
-		} else {
-			lw.emit(instr{op: opStepI, norm: normCodeInt(rk), dst: nv.idx, a: old.idx, imm: step})
-		}
+		old = lw.emitLoad(ref, idx)
+		nv = stepped(old)
 		lw.emitStore(ref, idx, nv)
-		if id.Post {
-			return old
-		}
-		return nv
+	default:
+		lw.fail(id.Pos(), "interp: invalid inc/dec target %T", id.X)
+		return breg{}
 	}
-	lw.fail(id.Pos(), "interp: invalid inc/dec target %T", id.X)
-	return breg{}
+	if id.Post {
+		return old
+	}
+	return nv
 }
 
 // tryFusedBackEdge fuses a counted loop's back-edge — post inc/dec of a
@@ -2052,7 +1690,7 @@ func (lw *lowerer) tryFusedBackEdge(st *clc.ForStmt, bodyStart int) bool {
 	}
 	lw.emit(instr{
 		op:   opIncJCmpI,
-		norm: normCodeInt(rk)<<4 | icmpCode(cond.Op, pk.IsUnsigned()),
+		norm: normCodeInt(rk)<<4 | cmpCode(cond.Op, pk.IsUnsigned()),
 		dst:  dst.idx, c: step, a: l.idx, b: r.idx,
 		imm: int64(bodyStart),
 	})
