@@ -122,9 +122,12 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	// Refuse new launches first — /healthz keeps answering through the
-	// drain with ready=false, so a router's next probe sees it and
-	// migrates this member's sessions away while admitted work finishes.
+	// Refuse new launches first. /healthz keeps answering through the
+	// drain with ready=false, but a router does not wait for its probe:
+	// the 503 "draining" its next launch here gets reads to it as a node
+	// failure, so it condemns this member and fails its sessions over to
+	// their replicas (none is lost, none is handed over as a drain would)
+	// while admitted work finishes.
 	drainErr := srv.Shutdown(ctx)
 	if err := ms.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("dopia-serve: shutdown: %v", err)

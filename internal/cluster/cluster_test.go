@@ -295,6 +295,36 @@ func TestClusterKillFailoverZeroLoss(t *testing.T) {
 	}
 }
 
+// TestClusterDoubleKill kills a session's primary, runs one launch round,
+// then kills the primary it failed over to. The second kill loses nothing
+// only if the first round's failover rebuilt the replica on a live
+// member; until the probe misses enough heartbeats, the dead member still
+// reads healthy and comes first in ring order. Condemnation keeps it out:
+// with Router.condemn made a no-op this test loses the session ("503:
+// ring down"), while TestClusterChaosMatrix still passes.
+func TestClusterDoubleKill(t *testing.T) {
+	h := newHarness(t, 4, 4)
+	h.launchRound(0)
+	h.waitReplicated()
+	for kill := 0; kill < 2; kill++ {
+		victim := h.primaryOf(h.sids[0])
+		t.Logf("killing %s (primary of %s)", victim, h.sids[0])
+		h.l.Node(victim).Kill()
+		h.launchRound(1 + kill)
+	}
+	for iter := 3; iter < 6; iter++ {
+		h.launchRound(iter)
+	}
+	h.verifyFinal()
+
+	if f := h.metric("dopia_router_failovers_total"); f < 2 {
+		t.Errorf("failovers = %d, want >= 2 after two kills", f)
+	}
+	if lost := h.metric("dopia_router_sessions_lost_total"); lost != 0 {
+		t.Errorf("sessions lost = %d, want 0", lost)
+	}
+}
+
 // TestDrainKeepsRebuiltReplica: on a two-member ring a drain promotes
 // the replica, and the only member left to take the new replica is the
 // drained one, still ready because the operator drained it before it
