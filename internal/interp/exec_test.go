@@ -173,6 +173,44 @@ func TestAccessPatternClassification(t *testing.T) {
 	}
 }
 
+// TestSiteWriteFlag checks the store flag of each memory site: every site
+// on g is written (by ++, --, op= or =, as a statement or as an operand)
+// and the site on h is only read.
+func TestSiteWriteFlag(t *testing.T) {
+	for _, stmt := range []string{
+		"g[i]++; x = h[i];", "--g[i]; x = h[i];", "x = g[i]-- + h[i];", "x = 1 + ++g[i] * h[i];",
+		"g[i] += h[i];", "g[i] /= h[i];", "x = 2 * (g[i] %= h[i]);",
+		"g[i] = h[i];", "x = 1 + (g[i] = h[i]);",
+	} {
+		src := "__kernel void k(__global int* g, __global int* h, __global int* out) {\n" +
+			"\tint i = get_global_id(0);\n\tint x = 0;\n\t" + stmt + "\n\tout[i] = x;\n}\n"
+		ex := newExec(t, src, "k")
+		g, h, out := NewBuffer(clc.KindInt, 8), NewBuffer(clc.KindInt, 8), NewBuffer(clc.KindInt, 8)
+		for j := range h.I32 {
+			h.I32[j] = int32(j + 1)
+		}
+		if err := ex.Bind(BufArg(g), BufArg(h), BufArg(out)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Launch(ND1(8, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Run(); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		var seen [3]bool
+		for _, s := range ex.Stats().Sites {
+			seen[s.ArgIndex] = true
+			if want := s.ArgIndex != 1; s.Write != want {
+				t.Errorf("%s: site %d on argument %d has Write = %v, want %v", stmt, s.Site, s.ArgIndex, s.Write, want)
+			}
+		}
+		if !seen[0] || !seen[1] {
+			t.Errorf("%s: profile has no site on g or on h: %+v", stmt, ex.Stats().Sites)
+		}
+	}
+}
+
 const transposeSrc = `
 __kernel void transp(__global float* in, __global float* out, int n) {
     int i = get_global_id(0);
