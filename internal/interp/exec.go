@@ -170,80 +170,17 @@ func newLayout(k *clc.Kernel) *layout {
 			l.siteWrite[ix.Site] = l.siteWrite[ix.Site] || write
 		}
 	}
-	var walkExpr func(x clc.Expr)
-	walkExpr = func(x clc.Expr) {
-		switch e := x.(type) {
+	clc.Inspect(k, func(n clc.Node) bool {
+		switch e := n.(type) {
 		case *clc.Index:
 			site(e, false)
-			walkExpr(e.Base)
-			walkExpr(e.Idx)
-		case *clc.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *clc.Unary:
-			walkExpr(e.X)
-		case *clc.Cond:
-			walkExpr(e.C)
-			walkExpr(e.Then)
-			walkExpr(e.Else)
-		case *clc.Call:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *clc.Cast:
-			walkExpr(e.X)
 		case *clc.Assign:
 			site(e.LHS, true)
-			walkExpr(e.LHS)
-			walkExpr(e.RHS)
 		case *clc.IncDec:
 			site(e.X, true)
-			walkExpr(e.X)
 		}
-	}
-	var walkStmt func(s clc.Stmt)
-	walkStmt = func(s clc.Stmt) {
-		switch st := s.(type) {
-		case *clc.Block:
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *clc.DeclStmt:
-			for _, d := range st.Decls {
-				if d.Init != nil {
-					walkExpr(d.Init)
-				}
-			}
-		case *clc.ExprStmt:
-			walkExpr(st.X)
-		case *clc.IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *clc.ForStmt:
-			if st.Init != nil {
-				walkStmt(st.Init)
-			}
-			if st.Cond != nil {
-				walkExpr(st.Cond)
-			}
-			if st.Post != nil {
-				walkExpr(st.Post)
-			}
-			walkStmt(st.Body)
-		case *clc.WhileStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Body)
-		case *clc.DoWhileStmt:
-			walkStmt(st.Body)
-			walkExpr(st.Cond)
-		}
-	}
-	if k.Body != nil {
-		walkStmt(k.Body)
-	}
+		return true
+	})
 	return l
 }
 

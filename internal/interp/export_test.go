@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"dopia/internal/clc"
 )
 
 // AffineLoops is the number of fused loops the closed form has served on
@@ -53,6 +55,14 @@ func PoolQuiet(timeout time.Duration) bool {
 		}
 	}
 	return true
+}
+
+// LayoutAndLower derives kernel k's layout and lowers k to bytecode
+// afresh, past the kernel's memo: the interpreter's work for a kernel's
+// first launch.
+func LayoutAndLower(k *clc.Kernel) error {
+	_, err := lowerKernel(k, newLayout(k))
+	return err
 }
 
 // Parks reports whether an unprofiled run of ex's current launch parks
