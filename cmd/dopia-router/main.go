@@ -64,11 +64,20 @@ func main() {
 		JanitorInterval: *janitorEvery,
 	})
 
-	members, err := bootLocal(*local, *machineName)
-	if err != nil {
-		log.Fatalf("dopia-router: %v", err)
+	// Local members serve with the ALL heuristic: DoP choice never
+	// affects results, which are bit-exact by construction, so they skip
+	// model training.
+	members := &cluster.Local{}
+	if *local > 0 {
+		m, err := sim.MachineByName(*machineName)
+		if err != nil {
+			log.Fatalf("dopia-router: %v", err)
+		}
+		if members, err = cluster.StartNodes(*local, server.Config{Machine: m}); err != nil {
+			log.Fatalf("dopia-router: %v", err)
+		}
 	}
-	for _, n := range members {
+	for _, n := range members.Nodes {
 		if err := router.AddNode(n.ID, n.URL); err != nil {
 			log.Fatalf("dopia-router: register %s: %v", n.ID, err)
 		}
@@ -91,15 +100,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dopia-router: %v", err)
 		}
-		lookup := func(id string) *cluster.Node {
-			for _, n := range members {
-				if n.ID == id {
-					return n
-				}
-			}
-			return nil
-		}
-		ctrl := cluster.NewChaosController(events, lookup, log.Printf)
+		ctrl := cluster.NewChaosController(events, members.Node, log.Printf)
 		go func() { _ = ctrl.Run(context.Background()) }()
 	}
 
@@ -119,7 +120,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("dopia-router: listening on http://%s (%d members)",
-			*addr, len(members)+len(external))
+			*addr, len(members.Nodes)+len(external))
 		errCh <- hs.ListenAndServe()
 	}()
 
@@ -138,43 +139,12 @@ func main() {
 		log.Printf("dopia-router: http shutdown: %v", err)
 	}
 	router.Close()
-	for _, n := range members {
+	for _, n := range members.Nodes {
 		if err := n.Shutdown(ctx); err != nil {
 			log.Printf("dopia-router: member %s drain: %v", n.ID, err)
 		}
 	}
 	log.Printf("dopia-router: drained cleanly")
-}
-
-// bootLocal starts count in-process members ("n0".."n<count-1>"). Each
-// gets a private copy of the machine model (identical parameters,
-// independent object) and serves with the ALL heuristic — DoP choice
-// never affects results, which are bit-exact by construction, so local
-// members skip model training.
-func bootLocal(count int, machineName string) ([]*cluster.Node, error) {
-	if count <= 0 {
-		return nil, nil
-	}
-	base, err := sim.MachineByName(machineName)
-	if err != nil {
-		return nil, err
-	}
-	var members []*cluster.Node
-	for i := 0; i < count; i++ {
-		m, err := base.ToJSON().Build()
-		if err != nil {
-			return nil, err
-		}
-		n, err := cluster.StartNode(cluster.NodeConfig{
-			ID:     fmt.Sprintf("n%d", i),
-			Server: server.Config{Machine: m},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("member n%d: %w", i, err)
-		}
-		members = append(members, n)
-	}
-	return members, nil
 }
 
 type member struct{ id, addr string }

@@ -42,26 +42,9 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
-
-	l := &Local{}
-	for i := 0; i < cfg.Nodes; i++ {
-		scfg := cfg.Server
-		// Every member gets a private Machine: identical parameters
-		// (bit-exactness needs that), independent object.
-		if scfg.Machine != nil {
-			if m, err := scfg.Machine.ToJSON().Build(); err == nil {
-				scfg.Machine = m
-			}
-		}
-		n, err := StartNode(NodeConfig{
-			ID:     fmt.Sprintf("n%d", i),
-			Server: scfg,
-		})
-		if err != nil {
-			l.shutdownNodes()
-			return nil, err
-		}
-		l.Nodes = append(l.Nodes, n)
+	l, err := StartNodes(cfg.Nodes, cfg.Server)
+	if err != nil {
+		return nil, err
 	}
 
 	l.Router = NewRouter(cfg.Router)
@@ -83,6 +66,32 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 	l.RouterURL = "http://" + ln.Addr().String()
 	l.hs = &http.Server{Handler: l.Router.Handler()}
 	go func() { _ = l.hs.Serve(ln) }()
+	return l, nil
+}
+
+// StartNodes boots count members, "n0".."n<count-1>", each serving cfg
+// with a private Machine: identical parameters (bit-exactness needs
+// that), independent object. The Local it returns has no router. On an
+// error it shuts down the members it started.
+func StartNodes(count int, cfg server.Config) (*Local, error) {
+	l := &Local{}
+	for i := 0; i < count; i++ {
+		id := fmt.Sprintf("n%d", i)
+		scfg := cfg
+		var err error
+		if cfg.Machine != nil {
+			scfg.Machine, err = cfg.Machine.ToJSON().Build()
+		}
+		var n *Node
+		if err == nil {
+			n, err = StartNode(NodeConfig{ID: id, Server: scfg})
+		}
+		if err != nil {
+			l.shutdownNodes()
+			return nil, fmt.Errorf("member %s: %w", id, err)
+		}
+		l.Nodes = append(l.Nodes, n)
+	}
 	return l, nil
 }
 
