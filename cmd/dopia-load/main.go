@@ -321,13 +321,14 @@ func main() {
 	// Poll the observability surface while the storm runs: both
 	// endpoints must stay live under full load.
 	healthPolls := 0
-	pollDone := make(chan struct{})
+	pollStop, pollExited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(pollExited)
 		tick := time.NewTicker(500 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
-			case <-pollDone:
+			case <-pollStop:
 				return
 			case <-tick.C:
 				if _, err := client.Healthz(); err == nil {
@@ -338,7 +339,8 @@ func main() {
 		}
 	}()
 	wg.Wait()
-	close(pollDone)
+	close(pollStop)
+	<-pollExited // a poll in flight still writes healthPolls
 
 	page, err := client.Metrics()
 	if err != nil {
